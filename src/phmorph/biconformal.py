@@ -16,7 +16,7 @@ import numpy as np
 
 from . import exprs, jets
 from .exprs import Expr
-from .jets import Jet2
+from .jets import Jet2, JetDomainError
 from .manifold import (FDMetric, GeometryError, TangentVector)
 from .maps import (SmoothMap, differential, horizontal_projector,
                    mean_curvature_vertical, tension_field,
@@ -61,8 +61,8 @@ class BiconformalChange:
         dim = len(coords)
         s = exprs.eval_jet(self.sigma, coords)
         r = exprs.eval_jet(self.rho, coords)
-        s = s if isinstance(s, Jet2) else Jet2.constant(float(s), dim)
-        r = r if isinstance(r, Jet2) else Jet2.constant(float(r), dim)
+        s = (s if isinstance(s, Jet2) else Jet2.constant(float(s), dim)).check()
+        r = (r if isinstance(r, Jet2) else Jet2.constant(float(r), dim)).check()
         if s.value <= 0.0:
             raise PositivityError("sigma = %g <= 0 at %s"
                                   % (s.value, np.asarray(p).tolist()))
@@ -390,8 +390,7 @@ def verify_tension_equivalence(phi: SmoothMap, J: AlmostComplexStructureField,
     lhs = tension_field(phi, p, metric=metric).components
     rhs = tension_via_f_structure(phi, J, p, metric=metric,
                                   fd_step=fd_step).components
-    strategy = "fd" if (metric is not None or phi.m > phi.two_n) else "fd"
-    return _report("tension-f-structure", p, lhs, rhs, tol, strategy)
+    return _report("tension-f-structure", p, lhs, rhs, tol, "fd")
 
 
 def verify_phwc_equivalence(phi: SmoothMap, J: AlmostComplexStructureField,
@@ -471,7 +470,7 @@ def check_corollary_psh(scenario, sigma: Expr, points,
                 ok = rel_defect < tol and (
                     ref < 10 * tol or float(np.max(np.abs(tau_bar))) > 0.5 * ref)
                 resid = rel_defect
-        except (GeometryError, exprs.EvalError) as err:
+        except (GeometryError, JetDomainError, exprs.EvalError) as err:
             summary.samples_error += 1
             summary.details.append({"point": np.asarray(p).tolist(),
                                     "error": str(err)})
@@ -524,7 +523,7 @@ def check_corollary_phh(scenario, sigma: Expr, points,
                 strength = float(np.sqrt(grad_h @ g @ grad_h))
                 # only points with a visible horizontal log-gradient must break
                 ok = defect > breaking_floor if strength > 0.05 else True
-        except (GeometryError, exprs.EvalError) as err:
+        except (GeometryError, JetDomainError, exprs.EvalError) as err:
             summary.samples_error += 1
             summary.details.append({"point": np.asarray(p).tolist(),
                                     "error": str(err)})

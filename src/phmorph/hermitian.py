@@ -41,6 +41,7 @@ class AlmostComplexStructureField:
             for b in range(d):
                 entry = rows[a][b]
                 if isinstance(entry, Jet2):
+                    entry.check()
                     j[a, b] = entry.value
                     dj[:, a, b] = entry.grad
                 else:

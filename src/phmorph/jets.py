@@ -3,6 +3,15 @@
 Every scalar field in the engine is evaluated through this type so that
 first derivatives (Christoffel symbols) and second derivatives (tension
 fields, Laplacians) come out exact to machine precision.
+
+Where non-finite jets are caught: the public ``Jet2(...)`` constructor and
+``seed_coordinates`` check shapes and every component.  The arithmetic in this
+module builds its results with ``_check=False``, which checks only the value:
+IEEE arithmetic never turns a non-finite gradient or Hessian entry finite
+again, so the full check runs once where a jet leaves the arithmetic
+(``SmoothMap.jets``, ``field_jet``, ``BiconformalChange.factor_jets``,
+``JetMetric`` and ``AlmostComplexStructureField.matrix_and_derivs``), through
+``Jet2.check``.
 """
 
 from __future__ import annotations
@@ -32,13 +41,22 @@ class Jet2:
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
         if _check:
-            d = self.grad.shape[0]
-            if self.grad.shape != (d,) or self.hess.shape != (d, d):
-                raise ValueError("jet gradient/Hessian shape mismatch")
-            if not (math.isfinite(self.value)
-                    and np.all(np.isfinite(self.grad))
-                    and np.all(np.isfinite(self.hess))):
-                raise JetDomainError("non-finite jet component")
+            self.check()
+        elif not math.isfinite(self.value):
+            raise JetDomainError("non-finite jet component")
+
+    def check(self) -> "Jet2":
+        """Boundary check: consistent shapes and every component finite.
+
+        Returns the jet itself so boundaries can check and pass it on."""
+        d = self.grad.shape[0]
+        if self.grad.shape != (d,) or self.hess.shape != (d, d):
+            raise ValueError("jet gradient/Hessian shape mismatch")
+        if not (math.isfinite(self.value)
+                and np.isfinite(self.grad).all()
+                and np.isfinite(self.hess).all()):
+            raise JetDomainError("non-finite jet component")
+        return self
 
     @property
     def dim(self) -> int:
@@ -46,7 +64,7 @@ class Jet2:
 
     @staticmethod
     def constant(value, dim: int) -> "Jet2":
-        return Jet2(value, np.zeros(dim), np.zeros((dim, dim)))
+        return Jet2(value, np.zeros(dim), np.zeros((dim, dim)), _check=False)
 
     def _lift(self, other) -> "Jet2":
         if isinstance(other, Jet2):
@@ -58,7 +76,8 @@ class Jet2:
     def _compose(self, f0: float, f1: float, f2: float) -> "Jet2":
         # chain rule for scalar f applied to this jet
         g = self.grad
-        return Jet2(f0, f1 * g, f1 * self.hess + f2 * np.outer(g, g))
+        return Jet2(f0, f1 * g, f1 * self.hess + f2 * np.outer(g, g),
+                    _check=False)
 
     # ---- arithmetic -----------------------------------------------------
 
@@ -67,13 +86,15 @@ class Jet2:
 
     def __add__(self, other):
         o = self._lift(other)
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        return Jet2(self.value + o.value, self.grad + o.grad,
+                    self.hess + o.hess, _check=False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._lift(other)
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        return Jet2(self.value - o.value, self.grad - o.grad,
+                    self.hess - o.hess, _check=False)
 
     def __rsub__(self, other):
         return self._lift(other).__sub__(self)
@@ -87,7 +108,7 @@ class Jet2:
         cross = np.outer(self.grad, o.grad)
         cross = cross + cross.T
         h = self.hess * o.value + o.hess * self.value + cross
-        return Jet2(self.value * o.value, g, h)
+        return Jet2(self.value * o.value, g, h, _check=False)
 
     __rmul__ = __mul__
 

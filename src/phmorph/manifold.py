@@ -10,10 +10,20 @@ exist:
   produced by biconformal changes, which involve projections built from
   linear solves); derivatives use Richardson-extrapolated central
   differences.
+
+``metric_at`` and ``inverse_metric_at`` are memoized per point: the validated
+(g, g^-1) pair is kept in a bounded least-recently-used ``PointMemo`` on the
+``MetricField`` instance, so every manifold built by ``with_metric`` on that
+metric shares it.  The domain, symmetry, positive-definiteness and inversion
+checks run once per point; a point that fails them is never stored, so it
+fails on every call.  Memoized arrays are read-only.  ``field_jet`` and
+``JetMetric.matrix_and_derivs`` are boundaries where non-finite jets are
+caught (see ``jets``).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +57,56 @@ class TangentVector:
             raise ValueError("tangent vector base/component length mismatch")
 
 
+# Distinct points a PointMemo keeps.  One identity at one sample point visits
+# that point and its finite-difference probes (about 40 points for m = 6), and
+# that is where the reuse is; keeping every point of a run would instead grow
+# memory with the sample count.
+POINT_MEMO_SIZE = 64
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class PointMemo:
+    """Least-recently-used store of per-point results, holding at most
+    ``POINT_MEMO_SIZE`` entries."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self):
+        self._store = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def get(self, key):
+        value = self._store.get(key)
+        if value is not None:
+            self._store.move_to_end(key)
+        return value
+
+    def put(self, key, value):
+        self._store[key] = value
+        if len(self._store) > POINT_MEMO_SIZE:
+            self._store.popitem(last=False)
+
+
 class MetricField:
     """Interface: dim, strategy, matrix(p), matrix_and_derivs(p)."""
 
     dim: int
     strategy: str
+
+    @property
+    def point_memo(self) -> PointMemo:
+        """Validated (g, g^-1) per point, shared by every manifold that
+        carries this metric."""
+        memo = self.__dict__.get("_point_memo")
+        if memo is None:
+            memo = self._point_memo = PointMemo()
+        return memo
 
     def matrix(self, p) -> np.ndarray:
         raise NotImplementedError
@@ -84,6 +139,7 @@ class JetMetric(MetricField):
             for j in range(m):
                 entry = rows[i][j]
                 if isinstance(entry, Jet2):
+                    entry.check()
                     g[i, j] = entry.value
                     dg[:, i, j] = entry.grad
                 else:
@@ -171,23 +227,45 @@ class ChartedRiemannianManifold:
             raise DomainError("point %s outside chart domain" % (p.tolist(),))
         return p
 
+    def _metric_entry(self, p):
+        """Memo entry [g, g^-1 or None] of a point, validating g on a miss.
+
+        The key includes the domain predicate, since manifolds sharing a
+        metric may have different domains."""
+        q = np.asarray(p, dtype=float)
+        if q.shape != (self.dim,):
+            self.check_in_domain(q)  # raises before a key is made
+        memo = self.metric.point_memo
+        key = (self.domain_predicate, q.tobytes())
+        entry = memo.get(key)
+        if entry is None:
+            q = self.check_in_domain(q)
+            g = self.metric.matrix(q)
+            if np.max(np.abs(g - g.T)) > 1e-12:
+                raise MetricError("metric matrix not symmetric at %s"
+                                  % (q.tolist(),))
+            w = np.linalg.eigvalsh(0.5 * (g + g.T))
+            if w[0] <= 1e-12:
+                raise MetricError("metric not positive definite at %s "
+                                  "(min eigenvalue %g)" % (q.tolist(), w[0]))
+            entry = [read_only(np.array(g, dtype=float)), None]
+            memo.put(key, entry)
+        return entry
+
     def metric_at(self, p):
-        p = self.check_in_domain(p)
-        g = self.metric.matrix(p)
-        if np.max(np.abs(g - g.T)) > 1e-12:
-            raise MetricError("metric matrix not symmetric at %s" % (p.tolist(),))
-        w = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if w[0] <= 1e-12:
-            raise MetricError("metric not positive definite at %s "
-                              "(min eigenvalue %g)" % (p.tolist(), w[0]))
-        return g
+        """Validated metric matrix at p (memoized, read-only)."""
+        return self._metric_entry(p)[0]
 
     def inverse_metric_at(self, p):
-        g = self.metric_at(p)
-        ginv = np.linalg.inv(g)
-        if np.max(np.abs(g @ ginv - np.eye(self.dim))) > 1e-10:
-            raise MetricError("metric inversion inaccurate at %s" % (p,))
-        return ginv
+        """Inverse metric matrix at p (memoized, read-only)."""
+        entry = self._metric_entry(p)
+        if entry[1] is None:
+            g = entry[0]
+            ginv = np.linalg.inv(g)
+            if np.max(np.abs(g @ ginv - np.eye(self.dim))) > 1e-10:
+                raise MetricError("metric inversion inaccurate at %s" % (p,))
+            entry[1] = read_only(ginv)
+        return entry[1]
 
     def christoffel(self, p):
         """Levi-Civita coefficients Gamma[k, i, j] = Gamma^k_ij."""
@@ -211,7 +289,7 @@ class ChartedRiemannianManifold:
             out = f(coords)
         if not isinstance(out, Jet2):
             out = Jet2.constant(float(out), self.dim)
-        return out
+        return out.check()
 
     def gradient(self, f, p) -> TangentVector:
         p = self.check_in_domain(p)

@@ -1,5 +1,10 @@
 """Smooth maps between charted manifolds: differentials, adjoints,
-vertical/horizontal splitting, tension field and fiber mean curvature."""
+vertical/horizontal splitting, tension field and fiber mean curvature.
+
+``SmoothMap.jets`` is memoized per point in a bounded ``PointMemo`` keyed on
+the exact float64 bytes of the point; its jets are checked for non-finite
+components once, when first computed, and their arrays are read-only.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,8 @@ import numpy as np
 from . import jets
 from .jets import Jet2
 from .manifold import (ChartedRiemannianManifold, GeometryError, MetricField,
-                       TangentVector, directional_derivative)
+                       PointMemo, TangentVector, directional_derivative,
+                       read_only)
 
 RANK_TOL = 1e-8
 
@@ -34,6 +40,7 @@ class SmoothMap:
         self.source = source
         self.target = target
         self.components = components  # callable(coords) -> sequence of 2n
+        self._jet_memo = PointMemo()
 
     @property
     def m(self) -> int:
@@ -52,13 +59,21 @@ class SmoothMap:
         return np.array([float(x) for x in out])
 
     def jets(self, p):
-        coords = jets.seed_coordinates(np.asarray(p, dtype=float))
-        out = self.components(coords)
-        lifted = []
-        for x in out:
-            lifted.append(x if isinstance(x, Jet2)
-                          else Jet2.constant(float(x), self.m))
-        return lifted
+        """Jets of the 2n components at p (memoized; arrays read-only)."""
+        p = np.asarray(p, dtype=float)
+        key = p.tobytes()
+        cached = self._jet_memo.get(key)
+        if cached is None:
+            out = self.components(jets.seed_coordinates(p))
+            cached = tuple(
+                x if isinstance(x, Jet2) else Jet2.constant(float(x), self.m)
+                for x in out)
+            for x in cached:
+                x.check()
+                read_only(x.grad)
+                read_only(x.hess)
+            self._jet_memo.put(key, cached)
+        return list(cached)
 
 
 def differential(phi: SmoothMap, p) -> np.ndarray:

@@ -237,9 +237,12 @@ def confirm_flags(scenario: Scenario, points, tol: float = 1e-5,
                 errors += 1
         return worst, errors
 
+    def relative(defect_and_scale):
+        defect, scale = defect_and_scale
+        return defect / (scale + REL_FLOOR)
+
     phwc_worst, phwc_err = measure(
-        lambda p: phwc_defect(phi, J, p)[0]
-        / (phwc_defect(phi, J, p)[1] + REL_FLOOR))
+        lambda p: relative(phwc_defect(phi, J, p)))
     out["phwc"] = _flag_entry(scenario.expected_flags.get("phwc"),
                               phwc_worst, phwc_err, tol)
 
@@ -252,8 +255,7 @@ def confirm_flags(scenario: Scenario, points, tol: float = 1e-5,
     expected_phh = scenario.expected_flags.get("phh")
     if scenario.expected_flags.get("phwc"):
         phh_worst, phh_err = measure(
-            lambda p: phh_defect(phi, J, p, fd_step=fd_step)[0]
-            / (phh_defect(phi, J, p, fd_step=fd_step)[1] + REL_FLOOR))
+            lambda p: relative(phh_defect(phi, J, p, fd_step=fd_step)))
         out["phh"] = _flag_entry(expected_phh, phh_worst, phh_err, tol)
     else:
         out["phh"] = {"expected": expected_phh, "measured_max_defect": None,

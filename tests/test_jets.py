@@ -144,3 +144,28 @@ def test_nonfinite_rejected():
 def test_zero_dimension_rejected():
     with pytest.raises(ValueError):
         seed_coordinates([])
+
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_nonfinite_gradient_caught_at_boundaries():
+    # (1e300*x1)^2 at x1 = 1e-200: the value 1e200 is finite, the gradient
+    # and Hessian overflow. Arithmetic checks only values, so the boundaries
+    # must catch it, on every call.
+    from phmorph import BiconformalChange, EvalError, SmoothMap, euclidean_space
+    from phmorph.exprs import eval_jet, parse
+
+    expr = parse("(1e300*x1)^2")
+    p = np.array([1e-200, 0.5])
+    assert math.isfinite(eval_jet(expr, list(p)))
+    plane = euclidean_space(2)
+    phi = SmoothMap(plane, plane, lambda c: [eval_jet(expr, c), c[1]])
+    change = BiconformalChange(expr, expr)
+    for _ in range(2):
+        with pytest.raises((JetDomainError, EvalError)):
+            plane.field_jet(expr, p)
+        with pytest.raises((JetDomainError, EvalError)):
+            phi.jets(p)
+        with pytest.raises((JetDomainError, EvalError)):
+            change.factor_jets(p)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import phmorph.jets as jets
 from phmorph import (
     ChartedRiemannianManifold,
+    DomainError,
     FDMetric,
     JetMetric,
     MetricError,
@@ -17,7 +18,8 @@ from phmorph import (
     euclidean_space,
     parse,
 )
-from phmorph.manifold import directional_derivative, richardson_partial
+from phmorph.manifold import (POINT_MEMO_SIZE, directional_derivative,
+                              richardson_partial)
 
 
 def sphere_metric_components(coords):
@@ -182,3 +184,92 @@ def test_field_jet_matches_callable_and_expr():
     assert j1.value == pytest.approx(j2.value, rel=1e-14)
     assert np.allclose(j1.grad, j2.grad, rtol=1e-14)
     assert np.allclose(j1.hess, j2.hess, rtol=1e-14)
+
+
+class CountingMetric(FDMetric):
+    """FD metric that counts its value-level evaluations."""
+
+    def __init__(self, dim, matrix_fn):
+        super().__init__(dim, matrix_fn)
+        self.evaluations = 0
+
+    def matrix(self, p):
+        self.evaluations += 1
+        return super().matrix(p)
+
+
+def test_metric_memo_warm_equals_cold():
+    p = np.array([1.1, 0.3])
+    cold = sphere_manifold()
+    g_cold, ginv_cold = cold.metric_at(p), cold.inverse_metric_at(p)
+    man = sphere_manifold()
+    man.inverse_metric_at(p)
+    assert np.array_equal(man.metric_at(p.copy()), g_cold)
+    assert np.array_equal(man.inverse_metric_at(p.copy()), ginv_cold)
+
+
+def test_metric_memo_shared_through_with_metric():
+    metric = CountingMetric(2, lambda p: np.diag([1.0, 2.0 + p[0] ** 2]))
+    man = ChartedRiemannianManifold(2, metric)
+    p = np.array([0.5, -0.5])
+    man.metric_at(p)
+    man.inverse_metric_at(p)
+    man.with_metric(metric).inverse_metric_at(p)
+    man.with_metric(metric).metric_at(p)
+    assert metric.evaluations == 1
+
+
+def test_metric_memo_stays_bounded():
+    metric = CountingMetric(2, lambda p: np.diag([1.0, 2.0 + p[0] ** 2]))
+    man = ChartedRiemannianManifold(2, metric)
+    for k in range(POINT_MEMO_SIZE + 10):
+        man.inverse_metric_at(np.array([1e-3 * k, 0.0]))
+        assert len(metric.point_memo) <= POINT_MEMO_SIZE
+    assert len(metric.point_memo) == POINT_MEMO_SIZE
+    man.metric_at(np.array([0.0, 0.0]))  # evicted, so evaluated again
+    assert metric.evaluations == POINT_MEMO_SIZE + 11
+
+
+def test_memoized_metric_arrays_are_read_only():
+    man = sphere_manifold()
+    p = np.array([1.1, 0.3])
+    with pytest.raises(ValueError):
+        man.metric_at(p)[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        man.inverse_metric_at(p)[0, 0] = 2.0
+
+
+def test_out_of_domain_point_fails_on_every_call():
+    metric = CountingMetric(2, lambda p: np.eye(2))
+    open_half = ChartedRiemannianManifold(2, metric,
+                                          domain_predicate=lambda p: p[0] > 0)
+    p = np.array([-0.5, 0.0])
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            open_half.metric_at(p)
+        with pytest.raises(DomainError):
+            open_half.inverse_metric_at(p)
+    # a manifold without the restriction may use the point; that must not
+    # let the point into the restricted manifold's domain
+    ChartedRiemannianManifold(2, metric).metric_at(p)
+    with pytest.raises(DomainError):
+        open_half.metric_at(p)
+    # a wrong shape with the same bytes as a memoized point is still rejected
+    whole = ChartedRiemannianManifold(2, metric)
+    whole.metric_at(np.zeros(2))
+    with pytest.raises(DomainError):
+        whole.metric_at(np.zeros((1, 2)))
+
+
+def test_non_positive_definite_point_fails_on_every_call():
+    metric = CountingMetric(
+        2, lambda p: np.array([[1.0, 0.0], [0.0, p[0]]]))
+    man = ChartedRiemannianManifold(2, metric)
+    p = np.array([-1.0, 0.0])
+    for _ in range(3):
+        with pytest.raises(MetricError):
+            man.metric_at(p)
+        with pytest.raises(MetricError):
+            man.inverse_metric_at(p)
+    assert metric.evaluations == 6
+    assert len(metric.point_memo) == 0

@@ -16,7 +16,8 @@ from phmorph import (
     ortho_split,
     tension_field,
 )
-from phmorph.manifold import ChartedRiemannianManifold, JetMetric
+from phmorph.manifold import (POINT_MEMO_SIZE, ChartedRiemannianManifold,
+                              JetMetric)
 from phmorph.maps import (
     check_submersion,
     horizontal_lift,
@@ -229,3 +230,51 @@ def test_dimension_bookkeeping():
     assert phi.m == 4
     assert phi.two_n == 2
     assert phi.n == 1
+
+
+def rational_map():
+    # a Hopf-like rational map: every component is a deep jet expression
+    def components(c):
+        r2 = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
+        return [c[0] * c[2] / (1.0 + r2), c[1] * c[2] / (1.0 + r2)]
+
+    return SmoothMap(euclidean_space(3), euclidean_space(2), components)
+
+
+def test_jets_memo_warm_equals_cold():
+    p = np.array([0.3, -0.4, 0.7])
+    cold = rational_map().jets(p)
+    phi = rational_map()
+    phi.jets(p)
+    warm = phi.jets(p.copy())
+    for c, w in zip(cold, warm):
+        assert c.value == w.value
+        assert np.array_equal(c.grad, w.grad)
+        assert np.array_equal(c.hess, w.hess)
+
+
+def test_jets_memo_stays_bounded():
+    phi = rational_map()
+    first = np.array([0.1, 0.2, 0.3])
+    before = phi.jets(first)
+    for k in range(POINT_MEMO_SIZE + 10):
+        phi.jets(np.array([0.1, 0.2, 0.3 + 1e-3 * (k + 1)]))
+        assert len(phi._jet_memo) <= POINT_MEMO_SIZE
+    assert len(phi._jet_memo) == POINT_MEMO_SIZE
+    # the first point was evicted; recomputing it gives the same jets
+    after = phi.jets(first)
+    assert all(a is not b for a, b in zip(before, after))
+    for a, b in zip(before, after):
+        assert np.array_equal(a.grad, b.grad) and np.array_equal(a.hess, b.hess)
+
+
+def test_memoized_jets_are_read_only():
+    phi = rational_map()
+    p = np.array([0.3, -0.4, 0.7])
+    out = phi.jets(p)
+    with pytest.raises(ValueError):
+        out[0].grad[0] = 1.0
+    with pytest.raises(ValueError):
+        out[1].hess[0, 0] = 1.0
+    out.clear()  # the returned list is the caller's own
+    assert len(phi.jets(p)) == 2
