@@ -33,6 +33,11 @@ class PositivityError(GeometryError):
     """A conformal factor failed to be strictly positive at a sample point."""
 
 
+# Failures that make one sample point error instead of ending the run.
+SAMPLE_ERRORS = (GeometryError, JetDomainError, exprs.EvalError,
+                 np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True)
 class BiconformalChange:
     """Rescale the horizontal metric block by sigma^-2 and the vertical one
@@ -150,6 +155,80 @@ class IdentityResidualReport:
     strategy: str
     error: Optional[str] = None
     extra: dict = dc_field(default_factory=dict)
+
+
+def errored_report(identity, p, err) -> IdentityResidualReport:
+    return IdentityResidualReport(identity, np.asarray(p).tolist(), 0.0, 0.0,
+                                  False, "fd", error=str(err))
+
+
+@dataclass
+class IdentityAggregate:
+    """Per-identity tally of sample reports, read in sample-point order."""
+    name: str
+    samples_pass: int = 0
+    samples_fail: int = 0
+    samples_error: int = 0
+    max_abs_residual: float = 0.0
+    max_rel_residual: float = 0.0
+    worst_point: Optional[list] = None
+    errors: list = dc_field(default_factory=list)
+
+    # whether the worst point is the largest absolute residual rather than
+    # the largest relative one
+    worst_by_abs = False
+
+    def add(self, rep: IdentityResidualReport):
+        if rep.error is not None:
+            self.samples_error += 1
+            self.errors.append({"point": rep.point, "error": rep.error})
+            return
+        self._offer_worst(rep.abs_residual, rep.rel_residual, rep.point)
+        if rep.passed:
+            self.samples_pass += 1
+        else:
+            self.samples_fail += 1
+
+    def merge(self, later: "IdentityAggregate"):
+        """Fold in the tally of later sample points; the result equals
+        ``add`` applied to every report in point order."""
+        self.samples_pass += later.samples_pass
+        self.samples_fail += later.samples_fail
+        self.samples_error += later.samples_error
+        self.errors.extend(later.errors)
+        if later.worst_point is not None:
+            self._offer_worst(later.max_abs_residual, later.max_rel_residual,
+                              later.worst_point)
+
+    def _offer_worst(self, abs_residual, rel_residual, point):
+        # ">=": of two equal residuals the later point is the worst; a NaN
+        # residual never is
+        if self.worst_by_abs:
+            beats = abs_residual >= self.max_abs_residual
+        else:
+            beats = rel_residual >= self.max_rel_residual
+        if beats:
+            self.max_abs_residual = abs_residual
+            self.max_rel_residual = rel_residual
+            self.worst_point = point
+
+    @property
+    def passed(self) -> bool:
+        """Every sample point was checked and passed."""
+        return (self.samples_fail == 0 and self.samples_error == 0
+                and self.samples_pass > 0)
+
+    def as_dict(self):
+        return {
+            "name": self.name,
+            "samples_pass": self.samples_pass,
+            "samples_fail": self.samples_fail,
+            "samples_error": self.samples_error,
+            "max_abs_residual": self.max_abs_residual,
+            "max_rel_residual": self.max_rel_residual,
+            "worst_point": self.worst_point,
+            "passed": self.passed,
+        }
 
 
 def _report(identity, p, lhs, rhs, tol, strategy, extra=None):
@@ -373,10 +452,11 @@ def verify_pullback_characterization(phi: SmoothMap,
     pseudo-harmonic morphism with respect to the supplied metric."""
     fn = HOLOMORPHIC_BUILTINS[holo_name]
     src = phi.source if metric is None else phi.source.with_metric(metric)
-    lap = np.array([
-        src.laplace_beltrami(lambda c: fn(phi.components(c))[0], p),
-        src.laplace_beltrami(lambda c: fn(phi.components(c))[1], p),
-    ])
+    src.check_in_domain(p)
+    # the jets of f o phi at p: f applied to the (memoized) jets of phi
+    parts = fn(phi.jets(p))
+    lap = np.array([src.laplace_beltrami(lambda c, part=part: part, p)
+                    for part in parts])
     rep = _report("pullback", p, lap, np.zeros(2), tol,
                   src.metric.strategy)
     rep.extra["function"] = holo_name
@@ -419,26 +499,21 @@ def verify_phwc_equivalence(phi: SmoothMap, J: AlmostComplexStructureField,
 
 
 @dataclass
-class CorollarySummary:
-    name: str
-    samples_pass: int = 0
-    samples_fail: int = 0
-    samples_error: int = 0
+class CorollarySummary(IdentityAggregate):
+    """A corollary's tally; its worst point is the one with the largest
+    absolute residual (for corollary-phh, the PHH defect itself)."""
     skipped: bool = False
     warning: str = ""
-    max_abs_residual: float = 0.0
-    max_rel_residual: float = 0.0
-    worst_point: Optional[list] = None
-    details: list = dc_field(default_factory=list)
+
+    worst_by_abs = True
 
     @property
     def passed(self) -> bool:
-        return self.skipped or (self.samples_fail == 0
-                                and self.samples_pass > 0)
+        return self.skipped or super().passed
 
 
-def check_corollary_psh(scenario, sigma: Expr, points,
-                        tol: float = 1e-5) -> CorollarySummary:
+def check_corollary_psh(scenario, sigma: Expr, points, tol: float = 1e-5,
+                        fd_step: float = 1e-4) -> CorollarySummary:
     """Harmonicity and metric compatibility survive the one-function change.
 
     On a scenario that is harmonic and PHWC under g, both the tension field
@@ -450,7 +525,7 @@ def check_corollary_psh(scenario, sigma: Expr, points,
     if phi.m <= phi.two_n:
         raise GeometryError("the one-function change needs m > 2n")
     change = special_change(sigma, phi.m, phi.n)
-    ctx = BiconformalContext.build(phi, J, change)
+    ctx = BiconformalContext.build(phi, J, change, fd_step)
     expect_harmonic = scenario.expected_flags.get("harmonic")
     summary = CorollarySummary("corollary-psh")
     for p in points:
@@ -470,25 +545,19 @@ def check_corollary_psh(scenario, sigma: Expr, points,
                 ok = rel_defect < tol and (
                     ref < 10 * tol or float(np.max(np.abs(tau_bar))) > 0.5 * ref)
                 resid = rel_defect
-        except (GeometryError, JetDomainError, exprs.EvalError) as err:
-            summary.samples_error += 1
-            summary.details.append({"point": np.asarray(p).tolist(),
-                                    "error": str(err)})
+        except SAMPLE_ERRORS as err:
+            summary.add(errored_report(summary.name, p, err))
             continue
-        if resid >= summary.max_abs_residual:
-            summary.max_abs_residual = resid
-            summary.max_rel_residual = resid
-            summary.worst_point = np.asarray(p).tolist()
-        if ok:
-            summary.samples_pass += 1
-        else:
-            summary.samples_fail += 1
+        summary.add(IdentityResidualReport(summary.name,
+                                           np.asarray(p).tolist(), resid,
+                                           resid, ok, "fd"))
     return summary
 
 
 def check_corollary_phh(scenario, sigma: Expr, points,
                         tol: float = 1e-6,
-                        breaking_floor: float = 1e-3) -> CorollarySummary:
+                        breaking_floor: float = 1e-3,
+                        fd_step: float = 1e-4) -> CorollarySummary:
     """PHH survives the one-function change exactly for constant sigma.
 
     Constant sigma: the PHH defect under g_sigma stays below tol.  Nonconstant
@@ -507,7 +576,7 @@ def check_corollary_phh(scenario, sigma: Expr, points,
                            "carries a factor 2n-2 = 0 for n = 1")
         return summary
     change = special_change(sigma, phi.m, phi.n)
-    ctx = BiconformalContext.build(phi, J, change)
+    ctx = BiconformalContext.build(phi, J, change, fd_step)
     for p in points:
         try:
             defect, scale = phh_defect(phi, J, p, metric=ctx.gbar,
@@ -523,18 +592,11 @@ def check_corollary_phh(scenario, sigma: Expr, points,
                 strength = float(np.sqrt(grad_h @ g @ grad_h))
                 # only points with a visible horizontal log-gradient must break
                 ok = defect > breaking_floor if strength > 0.05 else True
-        except (GeometryError, JetDomainError, exprs.EvalError) as err:
-            summary.samples_error += 1
-            summary.details.append({"point": np.asarray(p).tolist(),
-                                    "error": str(err)})
+        except SAMPLE_ERRORS as err:
+            summary.add(errored_report(summary.name, p, err))
             continue
-        val = defect
-        if val >= summary.max_abs_residual:
-            summary.max_abs_residual = val
-            summary.max_rel_residual = val / (scale + REL_FLOOR)
-            summary.worst_point = np.asarray(p).tolist()
-        if ok:
-            summary.samples_pass += 1
-        else:
-            summary.samples_fail += 1
+        summary.add(IdentityResidualReport(summary.name,
+                                           np.asarray(p).tolist(), defect,
+                                           defect / (scale + REL_FLOOR), ok,
+                                           "fd"))
     return summary

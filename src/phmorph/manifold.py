@@ -57,10 +57,11 @@ class TangentVector:
             raise ValueError("tangent vector base/component length mismatch")
 
 
-# Distinct points a PointMemo keeps.  One identity at one sample point visits
-# that point and its finite-difference probes (about 40 points for m = 6), and
-# that is where the reuse is; keeping every point of a run would instead grow
-# memory with the sample count.
+# Distinct points a PointMemo keeps.  The runner checks every identity and
+# flag at one sample point before it moves on, and together they visit that
+# point and its finite-difference probes (about 40 points for m = 6).  So the
+# reuse spans all the checks at a sample point, and the memory stays the same
+# whatever the sample count.
 POINT_MEMO_SIZE = 64
 
 

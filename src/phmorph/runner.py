@@ -1,17 +1,25 @@
 """Verification runs: sample points, drive every selected identity, and
-assemble a deterministic machine-readable report."""
+assemble a deterministic machine-readable report.
+
+A run is point-major: at each sample point, in sample order, every selected
+identity runs and then the flag checks.  So the per-point memos of the map
+jets and of the metric (``manifold.POINT_MEMO_SIZE`` points) serve all of
+them before later points evict them.  The one-point results are folded in
+point order, which gives the same report as one pass per identity over all
+points."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from . import biconformal, exprs, scenarios
+from . import exprs, scenarios
 from .biconformal import (BiconformalChange, BiconformalContext,
-                          HOLOMORPHIC_BUILTINS, IdentityResidualReport,
-                          REL_FLOOR, check_corollary_phh, check_corollary_psh,
+                          HOLOMORPHIC_BUILTINS, IdentityAggregate, REL_FLOOR,
+                          SAMPLE_ERRORS, check_corollary_phh,
+                          check_corollary_psh, errored_report,
                           special_change, verify_f_divergence,
                           verify_koszul_h, verify_koszul_v,
                           verify_mean_curvature, verify_phh_covariant_formula,
@@ -19,8 +27,6 @@ from .biconformal import (BiconformalChange, BiconformalContext,
                           verify_pullback_characterization,
                           verify_tension_equivalence, verify_tension_transform)
 from .hermitian import phh_defect, phwc_defect
-from .jets import JetDomainError
-from .manifold import GeometryError
 from .maps import tension_field
 from .scenarios import Scenario, sample_points
 
@@ -37,10 +43,6 @@ ALL_IDENTITIES = (
     "corollary-psh",
     "corollary-phh",
 )
-
-_SAMPLE_ERRORS = (GeometryError, JetDomainError, exprs.EvalError,
-                  np.linalg.LinAlgError)
-
 
 @dataclass
 class RunConfig:
@@ -68,10 +70,25 @@ class RunConfig:
                                  % (name, ", ".join(ALL_IDENTITIES)))
 
     def build_change(self, scenario: Scenario) -> BiconformalChange:
+        """The change to verify; raises ValueError if an expression uses a
+        variable outside the scenario's chart."""
         if self.special_sigma is not None:
             sigma = exprs.parse(self.special_sigma)
+            _check_chart(scenario, {"special-sigma": sigma})
             return special_change(sigma, scenario.phi.m, scenario.phi.n)
-        return BiconformalChange.from_texts(self.sigma, self.rho)
+        change = BiconformalChange.from_texts(self.sigma, self.rho)
+        _check_chart(scenario, {"sigma": change.sigma, "rho": change.rho})
+        return change
+
+
+def _check_chart(scenario: Scenario, expressions):
+    m = scenario.phi.m
+    for option, expr in expressions.items():
+        index = exprs.max_var_index(expr)
+        if index >= m:
+            raise ValueError("%s uses x%d, but scenario %r has chart "
+                             "coordinates x1..x%d"
+                             % (option, index + 1, scenario.name, m))
 
 
 def _random_components(seed: int, sample_index: int, tag: int, dim: int,
@@ -81,59 +98,14 @@ def _random_components(seed: int, sample_index: int, tag: int, dim: int,
     return draws[0] if count == 1 else draws
 
 
-@dataclass
-class IdentityAggregate:
-    name: str
-    samples_pass: int = 0
-    samples_fail: int = 0
-    samples_error: int = 0
-    max_abs_residual: float = 0.0
-    max_rel_residual: float = 0.0
-    worst_point: Optional[list] = None
-    errors: list = field(default_factory=list)
-
-    def add(self, rep: IdentityResidualReport):
-        if rep.error is not None:
-            self.samples_error += 1
-            self.errors.append({"point": rep.point, "error": rep.error})
-            return
-        if rep.rel_residual >= self.max_rel_residual:
-            self.max_rel_residual = rep.rel_residual
-            self.max_abs_residual = rep.abs_residual
-            self.worst_point = rep.point
-        if rep.passed:
-            self.samples_pass += 1
-        else:
-            self.samples_fail += 1
-
-    @property
-    def passed(self) -> bool:
-        return self.samples_fail == 0 and self.samples_pass > 0
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "samples_pass": self.samples_pass,
-            "samples_fail": self.samples_fail,
-            "samples_error": self.samples_error,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "worst_point": self.worst_point,
-            "passed": self.passed,
-        }
-
-
-def _errored(name, p, err) -> IdentityResidualReport:
-    return IdentityResidualReport(name, np.asarray(p).tolist(), 0.0, 0.0,
-                                  False, "fd", error=str(err))
-
-
 def run_identity(name: str, scenario: Scenario, change: BiconformalChange,
-                 points, config: RunConfig):
-    """Run one identity over the sampled points.
+                 points, config: RunConfig, first_index: int = 0):
+    """Run one identity over sampled points.
 
-    Returns (aggregate, skip_reason); a non-empty skip reason means the
-    identity does not apply to this scenario / change combination."""
+    ``first_index`` is the sample index of ``points[0]``; a point's random
+    test vectors are drawn from its sample index.  Returns (aggregate,
+    skip_reason); a non-empty skip reason means the identity does not apply
+    to this scenario / change combination."""
     phi, J = scenario.phi, scenario.J
     flags = scenario.expected_flags
     m, two_n = phi.m, phi.two_n
@@ -157,11 +129,12 @@ def run_identity(name: str, scenario: Scenario, change: BiconformalChange,
 
     if name == "corollary-psh":
         summary = check_corollary_psh(scenario, change.sigma, points,
-                                      tol=tol_fd)
+                                      tol=tol_fd, fd_step=config.fd_step)
         return summary, ""
     if name == "corollary-phh":
         summary = check_corollary_phh(scenario, change.sigma, points,
-                                      tol=10.0 * tol_ad)
+                                      tol=10.0 * tol_ad,
+                                      fd_step=config.fd_step)
         if summary.skipped:
             return None, "skipped: " + summary.warning
         return summary, ""
@@ -172,7 +145,7 @@ def run_identity(name: str, scenario: Scenario, change: BiconformalChange,
                 "mean-curvature", "f-divergence", "phh-covariant"):
         ctx = BiconformalContext.build(phi, J, change, config.fd_step)
 
-    for idx, p in enumerate(points):
+    for idx, p in enumerate(points, first_index):
         try:
             if name == "phwc-equivalence":
                 rep = verify_phwc_equivalence(phi, J, p, tol=tol_ad)
@@ -214,8 +187,8 @@ def run_identity(name: str, scenario: Scenario, change: BiconformalChange,
                 rep = worst
             else:
                 raise ValueError("unhandled identity %r" % name)
-        except _SAMPLE_ERRORS as err:
-            agg.add(_errored(name, p, err))
+        except SAMPLE_ERRORS as err:
+            agg.add(errored_report(name, p, err))
             continue
         agg.add(rep)
     return agg, ""
@@ -233,7 +206,7 @@ def confirm_flags(scenario: Scenario, points, tol: float = 1e-5,
         for p in points:
             try:
                 worst = max(worst, fn(p))
-            except _SAMPLE_ERRORS:
+            except SAMPLE_ERRORS:
                 errors += 1
         return worst, errors
 
@@ -260,6 +233,22 @@ def confirm_flags(scenario: Scenario, points, tol: float = 1e-5,
     else:
         out["phh"] = {"expected": expected_phh, "measured_max_defect": None,
                       "samples_error": 0, "confirmed": None}
+    return out
+
+
+def _fold_flags(parts, tol):
+    """Flag entries over all points from one-point ``confirm_flags`` results
+    in point order."""
+    out = {}
+    for flag, first in parts[0].items():
+        if first["measured_max_defect"] is None:
+            out[flag] = first
+            continue
+        worst, errors = 0.0, 0
+        for part in parts:
+            worst = max(worst, part[flag]["measured_max_defect"])
+            errors += part[flag]["samples_error"]
+        out[flag] = _flag_entry(first["expected"], worst, errors, tol)
     return out
 
 
@@ -291,29 +280,30 @@ def run_verification(config: RunConfig):
 
     selected = list(config.identities) if config.identities else \
         list(ALL_IDENTITIES)
-    per_identity = []
-    skipped = []
-    for name in selected:
-        result, reason = run_identity(name, scenario, change, points, config)
-        if result is None:
-            skipped.append({"name": name, "reason": reason})
-            continue
-        if isinstance(result, biconformal.CorollarySummary):
-            per_identity.append({
-                "name": result.name,
-                "samples_pass": result.samples_pass,
-                "samples_fail": result.samples_fail,
-                "samples_error": result.samples_error,
-                "max_abs_residual": result.max_abs_residual,
-                "max_rel_residual": result.max_rel_residual,
-                "worst_point": result.worst_point,
-                "passed": result.passed,
-            })
-        else:
-            per_identity.append(result.as_dict())
+    # one slot per selected name: a one-point result is folded into its
+    # aggregate, or the first skip reason ends that identity's run
+    totals = [None] * len(selected)
+    reasons = [None] * len(selected)
+    flag_parts = []
+    for idx, p in enumerate(points):
+        for slot, name in enumerate(selected):
+            if reasons[slot] is not None:
+                continue
+            part, reason = run_identity(name, scenario, change, [p], config,
+                                        first_index=idx)
+            if part is None:
+                reasons[slot] = reason
+            elif totals[slot] is None:
+                totals[slot] = part
+            else:
+                totals[slot].merge(part)
+        flag_parts.append(confirm_flags(scenario, [p], tol=config.tol_fd,
+                                        fd_step=config.fd_step))
 
-    flags = confirm_flags(scenario, points, tol=config.tol_fd,
-                          fd_step=config.fd_step)
+    per_identity = [agg.as_dict() for agg in totals if agg is not None]
+    skipped = [{"name": name, "reason": reason}
+               for name, reason in zip(selected, reasons) if reason is not None]
+    flags = _fold_flags(flag_parts, config.tol_fd)
     return _assemble(config, scenario, per_identity, flags, skipped, warnings)
 
 

@@ -119,3 +119,28 @@ def test_csv_format(capsys):
     header = out.splitlines()[0]
     assert header.startswith("identity,")
     assert "max_rel_residual" in header
+
+
+def test_errored_samples_fail_the_run(capsys):
+    # rho = x2 is negative on half the chart box: the samples there error,
+    # and an identity with an errored sample does not pass
+    code, out = run(capsys, "verify", "--scenario", "flat-projection-4-2",
+                    "--rho", "x2", "--samples", "3")
+    assert code == 1
+    data = json.loads(out)
+    assert data["verdict"] == "fail"
+    errored = [row for row in data["per_identity"] if row["samples_error"]]
+    assert errored
+    assert not any(row["passed"] for row in errored)
+    assert all(row["passed"] for row in data["per_identity"]
+               if not row["samples_error"])
+
+
+@pytest.mark.parametrize("option", ["--sigma", "--rho", "--special-sigma"])
+def test_variable_outside_the_chart_exit_two(capsys, option):
+    code = main(["verify", "--scenario", "flat-projection-4-2", option,
+                 "1+0.1*x9", "--samples", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "x9" in captured.err

@@ -1,8 +1,13 @@
 """Verification runner: config validation, gating and report assembly."""
 
+import numpy as np
 import pytest
 
-from phmorph import ALL_IDENTITIES, RunConfig, run_verification
+from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
+                     biconformal, confirm_flags, get_scenario,
+                     run_verification, sample_points, scenarios)
+from phmorph.biconformal import CorollarySummary, IdentityAggregate
+from phmorph.runner import run_identity
 
 
 def test_config_validation():
@@ -51,3 +56,144 @@ def test_report_flags_section_reports_measurements():
     assert flags["harmonic"]["expected"] is False
     assert flags["harmonic"]["confirmed"]
     assert "measured_max_defect" in flags["phwc"]
+
+
+# ---- point-major runs ----------------------------------------------------
+
+def _one_pass_per_identity(config):
+    """The report sections a run gives when each identity, and then the flag
+    check, runs once over all the sample points."""
+    scenario = get_scenario(config.scenario)
+    change = config.build_change(scenario)
+    points = sample_points(scenario, config.samples, config.seed)
+    per_identity, skipped = [], []
+    for name in config.identities or ALL_IDENTITIES:
+        result, reason = run_identity(name, scenario, change, points, config)
+        if result is None:
+            skipped.append({"name": name, "reason": reason})
+        else:
+            per_identity.append(result.as_dict())
+    flags = confirm_flags(scenario, points, tol=config.tol_fd,
+                          fd_step=config.fd_step)
+    return per_identity, skipped, flags
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(scenario="hopf", sigma="exp(0.2*x1+0.1*x3)",
+              rho="1+0.2*x2^2", samples=5),
+    RunConfig(scenario="flat-projection-6-4", sigma="exp(0.2*x1)",
+              rho="1+0.1*x5^2", samples=5),
+    # rho = x2 is negative on half the box: errored samples get folded too
+    RunConfig(scenario="flat-projection-4-2", rho="x2", samples=3),
+], ids=["hopf", "flat-projection-6-4", "errored-samples"])
+def test_point_major_run_equals_one_pass_per_identity(config):
+    rep = run_verification(config)
+    per_identity, skipped, flags = _one_pass_per_identity(config)
+    assert rep["per_identity"] == per_identity
+    assert rep["skipped_identities"] == skipped
+    assert rep["flags"] == flags
+    if config.rho == "x2":
+        assert any(row["samples_error"] for row in rep["per_identity"])
+
+
+def test_map_jets_computed_once_per_distinct_point(monkeypatch):
+    # every identity and flag check at a sample point runs while the point's
+    # map jets are still in the bounded per-point memo
+    scenario = get_scenario("hopf")
+    inner = scenario.phi.components
+    jet_points = []
+
+    def counting(coords):
+        if isinstance(coords[0], Jet2):
+            jet_points.append(np.array([c.value for c in coords]).tobytes())
+        return inner(coords)
+
+    scenario.phi.components = counting
+    monkeypatch.setattr(scenarios, "get_scenario", lambda name: scenario)
+    rep = run_verification(RunConfig(scenario="hopf",
+                                     sigma="exp(0.2*x1+0.1*x3)",
+                                     rho="1+0.2*x2^2", samples=5))
+    assert rep["verdict"] == "pass"
+    assert len(jet_points) > 5 * 10
+    assert len(jet_points) == len(set(jet_points))
+
+
+def _rep(point, rel, abs_=None, error=None):
+    return IdentityResidualReport("x", [point],
+                                  rel if abs_ is None else abs_, rel,
+                                  rel < 2.5, "fd", error=error)
+
+
+@pytest.mark.parametrize("cls", [IdentityAggregate, CorollarySummary])
+def test_merge_in_point_order_equals_add(cls):
+    reps = [_rep(0, 1.0, 5.0), _rep(1, 3.0, 1.0), _rep(2, 0.0, error="boom"),
+            _rep(3, 3.0, 1.0), _rep(4, float("nan")), _rep(5, 2.0, 5.0),
+            _rep(6, 0.5, 0.5)]
+    sequential = cls("x")
+    for rep in reps:
+        sequential.add(rep)
+    folded = None
+    for rep in reps:
+        part = cls("x")
+        part.add(rep)
+        if folded is None:
+            folded = part
+        else:
+            folded.merge(part)
+    assert folded == sequential
+    assert folded.samples_error == 1 and not folded.passed
+    # ties go to the later point; corollaries rank by absolute residual
+    assert folded.worst_point == ([5] if cls is CorollarySummary else [3])
+
+
+def test_fd_step_reaches_the_corollaries(monkeypatch):
+    seen = []
+    real_phh, real_phwc = biconformal.phh_defect, biconformal.phwc_defect
+
+    def phh(*args, **kwargs):
+        seen.append(("phh_defect", kwargs["fd_step"]))
+        return real_phh(*args, **kwargs)
+
+    def phwc(*args, **kwargs):
+        seen.append(("gbar", kwargs["metric"].step))
+        return real_phwc(*args, **kwargs)
+
+    monkeypatch.setattr(biconformal, "phh_defect", phh)
+    monkeypatch.setattr(biconformal, "phwc_defect", phwc)
+    config = RunConfig(scenario="flat-projection-6-4", sigma="1+0.1*x1",
+                       fd_step=3e-4)
+    scenario = get_scenario(config.scenario)
+    change = config.build_change(scenario)
+    points = sample_points(scenario, 2, config.seed)
+    for name in ("corollary-psh", "corollary-phh"):
+        agg, reason = run_identity(name, scenario, change, points, config)
+        assert reason == "" and agg.samples_pass + agg.samples_fail == 2
+    assert seen.count(("phh_defect", 3e-4)) == 2
+    assert seen.count(("gbar", 3e-4)) == 2
+    assert len(seen) == 4
+
+
+def test_linalg_error_in_a_corollary_is_a_sample_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(biconformal, "phwc_defect", singular)
+    config = RunConfig(scenario="flat-projection-6-4", sigma="1+0.1*x1")
+    scenario = get_scenario(config.scenario)
+    points = sample_points(scenario, 3, config.seed)
+    agg, _ = run_identity("corollary-psh", scenario,
+                          config.build_change(scenario), points, config)
+    assert agg.samples_error == 3 and agg.samples_pass == 0
+    assert agg.errors[0]["error"] == "Singular matrix"
+    assert not agg.passed
+
+
+@pytest.mark.parametrize("option", ["sigma", "rho", "special_sigma"])
+def test_variable_outside_the_chart_is_a_config_error(option):
+    config = RunConfig(scenario="flat-projection-6-4",
+                       **{option: "1+0.1*x7"})
+    with pytest.raises(ValueError, match="x7"):
+        run_verification(config)
+    config = RunConfig(scenario="flat-projection-6-4",
+                       **{option: "1+0.1*x6^2"})
+    config.build_change(get_scenario(config.scenario))
