@@ -33,9 +33,11 @@ class PositivityError(GeometryError):
     """A conformal factor failed to be strictly positive at a sample point."""
 
 
-# Failures that make one sample point error instead of ending the run.
+# Failures that make one sample point error instead of ending the run.  An
+# ArithmeticError is a float overflow at the point, such as sigma^2 for a
+# sigma near the largest float.
 SAMPLE_ERRORS = (GeometryError, JetDomainError, exprs.EvalError,
-                 np.linalg.LinAlgError)
+                 np.linalg.LinAlgError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -152,14 +154,12 @@ class IdentityResidualReport:
     abs_residual: float
     rel_residual: float
     passed: bool
-    strategy: str
     error: Optional[str] = None
-    extra: dict = dc_field(default_factory=dict)
 
 
 def errored_report(identity, p, err) -> IdentityResidualReport:
     return IdentityResidualReport(identity, np.asarray(p).tolist(), 0.0, 0.0,
-                                  False, "fd", error=str(err))
+                                  False, error=str(err))
 
 
 @dataclass
@@ -183,34 +183,20 @@ class IdentityAggregate:
             self.samples_error += 1
             self.errors.append({"point": rep.point, "error": rep.error})
             return
-        self._offer_worst(rep.abs_residual, rep.rel_residual, rep.point)
+        # ">=": of two equal residuals the later point is the worst; a NaN
+        # residual never is
+        if self.worst_by_abs:
+            beats = rep.abs_residual >= self.max_abs_residual
+        else:
+            beats = rep.rel_residual >= self.max_rel_residual
+        if beats:
+            self.max_abs_residual = rep.abs_residual
+            self.max_rel_residual = rep.rel_residual
+            self.worst_point = rep.point
         if rep.passed:
             self.samples_pass += 1
         else:
             self.samples_fail += 1
-
-    def merge(self, later: "IdentityAggregate"):
-        """Fold in the tally of later sample points; the result equals
-        ``add`` applied to every report in point order."""
-        self.samples_pass += later.samples_pass
-        self.samples_fail += later.samples_fail
-        self.samples_error += later.samples_error
-        self.errors.extend(later.errors)
-        if later.worst_point is not None:
-            self._offer_worst(later.max_abs_residual, later.max_rel_residual,
-                              later.worst_point)
-
-    def _offer_worst(self, abs_residual, rel_residual, point):
-        # ">=": of two equal residuals the later point is the worst; a NaN
-        # residual never is
-        if self.worst_by_abs:
-            beats = abs_residual >= self.max_abs_residual
-        else:
-            beats = rel_residual >= self.max_rel_residual
-        if beats:
-            self.max_abs_residual = abs_residual
-            self.max_rel_residual = rel_residual
-            self.worst_point = point
 
     @property
     def passed(self) -> bool:
@@ -231,14 +217,14 @@ class IdentityAggregate:
         }
 
 
-def _report(identity, p, lhs, rhs, tol, strategy, extra=None):
+def _report(identity, p, lhs, rhs, tol):
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
     absr = float(np.max(np.abs(lhs - rhs)))
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     rel = absr / (scale + REL_FLOOR)
     return IdentityResidualReport(identity, np.asarray(p).tolist(), absr, rel,
-                                  rel < tol, strategy, extra=extra or {})
+                                  rel < tol)
 
 
 def _require_horizontal(name, v, ph, g):
@@ -278,7 +264,7 @@ def verify_koszul_h(ctx: BiconformalContext, p, x_comp, y_comp,
                  - (dls @ y) * float(x @ g @ f_i)
                  + (dls @ f_i) * gxy)
         rhs = rhs + coeff * f_i
-    return _report("koszul-horizontal", p, lhs, rhs, tol, "fd")
+    return _report("koszul-horizontal", p, lhs, rhs, tol)
 
 
 def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
@@ -291,7 +277,6 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
         raise GeometryError("no vertical distribution (m = 2n)")
     g = ctx.g(p)
     ph = horizontal_projector(phi, p)
-    pv = np.eye(phi.m) - ph
 
     def v_field(q):
         return vertical_projector(phi, q) @ np.asarray(v_comp, dtype=float)
@@ -315,7 +300,7 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
     for f_i in frame.horizontal:
         inner = inner - (d_rho_m2 @ f_i) * gvv * f_i
     rhs = 0.5 * s ** 2 * inner
-    return _report("koszul-vertical", p, lhs, rhs, tol, "fd")
+    return _report("koszul-vertical", p, lhs, rhs, tol)
 
 
 def verify_mean_curvature(ctx: BiconformalContext, p,
@@ -332,15 +317,15 @@ def verify_mean_curvature(ctx: BiconformalContext, p,
     ph = horizontal_projector(phi, p)
     s, _ = ctx.change.factor_values(p)
     rhs = s ** 2 * (mu + ph @ grad_lr)
-    return _report("mean-curvature", p, lhs, rhs, tol, "fd")
+    return _report("mean-curvature", p, lhs, rhs, tol)
 
 
 def verify_f_divergence(ctx: BiconformalContext, p,
                         tol: float = 1e-5) -> IdentityResidualReport:
     """F div_H F under the change: sigma^2 [F div_H F + (2n-2) grad_H ln sigma].
 
-    The full (unprojected) gradient correction is also reported; the two
-    differ only by a vertical component that the left side cannot contain.
+    The gradient correction is projected to H: the full gradient differs
+    from it by a vertical component that the left side cannot contain.
     """
     phi = ctx.phi
     p = np.asarray(p, dtype=float)
@@ -352,11 +337,7 @@ def verify_f_divergence(ctx: BiconformalContext, p,
     s, _ = ctx.change.factor_values(p)
     n2 = 2.0 * phi.n - 2.0
     rhs = s ** 2 * (div + n2 * (ph @ grad_ls))
-    rhs_full = s ** 2 * (div + n2 * grad_ls)
-    rep = _report("f-divergence", p, lhs, rhs, tol, "fd")
-    rep.extra["abs_residual_full_gradient"] = float(
-        np.max(np.abs(lhs - rhs_full)))
-    return rep
+    return _report("f-divergence", p, lhs, rhs, tol)
 
 
 def verify_tension_transform(ctx: BiconformalContext, p,
@@ -375,7 +356,7 @@ def verify_tension_transform(ctx: BiconformalContext, p,
     two_n, m = phi.two_n, phi.m
     correction = (two_n - m) * grad_lr + (2.0 - two_n) * grad_ls
     rhs = s ** 2 * (tau + a @ correction)
-    return _report("tension-transform", p, lhs, rhs, tol, "fd")
+    return _report("tension-transform", p, lhs, rhs, tol)
 
 
 def verify_phh_covariant_formula(ctx: BiconformalContext, p, x_comp, y_comp,
@@ -412,7 +393,7 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, p, x_comp, y_comp,
            - float(dls @ fy) * x
            + float(dls @ y) * fx
            - float(x @ g @ y) * (f @ grad_h))
-    return _report("phh-covariant", p, lhs, rhs, tol, "fd")
+    return _report("phh-covariant", p, lhs, rhs, tol)
 
 
 # ---- holomorphic test functions for the pullback characterization --------
@@ -457,10 +438,7 @@ def verify_pullback_characterization(phi: SmoothMap,
     parts = fn(phi.jets(p))
     lap = np.array([src.laplace_beltrami(lambda c, part=part: part, p)
                     for part in parts])
-    rep = _report("pullback", p, lap, np.zeros(2), tol,
-                  src.metric.strategy)
-    rep.extra["function"] = holo_name
-    return rep
+    return _report("pullback", p, lap, np.zeros(2), tol)
 
 
 def verify_tension_equivalence(phi: SmoothMap, J: AlmostComplexStructureField,
@@ -470,7 +448,7 @@ def verify_tension_equivalence(phi: SmoothMap, J: AlmostComplexStructureField,
     lhs = tension_field(phi, p, metric=metric).components
     rhs = tension_via_f_structure(phi, J, p, metric=metric,
                                   fd_step=fd_step).components
-    return _report("tension-f-structure", p, lhs, rhs, tol, "fd")
+    return _report("tension-f-structure", p, lhs, rhs, tol)
 
 
 def verify_phwc_equivalence(phi: SmoothMap, J: AlmostComplexStructureField,
@@ -485,17 +463,11 @@ def verify_phwc_equivalence(phi: SmoothMap, J: AlmostComplexStructureField,
         r2 = d2 / (s2 + REL_FLOOR)
     except GeometryError:
         # no submersion structure; only the commutator defect is defined
-        rep = IdentityResidualReport("phwc-equivalence",
-                                     np.asarray(p).tolist(), d1, r1,
-                                     True, "ad",
-                                     extra={"note": "metric defect undefined"})
-        return rep
+        return IdentityResidualReport("phwc-equivalence",
+                                      np.asarray(p).tolist(), d1, r1, True)
     agree = (r1 < tol) == (r2 < tol)
-    rep = IdentityResidualReport(
-        "phwc-equivalence", np.asarray(p).tolist(),
-        max(d1, d2), max(r1, r2), agree, "ad",
-        extra={"commutator_defect": d1, "metric_defect": d2})
-    return rep
+    return IdentityResidualReport("phwc-equivalence", np.asarray(p).tolist(),
+                                  max(d1, d2), max(r1, r2), agree)
 
 
 @dataclass
@@ -512,91 +484,108 @@ class CorollarySummary(IdentityAggregate):
         return self.skipped or super().passed
 
 
-def check_corollary_psh(scenario, sigma: Expr, points, tol: float = 1e-5,
-                        fd_step: float = 1e-4) -> CorollarySummary:
+def one_function_context(phi: SmoothMap, J: AlmostComplexStructureField,
+                         sigma: Expr, fd_step: float = 1e-4):
+    """The one-function change of sigma; raises GeometryError for m = 2n."""
+    return BiconformalContext.build(
+        phi, J, special_change(sigma, phi.m, phi.n), fd_step)
+
+
+def _tally(name, points, check) -> CorollarySummary:
+    summary = CorollarySummary(name)
+    for p in points:
+        try:
+            rep = check(p)
+        except SAMPLE_ERRORS as err:
+            rep = errored_report(name, p, err)
+        summary.add(rep)
+    return summary
+
+
+def corollary_psh_at(scenario, ctx: BiconformalContext, p,
+                     tol: float = 1e-5) -> IdentityResidualReport:
     """Harmonicity and metric compatibility survive the one-function change.
 
     On a scenario that is harmonic and PHWC under g, both the tension field
     and the PHWC defect must stay below tolerance under g_sigma; on a
     non-harmonic PHWC scenario the tension must stay visibly nonzero
     (here checked through sigma^2 tau, the exact transformed value for this
-    change)."""
-    phi, J = scenario.phi, scenario.J
-    if phi.m <= phi.two_n:
-        raise GeometryError("the one-function change needs m > 2n")
-    change = special_change(sigma, phi.m, phi.n)
-    ctx = BiconformalContext.build(phi, J, change, fd_step)
-    expect_harmonic = scenario.expected_flags.get("harmonic")
-    summary = CorollarySummary("corollary-psh")
-    for p in points:
-        try:
-            tau_bar = tension_field(phi, p, metric=ctx.gbar).components
-            defect, scale = phwc_defect(phi, J, p, metric=ctx.gbar)
-            rel_defect = defect / (scale + REL_FLOOR)
-            tau_norm = float(np.max(np.abs(tau_bar))) / REL_FLOOR
-            if expect_harmonic:
-                ok = tau_norm < tol and rel_defect < tol
-                resid = max(tau_norm, rel_defect)
-            else:
-                # tension must not collapse to zero where tau_g is nonzero
-                s, _ = change.factor_values(p)
-                tau_g = tension_field(phi, p).components
-                ref = s ** 2 * float(np.max(np.abs(tau_g)))
-                ok = rel_defect < tol and (
-                    ref < 10 * tol or float(np.max(np.abs(tau_bar))) > 0.5 * ref)
-                resid = rel_defect
-        except SAMPLE_ERRORS as err:
-            summary.add(errored_report(summary.name, p, err))
-            continue
-        summary.add(IdentityResidualReport(summary.name,
-                                           np.asarray(p).tolist(), resid,
-                                           resid, ok, "fd"))
-    return summary
+    change).  ``ctx`` is the one-function change."""
+    phi, J = ctx.phi, ctx.J
+    tau_bar = tension_field(phi, p, metric=ctx.gbar).components
+    defect, scale = phwc_defect(phi, J, p, metric=ctx.gbar)
+    rel_defect = defect / (scale + REL_FLOOR)
+    tau_norm = float(np.max(np.abs(tau_bar))) / REL_FLOOR
+    if scenario.expected_flags.get("harmonic"):
+        ok = tau_norm < tol and rel_defect < tol
+        resid = max(tau_norm, rel_defect)
+    else:
+        # tension must not collapse to zero where tau_g is nonzero
+        s, _ = ctx.change.factor_values(p)
+        tau_g = tension_field(phi, p).components
+        ref = s ** 2 * float(np.max(np.abs(tau_g)))
+        ok = rel_defect < tol and (
+            ref < 10 * tol or float(np.max(np.abs(tau_bar))) > 0.5 * ref)
+        resid = rel_defect
+    return IdentityResidualReport("corollary-psh", np.asarray(p).tolist(),
+                                  resid, resid, ok)
+
+
+def check_corollary_psh(scenario, sigma: Expr, points, tol: float = 1e-5,
+                        fd_step: float = 1e-4) -> CorollarySummary:
+    """``corollary_psh_at`` over points, for the one-function change of
+    sigma."""
+    ctx = one_function_context(scenario.phi, scenario.J, sigma, fd_step)
+    return _tally("corollary-psh", points,
+                  lambda p: corollary_psh_at(scenario, ctx, p, tol))
+
+
+# why corollary-phh has no breaking direction to check
+PHH_N1_WARNING = ("breaking direction skipped: the correction term carries "
+                  "a factor 2n-2 = 0 for n = 1")
+
+
+def phh_breaking_checkable(n: int, sigma: Expr) -> bool:
+    """Whether corollary-phh applies: for nonconstant sigma the PHH defect
+    grows through a factor 2n-2, which vanishes for n = 1."""
+    return n >= 2 or exprs.max_var_index(sigma) < 0
+
+
+def corollary_phh_at(ctx: BiconformalContext, p, tol: float = 1e-6,
+                     breaking_floor: float = 1e-3) -> IdentityResidualReport:
+    """PHH survives the one-function change ``ctx`` exactly for constant
+    sigma.
+
+    Constant sigma: the PHH defect under g_sigma stays below tol.  Nonconstant
+    sigma with a horizontally nonvanishing gradient must break PHH visibly
+    (defect above ``breaking_floor``); see ``phh_breaking_checkable``."""
+    phi = ctx.phi
+    defect, scale = phh_defect(phi, ctx.J, p, metric=ctx.gbar,
+                               fd_step=ctx.fd_step)
+    if exprs.max_var_index(ctx.change.sigma) < 0:
+        ok = defect / (scale + REL_FLOOR) < tol
+    else:
+        s_jet, _ = ctx.change.factor_jets(p)
+        ph = horizontal_projector(phi, p)
+        ginv = phi.source.inverse_metric_at(p)
+        g = phi.source.metric_at(p)
+        grad_h = ph @ (ginv @ (s_jet.grad / s_jet.value))
+        strength = float(np.sqrt(grad_h @ g @ grad_h))
+        # only points with a visible horizontal log-gradient must break
+        ok = defect > breaking_floor if strength > 0.05 else True
+    return IdentityResidualReport("corollary-phh", np.asarray(p).tolist(),
+                                  defect, defect / (scale + REL_FLOOR), ok)
 
 
 def check_corollary_phh(scenario, sigma: Expr, points,
                         tol: float = 1e-6,
                         breaking_floor: float = 1e-3,
                         fd_step: float = 1e-4) -> CorollarySummary:
-    """PHH survives the one-function change exactly for constant sigma.
-
-    Constant sigma: the PHH defect under g_sigma stays below tol.  Nonconstant
-    sigma with a horizontally nonvanishing gradient must break PHH visibly
-    (defect above ``breaking_floor``) -- but only for n >= 2: for n = 1 the
-    correction carries a factor 2n-2 = 0 and the breaking direction is
-    reported as skipped."""
-    phi, J = scenario.phi, scenario.J
-    if phi.m <= phi.two_n:
-        raise GeometryError("the one-function change needs m > 2n")
-    constant = exprs.max_var_index(sigma) < 0
-    summary = CorollarySummary("corollary-phh")
-    if not constant and phi.n < 2:
-        summary.skipped = True
-        summary.warning = ("breaking direction skipped: the correction term "
-                           "carries a factor 2n-2 = 0 for n = 1")
-        return summary
-    change = special_change(sigma, phi.m, phi.n)
-    ctx = BiconformalContext.build(phi, J, change, fd_step)
-    for p in points:
-        try:
-            defect, scale = phh_defect(phi, J, p, metric=ctx.gbar,
-                                       fd_step=ctx.fd_step)
-            if constant:
-                ok = defect / (scale + REL_FLOOR) < tol
-            else:
-                s_jet, _ = ctx.change.factor_jets(p)
-                ph = horizontal_projector(phi, p)
-                ginv = phi.source.inverse_metric_at(p)
-                g = phi.source.metric_at(p)
-                grad_h = ph @ (ginv @ (s_jet.grad / s_jet.value))
-                strength = float(np.sqrt(grad_h @ g @ grad_h))
-                # only points with a visible horizontal log-gradient must break
-                ok = defect > breaking_floor if strength > 0.05 else True
-        except SAMPLE_ERRORS as err:
-            summary.add(errored_report(summary.name, p, err))
-            continue
-        summary.add(IdentityResidualReport(summary.name,
-                                           np.asarray(p).tolist(), defect,
-                                           defect / (scale + REL_FLOOR), ok,
-                                           "fd"))
-    return summary
+    """``corollary_phh_at`` over points, for the one-function change of
+    sigma; skipped with a warning where ``phh_breaking_checkable`` fails."""
+    ctx = one_function_context(scenario.phi, scenario.J, sigma, fd_step)
+    if not phh_breaking_checkable(scenario.phi.n, sigma):
+        return CorollarySummary("corollary-phh", skipped=True,
+                                warning=PHH_N1_WARNING)
+    return _tally("corollary-phh", points,
+                  lambda p: corollary_phh_at(ctx, p, tol, breaking_floor))

@@ -14,6 +14,7 @@ immutable; evaluation works over floats or Jet2 coordinates alike.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -208,8 +209,25 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+def _power(base, exponent):
+    # on plain floats, as Jet2.__pow__ does: ** would return a complex number
+    if (not isinstance(base, Jet2) and not isinstance(exponent, Jet2)
+            and base <= 0.0 and not float(exponent).is_integer()):
+        raise JetDomainError(
+            "non-integer power of non-positive base %r" % base)
+    return base ** exponent
+
+
+_BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+               "div": operator.truediv, "pow": _power}
+_CALLS = {name: getattr(jets, name) for name in FUNCTIONS}
+
+
 def eval_jet(e: Expr, coords):
-    """Evaluate an expression at seeded coordinates (Jet2 or plain floats)."""
+    """Evaluate an expression at seeded coordinates (Jet2 or plain floats).
+
+    A value outside an operation's domain, a division by zero and a float
+    overflow raise ``EvalError`` at the offending node."""
     if isinstance(e, Lit):
         if coords and isinstance(coords[0], Jet2):
             return Jet2.constant(e.value, coords[0].dim)
@@ -225,14 +243,14 @@ def eval_jet(e: Expr, coords):
         a = eval_jet(e.left, coords)
         b = eval_jet(e.right, coords)
         try:
-            return jets.jet_binary(e.op, a, b)
-        except JetDomainError as err:
+            return _BINARY_OPS[e.op](a, b)
+        except (JetDomainError, ArithmeticError) as err:
             raise EvalError(str(err), e.pos) from err
     if isinstance(e, Call):
         a = eval_jet(e.arg, coords)
         try:
-            return jets.jet_unary(e.func, a)
-        except JetDomainError as err:
+            return _CALLS[e.func](a)
+        except (JetDomainError, ArithmeticError) as err:
             raise EvalError("%s in call to %s" % (err, e.func), e.pos) from err
     raise TypeError("not an expression node: %r" % (e,))
 

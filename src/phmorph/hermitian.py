@@ -9,10 +9,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import jets
-from .jets import Jet2
 from .manifold import (ChartedRiemannianManifold, GeometryError, MetricField,
-                       TangentVector)
+                       TangentVector, directional_derivative, jet_matrix,
+                       jet_matrix_and_derivs)
 from .maps import (FrameError, OrthoSplit, SmoothMap, check_submersion,
                    differential, horizontal_lift, horizontal_projector,
                    mean_curvature_vertical, ortho_split)
@@ -28,25 +27,10 @@ class AlmostComplexStructureField:
         self.fn = component_fn  # callable(coords) -> (2n, 2n) nested sequence
 
     def matrix(self, q) -> np.ndarray:
-        rows = self.fn(np.asarray(q, dtype=float))
-        return np.array([[float(x) for x in row] for row in rows])
+        return jet_matrix(self.fn, q)
 
     def matrix_and_derivs(self, q):
-        d = self.target.dim
-        coords = jets.seed_coordinates(np.asarray(q, dtype=float))
-        rows = self.fn(coords)
-        j = np.empty((d, d))
-        dj = np.zeros((d, d, d))
-        for a in range(d):
-            for b in range(d):
-                entry = rows[a][b]
-                if isinstance(entry, Jet2):
-                    entry.check()
-                    j[a, b] = entry.value
-                    dj[:, a, b] = entry.grad
-                else:
-                    j[a, b] = float(entry)
-        return j, dj
+        return jet_matrix_and_derivs(self.fn, q)
 
     def validate_at(self, q, tol=1e-10):
         d = self.target.dim
@@ -131,11 +115,9 @@ def phwc_metric_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Orthonormal frame {e_1..e_n, F e_1..F e_n, e_{2n+1}..e_m}."""
-    point: np.ndarray
     e: np.ndarray         # (n, m)
     fe: np.ndarray        # (n, m)
     vertical: np.ndarray  # (m - 2n, m)
-    pivots: tuple
 
     @property
     def horizontal(self) -> np.ndarray:
@@ -149,36 +131,31 @@ class AdaptedFrame:
 
 def adapted_frame(phi: SmoothMap, J: AlmostComplexStructureField, p,
                   metric: Optional[MetricField] = None,
-                  pivots=None, phwc_tol: float = PHWC_TOL,
                   seed_order=None) -> AdaptedFrame:
     """Build an adapted orthonormal frame.  Requires metric compatibility of
     the induced horizontal structure (the PHWC condition), which is what makes
     {e, F e} pairs orthonormal."""
     p = np.asarray(p, dtype=float)
     md, _ = phwc_metric_defect(phi, J, p, metric)
-    if md > phwc_tol:
+    if md > PHWC_TOL:
         raise FrameError("adapted frame needs the PHWC condition; metric "
                          "compatibility defect %g > %g at %s"
-                         % (md, phwc_tol, p.tolist()))
+                         % (md, PHWC_TOL, p.tolist()))
     src = phi.source if metric is None else phi.source.with_metric(metric)
     g = src.metric_at(p)
-    split = ortho_split(phi, p, metric,
-                        pivots=pivots[0] if pivots is not None else None)
+    split = ortho_split(phi, p, metric)
     f = f_structure(phi, J, p, metric)
     n, m = phi.n, phi.m
     seeds = split.horizontal_frame if seed_order is None \
         else split.horizontal_frame[list(seed_order)]
-    e_vecs, fe_vecs, used = [], [], []
-    order = pivots[1] if pivots is not None else range(len(seeds))
-    for idx in order:
-        v = np.array(seeds[idx], dtype=float)
+    e_vecs, fe_vecs = [], []
+    for seed in seeds:
+        v = np.array(seed, dtype=float)
         for b in e_vecs + fe_vecs:
             v = v - (b @ g @ v) * b
         norm2 = v @ g @ v
-        if pivots is None and norm2 <= 0.3 ** 2:
+        if norm2 <= 0.3 ** 2:
             continue
-        if norm2 <= 1e-20:
-            raise FrameError("adapted-frame Gram-Schmidt breakdown")
         e = v / np.sqrt(norm2)
         fe = f @ e
         fn2 = fe @ g @ fe
@@ -186,15 +163,12 @@ def adapted_frame(phi: SmoothMap, J: AlmostComplexStructureField, p,
             raise FrameError("F annihilated a horizontal frame vector")
         e_vecs.append(e)
         fe_vecs.append(fe / np.sqrt(fn2))
-        used.append(idx)
         if len(e_vecs) == n:
             break
     if len(e_vecs) < n:
         raise FrameError("could not assemble %d adapted pairs" % n)
-    return AdaptedFrame(p, np.array(e_vecs), np.array(fe_vecs),
-                        split.vertical_frame,
-                        ((split.vertical_pivots, split.horizontal_pivots),
-                         tuple(used)))
+    return AdaptedFrame(np.array(e_vecs), np.array(fe_vecs),
+                        split.vertical_frame)
 
 
 def d_f_structure(phi: SmoothMap, J: AlmostComplexStructureField, p,
@@ -203,21 +177,12 @@ def d_f_structure(phi: SmoothMap, J: AlmostComplexStructureField, p,
     """Coordinate derivatives dF[i, k, j] = d_i F^k_j of the f-structure
     field, by Richardson-extrapolated central differences.  F itself is
     frame-free, so the differencing is robust."""
+    def field(q):
+        return f_structure(phi, J, q, metric)
+
     p = np.asarray(p, dtype=float)
-    m = phi.m
-    df = np.empty((m, m, m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-
-        def central(h):
-            return (f_structure(phi, J, p + h * e, metric)
-                    - f_structure(phi, J, p - h * e, metric)) / (2.0 * h)
-
-        d1 = central(step)
-        d2 = central(step / 2.0)
-        df[i] = (4.0 * d2 - d1) / 3.0
-    return df
+    return np.array([directional_derivative(field, p, e, step)
+                     for e in np.eye(phi.m)])
 
 
 def nabla_f_operator(f: np.ndarray, df: np.ndarray,
@@ -288,15 +253,14 @@ def phh_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
 
 def tension_via_f_structure(phi: SmoothMap, J: AlmostComplexStructureField,
                             p, metric: Optional[MetricField] = None,
-                            fd_step: float = 1e-4,
-                            phwc_tol: float = PHWC_TOL) -> TangentVector:
+                            fd_step: float = 1e-4) -> TangentVector:
     """Tension field through the f-structure route:
 
     tau = -dphi( F div_H F + (m - 2n) mu^V )
 
     Only meaningful for PHWC maps (the adapted frame requires it)."""
     p = np.asarray(p, dtype=float)
-    frame = adapted_frame(phi, J, p, metric, phwc_tol=phwc_tol)
+    frame = adapted_frame(phi, J, p, metric)
     div = f_divergence_horizontal(phi, J, p, metric, frame, fd_step)
     total = div.components.copy()
     if phi.m > phi.two_n:

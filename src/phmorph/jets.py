@@ -9,9 +9,9 @@ Where non-finite jets are caught: the public ``Jet2(...)`` constructor and
 module builds its results with ``_check=False``, which checks only the value:
 IEEE arithmetic never turns a non-finite gradient or Hessian entry finite
 again, so the full check runs once where a jet leaves the arithmetic
-(``SmoothMap.jets``, ``field_jet``, ``BiconformalChange.factor_jets``,
-``JetMetric`` and ``AlmostComplexStructureField.matrix_and_derivs``), through
-``Jet2.check``.
+(``SmoothMap.jets``, ``field_jet``, ``BiconformalChange.factor_jets`` and
+``manifold.jet_matrix_and_derivs``, behind ``JetMetric`` and
+``AlmostComplexStructureField``), through ``Jet2.check``.
 """
 
 from __future__ import annotations
@@ -162,11 +162,6 @@ class Jet2:
         return "Jet2(%r, %r, %r)" % (self.value, self.grad.tolist(),
                                      self.hess.tolist())
 
-    def isclose(self, other: "Jet2", tol: float = 1e-12) -> bool:
-        return (abs(self.value - other.value) < tol
-                and np.all(np.abs(self.grad - other.grad) < tol)
-                and np.all(np.abs(self.hess - other.hess) < tol))
-
 
 def seed_coordinates(coords) -> list:
     """Seed chart coordinates as independent variables.
@@ -221,36 +216,3 @@ def sqrt(x):
                   lambda v: -0.25 / v ** 1.5,
                   domain=lambda v: v > 0.0, name="sqrt")
 
-
-_UNARY_OPS = {
-    "neg": lambda a: -a,
-    "sin": sin,
-    "cos": cos,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-}
-
-_BINARY_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "pow": lambda a, b: a ** b,
-}
-
-
-def jet_unary(op: str, a):
-    try:
-        f = _UNARY_OPS[op]
-    except KeyError:
-        raise ValueError("unknown unary op %r" % op)
-    return f(a)
-
-
-def jet_binary(op: str, a, b):
-    try:
-        f = _BINARY_OPS[op]
-    except KeyError:
-        raise ValueError("unknown binary op %r" % op)
-    return f(a, b)

@@ -17,8 +17,8 @@ exist:
 metric shares it.  The domain, symmetry, positive-definiteness and inversion
 checks run once per point; a point that fails them is never stored, so it
 fails on every call.  Memoized arrays are read-only.  ``field_jet`` and
-``JetMetric.matrix_and_derivs`` are boundaries where non-finite jets are
-caught (see ``jets``).
+``jet_matrix_and_derivs`` are boundaries where non-finite jets are caught
+(see ``jets``).
 """
 
 from __future__ import annotations
@@ -95,10 +95,9 @@ class PointMemo:
 
 
 class MetricField:
-    """Interface: dim, strategy, matrix(p), matrix_and_derivs(p)."""
+    """Interface: dim, matrix(p), matrix_and_derivs(p)."""
 
     dim: int
-    strategy: str
 
     @property
     def point_memo(self) -> PointMemo:
@@ -117,9 +116,34 @@ class MetricField:
         raise NotImplementedError
 
 
-class JetMetric(MetricField):
-    strategy = "ad"
+def jet_matrix(fn, p) -> np.ndarray:
+    """Values at p of a square matrix field whose entries ``fn`` evaluates
+    on floats or Jet2 coordinates."""
+    rows = fn(np.asarray(p, dtype=float))
+    return np.array([[float(x) for x in row] for row in rows])
 
+
+def jet_matrix_and_derivs(fn, p):
+    """(M, dM) at p of such a field, one row and column per chart
+    coordinate: dM[k, i, j] = d_k M_ij, exact by AD."""
+    coords = jets.seed_coordinates(np.asarray(p, dtype=float))
+    d = len(coords)
+    rows = fn(coords)
+    mat = np.empty((d, d))
+    dmat = np.zeros((d, d, d))
+    for i in range(d):
+        for j in range(d):
+            entry = rows[i][j]
+            if isinstance(entry, Jet2):
+                entry.check()
+                mat[i, j] = entry.value
+                dmat[:, i, j] = entry.grad
+            else:
+                mat[i, j] = float(entry)
+    return mat, dmat
+
+
+class JetMetric(MetricField):
     def __init__(self, dim: int, component_fn):
         # component_fn(coords) -> (dim, dim) nested sequence, works on
         # floats or Jet2 coordinates
@@ -127,31 +151,13 @@ class JetMetric(MetricField):
         self.fn = component_fn
 
     def matrix(self, p):
-        rows = self.fn(np.asarray(p, dtype=float))
-        return np.array([[float(x) for x in row] for row in rows])
+        return jet_matrix(self.fn, p)
 
     def matrix_and_derivs(self, p):
-        m = self.dim
-        coords = jets.seed_coordinates(p)
-        rows = self.fn(coords)
-        g = np.empty((m, m))
-        dg = np.empty((m, m, m))
-        for i in range(m):
-            for j in range(m):
-                entry = rows[i][j]
-                if isinstance(entry, Jet2):
-                    entry.check()
-                    g[i, j] = entry.value
-                    dg[:, i, j] = entry.grad
-                else:
-                    g[i, j] = float(entry)
-                    dg[:, i, j] = 0.0
-        return g, dg
+        return jet_matrix_and_derivs(self.fn, p)
 
 
 class FDMetric(MetricField):
-    strategy = "fd"
-
     def __init__(self, dim: int, matrix_fn, step: float = 1e-4):
         self.dim = dim
         self.fn = matrix_fn
@@ -174,14 +180,7 @@ def richardson_partial(fn, p, k, step):
     """Central difference d_k fn(p) at steps h and h/2, Richardson-combined."""
     e = np.zeros_like(p)
     e[k] = 1.0
-
-    def central(h):
-        return (np.asarray(fn(p + h * e), dtype=float)
-                - np.asarray(fn(p - h * e), dtype=float)) / (2.0 * h)
-
-    d1 = central(step)
-    d2 = central(step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    return directional_derivative(fn, p, e, step)
 
 
 def directional_derivative(field, p, direction, step=1e-4):

@@ -140,14 +140,13 @@ def horizontal_lift(phi: SmoothMap, p,
 
 @dataclass(frozen=True)
 class OrthoSplit:
-    point: np.ndarray
     vertical_frame: np.ndarray    # (m - 2n, m), rows g-orthonormal, in ker dphi
     horizontal_frame: np.ndarray  # (2n, m), rows g-orthonormal, g-orthogonal to V
     vertical_pivots: tuple = field(default=())
     horizontal_pivots: tuple = field(default=())
 
 
-def _gram_schmidt(seeds, g, count, pivots=None, drop_tol=0.3):
+def _gram_schmidt(seeds, g, count, pivots=None):
     """Deterministic g-orthonormalization of seed vectors, greedy in index
     order (or along explicitly supplied pivot indices for frame-field
     smoothness at displaced points)."""
@@ -165,7 +164,7 @@ def _gram_schmidt(seeds, g, count, pivots=None, drop_tol=0.3):
         for b in basis:
             v = v - (b @ g @ v) * b
         res2 = v @ g @ v
-        if pivots is None and res2 <= drop_tol ** 2:
+        if pivots is None and res2 <= 0.3 ** 2:
             continue
         if res2 <= 1e-20:
             raise FrameError("Gram-Schmidt breakdown on seed %d" % idx)
@@ -198,7 +197,7 @@ def ortho_split(phi: SmoothMap, p, metric: Optional[MetricField] = None,
     v_frame, v_used = (_gram_schmidt(pv.T, g, m - two_n, vp)
                        if m > two_n else (np.zeros((0, m)), ()))
     h_frame, h_used = _gram_schmidt(ph.T, g, two_n, hp)
-    return OrthoSplit(p, v_frame, h_frame, v_used, h_used)
+    return OrthoSplit(v_frame, h_frame, v_used, h_used)
 
 
 def tension_field(phi: SmoothMap, p,

@@ -1,28 +1,35 @@
 """Verification runs: sample points, drive every selected identity, and
 assemble a deterministic machine-readable report.
 
-A run is point-major: at each sample point, in sample order, every selected
-identity runs and then the flag checks.  So the per-point memos of the map
-jets and of the metric (``manifold.POINT_MEMO_SIZE`` points) serve all of
-them before later points evict them.  The one-point results are folded in
-point order, which gives the same report as one pass per identity over all
-points."""
+``IDENTITIES`` is the one list of the laws a run checks, in report order.
+Each entry names what the identity requires of the scenario and the change
+(``REQUIREMENTS``; the first that fails is its skip reason) and the check
+that gives its report at one sample point.  ``run_identity`` dispatches one
+identity at one point and turns a sample error into an errored report.
+
+A run is point-major: at each sample point, in sample order, every
+applicable identity runs and then the flag checks.  So the per-point memos
+of the map jets and of the metric (``manifold.POINT_MEMO_SIZE`` points)
+serve all of them before later points evict them.  Each identity folds its
+one-point reports into one aggregate in point order."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import exprs, scenarios
 from .biconformal import (BiconformalChange, BiconformalContext,
-                          HOLOMORPHIC_BUILTINS, IdentityAggregate, REL_FLOOR,
-                          SAMPLE_ERRORS, check_corollary_phh,
-                          check_corollary_psh, errored_report,
-                          special_change, verify_f_divergence,
-                          verify_koszul_h, verify_koszul_v,
-                          verify_mean_curvature, verify_phh_covariant_formula,
+                          CorollarySummary, HOLOMORPHIC_BUILTINS,
+                          IdentityAggregate, PHH_N1_WARNING, REL_FLOOR,
+                          SAMPLE_ERRORS, corollary_phh_at, corollary_psh_at,
+                          errored_report, one_function_context,
+                          phh_breaking_checkable, special_change,
+                          verify_f_divergence, verify_koszul_h,
+                          verify_koszul_v, verify_mean_curvature,
+                          verify_phh_covariant_formula,
                           verify_phwc_equivalence,
                           verify_pullback_characterization,
                           verify_tension_equivalence, verify_tension_transform)
@@ -30,19 +37,6 @@ from .hermitian import phh_defect, phwc_defect
 from .maps import tension_field
 from .scenarios import Scenario, sample_points
 
-ALL_IDENTITIES = (
-    "phwc-equivalence",
-    "tension-f-structure",
-    "tension-transform",
-    "koszul-horizontal",
-    "koszul-vertical",
-    "mean-curvature",
-    "f-divergence",
-    "phh-covariant",
-    "pullback",
-    "corollary-psh",
-    "corollary-phh",
-)
 
 @dataclass
 class RunConfig:
@@ -64,10 +58,13 @@ class RunConfig:
             raise ValueError("tolerances and the FD step must be positive")
         if self.rho is not None and self.special_sigma is not None:
             raise ValueError("give at most one of rho and special-sigma")
-        for name in self.identities or ():
-            if name not in ALL_IDENTITIES:
+        names = self.identities or ()
+        for name in names:
+            if name not in IDENTITIES:
                 raise ValueError("unknown identity %r; available: %s"
                                  % (name, ", ".join(ALL_IDENTITIES)))
+        if len(set(names)) < len(names):
+            raise ValueError("identities repeated in %s" % ",".join(names))
 
     def build_change(self, scenario: Scenario) -> BiconformalChange:
         """The change to verify; raises ValueError if an expression uses a
@@ -91,107 +88,125 @@ def _check_chart(scenario: Scenario, expressions):
                              % (option, index + 1, scenario.name, m))
 
 
-def _random_components(seed: int, sample_index: int, tag: int, dim: int,
-                       count: int = 1):
-    rng = np.random.default_rng([seed, sample_index, tag])
-    draws = rng.standard_normal((count, dim))
-    return draws[0] if count == 1 else draws
+class RunContext:
+    """What the one-point checks of a run read: the scenario, the config,
+    the biconformal context of the change and that of the one-function
+    change of its sigma (None when the scenario has no fibers)."""
+
+    def __init__(self, scenario: Scenario, config: RunConfig,
+                 change: BiconformalChange):
+        phi, J, step = scenario.phi, scenario.J, config.fd_step
+        self.scenario, self.config = scenario, config
+        self.change = BiconformalContext.build(phi, J, change, step)
+        self.one_function = (one_function_context(phi, J, change.sigma, step)
+                             if phi.m > phi.two_n else None)
+
+    def draw(self, idx: int, tag: int, count: int = 1):
+        """Random test components for sample ``idx``, seeded by the run's
+        seed, ``idx`` and the identity's ``tag``."""
+        rng = np.random.default_rng([self.config.seed, idx, tag])
+        draws = rng.standard_normal((count, self.scenario.phi.m))
+        return draws[0] if count == 1 else draws
 
 
-def run_identity(name: str, scenario: Scenario, change: BiconformalChange,
-                 points, config: RunConfig, first_index: int = 0):
-    """Run one identity over sampled points.
+def _pullback(run: RunContext, p, idx):
+    """Worst of the first three holomorphic pullbacks, under g and, for the
+    one-function change, under g-bar as well: that change preserves the
+    morphism property, so the pullbacks stay harmonic under it."""
+    phi, J, tol = run.scenario.phi, run.scenario.J, run.config.tol_fd
+    names = [h for h in sorted(HOLOMORPHIC_BUILTINS)
+             if h != "z1*z2" or phi.two_n >= 4][:3]
+    reps = []
+    for holo in names:
+        reps.append(verify_pullback_characterization(phi, J, p, holo,
+                                                     tol=tol))
+        if run.config.special_sigma is not None:
+            reps.append(verify_pullback_characterization(
+                phi, J, p, holo, metric=run.change.gbar, tol=tol))
+    return max(reps, key=lambda r: r.rel_residual)
 
-    ``first_index`` is the sample index of ``points[0]``; a point's random
-    test vectors are drawn from its sample index.  Returns (aggregate,
-    skip_reason); a non-empty skip reason means the identity does not apply
-    to this scenario / change combination."""
-    phi, J = scenario.phi, scenario.J
-    flags = scenario.expected_flags
-    m, two_n = phi.m, phi.two_n
-    tol_fd, tol_ad = config.tol_fd, config.tol_ad
-    has_fibers = m > two_n
-    is_phwc = bool(flags.get("phwc"))
 
-    needs_phwc = name in ("tension-f-structure", "tension-transform",
-                          "koszul-horizontal", "koszul-vertical",
-                          "mean-curvature", "f-divergence", "phh-covariant",
-                          "corollary-psh", "corollary-phh", "pullback")
-    if needs_phwc and not is_phwc:
-        return None, "scenario is not PHWC"
-    if name in ("koszul-vertical", "mean-curvature", "corollary-psh",
-                "corollary-phh") and not has_fibers:
-        return None, "scenario has no fibers (m = 2n)"
-    if name == "pullback" and not flags.get("harmonic"):
-        return None, "scenario is not harmonic"
-    if name == "corollary-phh" and not flags.get("phh"):
-        return None, "scenario is not PHH"
+# requirement -> (holds(scenario, change), skip reason when it does not)
+REQUIREMENTS = {
+    "phwc": (lambda sc, change: bool(sc.expected_flags.get("phwc")),
+             "scenario is not PHWC"),
+    "fibers": (lambda sc, change: sc.phi.m > sc.phi.two_n,
+               "scenario has no fibers (m = 2n)"),
+    "harmonic": (lambda sc, change: bool(sc.expected_flags.get("harmonic")),
+                 "scenario is not harmonic"),
+    "phh": (lambda sc, change: bool(sc.expected_flags.get("phh")),
+            "scenario is not PHH"),
+    "n >= 2 or sigma constant": (
+        lambda sc, change: phh_breaking_checkable(sc.phi.n, change.sigma),
+        "skipped: " + PHH_N1_WARNING),
+}
 
-    if name == "corollary-psh":
-        summary = check_corollary_psh(scenario, change.sigma, points,
-                                      tol=tol_fd, fd_step=config.fd_step)
-        return summary, ""
-    if name == "corollary-phh":
-        summary = check_corollary_phh(scenario, change.sigma, points,
-                                      tol=10.0 * tol_ad,
-                                      fd_step=config.fd_step)
-        if summary.skipped:
-            return None, "skipped: " + summary.warning
-        return summary, ""
 
-    agg = IdentityAggregate(name)
-    ctx = None
-    if name in ("tension-transform", "koszul-horizontal", "koszul-vertical",
-                "mean-curvature", "f-divergence", "phh-covariant"):
-        ctx = BiconformalContext.build(phi, J, change, config.fd_step)
+@dataclass(frozen=True)
+class Identity:
+    """A law's row: the ``REQUIREMENTS`` it needs, its one-point check
+    (run, point, sample index) -> IdentityResidualReport, and the aggregate
+    its reports fold into."""
+    requires: Tuple[str, ...]
+    check: Callable
+    aggregate: type = IdentityAggregate
 
-    for idx, p in enumerate(points, first_index):
-        try:
-            if name == "phwc-equivalence":
-                rep = verify_phwc_equivalence(phi, J, p, tol=tol_ad)
-            elif name == "tension-f-structure":
-                rep = verify_tension_equivalence(phi, J, p, tol=tol_fd,
-                                                 fd_step=config.fd_step)
-            elif name == "tension-transform":
-                rep = verify_tension_transform(ctx, p, tol=tol_fd)
-            elif name == "koszul-horizontal":
-                xy = _random_components(config.seed, idx, 3, m, count=2)
-                rep = verify_koszul_h(ctx, p, xy[0], xy[1], tol=tol_fd)
-            elif name == "koszul-vertical":
-                v = _random_components(config.seed, idx, 4, m)
-                rep = verify_koszul_v(ctx, p, v, tol=tol_fd)
-            elif name == "mean-curvature":
-                rep = verify_mean_curvature(ctx, p, tol=tol_fd)
-            elif name == "f-divergence":
-                rep = verify_f_divergence(ctx, p, tol=tol_fd)
-            elif name == "phh-covariant":
-                xy = _random_components(config.seed, idx, 7, m, count=2)
-                rep = verify_phh_covariant_formula(ctx, p, xy[0], xy[1],
-                                                   tol=tol_fd)
-            elif name == "pullback":
-                reps = []
-                names = [h for h in sorted(HOLOMORPHIC_BUILTINS)
-                         if h != "z1*z2" or two_n >= 4][:3]
-                for holo in names:
-                    reps.append(verify_pullback_characterization(
-                        phi, J, p, holo, tol=tol_fd))
-                    if config.special_sigma is not None:
-                        # the one-function change preserves the morphism
-                        # property, so the pullbacks stay harmonic under it
-                        if ctx is None:
-                            ctx = BiconformalContext.build(
-                                phi, J, change, config.fd_step)
-                        reps.append(verify_pullback_characterization(
-                            phi, J, p, holo, metric=ctx.gbar, tol=tol_fd))
-                worst = max(reps, key=lambda r: r.rel_residual)
-                rep = worst
-            else:
-                raise ValueError("unhandled identity %r" % name)
-        except SAMPLE_ERRORS as err:
-            agg.add(errored_report(name, p, err))
-            continue
-        agg.add(rep)
-    return agg, ""
+
+IDENTITIES = {
+    "phwc-equivalence": Identity((), lambda run, p, idx: (
+        verify_phwc_equivalence(run.scenario.phi, run.scenario.J, p,
+                                tol=run.config.tol_ad))),
+    "tension-f-structure": Identity(("phwc",), lambda run, p, idx: (
+        verify_tension_equivalence(run.scenario.phi, run.scenario.J, p,
+                                   tol=run.config.tol_fd,
+                                   fd_step=run.config.fd_step))),
+    "tension-transform": Identity(("phwc",), lambda run, p, idx: (
+        verify_tension_transform(run.change, p, tol=run.config.tol_fd))),
+    "koszul-horizontal": Identity(("phwc",), lambda run, p, idx: (
+        verify_koszul_h(run.change, p, *run.draw(idx, 3, count=2),
+                        tol=run.config.tol_fd))),
+    "koszul-vertical": Identity(("phwc", "fibers"), lambda run, p, idx: (
+        verify_koszul_v(run.change, p, run.draw(idx, 4),
+                        tol=run.config.tol_fd))),
+    "mean-curvature": Identity(("phwc", "fibers"), lambda run, p, idx: (
+        verify_mean_curvature(run.change, p, tol=run.config.tol_fd))),
+    "f-divergence": Identity(("phwc",), lambda run, p, idx: (
+        verify_f_divergence(run.change, p, tol=run.config.tol_fd))),
+    "phh-covariant": Identity(("phwc",), lambda run, p, idx: (
+        verify_phh_covariant_formula(run.change, p,
+                                     *run.draw(idx, 7, count=2),
+                                     tol=run.config.tol_fd))),
+    "pullback": Identity(("phwc", "harmonic"), _pullback),
+    "corollary-psh": Identity(("phwc", "fibers"), lambda run, p, idx: (
+        corollary_psh_at(run.scenario, run.one_function, p,
+                         tol=run.config.tol_fd)), CorollarySummary),
+    "corollary-phh": Identity(
+        ("phwc", "fibers", "phh", "n >= 2 or sigma constant"),
+        lambda run, p, idx: corollary_phh_at(run.one_function, p,
+                                             tol=10.0 * run.config.tol_ad),
+        CorollarySummary),
+}
+ALL_IDENTITIES = tuple(IDENTITIES)
+
+
+def skip_reason(name: str, scenario: Scenario,
+                change: BiconformalChange) -> Optional[str]:
+    """Why the identity does not apply to this scenario and change, or None."""
+    for requirement in IDENTITIES[name].requires:
+        holds, reason = REQUIREMENTS[requirement]
+        if not holds(scenario, change):
+            return reason
+    return None
+
+
+def run_identity(name: str, run: RunContext, p, idx: int):
+    """The report of one identity at sample point ``p`` with sample index
+    ``idx`` (a point's random test vectors are drawn from it); a sample error
+    gives an errored report."""
+    try:
+        return IDENTITIES[name].check(run, p, idx)
+    except SAMPLE_ERRORS as err:
+        return errored_report(name, p, err)
 
 
 def confirm_flags(scenario: Scenario, points, tol: float = 1e-5,
@@ -278,31 +293,22 @@ def run_verification(config: RunConfig):
     change = config.build_change(scenario)
     points = sample_points(scenario, config.samples, config.seed)
 
-    selected = list(config.identities) if config.identities else \
-        list(ALL_IDENTITIES)
-    # one slot per selected name: a one-point result is folded into its
-    # aggregate, or the first skip reason ends that identity's run
-    totals = [None] * len(selected)
-    reasons = [None] * len(selected)
+    run = RunContext(scenario, config, change)
+    totals, skipped = [], []
+    for name in config.identities or ALL_IDENTITIES:
+        reason = skip_reason(name, scenario, change)
+        if reason is None:
+            totals.append(IDENTITIES[name].aggregate(name))
+        else:
+            skipped.append({"name": name, "reason": reason})
     flag_parts = []
     for idx, p in enumerate(points):
-        for slot, name in enumerate(selected):
-            if reasons[slot] is not None:
-                continue
-            part, reason = run_identity(name, scenario, change, [p], config,
-                                        first_index=idx)
-            if part is None:
-                reasons[slot] = reason
-            elif totals[slot] is None:
-                totals[slot] = part
-            else:
-                totals[slot].merge(part)
+        for agg in totals:
+            agg.add(run_identity(agg.name, run, p, idx))
         flag_parts.append(confirm_flags(scenario, [p], tol=config.tol_fd,
                                         fd_step=config.fd_step))
 
-    per_identity = [agg.as_dict() for agg in totals if agg is not None]
-    skipped = [{"name": name, "reason": reason}
-               for name, reason in zip(selected, reasons) if reason is not None]
+    per_identity = [agg.as_dict() for agg in totals]
     flags = _fold_flags(flag_parts, config.tol_fd)
     return _assemble(config, scenario, per_identity, flags, skipped, warnings)
 

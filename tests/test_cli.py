@@ -83,6 +83,12 @@ def test_unknown_identity_exit_two(capsys):
     assert code == 2
 
 
+def test_repeated_identity_exit_two(capsys):
+    code, _ = run(capsys, "verify", "--scenario", "flat-projection-4-2",
+                  "--identities", "tension-transform,tension-transform")
+    assert code == 2
+
+
 def test_json_report_schema(tmp_path, capsys):
     report = tmp_path / "out.json"
     code, _ = run(capsys, "verify", "--scenario", "curved-fibers-nonharmonic",
@@ -144,3 +150,21 @@ def test_variable_outside_the_chart_exit_two(capsys, option):
     assert code == 2
     assert captured.out == ""
     assert "x9" in captured.err
+
+
+def _strict(constant):
+    raise ValueError("not strict JSON: %s" % constant)
+
+
+@pytest.mark.parametrize("sigma", ["exp(1000*x1)", "1/(x1-x1)",
+                                   "(x1-2)^0.5"])
+def test_sigma_outside_the_float_range_errors_samples(capsys, sigma):
+    code, out = run(capsys, "verify", "--scenario", "flat-projection-4-2",
+                    "--samples", "2", "--sigma", sigma)
+    assert code == 1
+    data = json.loads(out, parse_constant=_strict)
+    assert data["verdict"] == "fail"
+    errored = {row["name"]: row["samples_error"]
+               for row in data["per_identity"]}
+    assert errored["tension-transform"] == 2
+    assert errored["phwc-equivalence"] == 0

@@ -100,6 +100,22 @@ def test_too_few_coordinates_raises():
         ev("x3", 1.0, 2.0)
 
 
+@pytest.mark.parametrize("text, x1, position", [
+    ("exp(1000*x1)", 1.0, 0),  # float overflow
+    ("1/(x1-x1)", 1.0, 1),  # division by zero
+    ("(x1-2)^0.5", 1.0, 6),  # a complex result on floats
+    ("x1^(-1)", 0.0, 2),  # a negative power of zero
+])
+def test_domain_errors_carry_the_offset_on_floats_and_jets(text, x1,
+                                                          position):
+    from phmorph import EvalError
+
+    for coords in ([x1], seed_coordinates([x1])):
+        with pytest.raises(EvalError) as info:
+            eval_jet(parse(text), coords)
+        assert info.value.position == position
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -1,13 +1,22 @@
-"""Verification runner: config validation, gating and report assembly."""
+"""Verification runner: config validation, the identity table, gating and
+report assembly."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
-                     biconformal, confirm_flags, get_scenario,
+                     biconformal, confirm_flags, get_scenario, parse,
                      run_verification, sample_points, scenarios)
-from phmorph.biconformal import CorollarySummary, IdentityAggregate
-from phmorph.runner import run_identity
+from phmorph.biconformal import (CorollarySummary, IdentityAggregate,
+                                 check_corollary_phh, check_corollary_psh)
+from phmorph.runner import (IDENTITIES, RunContext, run_identity,
+                            skip_reason)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_config_validation():
@@ -21,6 +30,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(scenario="flat-projection-4-2", rho="2",
                   special_sigma="1+0.1*x1").validate()
+    with pytest.raises(ValueError, match="repeated"):
+        RunConfig(scenario="flat-projection-4-2",
+                  identities=["tension-transform",
+                              "tension-transform"]).validate()
     RunConfig(scenario="flat-projection-4-2").validate()
 
 
@@ -66,13 +79,17 @@ def _one_pass_per_identity(config):
     scenario = get_scenario(config.scenario)
     change = config.build_change(scenario)
     points = sample_points(scenario, config.samples, config.seed)
+    run = RunContext(scenario, config, change)
     per_identity, skipped = [], []
     for name in config.identities or ALL_IDENTITIES:
-        result, reason = run_identity(name, scenario, change, points, config)
-        if result is None:
+        reason = skip_reason(name, scenario, change)
+        if reason is not None:
             skipped.append({"name": name, "reason": reason})
-        else:
-            per_identity.append(result.as_dict())
+            continue
+        agg = IDENTITIES[name].aggregate(name)
+        for idx, p in enumerate(points):
+            agg.add(run_identity(name, run, p, idx))
+        per_identity.append(agg.as_dict())
     flags = confirm_flags(scenario, points, tol=config.tol_fd,
                           fd_step=config.fd_step)
     return per_identity, skipped, flags
@@ -121,29 +138,25 @@ def test_map_jets_computed_once_per_distinct_point(monkeypatch):
 def _rep(point, rel, abs_=None, error=None):
     return IdentityResidualReport("x", [point],
                                   rel if abs_ is None else abs_, rel,
-                                  rel < 2.5, "fd", error=error)
+                                  rel < 2.5, error=error)
 
 
 @pytest.mark.parametrize("cls", [IdentityAggregate, CorollarySummary])
-def test_merge_in_point_order_equals_add(cls):
-    reps = [_rep(0, 1.0, 5.0), _rep(1, 3.0, 1.0), _rep(2, 0.0, error="boom"),
-            _rep(3, 3.0, 1.0), _rep(4, float("nan")), _rep(5, 2.0, 5.0),
-            _rep(6, 0.5, 0.5)]
-    sequential = cls("x")
-    for rep in reps:
-        sequential.add(rep)
-    folded = None
-    for rep in reps:
-        part = cls("x")
-        part.add(rep)
-        if folded is None:
-            folded = part
-        else:
-            folded.merge(part)
-    assert folded == sequential
-    assert folded.samples_error == 1 and not folded.passed
-    # ties go to the later point; corollaries rank by absolute residual
-    assert folded.worst_point == ([5] if cls is CorollarySummary else [3])
+def test_add_keeps_the_worst_point(cls):
+    agg = cls("x")
+    for rep in [_rep(0, 1.0, 5.0), _rep(1, 3.0, 1.0),
+                _rep(2, 0.0, error="boom"), _rep(3, 3.0, 1.0),
+                _rep(4, float("nan")), _rep(5, 2.0, 5.0), _rep(6, 0.5, 0.5)]:
+        agg.add(rep)
+    assert (agg.samples_pass, agg.samples_fail, agg.samples_error) == (3, 3, 1)
+    assert agg.errors == [{"point": [2], "error": "boom"}]
+    assert not agg.passed
+    # ties go to the later point, a NaN residual is never the worst, and
+    # corollaries rank by absolute residual
+    if cls is CorollarySummary:
+        assert (agg.worst_point, agg.max_abs_residual) == ([5], 5.0)
+    else:
+        assert (agg.worst_point, agg.max_rel_residual) == ([3], 3.0)
 
 
 def test_fd_step_reaches_the_corollaries(monkeypatch):
@@ -161,16 +174,16 @@ def test_fd_step_reaches_the_corollaries(monkeypatch):
     monkeypatch.setattr(biconformal, "phh_defect", phh)
     monkeypatch.setattr(biconformal, "phwc_defect", phwc)
     config = RunConfig(scenario="flat-projection-6-4", sigma="1+0.1*x1",
-                       fd_step=3e-4)
+                       fd_step=3e-4, samples=2,
+                       identities=["corollary-psh", "corollary-phh"])
+    rep = run_verification(config)
+    assert [row["samples_pass"] + row["samples_fail"]
+            for row in rep["per_identity"]] == [2, 2]
     scenario = get_scenario(config.scenario)
-    change = config.build_change(scenario)
     points = sample_points(scenario, 2, config.seed)
-    for name in ("corollary-psh", "corollary-phh"):
-        agg, reason = run_identity(name, scenario, change, points, config)
-        assert reason == "" and agg.samples_pass + agg.samples_fail == 2
-    assert seen.count(("phh_defect", 3e-4)) == 2
-    assert seen.count(("gbar", 3e-4)) == 2
-    assert len(seen) == 4
+    check_corollary_psh(scenario, parse(config.sigma), points, fd_step=3e-4)
+    check_corollary_phh(scenario, parse(config.sigma), points, fd_step=3e-4)
+    assert sorted(seen) == [("gbar", 3e-4)] * 4 + [("phh_defect", 3e-4)] * 4
 
 
 def test_linalg_error_in_a_corollary_is_a_sample_error(monkeypatch):
@@ -178,14 +191,62 @@ def test_linalg_error_in_a_corollary_is_a_sample_error(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(biconformal, "phwc_defect", singular)
-    config = RunConfig(scenario="flat-projection-6-4", sigma="1+0.1*x1")
-    scenario = get_scenario(config.scenario)
-    points = sample_points(scenario, 3, config.seed)
-    agg, _ = run_identity("corollary-psh", scenario,
-                          config.build_change(scenario), points, config)
+    scenario = get_scenario("flat-projection-6-4")
+    agg = check_corollary_psh(scenario, parse("1+0.1*x1"),
+                              sample_points(scenario, 3, 42))
     assert agg.samples_error == 3 and agg.samples_pass == 0
     assert agg.errors[0]["error"] == "Singular matrix"
     assert not agg.passed
+    rep = run_verification(RunConfig(scenario="flat-projection-6-4",
+                                     sigma="1+0.1*x1", samples=3,
+                                     identities=["corollary-psh"]))
+    assert rep["per_identity"][0]["samples_error"] == 3
+    assert rep["verdict"] == "fail"
+
+
+NOT_PHWC = {name: "scenario is not PHWC" for name in ALL_IDENTITIES[1:]}
+NO_FIBERS = {name: "scenario has no fibers (m = 2n)" for name in
+             ("koszul-vertical", "mean-curvature", "corollary-psh",
+              "corollary-phh")}
+N1_NONCONSTANT = ("skipped: breaking direction skipped: the correction term "
+                  "carries a factor 2n-2 = 0 for n = 1")
+
+
+@pytest.mark.parametrize("scenario, sigma, expected", [
+    ("flat-projection-4-2", "1+0.1*x1", {"corollary-phh": N1_NONCONSTANT}),
+    ("flat-projection-4-2", "2", {}),
+    ("flat-projection-6-4", "1+0.1*x1", {}),
+    ("holomorphic-poly", "1+0.1*x1", {"corollary-phh": "scenario is not PHH"}),
+    ("nonphwc-anisotropic", "1+0.1*x1", NOT_PHWC),
+    ("curved-fibers-nonharmonic", "1+0.1*x1",
+     {"pullback": "scenario is not harmonic",
+      "corollary-phh": N1_NONCONSTANT}),
+    ("hopf", "1+0.1*x1", {"corollary-phh": "scenario is not PHH"}),
+    ("flat-projection-2-2", "1+0.1*x1", NO_FIBERS),
+])
+def test_skipped_identities_follow_the_table(monkeypatch, scenario, sigma,
+                                             expected):
+    if scenario == "flat-projection-2-2":
+        # no bundled scenario has m = 2n
+        square = scenarios._flat_projection(2, 2, scenario)
+        monkeypatch.setattr(scenarios, "get_scenario", lambda name: square)
+    rep = run_verification(RunConfig(scenario=scenario, sigma=sigma,
+                                     samples=1))
+    assert {row["name"]: row["reason"]
+            for row in rep["skipped_identities"]} == expected
+    assert [row["name"] for row in rep["per_identity"]] == [
+        name for name in ALL_IDENTITIES if name not in expected]
+
+
+def test_benchmark_tracer_finds_every_target():
+    # perfbench/tracer.py raises LookupError on a renamed function or method
+    code = ("from tracer import SETUP_TARGETS, TARGETS, Tracer; "
+            "Tracer(TARGETS).install(); Tracer(SETUP_TARGETS).install()")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("option", ["sigma", "rho", "special_sigma"])
