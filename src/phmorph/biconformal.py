@@ -19,7 +19,7 @@ from .exprs import Expr
 from .jets import Jet2, JetDomainError
 from .manifold import (FDMetric, GeometryError, TangentVector)
 from .maps import (SmoothMap, differential, horizontal_projector,
-                   mean_curvature_vertical, tension_field,
+                   local_geometry, mean_curvature_vertical, tension_field,
                    vertical_projector)
 from .hermitian import (AlmostComplexStructureField, adapted_frame,
                         d_f_structure, f_divergence_horizontal, f_structure,
@@ -107,10 +107,8 @@ def apply_change(phi: SmoothMap, change: BiconformalChange,
     """Metric field of gbar = sigma^-2 g^H + rho^-2 g^V as a value-level
     matrix function; derivatives come from Richardson central differences
     (the horizontal/vertical projections involve linear solves)."""
-    base = phi.source.metric
-
     def matrix_fn(p):
-        g = base.matrix(p)
+        g = phi.source.metric_at(p)
         ph = horizontal_projector(phi, p)
         gh = g @ ph
         gh = 0.5 * (gh + gh.T)  # symmetric up to roundoff by construction
@@ -218,10 +216,13 @@ class IdentityAggregate:
 
 
 def _report(identity, p, lhs, rhs, tol):
+    """Residual report of lhs = rhs; a non-finite side is a sample error."""
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
     absr = float(np.max(np.abs(lhs - rhs)))
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    if not (np.isfinite(absr) and np.isfinite(scale)):
+        return errored_report(identity, p, "non-finite residual")
     rel = absr / (scale + REL_FLOOR)
     return IdentityResidualReport(identity, np.asarray(p).tolist(), absr, rel,
                                   rel < tol)
@@ -250,7 +251,7 @@ def verify_koszul_h(ctx: BiconformalContext, p, x_comp, y_comp,
 
     y = y_field(p)
     src = phi.source
-    src_bar = src.with_metric(ctx.gbar)
+    src_bar = local_geometry(phi, p, ctx.gbar).src
     xv = TangentVector(p, x)
     lhs = ph @ src_bar.covariant_derivative(y_field, xv).components
 
@@ -285,7 +286,7 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
     if float(v @ g @ v) <= 1e-16:
         raise GeometryError("V has no vertical part")
     src = phi.source
-    src_bar = src.with_metric(ctx.gbar)
+    src_bar = local_geometry(phi, p, ctx.gbar).src
     vv = TangentVector(p, v)
     lhs = ph @ src_bar.covariant_derivative(v_field, vv).components
 
@@ -377,7 +378,7 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, p, x_comp, y_comp,
     f = f_structure(phi, ctx.J, p)
     df = d_f_structure(phi, ctx.J, p, step=ctx.fd_step)
 
-    gamma_bar = phi.source.with_metric(ctx.gbar).christoffel(p)
+    gamma_bar = local_geometry(phi, p, ctx.gbar).christoffel
     nab_bar = nabla_f_operator(f, df, gamma_bar)
     lhs = ph @ np.einsum("i,ikj,j->k", x, nab_bar, y)
 
@@ -432,7 +433,7 @@ def verify_pullback_characterization(phi: SmoothMap,
     """Laplacian of Re and Im of (holomorphic f) o phi; both vanish for a
     pseudo-harmonic morphism with respect to the supplied metric."""
     fn = HOLOMORPHIC_BUILTINS[holo_name]
-    src = phi.source if metric is None else phi.source.with_metric(metric)
+    src = local_geometry(phi, p, metric).src
     src.check_in_domain(p)
     # the jets of f o phi at p: f applied to the (memoized) jets of phi
     parts = fn(phi.jets(p))
@@ -565,11 +566,8 @@ def corollary_phh_at(ctx: BiconformalContext, p, tol: float = 1e-6,
     if exprs.max_var_index(ctx.change.sigma) < 0:
         ok = defect / (scale + REL_FLOOR) < tol
     else:
-        s_jet, _ = ctx.change.factor_jets(p)
-        ph = horizontal_projector(phi, p)
-        ginv = phi.source.inverse_metric_at(p)
+        grad_h = horizontal_projector(phi, p) @ ctx.grad_log_factors(p)[0]
         g = phi.source.metric_at(p)
-        grad_h = ph @ (ginv @ (s_jet.grad / s_jet.value))
         strength = float(np.sqrt(grad_h @ g @ grad_h))
         # only points with a visible horizontal log-gradient must break
         ok = defect > breaking_floor if strength > 0.05 else True

@@ -77,7 +77,8 @@ def _report_csv(report) -> str:
 
 def render_report(report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return json.dumps(report, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     if fmt == "csv":
         return _report_csv(report)
     return _report_text(report)

@@ -1,6 +1,8 @@
 """Almost complex structures on the target, the induced horizontal structure,
 the f-structure on the domain, PHWC/PHH defect measures and the horizontal
-divergence of the f-structure."""
+divergence of the f-structure.  F and dF are kept, read-only, in the
+``maps.LocalGeometry`` of (phi, metric, point), keyed on J (dF on the step
+too)."""
 
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from .manifold import (ChartedRiemannianManifold, GeometryError, MetricField,
                        TangentVector, directional_derivative, jet_matrix,
                        jet_matrix_and_derivs)
 from .maps import (FrameError, OrthoSplit, SmoothMap, check_submersion,
-                   differential, horizontal_lift, horizontal_projector,
-                   mean_curvature_vertical, ortho_split)
+                   differential, local_geometry, mean_curvature_vertical,
+                   ortho_split)
 
 PHWC_TOL = 1e-6
 
@@ -78,9 +80,10 @@ def f_structure(phi: SmoothMap, J: AlmostComplexStructureField, p,
     J composed with dphi.  Kills the vertical distribution, acts as the
     induced complex structure on the horizontal one, and is smooth in p
     (no frame choice involved)."""
-    a = check_submersion(phi, p)
-    lift = horizontal_lift(phi, p, metric)
-    return lift @ j_at_image(phi, J, p) @ a
+    geo = local_geometry(phi, p, metric)
+    return geo.field(("F", J), lambda: (
+        geo.projector_and_lift[1] @ j_at_image(phi, J, geo.p)
+        @ check_submersion(phi, geo.p)))
 
 
 def phwc_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
@@ -88,8 +91,7 @@ def phwc_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
     """Frobenius norm of [dphi o dphi*, J] plus the scale used for a relative
     reading.  Defined for any map (no submersion requirement)."""
     a = differential(phi, p)
-    src = phi.source if metric is None else phi.source.with_metric(metric)
-    ginv = src.inverse_metric_at(p)
+    ginv = local_geometry(phi, p, metric).ginv
     h = phi.target.metric_at(phi.value(p))
     op = a @ ginv @ a.T @ h  # dphi o dphi^*
     jq = j_at_image(phi, J, p)
@@ -102,8 +104,7 @@ def phwc_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
 def phwc_metric_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
                        metric: Optional[MetricField] = None):
     """max over horizontal frame pairs of |g(F X, F Y) - g(X, Y)|."""
-    src = phi.source if metric is None else phi.source.with_metric(metric)
-    g = src.metric_at(p)
+    g = local_geometry(phi, p, metric).src.metric_at(p)
     split = ortho_split(phi, p, metric)
     f = f_structure(phi, J, p, metric)
     fr = split.horizontal_frame  # rows orthonormal
@@ -141,8 +142,7 @@ def adapted_frame(phi: SmoothMap, J: AlmostComplexStructureField, p,
         raise FrameError("adapted frame needs the PHWC condition; metric "
                          "compatibility defect %g > %g at %s"
                          % (md, PHWC_TOL, p.tolist()))
-    src = phi.source if metric is None else phi.source.with_metric(metric)
-    g = src.metric_at(p)
+    g = local_geometry(phi, p, metric).src.metric_at(p)
     split = ortho_split(phi, p, metric)
     f = f_structure(phi, J, p, metric)
     n, m = phi.n, phi.m
@@ -177,12 +177,10 @@ def d_f_structure(phi: SmoothMap, J: AlmostComplexStructureField, p,
     """Coordinate derivatives dF[i, k, j] = d_i F^k_j of the f-structure
     field, by Richardson-extrapolated central differences.  F itself is
     frame-free, so the differencing is robust."""
-    def field(q):
-        return f_structure(phi, J, q, metric)
-
-    p = np.asarray(p, dtype=float)
-    return np.array([directional_derivative(field, p, e, step)
-                     for e in np.eye(phi.m)])
+    geo = local_geometry(phi, p, metric)
+    return geo.field(("dF", J, step), lambda: np.array([directional_derivative(
+        lambda q: f_structure(phi, J, q, metric), geo.p, e, step)
+        for e in np.eye(phi.m)]))
 
 
 def nabla_f_operator(f: np.ndarray, df: np.ndarray,
@@ -210,8 +208,7 @@ def f_divergence_horizontal(phi: SmoothMap, J: AlmostComplexStructureField,
     p = np.asarray(p, dtype=float)
     if frame is None:
         frame = adapted_frame(phi, J, p, metric)
-    src = phi.source if metric is None else phi.source.with_metric(metric)
-    gamma = src.christoffel(p)
+    gamma = local_geometry(phi, p, metric).christoffel
     f = f_structure(phi, J, p, metric)
     df = d_f_structure(phi, J, p, metric, fd_step)
     nab = nabla_f_operator(f, df, gamma)
@@ -233,10 +230,10 @@ def phh_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
     p = np.asarray(p, dtype=float)
     if frame is None:
         frame = adapted_frame(phi, J, p, metric)
-    src = phi.source if metric is None else phi.source.with_metric(metric)
-    g = src.metric_at(p)
-    gamma = src.christoffel(p)
-    ph = horizontal_projector(phi, p, metric)
+    geo = local_geometry(phi, p, metric)
+    g = geo.src.metric_at(p)
+    gamma = geo.christoffel
+    ph = geo.projector_and_lift[0]
     f = f_structure(phi, J, p, metric)
     df = d_f_structure(phi, J, p, metric, fd_step)
     nab = nabla_f_operator(f, df, gamma)

@@ -4,11 +4,16 @@ vertical/horizontal splitting, tension field and fiber mean curvature.
 ``SmoothMap.jets`` is memoized per point in a bounded ``PointMemo`` keyed on
 the exact float64 bytes of the point; its jets are checked for non-finite
 components once, when first computed, and their arrays are read-only.
+
+``local_geometry(phi, p, metric)`` holds phi's local data at p under a metric
+(dphi, g^-1, P_H, the lift, Gamma; F and dF for ``hermitian``),
+memoized per (phi, point) on the metric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -87,22 +92,72 @@ def second_derivatives(phi: SmoothMap, p) -> np.ndarray:
     return np.array([j.hess for j in phi.jets(p)])
 
 
+class LocalGeometry:
+    """phi's local data at p on ``src``, its source with one metric.  Fields
+    are read-only; a failed computation is not kept, so it fails every read."""
+
+    def __init__(self, phi: SmoothMap, metric: MetricField, p: np.ndarray):
+        self.phi, self.p, self._fields = phi, read_only(p.copy()), {}
+        self.src = phi.source.with_metric(metric)
+
+    def field(self, key, compute):
+        """Further data under a key, made by ``compute`` on the first read."""
+        value = self._fields.get(key)
+        if value is None:
+            value = self._fields[key] = read_only(compute())
+        return value
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return self.src.inverse_metric_at(self.p)
+
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        return self.src.christoffel(self.p)
+
+    @cached_property
+    def _differential(self):
+        """dphi and its smallest singular value."""
+        a = read_only(differential(self.phi, self.p))
+        return a, np.linalg.svd(a, compute_uv=False)[-1]
+
+    @cached_property
+    def projector_and_lift(self):
+        """(P_H, lift): g^-1 A^T (A g^-1 A^T)^-1 applied to A, and alone."""
+        a = check_submersion(self.phi, self.p)
+        adjoint, gram = self.ginv @ a.T, a @ self.ginv @ a.T
+        return (read_only(adjoint @ np.linalg.solve(gram, a)),
+                read_only(adjoint @ np.linalg.inv(gram)))
+
+
+def local_geometry(phi: SmoothMap, p,
+                   metric: Optional[MetricField] = None) -> LocalGeometry:
+    """phi's LocalGeometry at p under ``metric`` (default: the source's)."""
+    metric = phi.source.metric if metric is None else metric
+    p = np.asarray(p, dtype=float)
+    key = (phi, p.shape, p.tobytes())  # a wrong shape fails in every field
+    geo = metric.geometry_memo.get(key)
+    if geo is None:
+        geo = LocalGeometry(phi, metric, p)
+        metric.geometry_memo.put(key, geo)
+    return geo
+
+
 def adjoint_differential(phi: SmoothMap, p,
                          metric: Optional[MetricField] = None) -> np.ndarray:
     """Adjoint of the differential: g^{-1} A^T h  (shape m x 2n)."""
     a = differential(phi, p)
-    src = phi.source if metric is None else phi.source.with_metric(metric)
-    ginv = src.inverse_metric_at(p)
+    ginv = local_geometry(phi, p, metric).ginv
     h = phi.target.metric_at(phi.value(p))
     return ginv @ a.T @ h
 
 
 def check_submersion(phi: SmoothMap, p, rank_tol: float = RANK_TOL):
-    a = differential(phi, p)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= rank_tol:
+    """The differential at p, checked to have full rank 2n (read-only)."""
+    a, smallest = local_geometry(phi, p)._differential
+    if smallest <= rank_tol:
         raise RankError("map is not a submersion at %s: smallest singular "
-                        "value %g" % (np.asarray(p).tolist(), sv[-1]))
+                        "value %g" % (np.asarray(p).tolist(), smallest))
     return a
 
 
@@ -113,11 +168,7 @@ def horizontal_projector(phi: SmoothMap, p,
     Closed form P_H = g^{-1} A^T (A g^{-1} A^T)^{-1} A; smooth in p and free
     of any frame choice.
     """
-    a = check_submersion(phi, p)
-    src = phi.source if metric is None else phi.source.with_metric(metric)
-    ginv = src.inverse_metric_at(p)
-    gram = a @ ginv @ a.T
-    return ginv @ a.T @ np.linalg.solve(gram, a)
+    return local_geometry(phi, p, metric).projector_and_lift[0]
 
 
 def vertical_projector(phi: SmoothMap, p,
@@ -131,11 +182,7 @@ def horizontal_lift(phi: SmoothMap, p,
     dphi(X) = w.  Independent of the metric's vertical scaling (H is fixed by
     the biconformal construction), so callers may pass either g or a changed
     metric."""
-    a = check_submersion(phi, p)
-    src = phi.source if metric is None else phi.source.with_metric(metric)
-    ginv = src.inverse_metric_at(p)
-    gram = a @ ginv @ a.T
-    return ginv @ a.T @ np.linalg.inv(gram)
+    return local_geometry(phi, p, metric).projector_and_lift[1]
 
 
 @dataclass(frozen=True)
@@ -189,9 +236,9 @@ def ortho_split(phi: SmoothMap, p, metric: Optional[MetricField] = None,
     """
     p = np.asarray(p, dtype=float)
     m, two_n = phi.m, phi.two_n
-    src = phi.source if metric is None else phi.source.with_metric(metric)
-    g = src.metric_at(p)
-    ph = horizontal_projector(phi, p, metric)
+    geo = local_geometry(phi, p, metric)
+    g = geo.src.metric_at(p)
+    ph = geo.projector_and_lift[0]
     pv = np.eye(m) - ph
     vp, hp = (pivots if pivots is not None else (None, None))
     v_frame, v_used = (_gram_schmidt(pv.T, g, m - two_n, vp)
@@ -208,9 +255,8 @@ def tension_field(phi: SmoothMap, p,
                     + Gamma^a_bc(N) d_i phi^b d_j phi^c)
     """
     p = np.asarray(p, dtype=float)
-    src = phi.source if metric is None else phi.source.with_metric(metric)
-    ginv = src.inverse_metric_at(p)
-    gamma_m = src.christoffel(p)
+    geo = local_geometry(phi, p, metric)
+    ginv, gamma_m = geo.ginv, geo.christoffel
     q = phi.value(p)
     gamma_n = phi.target.christoffel(q)
     a = differential(phi, p)
@@ -235,11 +281,11 @@ def mean_curvature_vertical(phi: SmoothMap, p,
     if m <= two_n:
         raise GeometryError("no fibers: source dimension %d <= target "
                             "dimension %d" % (m, two_n))
-    src = phi.source if metric is None else phi.source.with_metric(metric)
+    geo = local_geometry(phi, p, metric)
     split = ortho_split(phi, p, metric)
     pivots = (split.vertical_pivots, split.horizontal_pivots)
-    gamma = src.christoffel(p)
-    ph = horizontal_projector(phi, p, metric)
+    gamma = geo.christoffel
+    ph = geo.projector_and_lift[0]
 
     total = np.zeros(m)
     for alpha in range(m - two_n):

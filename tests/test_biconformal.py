@@ -31,6 +31,7 @@ from phmorph import (
     verify_tension_transform,
 )
 from phmorph.biconformal import check_corollary_phh, check_corollary_psh
+from phmorph.maps import differential, horizontal_projector
 from phmorph.hermitian import phwc_defect
 
 
@@ -192,6 +193,61 @@ def test_phh_covariant_formula(name, sigma, rho):
         y = rng.normal(size=sc.phi.m)
         r = verify_phh_covariant_formula(ctx, p, x, y)
         assert r.rel_residual < 1e-5, (p, r)
+
+
+# ---- the tolerance rejects wrong laws ------------------------------------
+# Each law's right side is rebuilt here through the public functions with one
+# coefficient changed, on the n = 2 scenario where the 2n-2 terms are nonzero.
+# The changed law must miss the directly computed left side by more than the
+# run's tolerance at every point, while the verifier passes there.
+
+TOL_FD = pm.RunConfig(scenario="flat-projection-6-4").tol_fd
+MUTATION_CASE = ("flat-projection-6-4", "exp(0.2*x1+0.1*x2)", "1+0.2*x2^2")
+
+
+def relative_residual(lhs, rhs):
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+    return np.max(np.abs(lhs - rhs)) / (scale + 1.0)
+
+
+def test_tolerance_rejects_f_divergence_with_2n_minus_1():
+    sc, ctx = ctx_for(*MUTATION_CASE)
+    phi = sc.phi
+    for p in sample_points(sc, 4, seed=5):
+        lhs = pm.f_divergence_horizontal(phi, sc.J, p,
+                                         metric=ctx.gbar).components
+        div = pm.f_divergence_horizontal(phi, sc.J, p).components
+        grad_ls, _ = ctx.grad_log_factors(p)
+        s, _ = ctx.change.factor_values(p)
+        wrong = s ** 2 * (div + (2.0 * phi.n - 1.0)
+                          * (horizontal_projector(phi, p) @ grad_ls))
+        assert relative_residual(lhs, wrong) > TOL_FD, p
+        assert verify_f_divergence(ctx, p, tol=TOL_FD).passed, p
+
+
+def test_tolerance_rejects_tension_transform_without_the_rho_term():
+    sc, ctx = ctx_for(*MUTATION_CASE)
+    phi = sc.phi
+    for p in sample_points(sc, 4, seed=5):
+        lhs = tension_field(phi, p, metric=ctx.gbar).components
+        tau = tension_field(phi, p).components
+        grad_ls, _ = ctx.grad_log_factors(p)
+        s, _ = ctx.change.factor_values(p)
+        # (2n - m) grad ln rho dropped
+        wrong = s ** 2 * (tau + differential(phi, p)
+                          @ ((2.0 - phi.two_n) * grad_ls))
+        assert relative_residual(lhs, wrong) > TOL_FD, p
+        assert verify_tension_transform(ctx, p, tol=TOL_FD).passed, p
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_side_is_a_sample_error(bad):
+    p = [0.1, 0.2]
+    for lhs, rhs in [([bad, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, bad])]:
+        rep = pm.biconformal._report("tension-transform", p, lhs, rhs, 1e-5)
+        assert rep.error is not None and not rep.passed
+    assert pm.biconformal._report("tension-transform", p, [1.0, 0.0],
+                                  [1.0, 0.0], 1e-5).passed
 
 
 def test_vertical_rho_leaves_mean_curvature_pure_scaling():

@@ -168,3 +168,25 @@ def test_sigma_outside_the_float_range_errors_samples(capsys, sigma):
                for row in data["per_identity"]}
     assert errored["tension-transform"] == 2
     assert errored["phwc-equivalence"] == 0
+
+
+def test_non_finite_changed_metric_is_a_sample_error(capsys):
+    # sigma^2 overflows or underflows at most points of the box, so g-bar
+    # has inf or NaN entries there: those points error in every identity
+    # that reads g-bar, and no failing sample hides behind a NaN residual
+    code, out = run(capsys, "verify", "--scenario", "flat-projection-4-2",
+                    "--sigma", "exp(1000*x1)", "--samples", "12")
+    assert code == 1
+    data = json.loads(out, parse_constant=_strict)
+    assert data["verdict"] == "fail"
+    rows = {row["name"]: row for row in data["per_identity"]}
+    for row in rows.values():
+        assert row["samples_pass"] + row["samples_fail"] \
+            + row["samples_error"] == 12
+        assert row["samples_fail"] == 0, row["name"]
+    for name in ("tension-transform", "koszul-horizontal", "koszul-vertical",
+                 "mean-curvature", "f-divergence", "phh-covariant",
+                 "corollary-psh"):
+        assert rows[name]["samples_error"] > 0
+        assert not rows[name]["passed"]
+    assert rows["phwc-equivalence"]["samples_error"] == 0

@@ -20,6 +20,8 @@ from phmorph import (
     tension_field,
     tension_via_f_structure,
 )
+from phmorph.hermitian import d_f_structure
+from phmorph.manifold import POINT_MEMO_SIZE, DomainError, JetMetric
 from phmorph.scenarios import constant_J, standard_J
 
 
@@ -159,3 +161,86 @@ def test_tension_via_f_structure_rejects_nonphwc():
     sc = get_scenario("nonphwc-anisotropic")
     with pytest.raises(pm.GeometryError):
         tension_via_f_structure(sc.phi, sc.J, np.array([0.3, -0.2, 0.5, 0.1]))
+
+
+# ---- F and dF in the local geometry memo ---------------------------------
+
+def sheared_metric():
+    # g(e1, e3) = g(e2, e4) = 0.3: another horizontal space for the flat
+    # projection R^4 -> R^2
+    g = np.eye(4) + 0.3 * (np.eye(4, k=2) + np.eye(4, k=-2))
+    return JetMetric(4, lambda c: g.tolist())
+
+
+F_READERS = {
+    "F": lambda sc, p, metric: f_structure(sc.phi, sc.J, p, metric),
+    "dF": lambda sc, p, metric: d_f_structure(sc.phi, sc.J, p, metric),
+}
+P = np.array([0.3, -0.2, 0.5, 0.1])
+
+
+@pytest.mark.parametrize("sheared", [False, True], ids=["g", "sheared"])
+@pytest.mark.parametrize("name", sorted(F_READERS))
+def test_f_structure_warm_equals_cold(name, sheared):
+    read = F_READERS[name]
+    cold = read(get_scenario("holomorphic-poly"), P,
+                sheared_metric() if sheared else None)
+    sc = get_scenario("holomorphic-poly")
+    metric = sheared_metric() if sheared else None
+    for _ in range(2):  # fills the memo, then reads it
+        for other in F_READERS.values():
+            other(sc, P, metric)
+        assert np.array_equal(read(sc, P.copy(), metric), cold)
+        assert not read(sc, P, metric).flags.writeable
+
+
+def test_f_structure_derivative_is_kept_per_step():
+    sc = get_scenario("holomorphic-poly")
+    coarse = d_f_structure(sc.phi, sc.J, P, step=1e-2)
+    fine = d_f_structure(sc.phi, sc.J, P)
+    assert not np.array_equal(coarse, fine)
+    assert np.array_equal(
+        d_f_structure(get_scenario("holomorphic-poly").phi, sc.J, P,
+                      step=1e-2), coarse)
+    assert np.array_equal(d_f_structure(sc.phi, sc.J, P, step=1e-2), coarse)
+
+
+def test_f_structure_under_two_metrics_never_mixes():
+    sc = get_scenario("flat-projection-4-2")
+    sheared = sheared_metric()
+    reads = [f_structure(sc.phi, sc.J, P, metric)
+             for metric in (None, sheared, None, sheared)]
+    fresh = get_scenario("flat-projection-4-2")
+    cold_g = f_structure(fresh.phi, fresh.J, P)
+    cold_s = f_structure(fresh.phi, fresh.J, P, sheared_metric())
+    assert not np.allclose(cold_g, cold_s)
+    for got, cold in zip(reads, [cold_g, cold_s, cold_g, cold_s]):
+        assert np.array_equal(got, cold)
+    # a second J on the same map, metric and point gets its own F
+    minus_j = pm.AlmostComplexStructureField(
+        sc.J.target, lambda c: (-standard_J(2)).tolist())
+    assert np.array_equal(f_structure(sc.phi, minus_j, P), -cold_g)
+
+
+def test_f_structure_memo_stays_bounded():
+    sc = get_scenario("flat-projection-4-2")
+    memo = sc.phi.source.metric.geometry_memo
+    for k in range(POINT_MEMO_SIZE + 10):
+        f_structure(sc.phi, sc.J, P + 1e-3 * k)
+        assert len(memo) <= POINT_MEMO_SIZE
+    assert len(memo) == POINT_MEMO_SIZE
+
+
+def test_f_structure_fails_on_every_call_where_phi_is_singular():
+    # z^2 + w^3 has a critical point at the origin; the hopf chart leaves
+    # out the circle w = 0
+    sc = get_scenario("holomorphic-poly")
+    for _ in range(2):
+        with pytest.raises(pm.RankError):
+            f_structure(sc.phi, sc.J, np.zeros(4))
+    hopf = get_scenario("hopf")
+    on_the_circle = np.array([1.0, 0.0, 0.0])  # where |w| = 0
+    for _ in range(2):
+        for read in F_READERS.values():
+            with pytest.raises(DomainError):
+                read(hopf, on_the_circle, None)

@@ -273,3 +273,81 @@ def test_non_positive_definite_point_fails_on_every_call():
             man.inverse_metric_at(p)
     assert metric.evaluations == 6
     assert len(metric.point_memo) == 0
+
+
+class CountingDerivs(FDMetric):
+    """FD metric that counts its Richardson fan-outs."""
+
+    def __init__(self, dim, matrix_fn):
+        super().__init__(dim, matrix_fn)
+        self.fan_outs = 0
+
+    def matrix_and_derivs(self, p):
+        self.fan_outs += 1
+        return super().matrix_and_derivs(p)
+
+
+@pytest.mark.parametrize("strategy", ["ad", "fd"])
+def test_christoffel_memo_warm_equals_cold(strategy):
+    p = np.array([1.1, 0.3])
+    cold = sphere_manifold(strategy).christoffel(p)
+    man = sphere_manifold(strategy)
+    man.inverse_metric_at(p)
+    first = man.christoffel(p)
+    assert np.array_equal(first, cold)
+    assert man.with_metric(man.metric).christoffel(p.copy()) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0, 0] = 1.0
+
+
+def test_christoffel_fans_out_once_per_point_and_stays_bounded():
+    metric = CountingDerivs(2, lambda p: np.diag([1.0, 2.0 + p[0] ** 2]))
+    man = ChartedRiemannianManifold(2, metric)
+    first = np.array([0.0, 0.0])
+    before = man.christoffel(first)
+    man.christoffel(first)
+    assert metric.fan_outs == 1
+    for k in range(POINT_MEMO_SIZE + 10):
+        man.christoffel(np.array([1e-3 * (k + 1), 0.0]))
+        assert len(metric.point_memo) <= POINT_MEMO_SIZE
+    assert len(metric.point_memo) == POINT_MEMO_SIZE
+    after = man.christoffel(first)  # evicted, so built again
+    assert metric.fan_outs == POINT_MEMO_SIZE + 12
+    assert np.array_equal(after, before)
+
+
+def test_christoffel_of_two_metrics_at_one_point_never_mix():
+    flat = euclidean_space(2)
+    curved = flat.with_metric(JetMetric(2, conformal2_components))
+    p = np.array([0.3, -0.2])
+    for _ in range(2):
+        assert np.array_equal(flat.christoffel(p), np.zeros((2, 2, 2)))
+        assert np.array_equal(
+            curved.christoffel(p),
+            ChartedRiemannianManifold(
+                2, JetMetric(2, conformal2_components)).christoffel(p))
+    assert curved.christoffel(p)[0, 0, 0] == pytest.approx(1.0)
+
+
+def test_christoffel_fails_on_every_call_outside_the_domain():
+    metric = CountingDerivs(2, lambda p: np.eye(2))
+    open_half = ChartedRiemannianManifold(2, metric,
+                                          domain_predicate=lambda p: p[0] > 0)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            open_half.christoffel(np.array([-0.5, 0.0]))
+    assert metric.fan_outs == 0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_metric_fails_on_every_call(bad):
+    metric = CountingMetric(
+        2, lambda p: np.array([[1.0, 0.0], [0.0, bad if p[0] < 0 else 1.0]]))
+    man = ChartedRiemannianManifold(2, metric)
+    p = np.array([-1.0, 0.0])
+    for _ in range(2):
+        for read in (man.metric_at, man.inverse_metric_at, man.christoffel):
+            with pytest.raises(MetricError, match="not finite"):
+                read(p)
+    assert len(metric.point_memo) == 0

@@ -17,11 +17,12 @@ from phmorph import (
     tension_field,
 )
 from phmorph.manifold import (POINT_MEMO_SIZE, ChartedRiemannianManifold,
-                              JetMetric)
+                              DomainError, JetMetric)
 from phmorph.maps import (
     check_submersion,
     horizontal_lift,
     horizontal_projector,
+    local_geometry,
     second_derivatives,
     vertical_projector,
 )
@@ -278,3 +279,118 @@ def test_memoized_jets_are_read_only():
         out[1].hess[0, 0] = 1.0
     out.clear()  # the returned list is the caller's own
     assert len(phi.jets(p)) == 2
+
+
+# ---- the local geometry memo ---------------------------------------------
+
+def sheared_metric():
+    # constant, with g(e1, e3) = g(e2, e4) = 0.3: the horizontal space of the
+    # coordinate projection differs from the Euclidean one
+    g = np.eye(4) + 0.3 * (np.eye(4, k=2) + np.eye(4, k=-2))
+    return JetMetric(4, lambda c: g.tolist())
+
+
+GEOMETRY_READERS = {
+    "check_submersion": lambda phi, p, metric: check_submersion(phi, p),
+    "horizontal_projector": horizontal_projector,
+    "vertical_projector": vertical_projector,
+    "horizontal_lift": horizontal_lift,
+    "ginv": lambda phi, p, metric: local_geometry(phi, p, metric).ginv,
+    "christoffel": lambda phi, p, metric: (
+        local_geometry(phi, p, metric).christoffel),
+}
+P = np.array([0.4, -0.3, 0.2, 0.6])
+
+
+@pytest.mark.parametrize("sheared", [False, True], ids=["g", "sheared"])
+@pytest.mark.parametrize("name", sorted(GEOMETRY_READERS))
+def test_local_geometry_warm_equals_cold(name, sheared):
+    read = GEOMETRY_READERS[name]
+    cold = read(curved_fiber_map(), P, sheared_metric() if sheared else None)
+    phi = curved_fiber_map()
+    metric = sheared_metric() if sheared else None
+    for _ in range(2):  # fills the memo, then reads it
+        for other in GEOMETRY_READERS.values():
+            other(phi, P, metric)
+        assert np.array_equal(read(phi, P.copy(), metric), cold)
+
+
+@pytest.mark.parametrize("name", sorted(set(GEOMETRY_READERS)
+                                         - {"vertical_projector"}))
+def test_local_geometry_arrays_are_read_only(name):
+    out = GEOMETRY_READERS[name](curved_fiber_map(), P, sheared_metric())
+    assert not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[0, 0] = 1.0
+
+
+def test_local_geometry_memo_stays_bounded():
+    phi = curved_fiber_map()
+    memo = phi.source.metric.geometry_memo
+    before = horizontal_projector(phi, P)
+    for k in range(POINT_MEMO_SIZE + 10):
+        horizontal_projector(phi, P + 1e-3 * (k + 1))
+        assert len(memo) <= POINT_MEMO_SIZE
+    assert len(memo) == POINT_MEMO_SIZE
+    # the first point was evicted; recomputing it gives the same projector
+    after = horizontal_projector(phi, P)
+    assert after is not before and np.array_equal(after, before)
+
+
+def test_rank_deficient_point_fails_on_every_call():
+    # real and imaginary parts of z^2: dphi vanishes at the origin
+    phi = SmoothMap(euclidean_space(4), euclidean_space(2),
+                    lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
+    for _ in range(2):
+        for name in ("check_submersion", "horizontal_projector",
+                     "vertical_projector", "horizontal_lift"):
+            with pytest.raises(RankError):
+                GEOMETRY_READERS[name](phi, np.zeros(4), None)
+    # the metric data at that point is still fine
+    assert np.array_equal(local_geometry(phi, np.zeros(4)).ginv, np.eye(4))
+
+
+def test_out_of_domain_point_fails_on_every_call():
+    source = ChartedRiemannianManifold(
+        4, JetMetric(4, curved_fiber_metric_components),
+        domain_predicate=lambda p: p[0] > 0)
+    phi = SmoothMap(source, euclidean_space(2), lambda c: [c[0], c[1]])
+    outside = np.array([-0.4, 0.3, 0.2, 0.6])
+    for _ in range(2):
+        for name, read in sorted(GEOMETRY_READERS.items()):
+            with pytest.raises(DomainError):
+                read(phi, outside, None)
+    # a wrong shape with the bytes of a memoized point is still rejected
+    horizontal_projector(phi, np.abs(P))
+    with pytest.raises(DomainError):
+        horizontal_projector(phi, np.abs(P).reshape(2, 2))
+
+
+def test_results_under_two_metrics_at_one_point_never_mix():
+    phi = curved_fiber_map()
+    sheared = sheared_metric()
+    reads = []
+    for metric in (None, sheared, None, sheared):
+        reads.append([horizontal_projector(phi, P, metric),
+                      horizontal_lift(phi, P, metric),
+                      local_geometry(phi, P, metric).christoffel])
+    cold_g = [horizontal_projector(curved_fiber_map(), P),
+              horizontal_lift(curved_fiber_map(), P),
+              local_geometry(curved_fiber_map(), P).christoffel]
+    fresh = sheared_metric()
+    cold_s = [horizontal_projector(curved_fiber_map(), P, fresh),
+              horizontal_lift(curved_fiber_map(), P, fresh),
+              local_geometry(curved_fiber_map(), P, fresh).christoffel]
+    for got, cold in zip(reads, [cold_g, cold_s, cold_g, cold_s]):
+        assert all(np.array_equal(a, b) for a, b in zip(got, cold))
+    assert not np.allclose(cold_g[0], cold_s[0])
+    assert not np.allclose(cold_g[2], cold_s[2])
+
+
+def test_local_geometry_keeps_its_own_copy_of_the_point():
+    phi = curved_fiber_map()
+    q = P.copy()
+    horizontal_projector(phi, q)
+    q[0] += 0.1  # the caller reuses its array
+    assert np.array_equal(local_geometry(phi, P).christoffel,
+                          local_geometry(curved_fiber_map(), P).christoffel)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
-                     biconformal, confirm_flags, get_scenario, parse,
-                     run_verification, sample_points, scenarios)
+                     biconformal, confirm_flags, get_scenario, manifold,
+                     parse, run_verification, sample_points, scenarios)
 from phmorph.biconformal import (CorollarySummary, IdentityAggregate,
                                  check_corollary_phh, check_corollary_psh)
 from phmorph.runner import (IDENTITIES, RunContext, run_identity,
@@ -133,6 +133,26 @@ def test_map_jets_computed_once_per_distinct_point(monkeypatch):
     assert rep["verdict"] == "pass"
     assert len(jet_points) > 5 * 10
     assert len(jet_points) == len(set(jet_points))
+
+
+def test_changed_metric_derivatives_computed_once_per_distinct_point(
+        monkeypatch):
+    # the Richardson fan-out of g-bar runs once per (g-bar, point): here at
+    # each sample point, for the change and for the one-function change
+    fan_outs = []
+    inner = manifold.FDMetric.matrix_and_derivs
+
+    def counting(self, p):
+        fan_outs.append((self, np.asarray(p).tobytes()))
+        return inner(self, p)
+
+    monkeypatch.setattr(manifold.FDMetric, "matrix_and_derivs", counting)
+    rep = run_verification(RunConfig(scenario="flat-projection-6-4",
+                                     sigma="exp(0.2*x1)", rho="1+0.1*x5^2",
+                                     samples=4))
+    assert rep["verdict"] == "pass"
+    assert len(fan_outs) == len(set(fan_outs)) == 2 * 4
+    assert len({metric for metric, _ in fan_outs}) == 2
 
 
 def _rep(point, rel, abs_=None, error=None):
