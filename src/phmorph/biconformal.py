@@ -1,14 +1,18 @@
 """Biconformal changes of the domain metric and numerical verification of
 their transformation laws.
 
-Every ``verify_*`` routine computes one identity's two sides by genuinely
-independent routes (direct finite-difference geometry of the rescaled metric
-on one side, the closed-form transformation law on the other) and reports the
-residual.
+The changed metric g-bar = sigma^-2 g^H + rho^-2 g^V is a ``ChangedMetric``
+with exact first derivatives: d(g P_H) comes from the projector algebra of
+``maps.LocalGeometry`` and the factors' derivatives from their jets.  Every
+``verify_*`` routine computes one identity's two sides by independent routes
+(the Levi-Civita geometry of g-bar, built from g-bar's own (g-bar, d g-bar),
+on one side; the closed-form transformation law on g's connection on the
+other) and reports the residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -17,10 +21,9 @@ import numpy as np
 from . import exprs, jets
 from .exprs import Expr
 from .jets import Jet2, JetDomainError
-from .manifold import (FDMetric, GeometryError, TangentVector)
+from .manifold import GeometryError, MetricError, MetricField, TangentVector
 from .maps import (SmoothMap, differential, horizontal_projector,
-                   local_geometry, mean_curvature_vertical, tension_field,
-                   vertical_projector)
+                   local_geometry, mean_curvature_vertical, tension_field)
 from .hermitian import (AlmostComplexStructureField, adapted_frame,
                         d_f_structure, f_divergence_horizontal, f_structure,
                         nabla_f_operator, phh_defect, phwc_defect,
@@ -102,21 +105,82 @@ def special_change(sigma: Expr, m: int, n: int) -> BiconformalChange:
     return BiconformalChange(sigma, rho)
 
 
-def apply_change(phi: SmoothMap, change: BiconformalChange,
-                 fd_step: float = 1e-4) -> FDMetric:
-    """Metric field of gbar = sigma^-2 g^H + rho^-2 g^V as a value-level
-    matrix function; derivatives come from Richardson central differences
-    (the horizontal/vertical projections involve linear solves)."""
-    def matrix_fn(p):
-        g = phi.source.metric_at(p)
-        ph = horizontal_projector(phi, p)
-        gh = g @ ph
-        gh = 0.5 * (gh + gh.T)  # symmetric up to roundoff by construction
-        gv = g - gh
-        s, r = change.factor_values(p)
-        return gh / s ** 2 + gv / r ** 2
+def _inverse_square(name, value, p) -> float:
+    """value^-2 of a positive factor, checked to be a finite positive
+    number before anything is divided by it."""
+    square = value * value
+    weight = 1.0 / square if square > 0.0 else math.inf
+    if not 0.0 < weight < math.inf:
+        raise MetricError("%s^-2 is not a finite positive number at %s "
+                          "(%s = %g)" % (name, np.asarray(p).tolist(), name,
+                                         value))
+    return weight
 
-    return FDMetric(phi.m, matrix_fn, fd_step)
+
+def _inverse_square_jet(name, jet, p):
+    """(f^-2, d(f^-2)) of a factor jet f, with d(f^-2) = -2 f^-2 d(ln f)
+    taken in Python floats (which overflow to inf silently) and checked."""
+    weight = _inverse_square(name, jet.value, p)
+    d_weight = [-2.0 * weight * (float(d) / jet.value) for d in jet.grad]
+    if not all(map(math.isfinite, d_weight)):
+        raise MetricError("the derivative of %s^-2 is not finite at %s"
+                          % (name, np.asarray(p).tolist()))
+    return weight, np.array(d_weight)
+
+
+def _symmetric(a):
+    """The symmetric part of a matrix, or of each (k, :, :) slice."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+class ChangedMetric(MetricField):
+    """g-bar = sigma^-2 g^H + rho^-2 g^V for a map phi and a change, with
+    g^H = g P_H.  It keeps phi's horizontal distribution, so phi's P_H, lift
+    and their derivatives are read from the source metric's geometry.  Its
+    derivatives are exact:
+
+    d g-bar = d(sigma^-2) g P_H + sigma^-2 d(g P_H)
+              + d(rho^-2) (g - g P_H) + rho^-2 (dg - d(g P_H)),
+
+    with d(g P_H) = dg P_H + g dP_H."""
+
+    def __init__(self, phi: SmoothMap, change: BiconformalChange):
+        super().__init__(phi.m)
+        self.phi, self.change = phi, change
+        self.keeps_horizontal_of = phi
+
+    def _horizontal_block(self, p):
+        """g and g^H = g P_H at p (symmetric up to roundoff by
+        construction, so symmetrized)."""
+        g = self.phi.source.metric_at(p)
+        return g, _symmetric(g @ horizontal_projector(self.phi, p))
+
+    def matrix(self, p):
+        p = np.asarray(p, dtype=float)
+        g, gh = self._horizontal_block(p)
+        s, r = self.change.factor_values(p)
+        return (gh * _inverse_square("sigma", s, p)
+                + (g - gh) * _inverse_square("rho", r, p))
+
+    def matrix_and_derivs(self, p):
+        p = np.asarray(p, dtype=float)
+        s, r = self.change.factor_jets(p)
+        w_h, dw_h = _inverse_square_jet("sigma", s, p)
+        w_v, dw_v = _inverse_square_jet("rho", r, p)
+        g, gh = self._horizontal_block(p)
+        geo = local_geometry(self.phi, p)
+        dg = geo.src.metric_and_derivs_at(p)[1]
+        dgh = _symmetric(dg @ geo.projector_and_lift[0]
+                         + g @ geo.projector_and_lift_derivs[0])
+        gbar = gh * w_h + (g - gh) * w_v
+        dgbar = (dw_h[:, None, None] * gh + w_h * dgh
+                 + dw_v[:, None, None] * (g - gh) + w_v * (dg - dgh))
+        return gbar, dgbar
+
+
+def apply_change(phi: SmoothMap, change: BiconformalChange) -> ChangedMetric:
+    """The metric field g-bar = sigma^-2 g^H + rho^-2 g^V of a change."""
+    return ChangedMetric(phi, change)
 
 
 @dataclass
@@ -125,13 +189,11 @@ class BiconformalContext:
     phi: SmoothMap
     J: AlmostComplexStructureField
     change: BiconformalChange
-    gbar: FDMetric
-    fd_step: float = 1e-4
+    gbar: ChangedMetric
 
     @staticmethod
-    def build(phi, J, change, fd_step: float = 1e-4):
-        return BiconformalContext(phi, J, change,
-                                  apply_change(phi, change, fd_step), fd_step)
+    def build(phi, J, change):
+        return BiconformalContext(phi, J, change, apply_change(phi, change))
 
     # frequently used quantities at a point ------------------------------
 
@@ -243,22 +305,21 @@ def verify_koszul_h(ctx: BiconformalContext, p, x_comp, y_comp,
     phi = ctx.phi
     p = np.asarray(p, dtype=float)
     g = ctx.g(p)
-    ph = horizontal_projector(phi, p)
+    geo = local_geometry(phi, p)
+    ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
-
-    def y_field(q):
-        return horizontal_projector(phi, q) @ np.asarray(y_comp, dtype=float)
-
-    y = y_field(p)
-    src = phi.source
+    # the field Y = P_H y_comp, and its derivative X^k (d_k P_H) y_comp
+    y_comp = np.asarray(y_comp, dtype=float)
+    y = ph @ y_comp
+    dy = np.einsum("k,kab,b->a", x, geo.projector_and_lift_derivs[0], y_comp)
     src_bar = local_geometry(phi, p, ctx.gbar).src
     xv = TangentVector(p, x)
-    lhs = ph @ src_bar.covariant_derivative(y_field, xv).components
+    lhs = ph @ src_bar.covariant_derivative(xv, y, dy).components
 
     frame = adapted_frame(phi, ctx.J, p)
     grad_ls, _ = ctx.grad_log_factors(p)
     dls = g @ grad_ls  # covector of ln sigma
-    rhs = ph @ src.covariant_derivative(y_field, xv).components
+    rhs = ph @ geo.src.covariant_derivative(xv, y, dy).components
     gxy = float(x @ g @ y)
     for f_i in frame.horizontal:
         coeff = (-(dls @ x) * float(y @ g @ f_i)
@@ -277,18 +338,17 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
     if phi.m <= phi.two_n:
         raise GeometryError("no vertical distribution (m = 2n)")
     g = ctx.g(p)
-    ph = horizontal_projector(phi, p)
-
-    def v_field(q):
-        return vertical_projector(phi, q) @ np.asarray(v_comp, dtype=float)
-
-    v = v_field(p)
+    geo = local_geometry(phi, p)
+    ph = geo.projector_and_lift[0]
+    # the field V = P_V v_comp, and its derivative -V^k (d_k P_H) v_comp
+    v_comp = np.asarray(v_comp, dtype=float)
+    v = v_comp - ph @ v_comp
     if float(v @ g @ v) <= 1e-16:
         raise GeometryError("V has no vertical part")
-    src = phi.source
+    dv = -np.einsum("k,kab,b->a", v, geo.projector_and_lift_derivs[0], v_comp)
     src_bar = local_geometry(phi, p, ctx.gbar).src
     vv = TangentVector(p, v)
-    lhs = ph @ src_bar.covariant_derivative(v_field, vv).components
+    lhs = ph @ src_bar.covariant_derivative(vv, v, dv).components
 
     s_jet, r_jet = ctx.change.factor_jets(p)
     s = s_jet.value
@@ -297,7 +357,8 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
     d_rho_m2 = -2.0 * rho ** -3 * r_jet.grad
     frame = adapted_frame(phi, ctx.J, p)
     gvv = float(v @ g @ v)
-    inner = 2.0 * rho ** -2 * (ph @ src.covariant_derivative(v_field, vv).components)
+    inner = 2.0 * rho ** -2 * (
+        ph @ geo.src.covariant_derivative(vv, v, dv).components)
     for f_i in frame.horizontal:
         inner = inner - (d_rho_m2 @ f_i) * gvv * f_i
     rhs = 0.5 * s ** 2 * inner
@@ -311,9 +372,8 @@ def verify_mean_curvature(ctx: BiconformalContext, p,
     p = np.asarray(p, dtype=float)
     if phi.m <= phi.two_n:
         raise GeometryError("no fibers (m = 2n)")
-    lhs = mean_curvature_vertical(phi, p, metric=ctx.gbar,
-                                  fd_step=ctx.fd_step).components
-    mu = mean_curvature_vertical(phi, p, fd_step=ctx.fd_step).components
+    lhs = mean_curvature_vertical(phi, p, metric=ctx.gbar).components
+    mu = mean_curvature_vertical(phi, p).components
     _, grad_lr = ctx.grad_log_factors(p)
     ph = horizontal_projector(phi, p)
     s, _ = ctx.change.factor_values(p)
@@ -330,9 +390,8 @@ def verify_f_divergence(ctx: BiconformalContext, p,
     """
     phi = ctx.phi
     p = np.asarray(p, dtype=float)
-    lhs = f_divergence_horizontal(phi, ctx.J, p, metric=ctx.gbar,
-                                  fd_step=ctx.fd_step).components
-    div = f_divergence_horizontal(phi, ctx.J, p, fd_step=ctx.fd_step).components
+    lhs = f_divergence_horizontal(phi, ctx.J, p, metric=ctx.gbar).components
+    div = f_divergence_horizontal(phi, ctx.J, p).components
     grad_ls, _ = ctx.grad_log_factors(p)
     ph = horizontal_projector(phi, p)
     s, _ = ctx.change.factor_values(p)
@@ -376,7 +435,7 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, p, x_comp, y_comp,
     x = _require_horizontal("X", x_comp, ph, g)
     y = _require_horizontal("Y", y_comp, ph, g)
     f = f_structure(phi, ctx.J, p)
-    df = d_f_structure(phi, ctx.J, p, step=ctx.fd_step)
+    df = d_f_structure(phi, ctx.J, p)
 
     gamma_bar = local_geometry(phi, p, ctx.gbar).christoffel
     nab_bar = nabla_f_operator(f, df, gamma_bar)
@@ -443,12 +502,11 @@ def verify_pullback_characterization(phi: SmoothMap,
 
 
 def verify_tension_equivalence(phi: SmoothMap, J: AlmostComplexStructureField,
-                               p, metric=None, tol: float = 1e-6,
-                               fd_step: float = 1e-4) -> IdentityResidualReport:
+                               p, metric=None, tol: float = 1e-6
+                               ) -> IdentityResidualReport:
     """Trace-formula tension field against the f-structure route."""
     lhs = tension_field(phi, p, metric=metric).components
-    rhs = tension_via_f_structure(phi, J, p, metric=metric,
-                                  fd_step=fd_step).components
+    rhs = tension_via_f_structure(phi, J, p, metric=metric).components
     return _report("tension-f-structure", p, lhs, rhs, tol)
 
 
@@ -486,10 +544,10 @@ class CorollarySummary(IdentityAggregate):
 
 
 def one_function_context(phi: SmoothMap, J: AlmostComplexStructureField,
-                         sigma: Expr, fd_step: float = 1e-4):
+                         sigma: Expr):
     """The one-function change of sigma; raises GeometryError for m = 2n."""
-    return BiconformalContext.build(
-        phi, J, special_change(sigma, phi.m, phi.n), fd_step)
+    return BiconformalContext.build(phi, J,
+                                    special_change(sigma, phi.m, phi.n))
 
 
 def _tally(name, points, check) -> CorollarySummary:
@@ -532,11 +590,11 @@ def corollary_psh_at(scenario, ctx: BiconformalContext, p,
                                   resid, resid, ok)
 
 
-def check_corollary_psh(scenario, sigma: Expr, points, tol: float = 1e-5,
-                        fd_step: float = 1e-4) -> CorollarySummary:
+def check_corollary_psh(scenario, sigma: Expr, points,
+                        tol: float = 1e-5) -> CorollarySummary:
     """``corollary_psh_at`` over points, for the one-function change of
     sigma."""
-    ctx = one_function_context(scenario.phi, scenario.J, sigma, fd_step)
+    ctx = one_function_context(scenario.phi, scenario.J, sigma)
     return _tally("corollary-psh", points,
                   lambda p: corollary_psh_at(scenario, ctx, p, tol))
 
@@ -561,8 +619,7 @@ def corollary_phh_at(ctx: BiconformalContext, p, tol: float = 1e-6,
     sigma with a horizontally nonvanishing gradient must break PHH visibly
     (defect above ``breaking_floor``); see ``phh_breaking_checkable``."""
     phi = ctx.phi
-    defect, scale = phh_defect(phi, ctx.J, p, metric=ctx.gbar,
-                               fd_step=ctx.fd_step)
+    defect, scale = phh_defect(phi, ctx.J, p, metric=ctx.gbar)
     if exprs.max_var_index(ctx.change.sigma) < 0:
         ok = defect / (scale + REL_FLOOR) < tol
     else:
@@ -577,11 +634,10 @@ def corollary_phh_at(ctx: BiconformalContext, p, tol: float = 1e-6,
 
 def check_corollary_phh(scenario, sigma: Expr, points,
                         tol: float = 1e-6,
-                        breaking_floor: float = 1e-3,
-                        fd_step: float = 1e-4) -> CorollarySummary:
+                        breaking_floor: float = 1e-3) -> CorollarySummary:
     """``corollary_phh_at`` over points, for the one-function change of
     sigma; skipped with a warning where ``phh_breaking_checkable`` fails."""
-    ctx = one_function_context(scenario.phi, scenario.J, sigma, fd_step)
+    ctx = one_function_context(scenario.phi, scenario.J, sigma)
     if not phh_breaking_checkable(scenario.phi.n, sigma):
         return CorollarySummary("corollary-phh", skipped=True,
                                 warning=PHH_N1_WARNING)

@@ -107,7 +107,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         tol_ad=args.tol_ad,
         tol_fd=args.tol_fd,
-        fd_step=args.fd_step,
         identities=args.identities.split(",") if args.identities else None,
     )
     try:
@@ -150,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--tol-ad", type=float, default=1e-8)
     p_verify.add_argument("--tol-fd", type=float, default=1e-5)
-    p_verify.add_argument("--fd-step", type=float, default=1e-4)
     p_verify.add_argument("--identities", default=None,
                           help="comma-separated subset of: "
                                + ",".join(ALL_IDENTITIES))

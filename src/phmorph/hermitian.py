@@ -1,8 +1,9 @@
 """Almost complex structures on the target, the induced horizontal structure,
 the f-structure on the domain, PHWC/PHH defect measures and the horizontal
-divergence of the f-structure.  F and dF are kept, read-only, in the
-``maps.LocalGeometry`` of (phi, metric, point), keyed on J (dF on the step
-too)."""
+divergence of the f-structure.  F = L J(phi) A depends on the metric only
+through the horizontal lift L, so F and its exact derivative dF are kept,
+read-only and keyed on J, in the ``maps.LocalGeometry`` that computes the
+lift (``LocalGeometry.horizontal``)."""
 
 from __future__ import annotations
 
@@ -12,8 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .manifold import (ChartedRiemannianManifold, GeometryError, MetricField,
-                       TangentVector, directional_derivative, jet_matrix,
-                       jet_matrix_and_derivs)
+                       TangentVector, jet_matrix, jet_matrix_and_derivs)
 from .maps import (FrameError, OrthoSplit, SmoothMap, check_submersion,
                    differential, local_geometry, mean_curvature_vertical,
                    ortho_split)
@@ -80,7 +80,7 @@ def f_structure(phi: SmoothMap, J: AlmostComplexStructureField, p,
     J composed with dphi.  Kills the vertical distribution, acts as the
     induced complex structure on the horizontal one, and is smooth in p
     (no frame choice involved)."""
-    geo = local_geometry(phi, p, metric)
+    geo = local_geometry(phi, p, metric).horizontal
     return geo.field(("F", J), lambda: (
         geo.projector_and_lift[1] @ j_at_image(phi, J, geo.p)
         @ check_submersion(phi, geo.p)))
@@ -172,15 +172,22 @@ def adapted_frame(phi: SmoothMap, J: AlmostComplexStructureField, p,
 
 
 def d_f_structure(phi: SmoothMap, J: AlmostComplexStructureField, p,
-                  metric: Optional[MetricField] = None,
-                  step: float = 1e-4) -> np.ndarray:
+                  metric: Optional[MetricField] = None) -> np.ndarray:
     """Coordinate derivatives dF[i, k, j] = d_i F^k_j of the f-structure
-    field, by Richardson-extrapolated central differences.  F itself is
-    frame-free, so the differencing is robust."""
-    geo = local_geometry(phi, p, metric)
-    return geo.field(("dF", J, step), lambda: np.array([directional_derivative(
-        lambda q: f_structure(phi, J, q, metric), geo.p, e, step)
-        for e in np.eye(phi.m)]))
+    F = L J A, exact:
+
+    d_i F = d_i L J A + L (d_c J A^c_i) A + L J d_i A."""
+    geo = local_geometry(phi, p, metric).horizontal
+
+    def compute():
+        a, da = check_submersion(phi, geo.p), geo.differential_derivs
+        lift = geo.projector_and_lift[1]
+        d_lift = geo.projector_and_lift_derivs[1]
+        jq, dj = J.matrix_and_derivs(phi.value(geo.p))
+        dj_along = np.einsum("cab,ci->iab", dj, a)  # d_i of J at phi
+        return d_lift @ (jq @ a) + lift @ dj_along @ a + (lift @ jq) @ da
+
+    return geo.field(("dF", J), compute)
 
 
 def nabla_f_operator(f: np.ndarray, df: np.ndarray,
@@ -196,8 +203,8 @@ def nabla_f_operator(f: np.ndarray, df: np.ndarray,
 
 def f_divergence_horizontal(phi: SmoothMap, J: AlmostComplexStructureField,
                             p, metric: Optional[MetricField] = None,
-                            frame: Optional[AdaptedFrame] = None,
-                            fd_step: float = 1e-4) -> TangentVector:
+                            frame: Optional[AdaptedFrame] = None
+                            ) -> TangentVector:
     """F applied to the horizontal trace of nabla F:
 
     F [ sum_i (nabla_{e_i} F)(e_i) + (nabla_{F e_i} F)(F e_i) ]
@@ -210,7 +217,7 @@ def f_divergence_horizontal(phi: SmoothMap, J: AlmostComplexStructureField,
         frame = adapted_frame(phi, J, p, metric)
     gamma = local_geometry(phi, p, metric).christoffel
     f = f_structure(phi, J, p, metric)
-    df = d_f_structure(phi, J, p, metric, fd_step)
+    df = d_f_structure(phi, J, p, metric)
     nab = nabla_f_operator(f, df, gamma)
     total = np.zeros(phi.m)
     for x in frame.horizontal:
@@ -220,8 +227,7 @@ def f_divergence_horizontal(phi: SmoothMap, J: AlmostComplexStructureField,
 
 def phh_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
                metric: Optional[MetricField] = None,
-               frame: Optional[AdaptedFrame] = None,
-               fd_step: float = 1e-4):
+               frame: Optional[AdaptedFrame] = None):
     """Size of the horizontal part of (nabla_X F)Y over horizontal X, Y.
 
     Contracted over an orthonormal horizontal frame in a Frobenius fashion,
@@ -235,7 +241,7 @@ def phh_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
     gamma = geo.christoffel
     ph = geo.projector_and_lift[0]
     f = f_structure(phi, J, p, metric)
-    df = d_f_structure(phi, J, p, metric, fd_step)
+    df = d_f_structure(phi, J, p, metric)
     nab = nabla_f_operator(f, df, gamma)
     total = 0.0
     scale = 0.0
@@ -249,8 +255,8 @@ def phh_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
 
 
 def tension_via_f_structure(phi: SmoothMap, J: AlmostComplexStructureField,
-                            p, metric: Optional[MetricField] = None,
-                            fd_step: float = 1e-4) -> TangentVector:
+                            p, metric: Optional[MetricField] = None
+                            ) -> TangentVector:
     """Tension field through the f-structure route:
 
     tau = -dphi( F div_H F + (m - 2n) mu^V )
@@ -258,10 +264,10 @@ def tension_via_f_structure(phi: SmoothMap, J: AlmostComplexStructureField,
     Only meaningful for PHWC maps (the adapted frame requires it)."""
     p = np.asarray(p, dtype=float)
     frame = adapted_frame(phi, J, p, metric)
-    div = f_divergence_horizontal(phi, J, p, metric, frame, fd_step)
+    div = f_divergence_horizontal(phi, J, p, metric, frame)
     total = div.components.copy()
     if phi.m > phi.two_n:
-        mu = mean_curvature_vertical(phi, p, metric, fd_step)
+        mu = mean_curvature_vertical(phi, p, metric)
         total += (phi.m - phi.two_n) * mu.components
     a = differential(phi, p)
     return TangentVector(phi.value(p), -(a @ total))

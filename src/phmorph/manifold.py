@@ -1,24 +1,21 @@
 """Charted Riemannian manifolds and the Levi-Civita machinery.
 
 A metric is a "metric field": something that can produce the component matrix
-g_ij at a chart point and its first coordinate derivatives.  Two backings
-exist:
+g_ij at a chart point and its first coordinate derivatives, exactly.
+``JetMetric`` wraps a jet-evaluable component function, whose derivatives
+come from the second-order AD path; the biconformal change of a map's source
+metric (``biconformal.ChangedMetric``) differentiates its projector algebra in
+closed form.  ``FDMetric``, ``richardson_partial`` and
+``directional_derivative`` (Richardson-extrapolated central differences) are
+kept as oracles for the tests; no verification run calls them.
 
-* ``JetMetric`` wraps a jet-evaluable component function; derivatives come
-  from the second-order AD path and are exact to machine precision.
-* ``FDMetric`` wraps a plain value-level matrix function (used for metrics
-  produced by biconformal changes, which involve projections built from
-  linear solves); derivatives use Richardson-extrapolated central
-  differences.
-
-g, g^-1 and the Christoffel symbols are memoized per point in a bounded
-least-recently-used ``PointMemo`` on the ``MetricField``, which every manifold
-``with_metric`` builds on it shares; an FD metric's probes run once per point.
-The domain, finiteness, symmetry, positive-definiteness and inversion checks
-run once per point; a point that fails them is never stored, so it fails on
-every call.  Memoized arrays are read-only.  ``field_jet`` and
-``jet_matrix_and_derivs`` are boundaries where non-finite jets are caught
-(see ``jets``).
+g, g^-1, (g, dg) and the Christoffel symbols are memoized per point in a
+bounded least-recently-used ``PointMemo`` on the ``MetricField``, which every
+manifold ``with_metric`` builds on it shares.  The domain, finiteness,
+symmetry, positive-definiteness and inversion checks run once per point; a
+point that fails them is never stored, so it fails on every call.  Memoized
+arrays are read-only.  ``field_jet`` and ``jet_matrix_and_derivs`` are
+boundaries where non-finite jets are caught (see ``jets``).
 """
 
 from __future__ import annotations
@@ -58,10 +55,8 @@ class TangentVector:
 
 
 # Distinct points a PointMemo keeps.  The runner runs every check at a sample
-# point before the next one; on the m = 6 README run a memo then sees 41 keys
-# per sample point under g (the point and its FD probes), 33 under g-bar, so
-# each key is computed once, and the local-geometry memos serve 80 % of reads.
-# The memory does not grow with the sample count.
+# point before the next one, and no check reads another point, so each key is
+# computed once per run.  The memory does not grow with the sample count.
 POINT_MEMO_SIZE = 64
 
 
@@ -96,6 +91,11 @@ class PointMemo:
 
 class MetricField:
     """Interface: dim, matrix(p), matrix_and_derivs(p); per-point memos."""
+
+    # The map whose horizontal distribution this metric shares with the map's
+    # source metric (a biconformal change of it), or None.  That map's
+    # projectors and lift are then read from the source metric's geometry.
+    keeps_horizontal_of = None
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -151,6 +151,9 @@ class JetMetric(MetricField):
 
 
 class FDMetric(MetricField):
+    """Value-level matrix function with Richardson-extrapolated central
+    difference derivatives; a test oracle for the exact metrics."""
+
     def __init__(self, dim: int, matrix_fn, step: float = 1e-4):
         super().__init__(dim)
         self.fn = matrix_fn
@@ -221,7 +224,8 @@ class ChartedRiemannianManifold:
         return p
 
     def _metric_entry(self, p):
-        """Memo entry [g, g^-1, Gamma] of a point, validating g on a miss.
+        """Memo entry [g, g^-1, Gamma, (g, dg)] of a point, validating g on a
+        miss.
 
         The key includes the domain predicate, since manifolds sharing a
         metric may have different domains."""
@@ -241,7 +245,7 @@ class ChartedRiemannianManifold:
             if w[0] <= 1e-12:
                 raise MetricError("metric not positive definite at %s "
                                   "(min eigenvalue %g)" % (q.tolist(), w[0]))
-            entry = [read_only(np.array(g, dtype=float)), None, None]
+            entry = [read_only(np.array(g, dtype=float)), None, None, None]
             memo.put(key, entry)
         return entry
 
@@ -260,12 +264,22 @@ class ChartedRiemannianManifold:
             entry[1] = read_only(ginv)
         return entry[1]
 
+    def metric_and_derivs_at(self, p):
+        """(g, dg) with dg[k, i, j] = d_k g_ij, from the metric's
+        ``matrix_and_derivs`` at a validated point (memoized, read-only)."""
+        entry = self._metric_entry(p)
+        if entry[3] is None:
+            g, dg = self.metric.matrix_and_derivs(np.asarray(p, dtype=float))
+            entry[3] = (read_only(np.asarray(g, dtype=float)),
+                        read_only(np.asarray(dg, dtype=float)))
+        return entry[3]
+
     def christoffel(self, p):
         """Levi-Civita coefficients Gamma[k, i, j] = Gamma^k_ij (memoized,
         read-only), from matrix_and_derivs' own g, not ``metric_at``'s."""
         entry = self._metric_entry(p)
         if entry[2] is None:
-            g, dg = self.metric.matrix_and_derivs(np.asarray(p, dtype=float))
+            g, dg = self.metric_and_derivs_at(p)
             ginv = np.linalg.inv(g)
             # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
             # dg[k, i, j] = d_k g_ij; bracket[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
@@ -292,18 +306,16 @@ class ChartedRiemannianManifold:
         df = self.field_jet(f, p).grad
         return TangentVector(p, self.inverse_metric_at(p) @ df)
 
-    def covariant_derivative(self, Y_field, X: TangentVector) -> TangentVector:
-        """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at X.base.
-
-        Y_field maps a chart point to a component vector; its derivative along
-        X is taken by Richardson central differences.
-        """
+    def covariant_derivative(self, X: TangentVector, y,
+                             dy_along_x) -> TangentVector:
+        """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at X.base, for a
+        field Y with components ``y`` there and derivative ``dy_along_x`` =
+        X^i d_i Y along X."""
         p = np.asarray(X.base, dtype=float)
-        gamma = self.christoffel(p)
-        y = np.asarray(Y_field(p), dtype=float)
-        dy_along_x = directional_derivative(Y_field, p, X.components)
-        correction = np.einsum("kij,i,j->k", gamma, X.components, y)
-        return TangentVector(p, dy_along_x + correction)
+        correction = np.einsum("kij,i,j->k", self.christoffel(p),
+                               X.components, y)
+        return TangentVector(p, np.asarray(dy_along_x, dtype=float)
+                             + correction)
 
     def laplace_beltrami(self, f, p) -> float:
         p = self.check_in_domain(p)

@@ -6,13 +6,17 @@ the exact float64 bytes of the point; its jets are checked for non-finite
 components once, when first computed, and their arrays are read-only.
 
 ``local_geometry(phi, p, metric)`` holds phi's local data at p under a metric
-(dphi, g^-1, P_H, the lift, Gamma; F and dF for ``hermitian``),
-memoized per (phi, point) on the metric.
+(dphi, g^-1, P_H, the lift, their first derivatives, Gamma; F and dF for
+``hermitian``), memoized per (phi, point) on the metric.  The derivatives are
+exact: with M = A g^-1 A^T, the lift L = g^-1 A^T M^-1 and P_H = L A are
+differentiated through d_k A (the map's Hessian), d_k g and
+d(M^-1) = -M^-1 dM M^-1, so no check evaluates the map away from its sample
+point.  The fiber mean curvature needs no frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -21,8 +25,7 @@ import numpy as np
 from . import jets
 from .jets import Jet2
 from .manifold import (ChartedRiemannianManifold, GeometryError, MetricField,
-                       PointMemo, TangentVector, directional_derivative,
-                       read_only)
+                       PointMemo, TangentVector, read_only)
 
 RANK_TOL = 1e-8
 
@@ -122,12 +125,51 @@ class LocalGeometry:
         return a, np.linalg.svd(a, compute_uv=False)[-1]
 
     @cached_property
-    def projector_and_lift(self):
-        """(P_H, lift): g^-1 A^T (A g^-1 A^T)^-1 applied to A, and alone."""
+    def differential_derivs(self) -> np.ndarray:
+        """dA[k, a, i] = d_k A[a, i] = hess[a, i, k], from the map's jets."""
+        return read_only(np.transpose(second_derivatives(self.phi, self.p),
+                                      (2, 0, 1)))
+
+    @cached_property
+    def horizontal(self) -> "LocalGeometry":
+        """The geometry that computes H and the lift: the source metric's,
+        when this metric is a change of it that keeps H."""
+        if self.src.metric.keeps_horizontal_of is self.phi:
+            return local_geometry(self.phi, self.p)
+        return self
+
+    @cached_property
+    def _lift_factors(self):
+        """A, g^-1 A^T and M^-1 = (A g^-1 A^T)^-1."""
         a = check_submersion(self.phi, self.p)
-        adjoint, gram = self.ginv @ a.T, a @ self.ginv @ a.T
-        return (read_only(adjoint @ np.linalg.solve(gram, a)),
-                read_only(adjoint @ np.linalg.inv(gram)))
+        adjoint = self.ginv @ a.T
+        return a, adjoint, np.linalg.inv(a @ adjoint)
+
+    @cached_property
+    def projector_and_lift(self):
+        """(P_H, lift): the lift is L = g^-1 A^T M^-1, and P_H = L A."""
+        if self.horizontal is not self:
+            return self.horizontal.projector_and_lift
+        a, adjoint, minv = self._lift_factors
+        lift = adjoint @ minv
+        return read_only(lift @ a), read_only(lift)
+
+    @cached_property
+    def projector_and_lift_derivs(self):
+        """(dP_H, dL) with dP_H[k] = d_k P_H and dL[k] = d_k L:
+
+        dL = (d(g^-1) A^T + g^-1 dA^T - L dM) M^-1,  dP_H = dL A + L dA,
+        dM = dA g^-1 A^T + A (d(g^-1) A^T + g^-1 dA^T)."""
+        if self.horizontal is not self:
+            return self.horizontal.projector_and_lift_derivs
+        a, adjoint, minv = self._lift_factors
+        lift, da = self.projector_and_lift[1], self.differential_derivs
+        dg = self.src.metric_and_derivs_at(self.p)[1]
+        dginv = -np.einsum("ij,kjl,lm->kim", self.ginv, dg, self.ginv)
+        d_adjoint = dginv @ a.T + self.ginv @ np.transpose(da, (0, 2, 1))
+        d_gram = da @ adjoint + a @ d_adjoint
+        d_lift = (d_adjoint - lift @ d_gram) @ minv
+        return read_only(d_lift @ a + lift @ da), read_only(d_lift)
 
 
 def local_geometry(phi: SmoothMap, p,
@@ -189,50 +231,39 @@ def horizontal_lift(phi: SmoothMap, p,
 class OrthoSplit:
     vertical_frame: np.ndarray    # (m - 2n, m), rows g-orthonormal, in ker dphi
     horizontal_frame: np.ndarray  # (2n, m), rows g-orthonormal, g-orthogonal to V
-    vertical_pivots: tuple = field(default=())
-    horizontal_pivots: tuple = field(default=())
 
 
-def _gram_schmidt(seeds, g, count, pivots=None):
+def _gram_schmidt(seeds, g, count):
     """Deterministic g-orthonormalization of seed vectors, greedy in index
-    order (or along explicitly supplied pivot indices for frame-field
-    smoothness at displaced points)."""
+    order; a seed that is too short, or too close to the span of the
+    vectors already kept, is passed over."""
     basis = []
-    used = []
-    order = pivots if pivots is not None else range(len(seeds))
-    for idx in order:
-        v = np.array(seeds[idx], dtype=float)
+    for v in seeds:
         norm2 = v @ g @ v
-        if pivots is None and norm2 <= 1e-16:
+        if norm2 <= 1e-16:
             continue
-        if norm2 <= 1e-20:
-            raise FrameError("Gram-Schmidt breakdown on seed %d" % idx)
         v = v / np.sqrt(norm2)  # relative residual threshold below
         for b in basis:
             v = v - (b @ g @ v) * b
         res2 = v @ g @ v
-        if pivots is None and res2 <= 0.3 ** 2:
+        if res2 <= 0.3 ** 2:
             continue
-        if res2 <= 1e-20:
-            raise FrameError("Gram-Schmidt breakdown on seed %d" % idx)
         basis.append(v / np.sqrt(res2))
-        used.append(idx)
         if len(basis) == count:
             break
     if len(basis) < count:
         raise FrameError("could not assemble %d frame vectors (got %d)"
                          % (count, len(basis)))
-    return np.array(basis), tuple(used)
+    return np.array(basis)
 
 
-def ortho_split(phi: SmoothMap, p, metric: Optional[MetricField] = None,
-                pivots=None) -> OrthoSplit:
+def ortho_split(phi: SmoothMap, p,
+                metric: Optional[MetricField] = None) -> OrthoSplit:
     """Split T_pM into the vertical distribution ker dphi and its g-orthogonal
     complement, with orthonormal frames for both.
 
     Deterministic: seeds are the columns of the smooth projector matrices in
-    index order.  Passing the pivot record of a nearby base point keeps the
-    frames smooth along finite-difference probes.
+    index order.
     """
     p = np.asarray(p, dtype=float)
     m, two_n = phi.m, phi.two_n
@@ -240,11 +271,9 @@ def ortho_split(phi: SmoothMap, p, metric: Optional[MetricField] = None,
     g = geo.src.metric_at(p)
     ph = geo.projector_and_lift[0]
     pv = np.eye(m) - ph
-    vp, hp = (pivots if pivots is not None else (None, None))
-    v_frame, v_used = (_gram_schmidt(pv.T, g, m - two_n, vp)
-                       if m > two_n else (np.zeros((0, m)), ()))
-    h_frame, h_used = _gram_schmidt(ph.T, g, two_n, hp)
-    return OrthoSplit(v_frame, h_frame, v_used, h_used)
+    v_frame = (_gram_schmidt(pv.T, g, m - two_n) if m > two_n
+               else np.zeros((0, m)))
+    return OrthoSplit(v_frame, _gram_schmidt(ph.T, g, two_n))
 
 
 def tension_field(phi: SmoothMap, p,
@@ -268,33 +297,29 @@ def tension_field(phi: SmoothMap, p,
 
 
 def mean_curvature_vertical(phi: SmoothMap, p,
-                            metric: Optional[MetricField] = None,
-                            fd_step: float = 1e-4) -> TangentVector:
+                            metric: Optional[MetricField] = None
+                            ) -> TangentVector:
     """Normalized mean curvature of the fibers:
 
     mu^V = (1 / (m - 2n)) sum_alpha H(nabla_{e_alpha} e_alpha)
 
-    over a g-orthonormal vertical frame field (frames at displaced points
-    reuse the base point's pivots so the field is smooth along each probe)."""
+    over a g-orthonormal vertical frame.  With the frame extended as
+    vertical fields, H(e^i d_i e) = -P_H e^i (d_i P_H) e, and
+    sum_alpha e_alpha e_alpha^T = T = P_V g^-1 P_V^T, so
+
+    mu^V = (1 / (m - 2n)) P_H [-T^{ib} d_i (P_H)^k_b + Gamma^k_ij T^{ij}],
+
+    free of any frame choice."""
     p = np.asarray(p, dtype=float)
     m, two_n = phi.m, phi.two_n
     if m <= two_n:
         raise GeometryError("no fibers: source dimension %d <= target "
                             "dimension %d" % (m, two_n))
     geo = local_geometry(phi, p, metric)
-    split = ortho_split(phi, p, metric)
-    pivots = (split.vertical_pivots, split.horizontal_pivots)
-    gamma = geo.christoffel
     ph = geo.projector_and_lift[0]
-
-    total = np.zeros(m)
-    for alpha in range(m - two_n):
-        e = split.vertical_frame[alpha]
-
-        def frame_field(q, _alpha=alpha):
-            return ortho_split(phi, q, metric, pivots).vertical_frame[_alpha]
-
-        de = directional_derivative(frame_field, p, e, fd_step)
-        nabla = de + np.einsum("kij,i,j->k", gamma, e, e)
-        total += ph @ nabla
-    return TangentVector(p, total / (m - two_n))
+    dph = geo.projector_and_lift_derivs[0]
+    pv = np.eye(m) - ph
+    t = pv @ geo.ginv @ pv.T
+    total = (np.einsum("kij,ij->k", geo.christoffel, t)
+             - np.einsum("ib,ikb->k", t, dph))
+    return TangentVector(p, ph @ total / (m - two_n))

@@ -48,14 +48,13 @@ class RunConfig:
     seed: int = 42
     tol_ad: float = 1e-8
     tol_fd: float = 1e-5
-    fd_step: float = 1e-4
     identities: Optional[List[str]] = None
 
     def validate(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.tol_ad <= 0 or self.tol_fd <= 0 or self.fd_step <= 0:
-            raise ValueError("tolerances and the FD step must be positive")
+        if self.tol_ad <= 0 or self.tol_fd <= 0:
+            raise ValueError("tolerances must be positive")
         if self.rho is not None and self.special_sigma is not None:
             raise ValueError("give at most one of rho and special-sigma")
         names = self.identities or ()
@@ -95,10 +94,10 @@ class RunContext:
 
     def __init__(self, scenario: Scenario, config: RunConfig,
                  change: BiconformalChange):
-        phi, J, step = scenario.phi, scenario.J, config.fd_step
+        phi, J = scenario.phi, scenario.J
         self.scenario, self.config = scenario, config
-        self.change = BiconformalContext.build(phi, J, change, step)
-        self.one_function = (one_function_context(phi, J, change.sigma, step)
+        self.change = BiconformalContext.build(phi, J, change)
+        self.one_function = (one_function_context(phi, J, change.sigma)
                              if phi.m > phi.two_n else None)
 
     def draw(self, idx: int, tag: int, count: int = 1):
@@ -158,8 +157,7 @@ IDENTITIES = {
                                 tol=run.config.tol_ad))),
     "tension-f-structure": Identity(("phwc",), lambda run, p, idx: (
         verify_tension_equivalence(run.scenario.phi, run.scenario.J, p,
-                                   tol=run.config.tol_fd,
-                                   fd_step=run.config.fd_step))),
+                                   tol=run.config.tol_fd))),
     "tension-transform": Identity(("phwc",), lambda run, p, idx: (
         verify_tension_transform(run.change, p, tol=run.config.tol_fd))),
     "koszul-horizontal": Identity(("phwc",), lambda run, p, idx: (
@@ -209,8 +207,7 @@ def run_identity(name: str, run: RunContext, p, idx: int):
         return errored_report(name, p, err)
 
 
-def confirm_flags(scenario: Scenario, points, tol: float = 1e-5,
-                  fd_step: float = 1e-4):
+def confirm_flags(scenario: Scenario, points, tol: float = 1e-5):
     """Re-measure the scenario's expected PHWC / PHH / harmonicity flags."""
     phi, J = scenario.phi, scenario.J
     out = {}
@@ -243,7 +240,7 @@ def confirm_flags(scenario: Scenario, points, tol: float = 1e-5,
     expected_phh = scenario.expected_flags.get("phh")
     if scenario.expected_flags.get("phwc"):
         phh_worst, phh_err = measure(
-            lambda p: relative(phh_defect(phi, J, p, fd_step=fd_step)))
+            lambda p: relative(phh_defect(phi, J, p)))
         out["phh"] = _flag_entry(expected_phh, phh_worst, phh_err, tol)
     else:
         out["phh"] = {"expected": expected_phh, "measured_max_defect": None,
@@ -305,8 +302,7 @@ def run_verification(config: RunConfig):
     for idx, p in enumerate(points):
         for agg in totals:
             agg.add(run_identity(agg.name, run, p, idx))
-        flag_parts.append(confirm_flags(scenario, [p], tol=config.tol_fd,
-                                        fd_step=config.fd_step))
+        flag_parts.append(confirm_flags(scenario, [p], tol=config.tol_fd))
 
     per_identity = [agg.as_dict() for agg in totals]
     flags = _fold_flags(flag_parts, config.tol_fd)
@@ -321,7 +317,7 @@ def _assemble(config, scenario, per_identity, flags, skipped, warnings,
     if verdict is None:
         verdict = "pass" if (identities_ok and flags_confirmed) else "fail"
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "scenario": scenario.name,
         "config": {
             "sigma": config.sigma,
@@ -331,7 +327,6 @@ def _assemble(config, scenario, per_identity, flags, skipped, warnings,
             "seed": config.seed,
             "tol_ad": config.tol_ad,
             "tol_fd": config.tol_fd,
-            "fd_step": config.fd_step,
             "identities": list(config.identities) if config.identities
                           else list(ALL_IDENTITIES),
         },

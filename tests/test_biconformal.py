@@ -31,8 +31,10 @@ from phmorph import (
     verify_tension_transform,
 )
 from phmorph.biconformal import check_corollary_phh, check_corollary_psh
-from phmorph.maps import differential, horizontal_projector
-from phmorph.hermitian import phwc_defect
+from phmorph.manifold import TangentVector, directional_derivative
+from phmorph.maps import (differential, horizontal_projector, local_geometry,
+                          vertical_projector)
+from phmorph.hermitian import adapted_frame, phwc_defect
 
 
 P4 = np.array([0.3, -0.2, 0.5, 0.1])
@@ -238,6 +240,47 @@ def test_tolerance_rejects_tension_transform_without_the_rho_term():
                           @ ((2.0 - phi.two_n) * grad_ls))
         assert relative_residual(lhs, wrong) > TOL_FD, p
         assert verify_tension_transform(ctx, p, tol=TOL_FD).passed, p
+
+
+def test_tolerance_rejects_mean_curvature_without_the_rho_term():
+    sc, ctx = ctx_for(*MUTATION_CASE)
+    phi = sc.phi
+    for p in sample_points(sc, 4, seed=5):
+        lhs = mean_curvature_vertical(phi, p, metric=ctx.gbar).components
+        mu = mean_curvature_vertical(phi, p).components
+        s, _ = ctx.change.factor_values(p)
+        wrong = s ** 2 * mu  # H(grad ln rho) dropped
+        assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
+        assert verify_mean_curvature(ctx, p, tol=TOL_FD).passed, p
+
+
+def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
+    sc, ctx = ctx_for(*MUTATION_CASE)
+    phi = sc.phi
+    rng = np.random.default_rng(5)
+    for p in sample_points(sc, 4, seed=5):
+        v_comp = rng.normal(size=phi.m)
+
+        def v_field(q):
+            return vertical_projector(phi, q) @ v_comp
+
+        v = v_field(p)
+        vv = TangentVector(p, v)
+        dv = directional_derivative(v_field, p, v)  # the Richardson oracle
+        ph = horizontal_projector(phi, p)
+        src_bar = local_geometry(phi, p, ctx.gbar).src
+        lhs = ph @ src_bar.covariant_derivative(vv, v, dv).components
+        s, r = ctx.change.factor_jets(p)
+        g = phi.source.metric_at(p)
+        d_rho_m2 = -2.0 * r.value ** -3 * r.grad
+        inner = 2.0 * r.value ** -2 * (
+            ph @ phi.source.covariant_derivative(vv, v, dv).components)
+        for f_i in adapted_frame(phi, sc.J, p).horizontal:
+            # the law subtracts this gradient term; here it is added
+            inner = inner + (d_rho_m2 @ f_i) * float(v @ g @ v) * f_i
+        wrong = 0.5 * s.value ** 2 * inner
+        assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
+        assert verify_koszul_v(ctx, p, v_comp, tol=TOL_FD).passed, p
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

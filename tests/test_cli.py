@@ -1,6 +1,9 @@
 """Command-line interface: flags, exit codes, report files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -96,7 +99,7 @@ def test_json_report_schema(tmp_path, capsys):
                   "--report", str(report))
     assert code == 0
     data = json.loads(report.read_text())
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert data["scenario"] == "curved-fibers-nonharmonic"
     assert data["verdict"] == "pass"
     for key in ("config", "per_identity", "skipped_identities", "flags",
@@ -190,3 +193,37 @@ def test_non_finite_changed_metric_is_a_sample_error(capsys):
         assert rows[name]["samples_error"] > 0
         assert not rows[name]["passed"]
     assert rows["phwc-equivalence"]["samples_error"] == 0
+
+
+def test_fd_step_is_retired(tmp_path, capsys):
+    # no finite difference is left, so the option is gone and the report
+    # says so with its schema version
+    code = main(["verify", "--scenario", "flat-projection-4-2",
+                 "--fd-step", "1e-4", "--samples", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--fd-step" in captured.err and "Traceback" not in captured.err
+    report = tmp_path / "report.json"
+    assert main(["verify", "--scenario", "flat-projection-4-2",
+                 "--samples", "2", "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["schema_version"] == 2
+    assert "fd_step" not in data["config"]
+
+
+def test_changed_metric_out_of_the_float_range_warns_nothing():
+    # sigma^-2 underflows or overflows at most points: each is a sample
+    # error with a message, and numpy never divides by zero or overflows
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "phmorph.cli", "verify",
+         "--scenario", "flat-projection-4-2", "--sigma", "exp(1000*x1)",
+         "--samples", "12"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    data = json.loads(proc.stdout, parse_constant=_strict)
+    assert data["verdict"] == "fail"
+    assert all(row["samples_fail"] == 0 for row in data["per_identity"])

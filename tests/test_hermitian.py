@@ -194,15 +194,20 @@ def test_f_structure_warm_equals_cold(name, sheared):
         assert not read(sc, P, metric).flags.writeable
 
 
-def test_f_structure_derivative_is_kept_per_step():
+def test_f_structure_derivative_is_kept_per_j():
+    # dF has no step: one entry per J, which a biconformal change of g
+    # shares, since F = L J A and the change keeps the lift L
     sc = get_scenario("holomorphic-poly")
-    coarse = d_f_structure(sc.phi, sc.J, P, step=1e-2)
-    fine = d_f_structure(sc.phi, sc.J, P)
-    assert not np.array_equal(coarse, fine)
+    first = d_f_structure(sc.phi, sc.J, P)
+    assert d_f_structure(sc.phi, sc.J, P.copy()) is first
+    gbar = pm.apply_change(sc.phi, pm.BiconformalChange.from_texts(
+        "exp(0.3*x1)", "1+x2^2"))
+    assert d_f_structure(sc.phi, sc.J, P, gbar) is first
+    minus_j = pm.AlmostComplexStructureField(
+        sc.J.target, lambda c: (-standard_J(2)).tolist())
+    assert np.array_equal(d_f_structure(sc.phi, minus_j, P), -first)
     assert np.array_equal(
-        d_f_structure(get_scenario("holomorphic-poly").phi, sc.J, P,
-                      step=1e-2), coarse)
-    assert np.array_equal(d_f_structure(sc.phi, sc.J, P, step=1e-2), coarse)
+        d_f_structure(get_scenario("holomorphic-poly").phi, sc.J, P), first)
 
 
 def test_f_structure_under_two_metrics_never_mixes():

@@ -111,7 +111,8 @@ def test_metric_compatibility(theta, phi_angle):
 
 
 def test_covariant_derivative_against_koszul_fd():
-    # Independent check of nabla_X Y through raw finite differences of g.
+    # nabla_X Y from Y's exact derivative along X, against the same
+    # connection applied to a Richardson difference of the field
     man = ChartedRiemannianManifold(2, JetMetric(2, conformal2_components))
     p = np.array([0.25, -0.4])
     c_y = np.array([0.7, -0.3])
@@ -121,7 +122,9 @@ def test_covariant_derivative_against_koszul_fd():
         # a genuinely position-dependent field
         return np.array([c_y[0] * q[1], c_y[1] + q[0] ** 2])
 
-    nab = man.covariant_derivative(y_field, TangentVector(p, c_x))
+    dy_along_x = np.array([c_y[0] * c_x[1], 2.0 * p[0] * c_x[0]])
+    nab = man.covariant_derivative(TangentVector(p, c_x), y_field(p),
+                                   dy_along_x)
     dy = np.array([directional_derivative(y_field, p, e, step=1e-5)
                    for e in np.eye(2)])
     gam = man.christoffel(p)

@@ -137,20 +137,6 @@ def test_ortho_split_orthonormal_and_deterministic():
     assert np.allclose(A @ s1.vertical_frame.T, 0.0, atol=1e-10)
 
 
-def test_ortho_split_pivot_reuse_gives_nearby_frames():
-    # reusing the base point's pivots at a displaced point must produce a
-    # frame that varies smoothly (stays O(step) close), which raw greedy
-    # re-selection does not guarantee
-    phi = curved_fiber_map()
-    p = np.array([0.4, -0.3, 0.2, 0.6])
-    base = ortho_split(phi, p)
-    q = p + np.array([1e-5, 0.0, 0.0, 0.0])
-    near = ortho_split(phi, q, pivots=(base.vertical_pivots,
-                                       base.horizontal_pivots))
-    assert np.max(np.abs(near.vertical_frame - base.vertical_frame)) < 1e-3
-    assert np.max(np.abs(near.horizontal_frame - base.horizontal_frame)) < 1e-3
-
-
 def test_check_submersion_detects_rank_drop():
     # real and imaginary parts of z^2 in the first two coordinates
     phi = SmoothMap(euclidean_space(4), euclidean_space(2),

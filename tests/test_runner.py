@@ -90,8 +90,7 @@ def _one_pass_per_identity(config):
         for idx, p in enumerate(points):
             agg.add(run_identity(name, run, p, idx))
         per_identity.append(agg.as_dict())
-    flags = confirm_flags(scenario, points, tol=config.tol_fd,
-                          fd_step=config.fd_step)
+    flags = confirm_flags(scenario, points, tol=config.tol_fd)
     return per_identity, skipped, flags
 
 
@@ -114,8 +113,8 @@ def test_point_major_run_equals_one_pass_per_identity(config):
 
 
 def test_map_jets_computed_once_per_distinct_point(monkeypatch):
-    # every identity and flag check at a sample point runs while the point's
-    # map jets are still in the bounded per-point memo
+    # no check evaluates the map away from a point: its jets are computed
+    # once at each sample point and at each of the self-check's points
     scenario = get_scenario("hopf")
     inner = scenario.phi.components
     jet_points = []
@@ -131,28 +130,43 @@ def test_map_jets_computed_once_per_distinct_point(monkeypatch):
                                      sigma="exp(0.2*x1+0.1*x3)",
                                      rho="1+0.2*x2^2", samples=5))
     assert rep["verdict"] == "pass"
-    assert len(jet_points) > 5 * 10
-    assert len(jet_points) == len(set(jet_points))
+    expected = (sample_points(scenario, 5, 42)  # the run's points
+                + sample_points(scenario, 5, 7))  # the self-check's
+    assert sorted(jet_points) == sorted(p.tobytes() for p in expected)
 
 
 def test_changed_metric_derivatives_computed_once_per_distinct_point(
         monkeypatch):
-    # the Richardson fan-out of g-bar runs once per (g-bar, point): here at
-    # each sample point, for the change and for the one-function change
-    fan_outs = []
-    inner = manifold.FDMetric.matrix_and_derivs
+    # the exact derivative of g-bar is taken once per (g-bar, point): here
+    # at each sample point, for the change and for the one-function change
+    calls = []
+    inner = biconformal.ChangedMetric.matrix_and_derivs
 
     def counting(self, p):
-        fan_outs.append((self, np.asarray(p).tobytes()))
+        calls.append((self, np.asarray(p).tobytes()))
         return inner(self, p)
 
-    monkeypatch.setattr(manifold.FDMetric, "matrix_and_derivs", counting)
+    monkeypatch.setattr(biconformal.ChangedMetric, "matrix_and_derivs",
+                        counting)
     rep = run_verification(RunConfig(scenario="flat-projection-6-4",
                                      sigma="exp(0.2*x1)", rho="1+0.1*x5^2",
                                      samples=4))
     assert rep["verdict"] == "pass"
-    assert len(fan_outs) == len(set(fan_outs)) == 2 * 4
-    assert len({metric for metric, _ in fan_outs}) == 2
+    assert len(calls) == len(set(calls)) == 2 * 4
+    assert len({metric for metric, _ in calls}) == 2
+
+
+@pytest.mark.parametrize("scenario", ["flat-projection-6-4", "hopf"])
+def test_a_run_takes_no_finite_difference(monkeypatch, scenario):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite difference on the run path")
+
+    monkeypatch.setattr(manifold, "directional_derivative", forbidden)
+    monkeypatch.setattr(manifold, "richardson_partial", forbidden)
+    monkeypatch.setattr(manifold.FDMetric, "matrix_and_derivs", forbidden)
+    rep = run_verification(RunConfig(scenario=scenario, sigma="exp(0.2*x1)",
+                                     rho="1+0.1*x2^2", samples=2))
+    assert rep["verdict"] == "pass"
 
 
 def _rep(point, rel, abs_=None, error=None):
@@ -177,33 +191,6 @@ def test_add_keeps_the_worst_point(cls):
         assert (agg.worst_point, agg.max_abs_residual) == ([5], 5.0)
     else:
         assert (agg.worst_point, agg.max_rel_residual) == ([3], 3.0)
-
-
-def test_fd_step_reaches_the_corollaries(monkeypatch):
-    seen = []
-    real_phh, real_phwc = biconformal.phh_defect, biconformal.phwc_defect
-
-    def phh(*args, **kwargs):
-        seen.append(("phh_defect", kwargs["fd_step"]))
-        return real_phh(*args, **kwargs)
-
-    def phwc(*args, **kwargs):
-        seen.append(("gbar", kwargs["metric"].step))
-        return real_phwc(*args, **kwargs)
-
-    monkeypatch.setattr(biconformal, "phh_defect", phh)
-    monkeypatch.setattr(biconformal, "phwc_defect", phwc)
-    config = RunConfig(scenario="flat-projection-6-4", sigma="1+0.1*x1",
-                       fd_step=3e-4, samples=2,
-                       identities=["corollary-psh", "corollary-phh"])
-    rep = run_verification(config)
-    assert [row["samples_pass"] + row["samples_fail"]
-            for row in rep["per_identity"]] == [2, 2]
-    scenario = get_scenario(config.scenario)
-    points = sample_points(scenario, 2, config.seed)
-    check_corollary_psh(scenario, parse(config.sigma), points, fd_step=3e-4)
-    check_corollary_phh(scenario, parse(config.sigma), points, fd_step=3e-4)
-    assert sorted(seen) == [("gbar", 3e-4)] * 4 + [("phh_defect", 3e-4)] * 4
 
 
 def test_linalg_error_in_a_corollary_is_a_sample_error(monkeypatch):
