@@ -3,7 +3,12 @@ their transformation laws.
 
 The changed metric g-bar = sigma^-2 g^H + rho^-2 g^V is a ``ChangedMetric``
 with exact first derivatives: d(g P_H) comes from the projector algebra of
-``maps.LocalGeometry`` and the factors' derivatives from their jets.  Every
+``maps.LocalGeometry`` and the factors' derivatives from their jets.  The
+``ChangedMetric`` holds sigma and rho per point, in phi's local geometry
+under g-bar: ``factor_values`` (floats, read by g-bar's ``matrix`` and the
+right sides of the laws), ``factor_jets`` (read by ``matrix_and_derivs``) and
+``grad_log_factors``, each evaluated once per (change, point).  A factor that
+is not positive raises ``PositivityError`` on every call.  Every
 ``verify_*`` routine computes one identity's two sides by independent routes
 (the Levi-Civita geometry of g-bar, built from g-bar's own (g-bar, d g-bar),
 on one side; the closed-form transformation law on g's connection on the
@@ -142,12 +147,40 @@ class ChangedMetric(MetricField):
     d g-bar = d(sigma^-2) g P_H + sigma^-2 d(g P_H)
               + d(rho^-2) (g - g P_H) + rho^-2 (dg - d(g P_H)),
 
-    with d(g P_H) = dg P_H + g dP_H."""
+    with d(g P_H) = dg P_H + g dP_H.  sigma and rho are evaluated once per
+    point and route (floats, jets), and kept in phi's local geometry under
+    this metric."""
 
     def __init__(self, phi: SmoothMap, change: BiconformalChange):
         super().__init__(phi.m)
         self.phi, self.change = phi, change
         self.keeps_horizontal_of = phi
+
+    def _factor_field(self, name, compute, p):
+        """A per-point datum of the factors, kept in phi's local geometry
+        under this metric."""
+        geo = local_geometry(self.phi, p, self)
+        return geo.field(name, lambda: compute(geo.p))
+
+    def factor_values(self, p):
+        """(sigma, rho) at p as floats (``BiconformalChange.factor_values``)."""
+        return self._factor_field("factor_values", self.change.factor_values,
+                                  p)
+
+    def factor_jets(self, p):
+        """(sigma, rho) at p as jets (``BiconformalChange.factor_jets``).
+        Kept apart from ``factor_values``: a jet's value can differ from the
+        float evaluation in the last bit (a power goes through exp and log)."""
+        return self._factor_field("factor_jets", self.change.factor_jets, p)
+
+    def grad_log_factors(self, p):
+        """g-gradients of ln(sigma) and ln(rho) as component vectors."""
+        def compute(q):
+            s, r = self.factor_jets(q)
+            ginv = self.phi.source.inverse_metric_at(q)
+            return ginv @ (s.grad / s.value), ginv @ (r.grad / r.value)
+
+        return self._factor_field("grad_log_factors", compute, p)
 
     def _horizontal_block(self, p):
         """g and g^H = g P_H at p (symmetric up to roundoff by
@@ -158,13 +191,13 @@ class ChangedMetric(MetricField):
     def matrix(self, p):
         p = np.asarray(p, dtype=float)
         g, gh = self._horizontal_block(p)
-        s, r = self.change.factor_values(p)
+        s, r = self.factor_values(p)
         return (gh * _inverse_square("sigma", s, p)
                 + (g - gh) * _inverse_square("rho", r, p))
 
     def matrix_and_derivs(self, p):
         p = np.asarray(p, dtype=float)
-        s, r = self.change.factor_jets(p)
+        s, r = self.factor_jets(p)
         w_h, dw_h = _inverse_square_jet("sigma", s, p)
         w_v, dw_v = _inverse_square_jet("rho", r, p)
         g, gh = self._horizontal_block(p)
@@ -199,12 +232,6 @@ class BiconformalContext:
 
     def g(self, p):
         return self.phi.source.metric_at(p)
-
-    def grad_log_factors(self, p):
-        """g-gradients of ln(sigma) and ln(rho) as component vectors."""
-        s, r = self.change.factor_jets(p)
-        ginv = self.phi.source.inverse_metric_at(p)
-        return ginv @ (s.grad / s.value), ginv @ (r.grad / r.value)
 
 
 @dataclass
@@ -317,7 +344,7 @@ def verify_koszul_h(ctx: BiconformalContext, p, x_comp, y_comp,
     lhs = ph @ src_bar.covariant_derivative(xv, y, dy).components
 
     frame = adapted_frame(phi, ctx.J, p)
-    grad_ls, _ = ctx.grad_log_factors(p)
+    grad_ls, _ = ctx.gbar.grad_log_factors(p)
     dls = g @ grad_ls  # covector of ln sigma
     rhs = ph @ geo.src.covariant_derivative(xv, y, dy).components
     gxy = float(x @ g @ y)
@@ -350,7 +377,7 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
     vv = TangentVector(p, v)
     lhs = ph @ src_bar.covariant_derivative(vv, v, dv).components
 
-    s_jet, r_jet = ctx.change.factor_jets(p)
+    s_jet, r_jet = ctx.gbar.factor_jets(p)
     s = s_jet.value
     rho = r_jet.value
     # covector of rho^-2
@@ -374,9 +401,9 @@ def verify_mean_curvature(ctx: BiconformalContext, p,
         raise GeometryError("no fibers (m = 2n)")
     lhs = mean_curvature_vertical(phi, p, metric=ctx.gbar).components
     mu = mean_curvature_vertical(phi, p).components
-    _, grad_lr = ctx.grad_log_factors(p)
+    _, grad_lr = ctx.gbar.grad_log_factors(p)
     ph = horizontal_projector(phi, p)
-    s, _ = ctx.change.factor_values(p)
+    s, _ = ctx.gbar.factor_values(p)
     rhs = s ** 2 * (mu + ph @ grad_lr)
     return _report("mean-curvature", p, lhs, rhs, tol)
 
@@ -392,9 +419,9 @@ def verify_f_divergence(ctx: BiconformalContext, p,
     p = np.asarray(p, dtype=float)
     lhs = f_divergence_horizontal(phi, ctx.J, p, metric=ctx.gbar).components
     div = f_divergence_horizontal(phi, ctx.J, p).components
-    grad_ls, _ = ctx.grad_log_factors(p)
+    grad_ls, _ = ctx.gbar.grad_log_factors(p)
     ph = horizontal_projector(phi, p)
-    s, _ = ctx.change.factor_values(p)
+    s, _ = ctx.gbar.factor_values(p)
     n2 = 2.0 * phi.n - 2.0
     rhs = s ** 2 * (div + n2 * (ph @ grad_ls))
     return _report("f-divergence", p, lhs, rhs, tol)
@@ -410,9 +437,9 @@ def verify_tension_transform(ctx: BiconformalContext, p,
     p = np.asarray(p, dtype=float)
     lhs = tension_field(phi, p, metric=ctx.gbar).components
     tau = tension_field(phi, p).components
-    grad_ls, grad_lr = ctx.grad_log_factors(p)
+    grad_ls, grad_lr = ctx.gbar.grad_log_factors(p)
     a = differential(phi, p)
-    s, _ = ctx.change.factor_values(p)
+    s, _ = ctx.gbar.factor_values(p)
     two_n, m = phi.two_n, phi.m
     correction = (two_n - m) * grad_lr + (2.0 - two_n) * grad_ls
     rhs = s ** 2 * (tau + a @ correction)
@@ -443,7 +470,7 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, p, x_comp, y_comp,
 
     gamma = phi.source.christoffel(p)
     nab = nabla_f_operator(f, df, gamma)
-    grad_ls, _ = ctx.grad_log_factors(p)
+    grad_ls, _ = ctx.gbar.grad_log_factors(p)
     grad_h = ph @ grad_ls
     dls = g @ grad_ls
     fy = f @ y
@@ -580,7 +607,7 @@ def corollary_psh_at(scenario, ctx: BiconformalContext, p,
         resid = max(tau_norm, rel_defect)
     else:
         # tension must not collapse to zero where tau_g is nonzero
-        s, _ = ctx.change.factor_values(p)
+        s, _ = ctx.gbar.factor_values(p)
         tau_g = tension_field(phi, p).components
         ref = s ** 2 * float(np.max(np.abs(tau_g)))
         ok = rel_defect < tol and (
@@ -623,7 +650,7 @@ def corollary_phh_at(ctx: BiconformalContext, p, tol: float = 1e-6,
     if exprs.max_var_index(ctx.change.sigma) < 0:
         ok = defect / (scale + REL_FLOOR) < tol
     else:
-        grad_h = horizontal_projector(phi, p) @ ctx.grad_log_factors(p)[0]
+        grad_h = horizontal_projector(phi, p) @ ctx.gbar.grad_log_factors(p)[0]
         g = phi.source.metric_at(p)
         strength = float(np.sqrt(grad_h @ g @ grad_h))
         # only points with a visible horizontal log-gradient must break

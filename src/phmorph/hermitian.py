@@ -1,9 +1,21 @@
 """Almost complex structures on the target, the induced horizontal structure,
 the f-structure on the domain, PHWC/PHH defect measures and the horizontal
-divergence of the f-structure.  F = L J(phi) A depends on the metric only
-through the horizontal lift L, so F and its exact derivative dF are kept,
-read-only and keyed on J, in the ``maps.LocalGeometry`` that computes the
-lift (``LocalGeometry.horizontal``)."""
+divergence of the f-structure.
+
+What a check reads at a point is kept, read-only and keyed on J, in the
+``maps.LocalGeometry`` of (map, metric, point), and computed once there:
+
+- F = L J(phi) A and its exact derivative dF depend on the metric only
+  through the horizontal lift L, so they are kept in the geometry that
+  computes the lift (``LocalGeometry.horizontal``), which g and a
+  biconformal change of it share;
+- ``phwc_defect``, ``phwc_metric_defect``, the ``adapted_frame`` of the
+  default seed order and ``f_divergence_horizontal`` over that frame are
+  kept in the geometry of their own metric.
+
+A frame of another seed order, or a homothety defect over a given frame, is
+computed on each call.  ``adapted_frame`` raises ``FrameError`` on every call
+at a point where the PHWC condition fails."""
 
 from __future__ import annotations
 
@@ -90,27 +102,32 @@ def phwc_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
                 metric: Optional[MetricField] = None):
     """Frobenius norm of [dphi o dphi*, J] plus the scale used for a relative
     reading.  Defined for any map (no submersion requirement)."""
-    a = differential(phi, p)
-    ginv = local_geometry(phi, p, metric).ginv
-    h = phi.target.metric_at(phi.value(p))
-    op = a @ ginv @ a.T @ h  # dphi o dphi^*
-    jq = j_at_image(phi, J, p)
-    comm = op @ jq - jq @ op
-    defect = float(np.linalg.norm(comm))
-    scale = float(np.linalg.norm(op))
-    return defect, scale
+    geo = local_geometry(phi, p, metric)
+
+    def compute():
+        a = differential(phi, geo.p)
+        h = phi.target.metric_at(phi.value(geo.p))
+        op = a @ geo.ginv @ a.T @ h  # dphi o dphi^*
+        jq = j_at_image(phi, J, geo.p)
+        comm = op @ jq - jq @ op
+        return float(np.linalg.norm(comm)), float(np.linalg.norm(op))
+
+    return geo.field(("phwc_defect", J), compute)
 
 
 def phwc_metric_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
                        metric: Optional[MetricField] = None):
     """max over horizontal frame pairs of |g(F X, F Y) - g(X, Y)|."""
-    g = local_geometry(phi, p, metric).src.metric_at(p)
-    split = ortho_split(phi, p, metric)
-    f = f_structure(phi, J, p, metric)
-    fr = split.horizontal_frame  # rows orthonormal
-    fx = fr @ f.T  # row a = F applied to frame vector a
-    defect = float(np.max(np.abs(fx @ g @ fx.T - fr @ g @ fr.T)))
-    return defect, 1.0  # frame vectors are unit, so the natural scale is 1
+    geo = local_geometry(phi, p, metric)
+
+    def compute():
+        g = geo.src.metric_at(geo.p)
+        fr = geo.ortho_split.horizontal_frame  # rows orthonormal
+        fx = fr @ f_structure(phi, J, geo.p, metric).T  # row a: F frame[a]
+        defect = float(np.max(np.abs(fx @ g @ fx.T - fr @ g @ fr.T)))
+        return defect, 1.0  # frame vectors are unit: the natural scale is 1
+
+    return geo.field(("phwc_metric_defect", J), compute)
 
 
 @dataclass(frozen=True)
@@ -135,17 +152,28 @@ def adapted_frame(phi: SmoothMap, J: AlmostComplexStructureField, p,
                   seed_order=None) -> AdaptedFrame:
     """Build an adapted orthonormal frame.  Requires metric compatibility of
     the induced horizontal structure (the PHWC condition), which is what makes
-    {e, F e} pairs orthonormal."""
-    p = np.asarray(p, dtype=float)
+    {e, F e} pairs orthonormal.  The frame of the default seed order is kept
+    in the local geometry, per J."""
+    geo = local_geometry(phi, p, metric)
+    if seed_order is not None:
+        return _adapted_frame(geo, J, seed_order)
+    return geo.field(("adapted_frame", J),
+                     lambda: _adapted_frame(geo, J, None))
+
+
+def _adapted_frame(geo, J, seed_order) -> AdaptedFrame:
+    """Gram-Schmidt of the horizontal frame of ``geo.ortho_split`` (in
+    ``seed_order``, if given) into pairs {e_i, F e_i}."""
+    phi, p, metric = geo.phi, geo.p, geo.src.metric
     md, _ = phwc_metric_defect(phi, J, p, metric)
     if md > PHWC_TOL:
         raise FrameError("adapted frame needs the PHWC condition; metric "
                          "compatibility defect %g > %g at %s"
                          % (md, PHWC_TOL, p.tolist()))
-    g = local_geometry(phi, p, metric).src.metric_at(p)
-    split = ortho_split(phi, p, metric)
+    g = geo.src.metric_at(p)
+    split = geo.ortho_split
     f = f_structure(phi, J, p, metric)
-    n, m = phi.n, phi.m
+    n = phi.n
     seeds = split.horizontal_frame if seed_order is None \
         else split.horizontal_frame[list(seed_order)]
     e_vecs, fe_vecs = [], []
@@ -202,8 +230,7 @@ def nabla_f_operator(f: np.ndarray, df: np.ndarray,
 
 
 def f_divergence_horizontal(phi: SmoothMap, J: AlmostComplexStructureField,
-                            p, metric: Optional[MetricField] = None,
-                            frame: Optional[AdaptedFrame] = None
+                            p, metric: Optional[MetricField] = None
                             ) -> TangentVector:
     """F applied to the horizontal trace of nabla F:
 
@@ -211,18 +238,21 @@ def f_divergence_horizontal(phi: SmoothMap, J: AlmostComplexStructureField,
 
     The sum runs over the adapted pairs, i.e. over a full orthonormal frame
     of the horizontal distribution; horizontal for PHWC maps and zero for
-    PHH ones."""
-    p = np.asarray(p, dtype=float)
-    if frame is None:
-        frame = adapted_frame(phi, J, p, metric)
-    gamma = local_geometry(phi, p, metric).christoffel
-    f = f_structure(phi, J, p, metric)
-    df = d_f_structure(phi, J, p, metric)
-    nab = nabla_f_operator(f, df, gamma)
-    total = np.zeros(phi.m)
-    for x in frame.horizontal:
-        total += np.einsum("i,ikj,j->k", x, nab, x)
-    return TangentVector(p, f @ total)
+    PHH ones.  The value over the default adapted frame is kept in the local
+    geometry, per J."""
+    geo = local_geometry(phi, p, metric)
+
+    def compute():
+        fr = adapted_frame(phi, J, geo.p, metric)
+        f = f_structure(phi, J, geo.p, metric)
+        df = d_f_structure(phi, J, geo.p, metric)
+        nab = nabla_f_operator(f, df, geo.christoffel)
+        total = np.zeros(phi.m)
+        for x in fr.horizontal:
+            total += np.einsum("i,ikj,j->k", x, nab, x)
+        return TangentVector(geo.p, f @ total)
+
+    return geo.field(("f_divergence", J), compute)
 
 
 def phh_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
@@ -263,8 +293,7 @@ def tension_via_f_structure(phi: SmoothMap, J: AlmostComplexStructureField,
 
     Only meaningful for PHWC maps (the adapted frame requires it)."""
     p = np.asarray(p, dtype=float)
-    frame = adapted_frame(phi, J, p, metric)
-    div = f_divergence_horizontal(phi, J, p, metric, frame)
+    div = f_divergence_horizontal(phi, J, p, metric)
     total = div.components.copy()
     if phi.m > phi.two_n:
         mu = mean_curvature_vertical(phi, p, metric)

@@ -20,6 +20,7 @@ boundaries where non-finite jets are caught (see ``jets``).
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -60,9 +61,21 @@ class TangentVector:
 POINT_MEMO_SIZE = 64
 
 
-def read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def read_only(value):
+    """Make an array read-only, or every array held by a tuple, a Jet2 or a
+    dataclass instance (such as a ``TangentVector``); returns the value."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            read_only(item)
+    elif isinstance(value, Jet2):
+        read_only(value.grad)
+        read_only(value.hess)
+    elif dataclasses.is_dataclass(value):
+        for item in dataclasses.fields(value):
+            read_only(getattr(value, item.name))
+    return value
 
 
 class PointMemo:

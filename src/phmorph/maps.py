@@ -5,10 +5,22 @@ vertical/horizontal splitting, tension field and fiber mean curvature.
 the exact float64 bytes of the point; its jets are checked for non-finite
 components once, when first computed, and their arrays are read-only.
 
-``local_geometry(phi, p, metric)`` holds phi's local data at p under a metric
-(dphi, g^-1, P_H, the lift, their first derivatives, Gamma; F and dF for
-``hermitian``), memoized per (phi, point) on the metric.  The derivatives are
-exact: with M = A g^-1 A^T, the lift L = g^-1 A^T M^-1 and P_H = L A are
+``local_geometry(phi, p, metric)`` holds phi's local data at p under a metric,
+memoized per (phi, point) on the metric (``MetricField.geometry_memo``, at
+most ``POINT_MEMO_SIZE`` points).  Each field is computed on its first read,
+kept read-only, and never kept when its computation fails:
+
+- here: dphi and its rank check, dA (the map's Hessian), g^-1, Gamma, P_H
+  and the lift, their derivatives, ``ortho_split`` (the frames of V and H),
+  ``tension_field`` and ``mean_curvature_vertical``;
+- per J, from ``hermitian``: F and dF (in the geometry that computes the
+  lift), ``phwc_defect``, ``phwc_metric_defect``, the ``adapted_frame`` of
+  the default seed order and ``f_divergence_horizontal``;
+- under a ``biconformal.ChangedMetric``: sigma and rho as floats, as jets,
+  and the g-gradients of their logarithms.
+
+The public functions of the same names read these fields.  The derivatives
+are exact: with M = A g^-1 A^T, the lift L = g^-1 A^T M^-1 and P_H = L A are
 differentiated through d_k A (the map's Hessian), d_k g and
 d(M^-1) = -M^-1 dM M^-1, so no check evaluates the map away from its sample
 point.  The fiber mean curvature needs no frame.
@@ -77,9 +89,7 @@ class SmoothMap:
                 x if isinstance(x, Jet2) else Jet2.constant(float(x), self.m)
                 for x in out)
             for x in cached:
-                x.check()
-                read_only(x.grad)
-                read_only(x.hess)
+                read_only(x.check())
             self._jet_memo.put(key, cached)
         return list(cached)
 
@@ -96,15 +106,17 @@ def second_derivatives(phi: SmoothMap, p) -> np.ndarray:
 
 
 class LocalGeometry:
-    """phi's local data at p on ``src``, its source with one metric.  Fields
-    are read-only; a failed computation is not kept, so it fails every read."""
+    """phi's local data at p on ``src``, its source with one metric (the
+    fields are listed in the module docstring).  Fields are read-only; a
+    failed computation is not kept, so it fails every read."""
 
     def __init__(self, phi: SmoothMap, metric: MetricField, p: np.ndarray):
         self.phi, self.p, self._fields = phi, read_only(p.copy()), {}
         self.src = phi.source.with_metric(metric)
 
     def field(self, key, compute):
-        """Further data under a key, made by ``compute`` on the first read."""
+        """Further data under a key, made by ``compute`` on the first read
+        (the fields of other modules, such as F keyed on ("F", J))."""
         value = self._fields.get(key)
         if value is None:
             value = self._fields[key] = read_only(compute())
@@ -170,6 +182,61 @@ class LocalGeometry:
         d_gram = da @ adjoint + a @ d_adjoint
         d_lift = (d_adjoint - lift @ d_gram) @ minv
         return read_only(d_lift @ a + lift @ da), read_only(d_lift)
+
+    @cached_property
+    def ortho_split(self) -> "OrthoSplit":
+        """Orthonormal frames of ker dphi and of its complement H under this
+        metric: Gram-Schmidt of the columns of P_V and P_H in index order."""
+        m, two_n = self.phi.m, self.phi.two_n
+        g = self.src.metric_at(self.p)
+        ph = self.projector_and_lift[0]
+        pv = np.eye(m) - ph
+        v_frame = (_gram_schmidt(pv.T, g, m - two_n) if m > two_n
+                   else np.zeros((0, m)))
+        return read_only(OrthoSplit(v_frame, _gram_schmidt(ph.T, g, two_n)))
+
+    @cached_property
+    def tension_field(self) -> TangentVector:
+        """Trace of the second fundamental form, in target chart components:
+
+        tau^a = g^{ij} (d_i d_j phi^a - Gamma^k_ij(M) d_k phi^a
+                        + Gamma^a_bc(N) d_i phi^b d_j phi^c)
+        """
+        phi, p = self.phi, self.p
+        ginv, gamma_m = self.ginv, self.christoffel
+        q = phi.value(p)
+        gamma_n = phi.target.christoffel(q)
+        a = differential(phi, p)
+        hess = second_derivatives(phi, p)
+        tau = (np.einsum("ij,aij->a", ginv, hess)
+               - np.einsum("ij,kij,ak->a", ginv, gamma_m, a)
+               + np.einsum("ij,abc,bi,cj->a", ginv, gamma_n, a, a))
+        return read_only(TangentVector(q, tau))
+
+    @cached_property
+    def mean_curvature_vertical(self) -> TangentVector:
+        """Normalized mean curvature of the fibers:
+
+        mu^V = (1 / (m - 2n)) sum_alpha H(nabla_{e_alpha} e_alpha)
+
+        over a g-orthonormal vertical frame.  With the frame extended as
+        vertical fields, H(e^i d_i e) = -P_H e^i (d_i P_H) e, and
+        sum_alpha e_alpha e_alpha^T = T = P_V g^-1 P_V^T, so
+
+        mu^V = (1 / (m - 2n)) P_H [-T^{ib} d_i (P_H)^k_b + Gamma^k_ij T^{ij}],
+
+        free of any frame choice."""
+        m, two_n = self.phi.m, self.phi.two_n
+        if m <= two_n:
+            raise GeometryError("no fibers: source dimension %d <= target "
+                                "dimension %d" % (m, two_n))
+        ph = self.projector_and_lift[0]
+        dph = self.projector_and_lift_derivs[0]
+        pv = np.eye(m) - ph
+        t = pv @ self.ginv @ pv.T
+        total = (np.einsum("kij,ij->k", self.christoffel, t)
+                 - np.einsum("ib,ikb->k", t, dph))
+        return read_only(TangentVector(self.p, ph @ total / (m - two_n)))
 
 
 def local_geometry(phi: SmoothMap, p,
@@ -260,66 +327,19 @@ def _gram_schmidt(seeds, g, count):
 def ortho_split(phi: SmoothMap, p,
                 metric: Optional[MetricField] = None) -> OrthoSplit:
     """Split T_pM into the vertical distribution ker dphi and its g-orthogonal
-    complement, with orthonormal frames for both.
-
-    Deterministic: seeds are the columns of the smooth projector matrices in
-    index order.
-    """
-    p = np.asarray(p, dtype=float)
-    m, two_n = phi.m, phi.two_n
-    geo = local_geometry(phi, p, metric)
-    g = geo.src.metric_at(p)
-    ph = geo.projector_and_lift[0]
-    pv = np.eye(m) - ph
-    v_frame = (_gram_schmidt(pv.T, g, m - two_n) if m > two_n
-               else np.zeros((0, m)))
-    return OrthoSplit(v_frame, _gram_schmidt(ph.T, g, two_n))
+    complement, with orthonormal frames for both (``LocalGeometry``)."""
+    return local_geometry(phi, p, metric).ortho_split
 
 
 def tension_field(phi: SmoothMap, p,
                   metric: Optional[MetricField] = None) -> TangentVector:
-    """Trace of the second fundamental form, in target chart components:
-
-    tau^a = g^{ij} (d_i d_j phi^a - Gamma^k_ij(M) d_k phi^a
-                    + Gamma^a_bc(N) d_i phi^b d_j phi^c)
-    """
-    p = np.asarray(p, dtype=float)
-    geo = local_geometry(phi, p, metric)
-    ginv, gamma_m = geo.ginv, geo.christoffel
-    q = phi.value(p)
-    gamma_n = phi.target.christoffel(q)
-    a = differential(phi, p)
-    hess = second_derivatives(phi, p)
-    tau = (np.einsum("ij,aij->a", ginv, hess)
-           - np.einsum("ij,kij,ak->a", ginv, gamma_m, a)
-           + np.einsum("ij,abc,bi,cj->a", ginv, gamma_n, a, a))
-    return TangentVector(q, tau)
+    """Trace of the second fundamental form, in target chart components
+    (``LocalGeometry``)."""
+    return local_geometry(phi, p, metric).tension_field
 
 
 def mean_curvature_vertical(phi: SmoothMap, p,
                             metric: Optional[MetricField] = None
                             ) -> TangentVector:
-    """Normalized mean curvature of the fibers:
-
-    mu^V = (1 / (m - 2n)) sum_alpha H(nabla_{e_alpha} e_alpha)
-
-    over a g-orthonormal vertical frame.  With the frame extended as
-    vertical fields, H(e^i d_i e) = -P_H e^i (d_i P_H) e, and
-    sum_alpha e_alpha e_alpha^T = T = P_V g^-1 P_V^T, so
-
-    mu^V = (1 / (m - 2n)) P_H [-T^{ib} d_i (P_H)^k_b + Gamma^k_ij T^{ij}],
-
-    free of any frame choice."""
-    p = np.asarray(p, dtype=float)
-    m, two_n = phi.m, phi.two_n
-    if m <= two_n:
-        raise GeometryError("no fibers: source dimension %d <= target "
-                            "dimension %d" % (m, two_n))
-    geo = local_geometry(phi, p, metric)
-    ph = geo.projector_and_lift[0]
-    dph = geo.projector_and_lift_derivs[0]
-    pv = np.eye(m) - ph
-    t = pv @ geo.ginv @ pv.T
-    total = (np.einsum("kij,ij->k", geo.christoffel, t)
-             - np.einsum("ib,ikb->k", t, dph))
-    return TangentVector(p, ph @ total / (m - two_n))
+    """Normalized mean curvature of the fibers (``LocalGeometry``)."""
+    return local_geometry(phi, p, metric).mean_curvature_vertical

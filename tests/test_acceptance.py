@@ -130,7 +130,7 @@ def test_criterion_04_mean_curvature_transformation():
     ctx = BiconformalContext.build(sc.phi, sc.J, ch)
     pure_ok = True
     for p in sample_points(sc, 5, seed=23):
-        _, grad_lr = ctx.grad_log_factors(p)
+        _, grad_lr = ctx.gbar.grad_log_factors(p)
         ph = horizontal_projector(sc.phi, p)
         s, _ = ch.factor_values(p)
         mu = pm.mean_curvature_vertical(sc.phi, p).components

@@ -1,5 +1,6 @@
 """Biconformal metric changes and the transformation-law verifiers."""
 
+import gc
 import math
 
 import numpy as np
@@ -133,6 +134,98 @@ def test_identity_change_is_identity():
     assert np.allclose(gbar.matrix(P4), sc.phi.source.metric_at(P4), atol=1e-14)
 
 
+# ---- sigma and rho kept per point by the changed metric ------------------
+
+FACTOR_READERS = {
+    "factor_values": lambda gbar, p: gbar.factor_values(p),
+    "factor_jets": lambda gbar, p: tuple(
+        part for jet in gbar.factor_jets(p)
+        for part in (jet.value, jet.grad, jet.hess)),
+    "grad_log_factors": lambda gbar, p: gbar.grad_log_factors(p),
+}
+FACTOR_CASE = ("holomorphic-poly", "exp(0.3*x1)", "1+x2^2")
+
+
+def changed_metric(name, sigma, rho):
+    sc = get_scenario(name)
+    return apply_change(sc.phi, BiconformalChange.from_texts(sigma, rho))
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_READERS))
+def test_factor_fields_warm_equal_cold(name):
+    read = FACTOR_READERS[name]
+    cold = read(changed_metric(*FACTOR_CASE), P4)
+    gbar = changed_metric(*FACTOR_CASE)
+    for _ in range(2):  # fills the memo, then reads it
+        for other in FACTOR_READERS.values():
+            other(gbar, P4)
+        warm = read(gbar, P4.copy())
+        assert len(warm) == len(cold)
+        assert all(np.array_equal(w, c) for w, c in zip(warm, cold))
+    assert gbar.factor_values(P4) == gbar.change.factor_values(P4)
+
+
+def test_factor_field_arrays_are_read_only():
+    gbar = changed_metric(*FACTOR_CASE)
+    arrays = [jet.grad for jet in gbar.factor_jets(P4)]
+    arrays += [jet.hess for jet in gbar.factor_jets(P4)]
+    arrays += list(gbar.grad_log_factors(P4))
+    for out in arrays:
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0] = 1.0
+
+
+@pytest.mark.parametrize("sigma, rho, factor", [("x2", "1", "sigma"),
+                                                ("1", "x2", "rho")])
+def test_nonpositive_factor_fails_on_every_call(sigma, rho, factor):
+    gbar = changed_metric("holomorphic-poly", sigma, rho)  # x2 = -0.2 at P4
+    for _ in range(2):
+        for read in (gbar.factor_values, gbar.factor_jets,
+                     gbar.grad_log_factors, gbar.matrix,
+                     gbar.matrix_and_derivs):
+            with pytest.raises(PositivityError, match=factor):
+                read(P4)
+
+
+def test_changes_built_one_after_another_never_share_factors():
+    # each change is dropped before the next is built, which may then reuse
+    # its memory and id
+    sc = get_scenario("flat-projection-4-2")
+    for k in range(1, 31):
+        sigma, rho = float(k), float(k % 7 + 1)
+        gbar = apply_change(sc.phi, BiconformalChange(
+            pm.exprs.Lit(sigma), pm.exprs.Lit(rho)))
+        assert gbar.factor_values(P4) == (sigma, rho)
+        assert gbar.factor_jets(P4)[0].value == sigma
+        assert np.array_equal(gbar.matrix(P4), np.diag(
+            [sigma ** -2] * 2 + [rho ** -2] * 2))
+        del gbar
+        gc.collect()
+
+
+def test_factors_evaluated_once_per_change_point_and_route(monkeypatch):
+    # in a run, sigma and rho are evaluated once per (change, point) on the
+    # float route and once on the jet route, for the change and for the
+    # one-function change
+    calls, changes = [], []
+    for route in ("factor_values", "factor_jets"):
+        inner = getattr(BiconformalChange, route)
+
+        def counting(self, p, route=route, inner=inner):
+            changes.append(self)  # keeps each id for the run
+            calls.append((id(self), route, np.asarray(p).tobytes()))
+            return inner(self, p)
+
+        monkeypatch.setattr(BiconformalChange, route, counting)
+    rep = pm.run_verification(pm.RunConfig(
+        scenario="flat-projection-6-4", sigma="exp(0.2*x1)",
+        rho="1+0.1*x5^2", samples=4))
+    assert rep["verdict"] == "pass"
+    assert len(calls) == len(set(calls)) == 2 * 2 * 4
+    assert len({change for change, _, _ in calls}) == 2
+
+
 # ---- identity verifiers, trivial cases ----------------------------------
 
 @pytest.mark.parametrize(
@@ -219,7 +312,7 @@ def test_tolerance_rejects_f_divergence_with_2n_minus_1():
         lhs = pm.f_divergence_horizontal(phi, sc.J, p,
                                          metric=ctx.gbar).components
         div = pm.f_divergence_horizontal(phi, sc.J, p).components
-        grad_ls, _ = ctx.grad_log_factors(p)
+        grad_ls, _ = ctx.gbar.grad_log_factors(p)
         s, _ = ctx.change.factor_values(p)
         wrong = s ** 2 * (div + (2.0 * phi.n - 1.0)
                           * (horizontal_projector(phi, p) @ grad_ls))
@@ -233,7 +326,7 @@ def test_tolerance_rejects_tension_transform_without_the_rho_term():
     for p in sample_points(sc, 4, seed=5):
         lhs = tension_field(phi, p, metric=ctx.gbar).components
         tau = tension_field(phi, p).components
-        grad_ls, _ = ctx.grad_log_factors(p)
+        grad_ls, _ = ctx.gbar.grad_log_factors(p)
         s, _ = ctx.change.factor_values(p)
         # (2n - m) grad ln rho dropped
         wrong = s ** 2 * (tau + differential(phi, p)
@@ -283,6 +376,100 @@ def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
         assert verify_koszul_v(ctx, p, v_comp, tol=TOL_FD).passed, p
 
 
+def test_tolerance_rejects_koszul_horizontal_without_the_gxy_term():
+    sc, ctx = ctx_for(*MUTATION_CASE)
+    phi = sc.phi
+    rng = np.random.default_rng(6)
+    for p in sample_points(sc, 4, seed=5):
+        x_comp, y_comp = rng.normal(size=(2, phi.m))
+
+        def y_field(q):
+            return horizontal_projector(phi, q) @ y_comp
+
+        ph = horizontal_projector(phi, p)
+        x, y = ph @ x_comp, y_field(p)
+        xv = TangentVector(p, x)
+        dy = directional_derivative(y_field, p, x)  # the Richardson oracle
+        src_bar = local_geometry(phi, p, ctx.gbar).src
+        lhs = ph @ src_bar.covariant_derivative(xv, y, dy).components
+        g = phi.source.metric_at(p)
+        dls = g @ ctx.gbar.grad_log_factors(p)[0]  # covector of ln sigma
+        wrong = ph @ phi.source.covariant_derivative(xv, y, dy).components
+        for f_i in adapted_frame(phi, sc.J, p).horizontal:
+            # g(X, Y) grad_H ln sigma, the (dls @ f_i) g(X, Y) f_i sum, dropped
+            wrong = wrong + (-(dls @ x) * float(y @ g @ f_i)
+                             - (dls @ y) * float(x @ g @ f_i)) * f_i
+        dropped = float(x @ g @ y) * (ph @ ctx.gbar.grad_log_factors(p)[0])
+        assert np.max(np.abs(dropped)) > 1e-3, p
+        assert relative_residual(lhs, wrong) > TOL_FD, p
+        assert verify_koszul_h(ctx, p, x_comp, y_comp, tol=TOL_FD).passed, p
+
+
+def test_tolerance_rejects_phh_covariant_without_the_y_ln_sigma_term():
+    sc, ctx = ctx_for(*MUTATION_CASE)
+    phi = sc.phi
+    rng = np.random.default_rng(7)
+    for p in sample_points(sc, 4, seed=5):
+        x_comp, y_comp = rng.normal(size=(2, phi.m))
+        ph = horizontal_projector(phi, p)
+        x, y = ph @ x_comp, ph @ y_comp
+        f = pm.f_structure(phi, sc.J, p)
+        df = pm.hermitian.d_f_structure(phi, sc.J, p)
+        gamma_bar = local_geometry(phi, p, ctx.gbar).christoffel
+        nab_bar = pm.hermitian.nabla_f_operator(f, df, gamma_bar)
+        lhs = ph @ np.einsum("i,ikj,j->k", x, nab_bar, y)
+        nab = pm.hermitian.nabla_f_operator(f, df,
+                                            phi.source.christoffel(p))
+        g = phi.source.metric_at(p)
+        grad_ls = ctx.gbar.grad_log_factors(p)[0]
+        grad_h, dls = ph @ grad_ls, g @ grad_ls
+        dropped = float(dls @ y) * (f @ x)  # Y(ln sigma) FX
+        wrong = (ph @ np.einsum("i,ikj,j->k", x, nab, y)
+                 + float(x @ g @ f @ y) * grad_h
+                 - float(dls @ f @ y) * x
+                 - float(x @ g @ y) * (f @ grad_h))
+        assert np.max(np.abs(dropped)) > 1e-3, p
+        assert relative_residual(lhs, wrong) > TOL_FD, p
+        assert verify_phh_covariant_formula(ctx, p, x_comp, y_comp,
+                                            tol=TOL_FD).passed, p
+
+
+def test_tolerance_rejects_tension_f_structure_with_m_minus_2n_plus_1():
+    # the flat fibers of flat-projection-6-4 have mu^V = 0, so the check
+    # runs where the fibers curve
+    sc = get_scenario("curved-fibers-nonharmonic")
+    phi = sc.phi
+    for p in sample_points(sc, 4, seed=5):
+        lhs = tension_field(phi, p).components
+        div = pm.f_divergence_horizontal(phi, sc.J, p).components
+        mu = mean_curvature_vertical(phi, p).components
+        assert np.max(np.abs(differential(phi, p) @ mu)) > 1e-3, p
+        wrong = -(differential(phi, p)
+                  @ (div + (phi.m - phi.two_n + 1.0) * mu))
+        assert relative_residual(lhs, wrong) > TOL_FD, p
+        assert verify_tension_equivalence(phi, sc.J, p, tol=TOL_FD).passed, p
+
+
+def test_tolerance_rejects_corollary_psh_with_a_wrong_rho_exponent():
+    # rho = sigma^(-(2n-1)/(m-2n)) instead of sigma^(-(2n-2)/(m-2n)): the
+    # tension under the changed metric no longer cancels
+    sc = get_scenario("flat-projection-6-4")
+    phi = sc.phi
+    sigma = parse(MUTATION_CASE[1])
+    exponent = -(2.0 * phi.n - 1.0) / (phi.m - phi.two_n)
+    wrong = BiconformalContext.build(phi, sc.J, BiconformalChange(
+        sigma, pm.exprs.Binary("pow", sigma, pm.exprs.Lit(exponent))))
+    right = pm.biconformal.one_function_context(phi, sc.J, sigma)
+    for p in sample_points(sc, 4, seed=5):
+        grad_ls = right.gbar.grad_log_factors(p)[0]
+        grad_h = horizontal_projector(phi, p) @ grad_ls
+        assert np.max(np.abs(grad_h)) > 1e-3, p
+        rep = pm.biconformal.corollary_psh_at(sc, wrong, p, tol=TOL_FD)
+        assert rep.rel_residual > TOL_FD and not rep.passed, p
+        assert pm.biconformal.corollary_psh_at(sc, right, p,
+                                               tol=TOL_FD).passed, p
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_side_is_a_sample_error(bad):
     p = [0.1, 0.2]
@@ -301,7 +488,7 @@ def test_vertical_rho_leaves_mean_curvature_pure_scaling():
     ctx = BiconformalContext.build(sc.phi, sc.J, ch)
     from phmorph.maps import horizontal_projector
     for p in sample_points(sc, 5, seed=4):
-        grad_ls, grad_lr = ctx.grad_log_factors(p)
+        grad_ls, grad_lr = ctx.gbar.grad_log_factors(p)
         ph = horizontal_projector(sc.phi, p)
         assert np.max(np.abs(ph @ grad_lr)) < 1e-10
         s, _ = ch.factor_values(p)

@@ -249,3 +249,99 @@ def test_f_structure_fails_on_every_call_where_phi_is_singular():
         for read in F_READERS.values():
             with pytest.raises(DomainError):
                 read(hopf, on_the_circle, None)
+
+
+# ---- frames and defects in the local geometry memo -----------------------
+# The PHWC defects, the adapted frame of the default seed order and F div_H F
+# are kept per J in the local geometry of (map, metric, point).
+
+CHANGE = pm.BiconformalChange.from_texts("exp(0.3*x1)", "1+x2^2")
+METRICS = {
+    "g": lambda sc: None,
+    "gbar": lambda sc: pm.apply_change(sc.phi, CHANGE),
+}
+FRAME_READERS = {
+    "phwc_defect": lambda sc, p, metric: phwc_defect(sc.phi, sc.J, p, metric),
+    "phwc_metric_defect": lambda sc, p, metric: (
+        phwc_metric_defect(sc.phi, sc.J, p, metric)),
+    "adapted_frame": lambda sc, p, metric: (
+        adapted_frame(sc.phi, sc.J, p, metric).e,
+        adapted_frame(sc.phi, sc.J, p, metric).fe,
+        adapted_frame(sc.phi, sc.J, p, metric).vertical),
+    "f_divergence_horizontal": lambda sc, p, metric: (
+        pm.f_divergence_horizontal(sc.phi, sc.J, p, metric).base,
+        pm.f_divergence_horizontal(sc.phi, sc.J, p, metric).components),
+}
+
+
+@pytest.mark.parametrize("metric_name", sorted(METRICS))
+@pytest.mark.parametrize("name", sorted(FRAME_READERS))
+def test_frame_fields_warm_equal_cold(name, metric_name):
+    read, make_metric = FRAME_READERS[name], METRICS[metric_name]
+    fresh = get_scenario("holomorphic-poly")
+    cold = read(fresh, P, make_metric(fresh))
+    sc = get_scenario("holomorphic-poly")
+    metric = make_metric(sc)
+    for _ in range(2):  # fills the memo, then reads it
+        for other in FRAME_READERS.values():
+            other(sc, P, metric)
+        warm = read(sc, P.copy(), metric)
+        assert len(warm) == len(cold)
+        assert all(np.array_equal(w, c) for w, c in zip(warm, cold))
+
+
+@pytest.mark.parametrize("name", ["adapted_frame", "f_divergence_horizontal"])
+def test_frame_field_arrays_are_read_only(name):
+    sc = get_scenario("holomorphic-poly")
+    for out in FRAME_READERS[name](sc, P, pm.apply_change(sc.phi, CHANGE)):
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0] = 1.0
+
+
+def test_adapted_frame_is_kept_per_j_and_default_seed_order():
+    sc = get_scenario("flat-projection-4-2")
+    first = adapted_frame(sc.phi, sc.J, P)
+    assert adapted_frame(sc.phi, sc.J, P.copy()) is first
+    # another seed order is built on each call and leaves the kept frame
+    other = adapted_frame(sc.phi, sc.J, P, seed_order=(1, 0))
+    assert adapted_frame(sc.phi, sc.J, P, seed_order=(1, 0)) is not other
+    assert adapted_frame(sc.phi, sc.J, P) is first
+    # a second J gets its own frame: F changes sign, so F e does
+    minus_j = pm.AlmostComplexStructureField(
+        sc.J.target, lambda c: (-standard_J(2)).tolist())
+    negated = adapted_frame(sc.phi, minus_j, P)
+    assert np.array_equal(negated.e, first.e)
+    assert np.array_equal(negated.fe, -first.fe)
+
+
+def test_adapted_frame_fails_on_every_call_where_phi_is_not_phwc():
+    sc = get_scenario("nonphwc-anisotropic")
+    for _ in range(2):
+        with pytest.raises(pm.FrameError, match="PHWC"):
+            adapted_frame(sc.phi, sc.J, P)
+        with pytest.raises(pm.FrameError, match="PHWC"):
+            pm.f_divergence_horizontal(sc.phi, sc.J, P)
+        with pytest.raises(pm.FrameError, match="PHWC"):
+            tension_via_f_structure(sc.phi, sc.J, P)
+    # the defects that make it fail are kept
+    assert phwc_metric_defect(sc.phi, sc.J, P)[0] > 0.1
+
+
+def test_adapted_frame_built_once_per_j_metric_and_point(monkeypatch):
+    # in a run, the adapted frame's Gram-Schmidt runs once per (J, metric,
+    # point): under g, g-bar and the one-function g-bar at each point
+    calls = []
+    inner = pm.hermitian._adapted_frame
+
+    def counting(geo, J, seed_order):
+        calls.append((J, geo.src.metric, geo.p.tobytes()))
+        return inner(geo, J, seed_order)
+
+    monkeypatch.setattr(pm.hermitian, "_adapted_frame", counting)
+    rep = pm.run_verification(pm.RunConfig(
+        scenario="flat-projection-6-4", sigma="exp(0.2*x1)",
+        rho="1+0.1*x5^2", samples=4))
+    assert rep["verdict"] == "pass"
+    assert len(calls) == len(set(calls)) == 3 * 4
+    assert len({metric for _, metric, _ in calls}) == 3

@@ -17,7 +17,7 @@ from phmorph import (
     tension_field,
 )
 from phmorph.manifold import (POINT_MEMO_SIZE, ChartedRiemannianManifold,
-                              DomainError, JetMetric)
+                              DomainError, GeometryError, JetMetric)
 from phmorph.maps import (
     check_submersion,
     horizontal_lift,
@@ -380,3 +380,57 @@ def test_local_geometry_keeps_its_own_copy_of_the_point():
     q[0] += 0.1  # the caller reuses its array
     assert np.array_equal(local_geometry(phi, P).christoffel,
                           local_geometry(curved_fiber_map(), P).christoffel)
+
+
+# ---- fields derived from the local geometry ------------------------------
+# The frames of ortho_split, the tension field and the fiber mean curvature
+# are kept in the local geometry of (map, metric, point) like the projectors.
+
+DERIVED_READERS = {
+    "ortho_split": lambda phi, p, metric: (
+        ortho_split(phi, p, metric).vertical_frame,
+        ortho_split(phi, p, metric).horizontal_frame),
+    "tension_field": lambda phi, p, metric: (
+        tension_field(phi, p, metric).base,
+        tension_field(phi, p, metric).components),
+    "mean_curvature_vertical": lambda phi, p, metric: (
+        mean_curvature_vertical(phi, p, metric).base,
+        mean_curvature_vertical(phi, p, metric).components),
+}
+
+
+@pytest.mark.parametrize("sheared", [False, True], ids=["g", "sheared"])
+@pytest.mark.parametrize("name", sorted(DERIVED_READERS))
+def test_derived_fields_warm_equal_cold(name, sheared):
+    read = DERIVED_READERS[name]
+    cold = read(curved_fiber_map(), P, sheared_metric() if sheared else None)
+    phi = curved_fiber_map()
+    metric = sheared_metric() if sheared else None
+    for _ in range(2):  # fills the memo, then reads it
+        for other in DERIVED_READERS.values():
+            other(phi, P, metric)
+        warm = read(phi, P.copy(), metric)
+        assert all(np.array_equal(w, c) for w, c in zip(warm, cold))
+    geo = local_geometry(phi, P, metric)
+    assert getattr(geo, name) is getattr(geo, name)
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_READERS))
+def test_derived_field_arrays_are_read_only(name):
+    for out in DERIVED_READERS[name](curved_fiber_map(), P, sheared_metric()):
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0] = 1.0
+
+
+def test_derived_fields_fail_on_every_call():
+    phi = SmoothMap(euclidean_space(4), euclidean_space(2),
+                    lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
+    flat = SmoothMap(euclidean_space(2), euclidean_space(2),
+                     lambda c: [c[0], c[1]])
+    for _ in range(2):
+        for name in ("ortho_split", "mean_curvature_vertical"):
+            with pytest.raises(RankError):
+                DERIVED_READERS[name](phi, np.zeros(4), None)
+        with pytest.raises(GeometryError, match="no fibers"):
+            mean_curvature_vertical(flat, np.zeros(2))
