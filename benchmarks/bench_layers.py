@@ -5,10 +5,10 @@ timed), then times one read at one sample point, so nothing that the read
 needs is memoized yet:
 
 - ``factor_jets``: sigma and rho as jets at the point;
-- ``adapted_frame``: the adapted frame under g, with the local geometry it
-  needs (projectors, F, the frames of H and V);
-- ``local_geometry_fill``: every per-point quantity the identities read,
-  under g and under g-bar;
+- ``local_geometry_fill``: every per-point quantity that the local geometry
+  keeps for the identities, under g and under g-bar (F div_H F brings in
+  the frame of H and the PHWC defect it is checked against; the PHH
+  defect is not kept, and is left out);
 - ``identity[<name>]``: one call of the identity's check, as the runner
   makes it.
 
@@ -89,12 +89,6 @@ def fill(run, p, idx):
 def test_factor_jets(benchmark, workload):
     timed(benchmark, workload,
           lambda run, p, idx: run.change.change.factor_jets(p))
-
-
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_adapted_frame(benchmark, workload):
-    timed(benchmark, workload, lambda run, p, idx: hermitian.adapted_frame(
-        run.scenario.phi, run.scenario.J, p))
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))

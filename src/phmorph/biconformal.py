@@ -29,8 +29,8 @@ from .jets import Jet2, JetDomainError
 from .manifold import GeometryError, MetricError, MetricField, TangentVector
 from .maps import (SmoothMap, differential, horizontal_projector,
                    local_geometry, mean_curvature_vertical, tension_field)
-from .hermitian import (AlmostComplexStructureField, adapted_frame,
-                        d_f_structure, f_divergence_horizontal, f_structure,
+from .hermitian import (AlmostComplexStructureField, d_f_structure,
+                        f_divergence_horizontal, f_structure,
                         nabla_f_operator, phh_defect, phwc_defect,
                         phwc_metric_defect, tension_via_f_structure)
 
@@ -85,15 +85,6 @@ class BiconformalChange:
             raise PositivityError("rho = %g <= 0 at %s"
                                   % (r.value, np.asarray(p).tolist()))
         return s, r
-
-    def compose(self, other: "BiconformalChange") -> "BiconformalChange":
-        """Applying self then other equals one change with multiplied factors."""
-        return BiconformalChange(exprs.Binary("mul", self.sigma, other.sigma),
-                                 exprs.Binary("mul", self.rho, other.rho))
-
-
-def identity_change() -> BiconformalChange:
-    return BiconformalChange(exprs.Lit(1.0), exprs.Lit(1.0))
 
 
 def special_change(sigma: Expr, m: int, n: int) -> BiconformalChange:
@@ -228,11 +219,6 @@ class BiconformalContext:
     def build(phi, J, change):
         return BiconformalContext(phi, J, change, apply_change(phi, change))
 
-    # frequently used quantities at a point ------------------------------
-
-    def g(self, p):
-        return self.phi.source.metric_at(p)
-
 
 @dataclass
 class IdentityResidualReport:
@@ -251,7 +237,10 @@ def errored_report(identity, p, err) -> IdentityResidualReport:
 
 @dataclass
 class IdentityAggregate:
-    """Per-identity tally of sample reports, read in sample-point order."""
+    """Per-identity tally of sample reports, read in sample-point order.
+    A corollary's worst point has the largest absolute residual rather than
+    the largest relative one (for corollary-phh, the PHH defect itself); a
+    corollary that does not apply is ``skipped``, with a ``warning``."""
     name: str
     samples_pass: int = 0
     samples_fail: int = 0
@@ -260,10 +249,9 @@ class IdentityAggregate:
     max_rel_residual: float = 0.0
     worst_point: Optional[list] = None
     errors: list = dc_field(default_factory=list)
-
-    # whether the worst point is the largest absolute residual rather than
-    # the largest relative one
-    worst_by_abs = False
+    worst_by_abs: bool = False
+    skipped: bool = False
+    warning: str = ""
 
     def add(self, rep: IdentityResidualReport):
         if rep.error is not None:
@@ -287,9 +275,10 @@ class IdentityAggregate:
 
     @property
     def passed(self) -> bool:
-        """Every sample point was checked and passed."""
-        return (self.samples_fail == 0 and self.samples_error == 0
-                and self.samples_pass > 0)
+        """Skipped, or every sample point was checked and passed."""
+        return self.skipped or (self.samples_fail == 0
+                                and self.samples_error == 0
+                                and self.samples_pass > 0)
 
     def as_dict(self):
         return {
@@ -328,14 +317,20 @@ def _require_horizontal(name, v, ph, g):
 def verify_koszul_h(ctx: BiconformalContext, p, x_comp, y_comp,
                     tol: float = 1e-5) -> IdentityResidualReport:
     """Horizontal part of nabla-bar_X Y for horizontal X, Y against the
-    Koszul-derived transformation law."""
+    closed form the Koszul formula gives:
+
+    H(nabla-bar_X Y) = H(nabla_X Y) - X(ln sigma) Y - Y(ln sigma) X
+                       + g(X, Y) grad_H(ln sigma)
+
+    on the test field Y = P_H y_comp, with dY = X^k (d_k P_H) y_comp.
+    nabla-bar - nabla is a tensor, so dY cancels between the sides and only
+    sets the residual's scale."""
     phi = ctx.phi
     p = np.asarray(p, dtype=float)
-    g = ctx.g(p)
     geo = local_geometry(phi, p)
+    g = geo.src.metric_at(p)
     ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
-    # the field Y = P_H y_comp, and its derivative X^k (d_k P_H) y_comp
     y_comp = np.asarray(y_comp, dtype=float)
     y = ph @ y_comp
     dy = np.einsum("k,kab,b->a", x, geo.projector_and_lift_derivs[0], y_comp)
@@ -343,31 +338,30 @@ def verify_koszul_h(ctx: BiconformalContext, p, x_comp, y_comp,
     xv = TangentVector(p, x)
     lhs = ph @ src_bar.covariant_derivative(xv, y, dy).components
 
-    frame = adapted_frame(phi, ctx.J, p)
     grad_ls, _ = ctx.gbar.grad_log_factors(p)
     dls = g @ grad_ls  # covector of ln sigma
-    rhs = ph @ geo.src.covariant_derivative(xv, y, dy).components
-    gxy = float(x @ g @ y)
-    for f_i in frame.horizontal:
-        coeff = (-(dls @ x) * float(y @ g @ f_i)
-                 - (dls @ y) * float(x @ g @ f_i)
-                 + (dls @ f_i) * gxy)
-        rhs = rhs + coeff * f_i
+    rhs = (ph @ geo.src.covariant_derivative(xv, y, dy).components
+           - (dls @ x) * y - (dls @ y) * x
+           + float(x @ g @ y) * (ph @ grad_ls))
     return _report("koszul-horizontal", p, lhs, rhs, tol)
 
 
 def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
                     tol: float = 1e-5) -> IdentityResidualReport:
-    """Horizontal part of nabla-bar_V V for vertical V against the
-    transformation law."""
+    """Horizontal part of nabla-bar_V V for vertical V against the law
+
+    H(nabla-bar_V V) = (sigma^2 / 2) [2 rho^-2 H(nabla_V V)
+                                      - g(V, V) P_H g^-1 d(rho^-2)]
+
+    on the test field V = P_V v_comp, with dV = -V^k (d_k P_H) v_comp,
+    which cancels between the sides as in ``verify_koszul_h``."""
     phi = ctx.phi
     p = np.asarray(p, dtype=float)
     if phi.m <= phi.two_n:
         raise GeometryError("no vertical distribution (m = 2n)")
-    g = ctx.g(p)
     geo = local_geometry(phi, p)
+    g = geo.src.metric_at(p)
     ph = geo.projector_and_lift[0]
-    # the field V = P_V v_comp, and its derivative -V^k (d_k P_H) v_comp
     v_comp = np.asarray(v_comp, dtype=float)
     v = v_comp - ph @ v_comp
     if float(v @ g @ v) <= 1e-16:
@@ -378,17 +372,13 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
     lhs = ph @ src_bar.covariant_derivative(vv, v, dv).components
 
     s_jet, r_jet = ctx.gbar.factor_jets(p)
-    s = s_jet.value
     rho = r_jet.value
     # covector of rho^-2
     d_rho_m2 = -2.0 * rho ** -3 * r_jet.grad
-    frame = adapted_frame(phi, ctx.J, p)
-    gvv = float(v @ g @ v)
-    inner = 2.0 * rho ** -2 * (
-        ph @ geo.src.covariant_derivative(vv, v, dv).components)
-    for f_i in frame.horizontal:
-        inner = inner - (d_rho_m2 @ f_i) * gvv * f_i
-    rhs = 0.5 * s ** 2 * inner
+    inner = (2.0 * rho ** -2
+             * (ph @ geo.src.covariant_derivative(vv, v, dv).components)
+             - float(v @ g @ v) * (ph @ geo.ginv @ d_rho_m2))
+    rhs = 0.5 * s_jet.value ** 2 * inner
     return _report("koszul-vertical", p, lhs, rhs, tol)
 
 
@@ -457,7 +447,7 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, p, x_comp, y_comp,
     """
     phi = ctx.phi
     p = np.asarray(p, dtype=float)
-    g = ctx.g(p)
+    g = phi.source.metric_at(p)
     ph = horizontal_projector(phi, p)
     x = _require_horizontal("X", x_comp, ph, g)
     y = _require_horizontal("Y", y_comp, ph, g)
@@ -556,20 +546,6 @@ def verify_phwc_equivalence(phi: SmoothMap, J: AlmostComplexStructureField,
                                   max(d1, d2), max(r1, r2), agree)
 
 
-@dataclass
-class CorollarySummary(IdentityAggregate):
-    """A corollary's tally; its worst point is the one with the largest
-    absolute residual (for corollary-phh, the PHH defect itself)."""
-    skipped: bool = False
-    warning: str = ""
-
-    worst_by_abs = True
-
-    @property
-    def passed(self) -> bool:
-        return self.skipped or super().passed
-
-
 def one_function_context(phi: SmoothMap, J: AlmostComplexStructureField,
                          sigma: Expr):
     """The one-function change of sigma; raises GeometryError for m = 2n."""
@@ -577,8 +553,8 @@ def one_function_context(phi: SmoothMap, J: AlmostComplexStructureField,
                                     special_change(sigma, phi.m, phi.n))
 
 
-def _tally(name, points, check) -> CorollarySummary:
-    summary = CorollarySummary(name)
+def _tally(name, points, check) -> IdentityAggregate:
+    summary = IdentityAggregate(name, worst_by_abs=True)
     for p in points:
         try:
             rep = check(p)
@@ -618,7 +594,7 @@ def corollary_psh_at(scenario, ctx: BiconformalContext, p,
 
 
 def check_corollary_psh(scenario, sigma: Expr, points,
-                        tol: float = 1e-5) -> CorollarySummary:
+                        tol: float = 1e-5) -> IdentityAggregate:
     """``corollary_psh_at`` over points, for the one-function change of
     sigma."""
     ctx = one_function_context(scenario.phi, scenario.J, sigma)
@@ -661,12 +637,12 @@ def corollary_phh_at(ctx: BiconformalContext, p, tol: float = 1e-6,
 
 def check_corollary_phh(scenario, sigma: Expr, points,
                         tol: float = 1e-6,
-                        breaking_floor: float = 1e-3) -> CorollarySummary:
+                        breaking_floor: float = 1e-3) -> IdentityAggregate:
     """``corollary_phh_at`` over points, for the one-function change of
     sigma; skipped with a warning where ``phh_breaking_checkable`` fails."""
     ctx = one_function_context(scenario.phi, scenario.J, sigma)
     if not phh_breaking_checkable(scenario.phi.n, sigma):
-        return CorollarySummary("corollary-phh", skipped=True,
-                                warning=PHH_N1_WARNING)
+        return IdentityAggregate("corollary-phh", worst_by_abs=True,
+                                 skipped=True, warning=PHH_N1_WARNING)
     return _tally("corollary-phh", points,
                   lambda p: corollary_phh_at(ctx, p, tol, breaking_floor))

@@ -1,6 +1,5 @@
-"""Almost complex structures on the target, the induced horizontal structure,
-the f-structure on the domain, PHWC/PHH defect measures and the horizontal
-divergence of the f-structure.
+"""Almost complex structures on the target, the f-structure on the domain,
+PHWC/PHH defect measures and the horizontal divergence of the f-structure.
 
 What a check reads at a point is kept, read-only and keyed on J, in the
 ``maps.LocalGeometry`` of (map, metric, point), and computed once there:
@@ -9,13 +8,14 @@ What a check reads at a point is kept, read-only and keyed on J, in the
   through the horizontal lift L, so they are kept in the geometry that
   computes the lift (``LocalGeometry.horizontal``), which g and a
   biconformal change of it share;
-- ``phwc_defect``, ``phwc_metric_defect``, the ``adapted_frame`` of the
-  default seed order and ``f_divergence_horizontal`` over that frame are
-  kept in the geometry of their own metric.
+- ``phwc_defect``, ``phwc_metric_defect`` and ``f_divergence_horizontal``
+  are kept in the geometry of their own metric.
 
-A frame of another seed order, or a homothety defect over a given frame, is
-computed on each call.  ``adapted_frame`` raises ``FrameError`` on every call
-at a point where the PHWC condition fails."""
+The horizontal traces (``f_divergence_horizontal``, ``phh_defect``) contract
+nabla F over the orthonormal frame of H that ``LocalGeometry.ortho_split``
+keeps.  No check reads the adapted frame {e_i, F e_i} of the paper's proofs;
+``adapted_frame`` builds it on each call.  It and both traces raise
+``FrameError`` on every call at a point where the PHWC condition fails."""
 
 from __future__ import annotations
 
@@ -24,11 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .manifold import (ChartedRiemannianManifold, GeometryError, MetricField,
-                       TangentVector, jet_matrix, jet_matrix_and_derivs)
-from .maps import (FrameError, OrthoSplit, SmoothMap, check_submersion,
-                   differential, local_geometry, mean_curvature_vertical,
-                   ortho_split)
+from .manifold import (ChartedRiemannianManifold, MetricField, TangentVector,
+                       jet_matrix, jet_matrix_and_derivs)
+from .maps import (FrameError, SmoothMap, check_submersion, differential,
+                   local_geometry, mean_curvature_vertical)
 
 PHWC_TOL = 1e-6
 
@@ -46,44 +45,9 @@ class AlmostComplexStructureField:
     def matrix_and_derivs(self, q):
         return jet_matrix_and_derivs(self.fn, q)
 
-    def validate_at(self, q, tol=1e-10):
-        d = self.target.dim
-        j = self.matrix(q)
-        if np.max(np.abs(j @ j + np.eye(d))) > 1e-12:
-            raise GeometryError("J^2 != -I at %s" % (np.asarray(q).tolist(),))
-        h = self.target.metric_at(q)
-        if np.max(np.abs(j.T @ h @ j - h)) > tol:
-            raise GeometryError("J not compatible with target metric at %s"
-                                % (np.asarray(q).tolist(),))
-
-    def kahler_defect(self, q) -> float:
-        """Frobenius norm of nabla^N J at q; ~0 for a Kaehler target."""
-        j, dj = self.matrix_and_derivs(q)
-        gamma = self.target.christoffel(q)
-        # (nabla_c J)^a_b = d_c J^a_b + Gamma^a_cd J^d_b - J^a_d Gamma^d_cb
-        nab = (dj + np.einsum("acd,db->cab", gamma, j)
-               - np.einsum("ad,dcb->cab", j, gamma))
-        return float(np.sqrt(np.sum(nab ** 2)))
-
 
 def j_at_image(phi: SmoothMap, J: AlmostComplexStructureField, p):
     return J.matrix(phi.value(p))
-
-
-def induced_JH(phi: SmoothMap, J: AlmostComplexStructureField, p,
-               split: Optional[OrthoSplit] = None,
-               metric: Optional[MetricField] = None) -> np.ndarray:
-    """J_H in horizontal-frame coordinates: (A E_h)^{-1} J (A E_h)."""
-    if split is None:
-        split = ortho_split(phi, p, metric)
-    a = differential(phi, p)
-    eh = split.horizontal_frame.T  # (m, 2n)
-    m_h = a @ eh
-    if abs(np.linalg.det(m_h)) < 1e-12:
-        raise GeometryError("dphi restricted to the horizontal space is "
-                            "singular at %s" % (np.asarray(p).tolist(),))
-    jq = j_at_image(phi, J, p)
-    return np.linalg.solve(m_h, jq @ m_h)
 
 
 def f_structure(phi: SmoothMap, J: AlmostComplexStructureField, p,
@@ -142,38 +106,31 @@ class AdaptedFrame:
         """All 2n horizontal vectors in the order {e_i} then {F e_i}."""
         return np.vstack([self.e, self.fe])
 
-    @property
-    def full(self) -> np.ndarray:
-        return np.vstack([self.e, self.fe, self.vertical])
+
+def _require_phwc(geo, J):
+    """Raise ``FrameError`` where phi is not PHWC at the point of ``geo``:
+    the pairs {e, F e} of an adapted frame, and the horizontal traces of
+    nabla F, are only meaningful where F is metric compatible on H."""
+    md, _ = phwc_metric_defect(geo.phi, J, geo.p, geo.src.metric)
+    if md > PHWC_TOL:
+        raise FrameError("the PHWC condition fails: metric compatibility "
+                         "defect %g > %g at %s" % (md, PHWC_TOL,
+                                                   geo.p.tolist()))
 
 
 def adapted_frame(phi: SmoothMap, J: AlmostComplexStructureField, p,
                   metric: Optional[MetricField] = None,
                   seed_order=None) -> AdaptedFrame:
-    """Build an adapted orthonormal frame.  Requires metric compatibility of
-    the induced horizontal structure (the PHWC condition), which is what makes
-    {e, F e} pairs orthonormal.  The frame of the default seed order is kept
-    in the local geometry, per J."""
+    """An adapted orthonormal frame, built on each call: Gram-Schmidt of the
+    horizontal frame of ``ortho_split`` (in ``seed_order``, if given) into
+    pairs {e_i, F e_i}.  Requires metric compatibility of the induced
+    horizontal structure (the PHWC condition), which is what makes the
+    {e, F e} pairs orthonormal."""
     geo = local_geometry(phi, p, metric)
-    if seed_order is not None:
-        return _adapted_frame(geo, J, seed_order)
-    return geo.field(("adapted_frame", J),
-                     lambda: _adapted_frame(geo, J, None))
-
-
-def _adapted_frame(geo, J, seed_order) -> AdaptedFrame:
-    """Gram-Schmidt of the horizontal frame of ``geo.ortho_split`` (in
-    ``seed_order``, if given) into pairs {e_i, F e_i}."""
-    phi, p, metric = geo.phi, geo.p, geo.src.metric
-    md, _ = phwc_metric_defect(phi, J, p, metric)
-    if md > PHWC_TOL:
-        raise FrameError("adapted frame needs the PHWC condition; metric "
-                         "compatibility defect %g > %g at %s"
-                         % (md, PHWC_TOL, p.tolist()))
-    g = geo.src.metric_at(p)
+    _require_phwc(geo, J)
+    g = geo.src.metric_at(geo.p)
     split = geo.ortho_split
-    f = f_structure(phi, J, p, metric)
-    n = phi.n
+    f = f_structure(phi, J, geo.p, metric)
     seeds = split.horizontal_frame if seed_order is None \
         else split.horizontal_frame[list(seed_order)]
     e_vecs, fe_vecs = [], []
@@ -191,10 +148,10 @@ def _adapted_frame(geo, J, seed_order) -> AdaptedFrame:
             raise FrameError("F annihilated a horizontal frame vector")
         e_vecs.append(e)
         fe_vecs.append(fe / np.sqrt(fn2))
-        if len(e_vecs) == n:
+        if len(e_vecs) == phi.n:
             break
-    if len(e_vecs) < n:
-        raise FrameError("could not assemble %d adapted pairs" % n)
+    if len(e_vecs) < phi.n:
+        raise FrameError("could not assemble %d adapted pairs" % phi.n)
     return AdaptedFrame(np.array(e_vecs), np.array(fe_vecs),
                         split.vertical_frame)
 
@@ -229,58 +186,50 @@ def nabla_f_operator(f: np.ndarray, df: np.ndarray,
             - np.einsum("kl,lij->ikj", f, gamma))
 
 
+def _nabla_f(geo, J) -> np.ndarray:
+    """nabla F at the point of ``geo``, on the PHWC condition."""
+    _require_phwc(geo, J)
+    phi, p, metric = geo.phi, geo.p, geo.src.metric
+    return nabla_f_operator(f_structure(phi, J, p, metric),
+                            d_f_structure(phi, J, p, metric),
+                            geo.christoffel)
+
+
 def f_divergence_horizontal(phi: SmoothMap, J: AlmostComplexStructureField,
                             p, metric: Optional[MetricField] = None
                             ) -> TangentVector:
     """F applied to the horizontal trace of nabla F:
 
-    F [ sum_i (nabla_{e_i} F)(e_i) + (nabla_{F e_i} F)(F e_i) ]
+    F sum_a (nabla_{f_a} F)(f_a)
 
-    The sum runs over the adapted pairs, i.e. over a full orthonormal frame
-    of the horizontal distribution; horizontal for PHWC maps and zero for
-    PHH ones.  The value over the default adapted frame is kept in the local
-    geometry, per J."""
+    over an orthonormal frame {f_a} of the horizontal distribution (an
+    adapted frame {e_i, F e_i} is one); horizontal for PHWC maps and zero
+    for PHH ones.  Kept in the local geometry, per J."""
     geo = local_geometry(phi, p, metric)
 
     def compute():
-        fr = adapted_frame(phi, J, geo.p, metric)
-        f = f_structure(phi, J, geo.p, metric)
-        df = d_f_structure(phi, J, geo.p, metric)
-        nab = nabla_f_operator(f, df, geo.christoffel)
-        total = np.zeros(phi.m)
-        for x in fr.horizontal:
-            total += np.einsum("i,ikj,j->k", x, nab, x)
-        return TangentVector(geo.p, f @ total)
+        fr = geo.ortho_split.horizontal_frame
+        total = np.einsum("ai,ikj,aj->k", fr, _nabla_f(geo, J), fr)
+        return TangentVector(geo.p, f_structure(phi, J, geo.p, metric) @ total)
 
     return geo.field(("f_divergence", J), compute)
 
 
 def phh_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
-               metric: Optional[MetricField] = None,
-               frame: Optional[AdaptedFrame] = None):
+               metric: Optional[MetricField] = None):
     """Size of the horizontal part of (nabla_X F)Y over horizontal X, Y.
 
-    Contracted over an orthonormal horizontal frame in a Frobenius fashion,
-    which makes the value independent of the frame choice (the max over frame
-    pairs is not); zero exactly when the map is PHH."""
-    p = np.asarray(p, dtype=float)
-    if frame is None:
-        frame = adapted_frame(phi, J, p, metric)
+    The Frobenius norm over an orthonormal frame {f_a} of the horizontal
+    distribution, sqrt(sum_ab |H((nabla_{f_a} F) f_b)|^2), which does not
+    depend on the frame (the max over frame pairs would); zero exactly when
+    the map is PHH.  The scale is the same norm without H, at least 1."""
     geo = local_geometry(phi, p, metric)
-    g = geo.src.metric_at(p)
-    gamma = geo.christoffel
-    ph = geo.projector_and_lift[0]
-    f = f_structure(phi, J, p, metric)
-    df = d_f_structure(phi, J, p, metric)
-    nab = nabla_f_operator(f, df, gamma)
-    total = 0.0
-    scale = 0.0
-    for x in frame.horizontal:
-        for y in frame.horizontal:
-            v = ph @ np.einsum("i,ikj,j->k", x, nab, y)
-            total += float(v @ g @ v)
-            w = np.einsum("i,ikj,j->k", x, nab, y)
-            scale += float(w @ g @ w)
+    fr = geo.ortho_split.horizontal_frame
+    g = geo.src.metric_at(geo.p)
+    pairs = np.einsum("ai,ikj,bj->abk", fr, _nabla_f(geo, J), fr)
+    horizontal = pairs @ geo.projector_and_lift[0].T
+    total = np.einsum("abk,kl,abl->", horizontal, g, horizontal)
+    scale = np.einsum("abk,kl,abl->", pairs, g, pairs)
     return float(np.sqrt(total)), max(float(np.sqrt(scale)), 1.0)
 
 
@@ -291,7 +240,8 @@ def tension_via_f_structure(phi: SmoothMap, J: AlmostComplexStructureField,
 
     tau = -dphi( F div_H F + (m - 2n) mu^V )
 
-    Only meaningful for PHWC maps (the adapted frame requires it)."""
+    Only meaningful for PHWC maps (``f_divergence_horizontal`` requires
+    it)."""
     p = np.asarray(p, dtype=float)
     div = f_divergence_horizontal(phi, J, p, metric)
     total = div.components.copy()

@@ -1,5 +1,5 @@
-"""Smooth maps between charted manifolds: differentials, adjoints,
-vertical/horizontal splitting, tension field and fiber mean curvature.
+"""Smooth maps between charted manifolds: differentials, vertical/horizontal
+splitting, tension field and fiber mean curvature.
 
 ``SmoothMap.jets`` is memoized per point in a bounded ``PointMemo`` keyed on
 the exact float64 bytes of the point; its jets are checked for non-finite
@@ -11,11 +11,12 @@ most ``POINT_MEMO_SIZE`` points).  Each field is computed on its first read,
 kept read-only, and never kept when its computation fails:
 
 - here: dphi and its rank check, dA (the map's Hessian), g^-1, Gamma, P_H
-  and the lift, their derivatives, ``ortho_split`` (the frames of V and H),
+  and the lift, their derivatives, ``ortho_split`` (orthonormal frames of V
+  and H, over which ``hermitian`` takes its horizontal traces),
   ``tension_field`` and ``mean_curvature_vertical``;
 - per J, from ``hermitian``: F and dF (in the geometry that computes the
-  lift), ``phwc_defect``, ``phwc_metric_defect``, the ``adapted_frame`` of
-  the default seed order and ``f_divergence_horizontal``;
+  lift), ``phwc_defect``, ``phwc_metric_defect`` and
+  ``f_divergence_horizontal``;
 - under a ``biconformal.ChangedMetric``: sigma and rho as floats, as jets,
   and the g-gradients of their logarithms.
 
@@ -252,15 +253,6 @@ def local_geometry(phi: SmoothMap, p,
     return geo
 
 
-def adjoint_differential(phi: SmoothMap, p,
-                         metric: Optional[MetricField] = None) -> np.ndarray:
-    """Adjoint of the differential: g^{-1} A^T h  (shape m x 2n)."""
-    a = differential(phi, p)
-    ginv = local_geometry(phi, p, metric).ginv
-    h = phi.target.metric_at(phi.value(p))
-    return ginv @ a.T @ h
-
-
 def check_submersion(phi: SmoothMap, p, rank_tol: float = RANK_TOL):
     """The differential at p, checked to have full rank 2n (read-only)."""
     a, smallest = local_geometry(phi, p)._differential
@@ -278,11 +270,6 @@ def horizontal_projector(phi: SmoothMap, p,
     of any frame choice.
     """
     return local_geometry(phi, p, metric).projector_and_lift[0]
-
-
-def vertical_projector(phi: SmoothMap, p,
-                       metric: Optional[MetricField] = None) -> np.ndarray:
-    return np.eye(phi.m) - horizontal_projector(phi, p, metric)
 
 
 def horizontal_lift(phi: SmoothMap, p,

@@ -10,8 +10,9 @@ identity at one point and turns a sample error into an errored report.
 A run is point-major: at each sample point, in sample order, every
 applicable identity runs and then the flag checks.  So the per-point memos
 of the map jets and of the metric (``manifold.POINT_MEMO_SIZE`` points)
-serve all of them before later points evict them.  Each identity folds its
-one-point reports into one aggregate in point order."""
+serve all of them before later points evict them.  Each identity, and each
+flag, folds its one-point reports into one ``IdentityAggregate`` in point
+order."""
 
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import exprs, scenarios
 from .biconformal import (BiconformalChange, BiconformalContext,
-                          CorollarySummary, HOLOMORPHIC_BUILTINS,
-                          IdentityAggregate, PHH_N1_WARNING, REL_FLOOR,
+                          HOLOMORPHIC_BUILTINS, IdentityAggregate,
+                          IdentityResidualReport, PHH_N1_WARNING, REL_FLOOR,
                           SAMPLE_ERRORS, corollary_phh_at, corollary_psh_at,
                           errored_report, one_function_context,
                           phh_breaking_checkable, special_change,
@@ -144,11 +145,15 @@ REQUIREMENTS = {
 @dataclass(frozen=True)
 class Identity:
     """A law's row: the ``REQUIREMENTS`` it needs, its one-point check
-    (run, point, sample index) -> IdentityResidualReport, and the aggregate
-    its reports fold into."""
+    (run, point, sample index) -> IdentityResidualReport, and whether its
+    aggregate ranks the worst point by absolute residual (the corollaries)."""
     requires: Tuple[str, ...]
     check: Callable
-    aggregate: type = IdentityAggregate
+    worst_by_abs: bool = False
+
+    def aggregate(self, name: str) -> IdentityAggregate:
+        """The empty tally that this identity's reports fold into."""
+        return IdentityAggregate(name, worst_by_abs=self.worst_by_abs)
 
 
 IDENTITIES = {
@@ -177,12 +182,12 @@ IDENTITIES = {
     "pullback": Identity(("phwc", "harmonic"), _pullback),
     "corollary-psh": Identity(("phwc", "fibers"), lambda run, p, idx: (
         corollary_psh_at(run.scenario, run.one_function, p,
-                         tol=run.config.tol_fd)), CorollarySummary),
+                         tol=run.config.tol_fd)), worst_by_abs=True),
     "corollary-phh": Identity(
         ("phwc", "fibers", "phh", "n >= 2 or sigma constant"),
         lambda run, p, idx: corollary_phh_at(run.one_function, p,
                                              tol=10.0 * run.config.tol_ad),
-        CorollarySummary),
+        worst_by_abs=True),
 }
 ALL_IDENTITIES = tuple(IDENTITIES)
 
@@ -207,72 +212,68 @@ def run_identity(name: str, run: RunContext, p, idx: int):
         return errored_report(name, p, err)
 
 
+def _relative(defect_and_scale):
+    defect, scale = defect_and_scale
+    return defect / (scale + REL_FLOOR)
+
+
+# flag -> its relative defect at a point, (phi, J, p) -> float
+FLAG_DEFECTS = {
+    "phwc": lambda phi, J, p: _relative(phwc_defect(phi, J, p)),
+    "harmonic": lambda phi, J, p: (
+        float(np.max(np.abs(tension_field(phi, p).components))) / REL_FLOOR),
+    "phh": lambda phi, J, p: _relative(phh_defect(phi, J, p)),
+}
+
+
+def _flag_tallies(scenario: Scenario):
+    """One empty tally per measured flag; PHH is measured only on a PHWC
+    scenario."""
+    return {flag: IdentityAggregate(flag) for flag in FLAG_DEFECTS
+            if flag != "phh" or scenario.expected_flags.get("phwc")}
+
+
+def _measure_flags(scenario: Scenario, p, tallies):
+    """Fold each flag's defect at p into its tally; a sample error there is
+    an errored report."""
+    for flag, tally in tallies.items():
+        try:
+            defect = FLAG_DEFECTS[flag](scenario.phi, scenario.J, p)
+            rep = IdentityResidualReport(flag, np.asarray(p).tolist(),
+                                         defect, defect, True)
+        except SAMPLE_ERRORS as err:
+            rep = errored_report(flag, p, err)
+        tally.add(rep)
+
+
+def _flag_entries(scenario: Scenario, tallies, tol):
+    """The report's flag section: per flag, the expected value, the worst
+    defect over the points (None where it is not measured), the errored
+    points and whether the expectation is confirmed."""
+    out = {}
+    for flag in FLAG_DEFECTS:
+        expected = scenario.expected_flags.get(flag)
+        tally = tallies.get(flag)
+        worst = None if tally is None else tally.max_rel_residual
+        if expected is None or worst is None:
+            confirmed = None
+        elif expected:
+            confirmed = worst < tol
+        else:
+            confirmed = worst > 10.0 * tol
+        out[flag] = {"expected": expected, "measured_max_defect": worst,
+                     "samples_error": 0 if tally is None
+                     else tally.samples_error,
+                     "confirmed": confirmed}
+    return out
+
+
 def confirm_flags(scenario: Scenario, points, tol: float = 1e-5):
     """Re-measure the scenario's expected PHWC / PHH / harmonicity flags."""
-    phi, J = scenario.phi, scenario.J
-    out = {}
-
-    def measure(fn):
-        worst = 0.0
-        errors = 0
-        for p in points:
-            try:
-                worst = max(worst, fn(p))
-            except SAMPLE_ERRORS:
-                errors += 1
-        return worst, errors
-
-    def relative(defect_and_scale):
-        defect, scale = defect_and_scale
-        return defect / (scale + REL_FLOOR)
-
-    phwc_worst, phwc_err = measure(
-        lambda p: relative(phwc_defect(phi, J, p)))
-    out["phwc"] = _flag_entry(scenario.expected_flags.get("phwc"),
-                              phwc_worst, phwc_err, tol)
-
-    tau_worst, tau_err = measure(
-        lambda p: float(np.max(np.abs(tension_field(phi, p).components)))
-        / REL_FLOOR)
-    out["harmonic"] = _flag_entry(scenario.expected_flags.get("harmonic"),
-                                  tau_worst, tau_err, tol)
-
-    expected_phh = scenario.expected_flags.get("phh")
-    if scenario.expected_flags.get("phwc"):
-        phh_worst, phh_err = measure(
-            lambda p: relative(phh_defect(phi, J, p)))
-        out["phh"] = _flag_entry(expected_phh, phh_worst, phh_err, tol)
-    else:
-        out["phh"] = {"expected": expected_phh, "measured_max_defect": None,
-                      "samples_error": 0, "confirmed": None}
-    return out
-
-
-def _fold_flags(parts, tol):
-    """Flag entries over all points from one-point ``confirm_flags`` results
-    in point order."""
-    out = {}
-    for flag, first in parts[0].items():
-        if first["measured_max_defect"] is None:
-            out[flag] = first
-            continue
-        worst, errors = 0.0, 0
-        for part in parts:
-            worst = max(worst, part[flag]["measured_max_defect"])
-            errors += part[flag]["samples_error"]
-        out[flag] = _flag_entry(first["expected"], worst, errors, tol)
-    return out
-
-
-def _flag_entry(expected, worst, errors, tol):
-    if expected is None:
-        confirmed = None
-    elif expected:
-        confirmed = worst < tol
-    else:
-        confirmed = worst > 10.0 * tol
-    return {"expected": expected, "measured_max_defect": worst,
-            "samples_error": errors, "confirmed": confirmed}
+    tallies = _flag_tallies(scenario)
+    for p in points:
+        _measure_flags(scenario, p, tallies)
+    return _flag_entries(scenario, tallies, tol)
 
 
 def run_verification(config: RunConfig):
@@ -298,14 +299,14 @@ def run_verification(config: RunConfig):
             totals.append(IDENTITIES[name].aggregate(name))
         else:
             skipped.append({"name": name, "reason": reason})
-    flag_parts = []
+    flag_tallies = _flag_tallies(scenario)
     for idx, p in enumerate(points):
         for agg in totals:
             agg.add(run_identity(agg.name, run, p, idx))
-        flag_parts.append(confirm_flags(scenario, [p], tol=config.tol_fd))
+        _measure_flags(scenario, p, flag_tallies)
 
     per_identity = [agg.as_dict() for agg in totals]
-    flags = _fold_flags(flag_parts, config.tol_fd)
+    flags = _flag_entries(scenario, flag_tallies, config.tol_fd)
     return _assemble(config, scenario, per_identity, flags, skipped, warnings)
 
 

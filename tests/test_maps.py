@@ -1,15 +1,12 @@
-"""Differentials, adjoints, projectors, frames, tension and fiber curvature."""
+"""Differentials, projectors, frames, tension and fiber curvature."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import phmorph.jets as jets
 from phmorph import (
     RankError,
     SmoothMap,
-    adjoint_differential,
     differential,
     euclidean_space,
     mean_curvature_vertical,
@@ -24,7 +21,6 @@ from phmorph.maps import (
     horizontal_projector,
     local_geometry,
     second_derivatives,
-    vertical_projector,
 )
 
 
@@ -70,37 +66,12 @@ def test_differential_and_hessian_polynomial_map():
     assert np.allclose(H[1], 0.0, atol=1e-14)
 
 
-def test_adjoint_composition_oracle():
-    # For phi = (x1, 2 x2) on flat metrics: dphi o dphi* = diag(1, 4).
-    phi = anisotropic_map()
-    p = np.array([0.1, 0.2, 0.3, 0.4])
-    A = differential(phi, p)
-    Astar = adjoint_differential(phi, p)
-    assert np.allclose(A @ Astar, np.diag([1.0, 4.0]), atol=1e-13)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_adjoint_defining_property(seed):
-    # h(dphi X, w) = g(X, dphi* w) pointwise, on a curved source metric.
-    rng = np.random.default_rng(seed)
-    phi = curved_fiber_map()
-    p = rng.uniform(-0.8, 0.8, size=4)
-    x = rng.normal(size=4)
-    w = rng.normal(size=2)
-    g = phi.source.metric_at(p)
-    h = phi.target.metric_at(phi.value(p))
-    A = differential(phi, p)
-    Astar = adjoint_differential(phi, p)
-    assert (A @ x) @ h @ w == pytest.approx(x @ g @ (Astar @ w), rel=1e-10, abs=1e-12)
-
-
 def test_projectors_algebra():
     phi = curved_fiber_map()
     p = np.array([0.4, -0.3, 0.2, 0.6])
     g = phi.source.metric_at(p)
     ph = horizontal_projector(phi, p)
-    pv = vertical_projector(phi, p)
+    pv = np.eye(4) - ph
     assert np.allclose(ph @ ph, ph, atol=1e-12)
     assert np.allclose(pv @ pv, pv, atol=1e-12)
     assert np.allclose(ph + pv, np.eye(4), atol=1e-12)
@@ -208,7 +179,7 @@ def test_mean_curvature_curved_fibers_closed_form():
     mu = mean_curvature_vertical(phi, p)
     assert np.allclose(mu.components, [-1.0, 0.0, 0.0, 0.0], atol=1e-7)
     # mean curvature is horizontal by construction
-    pv = vertical_projector(phi, p)
+    pv = np.eye(4) - horizontal_projector(phi, p)
     assert np.allclose(pv @ mu.components, 0.0, atol=1e-7)
 
 
@@ -279,7 +250,6 @@ def sheared_metric():
 GEOMETRY_READERS = {
     "check_submersion": lambda phi, p, metric: check_submersion(phi, p),
     "horizontal_projector": horizontal_projector,
-    "vertical_projector": vertical_projector,
     "horizontal_lift": horizontal_lift,
     "ginv": lambda phi, p, metric: local_geometry(phi, p, metric).ginv,
     "christoffel": lambda phi, p, metric: (
@@ -301,8 +271,7 @@ def test_local_geometry_warm_equals_cold(name, sheared):
         assert np.array_equal(read(phi, P.copy(), metric), cold)
 
 
-@pytest.mark.parametrize("name", sorted(set(GEOMETRY_READERS)
-                                         - {"vertical_projector"}))
+@pytest.mark.parametrize("name", sorted(GEOMETRY_READERS))
 def test_local_geometry_arrays_are_read_only(name):
     out = GEOMETRY_READERS[name](curved_fiber_map(), P, sheared_metric())
     assert not out.flags.writeable
@@ -329,7 +298,7 @@ def test_rank_deficient_point_fails_on_every_call():
                     lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
     for _ in range(2):
         for name in ("check_submersion", "horizontal_projector",
-                     "vertical_projector", "horizontal_lift"):
+                     "horizontal_lift"):
             with pytest.raises(RankError):
                 GEOMETRY_READERS[name](phi, np.zeros(4), None)
     # the metric data at that point is still fine

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
-                     biconformal, confirm_flags, get_scenario, manifold,
-                     parse, run_verification, sample_points, scenarios)
-from phmorph.biconformal import (CorollarySummary, IdentityAggregate,
-                                 check_corollary_phh, check_corollary_psh)
+                     biconformal, confirm_flags, get_scenario, hermitian,
+                     manifold, maps, parse, run_verification, sample_points,
+                     scenarios)
+from phmorph.biconformal import IdentityAggregate, check_corollary_psh
 from phmorph.runner import (IDENTITIES, RunContext, run_identity,
                             skip_reason)
 
@@ -169,15 +169,56 @@ def test_a_run_takes_no_finite_difference(monkeypatch, scenario):
     assert rep["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("scenario", ["flat-projection-6-4", "hopf"])
+def test_a_run_builds_no_adapted_frame(monkeypatch, scenario):
+    # the laws are checked in closed form and the horizontal traces are
+    # taken over the orthonormal frame of H: no check needs {e_i, F e_i}
+    def forbidden(*args, **kwargs):
+        raise AssertionError("adapted frame on the run path")
+
+    monkeypatch.setattr(hermitian, "AdaptedFrame", forbidden)
+    rep = run_verification(RunConfig(scenario=scenario, sigma="exp(0.2*x1)",
+                                     rho="1+0.1*x2^2", samples=2))
+    assert rep["verdict"] == "pass"
+
+
+def _projector_and_lift_derivs_without_l_dm(geo):
+    """``LocalGeometry.projector_and_lift_derivs`` with the -L dM term of
+    dL dropped: a wrong dP_H."""
+    if geo.horizontal is not geo:
+        return geo.horizontal.projector_and_lift_derivs
+    a, adjoint, minv = geo._lift_factors
+    lift, da = geo.projector_and_lift[1], geo.differential_derivs
+    dg = geo.src.metric_and_derivs_at(geo.p)[1]
+    dginv = -np.einsum("ij,kjl,lm->kim", geo.ginv, dg, geo.ginv)
+    d_lift = (dginv @ a.T + geo.ginv @ np.transpose(da, (0, 2, 1))) @ minv
+    return d_lift @ a + lift @ da, d_lift
+
+
+def test_a_wrong_projector_derivative_fails_a_hopf_run(monkeypatch):
+    # d g-bar reads dP_H, so the Koszul check sees a wrong one through the
+    # Christoffel symbols of g-bar, although its test field's derivative
+    # cancels between the sides
+    config = RunConfig(scenario="hopf", sigma="exp(0.2*x1+0.1*x3)",
+                       rho="1+0.2*x2^2", samples=5)
+    assert run_verification(config)["verdict"] == "pass"
+    monkeypatch.setattr(maps.LocalGeometry, "projector_and_lift_derivs",
+                        property(_projector_and_lift_derivs_without_l_dm))
+    rep = run_verification(config)
+    assert rep["verdict"] == "fail"
+    failed = {row["name"] for row in rep["per_identity"] if not row["passed"]}
+    assert "koszul-horizontal" in failed, failed
+
+
 def _rep(point, rel, abs_=None, error=None):
     return IdentityResidualReport("x", [point],
                                   rel if abs_ is None else abs_, rel,
                                   rel < 2.5, error=error)
 
 
-@pytest.mark.parametrize("cls", [IdentityAggregate, CorollarySummary])
-def test_add_keeps_the_worst_point(cls):
-    agg = cls("x")
+@pytest.mark.parametrize("worst_by_abs", [False, True])
+def test_add_keeps_the_worst_point(worst_by_abs):
+    agg = IdentityAggregate("x", worst_by_abs=worst_by_abs)
     for rep in [_rep(0, 1.0, 5.0), _rep(1, 3.0, 1.0),
                 _rep(2, 0.0, error="boom"), _rep(3, 3.0, 1.0),
                 _rep(4, float("nan")), _rep(5, 2.0, 5.0), _rep(6, 0.5, 0.5)]:
@@ -187,10 +228,18 @@ def test_add_keeps_the_worst_point(cls):
     assert not agg.passed
     # ties go to the later point, a NaN residual is never the worst, and
     # corollaries rank by absolute residual
-    if cls is CorollarySummary:
+    if worst_by_abs:
         assert (agg.worst_point, agg.max_abs_residual) == ([5], 5.0)
     else:
         assert (agg.worst_point, agg.max_rel_residual) == ([3], 3.0)
+
+
+def test_the_table_sets_how_an_aggregate_ranks_and_a_skip_passes():
+    assert [name for name in ALL_IDENTITIES
+            if IDENTITIES[name].aggregate(name).worst_by_abs] == [
+        "corollary-psh", "corollary-phh"]
+    skipped = IdentityAggregate("x", skipped=True, warning="why")
+    assert skipped.passed and skipped.samples_pass == 0
 
 
 def test_linalg_error_in_a_corollary_is_a_sample_error(monkeypatch):
