@@ -5,10 +5,10 @@ timed), then times one read at one sample point, so nothing that the read
 needs is memoized yet:
 
 - ``factor_jets``: sigma and rho as jets at the point;
-- ``local_geometry_fill``: every per-point quantity that the local geometry
-  keeps for the identities, under g and under g-bar (F div_H F brings in
-  the frame of H and the PHWC defect it is checked against; the PHH
-  defect is not kept, and is left out);
+- ``local_geometry_fill``: what a run computes at a point before its
+  identities compare sides, under g and under g-bar (F div_H F brings in
+  the horizontal factor and the PHWC defect it is checked against; the
+  PHH defect is not kept, and is left out);
 - ``identity[<name>]``: one call of the identity's check, as the runner
   makes it.
 
@@ -77,7 +77,6 @@ def fill(run, p, idx):
         geo.christoffel
         geo.projector_and_lift_derivs
         hermitian.d_f_structure(phi, J, p, metric)
-        maps.ortho_split(phi, p, metric)
         maps.tension_field(phi, p, metric)
         if phi.m > phi.two_n:
             maps.mean_curvature_vertical(phi, p, metric)

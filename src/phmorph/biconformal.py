@@ -5,10 +5,10 @@ The changed metric g-bar = sigma^-2 g^H + rho^-2 g^V is a ``ChangedMetric``
 with exact first derivatives: d(g P_H) comes from the projector algebra of
 ``maps.LocalGeometry`` and the factors' derivatives from their jets.  The
 ``ChangedMetric`` holds sigma and rho per point, in phi's local geometry
-under g-bar: ``factor_values`` (floats, read by g-bar's ``matrix`` and the
-right sides of the laws), ``factor_jets`` (read by ``matrix_and_derivs``) and
-``grad_log_factors``, each evaluated once per (change, point).  A factor that
-is not positive raises ``PositivityError`` on every call.  Every
+under g-bar: ``factor_jets``, evaluated once per (change, point), whose
+values g-bar and the right sides of the laws read (no float twin), and
+``grad_log_factors``.  A factor that is not positive raises
+``PositivityError`` on every call.  Every
 ``verify_*`` routine computes one identity's two sides by independent routes
 (the Levi-Civita geometry of g-bar, built from g-bar's own (g-bar, d g-bar),
 on one side; the closed-form transformation law on g's connection on the
@@ -62,14 +62,9 @@ class BiconformalChange:
         return BiconformalChange(sigma, rho)
 
     def factor_values(self, p):
-        coords = [float(x) for x in np.asarray(p, dtype=float)]
-        s = float(exprs.eval_jet(self.sigma, coords))
-        r = float(exprs.eval_jet(self.rho, coords))
-        if s <= 0.0:
-            raise PositivityError("sigma = %g <= 0 at %s" % (s, coords))
-        if r <= 0.0:
-            raise PositivityError("rho = %g <= 0 at %s" % (r, coords))
-        return s, r
+        """(sigma, rho) at p: the values of ``factor_jets``."""
+        s, r = self.factor_jets(p)
+        return s.value, r.value
 
     def factor_jets(self, p):
         coords = jets.seed_coordinates(np.asarray(p, dtype=float))
@@ -101,22 +96,16 @@ def special_change(sigma: Expr, m: int, n: int) -> BiconformalChange:
     return BiconformalChange(sigma, rho)
 
 
-def _inverse_square(name, value, p) -> float:
-    """value^-2 of a positive factor, checked to be a finite positive
-    number before anything is divided by it."""
-    square = value * value
+def _inverse_square(name, jet, p):
+    """(f^-2, d(f^-2)) of a factor jet f, with d(f^-2) = -2 f^-2 d(ln f)
+    taken in Python floats (which overflow to inf silently), both checked:
+    f^-2 to be finite and positive before anything is divided by it."""
+    square = jet.value * jet.value
     weight = 1.0 / square if square > 0.0 else math.inf
     if not 0.0 < weight < math.inf:
         raise MetricError("%s^-2 is not a finite positive number at %s "
                           "(%s = %g)" % (name, np.asarray(p).tolist(), name,
-                                         value))
-    return weight
-
-
-def _inverse_square_jet(name, jet, p):
-    """(f^-2, d(f^-2)) of a factor jet f, with d(f^-2) = -2 f^-2 d(ln f)
-    taken in Python floats (which overflow to inf silently) and checked."""
-    weight = _inverse_square(name, jet.value, p)
+                                         jet.value))
     d_weight = [-2.0 * weight * (float(d) / jet.value) for d in jet.grad]
     if not all(map(math.isfinite, d_weight)):
         raise MetricError("the derivative of %s^-2 is not finite at %s"
@@ -139,8 +128,7 @@ class ChangedMetric(MetricField):
               + d(rho^-2) (g - g P_H) + rho^-2 (dg - d(g P_H)),
 
     with d(g P_H) = dg P_H + g dP_H.  sigma and rho are evaluated once per
-    point and route (floats, jets), and kept in phi's local geometry under
-    this metric."""
+    point, as jets, and kept in phi's local geometry under this metric."""
 
     def __init__(self, phi: SmoothMap, change: BiconformalChange):
         super().__init__(phi.m)
@@ -153,16 +141,14 @@ class ChangedMetric(MetricField):
         geo = local_geometry(self.phi, p, self)
         return geo.field(name, lambda: compute(geo.p))
 
-    def factor_values(self, p):
-        """(sigma, rho) at p as floats (``BiconformalChange.factor_values``)."""
-        return self._factor_field("factor_values", self.change.factor_values,
-                                  p)
-
     def factor_jets(self, p):
-        """(sigma, rho) at p as jets (``BiconformalChange.factor_jets``).
-        Kept apart from ``factor_values``: a jet's value can differ from the
-        float evaluation in the last bit (a power goes through exp and log)."""
+        """(sigma, rho) at p as jets (``BiconformalChange.factor_jets``)."""
         return self._factor_field("factor_jets", self.change.factor_jets, p)
+
+    def factor_values(self, p):
+        """(sigma, rho) at p: the values of the kept ``factor_jets``."""
+        s, r = self.factor_jets(p)
+        return s.value, r.value
 
     def grad_log_factors(self, p):
         """g-gradients of ln(sigma) and ln(rho) as component vectors."""
@@ -182,15 +168,15 @@ class ChangedMetric(MetricField):
     def matrix(self, p):
         p = np.asarray(p, dtype=float)
         g, gh = self._horizontal_block(p)
-        s, r = self.factor_values(p)
-        return (gh * _inverse_square("sigma", s, p)
-                + (g - gh) * _inverse_square("rho", r, p))
+        s, r = self.factor_jets(p)
+        return (gh * _inverse_square("sigma", s, p)[0]
+                + (g - gh) * _inverse_square("rho", r, p)[0])
 
     def matrix_and_derivs(self, p):
         p = np.asarray(p, dtype=float)
         s, r = self.factor_jets(p)
-        w_h, dw_h = _inverse_square_jet("sigma", s, p)
-        w_v, dw_v = _inverse_square_jet("rho", r, p)
+        w_h, dw_h = _inverse_square("sigma", s, p)
+        w_v, dw_v = _inverse_square("rho", r, p)
         g, gh = self._horizontal_block(p)
         geo = local_geometry(self.phi, p)
         dg = geo.src.metric_and_derivs_at(p)[1]
@@ -316,31 +302,28 @@ def _require_horizontal(name, v, ph, g):
 
 def verify_koszul_h(ctx: BiconformalContext, p, x_comp, y_comp,
                     tol: float = 1e-5) -> IdentityResidualReport:
-    """Horizontal part of nabla-bar_X Y for horizontal X, Y against the
-    closed form the Koszul formula gives:
+    """Horizontal part of nabla-bar_X Y for horizontal X = P_H x_comp and
+    Y = P_H y_comp against the closed form the Koszul formula gives:
 
     H(nabla-bar_X Y) = H(nabla_X Y) - X(ln sigma) Y - Y(ln sigma) X
                        + g(X, Y) grad_H(ln sigma)
 
-    on the test field Y = P_H y_comp, with dY = X^k (d_k P_H) y_comp.
-    nabla-bar - nabla is a tensor, so dY cancels between the sides and only
-    sets the residual's scale."""
+    nabla-bar - nabla is a tensor, so the derivative of a test field Y
+    cancels between the sides: each contracts its own Christoffel symbols
+    on (X, Y), the left side g-bar's and the right side g's."""
     phi = ctx.phi
     p = np.asarray(p, dtype=float)
     geo = local_geometry(phi, p)
     g = geo.src.metric_at(p)
     ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
-    y_comp = np.asarray(y_comp, dtype=float)
-    y = ph @ y_comp
-    dy = np.einsum("k,kab,b->a", x, geo.projector_and_lift_derivs[0], y_comp)
-    src_bar = local_geometry(phi, p, ctx.gbar).src
-    xv = TangentVector(p, x)
-    lhs = ph @ src_bar.covariant_derivative(xv, y, dy).components
+    y = ph @ np.asarray(y_comp, dtype=float)
+    gamma_bar = local_geometry(phi, p, ctx.gbar).christoffel
+    lhs = ph @ np.einsum("kij,i,j->k", gamma_bar, x, y)
 
     grad_ls, _ = ctx.gbar.grad_log_factors(p)
     dls = g @ grad_ls  # covector of ln sigma
-    rhs = (ph @ geo.src.covariant_derivative(xv, y, dy).components
+    rhs = (ph @ np.einsum("kij,i,j->k", geo.christoffel, x, y)
            - (dls @ x) * y - (dls @ y) * x
            + float(x @ g @ y) * (ph @ grad_ls))
     return _report("koszul-horizontal", p, lhs, rhs, tol)
@@ -353,8 +336,10 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
     H(nabla-bar_V V) = (sigma^2 / 2) [2 rho^-2 H(nabla_V V)
                                       - g(V, V) P_H g^-1 d(rho^-2)]
 
-    on the test field V = P_V v_comp, with dV = -V^k (d_k P_H) v_comp,
-    which cancels between the sides as in ``verify_koszul_h``."""
+    on the test field V = P_V v_comp, with dV = -V^k (d_k P_H) v_comp.  H(dV)
+    is part of the fibers' second fundamental form H(nabla_V V): it enters
+    the left side with weight 1 and the right with sigma^2 rho^-2, so it
+    does not cancel."""
     phi = ctx.phi
     p = np.asarray(p, dtype=float)
     if phi.m <= phi.two_n:

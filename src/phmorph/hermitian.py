@@ -4,6 +4,8 @@ PHWC/PHH defect measures and the horizontal divergence of the f-structure.
 What a check reads at a point is kept, read-only and keyed on J, in the
 ``maps.LocalGeometry`` of (map, metric, point), and computed once there:
 
+- J and dJ at phi(p) come from one jet evaluation per (J, point), kept in
+  the source metric's geometry, and F, dF and ``phwc_defect`` read them;
 - F = L J(phi) A and its exact derivative dF depend on the metric only
   through the horizontal lift L, so they are kept in the geometry that
   computes the lift (``LocalGeometry.horizontal``), which g and a
@@ -11,11 +13,12 @@ What a check reads at a point is kept, read-only and keyed on J, in the
 - ``phwc_defect``, ``phwc_metric_defect`` and ``f_divergence_horizontal``
   are kept in the geometry of their own metric.
 
-The horizontal traces (``f_divergence_horizontal``, ``phh_defect``) contract
-nabla F over the orthonormal frame of H that ``LocalGeometry.ortho_split``
-keeps.  No check reads the adapted frame {e_i, F e_i} of the paper's proofs;
-``adapted_frame`` builds it on each call.  It and both traces raise
-``FrameError`` on every call at a point where the PHWC condition fails."""
+The horizontal quantities (``f_divergence_horizontal``, ``phh_defect``,
+``phwc_metric_defect``) read a frame {f_a} of H only through
+sum_a f_a f_a^T = P_H g^-1 P_H^T, so they contract over the rows of
+``LocalGeometry.horizontal_factor``, whose R^T R is that matrix, and no
+check builds a frame; ``adapted_frame`` builds {e_i, F e_i} on each call.
+It and both traces raise ``FrameError`` on every call where PHWC fails."""
 
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .manifold import (ChartedRiemannianManifold, MetricField, TangentVector,
-                       jet_matrix, jet_matrix_and_derivs)
+                       jet_matrix_and_derivs)
 from .maps import (FrameError, SmoothMap, check_submersion, differential,
                    local_geometry, mean_curvature_vertical)
 
@@ -39,15 +42,15 @@ class AlmostComplexStructureField:
         self.target = target
         self.fn = component_fn  # callable(coords) -> (2n, 2n) nested sequence
 
-    def matrix(self, q) -> np.ndarray:
-        return jet_matrix(self.fn, q)
-
     def matrix_and_derivs(self, q):
+        """(J, dJ) at q with dJ[c, a, b] = d_c J^a_b, exact by AD."""
         return jet_matrix_and_derivs(self.fn, q)
 
 
 def j_at_image(phi: SmoothMap, J: AlmostComplexStructureField, p):
-    return J.matrix(phi.value(p))
+    """(J, dJ) at phi(p), kept per J in the source metric's geometry."""
+    geo = local_geometry(phi, p)
+    return geo.field(("J", J), lambda: J.matrix_and_derivs(geo.map_jets[0]))
 
 
 def f_structure(phi: SmoothMap, J: AlmostComplexStructureField, p,
@@ -58,7 +61,7 @@ def f_structure(phi: SmoothMap, J: AlmostComplexStructureField, p,
     (no frame choice involved)."""
     geo = local_geometry(phi, p, metric).horizontal
     return geo.field(("F", J), lambda: (
-        geo.projector_and_lift[1] @ j_at_image(phi, J, geo.p)
+        geo.projector_and_lift[1] @ j_at_image(phi, J, geo.p)[0]
         @ check_submersion(phi, geo.p)))
 
 
@@ -72,7 +75,7 @@ def phwc_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
         a = differential(phi, geo.p)
         h = phi.target.metric_at(phi.value(geo.p))
         op = a @ geo.ginv @ a.T @ h  # dphi o dphi^*
-        jq = j_at_image(phi, J, geo.p)
+        jq = j_at_image(phi, J, geo.p)[0]
         comm = op @ jq - jq @ op
         return float(np.linalg.norm(comm)), float(np.linalg.norm(op))
 
@@ -81,15 +84,16 @@ def phwc_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
 
 def phwc_metric_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
                        metric: Optional[MetricField] = None):
-    """max over horizontal frame pairs of |g(F X, F Y) - g(X, Y)|."""
+    """Frobenius norm of R (F^T g F - g) R^T, g(F X, F Y) - g(X, Y) over the
+    rows of the horizontal factor R; the same over every orthonormal frame
+    of H, whose vectors are unit: the natural scale is 1."""
     geo = local_geometry(phi, p, metric)
 
     def compute():
         g = geo.src.metric_at(geo.p)
-        fr = geo.ortho_split.horizontal_frame  # rows orthonormal
-        fx = fr @ f_structure(phi, J, geo.p, metric).T  # row a: F frame[a]
-        defect = float(np.max(np.abs(fx @ g @ fx.T - fr @ g @ fr.T)))
-        return defect, 1.0  # frame vectors are unit: the natural scale is 1
+        r = geo.horizontal_factor
+        fr = r @ f_structure(phi, J, geo.p, metric).T  # row a: F r_a
+        return float(np.linalg.norm(fr @ g @ fr.T - r @ g @ r.T)), 1.0
 
     return geo.field(("phwc_metric_defect", J), compute)
 
@@ -129,7 +133,7 @@ def adapted_frame(phi: SmoothMap, J: AlmostComplexStructureField, p,
     geo = local_geometry(phi, p, metric)
     _require_phwc(geo, J)
     g = geo.src.metric_at(geo.p)
-    split = geo.ortho_split
+    split = geo.ortho_split()
     f = f_structure(phi, J, geo.p, metric)
     seeds = split.horizontal_frame if seed_order is None \
         else split.horizontal_frame[list(seed_order)]
@@ -165,10 +169,10 @@ def d_f_structure(phi: SmoothMap, J: AlmostComplexStructureField, p,
     geo = local_geometry(phi, p, metric).horizontal
 
     def compute():
-        a, da = check_submersion(phi, geo.p), geo.differential_derivs
+        a, da = check_submersion(phi, geo.p), geo.map_jets[2]
         lift = geo.projector_and_lift[1]
         d_lift = geo.projector_and_lift_derivs[1]
-        jq, dj = J.matrix_and_derivs(phi.value(geo.p))
+        jq, dj = j_at_image(phi, J, geo.p)
         dj_along = np.einsum("cab,ci->iab", dj, a)  # d_i of J at phi
         return d_lift @ (jq @ a) + lift @ dj_along @ a + (lift @ jq) @ da
 
@@ -203,13 +207,13 @@ def f_divergence_horizontal(phi: SmoothMap, J: AlmostComplexStructureField,
     F sum_a (nabla_{f_a} F)(f_a)
 
     over an orthonormal frame {f_a} of the horizontal distribution (an
-    adapted frame {e_i, F e_i} is one); horizontal for PHWC maps and zero
-    for PHH ones.  Kept in the local geometry, per J."""
+    adapted frame {e_i, F e_i} is one; here the horizontal factor's rows);
+    horizontal for PHWC maps and zero for PHH ones.  Kept per J."""
     geo = local_geometry(phi, p, metric)
 
     def compute():
-        fr = geo.ortho_split.horizontal_frame
-        total = np.einsum("ai,ikj,aj->k", fr, _nabla_f(geo, J), fr)
+        r = geo.horizontal_factor
+        total = np.einsum("ai,ikj,aj->k", r, _nabla_f(geo, J), r)
         return TangentVector(geo.p, f_structure(phi, J, geo.p, metric) @ total)
 
     return geo.field(("f_divergence", J), compute)
@@ -220,13 +224,14 @@ def phh_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
     """Size of the horizontal part of (nabla_X F)Y over horizontal X, Y.
 
     The Frobenius norm over an orthonormal frame {f_a} of the horizontal
-    distribution, sqrt(sum_ab |H((nabla_{f_a} F) f_b)|^2), which does not
-    depend on the frame (the max over frame pairs would); zero exactly when
-    the map is PHH.  The scale is the same norm without H, at least 1."""
+    distribution (the horizontal factor's rows),
+    sqrt(sum_ab |H((nabla_{f_a} F) f_b)|^2), which does not depend on the
+    frame (the max over frame pairs would); zero exactly when the map is
+    PHH.  The scale is the same norm without H, at least 1."""
     geo = local_geometry(phi, p, metric)
-    fr = geo.ortho_split.horizontal_frame
+    r = geo.horizontal_factor
     g = geo.src.metric_at(geo.p)
-    pairs = np.einsum("ai,ikj,bj->abk", fr, _nabla_f(geo, J), fr)
+    pairs = np.einsum("ai,ikj,bj->abk", r, _nabla_f(geo, J), r)
     horizontal = pairs @ geo.projector_and_lift[0].T
     total = np.einsum("abk,kl,abl->", horizontal, g, horizontal)
     scale = np.einsum("abk,kl,abl->", pairs, g, pairs)

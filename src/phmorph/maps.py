@@ -10,21 +10,22 @@ memoized per (phi, point) on the metric (``MetricField.geometry_memo``, at
 most ``POINT_MEMO_SIZE`` points).  Each field is computed on its first read,
 kept read-only, and never kept when its computation fails:
 
-- here: dphi and its rank check, dA (the map's Hessian), g^-1, Gamma, P_H
-  and the lift, their derivatives, ``ortho_split`` (orthonormal frames of V
-  and H, over which ``hermitian`` takes its horizontal traces),
-  ``tension_field`` and ``mean_curvature_vertical``;
-- per J, from ``hermitian``: F and dF (in the geometry that computes the
-  lift), ``phwc_defect``, ``phwc_metric_defect`` and
+- here: phi(p), dphi and its derivatives (once per point, from the map's
+  jets), the rank check, g^-1, Gamma, P_H and the lift, their derivatives,
+  the horizontal factor R with R^T R = P_H g^-1 P_H^T (``hermitian`` takes
+  its horizontal traces over R's rows), ``tension_field`` and
+  ``mean_curvature_vertical``;
+- per J, from ``hermitian``: J and dJ at phi(p), F and dF (in the geometry
+  that computes the lift), ``phwc_defect``, ``phwc_metric_defect`` and
   ``f_divergence_horizontal``;
-- under a ``biconformal.ChangedMetric``: sigma and rho as floats, as jets,
-  and the g-gradients of their logarithms.
+- under a ``biconformal.ChangedMetric``: sigma and rho as jets, and the
+  g-gradients of their logarithms.
 
-The public functions of the same names read these fields.  The derivatives
-are exact: with M = A g^-1 A^T, the lift L = g^-1 A^T M^-1 and P_H = L A are
-differentiated through d_k A (the map's Hessian), d_k g and
-d(M^-1) = -M^-1 dM M^-1, so no check evaluates the map away from its sample
-point.  The fiber mean curvature needs no frame.
+The public functions of the same names read these fields; ``ortho_split``
+is built on each call.  The derivatives are exact: with M = A g^-1 A^T, the
+lift L = g^-1 A^T M^-1 and P_H = L A are differentiated through d_k A (the
+map's Hessian), d_k g and d(M^-1) = -M^-1 dM M^-1, so no check evaluates
+the map away from its sample point.  The fiber mean curvature needs no frame.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class SmoothMap:
         return self.target.dim // 2
 
     def value(self, p) -> np.ndarray:
-        out = self.components(np.asarray(p, dtype=float))
-        return np.array([float(x) for x in out])
+        """phi(p) in target chart components (read-only)."""
+        return local_geometry(self, p).map_jets[0]
 
     def jets(self, p):
         """Jets of the 2n components at p (memoized; arrays read-only)."""
@@ -96,14 +97,8 @@ class SmoothMap:
 
 
 def differential(phi: SmoothMap, p) -> np.ndarray:
-    """Matrix A[a, i] = d_i phi^a at p (shape 2n x m)."""
-    phi.source.check_in_domain(p)
-    return np.array([j.grad for j in phi.jets(p)])
-
-
-def second_derivatives(phi: SmoothMap, p) -> np.ndarray:
-    """Array H[a, i, j] = d_i d_j phi^a (shape 2n x m x m)."""
-    return np.array([j.hess for j in phi.jets(p)])
+    """Matrix A[a, i] = d_i phi^a at p (shape 2n x m, read-only)."""
+    return local_geometry(phi, p).map_jets[1]
 
 
 class LocalGeometry:
@@ -132,16 +127,25 @@ class LocalGeometry:
         return self.src.christoffel(self.p)
 
     @cached_property
-    def _differential(self):
-        """dphi and its smallest singular value."""
-        a = read_only(differential(self.phi, self.p))
-        return a, np.linalg.svd(a, compute_uv=False)[-1]
+    def map_jets(self):
+        """(phi(p), A, dA) from the map's jets at a point of the chart
+        domain, with A[a, i] = d_i phi^a and dA[k, a, i] = d_k A[a, i] =
+        d_i d_k phi^a; kept in the source metric's geometry."""
+        source = local_geometry(self.phi, self.p)
+        if source is not self:
+            return source.map_jets
+        self.phi.source.check_in_domain(self.p)
+        out = self.phi.jets(self.p)
+        return read_only((np.array([j.value for j in out]),
+                          np.array([j.grad for j in out]),
+                          np.transpose(np.array([j.hess for j in out]),
+                                       (2, 0, 1))))
 
     @cached_property
-    def differential_derivs(self) -> np.ndarray:
-        """dA[k, a, i] = d_k A[a, i] = hess[a, i, k], from the map's jets."""
-        return read_only(np.transpose(second_derivatives(self.phi, self.p),
-                                      (2, 0, 1)))
+    def _differential(self):
+        """dphi and its smallest singular value."""
+        a = self.map_jets[1]
+        return a, np.linalg.svd(a, compute_uv=False)[-1]
 
     @cached_property
     def horizontal(self) -> "LocalGeometry":
@@ -176,7 +180,7 @@ class LocalGeometry:
         if self.horizontal is not self:
             return self.horizontal.projector_and_lift_derivs
         a, adjoint, minv = self._lift_factors
-        lift, da = self.projector_and_lift[1], self.differential_derivs
+        lift, da = self.projector_and_lift[1], self.map_jets[2]
         dg = self.src.metric_and_derivs_at(self.p)[1]
         dginv = -np.einsum("ij,kjl,lm->kim", self.ginv, dg, self.ginv)
         d_adjoint = dginv @ a.T + self.ginv @ np.transpose(da, (0, 2, 1))
@@ -185,16 +189,24 @@ class LocalGeometry:
         return read_only(d_lift @ a + lift @ da), read_only(d_lift)
 
     @cached_property
+    def horizontal_factor(self) -> np.ndarray:
+        """R = K^T A g^-1 (2n x m) with K K^T = M^-1 (Cholesky), so that
+        R^T R = g^-1 A^T M^-1 A g^-1 = P_H g^-1 P_H^T and R g R^T = I: its
+        rows are a g-orthonormal basis of H, found without Gram-Schmidt."""
+        _, adjoint, minv = self._lift_factors
+        return read_only(np.linalg.cholesky(minv).T @ adjoint.T)
+
     def ortho_split(self) -> "OrthoSplit":
         """Orthonormal frames of ker dphi and of its complement H under this
-        metric: Gram-Schmidt of the columns of P_V and P_H in index order."""
+        metric, built on each call: Gram-Schmidt of the columns of P_V and
+        P_H in index order."""
         m, two_n = self.phi.m, self.phi.two_n
         g = self.src.metric_at(self.p)
         ph = self.projector_and_lift[0]
         pv = np.eye(m) - ph
         v_frame = (_gram_schmidt(pv.T, g, m - two_n) if m > two_n
                    else np.zeros((0, m)))
-        return read_only(OrthoSplit(v_frame, _gram_schmidt(ph.T, g, two_n)))
+        return OrthoSplit(v_frame, _gram_schmidt(ph.T, g, two_n))
 
     @cached_property
     def tension_field(self) -> TangentVector:
@@ -203,14 +215,11 @@ class LocalGeometry:
         tau^a = g^{ij} (d_i d_j phi^a - Gamma^k_ij(M) d_k phi^a
                         + Gamma^a_bc(N) d_i phi^b d_j phi^c)
         """
-        phi, p = self.phi, self.p
-        ginv, gamma_m = self.ginv, self.christoffel
-        q = phi.value(p)
-        gamma_n = phi.target.christoffel(q)
-        a = differential(phi, p)
-        hess = second_derivatives(phi, p)
-        tau = (np.einsum("ij,aij->a", ginv, hess)
-               - np.einsum("ij,kij,ak->a", ginv, gamma_m, a)
+        q, a, da = self.map_jets
+        ginv = self.ginv
+        gamma_n = self.phi.target.christoffel(q)
+        tau = (np.einsum("ij,iaj->a", ginv, da)
+               - np.einsum("ij,kij,ak->a", ginv, self.christoffel, a)
                + np.einsum("ij,abc,bi,cj->a", ginv, gamma_n, a, a))
         return read_only(TangentVector(q, tau))
 
@@ -314,8 +323,8 @@ def _gram_schmidt(seeds, g, count):
 def ortho_split(phi: SmoothMap, p,
                 metric: Optional[MetricField] = None) -> OrthoSplit:
     """Split T_pM into the vertical distribution ker dphi and its g-orthogonal
-    complement, with orthonormal frames for both (``LocalGeometry``)."""
-    return local_geometry(phi, p, metric).ortho_split
+    complement, with orthonormal frames for both (built on each call)."""
+    return local_geometry(phi, p, metric).ortho_split()
 
 
 def tension_field(phi: SmoothMap, p,

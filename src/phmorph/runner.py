@@ -233,19 +233,6 @@ def _flag_tallies(scenario: Scenario):
             if flag != "phh" or scenario.expected_flags.get("phwc")}
 
 
-def _measure_flags(scenario: Scenario, p, tallies):
-    """Fold each flag's defect at p into its tally; a sample error there is
-    an errored report."""
-    for flag, tally in tallies.items():
-        try:
-            defect = FLAG_DEFECTS[flag](scenario.phi, scenario.J, p)
-            rep = IdentityResidualReport(flag, np.asarray(p).tolist(),
-                                         defect, defect, True)
-        except SAMPLE_ERRORS as err:
-            rep = errored_report(flag, p, err)
-        tally.add(rep)
-
-
 def _flag_entries(scenario: Scenario, tallies, tol):
     """The report's flag section: per flag, the expected value, the worst
     defect over the points (None where it is not measured), the errored
@@ -268,11 +255,22 @@ def _flag_entries(scenario: Scenario, tallies, tol):
     return out
 
 
-def confirm_flags(scenario: Scenario, points, tol: float = 1e-5):
-    """Re-measure the scenario's expected PHWC / PHH / harmonicity flags."""
-    tallies = _flag_tallies(scenario)
+def confirm_flags(scenario: Scenario, points, tol: float = 1e-5,
+                  tallies=None):
+    """Re-measure the scenario's expected PHWC / PHH / harmonicity flags at
+    ``points``, into new ``tallies`` or, point by point in a run, into the
+    run's (a sample error is an errored report), and return the report's
+    flag section over every point folded so far."""
+    tallies = _flag_tallies(scenario) if tallies is None else tallies
     for p in points:
-        _measure_flags(scenario, p, tallies)
+        for flag, tally in tallies.items():
+            try:
+                defect = FLAG_DEFECTS[flag](scenario.phi, scenario.J, p)
+                rep = IdentityResidualReport(flag, np.asarray(p).tolist(),
+                                             defect, defect, True)
+            except SAMPLE_ERRORS as err:
+                rep = errored_report(flag, p, err)
+            tally.add(rep)
     return _flag_entries(scenario, tallies, tol)
 
 
@@ -303,10 +301,9 @@ def run_verification(config: RunConfig):
     for idx, p in enumerate(points):
         for agg in totals:
             agg.add(run_identity(agg.name, run, p, idx))
-        _measure_flags(scenario, p, flag_tallies)
+        flags = confirm_flags(scenario, [p], config.tol_fd, flag_tallies)
 
     per_identity = [agg.as_dict() for agg in totals]
-    flags = _flag_entries(scenario, flag_tallies, config.tol_fd)
     return _assemble(config, scenario, per_identity, flags, skipped, warnings)
 
 

@@ -193,9 +193,8 @@ def test_changes_built_one_after_another_never_share_factors():
 
 
 def test_factors_evaluated_once_per_change_point_and_route(monkeypatch):
-    # in a run, sigma and rho are evaluated once per (change, point) on the
-    # float route and once on the jet route, for the change and for the
-    # one-function change
+    # in a run, sigma and rho are evaluated once per (change, point), on the
+    # one route (as jets), for the change and for the one-function change
     calls, changes = [], []
     for route in ("factor_values", "factor_jets"):
         inner = getattr(BiconformalChange, route)
@@ -210,7 +209,8 @@ def test_factors_evaluated_once_per_change_point_and_route(monkeypatch):
         scenario="flat-projection-6-4", sigma="exp(0.2*x1)",
         rho="1+0.1*x5^2", samples=4))
     assert rep["verdict"] == "pass"
-    assert len(calls) == len(set(calls)) == 2 * 2 * 4
+    assert len(calls) == len(set(calls)) == 2 * 4
+    assert {route for _, route, _ in calls} == {"factor_jets"}
     assert len({change for change, _, _ in calls}) == 2
 
 
@@ -360,6 +360,30 @@ def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
             # the law subtracts this gradient term; here it is added
             inner = inner + (d_rho_m2 @ f_i) * float(v @ g @ v) * f_i
         wrong = 0.5 * s.value ** 2 * inner
+        assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
+        assert verify_koszul_v(ctx, p, v_comp, tol=TOL_FD).passed, p
+
+
+def test_tolerance_rejects_koszul_vertical_without_the_test_field_derivative():
+    # dV = -V^k (d_k P_H) v enters the left side with weight 1 and the right
+    # side with sigma^2 rho^-2, so it does not cancel: on hopf, where P_H
+    # varies, the law with dV dropped from both sides misses
+    sc, ctx = ctx_for("hopf", "exp(0.2*x1+0.1*x3)", "1+0.2*x2^2")
+    phi = sc.phi
+    rng = np.random.default_rng(5)
+    for p in sample_points(sc, 4, seed=5):
+        v_comp = rng.normal(size=phi.m)
+        ph = horizontal_projector(phi, p)
+        g = phi.source.metric_at(p)
+        v = v_comp - ph @ v_comp
+        gamma_bar = local_geometry(phi, p, ctx.gbar).christoffel
+        lhs = ph @ np.einsum("kij,i,j->k", gamma_bar, v, v)
+        s, r = ctx.change.factor_jets(p)
+        d_rho_m2 = -2.0 * r.value ** -3 * r.grad
+        nabla_vv = np.einsum("kij,i,j->k", phi.source.christoffel(p), v, v)
+        wrong = 0.5 * s.value ** 2 * (
+            2.0 * r.value ** -2 * (ph @ nabla_vv)
+            - float(v @ g @ v) * (ph @ np.linalg.inv(g) @ d_rho_m2))
         assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
         assert verify_koszul_v(ctx, p, v_comp, tol=TOL_FD).passed, p
 

@@ -133,8 +133,8 @@ def test_f_structure_derivative_matches_fd(name, changed):
     h = metric_matrix(sc, gbar)
 
     def f_from_matrix(q):
-        return (lift_from_matrix(sc.phi, h, q) @ j_at_image(sc.phi, sc.J, q)
-                @ differential(sc.phi, q))
+        return (lift_from_matrix(sc.phi, h, q)
+                @ j_at_image(sc.phi, sc.J, q)[0] @ differential(sc.phi, q))
 
     for p in points:
         assert np.allclose(f_structure(sc.phi, sc.J, p, gbar),
@@ -176,8 +176,9 @@ def test_f_structure_derivative_follows_a_varying_j(changed):
         assert np.max(np.abs(dj)) > 0.1
         exact = d_f_structure(sc.phi, j, p, gbar)
         oracle = [directional_derivative(
-            lambda q: lift_from_matrix(sc.phi, h, q) @ j_at_image(sc.phi, j, q)
-            @ differential(sc.phi, q), p, e) for e in np.eye(sc.phi.m)]
+            lambda q: lift_from_matrix(sc.phi, h, q)
+            @ j_at_image(sc.phi, j, q)[0] @ differential(sc.phi, q), p, e)
+            for e in np.eye(sc.phi.m)]
         assert relative(exact, oracle) < REL, p
 
 

@@ -37,7 +37,7 @@ def test_standard_J_block_form():
 
 def assert_hermitian(J, q):
     # J^2 = -I, and J is an isometry of the target metric h: J^T h J = h
-    j = J.matrix(q)
+    j = J.matrix_and_derivs(q)[0]
     h = J.target.metric_at(q)
     assert np.max(np.abs(j @ j + np.eye(len(q)))) < 1e-12
     assert np.max(np.abs(j.T @ h @ j - h)) < 1e-10
@@ -93,6 +93,20 @@ def test_defect_equivalence_on_phwc_scenarios(name):
     for p in sample_points(sc, 10, seed=5):
         assert phwc_defect(sc.phi, sc.J, p)[0] < 1e-9
         assert phwc_metric_defect(sc.phi, sc.J, p)[0] < 1e-9
+
+
+@pytest.mark.parametrize("name", ["nonphwc-anisotropic", "hopf"])
+def test_phwc_metric_defect_is_the_frame_norm(name):
+    # the frame-free defect is the Frobenius norm of g(FX, FY) - g(X, Y)
+    # over ortho_split's Gram-Schmidt frame of H
+    sc = get_scenario(name)
+    for p in sample_points(sc, 3, seed=5):
+        fr = pm.ortho_split(sc.phi, p).horizontal_frame
+        f = f_structure(sc.phi, sc.J, p)
+        g = sc.phi.source.metric_at(p)
+        form = (fr @ f.T) @ g @ (fr @ f.T).T - fr @ g @ fr.T
+        assert phwc_metric_defect(sc.phi, sc.J, p)[0] == pytest.approx(
+            np.linalg.norm(form), rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -154,9 +168,9 @@ def phh_frame_sum(sc, p, metric, frame):
 
 
 def test_phh_defect_frame_invariant():
-    # the defect is a tensorial contraction: taken over the orthonormal
-    # frame of H, and summed here over the adapted frame in either seed
-    # order, it is the same number.  A nonconstant sigma breaks PHH on the
+    # the defect is a tensorial contraction: taken over the rows of the
+    # horizontal factor, and summed here over the adapted frame in either
+    # seed order, it is the same number.  A nonconstant sigma breaks PHH on the
     # n = 2 projection, so the defect is far from zero.
     sc = get_scenario("flat-projection-6-4")
     gbar = pm.apply_change(sc.phi, pm.BiconformalChange.from_texts(

@@ -20,7 +20,6 @@ from phmorph.maps import (
     horizontal_lift,
     horizontal_projector,
     local_geometry,
-    second_derivatives,
 )
 
 
@@ -61,9 +60,9 @@ def test_differential_and_hessian_polynomial_map():
     p = np.array([2.0, 1.0])
     A = differential(phi, p)
     assert np.allclose(A, [[4.0, 4.0], [1.0, 1.0]], atol=1e-13)
-    H = second_derivatives(phi, p)
-    assert np.allclose(H[0], [[2.0, 4.0], [4.0, 0.0]], atol=1e-13)
-    assert np.allclose(H[1], 0.0, atol=1e-14)
+    dA = local_geometry(phi, p).map_jets[2]  # dA[k, a, i] = d_k d_i phi^a
+    assert np.allclose(dA[:, 0, :], [[2.0, 4.0], [4.0, 0.0]], atol=1e-13)
+    assert np.allclose(dA[:, 1, :], 0.0, atol=1e-14)
 
 
 def test_projectors_algebra():
@@ -342,6 +341,19 @@ def test_results_under_two_metrics_at_one_point_never_mix():
     assert not np.allclose(cold_g[2], cold_s[2])
 
 
+@pytest.mark.parametrize("sheared", [False, True], ids=["g", "sheared"])
+def test_horizontal_factor_squares_to_the_horizontal_inverse_metric(sheared):
+    # R^T R = P_H g^-1 P_H^T, so a horizontal trace over R's rows is one
+    # over any orthonormal frame of H; R's rows are one such frame
+    phi = curved_fiber_map()
+    metric = sheared_metric() if sheared else None
+    geo = local_geometry(phi, P, metric)
+    r, ph = geo.horizontal_factor, horizontal_projector(phi, P, metric)
+    assert np.allclose(r.T @ r, ph @ geo.ginv @ ph.T, atol=1e-12)
+    assert np.allclose(r @ geo.src.metric_at(P) @ r.T, np.eye(2), atol=1e-12)
+    assert not r.flags.writeable
+
+
 def test_local_geometry_keeps_its_own_copy_of_the_point():
     phi = curved_fiber_map()
     q = P.copy()
@@ -352,13 +364,11 @@ def test_local_geometry_keeps_its_own_copy_of_the_point():
 
 
 # ---- fields derived from the local geometry ------------------------------
-# The frames of ortho_split, the tension field and the fiber mean curvature
-# are kept in the local geometry of (map, metric, point) like the projectors.
+# The tension field and the fiber mean curvature are kept in the local
+# geometry of (map, metric, point) like the projectors; ortho_split is built
+# on each call and kept nowhere.
 
 DERIVED_READERS = {
-    "ortho_split": lambda phi, p, metric: (
-        ortho_split(phi, p, metric).vertical_frame,
-        ortho_split(phi, p, metric).horizontal_frame),
     "tension_field": lambda phi, p, metric: (
         tension_field(phi, p, metric).base,
         tension_field(phi, p, metric).components),
@@ -398,8 +408,8 @@ def test_derived_fields_fail_on_every_call():
     flat = SmoothMap(euclidean_space(2), euclidean_space(2),
                      lambda c: [c[0], c[1]])
     for _ in range(2):
-        for name in ("ortho_split", "mean_curvature_vertical"):
+        for read in (ortho_split, mean_curvature_vertical):
             with pytest.raises(RankError):
-                DERIVED_READERS[name](phi, np.zeros(4), None)
+                read(phi, np.zeros(4))
         with pytest.raises(GeometryError, match="no fibers"):
             mean_curvature_vertical(flat, np.zeros(2))

@@ -10,8 +10,8 @@ import pytest
 
 from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
                      biconformal, confirm_flags, get_scenario, hermitian,
-                     manifold, maps, parse, run_verification, sample_points,
-                     scenarios)
+                     manifold, maps, parse, run_verification, runner,
+                     sample_points, scenarios)
 from phmorph.biconformal import IdentityAggregate, check_corollary_psh
 from phmorph.runner import (IDENTITIES, RunContext, run_identity,
                             skip_reason)
@@ -170,16 +170,38 @@ def test_a_run_takes_no_finite_difference(monkeypatch, scenario):
 
 
 @pytest.mark.parametrize("scenario", ["flat-projection-6-4", "hopf"])
-def test_a_run_builds_no_adapted_frame(monkeypatch, scenario):
-    # the laws are checked in closed form and the horizontal traces are
-    # taken over the orthonormal frame of H: no check needs {e_i, F e_i}
+def test_a_run_builds_no_frame(monkeypatch, scenario):
+    # the laws are checked in closed form and the horizontal traces contract
+    # over the horizontal factor: no check needs {e_i, F e_i} or a
+    # Gram-Schmidt frame of V and H
     def forbidden(*args, **kwargs):
-        raise AssertionError("adapted frame on the run path")
+        raise AssertionError("frame on the run path")
 
     monkeypatch.setattr(hermitian, "AdaptedFrame", forbidden)
+    monkeypatch.setattr(maps, "OrthoSplit", forbidden)
     rep = run_verification(RunConfig(scenario=scenario, sigma="exp(0.2*x1)",
                                      rho="1+0.1*x2^2", samples=2))
     assert rep["verdict"] == "pass"
+
+
+def test_a_run_folds_its_flags_through_confirm_flags(monkeypatch):
+    # one function folds flags for a run, a point at a time, and for a list
+    # of points
+    calls = []
+    inner = runner.confirm_flags
+
+    def counting(scenario, points, *args):
+        calls.append(len(points))
+        return inner(scenario, points, *args)
+
+    monkeypatch.setattr(runner, "confirm_flags", counting)
+    config = RunConfig(scenario="flat-projection-4-2", sigma="exp(0.2*x1)",
+                       samples=3)
+    rep = run_verification(config)
+    assert calls == [1, 1, 1]
+    scenario = get_scenario(config.scenario)
+    assert rep["flags"] == inner(scenario, sample_points(scenario, 3, 42),
+                                 config.tol_fd)
 
 
 def _projector_and_lift_derivs_without_l_dm(geo):
@@ -188,7 +210,7 @@ def _projector_and_lift_derivs_without_l_dm(geo):
     if geo.horizontal is not geo:
         return geo.horizontal.projector_and_lift_derivs
     a, adjoint, minv = geo._lift_factors
-    lift, da = geo.projector_and_lift[1], geo.differential_derivs
+    lift, da = geo.projector_and_lift[1], geo.map_jets[2]
     dg = geo.src.metric_and_derivs_at(geo.p)[1]
     dginv = -np.einsum("ij,kjl,lm->kim", geo.ginv, dg, geo.ginv)
     d_lift = (dginv @ a.T + geo.ginv @ np.transpose(da, (0, 2, 1))) @ minv
@@ -196,9 +218,9 @@ def _projector_and_lift_derivs_without_l_dm(geo):
 
 
 def test_a_wrong_projector_derivative_fails_a_hopf_run(monkeypatch):
-    # d g-bar reads dP_H, so the Koszul check sees a wrong one through the
-    # Christoffel symbols of g-bar, although its test field's derivative
-    # cancels between the sides
+    # d g-bar reads dP_H, so koszul-horizontal sees a wrong one through the
+    # Christoffel symbols of g-bar, which its left side contracts on (X, Y)
+    # with no test-field derivative
     config = RunConfig(scenario="hopf", sigma="exp(0.2*x1+0.1*x3)",
                        rho="1+0.2*x2^2", samples=5)
     assert run_verification(config)["verdict"] == "pass"
