@@ -26,7 +26,7 @@ import numpy as np
 from . import exprs, jets
 from .exprs import Expr
 from .jets import Jet2, JetDomainError
-from .manifold import GeometryError, MetricError, MetricField, TangentVector
+from .manifold import GeometryError, MetricError, MetricField
 from .maps import (SmoothMap, differential, horizontal_projector,
                    local_geometry, mean_curvature_vertical, tension_field)
 from .hermitian import (AlmostComplexStructureField, d_f_structure,
@@ -154,32 +154,29 @@ class ChangedMetric(MetricField):
         """g-gradients of ln(sigma) and ln(rho) as component vectors."""
         def compute(q):
             s, r = self.factor_jets(q)
-            ginv = self.phi.source.inverse_metric_at(q)
+            ginv = local_geometry(self.phi, q).ginv
             return ginv @ (s.grad / s.value), ginv @ (r.grad / r.value)
 
         return self._factor_field("grad_log_factors", compute, p)
 
-    def _horizontal_block(self, p):
-        """g and g^H = g P_H at p (symmetric up to roundoff by
-        construction, so symmetrized)."""
-        g = self.phi.source.metric_at(p)
-        return g, _symmetric(g @ horizontal_projector(self.phi, p))
+    def _horizontal_block(self, geo):
+        """g and g^H = g P_H in phi's source-metric geometry ``geo``
+        (symmetric up to roundoff by construction, so symmetrized)."""
+        return geo.g, _symmetric(geo.g @ geo.projector_and_lift[0])
 
     def matrix(self, p):
-        p = np.asarray(p, dtype=float)
-        g, gh = self._horizontal_block(p)
+        g, gh = self._horizontal_block(local_geometry(self.phi, p))
         s, r = self.factor_jets(p)
         return (gh * _inverse_square("sigma", s, p)[0]
                 + (g - gh) * _inverse_square("rho", r, p)[0])
 
     def matrix_and_derivs(self, p):
-        p = np.asarray(p, dtype=float)
         s, r = self.factor_jets(p)
         w_h, dw_h = _inverse_square("sigma", s, p)
         w_v, dw_v = _inverse_square("rho", r, p)
-        g, gh = self._horizontal_block(p)
         geo = local_geometry(self.phi, p)
-        dg = geo.src.metric_and_derivs_at(p)[1]
+        g, gh = self._horizontal_block(geo)
+        dg = geo.metric_and_derivs[1]
         dgh = _symmetric(dg @ geo.projector_and_lift[0]
                          + g @ geo.projector_and_lift_derivs[0])
         gbar = gh * w_h + (g - gh) * w_v
@@ -312,9 +309,8 @@ def verify_koszul_h(ctx: BiconformalContext, p, x_comp, y_comp,
     cancels between the sides: each contracts its own Christoffel symbols
     on (X, Y), the left side g-bar's and the right side g's."""
     phi = ctx.phi
-    p = np.asarray(p, dtype=float)
     geo = local_geometry(phi, p)
-    g = geo.src.metric_at(p)
+    g = geo.g
     ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
     y = ph @ np.asarray(y_comp, dtype=float)
@@ -339,29 +335,27 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
     on the test field V = P_V v_comp, with dV = -V^k (d_k P_H) v_comp.  H(dV)
     is part of the fibers' second fundamental form H(nabla_V V): it enters
     the left side with weight 1 and the right with sigma^2 rho^-2, so it
-    does not cancel."""
+    does not cancel.  Both sides read the same dP_H (the left through
+    d g-bar), so a wrong dP_H is caught by koszul-horizontal,
+    tension-f-structure and ``test_projector_derivative_matches_fd``."""
     phi = ctx.phi
-    p = np.asarray(p, dtype=float)
     if phi.m <= phi.two_n:
         raise GeometryError("no vertical distribution (m = 2n)")
     geo = local_geometry(phi, p)
-    g = geo.src.metric_at(p)
+    g = geo.g
     ph = geo.projector_and_lift[0]
     v_comp = np.asarray(v_comp, dtype=float)
     v = v_comp - ph @ v_comp
     if float(v @ g @ v) <= 1e-16:
         raise GeometryError("V has no vertical part")
     dv = -np.einsum("k,kab,b->a", v, geo.projector_and_lift_derivs[0], v_comp)
-    src_bar = local_geometry(phi, p, ctx.gbar).src
-    vv = TangentVector(p, v)
-    lhs = ph @ src_bar.covariant_derivative(vv, v, dv).components
+    lhs = ph @ local_geometry(phi, p, ctx.gbar).covariant_derivative(v, v, dv)
 
     s_jet, r_jet = ctx.gbar.factor_jets(p)
     rho = r_jet.value
     # covector of rho^-2
     d_rho_m2 = -2.0 * rho ** -3 * r_jet.grad
-    inner = (2.0 * rho ** -2
-             * (ph @ geo.src.covariant_derivative(vv, v, dv).components)
+    inner = (2.0 * rho ** -2 * (ph @ geo.covariant_derivative(v, v, dv))
              - float(v @ g @ v) * (ph @ geo.ginv @ d_rho_m2))
     rhs = 0.5 * s_jet.value ** 2 * inner
     return _report("koszul-vertical", p, lhs, rhs, tol)
@@ -369,9 +363,12 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
 
 def verify_mean_curvature(ctx: BiconformalContext, p,
                           tol: float = 1e-5) -> IdentityResidualReport:
-    """Fiber mean curvature under the change: mu-bar = sigma^2 [mu + H(grad ln rho)]."""
+    """Fiber mean curvature under the change: mu-bar = sigma^2 [mu + H(grad ln rho)].
+
+    Both sides read the same dP_H (g-bar keeps H), so a wrong dP_H is caught
+    by koszul-horizontal, tension-f-structure and
+    ``test_projector_derivative_matches_fd``."""
     phi = ctx.phi
-    p = np.asarray(p, dtype=float)
     if phi.m <= phi.two_n:
         raise GeometryError("no fibers (m = 2n)")
     lhs = mean_curvature_vertical(phi, p, metric=ctx.gbar).components
@@ -391,7 +388,6 @@ def verify_f_divergence(ctx: BiconformalContext, p,
     from it by a vertical component that the left side cannot contain.
     """
     phi = ctx.phi
-    p = np.asarray(p, dtype=float)
     lhs = f_divergence_horizontal(phi, ctx.J, p, metric=ctx.gbar).components
     div = f_divergence_horizontal(phi, ctx.J, p).components
     grad_ls, _ = ctx.gbar.grad_log_factors(p)
@@ -409,7 +405,6 @@ def verify_tension_transform(ctx: BiconformalContext, p,
     tau-bar = sigma^2 [tau + dphi((2n-m) grad ln rho + (2-2n) grad ln sigma)]
     """
     phi = ctx.phi
-    p = np.asarray(p, dtype=float)
     lhs = tension_field(phi, p, metric=ctx.gbar).components
     tau = tension_field(phi, p).components
     grad_ls, grad_lr = ctx.gbar.grad_log_factors(p)
@@ -431,9 +426,9 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, p, x_comp, y_comp,
                           - g(X, Y) F(grad_H(ln sigma))
     """
     phi = ctx.phi
-    p = np.asarray(p, dtype=float)
-    g = phi.source.metric_at(p)
-    ph = horizontal_projector(phi, p)
+    geo = local_geometry(phi, p)
+    g = geo.g
+    ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
     y = _require_horizontal("Y", y_comp, ph, g)
     f = f_structure(phi, ctx.J, p)
@@ -443,8 +438,7 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, p, x_comp, y_comp,
     nab_bar = nabla_f_operator(f, df, gamma_bar)
     lhs = ph @ np.einsum("i,ikj,j->k", x, nab_bar, y)
 
-    gamma = phi.source.christoffel(p)
-    nab = nabla_f_operator(f, df, gamma)
+    nab = nabla_f_operator(f, df, geo.christoffel)
     grad_ls, _ = ctx.gbar.grad_log_factors(p)
     grad_h = ph @ grad_ls
     dls = g @ grad_ls
@@ -494,12 +488,9 @@ def verify_pullback_characterization(phi: SmoothMap,
     """Laplacian of Re and Im of (holomorphic f) o phi; both vanish for a
     pseudo-harmonic morphism with respect to the supplied metric."""
     fn = HOLOMORPHIC_BUILTINS[holo_name]
-    src = local_geometry(phi, p, metric).src
-    src.check_in_domain(p)
-    # the jets of f o phi at p: f applied to the (memoized) jets of phi
-    parts = fn(phi.jets(p))
-    lap = np.array([src.laplace_beltrami(lambda c, part=part: part, p)
-                    for part in parts])
+    geo = local_geometry(phi, p, metric)
+    # the jets of f o phi at p: f applied to the kept jets of phi
+    lap = np.array([geo.laplacian(part) for part in fn(geo.source.jets)])
     return _report("pullback", p, lap, np.zeros(2), tol)
 
 
@@ -611,8 +602,9 @@ def corollary_phh_at(ctx: BiconformalContext, p, tol: float = 1e-6,
     if exprs.max_var_index(ctx.change.sigma) < 0:
         ok = defect / (scale + REL_FLOOR) < tol
     else:
-        grad_h = horizontal_projector(phi, p) @ ctx.gbar.grad_log_factors(p)[0]
-        g = phi.source.metric_at(p)
+        geo = local_geometry(phi, p)
+        grad_h = geo.projector_and_lift[0] @ ctx.gbar.grad_log_factors(p)[0]
+        g = geo.g
         strength = float(np.sqrt(grad_h @ g @ grad_h))
         # only points with a visible horizontal log-gradient must break
         ok = defect > breaking_floor if strength > 0.05 else True

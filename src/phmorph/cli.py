@@ -2,7 +2,7 @@
 machine-readable reports.
 
 Exit codes: 0 all selected identities pass, 1 an identity or flag check
-failed, 2 configuration or expression errors.
+failed, 2 configuration or expression errors or an unwritable report.
 """
 
 from __future__ import annotations
@@ -115,10 +115,15 @@ def cmd_verify(args) -> int:
         print("error: %s" % err, file=sys.stderr)
         return 2
     payload = render_report(report, args.format)
-    if args.report:
-        _write_atomic(args.report, payload)
-    else:
-        sys.stdout.write(payload)
+    try:
+        if args.report:
+            _write_atomic(args.report, payload)
+        else:
+            sys.stdout.write(payload)
+    except OSError as err:
+        print("error: cannot write the report to %s: %s"
+              % (args.report or "stdout", err.strerror or err), file=sys.stderr)
+        return 2
     if report["verdict"] in ("pass", "skipped"):
         return 0
     return 1

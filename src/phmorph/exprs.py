@@ -9,7 +9,8 @@ Grammar (highest precedence first):
 
 with functions sin, cos, exp, log, sqrt, parentheses, decimal literals and
 positional variables x1..x9.  No implicit multiplication.  Parsed trees are
-immutable; evaluation works over floats or Jet2 coordinates alike.
+immutable and at most ``MAX_DEPTH`` levels deep, within the recursion limit
+of the walks below; evaluation works over floats or Jet2 coordinates alike.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import jets
 from .jets import Jet2, JetDomainError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+MAX_DEPTH = 100  # the deepest nesting and the deepest tree a parse accepts
 
 
 class ParseError(ValueError):
@@ -79,6 +81,15 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.i = 0
+        self.level = 0
+
+    def nested(self, parse_inner, pos):
+        """``parse_inner()`` one nesting level deeper."""
+        self.level += 1
+        _check_depth(self.level, pos)
+        inner = parse_inner()
+        self.level -= 1
+        return inner
 
     def error(self, msg):
         raise ParseError(msg, self.i)
@@ -123,7 +134,7 @@ class _Parser:
         if self.peek() == "-":
             pos = self.i
             self.i += 1
-            return Unary("neg", self.parse_unary(), pos)
+            return Unary("neg", self.nested(self.parse_unary, pos), pos)
         return self.parse_power()
 
     def parse_power(self) -> Expr:
@@ -132,7 +143,7 @@ class _Parser:
             pos = self.i
             self.i += 1
             # right-associative; allow a unary minus in the exponent
-            exponent = self.parse_unary_power()
+            exponent = self.nested(self.parse_unary_power, pos)
             return Binary("pow", base, exponent, pos)
         return base
 
@@ -140,7 +151,7 @@ class _Parser:
         if self.peek() == "-":
             pos = self.i
             self.i += 1
-            return Unary("neg", self.parse_unary_power(), pos)
+            return Unary("neg", self.nested(self.parse_unary_power, pos), pos)
         return self.parse_power()
 
     def parse_atom(self) -> Expr:
@@ -148,7 +159,7 @@ class _Parser:
         pos = self.i
         if c == "(":
             self.i += 1
-            e = self.parse_sum()
+            e = self.nested(self.parse_sum, pos)
             if self.peek() != ")":
                 self.error("expected ')'")
             self.i += 1
@@ -195,7 +206,7 @@ class _Parser:
             if self.peek() != "(":
                 self.error("function %r requires parenthesized argument" % name)
             self.i += 1
-            arg = self.parse_sum()
+            arg = self.nested(self.parse_sum, pos)
             if self.peek() != ")":
                 self.error("expected ')' closing call to %r" % name)
             self.i += 1
@@ -206,7 +217,19 @@ class _Parser:
 def parse(text: str) -> Expr:
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text).parse()
+    tree = _Parser(text).parse()
+    stack = [(tree, 1)]  # chains of + and * deepen a tree without nesting
+    while stack:
+        node, depth = stack.pop()
+        _check_depth(depth, node.pos)
+        stack.extend((getattr(node, name), depth + 1) for name in
+                     ("child", "left", "right", "arg") if hasattr(node, name))
+    return tree
+
+
+def _check_depth(depth, pos):
+    if depth > MAX_DEPTH:
+        raise ParseError("expression deeper than %d levels" % MAX_DEPTH, pos)
 
 
 def _power(base, exponent):

@@ -73,8 +73,7 @@ def phwc_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
 
     def compute():
         a = differential(phi, geo.p)
-        h = phi.target.metric_at(phi.value(geo.p))
-        op = a @ geo.ginv @ a.T @ h  # dphi o dphi^*
+        op = a @ geo.ginv @ a.T @ geo.source.h  # dphi o dphi^*
         jq = j_at_image(phi, J, geo.p)[0]
         comm = op @ jq - jq @ op
         return float(np.linalg.norm(comm)), float(np.linalg.norm(op))
@@ -90,7 +89,7 @@ def phwc_metric_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
     geo = local_geometry(phi, p, metric)
 
     def compute():
-        g = geo.src.metric_at(geo.p)
+        g = geo.g
         r = geo.horizontal_factor
         fr = r @ f_structure(phi, J, geo.p, metric).T  # row a: F r_a
         return float(np.linalg.norm(fr @ g @ fr.T - r @ g @ r.T)), 1.0
@@ -132,7 +131,7 @@ def adapted_frame(phi: SmoothMap, J: AlmostComplexStructureField, p,
     {e, F e} pairs orthonormal."""
     geo = local_geometry(phi, p, metric)
     _require_phwc(geo, J)
-    g = geo.src.metric_at(geo.p)
+    g = geo.g
     split = geo.ortho_split()
     f = f_structure(phi, J, geo.p, metric)
     seeds = split.horizontal_frame if seed_order is None \
@@ -230,7 +229,7 @@ def phh_defect(phi: SmoothMap, J: AlmostComplexStructureField, p,
     PHH.  The scale is the same norm without H, at least 1."""
     geo = local_geometry(phi, p, metric)
     r = geo.horizontal_factor
-    g = geo.src.metric_at(geo.p)
+    g = geo.g
     pairs = np.einsum("ai,ikj,bj->abk", r, _nabla_f(geo, J), r)
     horizontal = pairs @ geo.projector_and_lift[0].T
     total = np.einsum("abk,kl,abl->", horizontal, g, horizontal)

@@ -9,7 +9,7 @@ Where non-finite jets are caught: the public ``Jet2(...)`` constructor and
 module builds its results with ``_check=False``, which checks only the value:
 IEEE arithmetic never turns a non-finite gradient or Hessian entry finite
 again, so the full check runs once where a jet leaves the arithmetic
-(``SmoothMap.jets``, ``field_jet``, ``BiconformalChange.factor_jets`` and
+(``SmoothMap.jets``, ``LocalGeometry.laplacian``, ``factor_jets`` and
 ``manifold.jet_matrix_and_derivs``, behind ``JetMetric`` and
 ``AlmostComplexStructureField``), through ``Jet2.check``.
 """

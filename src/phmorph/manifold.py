@@ -9,13 +9,13 @@ closed form.  ``FDMetric``, ``richardson_partial`` and
 ``directional_derivative`` (Richardson-extrapolated central differences) are
 kept as oracles for the tests; no verification run calls them.
 
-g, g^-1, (g, dg) and the Christoffel symbols are memoized per point in a
-bounded least-recently-used ``PointMemo`` on the ``MetricField``, which every
-manifold ``with_metric`` builds on it shares.  The domain, finiteness,
-symmetry, positive-definiteness and inversion checks run once per point; a
-point that fails them is never stored, so it fails on every call.  Memoized
-arrays are read-only.  ``field_jet`` and ``jet_matrix_and_derivs`` are
-boundaries where non-finite jets are caught (see ``jets``).
+A manifold keeps nothing per point: ``metric_at`` (with its domain,
+finiteness, symmetry and positive-definiteness checks), ``inverse_metric_at``
+and ``christoffel`` compute on each call.  What a run reads at a point is kept
+once, read-only, in a ``maps.LocalGeometry``, in the bounded
+least-recently-used ``PointMemo`` that each ``MetricField`` carries
+(``geometry_memo``).  ``jet_matrix_and_derivs`` is a boundary where
+non-finite jets are caught (see ``jets``).
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ class TangentVector:
             raise ValueError("tangent vector base/component length mismatch")
 
 
-# Distinct points a PointMemo keeps.  The runner runs every check at a sample
-# point before the next one, and no check reads another point, so each key is
-# computed once per run.  The memory does not grow with the sample count.
+# Distinct points whose local geometry a metric keeps.  The runner runs every
+# check at a sample point before the next one, and no check reads another
+# point, so each geometry is built once per run.  The memory does not grow
+# with the sample count.
 POINT_MEMO_SIZE = 64
 
 
@@ -103,7 +104,8 @@ class PointMemo:
 
 
 class MetricField:
-    """Interface: dim, matrix(p), matrix_and_derivs(p); per-point memos."""
+    """Interface: dim, matrix(p), matrix_and_derivs(p); the memo of the
+    local geometries under this metric."""
 
     # The map whose horizontal distribution this metric shares with the map's
     # source metric (a biconformal change of it), or None.  That map's
@@ -112,7 +114,7 @@ class MetricField:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.point_memo, self.geometry_memo = PointMemo(), PointMemo()
+        self.geometry_memo = PointMemo()
 
     def matrix(self, p) -> np.ndarray:
         raise NotImplementedError
@@ -236,107 +238,49 @@ class ChartedRiemannianManifold:
             raise DomainError("point %s outside chart domain" % (p.tolist(),))
         return p
 
-    def _metric_entry(self, p):
-        """Memo entry [g, g^-1, Gamma, (g, dg)] of a point, validating g on a
-        miss.
-
-        The key includes the domain predicate, since manifolds sharing a
-        metric may have different domains."""
-        q = np.asarray(p, dtype=float)
-        memo = self.metric.point_memo
-        key = (self.domain_predicate, q.shape, q.tobytes())
-        entry = memo.get(key)
-        if entry is None:
-            q = self.check_in_domain(q)
-            g = self.metric.matrix(q)
-            if not np.all(np.isfinite(g)):
-                raise MetricError("metric not finite at %s" % (q.tolist(),))
-            if np.max(np.abs(g - g.T)) > 1e-12:
-                raise MetricError("metric matrix not symmetric at %s"
-                                  % (q.tolist(),))
-            w = np.linalg.eigvalsh(0.5 * (g + g.T))
-            if w[0] <= 1e-12:
-                raise MetricError("metric not positive definite at %s "
-                                  "(min eigenvalue %g)" % (q.tolist(), w[0]))
-            entry = [read_only(np.array(g, dtype=float)), None, None, None]
-            memo.put(key, entry)
-        return entry
-
     def metric_at(self, p):
-        """Validated metric matrix at p (memoized, read-only)."""
-        return self._metric_entry(p)[0]
+        """The metric matrix at p, checked to be finite, symmetric and
+        positive definite (computed on each call)."""
+        q = self.check_in_domain(p)
+        g = np.array(self.metric.matrix(q), dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise MetricError("metric not finite at %s" % (q.tolist(),))
+        if np.max(np.abs(g - g.T)) > 1e-12:
+            raise MetricError("metric matrix not symmetric at %s"
+                              % (q.tolist(),))
+        w = np.linalg.eigvalsh(0.5 * (g + g.T))
+        if w[0] <= 1e-12:
+            raise MetricError("metric not positive definite at %s "
+                              "(min eigenvalue %g)" % (q.tolist(), w[0]))
+        return g
 
     def inverse_metric_at(self, p):
-        """Inverse metric matrix at p (memoized, read-only)."""
-        entry = self._metric_entry(p)
-        if entry[1] is None:
-            g = entry[0]
-            ginv = np.linalg.inv(g)
-            if np.max(np.abs(g @ ginv - np.eye(self.dim))) > 1e-10:
-                raise MetricError("metric inversion inaccurate at %s" % (p,))
-            entry[1] = read_only(ginv)
-        return entry[1]
-
-    def metric_and_derivs_at(self, p):
-        """(g, dg) with dg[k, i, j] = d_k g_ij, from the metric's
-        ``matrix_and_derivs`` at a validated point (memoized, read-only)."""
-        entry = self._metric_entry(p)
-        if entry[3] is None:
-            g, dg = self.metric.matrix_and_derivs(np.asarray(p, dtype=float))
-            entry[3] = (read_only(np.asarray(g, dtype=float)),
-                        read_only(np.asarray(dg, dtype=float)))
-        return entry[3]
+        """Inverse metric matrix at p (computed on each call)."""
+        return inverse_metric(self.metric_at(p), p)
 
     def christoffel(self, p):
-        """Levi-Civita coefficients Gamma[k, i, j] = Gamma^k_ij (memoized,
-        read-only), from matrix_and_derivs' own g, not ``metric_at``'s."""
-        entry = self._metric_entry(p)
-        if entry[2] is None:
-            g, dg = self.metric_and_derivs_at(p)
-            ginv = np.linalg.inv(g)
-            # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-            # dg[k, i, j] = d_k g_ij; bracket[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-            bracket = (dg + np.transpose(dg, (1, 0, 2))
-                       - np.transpose(dg, (1, 2, 0)))
-            entry[2] = read_only(0.5 * np.einsum("kl,ijl->kij", ginv, bracket))
-        return entry[2]
+        """Levi-Civita coefficients Gamma[k, i, j] = Gamma^k_ij at p
+        (computed on each call, after ``metric_at`` validates g there)."""
+        self.metric_at(p)
+        return levi_civita(*self.metric.matrix_and_derivs(p))
 
-    def field_jet(self, f, p):
-        """Evaluate a scalar field (Expr or jet-callable) as a Jet2 at p."""
-        from . import exprs
-        coords = jets.seed_coordinates(np.asarray(p, dtype=float))
-        if isinstance(f, (exprs.Lit, exprs.Var, exprs.Unary, exprs.Binary,
-                          exprs.Call)):
-            out = exprs.eval_jet(f, coords)
-        else:
-            out = f(coords)
-        if not isinstance(out, Jet2):
-            out = Jet2.constant(float(out), self.dim)
-        return out.check()
 
-    def gradient(self, f, p) -> TangentVector:
-        p = self.check_in_domain(p)
-        df = self.field_jet(f, p).grad
-        return TangentVector(p, self.inverse_metric_at(p) @ df)
+def inverse_metric(g, p):
+    """g^-1 of a validated metric matrix g at p, checked for accuracy."""
+    ginv = np.linalg.inv(g)
+    if np.max(np.abs(g @ ginv - np.eye(len(g)))) > 1e-10:
+        raise MetricError("metric inversion inaccurate at %s" % (p,))
+    return ginv
 
-    def covariant_derivative(self, X: TangentVector, y,
-                             dy_along_x) -> TangentVector:
-        """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at X.base, for a
-        field Y with components ``y`` there and derivative ``dy_along_x`` =
-        X^i d_i Y along X."""
-        p = np.asarray(X.base, dtype=float)
-        correction = np.einsum("kij,i,j->k", self.christoffel(p),
-                               X.components, y)
-        return TangentVector(p, np.asarray(dy_along_x, dtype=float)
-                             + correction)
 
-    def laplace_beltrami(self, f, p) -> float:
-        p = self.check_in_domain(p)
-        jet = self.field_jet(f, p)
-        ginv = self.inverse_metric_at(p)
-        gamma = self.christoffel(p)
-        return float(np.einsum("ij,ij->", ginv, jet.hess)
-                     - np.einsum("ij,kij,k->", ginv, gamma, jet.grad))
+def levi_civita(g, dg):
+    """Gamma[k, i, j] = Gamma^k_ij from (g, dg) with dg[k, i, j] = d_k g_ij,
+    inverting this g (``matrix_and_derivs``' own, not ``metric_at``'s)."""
+    ginv = np.linalg.inv(g)
+    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+    # dg[k, i, j] = d_k g_ij; bracket[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    bracket = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, bracket)
 
 
 def euclidean_metric(dim: int) -> JetMetric:

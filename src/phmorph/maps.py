@@ -1,20 +1,20 @@
 """Smooth maps between charted manifolds: differentials, vertical/horizontal
 splitting, tension field and fiber mean curvature.
 
-``SmoothMap.jets`` is memoized per point in a bounded ``PointMemo`` keyed on
-the exact float64 bytes of the point; its jets are checked for non-finite
-components once, when first computed, and their arrays are read-only.
+``local_geometry(phi, p, metric)`` is the one store of per-point data: the
+``LocalGeometry`` of phi at p under a metric, memoized per (phi, point) on
+the metric (``MetricField.geometry_memo``, at most ``POINT_MEMO_SIZE``
+points); the manifolds and ``SmoothMap.jets`` keep nothing.  Each field is
+computed on its first read, kept read-only, and never kept when it fails:
 
-``local_geometry(phi, p, metric)`` holds phi's local data at p under a metric,
-memoized per (phi, point) on the metric (``MetricField.geometry_memo``, at
-most ``POINT_MEMO_SIZE`` points).  Each field is computed on its first read,
-kept read-only, and never kept when its computation fails:
-
-- here: phi(p), dphi and its derivatives (once per point, from the map's
-  jets), the rank check, g^-1, Gamma, P_H and the lift, their derivatives,
-  the horizontal factor R with R^T R = P_H g^-1 P_H^T (``hermitian`` takes
-  its horizontal traces over R's rows), ``tension_field`` and
+- here: g (validated by ``metric_at``), (g, dg), g^-1 and Gamma (read by
+  ``covariant_derivative`` and ``laplacian``), phi(p), dphi and its
+  derivatives, the rank check, P_H, the lift and their derivatives, the
+  horizontal factor R with R^T R = P_H g^-1 P_H^T (``hermitian`` takes its
+  horizontal traces over R's rows), ``tension_field`` and
   ``mean_curvature_vertical``;
+- in the source metric's geometry (``source``) only: the map's jets, and
+  the target's h and Gamma at phi(p);
 - per J, from ``hermitian``: J and dJ at phi(p), F and dF (in the geometry
   that computes the lift), ``phwc_defect``, ``phwc_metric_defect`` and
   ``f_divergence_horizontal``;
@@ -39,7 +39,7 @@ import numpy as np
 from . import jets
 from .jets import Jet2
 from .manifold import (ChartedRiemannianManifold, GeometryError, MetricField,
-                       PointMemo, TangentVector, read_only)
+                       TangentVector, inverse_metric, levi_civita, read_only)
 
 RANK_TOL = 1e-8
 
@@ -62,7 +62,6 @@ class SmoothMap:
         self.source = source
         self.target = target
         self.components = components  # callable(coords) -> sequence of 2n
-        self._jet_memo = PointMemo()
 
     @property
     def m(self) -> int:
@@ -81,19 +80,11 @@ class SmoothMap:
         return local_geometry(self, p).map_jets[0]
 
     def jets(self, p):
-        """Jets of the 2n components at p (memoized; arrays read-only)."""
-        p = np.asarray(p, dtype=float)
-        key = p.tobytes()
-        cached = self._jet_memo.get(key)
-        if cached is None:
-            out = self.components(jets.seed_coordinates(p))
-            cached = tuple(
-                x if isinstance(x, Jet2) else Jet2.constant(float(x), self.m)
-                for x in out)
-            for x in cached:
-                read_only(x.check())
-            self._jet_memo.put(key, cached)
-        return list(cached)
+        """Jets of the 2n components at p, each checked for non-finite
+        components (computed on each call)."""
+        out = self.components(jets.seed_coordinates(p))
+        return [(x if isinstance(x, Jet2)
+                 else Jet2.constant(float(x), self.m)).check() for x in out]
 
 
 def differential(phi: SmoothMap, p) -> np.ndarray:
@@ -119,27 +110,75 @@ class LocalGeometry:
         return value
 
     @cached_property
+    def source(self) -> "LocalGeometry":
+        """phi's geometry at p under its source metric."""
+        return local_geometry(self.phi, self.p)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return read_only(self.src.metric_at(self.p))
+
+    @cached_property
+    def metric_and_derivs(self):
+        """(g, dg) from ``matrix_and_derivs``, read once g is validated."""
+        self.g
+        g, dg = self.src.metric.matrix_and_derivs(self.p)
+        return read_only((np.asarray(g, dtype=float),
+                          np.asarray(dg, dtype=float)))
+
+    @cached_property
     def ginv(self) -> np.ndarray:
-        return self.src.inverse_metric_at(self.p)
+        return read_only(inverse_metric(self.g, self.p))
 
     @cached_property
     def christoffel(self) -> np.ndarray:
-        return self.src.christoffel(self.p)
+        """Gamma[k, i, j] = Gamma^k_ij, from ``metric_and_derivs``' own g."""
+        return read_only(levi_civita(*self.metric_and_derivs))
+
+    @cached_property
+    def jets(self):
+        """The map's jets at p, in the chart domain (read from ``source``)."""
+        self.phi.source.check_in_domain(self.p)
+        return read_only(tuple(self.phi.jets(self.p)))
 
     @cached_property
     def map_jets(self):
-        """(phi(p), A, dA) from the map's jets at a point of the chart
-        domain, with A[a, i] = d_i phi^a and dA[k, a, i] = d_k A[a, i] =
-        d_i d_k phi^a; kept in the source metric's geometry."""
-        source = local_geometry(self.phi, self.p)
-        if source is not self:
-            return source.map_jets
-        self.phi.source.check_in_domain(self.p)
-        out = self.phi.jets(self.p)
+        """(phi(p), A, dA) from the map's jets, with A[a, i] = d_i phi^a and
+        dA[k, a, i] = d_k A[a, i] = d_i d_k phi^a."""
+        if self.source is not self:
+            return self.source.map_jets
+        out = self.jets
         return read_only((np.array([j.value for j in out]),
                           np.array([j.grad for j in out]),
                           np.transpose(np.array([j.hess for j in out]),
                                        (2, 0, 1))))
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """The target's metric at phi(p), validated (read from ``source``)."""
+        return read_only(self.phi.target.metric_at(self.map_jets[0]))
+
+    @cached_property
+    def target_christoffel(self) -> np.ndarray:
+        """The target's Gamma at phi(p), once h is validated (read from
+        ``source``)."""
+        self.h
+        return read_only(levi_civita(
+            *self.phi.target.metric.matrix_and_derivs(self.map_jets[0])))
+
+    def covariant_derivative(self, x, y, dy_along_x) -> np.ndarray:
+        """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p, for a field
+        Y with components y and derivative dy_along_x = X^i d_i Y there."""
+        return (np.asarray(dy_along_x, dtype=float)
+                + np.einsum("kij,i,j->k", self.christoffel, x, y))
+
+    def laplacian(self, jet: Jet2) -> float:
+        """g^ij (d_i d_j f - Gamma^k_ij d_k f) at p for the jet of f there,
+        which is checked for non-finite components."""
+        jet.check()
+        return float(np.einsum("ij,ij->", self.ginv, jet.hess)
+                     - np.einsum("ij,kij,k->", self.ginv, self.christoffel,
+                                 jet.grad))
 
     @cached_property
     def _differential(self):
@@ -151,9 +190,8 @@ class LocalGeometry:
     def horizontal(self) -> "LocalGeometry":
         """The geometry that computes H and the lift: the source metric's,
         when this metric is a change of it that keeps H."""
-        if self.src.metric.keeps_horizontal_of is self.phi:
-            return local_geometry(self.phi, self.p)
-        return self
+        keeps = self.src.metric.keeps_horizontal_of is self.phi
+        return self.source if keeps else self
 
     @cached_property
     def _lift_factors(self):
@@ -181,7 +219,7 @@ class LocalGeometry:
             return self.horizontal.projector_and_lift_derivs
         a, adjoint, minv = self._lift_factors
         lift, da = self.projector_and_lift[1], self.map_jets[2]
-        dg = self.src.metric_and_derivs_at(self.p)[1]
+        dg = self.metric_and_derivs[1]
         dginv = -np.einsum("ij,kjl,lm->kim", self.ginv, dg, self.ginv)
         d_adjoint = dginv @ a.T + self.ginv @ np.transpose(da, (0, 2, 1))
         d_gram = da @ adjoint + a @ d_adjoint
@@ -201,7 +239,7 @@ class LocalGeometry:
         metric, built on each call: Gram-Schmidt of the columns of P_V and
         P_H in index order."""
         m, two_n = self.phi.m, self.phi.two_n
-        g = self.src.metric_at(self.p)
+        g = self.g
         ph = self.projector_and_lift[0]
         pv = np.eye(m) - ph
         v_frame = (_gram_schmidt(pv.T, g, m - two_n) if m > two_n
@@ -217,7 +255,7 @@ class LocalGeometry:
         """
         q, a, da = self.map_jets
         ginv = self.ginv
-        gamma_n = self.phi.target.christoffel(q)
+        gamma_n = self.source.target_christoffel
         tau = (np.einsum("ij,iaj->a", ginv, da)
                - np.einsum("ij,kij,ak->a", ginv, self.christoffel, a)
                + np.einsum("ij,abc,bi,cj->a", ginv, gamma_n, a, a))

@@ -8,11 +8,11 @@ that gives its report at one sample point.  ``run_identity`` dispatches one
 identity at one point and turns a sample error into an errored report.
 
 A run is point-major: at each sample point, in sample order, every
-applicable identity runs and then the flag checks.  So the per-point memos
-of the map jets and of the metric (``manifold.POINT_MEMO_SIZE`` points)
-serve all of them before later points evict them.  Each identity, and each
-flag, folds its one-point reports into one ``IdentityAggregate`` in point
-order."""
+applicable identity runs and then the flag checks.  So the point's local
+geometries (``maps.local_geometry``, ``manifold.POINT_MEMO_SIZE`` points
+per metric) serve all of them before later points evict them.  Each
+identity, and each flag, folds its one-point reports into one
+``IdentityAggregate`` in point order."""
 
 from __future__ import annotations
 
@@ -54,8 +54,8 @@ class RunConfig:
     def validate(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.tol_ad <= 0 or self.tol_fd <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < t < float("inf") for t in (self.tol_ad, self.tol_fd)):
+            raise ValueError("tolerances must be finite and positive")
         if self.rho is not None and self.special_sigma is not None:
             raise ValueError("give at most one of rho and special-sigma")
         names = self.identities or ()

@@ -8,10 +8,9 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .jets import Jet2
 from .manifold import (ChartedRiemannianManifold, GeometryError, JetMetric,
                        euclidean_space)
-from .maps import SmoothMap, differential
+from .maps import SmoothMap, differential, local_geometry
 from .hermitian import AlmostComplexStructureField
 
 
@@ -145,9 +144,8 @@ class _HopfScenario(Scenario):
         pts = sample_points(self, count, seed=7)
         for p in pts:
             a = differential(self.phi, p)
-            ginv = self.source.inverse_metric_at(p)
-            h = self.target.metric_at(self.phi.value(p))
-            defect = np.max(np.abs(a @ ginv @ a.T @ h - np.eye(2)))
+            geo = local_geometry(self.phi, p)
+            defect = np.max(np.abs(a @ geo.ginv @ a.T @ geo.h - np.eye(2)))
             if defect > tol:
                 return False, ("horizontal differential is not an isometry "
                                "at %s (defect %g)" % (p.tolist(), defect))

@@ -31,7 +31,7 @@ from phmorph import (
     verify_tension_transform,
 )
 from phmorph.biconformal import check_corollary_phh, check_corollary_psh
-from phmorph.manifold import TangentVector, directional_derivative
+from phmorph.manifold import directional_derivative
 from phmorph.maps import differential, horizontal_projector, local_geometry
 from phmorph.hermitian import adapted_frame, phwc_defect
 
@@ -346,16 +346,15 @@ def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
             return v_comp - horizontal_projector(phi, q) @ v_comp
 
         v = v_field(p)
-        vv = TangentVector(p, v)
         dv = directional_derivative(v_field, p, v)  # the Richardson oracle
         ph = horizontal_projector(phi, p)
-        src_bar = local_geometry(phi, p, ctx.gbar).src
-        lhs = ph @ src_bar.covariant_derivative(vv, v, dv).components
+        geo_bar = local_geometry(phi, p, ctx.gbar)
+        lhs = ph @ geo_bar.covariant_derivative(v, v, dv)
         s, r = ctx.change.factor_jets(p)
         g = phi.source.metric_at(p)
         d_rho_m2 = -2.0 * r.value ** -3 * r.grad
         inner = 2.0 * r.value ** -2 * (
-            ph @ phi.source.covariant_derivative(vv, v, dv).components)
+            ph @ local_geometry(phi, p).covariant_derivative(v, v, dv))
         for f_i in adapted_frame(phi, sc.J, p).horizontal:
             # the law subtracts this gradient term; here it is added
             inner = inner + (d_rho_m2 @ f_i) * float(v @ g @ v) * f_i
@@ -400,13 +399,12 @@ def test_tolerance_rejects_koszul_horizontal_without_the_gxy_term():
 
         ph = horizontal_projector(phi, p)
         x, y = ph @ x_comp, y_field(p)
-        xv = TangentVector(p, x)
         dy = directional_derivative(y_field, p, x)  # the Richardson oracle
-        src_bar = local_geometry(phi, p, ctx.gbar).src
-        lhs = ph @ src_bar.covariant_derivative(xv, y, dy).components
+        lhs = ph @ local_geometry(phi, p, ctx.gbar).covariant_derivative(
+            x, y, dy)
         g = phi.source.metric_at(p)
         dls = g @ ctx.gbar.grad_log_factors(p)[0]  # covector of ln sigma
-        wrong = ph @ phi.source.covariant_derivative(xv, y, dy).components
+        wrong = ph @ local_geometry(phi, p).covariant_derivative(x, y, dy)
         for f_i in adapted_frame(phi, sc.J, p).horizontal:
             # g(X, Y) grad_H ln sigma, the (dls @ f_i) g(X, Y) f_i sum, dropped
             wrong = wrong + (-(dls @ x) * float(y @ g @ f_i)

@@ -4,10 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phmorph.cli import main
+from tests.test_exprs import random_expression
 
 
 def run(capsys, *argv):
@@ -227,3 +232,63 @@ def test_changed_metric_out_of_the_float_range_warns_nothing():
     data = json.loads(proc.stdout, parse_constant=_strict)
     assert data["verdict"] == "fail"
     assert all(row["samples_fail"] == 0 for row in data["per_identity"])
+
+
+def assert_config_error(capsys, *argv):
+    """The run exits 2 with one ``error:`` line and no traceback."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--tol-fd", "nan"), ("--tol-fd", "inf"), ("--tol-fd", "1e400"),
+    ("--tol-ad", "nan"),
+])
+def test_non_finite_tolerance_exit_two(capsys, option, value):
+    assert_config_error(capsys, "verify", "--scenario", "flat-projection-4-2",
+                        "--samples", "1", option, value)
+
+
+def test_report_into_a_missing_directory_exit_two(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    assert_config_error(capsys, "verify", "--scenario", "flat-projection-4-2",
+                        "--samples", "1", "--report", str(path))
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("sigma", ["+".join(["1"] * 3000),
+                                   "(" * 300 + "1" + ")" * 300],
+                         ids=["long-sum", "nested-parentheses"])
+def test_too_deep_expression_exit_two(capsys, sigma):
+    assert_config_error(capsys, "verify", "--scenario", "flat-projection-4-2",
+                        "--samples", "1", "--sigma", sigma)
+
+
+TOLERANCES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1e-5", "1e-300",
+                     "1e-5", "1", "tight"]),
+    st.floats().map(repr))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), TOLERANCES, TOLERANCES,
+       st.integers(min_value=1, max_value=2))
+def test_fuzzed_runs_end_in_an_exit_code(seed, tol_ad, tol_fd, samples):
+    # sigma may use x5, one past the chart of flat-projection-4-2
+    rng = np.random.default_rng(seed)
+    sigma = random_expression(rng, variables=5)
+    rho = random_expression(rng, variables=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        code = main(["verify", "--scenario", "flat-projection-4-2",
+                     "--sigma", sigma, "--rho", rho,
+                     "--samples", str(samples), "--tol-ad=" + tol_ad,
+                     "--tol-fd=" + tol_fd, "--report", path])
+        assert code in (0, 1, 2)
+        if os.path.exists(path):
+            with open(path) as handle:
+                json.load(handle, parse_constant=_strict)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phmorph import ParseError, eval_jet, parse, seed_coordinates, to_text
-from phmorph.exprs import max_var_index
+from phmorph.exprs import MAX_DEPTH, max_var_index
 
 
 def ev(text, *vals):
@@ -139,17 +139,15 @@ def test_round_trip_print_parse(text):
         assert eval_jet(e, vals) == pytest.approx(eval_jet(e2, vals), rel=1e-14)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_round_trip_random_expressions(seed):
-    rng = np.random.default_rng(seed)
-
+def random_expression(rng, variables=3):
+    """A random expression text over x1..x<variables>, at most about five
+    levels deep."""
     def gen(depth):
         k = rng.integers(0, 7 if depth < 4 else 2)
         if k == 0:
             return f"{rng.uniform(0.1, 3.0):.3f}"
         if k == 1:
-            return f"x{rng.integers(1, 4)}"
+            return f"x{rng.integers(1, variables + 1)}"
         if k == 2:
             return f"({gen(depth + 1)}+{gen(depth + 1)})"
         if k == 3:
@@ -160,8 +158,40 @@ def test_round_trip_random_expressions(seed):
             return f"{gen(depth + 1)}-{gen(depth + 1)}"
         return f"sin({gen(depth + 1)})"
 
-    text = gen(0)
+    return gen(0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_round_trip_random_expressions(seed):
+    text = random_expression(np.random.default_rng(seed))
     e = parse(text)
     e2 = parse(to_text(e))
     vals = [0.37, 0.91, 1.42]
     assert eval_jet(e, vals) == pytest.approx(eval_jet(e2, vals), rel=1e-13)
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("+".join(["1"] * 3000), 5800),          # the 101st + from the end
+    ("(" * 300 + "x1" + ")" * 300, 100),     # the 101st parenthesis
+    ("-" * 300 + "1", 100),
+    ("2^" * 300 + "1", 201),
+    ("sin(" * 300 + "1" + ")" * 300, 400),
+], ids=["long-sum", "parentheses", "signs", "powers", "calls"])
+def test_trees_deeper_than_the_limit_are_parse_errors(text, offset):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.position == offset
+    assert "deeper than %d levels" % MAX_DEPTH in str(info.value)
+
+
+@pytest.mark.parametrize("text", [
+    "+".join(["x1"] * MAX_DEPTH),
+    "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH,
+    "-" * (MAX_DEPTH - 1) + "x1",
+], ids=["long-sum", "parentheses", "signs"])
+def test_trees_at_the_limit_parse_and_evaluate(text):
+    e = parse(text)
+    assert max_var_index(e) == 0
+    assert parse(to_text(e)) is not None
+    assert math.isfinite(eval_jet(e, [0.5]))

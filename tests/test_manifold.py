@@ -14,12 +14,15 @@ from phmorph import (
     FDMetric,
     JetMetric,
     MetricError,
-    TangentVector,
+    SmoothMap,
     euclidean_space,
+    eval_jet,
     parse,
+    seed_coordinates,
 )
 from phmorph.manifold import (POINT_MEMO_SIZE, directional_derivative,
                               richardson_partial)
+from phmorph.maps import local_geometry
 
 
 def sphere_metric_components(coords):
@@ -36,6 +39,20 @@ def conformal2_components(coords):
     f = jets.exp(2.0 * coords[0])
     zero = coords[0] * 0.0
     return [[f, zero], [zero, f]]
+
+
+def chart_map(man):
+    """The projection of ``man`` onto its first two chart coordinates: its
+    local geometries hold the metric's per-point data."""
+    return SmoothMap(man, euclidean_space(2), lambda c: [c[0], c[1]])
+
+
+def geometry(man, p):
+    return local_geometry(chart_map(man), p)
+
+
+def field_jet(text, p):
+    return eval_jet(parse(text), seed_coordinates(p))
 
 
 def sphere_manifold(strategy="ad"):
@@ -123,28 +140,29 @@ def test_covariant_derivative_against_koszul_fd():
         return np.array([c_y[0] * q[1], c_y[1] + q[0] ** 2])
 
     dy_along_x = np.array([c_y[0] * c_x[1], 2.0 * p[0] * c_x[0]])
-    nab = man.covariant_derivative(TangentVector(p, c_x), y_field(p),
-                                   dy_along_x)
+    nab = geometry(man, p).covariant_derivative(c_x, y_field(p), dy_along_x)
     dy = np.array([directional_derivative(y_field, p, e, step=1e-5)
                    for e in np.eye(2)])
     gam = man.christoffel(p)
     expected = c_x @ dy + np.einsum("kij,i,j->k", gam, c_x, y_field(p))
-    assert np.allclose(nab.components, expected, atol=1e-6)
+    assert np.allclose(nab, expected, atol=1e-6)
 
 
 def test_gradient_conformal():
     man = ChartedRiemannianManifold(2, JetMetric(2, conformal2_components))
     p = np.array([0.5, 0.2])
-    grad = man.gradient(parse("x1+3*x2"), p)
-    assert np.allclose(grad.components, math.exp(-1.0) * np.array([1.0, 3.0]),
+    grad = geometry(man, p).ginv @ field_jet("x1+3*x2", p).grad
+    assert np.allclose(grad, math.exp(-1.0) * np.array([1.0, 3.0]),
                        rtol=1e-12)
 
 
 def test_laplacian_euclidean():
-    man = euclidean_space(3)
     p = np.array([0.3, -0.1, 0.7])
-    assert man.laplace_beltrami(parse("x1^2+x2^2+x3^2"), p) == pytest.approx(6.0, abs=1e-10)
-    assert man.laplace_beltrami(parse("x1*x2"), p) == pytest.approx(0.0, abs=1e-10)
+    geo = geometry(euclidean_space(3), p)
+    assert geo.laplacian(field_jet("x1^2+x2^2+x3^2", p)) == pytest.approx(
+        6.0, abs=1e-10)
+    assert geo.laplacian(field_jet("x1*x2", p)) == pytest.approx(
+        0.0, abs=1e-10)
 
 
 def test_laplacian_sphere_eigenfunction():
@@ -152,7 +170,7 @@ def test_laplacian_sphere_eigenfunction():
     man = sphere_manifold("ad")
     for t in (0.6, 1.0, 2.1):
         p = np.array([t, 0.3])
-        val = man.laplace_beltrami(parse("cos(x1)"), p)
+        val = geometry(man, p).laplacian(field_jet("cos(x1)", p))
         assert val == pytest.approx(-2.0 * math.cos(t), abs=1e-9)
 
 
@@ -180,10 +198,9 @@ def test_richardson_partial_beats_plain_central_difference():
 
 
 def test_field_jet_matches_callable_and_expr():
-    man = euclidean_space(2)
     p = np.array([0.4, -0.6])
-    j1 = man.field_jet(parse("x1^2*x2"), p)
-    j2 = man.field_jet(lambda c: c[0] ** 2 * c[1], p)
+    j1 = field_jet("x1^2*x2", p)
+    j2 = (lambda c: c[0] ** 2 * c[1])(seed_coordinates(p))
     assert j1.value == pytest.approx(j2.value, rel=1e-14)
     assert np.allclose(j1.grad, j2.grad, rtol=1e-14)
     assert np.allclose(j1.hess, j2.hess, rtol=1e-14)
@@ -202,44 +219,52 @@ class CountingMetric(FDMetric):
 
 
 def test_metric_memo_warm_equals_cold():
+    # the metric's geometry memo: a kept g and g^-1 equal the manifold's
+    # computed ones
     p = np.array([1.1, 0.3])
     cold = sphere_manifold()
     g_cold, ginv_cold = cold.metric_at(p), cold.inverse_metric_at(p)
-    man = sphere_manifold()
-    man.inverse_metric_at(p)
-    assert np.array_equal(man.metric_at(p.copy()), g_cold)
-    assert np.array_equal(man.inverse_metric_at(p.copy()), ginv_cold)
+    phi = chart_map(sphere_manifold())
+    local_geometry(phi, p).ginv
+    geo = local_geometry(phi, p.copy())
+    assert np.array_equal(geo.g, g_cold)
+    assert np.array_equal(geo.ginv, ginv_cold)
 
 
 def test_metric_memo_shared_through_with_metric():
+    # a map's geometry under its own metric, named or by default, is one
+    # entry of that metric's memo; the manifold itself keeps nothing
     metric = CountingMetric(2, lambda p: np.diag([1.0, 2.0 + p[0] ** 2]))
     man = ChartedRiemannianManifold(2, metric)
+    phi = chart_map(man)
     p = np.array([0.5, -0.5])
-    man.metric_at(p)
-    man.inverse_metric_at(p)
-    man.with_metric(metric).inverse_metric_at(p)
-    man.with_metric(metric).metric_at(p)
+    local_geometry(phi, p).g
+    local_geometry(phi, p).ginv
+    local_geometry(phi, p.copy(), metric).ginv
+    local_geometry(phi, p, metric).g
     assert metric.evaluations == 1
+    man.with_metric(metric).metric_at(p)
+    man.metric_at(p)
+    assert metric.evaluations == 3
 
 
 def test_metric_memo_stays_bounded():
     metric = CountingMetric(2, lambda p: np.diag([1.0, 2.0 + p[0] ** 2]))
-    man = ChartedRiemannianManifold(2, metric)
+    phi = chart_map(ChartedRiemannianManifold(2, metric))
     for k in range(POINT_MEMO_SIZE + 10):
-        man.inverse_metric_at(np.array([1e-3 * k, 0.0]))
-        assert len(metric.point_memo) <= POINT_MEMO_SIZE
-    assert len(metric.point_memo) == POINT_MEMO_SIZE
-    man.metric_at(np.array([0.0, 0.0]))  # evicted, so evaluated again
+        local_geometry(phi, np.array([1e-3 * k, 0.0])).ginv
+        assert len(metric.geometry_memo) <= POINT_MEMO_SIZE
+    assert len(metric.geometry_memo) == POINT_MEMO_SIZE
+    local_geometry(phi, np.array([0.0, 0.0])).g  # evicted, so evaluated again
     assert metric.evaluations == POINT_MEMO_SIZE + 11
 
 
 def test_memoized_metric_arrays_are_read_only():
-    man = sphere_manifold()
     p = np.array([1.1, 0.3])
-    with pytest.raises(ValueError):
-        man.metric_at(p)[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        man.inverse_metric_at(p)[0, 0] = 2.0
+    geo = geometry(sphere_manifold(), p)
+    for array in (geo.g, geo.ginv) + geo.metric_and_derivs:
+        with pytest.raises(ValueError):
+            array[0, 0] = 2.0
 
 
 def test_out_of_domain_point_fails_on_every_call():
@@ -257,7 +282,7 @@ def test_out_of_domain_point_fails_on_every_call():
     ChartedRiemannianManifold(2, metric).metric_at(p)
     with pytest.raises(DomainError):
         open_half.metric_at(p)
-    # a wrong shape with the same bytes as a memoized point is still rejected
+    # a wrong shape with the same bytes as a valid point is still rejected
     whole = ChartedRiemannianManifold(2, metric)
     whole.metric_at(np.zeros(2))
     with pytest.raises(DomainError):
@@ -275,7 +300,13 @@ def test_non_positive_definite_point_fails_on_every_call():
         with pytest.raises(MetricError):
             man.inverse_metric_at(p)
     assert metric.evaluations == 6
-    assert len(metric.point_memo) == 0
+    # a local geometry does not keep a failed field: each read evaluates g
+    geo = geometry(man, p)
+    for _ in range(3):
+        for field in ("g", "ginv", "christoffel"):
+            with pytest.raises(MetricError):
+                getattr(geo, field)
+    assert metric.evaluations == 15
 
 
 class CountingDerivs(FDMetric):
@@ -295,10 +326,11 @@ def test_christoffel_memo_warm_equals_cold(strategy):
     p = np.array([1.1, 0.3])
     cold = sphere_manifold(strategy).christoffel(p)
     man = sphere_manifold(strategy)
-    man.inverse_metric_at(p)
-    first = man.christoffel(p)
+    phi = chart_map(man)
+    local_geometry(phi, p).ginv
+    first = local_geometry(phi, p).christoffel
     assert np.array_equal(first, cold)
-    assert man.with_metric(man.metric).christoffel(p.copy()) is first
+    assert local_geometry(phi, p.copy(), man.metric).christoffel is first
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0, 0] = 1.0
@@ -306,18 +338,18 @@ def test_christoffel_memo_warm_equals_cold(strategy):
 
 def test_christoffel_fans_out_once_per_point_and_stays_bounded():
     metric = CountingDerivs(2, lambda p: np.diag([1.0, 2.0 + p[0] ** 2]))
-    man = ChartedRiemannianManifold(2, metric)
+    phi = chart_map(ChartedRiemannianManifold(2, metric))
     first = np.array([0.0, 0.0])
-    before = man.christoffel(first)
-    man.christoffel(first)
+    before = local_geometry(phi, first).christoffel
+    local_geometry(phi, first).christoffel
     assert metric.fan_outs == 1
     for k in range(POINT_MEMO_SIZE + 10):
-        man.christoffel(np.array([1e-3 * (k + 1), 0.0]))
-        assert len(metric.point_memo) <= POINT_MEMO_SIZE
-    assert len(metric.point_memo) == POINT_MEMO_SIZE
-    after = man.christoffel(first)  # evicted, so built again
+        local_geometry(phi, np.array([1e-3 * (k + 1), 0.0])).christoffel
+        assert len(metric.geometry_memo) <= POINT_MEMO_SIZE
+    assert len(metric.geometry_memo) == POINT_MEMO_SIZE
+    after = local_geometry(phi, first).christoffel  # evicted, so built again
     assert metric.fan_outs == POINT_MEMO_SIZE + 12
-    assert np.array_equal(after, before)
+    assert after is not before and np.array_equal(after, before)
 
 
 def test_christoffel_of_two_metrics_at_one_point_never_mix():
@@ -337,9 +369,12 @@ def test_christoffel_fails_on_every_call_outside_the_domain():
     metric = CountingDerivs(2, lambda p: np.eye(2))
     open_half = ChartedRiemannianManifold(2, metric,
                                           domain_predicate=lambda p: p[0] > 0)
+    geo = geometry(open_half, np.array([-0.5, 0.0]))
     for _ in range(2):
         with pytest.raises(DomainError):
             open_half.christoffel(np.array([-0.5, 0.0]))
+        with pytest.raises(DomainError):
+            geo.christoffel
     assert metric.fan_outs == 0
 
 
@@ -353,4 +388,9 @@ def test_non_finite_metric_fails_on_every_call(bad):
         for read in (man.metric_at, man.inverse_metric_at, man.christoffel):
             with pytest.raises(MetricError, match="not finite"):
                 read(p)
-    assert len(metric.point_memo) == 0
+    geo = geometry(man, p)
+    for _ in range(2):
+        for field in ("g", "ginv", "christoffel"):
+            with pytest.raises(MetricError, match="not finite"):
+                getattr(geo, field)
+    assert metric.evaluations == 12

@@ -199,11 +199,13 @@ def rational_map():
 
 
 def test_jets_memo_warm_equals_cold():
+    # the map's jets are kept in its local geometry; the map computes them
+    # on each call
     p = np.array([0.3, -0.4, 0.7])
     cold = rational_map().jets(p)
     phi = rational_map()
-    phi.jets(p)
-    warm = phi.jets(p.copy())
+    local_geometry(phi, p).jets
+    warm = local_geometry(phi, p.copy()).jets
     for c, w in zip(cold, warm):
         assert c.value == w.value
         assert np.array_equal(c.grad, w.grad)
@@ -212,14 +214,15 @@ def test_jets_memo_warm_equals_cold():
 
 def test_jets_memo_stays_bounded():
     phi = rational_map()
+    memo = phi.source.metric.geometry_memo
     first = np.array([0.1, 0.2, 0.3])
-    before = phi.jets(first)
+    before = local_geometry(phi, first).jets
     for k in range(POINT_MEMO_SIZE + 10):
-        phi.jets(np.array([0.1, 0.2, 0.3 + 1e-3 * (k + 1)]))
-        assert len(phi._jet_memo) <= POINT_MEMO_SIZE
-    assert len(phi._jet_memo) == POINT_MEMO_SIZE
+        local_geometry(phi, np.array([0.1, 0.2, 0.3 + 1e-3 * (k + 1)])).jets
+        assert len(memo) <= POINT_MEMO_SIZE
+    assert len(memo) == POINT_MEMO_SIZE
     # the first point was evicted; recomputing it gives the same jets
-    after = phi.jets(first)
+    after = local_geometry(phi, first).jets
     assert all(a is not b for a, b in zip(before, after))
     for a, b in zip(before, after):
         assert np.array_equal(a.grad, b.grad) and np.array_equal(a.hess, b.hess)
@@ -228,13 +231,16 @@ def test_jets_memo_stays_bounded():
 def test_memoized_jets_are_read_only():
     phi = rational_map()
     p = np.array([0.3, -0.4, 0.7])
+    kept = local_geometry(phi, p).jets
+    with pytest.raises(ValueError):
+        kept[0].grad[0] = 1.0
+    with pytest.raises(ValueError):
+        kept[1].hess[0, 0] = 1.0
     out = phi.jets(p)
-    with pytest.raises(ValueError):
-        out[0].grad[0] = 1.0
-    with pytest.raises(ValueError):
-        out[1].hess[0, 0] = 1.0
-    out.clear()  # the returned list is the caller's own
+    out[0].grad[0] = 1.0  # computed on each call: the caller's own
+    out.clear()
     assert len(phi.jets(p)) == 2
+    assert kept[0].grad[0] == phi.jets(p)[0].grad[0]
 
 
 # ---- the local geometry memo ---------------------------------------------
@@ -250,6 +256,7 @@ GEOMETRY_READERS = {
     "check_submersion": lambda phi, p, metric: check_submersion(phi, p),
     "horizontal_projector": horizontal_projector,
     "horizontal_lift": horizontal_lift,
+    "g": lambda phi, p, metric: local_geometry(phi, p, metric).g,
     "ginv": lambda phi, p, metric: local_geometry(phi, p, metric).ginv,
     "christoffel": lambda phi, p, metric: (
         local_geometry(phi, p, metric).christoffel),

@@ -156,6 +156,43 @@ def test_changed_metric_derivatives_computed_once_per_distinct_point(
     assert len({metric for metric, _ in calls}) == 2
 
 
+# what a run evaluates per point: each metric (g, h and both g-bar), J and
+# the map (``SmoothMap.jets`` evaluates its components once a call)
+EVALUATIONS = [(manifold.JetMetric, "matrix"),
+               (manifold.JetMetric, "matrix_and_derivs"),
+               (biconformal.ChangedMetric, "matrix"),
+               (biconformal.ChangedMetric, "matrix_and_derivs"),
+               (hermitian.AlmostComplexStructureField, "matrix_and_derivs"),
+               (maps.SmoothMap, "jets")]
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(scenario="flat-projection-6-4", sigma="exp(0.2*x1)",
+              rho="1+0.1*x5^2", samples=4),
+    RunConfig(scenario="hopf", sigma="exp(0.2*x1+0.1*x3)", rho="1+0.2*x2^2",
+              samples=4),
+], ids=["readme-6-4", "hopf"])
+def test_a_run_evaluates_each_field_once_per_distinct_point(monkeypatch,
+                                                             config):
+    counts = {}
+
+    def counting(inner, name):
+        def wrapper(self, p):
+            key = (name, id(self), np.asarray(p, dtype=float).tobytes())
+            counts[key] = counts.get(key, 0) + 1
+            return inner(self, p)
+        return wrapper
+
+    for cls, name in EVALUATIONS:
+        monkeypatch.setattr(cls, name, counting(getattr(cls, name),
+                                                cls.__name__ + "." + name))
+    assert run_verification(config)["verdict"] == "pass"
+    assert {name for name, _, _ in counts} == {
+        cls.__name__ + "." + name for cls, name in EVALUATIONS}
+    repeated = {key[0] for key, count in counts.items() if count > 1}
+    assert not repeated
+
+
 @pytest.mark.parametrize("scenario", ["flat-projection-6-4", "hopf"])
 def test_a_run_takes_no_finite_difference(monkeypatch, scenario):
     def forbidden(*args, **kwargs):
@@ -211,7 +248,7 @@ def _projector_and_lift_derivs_without_l_dm(geo):
         return geo.horizontal.projector_and_lift_derivs
     a, adjoint, minv = geo._lift_factors
     lift, da = geo.projector_and_lift[1], geo.map_jets[2]
-    dg = geo.src.metric_and_derivs_at(geo.p)[1]
+    dg = geo.metric_and_derivs[1]
     dginv = -np.einsum("ij,kjl,lm->kim", geo.ginv, dg, geo.ginv)
     d_lift = (dginv @ a.T + geo.ginv @ np.transpose(da, (0, 2, 1))) @ minv
     return d_lift @ a + lift @ da, d_lift
