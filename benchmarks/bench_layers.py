@@ -1,14 +1,16 @@
 """Layer benchmarks: the cold cost per sample point of each layer.
 
-Every round builds the scenario, the change and the run context anew (not
-timed), then times one read at one sample point, so nothing that the read
-needs is memoized yet:
+Every round builds the scenario, the change, the run context and the point
+context (phi's ``maps.LocalGeometry`` at the sample point, as the runner
+builds it) anew (not timed), then times one read at that point, so nothing
+that the read needs is computed yet:
 
 - ``factor_jets``: sigma and rho as jets at the point;
 - ``local_geometry_fill``: what a run computes at a point before its
-  identities compare sides, under g and under g-bar (F div_H F brings in
-  the horizontal factor and the PHWC defect it is checked against; the
-  PHH defect is not kept, and is left out);
+  identities compare sides, under g and under g-bar, the geometry that the
+  checks build from the point context (F div_H F brings in the horizontal
+  factor and the PHWC defect it is checked against; the PHH defect is not
+  kept, and is left out);
 - ``identity[<name>]``: one call of the identity's check, as the runner
   makes it.
 
@@ -50,8 +52,8 @@ POINTS = {name: sample_points(get_scenario(config.scenario), ROUNDS, 42)
 
 
 def fresh_runs(workload):
-    """Setup of one round after another: a new run context and the next
-    sample point (with its index)."""
+    """Setup of one round after another: a new run context and the point
+    context at the next sample point (with its index)."""
     config = WORKLOADS[workload]
     state = {"idx": -1}
 
@@ -60,7 +62,8 @@ def fresh_runs(workload):
         run = RunContext(scenario, config, config.build_change(scenario))
         state["idx"] = (state["idx"] + 1) % ROUNDS
         idx = state["idx"]
-        return (run, POINTS[workload][idx], idx), {}
+        geo = maps.LocalGeometry(scenario.phi, POINTS[workload][idx])
+        return (run, geo, idx), {}
 
     return setup
 
@@ -70,24 +73,23 @@ def timed(benchmark, workload, read):
                        iterations=1)
 
 
-def fill(run, p, idx):
+def fill(run, point, idx):
     phi, J = run.scenario.phi, run.scenario.J
-    for metric in (None, run.change.gbar):
-        geo = maps.local_geometry(phi, p, metric)
+    for geo in (point, point.under(run.change.gbar)):
         geo.christoffel
         geo.projector_and_lift_derivs
-        hermitian.d_f_structure(phi, J, p, metric)
-        maps.tension_field(phi, p, metric)
+        hermitian.d_f_structure(geo, J)
+        maps.tension_field(geo)
         if phi.m > phi.two_n:
-            maps.mean_curvature_vertical(phi, p, metric)
-        hermitian.phwc_defect(phi, J, p, metric)
-        hermitian.f_divergence_horizontal(phi, J, p, metric)
+            maps.mean_curvature_vertical(geo)
+        hermitian.phwc_defect(geo, J)
+        hermitian.f_divergence_horizontal(geo, J)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_factor_jets(benchmark, workload):
     timed(benchmark, workload,
-          lambda run, p, idx: run.change.change.factor_jets(p))
+          lambda run, point, idx: run.change.change.factor_jets(point.p))
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -109,8 +111,8 @@ def test_identity(benchmark, workload, name):
         pytest.skip(reason)
     results = []
 
-    def check(run, p, idx):
-        results.append(run_identity(name, run, p, idx))
+    def check(run, point, idx):
+        results.append(run_identity(name, run, point, idx))
 
     timed(benchmark, workload, check)
     assert all(rep.error is None for rep in results)

@@ -7,16 +7,16 @@ from .exprs import EvalError, ParseError, eval_jet, parse, to_text
 from .manifold import (ChartedRiemannianManifold, DomainError, FDMetric,
                        GeometryError, JetMetric, MetricError, TangentVector,
                        euclidean_space)
-from .maps import (OrthoSplit, RankError, FrameError, SmoothMap, differential,
-                   mean_curvature_vertical, ortho_split, tension_field)
+from .maps import (LocalGeometry, OrthoSplit, RankError, FrameError,
+                   SmoothMap, differential, mean_curvature_vertical,
+                   ortho_split, tension_field)
 from .hermitian import (AlmostComplexStructureField, AdaptedFrame,
                         adapted_frame, f_divergence_horizontal, f_structure,
                         phh_defect, phwc_defect, phwc_metric_defect,
                         tension_via_f_structure)
 from .biconformal import (BiconformalChange, BiconformalContext,
-                          IdentityResidualReport, PositivityError,
-                          apply_change, check_corollary_phh,
-                          check_corollary_psh, special_change,
+                          ChangedMetric, IdentityResidualReport,
+                          PositivityError, special_change,
                           verify_f_divergence, verify_koszul_h,
                           verify_koszul_v, verify_mean_curvature,
                           verify_phh_covariant_formula,

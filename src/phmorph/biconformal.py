@@ -3,16 +3,20 @@ their transformation laws.
 
 The changed metric g-bar = sigma^-2 g^H + rho^-2 g^V is a ``ChangedMetric``
 with exact first derivatives: d(g P_H) comes from the projector algebra of
-``maps.LocalGeometry`` and the factors' derivatives from their jets.  The
-``ChangedMetric`` holds sigma and rho per point, in phi's local geometry
-under g-bar: ``factor_jets``, evaluated once per (change, point), whose
-values g-bar and the right sides of the laws read (no float twin), and
+``maps.LocalGeometry`` and the factors' derivatives from their jets.  It is
+handed phi's geometry at the point under g (the source geometry) and keeps
+sigma and rho there: ``factor_jets``, evaluated once per (change, point),
+whose values g-bar and the right sides of the laws read (no float twin), and
 ``grad_log_factors``.  A factor that is not positive raises
-``PositivityError`` on every call.  Every
-``verify_*`` routine computes one identity's two sides by independent routes
-(the Levi-Civita geometry of g-bar, built from g-bar's own (g-bar, d g-bar),
-on one side; the closed-form transformation law on g's connection on the
-other) and reports the residual.
+``PositivityError`` on every call.
+
+Every ``verify_*`` and ``corollary_*_at`` routine takes the point context,
+phi's source geometry at one sample point, and reads the geometry under
+g-bar from it (``LocalGeometry.under``).  It computes one identity's two
+sides by independent routes (the Levi-Civita geometry of g-bar, built from
+g-bar's own (g-bar, d g-bar), on one side; the closed-form transformation
+law on g's connection on the other) and reports the residual at that point;
+``runner.IDENTITIES`` folds the reports over a run's points.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from . import exprs, jets
 from .exprs import Expr
 from .jets import Jet2, JetDomainError
 from .manifold import GeometryError, MetricError, MetricField
-from .maps import (SmoothMap, differential, horizontal_projector,
-                   local_geometry, mean_curvature_vertical, tension_field)
+from .maps import (LocalGeometry, RankError, SmoothMap, differential,
+                   horizontal_projector, mean_curvature_vertical,
+                   tension_field)
 from .hermitian import (AlmostComplexStructureField, d_f_structure,
                         f_divergence_horizontal, f_structure,
                         nabla_f_operator, phh_defect, phwc_defect,
@@ -121,60 +126,67 @@ def _symmetric(a):
 class ChangedMetric(MetricField):
     """g-bar = sigma^-2 g^H + rho^-2 g^V for a map phi and a change, with
     g^H = g P_H.  It keeps phi's horizontal distribution, so phi's P_H, lift
-    and their derivatives are read from the source metric's geometry.  Its
+    and their derivatives are read from the source geometry.  Its
     derivatives are exact:
 
     d g-bar = d(sigma^-2) g P_H + sigma^-2 d(g P_H)
               + d(rho^-2) (g - g P_H) + rho^-2 (dg - d(g P_H)),
 
-    with d(g P_H) = dg P_H + g dP_H.  sigma and rho are evaluated once per
-    point, as jets, and kept in phi's local geometry under this metric."""
+    with d(g P_H) = dg P_H + g dP_H.  Each method reads phi's source
+    geometry ``source`` at the point; ``matrix`` and ``matrix_and_derivs``
+    build one when called without it.  sigma and rho are evaluated once per
+    point, as jets, and kept there."""
 
     def __init__(self, phi: SmoothMap, change: BiconformalChange):
         super().__init__(phi.m)
         self.phi, self.change = phi, change
         self.keeps_horizontal_of = phi
 
-    def _factor_field(self, name, compute, p):
-        """A per-point datum of the factors, kept in phi's local geometry
-        under this metric."""
-        geo = local_geometry(self.phi, p, self)
-        return geo.field(name, lambda: compute(geo.p))
+    def factor_jets(self, source: LocalGeometry):
+        """(sigma, rho) at the point as jets
+        (``BiconformalChange.factor_jets``)."""
+        return source.field(("factor_jets", self),
+                            lambda: self.change.factor_jets(source.p))
 
-    def factor_jets(self, p):
-        """(sigma, rho) at p as jets (``BiconformalChange.factor_jets``)."""
-        return self._factor_field("factor_jets", self.change.factor_jets, p)
-
-    def factor_values(self, p):
-        """(sigma, rho) at p: the values of the kept ``factor_jets``."""
-        s, r = self.factor_jets(p)
+    def factor_values(self, source: LocalGeometry):
+        """(sigma, rho) at the point: the values of the kept
+        ``factor_jets``."""
+        s, r = self.factor_jets(source)
         return s.value, r.value
 
-    def grad_log_factors(self, p):
+    def grad_log_factors(self, source: LocalGeometry):
         """g-gradients of ln(sigma) and ln(rho) as component vectors."""
-        def compute(q):
-            s, r = self.factor_jets(q)
-            ginv = local_geometry(self.phi, q).ginv
+        def compute():
+            s, r = self.factor_jets(source)
+            ginv = source.ginv
             return ginv @ (s.grad / s.value), ginv @ (r.grad / r.value)
 
-        return self._factor_field("grad_log_factors", compute, p)
+        return source.field(("grad_log_factors", self), compute)
+
+    def _source(self, p, source):
+        """``source``, or phi's geometry at p built here when no geometry of
+        phi's is handed on (a geometry of another map under this metric)."""
+        if source is None or source.phi is not self.phi:
+            return LocalGeometry(self.phi, p)
+        return source
 
     def _horizontal_block(self, geo):
-        """g and g^H = g P_H in phi's source-metric geometry ``geo``
-        (symmetric up to roundoff by construction, so symmetrized)."""
+        """g and g^H = g P_H in phi's source geometry ``geo`` (symmetric up
+        to roundoff by construction, so symmetrized)."""
         return geo.g, _symmetric(geo.g @ geo.projector_and_lift[0])
 
-    def matrix(self, p):
-        g, gh = self._horizontal_block(local_geometry(self.phi, p))
-        s, r = self.factor_jets(p)
+    def matrix(self, p, source=None):
+        geo = self._source(p, source)
+        g, gh = self._horizontal_block(geo)
+        s, r = self.factor_jets(geo)
         return (gh * _inverse_square("sigma", s, p)[0]
                 + (g - gh) * _inverse_square("rho", r, p)[0])
 
-    def matrix_and_derivs(self, p):
-        s, r = self.factor_jets(p)
+    def matrix_and_derivs(self, p, source=None):
+        geo = self._source(p, source)
+        s, r = self.factor_jets(geo)
         w_h, dw_h = _inverse_square("sigma", s, p)
         w_v, dw_v = _inverse_square("rho", r, p)
-        geo = local_geometry(self.phi, p)
         g, gh = self._horizontal_block(geo)
         dg = geo.metric_and_derivs[1]
         dgh = _symmetric(dg @ geo.projector_and_lift[0]
@@ -183,11 +195,6 @@ class ChangedMetric(MetricField):
         dgbar = (dw_h[:, None, None] * gh + w_h * dgh
                  + dw_v[:, None, None] * (g - gh) + w_v * (dg - dgh))
         return gbar, dgbar
-
-
-def apply_change(phi: SmoothMap, change: BiconformalChange) -> ChangedMetric:
-    """The metric field g-bar = sigma^-2 g^H + rho^-2 g^V of a change."""
-    return ChangedMetric(phi, change)
 
 
 @dataclass
@@ -200,7 +207,7 @@ class BiconformalContext:
 
     @staticmethod
     def build(phi, J, change):
-        return BiconformalContext(phi, J, change, apply_change(phi, change))
+        return BiconformalContext(phi, J, change, ChangedMetric(phi, change))
 
 
 @dataclass
@@ -222,8 +229,7 @@ def errored_report(identity, p, err) -> IdentityResidualReport:
 class IdentityAggregate:
     """Per-identity tally of sample reports, read in sample-point order.
     A corollary's worst point has the largest absolute residual rather than
-    the largest relative one (for corollary-phh, the PHH defect itself); a
-    corollary that does not apply is ``skipped``, with a ``warning``."""
+    the largest relative one (for corollary-phh, the PHH defect itself)."""
     name: str
     samples_pass: int = 0
     samples_fail: int = 0
@@ -233,8 +239,6 @@ class IdentityAggregate:
     worst_point: Optional[list] = None
     errors: list = dc_field(default_factory=list)
     worst_by_abs: bool = False
-    skipped: bool = False
-    warning: str = ""
 
     def add(self, rep: IdentityResidualReport):
         if rep.error is not None:
@@ -258,10 +262,9 @@ class IdentityAggregate:
 
     @property
     def passed(self) -> bool:
-        """Skipped, or every sample point was checked and passed."""
-        return self.skipped or (self.samples_fail == 0
-                                and self.samples_error == 0
-                                and self.samples_pass > 0)
+        """Every sample point was checked and passed."""
+        return (self.samples_fail == 0 and self.samples_error == 0
+                and self.samples_pass > 0)
 
     def as_dict(self):
         return {
@@ -297,8 +300,8 @@ def _require_horizontal(name, v, ph, g):
     return hv
 
 
-def verify_koszul_h(ctx: BiconformalContext, p, x_comp, y_comp,
-                    tol: float = 1e-5) -> IdentityResidualReport:
+def verify_koszul_h(ctx: BiconformalContext, geo: LocalGeometry, x_comp,
+                    y_comp, tol: float = 1e-5) -> IdentityResidualReport:
     """Horizontal part of nabla-bar_X Y for horizontal X = P_H x_comp and
     Y = P_H y_comp against the closed form the Koszul formula gives:
 
@@ -308,24 +311,22 @@ def verify_koszul_h(ctx: BiconformalContext, p, x_comp, y_comp,
     nabla-bar - nabla is a tensor, so the derivative of a test field Y
     cancels between the sides: each contracts its own Christoffel symbols
     on (X, Y), the left side g-bar's and the right side g's."""
-    phi = ctx.phi
-    geo = local_geometry(phi, p)
     g = geo.g
     ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
     y = ph @ np.asarray(y_comp, dtype=float)
-    gamma_bar = local_geometry(phi, p, ctx.gbar).christoffel
+    gamma_bar = geo.under(ctx.gbar).christoffel
     lhs = ph @ np.einsum("kij,i,j->k", gamma_bar, x, y)
 
-    grad_ls, _ = ctx.gbar.grad_log_factors(p)
+    grad_ls, _ = ctx.gbar.grad_log_factors(geo)
     dls = g @ grad_ls  # covector of ln sigma
     rhs = (ph @ np.einsum("kij,i,j->k", geo.christoffel, x, y)
            - (dls @ x) * y - (dls @ y) * x
            + float(x @ g @ y) * (ph @ grad_ls))
-    return _report("koszul-horizontal", p, lhs, rhs, tol)
+    return _report("koszul-horizontal", geo.p, lhs, rhs, tol)
 
 
-def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
+def verify_koszul_v(ctx: BiconformalContext, geo: LocalGeometry, v_comp,
                     tol: float = 1e-5) -> IdentityResidualReport:
     """Horizontal part of nabla-bar_V V for vertical V against the law
 
@@ -341,7 +342,6 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
     phi = ctx.phi
     if phi.m <= phi.two_n:
         raise GeometryError("no vertical distribution (m = 2n)")
-    geo = local_geometry(phi, p)
     g = geo.g
     ph = geo.projector_and_lift[0]
     v_comp = np.asarray(v_comp, dtype=float)
@@ -349,19 +349,19 @@ def verify_koszul_v(ctx: BiconformalContext, p, v_comp,
     if float(v @ g @ v) <= 1e-16:
         raise GeometryError("V has no vertical part")
     dv = -np.einsum("k,kab,b->a", v, geo.projector_and_lift_derivs[0], v_comp)
-    lhs = ph @ local_geometry(phi, p, ctx.gbar).covariant_derivative(v, v, dv)
+    lhs = ph @ geo.under(ctx.gbar).covariant_derivative(v, v, dv)
 
-    s_jet, r_jet = ctx.gbar.factor_jets(p)
+    s_jet, r_jet = ctx.gbar.factor_jets(geo)
     rho = r_jet.value
     # covector of rho^-2
     d_rho_m2 = -2.0 * rho ** -3 * r_jet.grad
     inner = (2.0 * rho ** -2 * (ph @ geo.covariant_derivative(v, v, dv))
              - float(v @ g @ v) * (ph @ geo.ginv @ d_rho_m2))
     rhs = 0.5 * s_jet.value ** 2 * inner
-    return _report("koszul-vertical", p, lhs, rhs, tol)
+    return _report("koszul-vertical", geo.p, lhs, rhs, tol)
 
 
-def verify_mean_curvature(ctx: BiconformalContext, p,
+def verify_mean_curvature(ctx: BiconformalContext, geo: LocalGeometry,
                           tol: float = 1e-5) -> IdentityResidualReport:
     """Fiber mean curvature under the change: mu-bar = sigma^2 [mu + H(grad ln rho)].
 
@@ -371,53 +371,52 @@ def verify_mean_curvature(ctx: BiconformalContext, p,
     phi = ctx.phi
     if phi.m <= phi.two_n:
         raise GeometryError("no fibers (m = 2n)")
-    lhs = mean_curvature_vertical(phi, p, metric=ctx.gbar).components
-    mu = mean_curvature_vertical(phi, p).components
-    _, grad_lr = ctx.gbar.grad_log_factors(p)
-    ph = horizontal_projector(phi, p)
-    s, _ = ctx.gbar.factor_values(p)
+    lhs = mean_curvature_vertical(geo.under(ctx.gbar)).components
+    mu = mean_curvature_vertical(geo).components
+    _, grad_lr = ctx.gbar.grad_log_factors(geo)
+    ph = horizontal_projector(geo)
+    s, _ = ctx.gbar.factor_values(geo)
     rhs = s ** 2 * (mu + ph @ grad_lr)
-    return _report("mean-curvature", p, lhs, rhs, tol)
+    return _report("mean-curvature", geo.p, lhs, rhs, tol)
 
 
-def verify_f_divergence(ctx: BiconformalContext, p,
+def verify_f_divergence(ctx: BiconformalContext, geo: LocalGeometry,
                         tol: float = 1e-5) -> IdentityResidualReport:
     """F div_H F under the change: sigma^2 [F div_H F + (2n-2) grad_H ln sigma].
 
     The gradient correction is projected to H: the full gradient differs
     from it by a vertical component that the left side cannot contain.
     """
-    phi = ctx.phi
-    lhs = f_divergence_horizontal(phi, ctx.J, p, metric=ctx.gbar).components
-    div = f_divergence_horizontal(phi, ctx.J, p).components
-    grad_ls, _ = ctx.gbar.grad_log_factors(p)
-    ph = horizontal_projector(phi, p)
-    s, _ = ctx.gbar.factor_values(p)
-    n2 = 2.0 * phi.n - 2.0
+    lhs = f_divergence_horizontal(geo.under(ctx.gbar), ctx.J).components
+    div = f_divergence_horizontal(geo, ctx.J).components
+    grad_ls, _ = ctx.gbar.grad_log_factors(geo)
+    ph = horizontal_projector(geo)
+    s, _ = ctx.gbar.factor_values(geo)
+    n2 = 2.0 * ctx.phi.n - 2.0
     rhs = s ** 2 * (div + n2 * (ph @ grad_ls))
-    return _report("f-divergence", p, lhs, rhs, tol)
+    return _report("f-divergence", geo.p, lhs, rhs, tol)
 
 
-def verify_tension_transform(ctx: BiconformalContext, p,
+def verify_tension_transform(ctx: BiconformalContext, geo: LocalGeometry,
                              tol: float = 1e-5) -> IdentityResidualReport:
     """Tension field under the change:
 
     tau-bar = sigma^2 [tau + dphi((2n-m) grad ln rho + (2-2n) grad ln sigma)]
     """
-    phi = ctx.phi
-    lhs = tension_field(phi, p, metric=ctx.gbar).components
-    tau = tension_field(phi, p).components
-    grad_ls, grad_lr = ctx.gbar.grad_log_factors(p)
-    a = differential(phi, p)
-    s, _ = ctx.gbar.factor_values(p)
-    two_n, m = phi.two_n, phi.m
+    lhs = tension_field(geo.under(ctx.gbar)).components
+    tau = tension_field(geo).components
+    grad_ls, grad_lr = ctx.gbar.grad_log_factors(geo)
+    a = differential(geo)
+    s, _ = ctx.gbar.factor_values(geo)
+    two_n, m = ctx.phi.two_n, ctx.phi.m
     correction = (two_n - m) * grad_lr + (2.0 - two_n) * grad_ls
     rhs = s ** 2 * (tau + a @ correction)
-    return _report("tension-transform", p, lhs, rhs, tol)
+    return _report("tension-transform", geo.p, lhs, rhs, tol)
 
 
-def verify_phh_covariant_formula(ctx: BiconformalContext, p, x_comp, y_comp,
-                                 tol: float = 1e-5) -> IdentityResidualReport:
+def verify_phh_covariant_formula(ctx: BiconformalContext, geo: LocalGeometry,
+                                 x_comp, y_comp, tol: float = 1e-5
+                                 ) -> IdentityResidualReport:
     """Horizontal part of (nabla-bar_X F)Y for horizontal X, Y against its
     expansion in terms of the unchanged connection and ln sigma:
 
@@ -425,21 +424,19 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, p, x_comp, y_comp,
                           - FY(ln sigma) X + Y(ln sigma) FX
                           - g(X, Y) F(grad_H(ln sigma))
     """
-    phi = ctx.phi
-    geo = local_geometry(phi, p)
     g = geo.g
     ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
     y = _require_horizontal("Y", y_comp, ph, g)
-    f = f_structure(phi, ctx.J, p)
-    df = d_f_structure(phi, ctx.J, p)
+    f = f_structure(geo, ctx.J)
+    df = d_f_structure(geo, ctx.J)
 
-    gamma_bar = local_geometry(phi, p, ctx.gbar).christoffel
+    gamma_bar = geo.under(ctx.gbar).christoffel
     nab_bar = nabla_f_operator(f, df, gamma_bar)
     lhs = ph @ np.einsum("i,ikj,j->k", x, nab_bar, y)
 
     nab = nabla_f_operator(f, df, geo.christoffel)
-    grad_ls, _ = ctx.gbar.grad_log_factors(p)
+    grad_ls, _ = ctx.gbar.grad_log_factors(geo)
     grad_h = ph @ grad_ls
     dls = g @ grad_ls
     fy = f @ y
@@ -449,7 +446,7 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, p, x_comp, y_comp,
            - float(dls @ fy) * x
            + float(dls @ y) * fx
            - float(x @ g @ y) * (f @ grad_h))
-    return _report("phh-covariant", p, lhs, rhs, tol)
+    return _report("phh-covariant", geo.p, lhs, rhs, tol)
 
 
 # ---- holomorphic test functions for the pullback characterization --------
@@ -480,45 +477,42 @@ HOLOMORPHIC_BUILTINS = {
 }
 
 
-def verify_pullback_characterization(phi: SmoothMap,
-                                     J: AlmostComplexStructureField,
-                                     p, holo_name: str,
-                                     metric=None,
-                                     tol: float = 1e-5) -> IdentityResidualReport:
+def verify_pullback_characterization(geo: LocalGeometry, holo_name: str,
+                                     tol: float = 1e-5
+                                     ) -> IdentityResidualReport:
     """Laplacian of Re and Im of (holomorphic f) o phi; both vanish for a
-    pseudo-harmonic morphism with respect to the supplied metric."""
+    pseudo-harmonic morphism with respect to the metric of ``geo``."""
     fn = HOLOMORPHIC_BUILTINS[holo_name]
-    geo = local_geometry(phi, p, metric)
     # the jets of f o phi at p: f applied to the kept jets of phi
     lap = np.array([geo.laplacian(part) for part in fn(geo.source.jets)])
-    return _report("pullback", p, lap, np.zeros(2), tol)
+    return _report("pullback", geo.p, lap, np.zeros(2), tol)
 
 
-def verify_tension_equivalence(phi: SmoothMap, J: AlmostComplexStructureField,
-                               p, metric=None, tol: float = 1e-6
-                               ) -> IdentityResidualReport:
+def verify_tension_equivalence(geo: LocalGeometry,
+                               J: AlmostComplexStructureField,
+                               tol: float = 1e-6) -> IdentityResidualReport:
     """Trace-formula tension field against the f-structure route."""
-    lhs = tension_field(phi, p, metric=metric).components
-    rhs = tension_via_f_structure(phi, J, p, metric=metric).components
-    return _report("tension-f-structure", p, lhs, rhs, tol)
+    lhs = tension_field(geo).components
+    rhs = tension_via_f_structure(geo, J).components
+    return _report("tension-f-structure", geo.p, lhs, rhs, tol)
 
 
-def verify_phwc_equivalence(phi: SmoothMap, J: AlmostComplexStructureField,
-                            p, metric=None,
+def verify_phwc_equivalence(geo: LocalGeometry,
+                            J: AlmostComplexStructureField,
                             tol: float = 1e-6) -> IdentityResidualReport:
     """The operator-commutator defect and the metric-compatibility defect
     vanish together (both below tol, or both above)."""
-    d1, s1 = phwc_defect(phi, J, p, metric)
+    d1, s1 = phwc_defect(geo, J)
     r1 = d1 / (s1 + REL_FLOOR)
     try:
-        d2, s2 = phwc_metric_defect(phi, J, p, metric)
+        d2, s2 = phwc_metric_defect(geo, J)
         r2 = d2 / (s2 + REL_FLOOR)
-    except GeometryError:
+    except RankError:
         # no submersion structure; only the commutator defect is defined
-        return IdentityResidualReport("phwc-equivalence",
-                                      np.asarray(p).tolist(), d1, r1, True)
+        return IdentityResidualReport("phwc-equivalence", geo.p.tolist(),
+                                      d1, r1, True)
     agree = (r1 < tol) == (r2 < tol)
-    return IdentityResidualReport("phwc-equivalence", np.asarray(p).tolist(),
+    return IdentityResidualReport("phwc-equivalence", geo.p.tolist(),
                                   max(d1, d2), max(r1, r2), agree)
 
 
@@ -529,18 +523,7 @@ def one_function_context(phi: SmoothMap, J: AlmostComplexStructureField,
                                     special_change(sigma, phi.m, phi.n))
 
 
-def _tally(name, points, check) -> IdentityAggregate:
-    summary = IdentityAggregate(name, worst_by_abs=True)
-    for p in points:
-        try:
-            rep = check(p)
-        except SAMPLE_ERRORS as err:
-            rep = errored_report(name, p, err)
-        summary.add(rep)
-    return summary
-
-
-def corollary_psh_at(scenario, ctx: BiconformalContext, p,
+def corollary_psh_at(scenario, ctx: BiconformalContext, geo: LocalGeometry,
                      tol: float = 1e-5) -> IdentityResidualReport:
     """Harmonicity and metric compatibility survive the one-function change.
 
@@ -549,9 +532,9 @@ def corollary_psh_at(scenario, ctx: BiconformalContext, p,
     non-harmonic PHWC scenario the tension must stay visibly nonzero
     (here checked through sigma^2 tau, the exact transformed value for this
     change).  ``ctx`` is the one-function change."""
-    phi, J = ctx.phi, ctx.J
-    tau_bar = tension_field(phi, p, metric=ctx.gbar).components
-    defect, scale = phwc_defect(phi, J, p, metric=ctx.gbar)
+    bar = geo.under(ctx.gbar)
+    tau_bar = tension_field(bar).components
+    defect, scale = phwc_defect(bar, ctx.J)
     rel_defect = defect / (scale + REL_FLOOR)
     tau_norm = float(np.max(np.abs(tau_bar))) / REL_FLOOR
     if scenario.expected_flags.get("harmonic"):
@@ -559,23 +542,14 @@ def corollary_psh_at(scenario, ctx: BiconformalContext, p,
         resid = max(tau_norm, rel_defect)
     else:
         # tension must not collapse to zero where tau_g is nonzero
-        s, _ = ctx.gbar.factor_values(p)
-        tau_g = tension_field(phi, p).components
+        s, _ = ctx.gbar.factor_values(geo)
+        tau_g = tension_field(geo).components
         ref = s ** 2 * float(np.max(np.abs(tau_g)))
         ok = rel_defect < tol and (
             ref < 10 * tol or float(np.max(np.abs(tau_bar))) > 0.5 * ref)
         resid = rel_defect
-    return IdentityResidualReport("corollary-psh", np.asarray(p).tolist(),
+    return IdentityResidualReport("corollary-psh", geo.p.tolist(),
                                   resid, resid, ok)
-
-
-def check_corollary_psh(scenario, sigma: Expr, points,
-                        tol: float = 1e-5) -> IdentityAggregate:
-    """``corollary_psh_at`` over points, for the one-function change of
-    sigma."""
-    ctx = one_function_context(scenario.phi, scenario.J, sigma)
-    return _tally("corollary-psh", points,
-                  lambda p: corollary_psh_at(scenario, ctx, p, tol))
 
 
 # why corollary-phh has no breaking direction to check
@@ -589,7 +563,8 @@ def phh_breaking_checkable(n: int, sigma: Expr) -> bool:
     return n >= 2 or exprs.max_var_index(sigma) < 0
 
 
-def corollary_phh_at(ctx: BiconformalContext, p, tol: float = 1e-6,
+def corollary_phh_at(ctx: BiconformalContext, geo: LocalGeometry,
+                     tol: float = 1e-6,
                      breaking_floor: float = 1e-3) -> IdentityResidualReport:
     """PHH survives the one-function change ``ctx`` exactly for constant
     sigma.
@@ -597,29 +572,14 @@ def corollary_phh_at(ctx: BiconformalContext, p, tol: float = 1e-6,
     Constant sigma: the PHH defect under g_sigma stays below tol.  Nonconstant
     sigma with a horizontally nonvanishing gradient must break PHH visibly
     (defect above ``breaking_floor``); see ``phh_breaking_checkable``."""
-    phi = ctx.phi
-    defect, scale = phh_defect(phi, ctx.J, p, metric=ctx.gbar)
+    defect, scale = phh_defect(geo.under(ctx.gbar), ctx.J)
     if exprs.max_var_index(ctx.change.sigma) < 0:
         ok = defect / (scale + REL_FLOOR) < tol
     else:
-        geo = local_geometry(phi, p)
-        grad_h = geo.projector_and_lift[0] @ ctx.gbar.grad_log_factors(p)[0]
+        grad_h = geo.projector_and_lift[0] @ ctx.gbar.grad_log_factors(geo)[0]
         g = geo.g
         strength = float(np.sqrt(grad_h @ g @ grad_h))
         # only points with a visible horizontal log-gradient must break
         ok = defect > breaking_floor if strength > 0.05 else True
-    return IdentityResidualReport("corollary-phh", np.asarray(p).tolist(),
+    return IdentityResidualReport("corollary-phh", geo.p.tolist(),
                                   defect, defect / (scale + REL_FLOOR), ok)
-
-
-def check_corollary_phh(scenario, sigma: Expr, points,
-                        tol: float = 1e-6,
-                        breaking_floor: float = 1e-3) -> IdentityAggregate:
-    """``corollary_phh_at`` over points, for the one-function change of
-    sigma; skipped with a warning where ``phh_breaking_checkable`` fails."""
-    ctx = one_function_context(scenario.phi, scenario.J, sigma)
-    if not phh_breaking_checkable(scenario.phi.n, sigma):
-        return IdentityAggregate("corollary-phh", worst_by_abs=True,
-                                 skipped=True, warning=PHH_N1_WARNING)
-    return _tally("corollary-phh", points,
-                  lambda p: corollary_phh_at(ctx, p, tol, breaking_floor))

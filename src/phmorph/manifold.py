@@ -7,21 +7,22 @@ come from the second-order AD path; the biconformal change of a map's source
 metric (``biconformal.ChangedMetric``) differentiates its projector algebra in
 closed form.  ``FDMetric``, ``richardson_partial`` and
 ``directional_derivative`` (Richardson-extrapolated central differences) are
-kept as oracles for the tests; no verification run calls them.
+oracles for the tests; no verification run calls them.  They, and
+``inverse_metric_at`` and ``christoffel``, stay in this module only because
+the benchmark's tracer (``perfbench/tracer.py``) names them; ROADMAP item 3
+moves them out with a benchmark change.
 
-A manifold keeps nothing per point: ``metric_at`` (with its domain,
+Nothing here keeps per-point data: ``metric_at`` (with its domain,
 finiteness, symmetry and positive-definiteness checks), ``inverse_metric_at``
-and ``christoffel`` compute on each call.  What a run reads at a point is kept
-once, read-only, in a ``maps.LocalGeometry``, in the bounded
-least-recently-used ``PointMemo`` that each ``MetricField`` carries
-(``geometry_memo``).  ``jet_matrix_and_derivs`` is a boundary where
-non-finite jets are caught (see ``jets``).
+and ``christoffel`` compute on each call.  What a run reads at a point is
+kept once, read-only, in the ``maps.LocalGeometry`` that the runner builds
+for that point and drops after it.  ``jet_matrix_and_derivs`` is a boundary
+where non-finite jets are caught (see ``jets``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +56,6 @@ class TangentVector:
             raise ValueError("tangent vector base/component length mismatch")
 
 
-# Distinct points whose local geometry a metric keeps.  The runner runs every
-# check at a sample point before the next one, and no check reads another
-# point, so each geometry is built once per run.  The memory does not grow
-# with the sample count.
-POINT_MEMO_SIZE = 64
-
-
 def read_only(value):
     """Make an array read-only, or every array held by a tuple, a Jet2 or a
     dataclass instance (such as a ``TangentVector``); returns the value."""
@@ -79,33 +73,13 @@ def read_only(value):
     return value
 
 
-class PointMemo:
-    """Least-recently-used store of per-point results, holding at most
-    ``POINT_MEMO_SIZE`` entries."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self):
-        self._store = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get(self, key):
-        value = self._store.get(key)
-        if value is not None:
-            self._store.move_to_end(key)
-        return value
-
-    def put(self, key, value):
-        self._store[key] = value
-        if len(self._store) > POINT_MEMO_SIZE:
-            self._store.popitem(last=False)
-
-
 class MetricField:
-    """Interface: dim, matrix(p), matrix_and_derivs(p); the memo of the
-    local geometries under this metric."""
+    """Interface: dim, matrix(p, source), matrix_and_derivs(p, source).
+
+    ``source`` is phi's ``maps.LocalGeometry`` at p under phi's source
+    metric, handed on by phi's geometries under other metrics: a metric
+    defined through phi (a biconformal change of its source metric) reads
+    phi's per-point data there.  Other metrics ignore it."""
 
     # The map whose horizontal distribution this metric shares with the map's
     # source metric (a biconformal change of it), or None.  That map's
@@ -114,12 +88,11 @@ class MetricField:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.geometry_memo = PointMemo()
 
-    def matrix(self, p) -> np.ndarray:
+    def matrix(self, p, source=None) -> np.ndarray:
         raise NotImplementedError
 
-    def matrix_and_derivs(self, p):
+    def matrix_and_derivs(self, p, source=None):
         """Return (g, dg) with g shape (m, m) and dg[k, i, j] = d_k g_ij."""
         raise NotImplementedError
 
@@ -158,10 +131,10 @@ class JetMetric(MetricField):
         super().__init__(dim)
         self.fn = component_fn
 
-    def matrix(self, p):
+    def matrix(self, p, source=None):
         return jet_matrix(self.fn, p)
 
-    def matrix_and_derivs(self, p):
+    def matrix_and_derivs(self, p, source=None):
         return jet_matrix_and_derivs(self.fn, p)
 
 
@@ -174,10 +147,10 @@ class FDMetric(MetricField):
         self.fn = matrix_fn
         self.step = step
 
-    def matrix(self, p):
+    def matrix(self, p, source=None):
         return np.asarray(self.fn(np.asarray(p, dtype=float)), dtype=float)
 
-    def matrix_and_derivs(self, p):
+    def matrix_and_derivs(self, p, source=None):
         p = np.asarray(p, dtype=float)
         m = self.dim
         g = self.matrix(p)
@@ -238,11 +211,12 @@ class ChartedRiemannianManifold:
             raise DomainError("point %s outside chart domain" % (p.tolist(),))
         return p
 
-    def metric_at(self, p):
+    def metric_at(self, p, source=None):
         """The metric matrix at p, checked to be finite, symmetric and
-        positive definite (computed on each call)."""
+        positive definite (computed on each call; ``source`` as in
+        ``MetricField``)."""
         q = self.check_in_domain(p)
-        g = np.array(self.metric.matrix(q), dtype=float)
+        g = np.array(self.metric.matrix(q, source), dtype=float)
         if not np.all(np.isfinite(g)):
             raise MetricError("metric not finite at %s" % (q.tolist(),))
         if np.max(np.abs(g - g.T)) > 1e-12:

@@ -1,11 +1,14 @@
 """Smooth maps between charted manifolds: differentials, vertical/horizontal
 splitting, tension field and fiber mean curvature.
 
-``local_geometry(phi, p, metric)`` is the one store of per-point data: the
-``LocalGeometry`` of phi at p under a metric, memoized per (phi, point) on
-the metric (``MetricField.geometry_memo``, at most ``POINT_MEMO_SIZE``
-points); the manifolds and ``SmoothMap.jets`` keep nothing.  Each field is
-computed on its first read, kept read-only, and never kept when it fails:
+A ``LocalGeometry`` is the point context: everything a check reads about phi
+at one point p under one metric.  ``LocalGeometry(phi, p)`` is the geometry
+under phi's source metric; ``geo.under(metric)`` gives the geometry under
+another metric, built on the first request and kept on that source geometry,
+whose ``source`` it is.  The runner builds one source geometry per sample
+point, hands it to every check there and drops it before the next point, so
+no metric, map or module keeps per-point data.  Each field is computed on its
+first read, kept read-only, and never kept when it fails:
 
 - here: g (validated by ``metric_at``), (g, dg), g^-1 and Gamma (read by
   ``covariant_derivative`` and ``laplacian``), phi(p), dphi and its
@@ -13,19 +16,22 @@ computed on its first read, kept read-only, and never kept when it fails:
   horizontal factor R with R^T R = P_H g^-1 P_H^T (``hermitian`` takes its
   horizontal traces over R's rows), ``tension_field`` and
   ``mean_curvature_vertical``;
-- in the source metric's geometry (``source``) only: the map's jets, and
-  the target's h and Gamma at phi(p);
+- in the source geometry only: the map's jets, and the target's h and Gamma
+  at phi(p);
 - per J, from ``hermitian``: J and dJ at phi(p), F and dF (in the geometry
   that computes the lift), ``phwc_defect``, ``phwc_metric_defect`` and
   ``f_divergence_horizontal``;
-- under a ``biconformal.ChangedMetric``: sigma and rho as jets, and the
-  g-gradients of their logarithms.
+- per ``biconformal.ChangedMetric``, in the source geometry: sigma and rho
+  as jets, and the g-gradients of their logarithms.
 
-The public functions of the same names read these fields; ``ortho_split``
-is built on each call.  The derivatives are exact: with M = A g^-1 A^T, the
-lift L = g^-1 A^T M^-1 and P_H = L A are differentiated through d_k A (the
-map's Hessian), d_k g and d(M^-1) = -M^-1 dM M^-1, so no check evaluates
-the map away from its sample point.  The fiber mean curvature needs no frame.
+The public functions of the same names take a geometry and read these
+fields.  ``ortho_split`` (built on each call) and the ``horizontal_lift``
+wrapper serve only the tests; they stay here because the benchmark's tracer
+(``perfbench/tracer.py``) names them, until ROADMAP item 3's benchmark
+change.  The derivatives are exact: with M = A g^-1 A^T, the lift
+L = g^-1 A^T M^-1 and P_H = L A are differentiated through d_k A (the map's
+Hessian), d_k g and d(M^-1) = -M^-1 dM M^-1, so no check evaluates the map
+away from its sample point.  The fiber mean curvature needs no frame.
 """
 
 from __future__ import annotations
@@ -75,10 +81,6 @@ class SmoothMap:
     def n(self) -> int:
         return self.target.dim // 2
 
-    def value(self, p) -> np.ndarray:
-        """phi(p) in target chart components (read-only)."""
-        return local_geometry(self, p).map_jets[0]
-
     def jets(self, p):
         """Jets of the 2n components at p, each checked for non-finite
         components (computed on each call)."""
@@ -87,9 +89,9 @@ class SmoothMap:
                  else Jet2.constant(float(x), self.m)).check() for x in out]
 
 
-def differential(phi: SmoothMap, p) -> np.ndarray:
-    """Matrix A[a, i] = d_i phi^a at p (shape 2n x m, read-only)."""
-    return local_geometry(phi, p).map_jets[1]
+def differential(geo: LocalGeometry) -> np.ndarray:
+    """Matrix A[a, i] = d_i phi^a at the point (shape 2n x m, read-only)."""
+    return geo.map_jets[1]
 
 
 class LocalGeometry:
@@ -97,9 +99,31 @@ class LocalGeometry:
     fields are listed in the module docstring).  Fields are read-only; a
     failed computation is not kept, so it fails every read."""
 
-    def __init__(self, phi: SmoothMap, metric: MetricField, p: np.ndarray):
-        self.phi, self.p, self._fields = phi, read_only(p.copy()), {}
-        self.src = phi.source.with_metric(metric)
+    def __init__(self, phi: SmoothMap, p, metric: Optional[MetricField] = None,
+                 source: Optional["LocalGeometry"] = None):
+        """The geometry under phi's source metric, or (from ``under``) the
+        one under ``metric`` whose source geometry is ``source``."""
+        self.phi, self._source, self._fields, self._under = phi, source, {}, {}
+        self.p = read_only(np.array(p, dtype=float))
+        self.src = phi.source if metric is None else \
+            phi.source.with_metric(metric)
+
+    @property
+    def source(self) -> "LocalGeometry":
+        """phi's geometry at p under its source metric."""
+        return self if self._source is None else self._source
+
+    def under(self, metric: MetricField) -> "LocalGeometry":
+        """phi's geometry at p under ``metric``, built on the first request
+        and kept on the source geometry."""
+        source = self.source
+        if metric is source.src.metric:
+            return source
+        geo = source._under.get(metric)
+        if geo is None:
+            geo = source._under[metric] = LocalGeometry(self.phi, self.p,
+                                                        metric, source)
+        return geo
 
     def field(self, key, compute):
         """Further data under a key, made by ``compute`` on the first read
@@ -110,19 +134,14 @@ class LocalGeometry:
         return value
 
     @cached_property
-    def source(self) -> "LocalGeometry":
-        """phi's geometry at p under its source metric."""
-        return local_geometry(self.phi, self.p)
-
-    @cached_property
     def g(self) -> np.ndarray:
-        return read_only(self.src.metric_at(self.p))
+        return read_only(self.src.metric_at(self.p, self._source))
 
     @cached_property
     def metric_and_derivs(self):
         """(g, dg) from ``matrix_and_derivs``, read once g is validated."""
         self.g
-        g, dg = self.src.metric.matrix_and_derivs(self.p)
+        g, dg = self.src.metric.matrix_and_derivs(self.p, self._source)
         return read_only((np.asarray(g, dtype=float),
                           np.asarray(dg, dtype=float)))
 
@@ -182,7 +201,9 @@ class LocalGeometry:
 
     @cached_property
     def _differential(self):
-        """dphi and its smallest singular value."""
+        """dphi and its smallest singular value (read from ``source``)."""
+        if self.source is not self:
+            return self.source._differential
         a = self.map_jets[1]
         return a, np.linalg.svd(a, compute_uv=False)[-1]
 
@@ -196,7 +217,7 @@ class LocalGeometry:
     @cached_property
     def _lift_factors(self):
         """A, g^-1 A^T and M^-1 = (A g^-1 A^T)^-1."""
-        a = check_submersion(self.phi, self.p)
+        a = check_submersion(self)
         adjoint = self.ginv @ a.T
         return a, adjoint, np.linalg.inv(a @ adjoint)
 
@@ -233,18 +254,6 @@ class LocalGeometry:
         rows are a g-orthonormal basis of H, found without Gram-Schmidt."""
         _, adjoint, minv = self._lift_factors
         return read_only(np.linalg.cholesky(minv).T @ adjoint.T)
-
-    def ortho_split(self) -> "OrthoSplit":
-        """Orthonormal frames of ker dphi and of its complement H under this
-        metric, built on each call: Gram-Schmidt of the columns of P_V and
-        P_H in index order."""
-        m, two_n = self.phi.m, self.phi.two_n
-        g = self.g
-        ph = self.projector_and_lift[0]
-        pv = np.eye(m) - ph
-        v_frame = (_gram_schmidt(pv.T, g, m - two_n) if m > two_n
-                   else np.zeros((0, m)))
-        return OrthoSplit(v_frame, _gram_schmidt(ph.T, g, two_n))
 
     @cached_property
     def tension_field(self) -> TangentVector:
@@ -287,45 +296,31 @@ class LocalGeometry:
         return read_only(TangentVector(self.p, ph @ total / (m - two_n)))
 
 
-def local_geometry(phi: SmoothMap, p,
-                   metric: Optional[MetricField] = None) -> LocalGeometry:
-    """phi's LocalGeometry at p under ``metric`` (default: the source's)."""
-    metric = phi.source.metric if metric is None else metric
-    p = np.asarray(p, dtype=float)
-    key = (phi, p.shape, p.tobytes())  # a wrong shape fails in every field
-    geo = metric.geometry_memo.get(key)
-    if geo is None:
-        geo = LocalGeometry(phi, metric, p)
-        metric.geometry_memo.put(key, geo)
-    return geo
-
-
-def check_submersion(phi: SmoothMap, p, rank_tol: float = RANK_TOL):
-    """The differential at p, checked to have full rank 2n (read-only)."""
-    a, smallest = local_geometry(phi, p)._differential
+def check_submersion(geo: LocalGeometry, rank_tol: float = RANK_TOL):
+    """The differential at the point, checked to have full rank 2n
+    (read-only)."""
+    a, smallest = geo._differential
     if smallest <= rank_tol:
         raise RankError("map is not a submersion at %s: smallest singular "
-                        "value %g" % (np.asarray(p).tolist(), smallest))
+                        "value %g" % (geo.p.tolist(), smallest))
     return a
 
 
-def horizontal_projector(phi: SmoothMap, p,
-                         metric: Optional[MetricField] = None) -> np.ndarray:
+def horizontal_projector(geo: LocalGeometry) -> np.ndarray:
     """g-orthogonal projection onto H = (ker dphi)^perp, in chart basis.
 
     Closed form P_H = g^{-1} A^T (A g^{-1} A^T)^{-1} A; smooth in p and free
     of any frame choice.
     """
-    return local_geometry(phi, p, metric).projector_and_lift[0]
+    return geo.projector_and_lift[0]
 
 
-def horizontal_lift(phi: SmoothMap, p,
-                    metric: Optional[MetricField] = None) -> np.ndarray:
+def horizontal_lift(geo: LocalGeometry) -> np.ndarray:
     """Matrix (m x 2n) sending w in T_phi(p)N to the unique horizontal X with
     dphi(X) = w.  Independent of the metric's vertical scaling (H is fixed by
-    the biconformal construction), so callers may pass either g or a changed
-    metric."""
-    return local_geometry(phi, p, metric).projector_and_lift[1]
+    the biconformal construction), so the geometry under g or under a
+    changed metric gives the same lift."""
+    return geo.projector_and_lift[1]
 
 
 @dataclass(frozen=True)
@@ -358,22 +353,25 @@ def _gram_schmidt(seeds, g, count):
     return np.array(basis)
 
 
-def ortho_split(phi: SmoothMap, p,
-                metric: Optional[MetricField] = None) -> OrthoSplit:
+def ortho_split(geo: LocalGeometry) -> OrthoSplit:
     """Split T_pM into the vertical distribution ker dphi and its g-orthogonal
-    complement, with orthonormal frames for both (built on each call)."""
-    return local_geometry(phi, p, metric).ortho_split()
+    complement, with orthonormal frames for both, built on each call:
+    Gram-Schmidt of the columns of P_V and P_H in index order."""
+    m, two_n = geo.phi.m, geo.phi.two_n
+    g = geo.g
+    ph = geo.projector_and_lift[0]
+    pv = np.eye(m) - ph
+    v_frame = (_gram_schmidt(pv.T, g, m - two_n) if m > two_n
+               else np.zeros((0, m)))
+    return OrthoSplit(v_frame, _gram_schmidt(ph.T, g, two_n))
 
 
-def tension_field(phi: SmoothMap, p,
-                  metric: Optional[MetricField] = None) -> TangentVector:
+def tension_field(geo: LocalGeometry) -> TangentVector:
     """Trace of the second fundamental form, in target chart components
     (``LocalGeometry``)."""
-    return local_geometry(phi, p, metric).tension_field
+    return geo.tension_field
 
 
-def mean_curvature_vertical(phi: SmoothMap, p,
-                            metric: Optional[MetricField] = None
-                            ) -> TangentVector:
+def mean_curvature_vertical(geo: LocalGeometry) -> TangentVector:
     """Normalized mean curvature of the fibers (``LocalGeometry``)."""
-    return local_geometry(phi, p, metric).mean_curvature_vertical
+    return geo.mean_curvature_vertical

@@ -7,12 +7,13 @@ Each entry names what the identity requires of the scenario and the change
 that gives its report at one sample point.  ``run_identity`` dispatches one
 identity at one point and turns a sample error into an errored report.
 
-A run is point-major: at each sample point, in sample order, every
-applicable identity runs and then the flag checks.  So the point's local
-geometries (``maps.local_geometry``, ``manifold.POINT_MEMO_SIZE`` points
-per metric) serve all of them before later points evict them.  Each
-identity, and each flag, folds its one-point reports into one
-``IdentityAggregate`` in point order."""
+A run is point-major: at each sample point, in sample order, the runner
+builds the point context, phi's ``maps.LocalGeometry`` there, and hands it
+to every applicable identity and then to the flag checks.  The geometries
+under the change's g-bar and the one-function g-bar are built from it on
+their first request and kept on it, so each is computed once per point; the
+runner drops them all before the next point.  Each identity, and each flag,
+folds its one-point reports into one ``IdentityAggregate`` in point order."""
 
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .biconformal import (BiconformalChange, BiconformalContext,
                           verify_pullback_characterization,
                           verify_tension_equivalence, verify_tension_transform)
 from .hermitian import phh_defect, phwc_defect
-from .maps import tension_field
+from .maps import LocalGeometry, tension_field
 from .scenarios import Scenario, sample_points
 
 
@@ -109,20 +110,19 @@ class RunContext:
         return draws[0] if count == 1 else draws
 
 
-def _pullback(run: RunContext, p, idx):
+def _pullback(run: RunContext, geo: LocalGeometry, idx):
     """Worst of the first three holomorphic pullbacks, under g and, for the
     one-function change, under g-bar as well: that change preserves the
     morphism property, so the pullbacks stay harmonic under it."""
-    phi, J, tol = run.scenario.phi, run.scenario.J, run.config.tol_fd
+    tol = run.config.tol_fd
     names = [h for h in sorted(HOLOMORPHIC_BUILTINS)
-             if h != "z1*z2" or phi.two_n >= 4][:3]
+             if h != "z1*z2" or run.scenario.phi.two_n >= 4][:3]
     reps = []
     for holo in names:
-        reps.append(verify_pullback_characterization(phi, J, p, holo,
-                                                     tol=tol))
+        reps.append(verify_pullback_characterization(geo, holo, tol=tol))
         if run.config.special_sigma is not None:
             reps.append(verify_pullback_characterization(
-                phi, J, p, holo, metric=run.change.gbar, tol=tol))
+                geo.under(run.change.gbar), holo, tol=tol))
     return max(reps, key=lambda r: r.rel_residual)
 
 
@@ -145,8 +145,9 @@ REQUIREMENTS = {
 @dataclass(frozen=True)
 class Identity:
     """A law's row: the ``REQUIREMENTS`` it needs, its one-point check
-    (run, point, sample index) -> IdentityResidualReport, and whether its
-    aggregate ranks the worst point by absolute residual (the corollaries)."""
+    (run, point context, sample index) -> IdentityResidualReport, and
+    whether its aggregate ranks the worst point by absolute residual (the
+    corollaries)."""
     requires: Tuple[str, ...]
     check: Callable
     worst_by_abs: bool = False
@@ -157,36 +158,35 @@ class Identity:
 
 
 IDENTITIES = {
-    "phwc-equivalence": Identity((), lambda run, p, idx: (
-        verify_phwc_equivalence(run.scenario.phi, run.scenario.J, p,
-                                tol=run.config.tol_ad))),
-    "tension-f-structure": Identity(("phwc",), lambda run, p, idx: (
-        verify_tension_equivalence(run.scenario.phi, run.scenario.J, p,
+    "phwc-equivalence": Identity((), lambda run, geo, idx: (
+        verify_phwc_equivalence(geo, run.scenario.J, tol=run.config.tol_ad))),
+    "tension-f-structure": Identity(("phwc",), lambda run, geo, idx: (
+        verify_tension_equivalence(geo, run.scenario.J,
                                    tol=run.config.tol_fd))),
-    "tension-transform": Identity(("phwc",), lambda run, p, idx: (
-        verify_tension_transform(run.change, p, tol=run.config.tol_fd))),
-    "koszul-horizontal": Identity(("phwc",), lambda run, p, idx: (
-        verify_koszul_h(run.change, p, *run.draw(idx, 3, count=2),
+    "tension-transform": Identity(("phwc",), lambda run, geo, idx: (
+        verify_tension_transform(run.change, geo, tol=run.config.tol_fd))),
+    "koszul-horizontal": Identity(("phwc",), lambda run, geo, idx: (
+        verify_koszul_h(run.change, geo, *run.draw(idx, 3, count=2),
                         tol=run.config.tol_fd))),
-    "koszul-vertical": Identity(("phwc", "fibers"), lambda run, p, idx: (
-        verify_koszul_v(run.change, p, run.draw(idx, 4),
+    "koszul-vertical": Identity(("phwc", "fibers"), lambda run, geo, idx: (
+        verify_koszul_v(run.change, geo, run.draw(idx, 4),
                         tol=run.config.tol_fd))),
-    "mean-curvature": Identity(("phwc", "fibers"), lambda run, p, idx: (
-        verify_mean_curvature(run.change, p, tol=run.config.tol_fd))),
-    "f-divergence": Identity(("phwc",), lambda run, p, idx: (
-        verify_f_divergence(run.change, p, tol=run.config.tol_fd))),
-    "phh-covariant": Identity(("phwc",), lambda run, p, idx: (
-        verify_phh_covariant_formula(run.change, p,
+    "mean-curvature": Identity(("phwc", "fibers"), lambda run, geo, idx: (
+        verify_mean_curvature(run.change, geo, tol=run.config.tol_fd))),
+    "f-divergence": Identity(("phwc",), lambda run, geo, idx: (
+        verify_f_divergence(run.change, geo, tol=run.config.tol_fd))),
+    "phh-covariant": Identity(("phwc",), lambda run, geo, idx: (
+        verify_phh_covariant_formula(run.change, geo,
                                      *run.draw(idx, 7, count=2),
                                      tol=run.config.tol_fd))),
     "pullback": Identity(("phwc", "harmonic"), _pullback),
-    "corollary-psh": Identity(("phwc", "fibers"), lambda run, p, idx: (
-        corollary_psh_at(run.scenario, run.one_function, p,
+    "corollary-psh": Identity(("phwc", "fibers"), lambda run, geo, idx: (
+        corollary_psh_at(run.scenario, run.one_function, geo,
                          tol=run.config.tol_fd)), worst_by_abs=True),
     "corollary-phh": Identity(
         ("phwc", "fibers", "phh", "n >= 2 or sigma constant"),
-        lambda run, p, idx: corollary_phh_at(run.one_function, p,
-                                             tol=10.0 * run.config.tol_ad),
+        lambda run, geo, idx: corollary_phh_at(run.one_function, geo,
+                                               tol=10.0 * run.config.tol_ad),
         worst_by_abs=True),
 }
 ALL_IDENTITIES = tuple(IDENTITIES)
@@ -202,14 +202,14 @@ def skip_reason(name: str, scenario: Scenario,
     return None
 
 
-def run_identity(name: str, run: RunContext, p, idx: int):
-    """The report of one identity at sample point ``p`` with sample index
-    ``idx`` (a point's random test vectors are drawn from it); a sample error
-    gives an errored report."""
+def run_identity(name: str, run: RunContext, geo: LocalGeometry, idx: int):
+    """The report of one identity at the point of ``geo``, the point context,
+    with sample index ``idx`` (a point's random test vectors are drawn from
+    it); a sample error gives an errored report."""
     try:
-        return IDENTITIES[name].check(run, p, idx)
+        return IDENTITIES[name].check(run, geo, idx)
     except SAMPLE_ERRORS as err:
-        return errored_report(name, p, err)
+        return errored_report(name, geo.p, err)
 
 
 def _relative(defect_and_scale):
@@ -217,12 +217,12 @@ def _relative(defect_and_scale):
     return defect / (scale + REL_FLOOR)
 
 
-# flag -> its relative defect at a point, (phi, J, p) -> float
+# flag -> its relative defect at a point, (point context, J) -> float
 FLAG_DEFECTS = {
-    "phwc": lambda phi, J, p: _relative(phwc_defect(phi, J, p)),
-    "harmonic": lambda phi, J, p: (
-        float(np.max(np.abs(tension_field(phi, p).components))) / REL_FLOOR),
-    "phh": lambda phi, J, p: _relative(phh_defect(phi, J, p)),
+    "phwc": lambda geo, J: _relative(phwc_defect(geo, J)),
+    "harmonic": lambda geo, J: (
+        float(np.max(np.abs(tension_field(geo).components))) / REL_FLOOR),
+    "phh": lambda geo, J: _relative(phh_defect(geo, J)),
 }
 
 
@@ -255,21 +255,22 @@ def _flag_entries(scenario: Scenario, tallies, tol):
     return out
 
 
-def confirm_flags(scenario: Scenario, points, tol: float = 1e-5,
+def confirm_flags(scenario: Scenario, geos, tol: float = 1e-5,
                   tallies=None):
     """Re-measure the scenario's expected PHWC / PHH / harmonicity flags at
-    ``points``, into new ``tallies`` or, point by point in a run, into the
-    run's (a sample error is an errored report), and return the report's
-    flag section over every point folded so far."""
+    the point contexts ``geos`` (the map's ``LocalGeometry`` at each point),
+    into new ``tallies`` or, point by point in a run, into the run's (a
+    sample error is an errored report), and return the report's flag section
+    over every point folded so far."""
     tallies = _flag_tallies(scenario) if tallies is None else tallies
-    for p in points:
+    for geo in geos:
         for flag, tally in tallies.items():
             try:
-                defect = FLAG_DEFECTS[flag](scenario.phi, scenario.J, p)
-                rep = IdentityResidualReport(flag, np.asarray(p).tolist(),
+                defect = FLAG_DEFECTS[flag](geo, scenario.J)
+                rep = IdentityResidualReport(flag, geo.p.tolist(),
                                              defect, defect, True)
             except SAMPLE_ERRORS as err:
-                rep = errored_report(flag, p, err)
+                rep = errored_report(flag, geo.p, err)
             tally.add(rep)
     return _flag_entries(scenario, tallies, tol)
 
@@ -299,9 +300,10 @@ def run_verification(config: RunConfig):
             skipped.append({"name": name, "reason": reason})
     flag_tallies = _flag_tallies(scenario)
     for idx, p in enumerate(points):
+        geo = LocalGeometry(scenario.phi, p)
         for agg in totals:
-            agg.add(run_identity(agg.name, run, p, idx))
-        flags = confirm_flags(scenario, [p], config.tol_fd, flag_tallies)
+            agg.add(run_identity(agg.name, run, geo, idx))
+        flags = confirm_flags(scenario, [geo], config.tol_fd, flag_tallies)
 
     per_identity = [agg.as_dict() for agg in totals]
     return _assemble(config, scenario, per_identity, flags, skipped, warnings)

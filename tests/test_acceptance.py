@@ -16,7 +16,9 @@ import phmorph as pm
 from phmorph import (
     BiconformalChange,
     BiconformalContext,
-    apply_change,
+    ChangedMetric,
+    LocalGeometry,
+    RunConfig,
     get_scenario,
     parse,
     sample_points,
@@ -30,10 +32,12 @@ from phmorph import (
     verify_pullback_characterization,
     verify_tension_transform,
 )
-from phmorph.biconformal import check_corollary_phh, check_corollary_psh
+from phmorph.biconformal import corollary_phh_at, one_function_context
 from phmorph.cli import main as cli_main
 from phmorph.hermitian import phwc_defect, phwc_metric_defect
 from phmorph.maps import horizontal_projector
+from phmorph.runner import run_verification
+from tests.test_biconformal import fold
 
 PHWC_SCENARIOS = ["flat-projection-4-2", "flat-projection-6-4",
                   "holomorphic-poly", "curved-fibers-nonharmonic", "hopf"]
@@ -68,8 +72,9 @@ def test_criterion_01_tension_route_equivalence():
     for name in PHWC_SCENARIOS:
         sc = get_scenario(name)
         for p in sample_points(sc, 45, seed=20):
-            a = tension_field(sc.phi, p).components
-            b = tension_via_f_structure(sc.phi, sc.J, p).components
+            geo = LocalGeometry(sc.phi, p)
+            a = tension_field(geo).components
+            b = tension_via_f_structure(geo, sc.J).components
             rel = np.max(np.abs(a - b)) / (np.max(np.abs(a)) + 1.0)
             worst = max(worst, rel)
             count += 1
@@ -87,7 +92,9 @@ def test_criterion_02_tension_transformation_law():
             ctx = BiconformalContext.build(
                 sc.phi, sc.J, BiconformalChange.from_texts(sigma, rho))
             for p in sample_points(sc, 6, seed=21):
-                worst = max(worst, verify_tension_transform(ctx, p).rel_residual)
+                geo = LocalGeometry(sc.phi, p)
+                worst = max(worst,
+                            verify_tension_transform(ctx, geo).rel_residual)
     _report(2, "tension transformation law: max rel residual %.2e" % worst,
             worst < 1e-5)
 
@@ -101,14 +108,15 @@ def test_criterion_03_koszul_identities():
         ctx = BiconformalContext.build(
             sc.phi, sc.J,
             BiconformalChange.from_texts(*_sigma_rho_pairs(m, two_n)[2]))
-        points = sample_points(sc, 10, seed=22)
+        geos = [LocalGeometry(sc.phi, p)
+                for p in sample_points(sc, 10, seed=22)]
         for k in range(50):
-            p = points[k % len(points)]
+            geo = geos[k % len(geos)]
             x, y = rng.normal(size=m), rng.normal(size=m)
-            worst = max(worst, verify_koszul_h(ctx, p, x, y).rel_residual)
+            worst = max(worst, verify_koszul_h(ctx, geo, x, y).rel_residual)
             if m > two_n:
                 v = rng.normal(size=m)
-                worst = max(worst, verify_koszul_v(ctx, p, v).rel_residual)
+                worst = max(worst, verify_koszul_v(ctx, geo, v).rel_residual)
     _report(3, "Koszul connection identities: max rel residual %.2e" % worst,
             worst < 1e-5)
 
@@ -123,18 +131,21 @@ def test_criterion_04_mean_curvature_transformation():
             ctx = BiconformalContext.build(
                 sc.phi, sc.J, BiconformalChange.from_texts(sigma, rho))
             for p in sample_points(sc, 5, seed=23):
-                worst = max(worst, verify_mean_curvature(ctx, p).rel_residual)
+                geo = LocalGeometry(sc.phi, p)
+                worst = max(worst,
+                            verify_mean_curvature(ctx, geo).rel_residual)
     # vertical-only rho: H(grad log rho) = 0 and pure sigma^2 scaling
     sc = get_scenario("curved-fibers-nonharmonic")
     ch = BiconformalChange.from_texts("exp(0.3*x1)", "exp(0.2*x3)")
     ctx = BiconformalContext.build(sc.phi, sc.J, ch)
     pure_ok = True
     for p in sample_points(sc, 5, seed=23):
-        _, grad_lr = ctx.gbar.grad_log_factors(p)
-        ph = horizontal_projector(sc.phi, p)
+        geo = LocalGeometry(sc.phi, p)
+        _, grad_lr = ctx.gbar.grad_log_factors(geo)
+        ph = horizontal_projector(geo)
         s, _ = ch.factor_values(p)
-        mu = pm.mean_curvature_vertical(sc.phi, p).components
-        mubar = pm.mean_curvature_vertical(sc.phi, p, metric=ctx.gbar).components
+        mu = pm.mean_curvature_vertical(geo).components
+        mubar = pm.mean_curvature_vertical(geo.under(ctx.gbar)).components
         pure_ok &= np.max(np.abs(ph @ grad_lr)) < 1e-10
         pure_ok &= np.max(np.abs(mubar - s**2 * mu)) < 1e-6
     ok = worst < 1e-5 and pure_ok
@@ -150,14 +161,17 @@ def test_criterion_05_f_divergence_transformation():
     ctx = BiconformalContext.build(
         sc.phi, sc.J, BiconformalChange.from_texts("exp(0.2*x1+0.1*x2)", "1"))
     for p in sample_points(sc, 8, seed=24):
-        worst_n2 = max(worst_n2, pm.verify_f_divergence(ctx, p).rel_residual)
+        geo = LocalGeometry(sc.phi, p)
+        worst_n2 = max(worst_n2, pm.verify_f_divergence(ctx, geo).rel_residual)
     worst_n1 = 0.0
     for name in ("flat-projection-4-2", "curved-fibers-nonharmonic", "hopf"):
         sc1 = get_scenario(name)
         ctx1 = BiconformalContext.build(
             sc1.phi, sc1.J, BiconformalChange.from_texts("exp(0.2*x1)", "1"))
         for p in sample_points(sc1, 6, seed=24):
-            worst_n1 = max(worst_n1, pm.verify_f_divergence(ctx1, p).rel_residual)
+            geo = LocalGeometry(sc1.phi, p)
+            worst_n1 = max(worst_n1,
+                           pm.verify_f_divergence(ctx1, geo).rel_residual)
     ok = worst_n2 < 1e-5 and worst_n1 < 1e-5
     _report(5, "f-structure divergence transformation: n=2 max %.2e, "
                "n=1 max %.2e" % (worst_n2, worst_n1), ok)
@@ -170,13 +184,13 @@ def test_criterion_06_one_function_change_preserves_harmonic_phwc():
         sc = get_scenario(name)
         sigma = parse("1+0.2*x1^2+0.1*x2")
         ch = special_change(sigma, sc.phi.m, sc.phi.n)
-        gbar = apply_change(sc.phi, ch)
+        gbar = ChangedMetric(sc.phi, ch)
         worst_tau = worst_defect = 0.0
         for p in sample_points(sc, 10, seed=25):
-            tau = tension_field(sc.phi, p, metric=gbar).components
+            geo_bar = LocalGeometry(sc.phi, p).under(gbar)
+            tau = tension_field(geo_bar).components
             worst_tau = max(worst_tau, float(np.max(np.abs(tau))))
-            worst_defect = max(worst_defect,
-                               phwc_defect(sc.phi, sc.J, p, metric=gbar)[0])
+            worst_defect = max(worst_defect, phwc_defect(geo_bar, sc.J)[0])
         ok &= worst_tau < 1e-5 and worst_defect < 1e-5
         detail.append("%s tau %.2e defect %.2e" % (name, worst_tau, worst_defect))
     _report(6, "one-function change preserves harmonicity and PHWC: %s"
@@ -185,16 +199,21 @@ def test_criterion_06_one_function_change_preserves_harmonic_phwc():
 
 def test_criterion_07_phh_breaking_direction():
     sc = get_scenario("flat-projection-6-4")
-    points = sample_points(sc, 10, seed=26)
-    const = check_corollary_phh(sc, parse("3"), points, tol=1e-6)
-    broken = check_corollary_phh(sc, parse("1+0.1*x1"), points,
-                                 breaking_floor=1e-3)
-    sc1 = get_scenario("flat-projection-4-2")
-    degen = check_corollary_phh(sc1, parse("1+0.1*x1"),
-                                sample_points(sc1, 5, seed=26))
-    ok = (const.passed and not const.skipped
-          and broken.passed and not broken.skipped
-          and degen.skipped and not degen.samples_fail)
+    geos = [LocalGeometry(sc.phi, p) for p in sample_points(sc, 10, seed=26)]
+    const_ctx = one_function_context(sc.phi, sc.J, parse("3"))
+    const = fold("corollary-phh", lambda geo: corollary_phh_at(
+        const_ctx, geo, tol=1e-6), geos)
+    broken_ctx = one_function_context(sc.phi, sc.J, parse("1+0.1*x1"))
+    broken = fold("corollary-phh", lambda geo: corollary_phh_at(
+        broken_ctx, geo, breaking_floor=1e-3), geos)
+    # on n = 1 a run skips it (same points: 5 samples at seed 26)
+    degen = run_verification(RunConfig(
+        scenario="flat-projection-4-2", sigma="1+0.1*x1", samples=5,
+        seed=26, identities=["corollary-phh"]))
+    ok = (const.passed and broken.passed
+          and [row["name"] for row in degen["skipped_identities"]]
+          == ["corollary-phh"]
+          and not any(row["samples_fail"] for row in degen["per_identity"]))
     _report(7, "PHH preserved iff sigma constant (n >= 2), n = 1 degeneracy "
                "skipped", ok)
 
@@ -204,11 +223,13 @@ def test_criterion_08_phwc_equivalence_and_negative_control():
     for name in PHWC_SCENARIOS + ["nonphwc-anisotropic"]:
         sc = get_scenario(name)
         for p in sample_points(sc, 8, seed=27):
-            d1, s1 = phwc_defect(sc.phi, sc.J, p)
-            d2, s2 = phwc_metric_defect(sc.phi, sc.J, p)
+            geo = LocalGeometry(sc.phi, p)
+            d1, s1 = phwc_defect(geo, sc.J)
+            d2, s2 = phwc_metric_defect(geo, sc.J)
             ok &= (d1 / (s1 + 1.0) < 1e-6) == (d2 / (s2 + 1.0) < 1e-6)
     sc = get_scenario("nonphwc-anisotropic")
-    exact = phwc_defect(sc.phi, sc.J, np.array([0.3, -0.2, 0.5, 0.1]))[0]
+    exact = phwc_defect(LocalGeometry(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])),
+                        sc.J)[0]
     ok &= abs(exact - 3.0 * math.sqrt(2.0)) < 1e-9
     _report(8, "PHWC operator/metric defect equivalence; control defect "
                "%.12f = 3*sqrt(2)" % exact, ok)
@@ -222,14 +243,16 @@ def test_criterion_09_pullback_characterization():
         sigma = parse("1+0.1*x1^2")
         gbar = None
         if sc.phi.m > sc.phi.two_n:
-            gbar = apply_change(sc.phi, special_change(sigma, sc.phi.m, sc.phi.n))
+            gbar = ChangedMetric(sc.phi,
+                                 special_change(sigma, sc.phi.m, sc.phi.n))
         for p in sample_points(sc, 5, seed=28):
+            geo = LocalGeometry(sc.phi, p)
             for holo in holos:
                 worst = max(worst, verify_pullback_characterization(
-                    sc.phi, sc.J, p, holo).abs_residual)
+                    geo, holo).abs_residual)
                 if gbar is not None:
                     worst = max(worst, verify_pullback_characterization(
-                        sc.phi, sc.J, p, holo, metric=gbar).abs_residual)
+                        geo.under(gbar), holo).abs_residual)
     _report(9, "holomorphic pullbacks are harmonic (original and changed "
                "metrics): max residual %.2e" % worst, worst < 1e-5)
 

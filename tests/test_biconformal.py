@@ -10,9 +10,11 @@ import phmorph as pm
 from phmorph import (
     BiconformalChange,
     BiconformalContext,
+    ChangedMetric,
     GeometryError,
+    MetricError,
     PositivityError,
-    apply_change,
+    SmoothMap,
     get_scenario,
     mean_curvature_vertical,
     parse,
@@ -30,10 +32,13 @@ from phmorph import (
     verify_tension_equivalence,
     verify_tension_transform,
 )
-from phmorph.biconformal import check_corollary_phh, check_corollary_psh
+from phmorph.biconformal import (PHH_N1_WARNING, corollary_phh_at,
+                                 corollary_psh_at, one_function_context)
 from phmorph.manifold import directional_derivative
-from phmorph.maps import differential, horizontal_projector, local_geometry
+from phmorph.maps import differential, horizontal_projector
 from phmorph.hermitian import adapted_frame, phwc_defect
+from phmorph.runner import IDENTITIES
+from tests.test_maps import at
 
 
 P4 = np.array([0.3, -0.2, 0.5, 0.1])
@@ -45,6 +50,15 @@ def ctx_for(name, sigma, rho):
     return sc, BiconformalContext.build(sc.phi, sc.J, ch)
 
 
+def fold(name, check, geos):
+    """A corollary's one-point reports folded into the aggregate that a run
+    folds them into."""
+    agg = IDENTITIES[name].aggregate(name)
+    for geo in geos:
+        agg.add(check(geo))
+    return agg
+
+
 # ---- the change itself --------------------------------------------------
 
 def test_constant_change_scales_blocks():
@@ -52,7 +66,7 @@ def test_constant_change_scales_blocks():
     # 1/4, vertical block untouched
     sc = get_scenario("flat-projection-4-2")
     ch = BiconformalChange.from_texts("2", "1")
-    gbar = apply_change(sc.phi, ch)
+    gbar = ChangedMetric(sc.phi, ch)
     assert np.allclose(gbar.matrix(P4), np.diag([0.25, 0.25, 1.0, 1.0]),
                        atol=1e-14)
 
@@ -62,9 +76,9 @@ def test_change_preserves_block_orthogonality():
     # horizontal distribution is not coordinate-aligned
     sc = get_scenario("holomorphic-poly")
     ch = BiconformalChange.from_texts("exp(0.3*x1)", "1+x2^2")
-    gbar = apply_change(sc.phi, ch)
+    gbar = ChangedMetric(sc.phi, ch)
     for p in sample_points(sc, 5, seed=1):
-        ph = horizontal_projector(sc.phi, p)
+        ph = horizontal_projector(at(sc.phi, p))
         pv = np.eye(4) - ph
         gb = gbar.matrix(p)
         assert np.max(np.abs(ph.T @ gb @ pv)) < 1e-10
@@ -108,72 +122,101 @@ def test_compose_matches_sequential_metrics():
     b = BiconformalChange.from_texts("2", "exp(0.1*x3)")
     both = BiconformalChange.from_texts("exp(0.3*x1)*2",
                                         "(1+x2^2)*exp(0.1*x3)")
-    once = apply_change(sc.phi, both).matrix(P4)
+    once = ChangedMetric(sc.phi, both).matrix(P4)
     sb, rb = b.factor_values(P4)
-    ga = apply_change(sc.phi, a).matrix(P4)
-    ph = horizontal_projector(sc.phi, P4)
+    ga = ChangedMetric(sc.phi, a).matrix(P4)
+    ph = horizontal_projector(at(sc.phi, P4))
     twice = ga @ ph / sb**2 + (ga - ga @ ph) / rb**2
     assert np.max(np.abs(once - twice)) < 1e-12
 
 
 def test_identity_change_is_identity():
     sc = get_scenario("curved-fibers-nonharmonic")
-    gbar = apply_change(sc.phi, BiconformalChange.from_texts("1", "1"))
+    gbar = ChangedMetric(sc.phi, BiconformalChange.from_texts("1", "1"))
     assert np.allclose(gbar.matrix(P4), sc.phi.source.metric_at(P4), atol=1e-14)
 
 
 # ---- sigma and rho kept per point by the changed metric ------------------
 
 FACTOR_READERS = {
-    "factor_values": lambda gbar, p: gbar.factor_values(p),
-    "factor_jets": lambda gbar, p: tuple(
-        part for jet in gbar.factor_jets(p)
+    "factor_values": lambda gbar, geo: gbar.factor_values(geo),
+    "factor_jets": lambda gbar, geo: tuple(
+        part for jet in gbar.factor_jets(geo)
         for part in (jet.value, jet.grad, jet.hess)),
-    "grad_log_factors": lambda gbar, p: gbar.grad_log_factors(p),
+    "grad_log_factors": lambda gbar, geo: gbar.grad_log_factors(geo),
 }
 FACTOR_CASE = ("holomorphic-poly", "exp(0.3*x1)", "1+x2^2")
 
 
 def changed_metric(name, sigma, rho):
     sc = get_scenario(name)
-    return apply_change(sc.phi, BiconformalChange.from_texts(sigma, rho))
+    return ChangedMetric(sc.phi, BiconformalChange.from_texts(sigma, rho))
 
 
 @pytest.mark.parametrize("name", sorted(FACTOR_READERS))
 def test_factor_fields_warm_equal_cold(name):
     read = FACTOR_READERS[name]
-    cold = read(changed_metric(*FACTOR_CASE), P4)
+    fresh = changed_metric(*FACTOR_CASE)
+    cold = read(fresh, at(fresh.phi, P4))
     gbar = changed_metric(*FACTOR_CASE)
-    for _ in range(2):  # fills the memo, then reads it
+    geo = at(gbar.phi, P4.copy())
+    for _ in range(2):  # fills the geometry, then reads it
         for other in FACTOR_READERS.values():
-            other(gbar, P4)
-        warm = read(gbar, P4.copy())
+            other(gbar, geo)
+        warm = read(gbar, geo)
         assert len(warm) == len(cold)
         assert all(np.array_equal(w, c) for w, c in zip(warm, cold))
-    assert gbar.factor_values(P4) == gbar.change.factor_values(P4)
+    assert gbar.factor_values(geo) == gbar.change.factor_values(P4)
 
 
 def test_factor_field_arrays_are_read_only():
     gbar = changed_metric(*FACTOR_CASE)
-    arrays = [jet.grad for jet in gbar.factor_jets(P4)]
-    arrays += [jet.hess for jet in gbar.factor_jets(P4)]
-    arrays += list(gbar.grad_log_factors(P4))
+    geo = at(gbar.phi, P4)
+    arrays = [jet.grad for jet in gbar.factor_jets(geo)]
+    arrays += [jet.hess for jet in gbar.factor_jets(geo)]
+    arrays += list(gbar.grad_log_factors(geo))
     for out in arrays:
         assert not out.flags.writeable
         with pytest.raises(ValueError):
             out[0] = 1.0
 
 
+def test_changed_metric_reads_the_source_geometry_it_is_handed():
+    # handed phi's geometry at the point, g-bar fills it (P_H, the factor
+    # jets) and its own geometry reads it; called with the point alone, it
+    # builds a geometry of its own, with the same values
+    gbar = changed_metric(*FACTOR_CASE)
+    geo = at(gbar.phi, P4)
+    value = gbar.matrix(P4, geo)
+    assert "projector_and_lift" in vars(geo)
+    jets = gbar.factor_jets(geo)
+    assert np.array_equal(value, gbar.matrix(P4))
+    assert np.array_equal(gbar.matrix_and_derivs(P4, geo)[1],
+                          gbar.matrix_and_derivs(P4)[1])
+    bar = geo.under(gbar)
+    assert bar.source is geo and np.array_equal(bar.g, value)
+    assert gbar.factor_jets(geo) is jets
+    # another map's geometry under g-bar hands on no geometry of phi's
+    other = SmoothMap(gbar.phi.source, gbar.phi.target,
+                      lambda c: [c[0] + 0.1 * c[2], c[1]])
+    assert np.array_equal(at(other, P4, gbar).g, value)
+
+
 @pytest.mark.parametrize("sigma, rho, factor", [("x2", "1", "sigma"),
                                                 ("1", "x2", "rho")])
 def test_nonpositive_factor_fails_on_every_call(sigma, rho, factor):
     gbar = changed_metric("holomorphic-poly", sigma, rho)  # x2 = -0.2 at P4
+    geo = at(gbar.phi, P4)
     for _ in range(2):
         for read in (gbar.factor_values, gbar.factor_jets,
-                     gbar.grad_log_factors, gbar.matrix,
-                     gbar.matrix_and_derivs):
+                     gbar.grad_log_factors):
+            with pytest.raises(PositivityError, match=factor):
+                read(geo)
+        for read in (gbar.matrix, gbar.matrix_and_derivs):
             with pytest.raises(PositivityError, match=factor):
                 read(P4)
+            with pytest.raises(PositivityError, match=factor):
+                read(P4, geo)
 
 
 def test_changes_built_one_after_another_never_share_factors():
@@ -182,10 +225,11 @@ def test_changes_built_one_after_another_never_share_factors():
     sc = get_scenario("flat-projection-4-2")
     for k in range(1, 31):
         sigma, rho = float(k), float(k % 7 + 1)
-        gbar = apply_change(sc.phi, BiconformalChange(
+        gbar = ChangedMetric(sc.phi, BiconformalChange(
             pm.exprs.Lit(sigma), pm.exprs.Lit(rho)))
-        assert gbar.factor_values(P4) == (sigma, rho)
-        assert gbar.factor_jets(P4)[0].value == sigma
+        geo = at(sc.phi, P4)
+        assert gbar.factor_values(geo) == (sigma, rho)
+        assert gbar.factor_jets(geo)[0].value == sigma
         assert np.array_equal(gbar.matrix(P4), np.diag(
             [sigma ** -2] * 2 + [rho ** -2] * 2))
         del gbar
@@ -223,7 +267,7 @@ def test_identity_change_residuals_vanish(name):
     sc, ctx = ctx_for(name, "1", "1")
     for fn in (verify_tension_transform, verify_mean_curvature,
                verify_f_divergence):
-        r = fn(ctx, P4)
+        r = fn(ctx, at(sc.phi, P4))
         assert r.passed and r.abs_residual < 1e-9, r
 
 
@@ -246,7 +290,7 @@ def test_tension_and_curvature_transforms(name, sigma, rho):
     for p in sample_points(sc, 6, seed=2):
         for fn in (verify_tension_transform, verify_mean_curvature,
                    verify_f_divergence):
-            r = fn(ctx, p)
+            r = fn(ctx, at(sc.phi, p))
             assert r.rel_residual < 1e-5, (fn.__name__, p, r)
 
 
@@ -259,11 +303,11 @@ def test_koszul_identities(name, sigma, rho):
         for _ in range(4):
             x = rng.normal(size=m)
             y = rng.normal(size=m)
-            r = verify_koszul_h(ctx, p, x, y)
+            r = verify_koszul_h(ctx, at(sc.phi, p), x, y)
             assert r.rel_residual < 1e-5, (p, r)
             if m > sc.phi.two_n:
                 v = rng.normal(size=m)
-                r = verify_koszul_v(ctx, p, v)
+                r = verify_koszul_v(ctx, at(sc.phi, p), v)
                 assert r.rel_residual < 1e-5, (p, r)
 
 
@@ -274,7 +318,7 @@ def test_phh_covariant_formula(name, sigma, rho):
     for p in sample_points(sc, 4, seed=8):
         x = rng.normal(size=sc.phi.m)
         y = rng.normal(size=sc.phi.m)
-        r = verify_phh_covariant_formula(ctx, p, x, y)
+        r = verify_phh_covariant_formula(ctx, at(sc.phi, p), x, y)
         assert r.rel_residual < 1e-5, (p, r)
 
 
@@ -297,42 +341,45 @@ def test_tolerance_rejects_f_divergence_with_2n_minus_1():
     sc, ctx = ctx_for(*MUTATION_CASE)
     phi = sc.phi
     for p in sample_points(sc, 4, seed=5):
-        lhs = pm.f_divergence_horizontal(phi, sc.J, p,
-                                         metric=ctx.gbar).components
-        div = pm.f_divergence_horizontal(phi, sc.J, p).components
-        grad_ls, _ = ctx.gbar.grad_log_factors(p)
+        geo = at(phi, p)
+        lhs = pm.f_divergence_horizontal(geo.under(ctx.gbar),
+                                         sc.J).components
+        div = pm.f_divergence_horizontal(geo, sc.J).components
+        grad_ls, _ = ctx.gbar.grad_log_factors(geo)
         s, _ = ctx.change.factor_values(p)
         wrong = s ** 2 * (div + (2.0 * phi.n - 1.0)
-                          * (horizontal_projector(phi, p) @ grad_ls))
+                          * (horizontal_projector(geo) @ grad_ls))
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        assert verify_f_divergence(ctx, p, tol=TOL_FD).passed, p
+        assert verify_f_divergence(ctx, geo, tol=TOL_FD).passed, p
 
 
 def test_tolerance_rejects_tension_transform_without_the_rho_term():
     sc, ctx = ctx_for(*MUTATION_CASE)
     phi = sc.phi
     for p in sample_points(sc, 4, seed=5):
-        lhs = tension_field(phi, p, metric=ctx.gbar).components
-        tau = tension_field(phi, p).components
-        grad_ls, _ = ctx.gbar.grad_log_factors(p)
+        geo = at(phi, p)
+        lhs = tension_field(geo.under(ctx.gbar)).components
+        tau = tension_field(geo).components
+        grad_ls, _ = ctx.gbar.grad_log_factors(geo)
         s, _ = ctx.change.factor_values(p)
         # (2n - m) grad ln rho dropped
-        wrong = s ** 2 * (tau + differential(phi, p)
+        wrong = s ** 2 * (tau + differential(geo)
                           @ ((2.0 - phi.two_n) * grad_ls))
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        assert verify_tension_transform(ctx, p, tol=TOL_FD).passed, p
+        assert verify_tension_transform(ctx, geo, tol=TOL_FD).passed, p
 
 
 def test_tolerance_rejects_mean_curvature_without_the_rho_term():
     sc, ctx = ctx_for(*MUTATION_CASE)
     phi = sc.phi
     for p in sample_points(sc, 4, seed=5):
-        lhs = mean_curvature_vertical(phi, p, metric=ctx.gbar).components
-        mu = mean_curvature_vertical(phi, p).components
+        geo = at(phi, p)
+        lhs = mean_curvature_vertical(geo.under(ctx.gbar)).components
+        mu = mean_curvature_vertical(geo).components
         s, _ = ctx.change.factor_values(p)
         wrong = s ** 2 * mu  # H(grad ln rho) dropped
         assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
-        assert verify_mean_curvature(ctx, p, tol=TOL_FD).passed, p
+        assert verify_mean_curvature(ctx, geo, tol=TOL_FD).passed, p
 
 
 def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
@@ -343,24 +390,24 @@ def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
         v_comp = rng.normal(size=phi.m)
 
         def v_field(q):
-            return v_comp - horizontal_projector(phi, q) @ v_comp
+            return v_comp - horizontal_projector(at(phi, q)) @ v_comp
 
         v = v_field(p)
         dv = directional_derivative(v_field, p, v)  # the Richardson oracle
-        ph = horizontal_projector(phi, p)
-        geo_bar = local_geometry(phi, p, ctx.gbar)
-        lhs = ph @ geo_bar.covariant_derivative(v, v, dv)
+        geo = at(phi, p)
+        ph = horizontal_projector(geo)
+        lhs = ph @ geo.under(ctx.gbar).covariant_derivative(v, v, dv)
         s, r = ctx.change.factor_jets(p)
         g = phi.source.metric_at(p)
         d_rho_m2 = -2.0 * r.value ** -3 * r.grad
         inner = 2.0 * r.value ** -2 * (
-            ph @ local_geometry(phi, p).covariant_derivative(v, v, dv))
-        for f_i in adapted_frame(phi, sc.J, p).horizontal:
+            ph @ geo.covariant_derivative(v, v, dv))
+        for f_i in adapted_frame(geo, sc.J).horizontal:
             # the law subtracts this gradient term; here it is added
             inner = inner + (d_rho_m2 @ f_i) * float(v @ g @ v) * f_i
         wrong = 0.5 * s.value ** 2 * inner
         assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
-        assert verify_koszul_v(ctx, p, v_comp, tol=TOL_FD).passed, p
+        assert verify_koszul_v(ctx, geo, v_comp, tol=TOL_FD).passed, p
 
 
 def test_tolerance_rejects_koszul_vertical_without_the_test_field_derivative():
@@ -372,10 +419,11 @@ def test_tolerance_rejects_koszul_vertical_without_the_test_field_derivative():
     rng = np.random.default_rng(5)
     for p in sample_points(sc, 4, seed=5):
         v_comp = rng.normal(size=phi.m)
-        ph = horizontal_projector(phi, p)
+        geo = at(phi, p)
+        ph = horizontal_projector(geo)
         g = phi.source.metric_at(p)
         v = v_comp - ph @ v_comp
-        gamma_bar = local_geometry(phi, p, ctx.gbar).christoffel
+        gamma_bar = geo.under(ctx.gbar).christoffel
         lhs = ph @ np.einsum("kij,i,j->k", gamma_bar, v, v)
         s, r = ctx.change.factor_jets(p)
         d_rho_m2 = -2.0 * r.value ** -3 * r.grad
@@ -384,7 +432,7 @@ def test_tolerance_rejects_koszul_vertical_without_the_test_field_derivative():
             2.0 * r.value ** -2 * (ph @ nabla_vv)
             - float(v @ g @ v) * (ph @ np.linalg.inv(g) @ d_rho_m2))
         assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
-        assert verify_koszul_v(ctx, p, v_comp, tol=TOL_FD).passed, p
+        assert verify_koszul_v(ctx, geo, v_comp, tol=TOL_FD).passed, p
 
 
 def test_tolerance_rejects_koszul_horizontal_without_the_gxy_term():
@@ -395,24 +443,25 @@ def test_tolerance_rejects_koszul_horizontal_without_the_gxy_term():
         x_comp, y_comp = rng.normal(size=(2, phi.m))
 
         def y_field(q):
-            return horizontal_projector(phi, q) @ y_comp
+            return horizontal_projector(at(phi, q)) @ y_comp
 
-        ph = horizontal_projector(phi, p)
+        geo = at(phi, p)
+        ph = horizontal_projector(geo)
         x, y = ph @ x_comp, y_field(p)
         dy = directional_derivative(y_field, p, x)  # the Richardson oracle
-        lhs = ph @ local_geometry(phi, p, ctx.gbar).covariant_derivative(
-            x, y, dy)
+        lhs = ph @ geo.under(ctx.gbar).covariant_derivative(x, y, dy)
         g = phi.source.metric_at(p)
-        dls = g @ ctx.gbar.grad_log_factors(p)[0]  # covector of ln sigma
-        wrong = ph @ local_geometry(phi, p).covariant_derivative(x, y, dy)
-        for f_i in adapted_frame(phi, sc.J, p).horizontal:
+        dls = g @ ctx.gbar.grad_log_factors(geo)[0]  # covector of ln sigma
+        wrong = ph @ geo.covariant_derivative(x, y, dy)
+        for f_i in adapted_frame(geo, sc.J).horizontal:
             # g(X, Y) grad_H ln sigma, the (dls @ f_i) g(X, Y) f_i sum, dropped
             wrong = wrong + (-(dls @ x) * float(y @ g @ f_i)
                              - (dls @ y) * float(x @ g @ f_i)) * f_i
-        dropped = float(x @ g @ y) * (ph @ ctx.gbar.grad_log_factors(p)[0])
+        dropped = float(x @ g @ y) * (ph @ ctx.gbar.grad_log_factors(geo)[0])
         assert np.max(np.abs(dropped)) > 1e-3, p
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        assert verify_koszul_h(ctx, p, x_comp, y_comp, tol=TOL_FD).passed, p
+        assert verify_koszul_h(ctx, geo, x_comp, y_comp,
+                               tol=TOL_FD).passed, p
 
 
 def test_tolerance_rejects_phh_covariant_without_the_y_ln_sigma_term():
@@ -421,17 +470,18 @@ def test_tolerance_rejects_phh_covariant_without_the_y_ln_sigma_term():
     rng = np.random.default_rng(7)
     for p in sample_points(sc, 4, seed=5):
         x_comp, y_comp = rng.normal(size=(2, phi.m))
-        ph = horizontal_projector(phi, p)
+        geo = at(phi, p)
+        ph = horizontal_projector(geo)
         x, y = ph @ x_comp, ph @ y_comp
-        f = pm.f_structure(phi, sc.J, p)
-        df = pm.hermitian.d_f_structure(phi, sc.J, p)
-        gamma_bar = local_geometry(phi, p, ctx.gbar).christoffel
+        f = pm.f_structure(geo, sc.J)
+        df = pm.hermitian.d_f_structure(geo, sc.J)
+        gamma_bar = geo.under(ctx.gbar).christoffel
         nab_bar = pm.hermitian.nabla_f_operator(f, df, gamma_bar)
         lhs = ph @ np.einsum("i,ikj,j->k", x, nab_bar, y)
         nab = pm.hermitian.nabla_f_operator(f, df,
                                             phi.source.christoffel(p))
         g = phi.source.metric_at(p)
-        grad_ls = ctx.gbar.grad_log_factors(p)[0]
+        grad_ls = ctx.gbar.grad_log_factors(geo)[0]
         grad_h, dls = ph @ grad_ls, g @ grad_ls
         dropped = float(dls @ y) * (f @ x)  # Y(ln sigma) FX
         wrong = (ph @ np.einsum("i,ikj,j->k", x, nab, y)
@@ -440,7 +490,7 @@ def test_tolerance_rejects_phh_covariant_without_the_y_ln_sigma_term():
                  - float(x @ g @ y) * (f @ grad_h))
         assert np.max(np.abs(dropped)) > 1e-3, p
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        assert verify_phh_covariant_formula(ctx, p, x_comp, y_comp,
+        assert verify_phh_covariant_formula(ctx, geo, x_comp, y_comp,
                                             tol=TOL_FD).passed, p
 
 
@@ -450,14 +500,15 @@ def test_tolerance_rejects_tension_f_structure_with_m_minus_2n_plus_1():
     sc = get_scenario("curved-fibers-nonharmonic")
     phi = sc.phi
     for p in sample_points(sc, 4, seed=5):
-        lhs = tension_field(phi, p).components
-        div = pm.f_divergence_horizontal(phi, sc.J, p).components
-        mu = mean_curvature_vertical(phi, p).components
-        assert np.max(np.abs(differential(phi, p) @ mu)) > 1e-3, p
-        wrong = -(differential(phi, p)
+        geo = at(phi, p)
+        lhs = tension_field(geo).components
+        div = pm.f_divergence_horizontal(geo, sc.J).components
+        mu = mean_curvature_vertical(geo).components
+        assert np.max(np.abs(differential(geo) @ mu)) > 1e-3, p
+        wrong = -(differential(geo)
                   @ (div + (phi.m - phi.two_n + 1.0) * mu))
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        assert verify_tension_equivalence(phi, sc.J, p, tol=TOL_FD).passed, p
+        assert verify_tension_equivalence(geo, sc.J, tol=TOL_FD).passed, p
 
 
 def test_tolerance_rejects_corollary_psh_with_a_wrong_rho_exponent():
@@ -469,15 +520,15 @@ def test_tolerance_rejects_corollary_psh_with_a_wrong_rho_exponent():
     exponent = -(2.0 * phi.n - 1.0) / (phi.m - phi.two_n)
     wrong = BiconformalContext.build(phi, sc.J, BiconformalChange(
         sigma, pm.exprs.Binary("pow", sigma, pm.exprs.Lit(exponent))))
-    right = pm.biconformal.one_function_context(phi, sc.J, sigma)
+    right = one_function_context(phi, sc.J, sigma)
     for p in sample_points(sc, 4, seed=5):
-        grad_ls = right.gbar.grad_log_factors(p)[0]
-        grad_h = horizontal_projector(phi, p) @ grad_ls
+        geo = at(phi, p)
+        grad_ls = right.gbar.grad_log_factors(geo)[0]
+        grad_h = horizontal_projector(geo) @ grad_ls
         assert np.max(np.abs(grad_h)) > 1e-3, p
-        rep = pm.biconformal.corollary_psh_at(sc, wrong, p, tol=TOL_FD)
+        rep = corollary_psh_at(sc, wrong, geo, tol=TOL_FD)
         assert rep.rel_residual > TOL_FD and not rep.passed, p
-        assert pm.biconformal.corollary_psh_at(sc, right, p,
-                                               tol=TOL_FD).passed, p
+        assert corollary_psh_at(sc, right, geo, tol=TOL_FD).passed, p
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -496,14 +547,14 @@ def test_vertical_rho_leaves_mean_curvature_pure_scaling():
     sc = get_scenario("curved-fibers-nonharmonic")
     ch = BiconformalChange.from_texts("exp(0.3*x1)", "exp(0.2*x3)")
     ctx = BiconformalContext.build(sc.phi, sc.J, ch)
-    from phmorph.maps import horizontal_projector
     for p in sample_points(sc, 5, seed=4):
-        grad_ls, grad_lr = ctx.gbar.grad_log_factors(p)
-        ph = horizontal_projector(sc.phi, p)
+        geo = at(sc.phi, p)
+        grad_ls, grad_lr = ctx.gbar.grad_log_factors(geo)
+        ph = horizontal_projector(geo)
         assert np.max(np.abs(ph @ grad_lr)) < 1e-10
         s, _ = ch.factor_values(p)
-        mu = mean_curvature_vertical(sc.phi, p)
-        mubar = mean_curvature_vertical(sc.phi, p, metric=ctx.gbar)
+        mu = mean_curvature_vertical(geo)
+        mubar = mean_curvature_vertical(geo.under(ctx.gbar))
         assert np.allclose(mubar.components, s**2 * mu.components, atol=1e-6)
 
 
@@ -515,7 +566,7 @@ def test_vertical_rho_leaves_mean_curvature_pure_scaling():
 def test_tension_equivalence(name):
     sc = get_scenario(name)
     for p in sample_points(sc, 5, seed=6):
-        r = verify_tension_equivalence(sc.phi, sc.J, p)
+        r = verify_tension_equivalence(at(sc.phi, p), sc.J)
         assert r.rel_residual < 1e-6, (p, r)
 
 
@@ -524,28 +575,54 @@ def test_tension_equivalence(name):
 def test_phwc_equivalence(name):
     sc = get_scenario(name)
     for p in sample_points(sc, 5, seed=6):
-        r = verify_phwc_equivalence(sc.phi, sc.J, p)
+        r = verify_phwc_equivalence(at(sc.phi, p), sc.J)
         assert r.passed, (p, r)
+
+
+def test_phwc_equivalence_passes_only_where_phi_has_no_rank(monkeypatch):
+    # where dphi drops rank only the commutator defect is defined, and the
+    # point passes; any other failure of the metric-compatibility defect is
+    # a sample error, never a pass
+    z_squared = SmoothMap(pm.euclidean_space(4), pm.euclidean_space(2),
+                          lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
+    rep = verify_phwc_equivalence(at(z_squared, np.zeros(4)),
+                                  pm.scenarios.constant_J(z_squared.target))
+    assert rep.passed and rep.rel_residual == 0.0
+
+    def failing(geo):
+        raise MetricError("metric inversion inaccurate")
+
+    monkeypatch.setattr(pm.maps.LocalGeometry, "horizontal_factor",
+                        property(failing))
+    sc = get_scenario("flat-projection-4-2")
+    with pytest.raises(MetricError):
+        verify_phwc_equivalence(at(sc.phi, P4), sc.J)
+    report = pm.run_verification(pm.RunConfig(
+        scenario="flat-projection-4-2", samples=2,
+        identities=["phwc-equivalence"]))
+    row = report["per_identity"][0]
+    assert (row["samples_error"], row["samples_pass"]) == (2, 0)
+    assert report["verdict"] == "fail"
 
 
 def test_pullback_characterization():
     sc = get_scenario("holomorphic-poly")
     for p in sample_points(sc, 5, seed=6):
         for holo in ("z1", "z1^2", "exp(z1)"):
-            r = verify_pullback_characterization(sc.phi, sc.J, p, holo)
+            r = verify_pullback_characterization(at(sc.phi, p), holo)
             assert r.abs_residual < 1e-5, (p, holo, r)
 
 
 def test_pullback_z1z2_needs_bigger_target():
     sc = get_scenario("flat-projection-4-2")
     with pytest.raises(GeometryError):
-        verify_pullback_characterization(sc.phi, sc.J, P4, "z1*z2")
+        verify_pullback_characterization(at(sc.phi, P4), "z1*z2")
 
 
 def test_pullback_rejects_unknown_name():
     sc = get_scenario("flat-projection-4-2")
     with pytest.raises((KeyError, ValueError, GeometryError)):
-        verify_pullback_characterization(sc.phi, sc.J, P4, "z1^7")
+        verify_pullback_characterization(at(sc.phi, P4), "z1^7")
 
 
 # ---- corollaries --------------------------------------------------------
@@ -554,8 +631,10 @@ def test_corollary_one_function_change_preserves_harmonicity():
     # g_sigma: tension and PHWC defect both stay below tolerance
     sc = get_scenario("flat-projection-6-4")
     points = sample_points(sc, 10, seed=11)
-    out = check_corollary_psh(sc, parse("1+0.2*x1^2+0.1*x5"), points)
-    assert out.passed and not out.skipped
+    ctx = one_function_context(sc.phi, sc.J, parse("1+0.2*x1^2+0.1*x5"))
+    out = fold("corollary-psh", lambda geo: corollary_psh_at(sc, ctx, geo),
+               [at(sc.phi, p) for p in points])
+    assert out.passed
     assert out.max_abs_residual < 1e-5
 
 
@@ -563,48 +642,57 @@ def test_corollary_one_function_change_direct_tension():
     # same content checked without the summary plumbing
     sc = get_scenario("flat-projection-4-2")
     ch = special_change(parse("1+0.1*x1+0.2*x3^2"), 4, 1)
-    gbar = apply_change(sc.phi, ch)
+    gbar = ChangedMetric(sc.phi, ch)
     for p in sample_points(sc, 5, seed=12):
-        tau = tension_field(sc.phi, p, metric=gbar)
+        geo_bar = at(sc.phi, p, gbar)
+        tau = tension_field(geo_bar)
         assert np.max(np.abs(tau.components)) < 1e-6, p
-        defect, _ = phwc_defect(sc.phi, sc.J, p, metric=gbar)
+        defect, _ = phwc_defect(geo_bar, sc.J)
         assert defect < 1e-8
 
 
 def test_corollary_converse_nonharmonic_stays_nonharmonic():
     sc = get_scenario("curved-fibers-nonharmonic")
     points = sample_points(sc, 8, seed=11)
-    out = check_corollary_psh(sc, parse("1+0.2*x1^2"), points)
+    ctx = one_function_context(sc.phi, sc.J, parse("1+0.2*x1^2"))
+    out = fold("corollary-psh", lambda geo: corollary_psh_at(sc, ctx, geo),
+               [at(sc.phi, p) for p in points])
     assert out.passed
     # and directly: the transformed tension keeps its sigma^2 tau magnitude
     ch = special_change(parse("1+0.2*x1^2"), 4, 1)
-    gbar = apply_change(sc.phi, ch)
+    gbar = ChangedMetric(sc.phi, ch)
     p = points[0]
     s, _ = ch.factor_values(p)
-    tau = tension_field(sc.phi, p, metric=gbar)
+    tau = tension_field(at(sc.phi, p, gbar))
     assert np.allclose(tau.components, s**2 * np.array([2.0, 0.0]), atol=1e-6)
 
 
 def test_corollary_phh_constant_sigma_preserved():
     sc = get_scenario("flat-projection-6-4")
     points = sample_points(sc, 6, seed=11)
-    out = check_corollary_phh(sc, parse("3"), points)
-    assert out.passed and not out.skipped
+    ctx = one_function_context(sc.phi, sc.J, parse("3"))
+    out = fold("corollary-phh", lambda geo: corollary_phh_at(ctx, geo),
+               [at(sc.phi, p) for p in points])
+    assert out.passed
 
 
 def test_corollary_phh_breaking_direction():
     sc = get_scenario("flat-projection-6-4")
     points = sample_points(sc, 6, seed=11)
-    out = check_corollary_phh(sc, parse("1+0.1*x1"), points)
-    assert out.passed and not out.skipped
+    ctx = one_function_context(sc.phi, sc.J, parse("1+0.1*x1"))
+    out = fold("corollary-phh", lambda geo: corollary_phh_at(ctx, geo),
+               [at(sc.phi, p) for p in points])
+    assert out.passed
 
 
 def test_corollary_phh_n1_degeneracy_skipped():
-    sc = get_scenario("flat-projection-4-2")
-    points = sample_points(sc, 4, seed=11)
-    out = check_corollary_phh(sc, parse("1+0.1*x1"), points)
-    assert out.skipped
-    assert out.warning
+    # a run skips it, with the warning in the reason
+    rep = pm.run_verification(pm.RunConfig(
+        scenario="flat-projection-4-2", sigma="1+0.1*x1", samples=4, seed=11,
+        identities=["corollary-phh"]))
+    assert rep["per_identity"] == []
+    assert rep["skipped_identities"] == [
+        {"name": "corollary-phh", "reason": "skipped: " + PHH_N1_WARNING}]
 
 
 def test_report_round_trip_text():

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import phmorph.jets as jets
-from phmorph import (AlmostComplexStructureField, BiconformalChange, FDMetric,
-                     apply_change, differential, f_structure, get_scenario,
-                     list_scenarios, mean_curvature_vertical, sample_points)
+from phmorph import (AlmostComplexStructureField, BiconformalChange,
+                     ChangedMetric, FDMetric, LocalGeometry, differential,
+                     f_structure, get_scenario, list_scenarios,
+                     mean_curvature_vertical, sample_points)
 from phmorph.hermitian import d_f_structure, j_at_image
 from phmorph.manifold import directional_derivative
-from phmorph.maps import local_geometry
+from tests.test_maps import at
 
 # The largest difference is read relative to the oracle's largest entry, or
 # to 0.1 where that is smaller (a flat projection's dP_H is exactly zero).
@@ -44,13 +45,13 @@ def metric_matrix(sc, gbar):
 
 def lift_from_matrix(phi, h, q):
     """g^-1 A^T (A g^-1 A^T)^-1 at q, from the metric's matrix alone."""
-    a = differential(phi, q)
+    a = differential(LocalGeometry(phi, q))
     hinv = np.linalg.inv(h(q))
     return hinv @ a.T @ np.linalg.inv(a @ hinv @ a.T)
 
 
 def projector_from_matrix(phi, h, q):
-    return lift_from_matrix(phi, h, q) @ differential(phi, q)
+    return lift_from_matrix(phi, h, q) @ differential(LocalGeometry(phi, q))
 
 
 def vertical_frame(phi, h, q, seeds):
@@ -111,7 +112,7 @@ IDS = ["%s-%s" % (name, "gbar" if changed else "g") for name, changed in CASES]
 
 def case(name, changed):
     sc = get_scenario(name)
-    gbar = apply_change(sc.phi, change_for(sc)) if changed else None
+    gbar = ChangedMetric(sc.phi, change_for(sc)) if changed else None
     return sc, gbar, sample_points(sc, 3, seed=31)
 
 
@@ -120,7 +121,7 @@ def test_projector_derivative_matches_fd(name, changed):
     sc, gbar, points = case(name, changed)
     h = metric_matrix(sc, gbar)
     for p in points:
-        exact = local_geometry(sc.phi, p, gbar).projector_and_lift_derivs[0]
+        exact = at(sc.phi, p, gbar).projector_and_lift_derivs[0]
         oracle = [directional_derivative(
             lambda q: projector_from_matrix(sc.phi, h, q), p, e)
             for e in np.eye(sc.phi.m)]
@@ -133,13 +134,15 @@ def test_f_structure_derivative_matches_fd(name, changed):
     h = metric_matrix(sc, gbar)
 
     def f_from_matrix(q):
+        geo = LocalGeometry(sc.phi, q)
         return (lift_from_matrix(sc.phi, h, q)
-                @ j_at_image(sc.phi, sc.J, q)[0] @ differential(sc.phi, q))
+                @ j_at_image(geo, sc.J)[0] @ differential(geo))
 
     for p in points:
-        assert np.allclose(f_structure(sc.phi, sc.J, p, gbar),
+        geo = at(sc.phi, p, gbar)
+        assert np.allclose(f_structure(geo, sc.J),
                            f_from_matrix(p), rtol=0, atol=1e-12)
-        exact = d_f_structure(sc.phi, sc.J, p, gbar)
+        exact = d_f_structure(geo, sc.J)
         oracle = [directional_derivative(f_from_matrix, p, e)
                   for e in np.eye(sc.phi.m)]
         assert relative(exact, oracle) < REL, p
@@ -170,15 +173,19 @@ def test_f_structure_derivative_follows_a_varying_j(changed):
     sc, gbar, points = case("flat-projection-6-4", changed)
     j = rotated_j(sc.phi.target)
     h = metric_matrix(sc, gbar)
+    def f_from_matrix(q):
+        geo = LocalGeometry(sc.phi, q)
+        return (lift_from_matrix(sc.phi, h, q)
+                @ j_at_image(geo, j)[0] @ differential(geo))
+
     for p in points:
-        jq, dj = j.matrix_and_derivs(sc.phi.value(p))
+        geo = at(sc.phi, p, gbar)
+        jq, dj = j.matrix_and_derivs(geo.map_jets[0])
         assert np.allclose(jq @ jq, -np.eye(4), atol=1e-14)
         assert np.max(np.abs(dj)) > 0.1
-        exact = d_f_structure(sc.phi, j, p, gbar)
-        oracle = [directional_derivative(
-            lambda q: lift_from_matrix(sc.phi, h, q)
-            @ j_at_image(sc.phi, j, q)[0] @ differential(sc.phi, q), p, e)
-            for e in np.eye(sc.phi.m)]
+        exact = d_f_structure(geo, j)
+        oracle = [directional_derivative(f_from_matrix, p, e)
+                  for e in np.eye(sc.phi.m)]
         assert relative(exact, oracle) < REL, p
 
 
@@ -197,5 +204,5 @@ def test_fiber_mean_curvature_matches_fd(name, changed):
     sc, gbar, points = case(name, changed)
     h = metric_matrix(sc, gbar)
     for p in points:
-        exact = mean_curvature_vertical(sc.phi, p, gbar).components
+        exact = mean_curvature_vertical(at(sc.phi, p, gbar)).components
         assert relative(exact, mean_curvature_oracle(sc.phi, h, p)) < REL, p

@@ -20,9 +20,10 @@ from phmorph import (
     tension_via_f_structure,
 )
 from phmorph.hermitian import d_f_structure, nabla_f_operator
-from phmorph.maps import horizontal_projector, local_geometry
-from phmorph.manifold import POINT_MEMO_SIZE, DomainError, JetMetric
+from phmorph.maps import horizontal_projector
+from phmorph.manifold import DomainError, JetMetric
 from phmorph.scenarios import constant_J, standard_J
+from tests.test_maps import at
 
 
 def test_standard_J_block_form():
@@ -71,17 +72,17 @@ def test_phwc_defect_negative_control_exact():
     # phi = (x1, 2 x2): dphi dphi* = diag(1, 4) and the commutator with the
     # standard J is [[0, 3], [3, 0]], Frobenius norm 3 sqrt(2)
     sc = get_scenario("nonphwc-anisotropic")
-    p = np.array([0.3, -0.2, 0.5, 0.1])
-    defect, scale = phwc_defect(sc.phi, sc.J, p)
+    geo = at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1]))
+    defect, scale = phwc_defect(geo, sc.J)
     assert abs(defect - 3.0 * math.sqrt(2.0)) < 1e-9
-    assert phwc_metric_defect(sc.phi, sc.J, p)[0] > 0.1
+    assert phwc_metric_defect(geo, sc.J)[0] > 0.1
 
 
 def test_phwc_defect_zero_on_projection():
     sc = get_scenario("flat-projection-4-2")
-    p = np.array([0.3, -0.2, 0.5, 0.1])
-    assert phwc_defect(sc.phi, sc.J, p)[0] == pytest.approx(0.0, abs=1e-12)
-    assert phwc_metric_defect(sc.phi, sc.J, p)[0] == pytest.approx(0.0, abs=1e-12)
+    geo = at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1]))
+    assert phwc_defect(geo, sc.J)[0] == pytest.approx(0.0, abs=1e-12)
+    assert phwc_metric_defect(geo, sc.J)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -91,8 +92,9 @@ def test_defect_equivalence_on_phwc_scenarios(name):
     # operator commutator and metric-compatibility defects vanish together
     sc = get_scenario(name)
     for p in sample_points(sc, 10, seed=5):
-        assert phwc_defect(sc.phi, sc.J, p)[0] < 1e-9
-        assert phwc_metric_defect(sc.phi, sc.J, p)[0] < 1e-9
+        geo = at(sc.phi, p)
+        assert phwc_defect(geo, sc.J)[0] < 1e-9
+        assert phwc_metric_defect(geo, sc.J)[0] < 1e-9
 
 
 @pytest.mark.parametrize("name", ["nonphwc-anisotropic", "hopf"])
@@ -101,11 +103,12 @@ def test_phwc_metric_defect_is_the_frame_norm(name):
     # over ortho_split's Gram-Schmidt frame of H
     sc = get_scenario(name)
     for p in sample_points(sc, 3, seed=5):
-        fr = pm.ortho_split(sc.phi, p).horizontal_frame
-        f = f_structure(sc.phi, sc.J, p)
+        geo = at(sc.phi, p)
+        fr = pm.ortho_split(geo).horizontal_frame
+        f = f_structure(geo, sc.J)
         g = sc.phi.source.metric_at(p)
         form = (fr @ f.T) @ g @ (fr @ f.T).T - fr @ g @ fr.T
-        assert phwc_metric_defect(sc.phi, sc.J, p)[0] == pytest.approx(
+        assert phwc_metric_defect(geo, sc.J)[0] == pytest.approx(
             np.linalg.norm(form), rel=1e-12, abs=1e-14)
 
 
@@ -115,20 +118,21 @@ def test_phwc_metric_defect_is_the_frame_norm(name):
 def test_f_structure_algebra(name):
     # F^3 + F = 0, rank 2n, vanishing on the vertical distribution
     sc = get_scenario(name)
-    p = sample_points(sc, 3, seed=9)[1]
-    F = f_structure(sc.phi, sc.J, p)
+    geo = at(sc.phi, sample_points(sc, 3, seed=9)[1])
+    F = f_structure(geo, sc.J)
     assert np.allclose(F @ F @ F + F, 0.0, atol=1e-10)
     assert np.linalg.matrix_rank(F, tol=1e-8) == sc.phi.two_n
-    pv = np.eye(sc.phi.m) - horizontal_projector(sc.phi, p)
+    pv = np.eye(sc.phi.m) - horizontal_projector(geo)
     assert np.allclose(F @ pv, 0.0, atol=1e-10)
 
 
 def test_adapted_frame_structure():
     sc = get_scenario("flat-projection-6-4")
     p = sample_points(sc, 3, seed=9)[0]
-    fr = adapted_frame(sc.phi, sc.J, p)
+    geo = at(sc.phi, p)
+    fr = adapted_frame(geo, sc.J)
     g = sc.phi.source.metric_at(p)
-    F = f_structure(sc.phi, sc.J, p)
+    F = f_structure(geo, sc.J)
     full = np.vstack([fr.e, fr.fe, fr.vertical])
     assert np.allclose(full @ g @ full.T, np.eye(6), atol=1e-9)
     for i in range(sc.phi.n):
@@ -141,24 +145,22 @@ def test_adapted_frame_structure():
 def test_adapted_frame_requires_phwc():
     sc = get_scenario("nonphwc-anisotropic")
     with pytest.raises(pm.GeometryError):
-        adapted_frame(sc.phi, sc.J, np.array([0.3, -0.2, 0.5, 0.1]))
+        adapted_frame(at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])), sc.J)
 
 
 def test_phh_defect_zero_on_flat_projection():
     sc = get_scenario("flat-projection-6-4")
     for p in sample_points(sc, 5, seed=3):
-        defect, scale = phh_defect(sc.phi, sc.J, p)
+        defect, scale = phh_defect(at(sc.phi, p), sc.J)
         assert defect < 1e-8
 
 
-def phh_frame_sum(sc, p, metric, frame):
+def phh_frame_sum(sc, geo, frame):
     # sqrt(sum over frame pairs (x, y) of |H((nabla_x F) y)|^2), pair by pair
-    geo = local_geometry(sc.phi, p, metric)
-    nab = nabla_f_operator(f_structure(sc.phi, sc.J, p, metric),
-                           d_f_structure(sc.phi, sc.J, p, metric),
+    nab = nabla_f_operator(f_structure(geo, sc.J), d_f_structure(geo, sc.J),
                            geo.christoffel)
-    ph = horizontal_projector(sc.phi, p)
-    g = geo.src.metric_at(p)
+    ph = horizontal_projector(geo)
+    g = geo.src.metric_at(geo.p)
     total = 0.0
     for x in frame.horizontal:
         for y in frame.horizontal:
@@ -173,30 +175,31 @@ def test_phh_defect_frame_invariant():
     # seed order, it is the same number.  A nonconstant sigma breaks PHH on the
     # n = 2 projection, so the defect is far from zero.
     sc = get_scenario("flat-projection-6-4")
-    gbar = pm.apply_change(sc.phi, pm.BiconformalChange.from_texts(
+    gbar = pm.ChangedMetric(sc.phi, pm.BiconformalChange.from_texts(
         "exp(0.2*x1+0.1*x2)", "1"))
     for p in sample_points(sc, 3, seed=3):
-        base = phh_defect(sc.phi, sc.J, p, gbar)[0]
+        geo = at(sc.phi, p, gbar)
+        base = phh_defect(geo, sc.J)[0]
         assert base > 0.1
         for seed_order in (None, (3, 2, 1, 0)):
-            fr = adapted_frame(sc.phi, sc.J, p, gbar, seed_order=seed_order)
-            assert phh_frame_sum(sc, p, gbar, fr) == pytest.approx(
+            fr = adapted_frame(geo, sc.J, seed_order=seed_order)
+            assert phh_frame_sum(sc, geo, fr) == pytest.approx(
                 base, rel=1e-12)
 
 
 def test_tension_routes_agree_flat():
     sc = get_scenario("flat-projection-4-2")
-    p = np.array([0.3, -0.2, 0.5, 0.1])
-    tau = tension_via_f_structure(sc.phi, sc.J, p)
+    tau = tension_via_f_structure(at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])),
+                                  sc.J)
     assert np.allclose(tau.components, 0.0, atol=1e-10)
 
 
 def test_tension_routes_agree_curved_fibers():
     # independent closed form: tau = (2, 0) for the scaled-fiber projection
     sc = get_scenario("curved-fibers-nonharmonic")
-    p = np.array([0.4, -0.3, 0.2, 0.6])
-    direct = tension_field(sc.phi, p)
-    viaf = tension_via_f_structure(sc.phi, sc.J, p)
+    geo = at(sc.phi, np.array([0.4, -0.3, 0.2, 0.6]))
+    direct = tension_field(geo)
+    viaf = tension_via_f_structure(geo, sc.J)
     assert np.allclose(direct.components, [2.0, 0.0], atol=1e-9)
     assert np.allclose(viaf.components, direct.components, atol=1e-7)
 
@@ -204,10 +207,11 @@ def test_tension_routes_agree_curved_fibers():
 def test_tension_via_f_structure_rejects_nonphwc():
     sc = get_scenario("nonphwc-anisotropic")
     with pytest.raises(pm.GeometryError):
-        tension_via_f_structure(sc.phi, sc.J, np.array([0.3, -0.2, 0.5, 0.1]))
+        tension_via_f_structure(at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])),
+                                sc.J)
 
 
-# ---- F and dF in the local geometry memo ---------------------------------
+# ---- F and dF in the local geometry --------------------------------------
 
 def sheared_metric():
     # g(e1, e3) = g(e2, e4) = 0.3: another horizontal space for the flat
@@ -217,8 +221,8 @@ def sheared_metric():
 
 
 F_READERS = {
-    "F": lambda sc, p, metric: f_structure(sc.phi, sc.J, p, metric),
-    "dF": lambda sc, p, metric: d_f_structure(sc.phi, sc.J, p, metric),
+    "F": lambda sc, geo: f_structure(geo, sc.J),
+    "dF": lambda sc, geo: d_f_structure(geo, sc.J),
 }
 P = np.array([0.3, -0.2, 0.5, 0.1])
 
@@ -227,75 +231,70 @@ P = np.array([0.3, -0.2, 0.5, 0.1])
 @pytest.mark.parametrize("name", sorted(F_READERS))
 def test_f_structure_warm_equals_cold(name, sheared):
     read = F_READERS[name]
-    cold = read(get_scenario("holomorphic-poly"), P,
-                sheared_metric() if sheared else None)
+    fresh = get_scenario("holomorphic-poly")
+    cold = read(fresh, at(fresh.phi, P, sheared_metric() if sheared else None))
     sc = get_scenario("holomorphic-poly")
-    metric = sheared_metric() if sheared else None
-    for _ in range(2):  # fills the memo, then reads it
+    geo = at(sc.phi, P.copy(), sheared_metric() if sheared else None)
+    for _ in range(2):  # fills the geometry, then reads it
         for other in F_READERS.values():
-            other(sc, P, metric)
-        assert np.array_equal(read(sc, P.copy(), metric), cold)
-        assert not read(sc, P, metric).flags.writeable
+            other(sc, geo)
+        assert np.array_equal(read(sc, geo), cold)
+        assert not read(sc, geo).flags.writeable
 
 
 def test_f_structure_derivative_is_kept_per_j():
     # dF has no step: one entry per J, which a biconformal change of g
     # shares, since F = L J A and the change keeps the lift L
     sc = get_scenario("holomorphic-poly")
-    first = d_f_structure(sc.phi, sc.J, P)
-    assert d_f_structure(sc.phi, sc.J, P.copy()) is first
-    gbar = pm.apply_change(sc.phi, pm.BiconformalChange.from_texts(
+    geo = at(sc.phi, P)
+    first = d_f_structure(geo, sc.J)
+    assert d_f_structure(geo, sc.J) is first
+    gbar = pm.ChangedMetric(sc.phi, pm.BiconformalChange.from_texts(
         "exp(0.3*x1)", "1+x2^2"))
-    assert d_f_structure(sc.phi, sc.J, P, gbar) is first
+    assert d_f_structure(geo.under(gbar), sc.J) is first
     minus_j = pm.AlmostComplexStructureField(
         sc.J.target, lambda c: (-standard_J(2)).tolist())
-    assert np.array_equal(d_f_structure(sc.phi, minus_j, P), -first)
+    assert np.array_equal(d_f_structure(geo, minus_j), -first)
     assert np.array_equal(
-        d_f_structure(get_scenario("holomorphic-poly").phi, sc.J, P), first)
+        d_f_structure(at(get_scenario("holomorphic-poly").phi, P), sc.J),
+        first)
 
 
 def test_f_structure_under_two_metrics_never_mixes():
     sc = get_scenario("flat-projection-4-2")
     sheared = sheared_metric()
-    reads = [f_structure(sc.phi, sc.J, P, metric)
+    geo = at(sc.phi, P)
+    reads = [f_structure(geo if metric is None else geo.under(metric), sc.J)
              for metric in (None, sheared, None, sheared)]
     fresh = get_scenario("flat-projection-4-2")
-    cold_g = f_structure(fresh.phi, fresh.J, P)
-    cold_s = f_structure(fresh.phi, fresh.J, P, sheared_metric())
+    cold_g = f_structure(at(fresh.phi, P), fresh.J)
+    cold_s = f_structure(at(fresh.phi, P, sheared_metric()), fresh.J)
     assert not np.allclose(cold_g, cold_s)
     for got, cold in zip(reads, [cold_g, cold_s, cold_g, cold_s]):
         assert np.array_equal(got, cold)
     # a second J on the same map, metric and point gets its own F
     minus_j = pm.AlmostComplexStructureField(
         sc.J.target, lambda c: (-standard_J(2)).tolist())
-    assert np.array_equal(f_structure(sc.phi, minus_j, P), -cold_g)
-
-
-def test_f_structure_memo_stays_bounded():
-    sc = get_scenario("flat-projection-4-2")
-    memo = sc.phi.source.metric.geometry_memo
-    for k in range(POINT_MEMO_SIZE + 10):
-        f_structure(sc.phi, sc.J, P + 1e-3 * k)
-        assert len(memo) <= POINT_MEMO_SIZE
-    assert len(memo) == POINT_MEMO_SIZE
+    assert np.array_equal(f_structure(geo, minus_j), -cold_g)
 
 
 def test_f_structure_fails_on_every_call_where_phi_is_singular():
     # z^2 + w^3 has a critical point at the origin; the hopf chart leaves
     # out the circle w = 0
     sc = get_scenario("holomorphic-poly")
+    geo = at(sc.phi, np.zeros(4))
     for _ in range(2):
         with pytest.raises(pm.RankError):
-            f_structure(sc.phi, sc.J, np.zeros(4))
+            f_structure(geo, sc.J)
     hopf = get_scenario("hopf")
-    on_the_circle = np.array([1.0, 0.0, 0.0])  # where |w| = 0
+    geo = at(hopf.phi, np.array([1.0, 0.0, 0.0]))  # where |w| = 0
     for _ in range(2):
         for read in F_READERS.values():
             with pytest.raises(DomainError):
-                read(hopf, on_the_circle, None)
+                read(hopf, geo)
 
 
-# ---- frames and defects in the local geometry memo -----------------------
+# ---- frames and defects in the local geometry ----------------------------
 # The PHWC defects and F div_H F are kept per J in the local geometry of
 # (map, metric, point); an adapted frame is built on each call, the same
 # whether the geometry it reads is warm or cold.
@@ -303,19 +302,17 @@ def test_f_structure_fails_on_every_call_where_phi_is_singular():
 CHANGE = pm.BiconformalChange.from_texts("exp(0.3*x1)", "1+x2^2")
 METRICS = {
     "g": lambda sc: None,
-    "gbar": lambda sc: pm.apply_change(sc.phi, CHANGE),
+    "gbar": lambda sc: pm.ChangedMetric(sc.phi, CHANGE),
 }
 FRAME_READERS = {
-    "phwc_defect": lambda sc, p, metric: phwc_defect(sc.phi, sc.J, p, metric),
-    "phwc_metric_defect": lambda sc, p, metric: (
-        phwc_metric_defect(sc.phi, sc.J, p, metric)),
-    "adapted_frame": lambda sc, p, metric: (
-        adapted_frame(sc.phi, sc.J, p, metric).e,
-        adapted_frame(sc.phi, sc.J, p, metric).fe,
-        adapted_frame(sc.phi, sc.J, p, metric).vertical),
-    "f_divergence_horizontal": lambda sc, p, metric: (
-        pm.f_divergence_horizontal(sc.phi, sc.J, p, metric).base,
-        pm.f_divergence_horizontal(sc.phi, sc.J, p, metric).components),
+    "phwc_defect": lambda sc, geo: phwc_defect(geo, sc.J),
+    "phwc_metric_defect": lambda sc, geo: phwc_metric_defect(geo, sc.J),
+    "adapted_frame": lambda sc, geo: (adapted_frame(geo, sc.J).e,
+                                      adapted_frame(geo, sc.J).fe,
+                                      adapted_frame(geo, sc.J).vertical),
+    "f_divergence_horizontal": lambda sc, geo: (
+        pm.f_divergence_horizontal(geo, sc.J).base,
+        pm.f_divergence_horizontal(geo, sc.J).components),
 }
 
 
@@ -324,13 +321,13 @@ FRAME_READERS = {
 def test_frame_fields_warm_equal_cold(name, metric_name):
     read, make_metric = FRAME_READERS[name], METRICS[metric_name]
     fresh = get_scenario("holomorphic-poly")
-    cold = read(fresh, P, make_metric(fresh))
+    cold = read(fresh, at(fresh.phi, P, make_metric(fresh)))
     sc = get_scenario("holomorphic-poly")
-    metric = make_metric(sc)
-    for _ in range(2):  # fills the memo, then reads it
+    geo = at(sc.phi, P.copy(), make_metric(sc))
+    for _ in range(2):  # fills the geometry, then reads it
         for other in FRAME_READERS.values():
-            other(sc, P, metric)
-        warm = read(sc, P.copy(), metric)
+            other(sc, geo)
+        warm = read(sc, geo)
         assert len(warm) == len(cold)
         assert all(np.array_equal(w, c) for w, c in zip(warm, cold))
 
@@ -338,7 +335,8 @@ def test_frame_fields_warm_equal_cold(name, metric_name):
 @pytest.mark.parametrize("name", ["f_divergence_horizontal"])
 def test_frame_field_arrays_are_read_only(name):
     sc = get_scenario("holomorphic-poly")
-    for out in FRAME_READERS[name](sc, P, pm.apply_change(sc.phi, CHANGE)):
+    geo = at(sc.phi, P, pm.ChangedMetric(sc.phi, CHANGE))
+    for out in FRAME_READERS[name](sc, geo):
         assert not out.flags.writeable
         with pytest.raises(ValueError):
             out[0] = 1.0
@@ -346,27 +344,29 @@ def test_frame_field_arrays_are_read_only(name):
 
 def test_adapted_frame_is_built_on_each_call():
     sc = get_scenario("flat-projection-4-2")
-    first = adapted_frame(sc.phi, sc.J, P)
-    again = adapted_frame(sc.phi, sc.J, P.copy())
+    geo = at(sc.phi, P)
+    first = adapted_frame(geo, sc.J)
+    again = adapted_frame(geo, sc.J)
     assert again is not first
     assert np.array_equal(again.e, first.e)
     assert np.array_equal(again.fe, first.fe)
     # a second J gives its own frame: F changes sign, so F e does
     minus_j = pm.AlmostComplexStructureField(
         sc.J.target, lambda c: (-standard_J(2)).tolist())
-    negated = adapted_frame(sc.phi, minus_j, P)
+    negated = adapted_frame(geo, minus_j)
     assert np.array_equal(negated.e, first.e)
     assert np.array_equal(negated.fe, -first.fe)
 
 
 def test_adapted_frame_fails_on_every_call_where_phi_is_not_phwc():
     sc = get_scenario("nonphwc-anisotropic")
+    geo = at(sc.phi, P)
     for _ in range(2):
         with pytest.raises(pm.FrameError, match="PHWC"):
-            adapted_frame(sc.phi, sc.J, P)
+            adapted_frame(geo, sc.J)
         with pytest.raises(pm.FrameError, match="PHWC"):
-            pm.f_divergence_horizontal(sc.phi, sc.J, P)
+            pm.f_divergence_horizontal(geo, sc.J)
         with pytest.raises(pm.FrameError, match="PHWC"):
-            tension_via_f_structure(sc.phi, sc.J, P)
+            tension_via_f_structure(geo, sc.J)
     # the defects that make it fail are kept
-    assert phwc_metric_defect(sc.phi, sc.J, P)[0] > 0.1
+    assert phwc_metric_defect(geo, sc.J)[0] > 0.1

@@ -155,14 +155,14 @@ def test_nonfinite_gradient_caught_at_boundaries():
     # must catch it, on every call.
     from phmorph import BiconformalChange, EvalError, SmoothMap, euclidean_space
     from phmorph.exprs import eval_jet, parse
-    from phmorph.maps import local_geometry
+    from phmorph.maps import LocalGeometry
 
     expr = parse("(1e300*x1)^2")
     p = np.array([1e-200, 0.5])
     assert math.isfinite(eval_jet(expr, list(p)))
     plane = euclidean_space(2)
     phi = SmoothMap(plane, plane, lambda c: [eval_jet(expr, c), c[1]])
-    identity = local_geometry(SmoothMap(plane, plane, lambda c: c), p)
+    identity = LocalGeometry(SmoothMap(plane, plane, lambda c: c), p)
     change = BiconformalChange(expr, expr)
     for _ in range(2):
         with pytest.raises((JetDomainError, EvalError)):

@@ -20,9 +20,8 @@ from phmorph import (
     parse,
     seed_coordinates,
 )
-from phmorph.manifold import (POINT_MEMO_SIZE, directional_derivative,
-                              richardson_partial)
-from phmorph.maps import local_geometry
+from phmorph.manifold import directional_derivative, richardson_partial
+from phmorph.maps import LocalGeometry
 
 
 def sphere_metric_components(coords):
@@ -48,7 +47,7 @@ def chart_map(man):
 
 
 def geometry(man, p):
-    return local_geometry(chart_map(man), p)
+    return LocalGeometry(chart_map(man), p)
 
 
 def field_jet(text, p):
@@ -213,50 +212,39 @@ class CountingMetric(FDMetric):
         super().__init__(dim, matrix_fn)
         self.evaluations = 0
 
-    def matrix(self, p):
+    def matrix(self, p, source=None):
         self.evaluations += 1
         return super().matrix(p)
 
 
 def test_metric_memo_warm_equals_cold():
-    # the metric's geometry memo: a kept g and g^-1 equal the manifold's
-    # computed ones
+    # the geometry keeps g and g^-1, equal to the manifold's computed ones
     p = np.array([1.1, 0.3])
     cold = sphere_manifold()
     g_cold, ginv_cold = cold.metric_at(p), cold.inverse_metric_at(p)
-    phi = chart_map(sphere_manifold())
-    local_geometry(phi, p).ginv
-    geo = local_geometry(phi, p.copy())
+    geo = LocalGeometry(chart_map(sphere_manifold()), p.copy())
+    geo.ginv
     assert np.array_equal(geo.g, g_cold)
     assert np.array_equal(geo.ginv, ginv_cold)
 
 
 def test_metric_memo_shared_through_with_metric():
-    # a map's geometry under its own metric, named or by default, is one
-    # entry of that metric's memo; the manifold itself keeps nothing
+    # a map's geometry under its own metric, named or by default, is the
+    # one geometry; the manifold itself keeps nothing
     metric = CountingMetric(2, lambda p: np.diag([1.0, 2.0 + p[0] ** 2]))
     man = ChartedRiemannianManifold(2, metric)
     phi = chart_map(man)
     p = np.array([0.5, -0.5])
-    local_geometry(phi, p).g
-    local_geometry(phi, p).ginv
-    local_geometry(phi, p.copy(), metric).ginv
-    local_geometry(phi, p, metric).g
+    geo = LocalGeometry(phi, p)
+    geo.g
+    geo.ginv
+    assert geo.under(metric) is geo
+    geo.under(metric).ginv
+    geo.under(metric).g
     assert metric.evaluations == 1
     man.with_metric(metric).metric_at(p)
     man.metric_at(p)
     assert metric.evaluations == 3
-
-
-def test_metric_memo_stays_bounded():
-    metric = CountingMetric(2, lambda p: np.diag([1.0, 2.0 + p[0] ** 2]))
-    phi = chart_map(ChartedRiemannianManifold(2, metric))
-    for k in range(POINT_MEMO_SIZE + 10):
-        local_geometry(phi, np.array([1e-3 * k, 0.0])).ginv
-        assert len(metric.geometry_memo) <= POINT_MEMO_SIZE
-    assert len(metric.geometry_memo) == POINT_MEMO_SIZE
-    local_geometry(phi, np.array([0.0, 0.0])).g  # evicted, so evaluated again
-    assert metric.evaluations == POINT_MEMO_SIZE + 11
 
 
 def test_memoized_metric_arrays_are_read_only():
@@ -316,7 +304,7 @@ class CountingDerivs(FDMetric):
         super().__init__(dim, matrix_fn)
         self.fan_outs = 0
 
-    def matrix_and_derivs(self, p):
+    def matrix_and_derivs(self, p, source=None):
         self.fan_outs += 1
         return super().matrix_and_derivs(p)
 
@@ -326,30 +314,14 @@ def test_christoffel_memo_warm_equals_cold(strategy):
     p = np.array([1.1, 0.3])
     cold = sphere_manifold(strategy).christoffel(p)
     man = sphere_manifold(strategy)
-    phi = chart_map(man)
-    local_geometry(phi, p).ginv
-    first = local_geometry(phi, p).christoffel
+    geo = LocalGeometry(chart_map(man), p)
+    geo.ginv
+    first = geo.christoffel
     assert np.array_equal(first, cold)
-    assert local_geometry(phi, p.copy(), man.metric).christoffel is first
+    assert geo.under(man.metric).christoffel is first
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0, 0] = 1.0
-
-
-def test_christoffel_fans_out_once_per_point_and_stays_bounded():
-    metric = CountingDerivs(2, lambda p: np.diag([1.0, 2.0 + p[0] ** 2]))
-    phi = chart_map(ChartedRiemannianManifold(2, metric))
-    first = np.array([0.0, 0.0])
-    before = local_geometry(phi, first).christoffel
-    local_geometry(phi, first).christoffel
-    assert metric.fan_outs == 1
-    for k in range(POINT_MEMO_SIZE + 10):
-        local_geometry(phi, np.array([1e-3 * (k + 1), 0.0])).christoffel
-        assert len(metric.geometry_memo) <= POINT_MEMO_SIZE
-    assert len(metric.geometry_memo) == POINT_MEMO_SIZE
-    after = local_geometry(phi, first).christoffel  # evicted, so built again
-    assert metric.fan_outs == POINT_MEMO_SIZE + 12
-    assert after is not before and np.array_equal(after, before)
 
 
 def test_christoffel_of_two_metrics_at_one_point_never_mix():

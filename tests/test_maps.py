@@ -13,14 +13,21 @@ from phmorph import (
     ortho_split,
     tension_field,
 )
-from phmorph.manifold import (POINT_MEMO_SIZE, ChartedRiemannianManifold,
-                              DomainError, GeometryError, JetMetric)
+from phmorph.manifold import (ChartedRiemannianManifold, DomainError,
+                              GeometryError, JetMetric)
 from phmorph.maps import (
+    LocalGeometry,
     check_submersion,
     horizontal_lift,
     horizontal_projector,
-    local_geometry,
 )
+
+
+def at(phi, p, metric=None):
+    """phi's point context at p: its geometry under its source metric, or
+    the one under ``metric`` built from it."""
+    geo = LocalGeometry(phi, p)
+    return geo if metric is None else geo.under(metric)
 
 
 def anisotropic_map():
@@ -50,7 +57,7 @@ def curved_fiber_map():
 def test_differential_linear_map():
     phi = anisotropic_map()
     p = np.array([0.3, -0.2, 0.5, 0.1])
-    A = differential(phi, p)
+    A = differential(at(phi, p))
     assert np.allclose(A, [[1, 0, 0, 0], [0, 2, 0, 0]], atol=1e-14)
 
 
@@ -58,9 +65,9 @@ def test_differential_and_hessian_polynomial_map():
     phi = SmoothMap(euclidean_space(2), euclidean_space(2),
                     lambda c: [c[0] ** 2 * c[1], c[0] + c[1]])
     p = np.array([2.0, 1.0])
-    A = differential(phi, p)
+    A = differential(at(phi, p))
     assert np.allclose(A, [[4.0, 4.0], [1.0, 1.0]], atol=1e-13)
-    dA = local_geometry(phi, p).map_jets[2]  # dA[k, a, i] = d_k d_i phi^a
+    dA = at(phi, p).map_jets[2]  # dA[k, a, i] = d_k d_i phi^a
     assert np.allclose(dA[:, 0, :], [[2.0, 4.0], [4.0, 0.0]], atol=1e-13)
     assert np.allclose(dA[:, 1, :], 0.0, atol=1e-14)
 
@@ -69,7 +76,7 @@ def test_projectors_algebra():
     phi = curved_fiber_map()
     p = np.array([0.4, -0.3, 0.2, 0.6])
     g = phi.source.metric_at(p)
-    ph = horizontal_projector(phi, p)
+    ph = horizontal_projector(at(phi, p))
     pv = np.eye(4) - ph
     assert np.allclose(ph @ ph, ph, atol=1e-12)
     assert np.allclose(pv @ pv, pv, atol=1e-12)
@@ -77,33 +84,34 @@ def test_projectors_algebra():
     # g-self-adjoint: g P is symmetric
     assert np.allclose(g @ ph, (g @ ph).T, atol=1e-12)
     # vertical vectors are killed by the differential
-    A = differential(phi, p)
+    A = differential(at(phi, p))
     assert np.allclose(A @ pv, 0.0, atol=1e-12)
 
 
 def test_horizontal_lift_is_right_inverse():
     phi = curved_fiber_map()
     p = np.array([0.4, -0.3, 0.2, 0.6])
-    A = differential(phi, p)
-    lift = horizontal_lift(phi, p)
+    geo = at(phi, p)
+    A = differential(geo)
+    lift = horizontal_lift(geo)
     assert np.allclose(A @ lift, np.eye(2), atol=1e-12)
     # lifted vectors are horizontal
-    ph = horizontal_projector(phi, p)
+    ph = horizontal_projector(geo)
     assert np.allclose(ph @ lift, lift, atol=1e-12)
 
 
 def test_ortho_split_orthonormal_and_deterministic():
     phi = curved_fiber_map()
     p = np.array([0.4, -0.3, 0.2, 0.6])
-    s1 = ortho_split(phi, p)
-    s2 = ortho_split(phi, p)
+    s1 = ortho_split(at(phi, p))
+    s2 = ortho_split(at(phi, p))
     assert np.array_equal(s1.vertical_frame, s2.vertical_frame)
     assert np.array_equal(s1.horizontal_frame, s2.horizontal_frame)
     g = phi.source.metric_at(p)
     full = np.vstack([s1.horizontal_frame, s1.vertical_frame])
     gram = full @ g @ full.T
     assert np.allclose(gram, np.eye(4), atol=1e-10)
-    A = differential(phi, p)
+    A = differential(at(phi, p))
     assert np.allclose(A @ s1.vertical_frame.T, 0.0, atol=1e-10)
 
 
@@ -111,9 +119,9 @@ def test_check_submersion_detects_rank_drop():
     # real and imaginary parts of z^2 in the first two coordinates
     phi = SmoothMap(euclidean_space(4), euclidean_space(2),
                     lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
-    check_submersion(phi, np.array([0.5, 0.2, 0.0, 0.0]))
+    check_submersion(at(phi, np.array([0.5, 0.2, 0.0, 0.0])))
     with pytest.raises(RankError):
-        check_submersion(phi, np.zeros(4))
+        check_submersion(at(phi, np.zeros(4)))
 
 
 def test_odd_target_dimension_rejected():
@@ -123,7 +131,7 @@ def test_odd_target_dimension_rejected():
 
 def test_tension_flat_projection_vanishes():
     phi = anisotropic_map()
-    tau = tension_field(phi, np.array([0.3, -0.2, 0.5, 0.1]))
+    tau = tension_field(at(phi, np.array([0.3, -0.2, 0.5, 0.1])))
     assert np.allclose(tau.components, 0.0, atol=1e-12)
 
 
@@ -131,7 +139,7 @@ def test_tension_is_laplacian_for_scalar_components():
     # flat metrics: tau^a = Delta phi^a
     phi = SmoothMap(euclidean_space(2), euclidean_space(2),
                     lambda c: [c[0] ** 2 + c[1] ** 2, c[0] * c[1]])
-    tau = tension_field(phi, np.array([0.3, -0.7]))
+    tau = tension_field(at(phi, np.array([0.3, -0.7])))
     assert np.allclose(tau.components, [4.0, 0.0], atol=1e-12)
 
 
@@ -149,7 +157,7 @@ def test_tension_target_christoffel_contribution():
     p = np.array([0.3, -0.2])
     gamma_n = target.christoffel(p)
     expected = gamma_n[:, 0, 0] + gamma_n[:, 1, 1]
-    tau = tension_field(phi, p)
+    tau = tension_field(at(phi, p))
     assert np.allclose(tau.components, expected, atol=1e-12)
     assert np.allclose(expected, [0.0, 0.0], atol=1e-12)
 
@@ -160,13 +168,13 @@ def test_tension_curved_fibers_closed_form():
     # tracing to tau = (2, 0).
     phi = curved_fiber_map()
     for p in ([0.0, 0.0, 0.0, 0.0], [0.4, -0.3, 0.2, 0.6]):
-        tau = tension_field(phi, np.array(p))
+        tau = tension_field(at(phi, np.array(p)))
         assert np.allclose(tau.components, [2.0, 0.0], atol=1e-10)
 
 
 def test_mean_curvature_flat_fibers_vanishes():
     phi = anisotropic_map()
-    mu = mean_curvature_vertical(phi, np.array([0.3, -0.2, 0.5, 0.1]))
+    mu = mean_curvature_vertical(at(phi, np.array([0.3, -0.2, 0.5, 0.1])))
     assert np.allclose(mu.components, 0.0, atol=1e-8)
 
 
@@ -175,10 +183,11 @@ def test_mean_curvature_curved_fibers_closed_form():
     # -grad(log e^{x1}) = -d_1.
     phi = curved_fiber_map()
     p = np.array([0.4, -0.3, 0.2, 0.6])
-    mu = mean_curvature_vertical(phi, p)
+    geo = at(phi, p)
+    mu = mean_curvature_vertical(geo)
     assert np.allclose(mu.components, [-1.0, 0.0, 0.0, 0.0], atol=1e-7)
     # mean curvature is horizontal by construction
-    pv = np.eye(4) - horizontal_projector(phi, p)
+    pv = np.eye(4) - horizontal_projector(geo)
     assert np.allclose(pv @ mu.components, 0.0, atol=1e-7)
 
 
@@ -204,34 +213,19 @@ def test_jets_memo_warm_equals_cold():
     p = np.array([0.3, -0.4, 0.7])
     cold = rational_map().jets(p)
     phi = rational_map()
-    local_geometry(phi, p).jets
-    warm = local_geometry(phi, p.copy()).jets
+    geo = at(phi, p)
+    geo.jets
+    warm = geo.jets
     for c, w in zip(cold, warm):
         assert c.value == w.value
         assert np.array_equal(c.grad, w.grad)
         assert np.array_equal(c.hess, w.hess)
 
 
-def test_jets_memo_stays_bounded():
-    phi = rational_map()
-    memo = phi.source.metric.geometry_memo
-    first = np.array([0.1, 0.2, 0.3])
-    before = local_geometry(phi, first).jets
-    for k in range(POINT_MEMO_SIZE + 10):
-        local_geometry(phi, np.array([0.1, 0.2, 0.3 + 1e-3 * (k + 1)])).jets
-        assert len(memo) <= POINT_MEMO_SIZE
-    assert len(memo) == POINT_MEMO_SIZE
-    # the first point was evicted; recomputing it gives the same jets
-    after = local_geometry(phi, first).jets
-    assert all(a is not b for a, b in zip(before, after))
-    for a, b in zip(before, after):
-        assert np.array_equal(a.grad, b.grad) and np.array_equal(a.hess, b.hess)
-
-
 def test_memoized_jets_are_read_only():
     phi = rational_map()
     p = np.array([0.3, -0.4, 0.7])
-    kept = local_geometry(phi, p).jets
+    kept = at(phi, p).jets
     with pytest.raises(ValueError):
         kept[0].grad[0] = 1.0
     with pytest.raises(ValueError):
@@ -243,7 +237,7 @@ def test_memoized_jets_are_read_only():
     assert kept[0].grad[0] == phi.jets(p)[0].grad[0]
 
 
-# ---- the local geometry memo ---------------------------------------------
+# ---- the local geometry ---------------------------------------------------
 
 def sheared_metric():
     # constant, with g(e1, e3) = g(e2, e4) = 0.3: the horizontal space of the
@@ -253,13 +247,12 @@ def sheared_metric():
 
 
 GEOMETRY_READERS = {
-    "check_submersion": lambda phi, p, metric: check_submersion(phi, p),
+    "check_submersion": check_submersion,
     "horizontal_projector": horizontal_projector,
     "horizontal_lift": horizontal_lift,
-    "g": lambda phi, p, metric: local_geometry(phi, p, metric).g,
-    "ginv": lambda phi, p, metric: local_geometry(phi, p, metric).ginv,
-    "christoffel": lambda phi, p, metric: (
-        local_geometry(phi, p, metric).christoffel),
+    "g": lambda geo: geo.g,
+    "ginv": lambda geo: geo.ginv,
+    "christoffel": lambda geo: geo.christoffel,
 }
 P = np.array([0.4, -0.3, 0.2, 0.6])
 
@@ -268,47 +261,50 @@ P = np.array([0.4, -0.3, 0.2, 0.6])
 @pytest.mark.parametrize("name", sorted(GEOMETRY_READERS))
 def test_local_geometry_warm_equals_cold(name, sheared):
     read = GEOMETRY_READERS[name]
-    cold = read(curved_fiber_map(), P, sheared_metric() if sheared else None)
-    phi = curved_fiber_map()
-    metric = sheared_metric() if sheared else None
-    for _ in range(2):  # fills the memo, then reads it
+    cold = read(at(curved_fiber_map(), P,
+                   sheared_metric() if sheared else None))
+    geo = at(curved_fiber_map(), P.copy(),
+             sheared_metric() if sheared else None)
+    for _ in range(2):  # fills the geometry, then reads it
         for other in GEOMETRY_READERS.values():
-            other(phi, P, metric)
-        assert np.array_equal(read(phi, P.copy(), metric), cold)
+            other(geo)
+        assert np.array_equal(read(geo), cold)
+    assert read(geo) is read(geo)
+
+
+def test_under_builds_each_geometry_once_on_its_source():
+    geo = at(curved_fiber_map(), P)
+    sheared = sheared_metric()
+    child = geo.under(sheared)
+    assert geo.source is geo and child.source is geo
+    assert geo.under(sheared) is child and child.under(sheared) is child
+    assert geo.under(geo.src.metric) is geo
+    assert child.under(geo.src.metric) is geo
+    assert not np.allclose(child.g, geo.g)
+    # the map's data is read from the source geometry
+    assert child.map_jets is geo.map_jets
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRY_READERS))
 def test_local_geometry_arrays_are_read_only(name):
-    out = GEOMETRY_READERS[name](curved_fiber_map(), P, sheared_metric())
+    out = GEOMETRY_READERS[name](at(curved_fiber_map(), P, sheared_metric()))
     assert not out.flags.writeable
     with pytest.raises(ValueError):
         out[0, 0] = 1.0
-
-
-def test_local_geometry_memo_stays_bounded():
-    phi = curved_fiber_map()
-    memo = phi.source.metric.geometry_memo
-    before = horizontal_projector(phi, P)
-    for k in range(POINT_MEMO_SIZE + 10):
-        horizontal_projector(phi, P + 1e-3 * (k + 1))
-        assert len(memo) <= POINT_MEMO_SIZE
-    assert len(memo) == POINT_MEMO_SIZE
-    # the first point was evicted; recomputing it gives the same projector
-    after = horizontal_projector(phi, P)
-    assert after is not before and np.array_equal(after, before)
 
 
 def test_rank_deficient_point_fails_on_every_call():
     # real and imaginary parts of z^2: dphi vanishes at the origin
     phi = SmoothMap(euclidean_space(4), euclidean_space(2),
                     lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
+    geo = at(phi, np.zeros(4))
     for _ in range(2):
         for name in ("check_submersion", "horizontal_projector",
                      "horizontal_lift"):
             with pytest.raises(RankError):
-                GEOMETRY_READERS[name](phi, np.zeros(4), None)
+                GEOMETRY_READERS[name](geo)
     # the metric data at that point is still fine
-    assert np.array_equal(local_geometry(phi, np.zeros(4)).ginv, np.eye(4))
+    assert np.array_equal(geo.ginv, np.eye(4))
 
 
 def test_out_of_domain_point_fails_on_every_call():
@@ -316,32 +312,32 @@ def test_out_of_domain_point_fails_on_every_call():
         4, JetMetric(4, curved_fiber_metric_components),
         domain_predicate=lambda p: p[0] > 0)
     phi = SmoothMap(source, euclidean_space(2), lambda c: [c[0], c[1]])
-    outside = np.array([-0.4, 0.3, 0.2, 0.6])
+    geo = at(phi, np.array([-0.4, 0.3, 0.2, 0.6]))
     for _ in range(2):
         for name, read in sorted(GEOMETRY_READERS.items()):
             with pytest.raises(DomainError):
-                read(phi, outside, None)
-    # a wrong shape with the bytes of a memoized point is still rejected
-    horizontal_projector(phi, np.abs(P))
+                read(geo)
+    # a wrong shape with the bytes of a valid point is still rejected
+    horizontal_projector(at(phi, np.abs(P)))
     with pytest.raises(DomainError):
-        horizontal_projector(phi, np.abs(P).reshape(2, 2))
+        horizontal_projector(at(phi, np.abs(P).reshape(2, 2)))
 
 
 def test_results_under_two_metrics_at_one_point_never_mix():
     phi = curved_fiber_map()
     sheared = sheared_metric()
+    geo = at(phi, P)
     reads = []
     for metric in (None, sheared, None, sheared):
-        reads.append([horizontal_projector(phi, P, metric),
-                      horizontal_lift(phi, P, metric),
-                      local_geometry(phi, P, metric).christoffel])
-    cold_g = [horizontal_projector(curved_fiber_map(), P),
-              horizontal_lift(curved_fiber_map(), P),
-              local_geometry(curved_fiber_map(), P).christoffel]
-    fresh = sheared_metric()
-    cold_s = [horizontal_projector(curved_fiber_map(), P, fresh),
-              horizontal_lift(curved_fiber_map(), P, fresh),
-              local_geometry(curved_fiber_map(), P, fresh).christoffel]
+        read = geo if metric is None else geo.under(metric)
+        reads.append([horizontal_projector(read), horizontal_lift(read),
+                      read.christoffel])
+    cold = at(curved_fiber_map(), P)
+    cold_g = [horizontal_projector(cold), horizontal_lift(cold),
+              cold.christoffel]
+    cold = at(curved_fiber_map(), P, sheared_metric())
+    cold_s = [horizontal_projector(cold), horizontal_lift(cold),
+              cold.christoffel]
     for got, cold in zip(reads, [cold_g, cold_s, cold_g, cold_s]):
         assert all(np.array_equal(a, b) for a, b in zip(got, cold))
     assert not np.allclose(cold_g[0], cold_s[0])
@@ -354,8 +350,8 @@ def test_horizontal_factor_squares_to_the_horizontal_inverse_metric(sheared):
     # over any orthonormal frame of H; R's rows are one such frame
     phi = curved_fiber_map()
     metric = sheared_metric() if sheared else None
-    geo = local_geometry(phi, P, metric)
-    r, ph = geo.horizontal_factor, horizontal_projector(phi, P, metric)
+    geo = at(phi, P, metric)
+    r, ph = geo.horizontal_factor, horizontal_projector(geo)
     assert np.allclose(r.T @ r, ph @ geo.ginv @ ph.T, atol=1e-12)
     assert np.allclose(r @ geo.src.metric_at(P) @ r.T, np.eye(2), atol=1e-12)
     assert not r.flags.writeable
@@ -364,10 +360,11 @@ def test_horizontal_factor_squares_to_the_horizontal_inverse_metric(sheared):
 def test_local_geometry_keeps_its_own_copy_of_the_point():
     phi = curved_fiber_map()
     q = P.copy()
-    horizontal_projector(phi, q)
+    geo = at(phi, q)
+    horizontal_projector(geo)
     q[0] += 0.1  # the caller reuses its array
-    assert np.array_equal(local_geometry(phi, P).christoffel,
-                          local_geometry(curved_fiber_map(), P).christoffel)
+    assert np.array_equal(geo.christoffel,
+                          at(curved_fiber_map(), P).christoffel)
 
 
 # ---- fields derived from the local geometry ------------------------------
@@ -376,12 +373,11 @@ def test_local_geometry_keeps_its_own_copy_of_the_point():
 # on each call and kept nowhere.
 
 DERIVED_READERS = {
-    "tension_field": lambda phi, p, metric: (
-        tension_field(phi, p, metric).base,
-        tension_field(phi, p, metric).components),
-    "mean_curvature_vertical": lambda phi, p, metric: (
-        mean_curvature_vertical(phi, p, metric).base,
-        mean_curvature_vertical(phi, p, metric).components),
+    "tension_field": lambda geo: (tension_field(geo).base,
+                                  tension_field(geo).components),
+    "mean_curvature_vertical": lambda geo: (
+        mean_curvature_vertical(geo).base,
+        mean_curvature_vertical(geo).components),
 }
 
 
@@ -389,21 +385,22 @@ DERIVED_READERS = {
 @pytest.mark.parametrize("name", sorted(DERIVED_READERS))
 def test_derived_fields_warm_equal_cold(name, sheared):
     read = DERIVED_READERS[name]
-    cold = read(curved_fiber_map(), P, sheared_metric() if sheared else None)
-    phi = curved_fiber_map()
-    metric = sheared_metric() if sheared else None
-    for _ in range(2):  # fills the memo, then reads it
+    cold = read(at(curved_fiber_map(), P,
+                   sheared_metric() if sheared else None))
+    geo = at(curved_fiber_map(), P.copy(),
+             sheared_metric() if sheared else None)
+    for _ in range(2):  # fills the geometry, then reads it
         for other in DERIVED_READERS.values():
-            other(phi, P, metric)
-        warm = read(phi, P.copy(), metric)
+            other(geo)
+        warm = read(geo)
         assert all(np.array_equal(w, c) for w, c in zip(warm, cold))
-    geo = local_geometry(phi, P, metric)
     assert getattr(geo, name) is getattr(geo, name)
 
 
 @pytest.mark.parametrize("name", sorted(DERIVED_READERS))
 def test_derived_field_arrays_are_read_only(name):
-    for out in DERIVED_READERS[name](curved_fiber_map(), P, sheared_metric()):
+    for out in DERIVED_READERS[name](at(curved_fiber_map(), P,
+                                        sheared_metric())):
         assert not out.flags.writeable
         with pytest.raises(ValueError):
             out[0] = 1.0
@@ -414,9 +411,10 @@ def test_derived_fields_fail_on_every_call():
                     lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
     flat = SmoothMap(euclidean_space(2), euclidean_space(2),
                      lambda c: [c[0], c[1]])
+    geo, flat_geo = at(phi, np.zeros(4)), at(flat, np.zeros(2))
     for _ in range(2):
         for read in (ortho_split, mean_curvature_vertical):
             with pytest.raises(RankError):
-                read(phi, np.zeros(4))
+                read(geo)
         with pytest.raises(GeometryError, match="no fibers"):
-            mean_curvature_vertical(flat, np.zeros(2))
+            mean_curvature_vertical(flat_geo)

@@ -1,9 +1,12 @@
 """Verification runner: config validation, the identity table, gating and
 report assembly."""
 
+import gc
+import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
                      biconformal, confirm_flags, get_scenario, hermitian,
                      manifold, maps, parse, run_verification, runner,
                      sample_points, scenarios)
-from phmorph.biconformal import IdentityAggregate, check_corollary_psh
+from phmorph.biconformal import IdentityAggregate
+from phmorph.maps import LocalGeometry
 from phmorph.runner import (IDENTITIES, RunContext, run_identity,
                             skip_reason)
 
@@ -75,7 +79,8 @@ def test_report_flags_section_reports_measurements():
 
 def _one_pass_per_identity(config):
     """The report sections a run gives when each identity, and then the flag
-    check, runs once over all the sample points."""
+    check, runs once over all the sample points, each on point contexts of
+    its own."""
     scenario = get_scenario(config.scenario)
     change = config.build_change(scenario)
     points = sample_points(scenario, config.samples, config.seed)
@@ -88,9 +93,11 @@ def _one_pass_per_identity(config):
             continue
         agg = IDENTITIES[name].aggregate(name)
         for idx, p in enumerate(points):
-            agg.add(run_identity(name, run, p, idx))
+            agg.add(run_identity(name, run, LocalGeometry(scenario.phi, p),
+                                 idx))
         per_identity.append(agg.as_dict())
-    flags = confirm_flags(scenario, points, tol=config.tol_fd)
+    flags = confirm_flags(scenario, [LocalGeometry(scenario.phi, p)
+                                     for p in points], tol=config.tol_fd)
     return per_identity, skipped, flags
 
 
@@ -142,9 +149,9 @@ def test_changed_metric_derivatives_computed_once_per_distinct_point(
     calls = []
     inner = biconformal.ChangedMetric.matrix_and_derivs
 
-    def counting(self, p):
+    def counting(self, p, source=None):
         calls.append((self, np.asarray(p).tobytes()))
-        return inner(self, p)
+        return inner(self, p, source)
 
     monkeypatch.setattr(biconformal.ChangedMetric, "matrix_and_derivs",
                         counting)
@@ -171,16 +178,19 @@ EVALUATIONS = [(manifold.JetMetric, "matrix"),
               rho="1+0.1*x5^2", samples=4),
     RunConfig(scenario="hopf", sigma="exp(0.2*x1+0.1*x3)", rho="1+0.2*x2^2",
               samples=4),
-], ids=["readme-6-4", "hopf"])
+    # its sampling excludes points near the critical point of the map
+    RunConfig(scenario="holomorphic-poly", sigma="exp(0.2*x1+0.1*x3)",
+              rho="1+0.2*x2^2", samples=4),
+], ids=["readme-6-4", "hopf", "holomorphic-poly"])
 def test_a_run_evaluates_each_field_once_per_distinct_point(monkeypatch,
                                                              config):
     counts = {}
 
     def counting(inner, name):
-        def wrapper(self, p):
+        def wrapper(self, p, *source):
             key = (name, id(self), np.asarray(p, dtype=float).tobytes())
             counts[key] = counts.get(key, 0) + 1
-            return inner(self, p)
+            return inner(self, p, *source)
         return wrapper
 
     for cls, name in EVALUATIONS:
@@ -237,8 +247,9 @@ def test_a_run_folds_its_flags_through_confirm_flags(monkeypatch):
     rep = run_verification(config)
     assert calls == [1, 1, 1]
     scenario = get_scenario(config.scenario)
-    assert rep["flags"] == inner(scenario, sample_points(scenario, 3, 42),
-                                 config.tol_fd)
+    geos = [LocalGeometry(scenario.phi, p)
+            for p in sample_points(scenario, 3, 42)]
+    assert rep["flags"] == inner(scenario, geos, config.tol_fd)
 
 
 def _projector_and_lift_derivs_without_l_dm(geo):
@@ -297,8 +308,13 @@ def test_the_table_sets_how_an_aggregate_ranks_and_a_skip_passes():
     assert [name for name in ALL_IDENTITIES
             if IDENTITIES[name].aggregate(name).worst_by_abs] == [
         "corollary-psh", "corollary-phh"]
-    skipped = IdentityAggregate("x", skipped=True, warning="why")
-    assert skipped.passed and skipped.samples_pass == 0
+    # a skipped identity gets no aggregate, and the run still passes
+    rep = run_verification(RunConfig(scenario="flat-projection-4-2",
+                                     sigma="1+0.1*x1", samples=1,
+                                     identities=["corollary-phh"]))
+    assert rep["per_identity"] == [] and rep["verdict"] == "pass"
+    assert [row["name"] for row in rep["skipped_identities"]] == [
+        "corollary-phh"]
 
 
 def test_linalg_error_in_a_corollary_is_a_sample_error(monkeypatch):
@@ -307,8 +323,13 @@ def test_linalg_error_in_a_corollary_is_a_sample_error(monkeypatch):
 
     monkeypatch.setattr(biconformal, "phwc_defect", singular)
     scenario = get_scenario("flat-projection-6-4")
-    agg = check_corollary_psh(scenario, parse("1+0.1*x1"),
-                              sample_points(scenario, 3, 42))
+    config = RunConfig(scenario="flat-projection-6-4", sigma="1+0.1*x1",
+                       samples=3)
+    run = RunContext(scenario, config, config.build_change(scenario))
+    agg = IDENTITIES["corollary-psh"].aggregate("corollary-psh")
+    for idx, p in enumerate(sample_points(scenario, 3, 42)):
+        agg.add(run_identity("corollary-psh", run,
+                             LocalGeometry(scenario.phi, p), idx))
     assert agg.samples_error == 3 and agg.samples_pass == 0
     assert agg.errors[0]["error"] == "Singular matrix"
     assert not agg.passed
@@ -362,6 +383,87 @@ def test_benchmark_tracer_finds_every_target():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# the layers that a flat-projection-6-4 run reaches
+TRACED_LAYERS = ("jets.Jet2", "maps.SmoothMap.jets", "maps.differential",
+                 "maps.horizontal_projector", "maps.tension_field",
+                 "maps.mean_curvature_vertical",
+                 "manifold.JetMetric.matrix_and_derivs", "manifold.metric_at",
+                 "hermitian.f_structure", "hermitian.d_f_structure",
+                 "hermitian.phh_defect", "hermitian.phwc_defect",
+                 "hermitian.f_divergence_horizontal", "exprs.eval_jet")
+
+
+def test_benchmark_tracer_sees_every_layer_a_run_reaches():
+    # a traced name that a run no longer calls would read 0 in the benchmark
+    code = (
+        "import json\n"
+        "from tracer import TARGETS, Tracer\n"
+        "from phmorph.runner import RunConfig, run_verification\n"
+        "tracer = Tracer(TARGETS)\n"
+        "tracer.install()\n"
+        "rep = run_verification(RunConfig(scenario='flat-projection-6-4', "
+        "sigma='exp(0.2*x1)', rho='1+0.1*x5^2', samples=2))\n"
+        "calls = {}\n"
+        "for nid in tracer.name_col:\n"
+        "    name = tracer.span_names[nid]\n"
+        "    calls[name] = calls.get(name, 0) + 1\n"
+        "print(json.dumps({'verdict': rep['verdict'], 'calls': calls, "
+        "'points': {k: len(v) for k, v in tracer.points.items()}}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["verdict"] == "pass"
+    assert {name: out["calls"].get(name, 0) > 0
+            for name in TRACED_LAYERS} == dict.fromkeys(TRACED_LAYERS, True)
+    # one evaluation of the map's jets per distinct point
+    assert out["calls"]["maps.SmoothMap.jets"] == 2
+    assert out["points"]["maps.SmoothMap.jets"] == 2
+
+
+def test_a_run_keeps_only_the_current_points_geometries(monkeypatch):
+    # no geometry outlives its point: while a check runs, the geometries
+    # alive are those of its point, and none are once the run returns, so
+    # a run's memory does not grow with its sample count.  A point's
+    # geometries refer to one another (the source geometry keeps those built
+    # from it, and each of those reads it), so the cycle collector frees
+    # them; it skips the objects frozen here, which are older than the run
+    built = []
+    init = maps.LocalGeometry.__init__
+
+    def tracking(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    def alive_points():
+        gc.collect()
+        return {ref().p.tobytes() for ref in built if ref() is not None}
+
+    seen = []
+    check = runner.run_identity
+
+    def probing(name, run, geo, idx):
+        seen.append((geo.p.tobytes(), alive_points()))
+        return check(name, run, geo, idx)
+
+    monkeypatch.setattr(maps.LocalGeometry, "__init__", tracking)
+    monkeypatch.setattr(runner, "run_identity", probing)
+    gc.freeze()
+    try:
+        rep = run_verification(RunConfig(scenario="flat-projection-6-4",
+                                         sigma="exp(0.2*x1)",
+                                         rho="1+0.1*x5^2", samples=4))
+    finally:
+        gc.unfreeze()
+    assert rep["verdict"] == "pass"
+    assert len(seen) == 4 * len(ALL_IDENTITIES)
+    assert all(alive == {point} for point, alive in seen)
+    assert len(built) == 4 * 3  # g, g-bar and the one-function g-bar
+    assert alive_points() == set()
 
 
 @pytest.mark.parametrize("option", ["sigma", "rho", "special_sigma"])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import phmorph as pm
-from phmorph import confirm_flags, differential, get_scenario, list_scenarios, sample_points
+from phmorph import (LocalGeometry, confirm_flags, differential, get_scenario,
+                     list_scenarios, sample_points)
 from phmorph.scenarios import standard_J
 
 
@@ -44,7 +45,8 @@ def test_sampling_respects_exclusions():
     sc = get_scenario("holomorphic-poly")
     for p in sample_points(sc, 30, seed=3):
         assert not sc.excluded(p)
-        sv = np.linalg.svd(differential(sc.phi, p), compute_uv=False)
+        sv = np.linalg.svd(differential(LocalGeometry(sc.phi, p)),
+                           compute_uv=False)
         assert sv[-1] >= 0.1
 
 
@@ -60,9 +62,10 @@ def test_hopf_chart_is_a_riemannian_submersion():
     # pins both chart metrics and the map formula at once
     sc = get_scenario("hopf")
     for p in sample_points(sc, 5, seed=2):
-        A = differential(sc.phi, p)
+        geo = LocalGeometry(sc.phi, p)
+        A = differential(geo)
         ginv = sc.phi.source.inverse_metric_at(p)
-        h = sc.phi.target.metric_at(sc.phi.value(p))
+        h = sc.phi.target.metric_at(geo.map_jets[0])
         assert np.allclose(A @ ginv @ A.T @ h, np.eye(2), atol=1e-9)
 
 
@@ -72,14 +75,17 @@ def test_holomorphic_scenario_satisfies_cauchy_riemann():
     J4 = standard_J(4)
     J2 = standard_J(2)
     for p in sample_points(sc, 5, seed=2):
-        A = differential(sc.phi, p)
+        A = differential(LocalGeometry(sc.phi, p))
         assert np.allclose(A @ J4, J2 @ A, atol=1e-10)
 
 
 def test_confirm_flags_positive_and_negative():
-    points = {name: sample_points(get_scenario(name), 6, seed=5)
-              for name in ("flat-projection-4-2", "nonphwc-anisotropic",
-                           "curved-fibers-nonharmonic")}
+    points = {}
+    for name in ("flat-projection-4-2", "nonphwc-anisotropic",
+                 "curved-fibers-nonharmonic"):
+        phi = get_scenario(name).phi
+        points[name] = [LocalGeometry(phi, p) for p in
+                        sample_points(get_scenario(name), 6, seed=5)]
     flags = confirm_flags(get_scenario("flat-projection-4-2"),
                           points["flat-projection-4-2"])
     assert all(v["confirmed"] for v in flags.values())
