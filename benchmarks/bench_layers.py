@@ -1,18 +1,26 @@
-"""Layer benchmarks: the cold cost per sample point of each layer.
+"""Layer benchmarks: the cold cost of each layer, at one sample point and
+over a chunk of ``CHUNK_ROWS`` points.
 
 Every round builds the scenario, the change, the run context and the point
-context (phi's ``maps.LocalGeometry`` at the sample point, as the runner
-builds it) anew (not timed), then times one read at that point, so nothing
-that the read needs is computed yet:
+context (phi's ``maps.LocalGeometry`` at the sample point, or over the
+chunk's points as one batch, as the runner builds it) anew (not timed), then
+times one read there, so nothing that the read needs is computed yet:
 
+- ``jet2_arithmetic``: a rational and transcendental expression in Jet2
+  arithmetic on seeded coordinates, at a point and over a chunk;
+- ``map_jets``: the map's jets (``SmoothMap.jets``), at a point and over a
+  chunk;
 - ``factor_jets``: sigma and rho as jets at the point;
 - ``local_geometry_fill``: what a run computes at a point before its
   identities compare sides, under g and under g-bar, the geometry that the
   checks build from the point context (F div_H F brings in the horizontal
   factor and the PHWC defect it is checked against; the PHH defect is not
   kept, and is left out);
+- ``chunk_fill``: the same over a chunk of points, the runner's batch;
 - ``identity[<name>]``: one call of the identity's check, as the runner
   makes it.
+
+Divide a chunk's time by ``CHUNK_ROWS`` for its cost per point.
 
 The file is named ``bench_*.py`` so that the test suite does not collect it.
 Run it from the repository root:
@@ -27,12 +35,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phmorph import hermitian, maps
+from phmorph import hermitian, jets, maps
 from phmorph.runner import (ALL_IDENTITIES, RunConfig, RunContext,
                             run_identity, skip_reason)
 from phmorph.scenarios import get_scenario, sample_points
 
 ROUNDS = 40
+CHUNK_ROWS = 20  # perfbench's sample count: its runs check one such chunk
 WORKLOAD_FILE = Path(__file__).resolve().parent.parent / "perfbench" / \
     "workloads.json"
 
@@ -51,9 +60,10 @@ POINTS = {name: sample_points(get_scenario(config.scenario), ROUNDS, 42)
           for name, config in WORKLOADS.items()}
 
 
-def fresh_runs(workload):
+def fresh_runs(workload, rows=None):
     """Setup of one round after another: a new run context and the point
-    context at the next sample point (with its index)."""
+    context at the next sample point (with its index), or over the first
+    ``rows`` points."""
     config = WORKLOADS[workload]
     state = {"idx": -1}
 
@@ -62,15 +72,39 @@ def fresh_runs(workload):
         run = RunContext(scenario, config, config.build_change(scenario))
         state["idx"] = (state["idx"] + 1) % ROUNDS
         idx = state["idx"]
-        geo = maps.LocalGeometry(scenario.phi, POINTS[workload][idx])
-        return (run, geo, idx), {}
+        points = (POINTS[workload][idx] if rows is None
+                  else POINTS[workload][:rows])
+        return (run, maps.LocalGeometry(scenario.phi, points), idx), {}
 
     return setup
 
 
-def timed(benchmark, workload, read):
-    benchmark.pedantic(read, setup=fresh_runs(workload), rounds=ROUNDS,
+def timed(benchmark, workload, read, rows=None):
+    benchmark.pedantic(read, setup=fresh_runs(workload, rows), rounds=ROUNDS,
                        iterations=1)
+
+
+ROWS = {"point": None, "chunk": CHUNK_ROWS}
+
+
+def expression(x1, x2, x3):
+    """A rational and transcendental scalar, as the bundled maps are."""
+    r2 = x1 * x1 + x2 * x2 + x3 * x3
+    return (x1 * x3 + x2) / (1.0 + r2) * jets.exp(0.2 * x2) - jets.sin(x3)
+
+
+@pytest.mark.parametrize("rows", sorted(ROWS))
+def test_jet2_arithmetic(benchmark, rows):
+    points = np.array(POINTS["hopf-full"][:CHUNK_ROWS])  # on R^3
+    coords = points if ROWS[rows] else points[0]
+    benchmark(lambda: expression(*jets.seed_coordinates(coords)))
+
+
+@pytest.mark.parametrize("workload, rows", [
+    (workload, rows) for workload in sorted(WORKLOADS) for rows in ROWS])
+def test_map_jets(benchmark, workload, rows):
+    timed(benchmark, workload,
+          lambda run, point, idx: run.scenario.phi.jets(point.p), ROWS[rows])
 
 
 def fill(run, point, idx):
@@ -95,6 +129,11 @@ def test_factor_jets(benchmark, workload):
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_local_geometry_fill(benchmark, workload):
     timed(benchmark, workload, fill)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_chunk_fill(benchmark, workload):
+    timed(benchmark, workload, fill, CHUNK_ROWS)
 
 
 CASES = [(workload, name) for workload in sorted(WORKLOADS)

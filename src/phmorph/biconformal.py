@@ -11,12 +11,13 @@ whose values g-bar and the right sides of the laws read (no float twin), and
 ``PositivityError`` on every call.
 
 Every ``verify_*`` and ``corollary_*_at`` routine takes the point context,
-phi's source geometry at one sample point, and reads the geometry under
-g-bar from it (``LocalGeometry.under``).  It computes one identity's two
-sides by independent routes (the Levi-Civita geometry of g-bar, built from
-g-bar's own (g-bar, d g-bar), on one side; the closed-form transformation
-law on g's connection on the other) and reports the residual at that point;
-``runner.IDENTITIES`` folds the reports over a run's points.
+phi's source geometry at a sample point or a batch of them, and reads the
+geometry under g-bar from it (``LocalGeometry.under``).  It computes one
+identity's two sides by independent routes (the Levi-Civita geometry of
+g-bar, built from g-bar's own (g-bar, d g-bar), on one side; the closed-form
+transformation law on g's connection on the other) and reports the residual
+at each point (a list of reports for a batch); ``runner.IDENTITIES`` folds
+the reports over a run's points.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import numpy as np
 
 from . import exprs, jets
 from .exprs import Expr
-from .jets import Jet2, JetDomainError
-from .manifold import GeometryError, MetricError, MetricField
+from .jets import JetDomainError, first, pointwise, quiet
+from .manifold import (GeometryError, MetricError, MetricField, dot, matvec,
+                       per_k, quad)
 from .maps import (LocalGeometry, RankError, SmoothMap, differential,
                    horizontal_projector, mean_curvature_vertical,
                    tension_field)
@@ -72,18 +74,16 @@ class BiconformalChange:
         return s.value, r.value
 
     def factor_jets(self, p):
-        coords = jets.seed_coordinates(np.asarray(p, dtype=float))
-        dim = len(coords)
-        s = exprs.eval_jet(self.sigma, coords)
-        r = exprs.eval_jet(self.rho, coords)
-        s = (s if isinstance(s, Jet2) else Jet2.constant(float(s), dim)).check()
-        r = (r if isinstance(r, Jet2) else Jet2.constant(float(r), dim)).check()
-        if s.value <= 0.0:
-            raise PositivityError("sigma = %g <= 0 at %s"
-                                  % (s.value, np.asarray(p).tolist()))
-        if r.value <= 0.0:
-            raise PositivityError("rho = %g <= 0 at %s"
-                                  % (r.value, np.asarray(p).tolist()))
+        p = np.asarray(p, dtype=float)
+        coords = jets.seed_coordinates(p)
+        values = [exprs.eval_jet(e, coords) for e in (self.sigma, self.rho)]
+        s, r = (jets.lift(v, len(coords), p.shape[:-1]) for v in values)
+        for name, f in (("sigma", s), ("rho", r)):
+            bad = f.value <= 0.0
+            if np.count_nonzero(bad):
+                raise PositivityError("%s = %g <= 0 at %s"
+                                      % (name, first(f.value, bad),
+                                         first(p, bad).tolist()))
         return s, r
 
 
@@ -101,26 +101,30 @@ def special_change(sigma: Expr, m: int, n: int) -> BiconformalChange:
     return BiconformalChange(sigma, rho)
 
 
+@quiet
 def _inverse_square(name, jet, p):
     """(f^-2, d(f^-2)) of a factor jet f, with d(f^-2) = -2 f^-2 d(ln f)
-    taken in Python floats (which overflow to inf silently), both checked:
-    f^-2 to be finite and positive before anything is divided by it."""
-    square = jet.value * jet.value
-    weight = 1.0 / square if square > 0.0 else math.inf
-    if not 0.0 < weight < math.inf:
+    (overflowing to inf silently), both checked: f^-2 to be finite and
+    positive before anything is divided by it."""
+    value = jet.value
+    square = value * value
+    weight = np.where(square > 0.0, 1.0 / square, math.inf)
+    bad = ~((0.0 < weight) & (weight < math.inf))
+    if np.count_nonzero(bad):
         raise MetricError("%s^-2 is not a finite positive number at %s "
-                          "(%s = %g)" % (name, np.asarray(p).tolist(), name,
-                                         jet.value))
-    d_weight = [-2.0 * weight * (float(d) / jet.value) for d in jet.grad]
-    if not all(map(math.isfinite, d_weight)):
+                          "(%s = %g)" % (name, first(p, bad).tolist(), name,
+                                         first(value, bad)))
+    d_weight = -2.0 * weight[..., None] * (jet.grad / value[..., None])
+    bad = ~np.isfinite(d_weight).all(axis=-1)
+    if np.count_nonzero(bad):
         raise MetricError("the derivative of %s^-2 is not finite at %s"
-                          % (name, np.asarray(p).tolist()))
-    return weight, np.array(d_weight)
+                          % (name, first(p, bad).tolist()))
+    return weight, d_weight
 
 
 def _symmetric(a):
-    """The symmetric part of a matrix, or of each (k, :, :) slice."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    """The symmetric part of a matrix, or of each (..., k, :, :) slice."""
+    return 0.5 * (a + a.mT)
 
 
 class ChangedMetric(MetricField):
@@ -159,7 +163,8 @@ class ChangedMetric(MetricField):
         def compute():
             s, r = self.factor_jets(source)
             ginv = source.ginv
-            return ginv @ (s.grad / s.value), ginv @ (r.grad / r.value)
+            return (matvec(ginv, s.grad / s.value[..., None]),
+                    matvec(ginv, r.grad / r.value[..., None]))
 
         return source.field(("grad_log_factors", self), compute)
 
@@ -179,8 +184,8 @@ class ChangedMetric(MetricField):
         geo = self._source(p, source)
         g, gh = self._horizontal_block(geo)
         s, r = self.factor_jets(geo)
-        return (gh * _inverse_square("sigma", s, p)[0]
-                + (g - gh) * _inverse_square("rho", r, p)[0])
+        return (gh * _inverse_square("sigma", s, p)[0][..., None, None]
+                + (g - gh) * _inverse_square("rho", r, p)[0][..., None, None])
 
     def matrix_and_derivs(self, p, source=None):
         geo = self._source(p, source)
@@ -189,11 +194,13 @@ class ChangedMetric(MetricField):
         w_v, dw_v = _inverse_square("rho", r, p)
         g, gh = self._horizontal_block(geo)
         dg = geo.metric_and_derivs[1]
-        dgh = _symmetric(dg @ geo.projector_and_lift[0]
-                         + g @ geo.projector_and_lift_derivs[0])
+        dgh = _symmetric(dg @ per_k(geo.projector_and_lift[0])
+                         + per_k(g) @ geo.projector_and_lift_derivs[0])
+        w_h, w_v = w_h[..., None, None], w_v[..., None, None]
         gbar = gh * w_h + (g - gh) * w_v
-        dgbar = (dw_h[:, None, None] * gh + w_h * dgh
-                 + dw_v[:, None, None] * (g - gh) + w_v * (dg - dgh))
+        dgbar = (dw_h[..., None, None] * per_k(gh) + per_k(w_h) * dgh
+                 + dw_v[..., None, None] * per_k(g - gh)
+                 + per_k(w_v) * (dg - dgh))
         return gbar, dgbar
 
 
@@ -267,41 +274,50 @@ class IdentityAggregate:
                 and self.samples_pass > 0)
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "samples_pass": self.samples_pass,
-            "samples_fail": self.samples_fail,
-            "samples_error": self.samples_error,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "worst_point": self.worst_point,
-            "passed": self.passed,
-        }
+        keys = ("name", "samples_pass", "samples_fail", "samples_error",
+                "max_abs_residual", "max_rel_residual", "worst_point")
+        return dict({key: getattr(self, key) for key in keys},
+                    passed=self.passed)
+
+
+def _rows(p, make):
+    """make(i) at one point (i = ()), or the list of make(i) over a batch."""
+    return make(()) if np.ndim(p) == 1 else [make(i) for i in range(len(p))]
 
 
 def _report(identity, p, lhs, rhs, tol):
-    """Residual report of lhs = rhs; a non-finite side is a sample error."""
-    lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    absr = float(np.max(np.abs(lhs - rhs)))
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    if not (np.isfinite(absr) and np.isfinite(scale)):
-        return errored_report(identity, p, "non-finite residual")
-    rel = absr / (scale + REL_FLOOR)
-    return IdentityResidualReport(identity, np.asarray(p).tolist(), absr, rel,
-                                  rel < tol)
+    """Residual report of lhs = rhs (components on the last axis) at each
+    point; a non-finite side is a sample error."""
+    p = np.asarray(p, dtype=float)
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    absr = np.abs(lhs - rhs).max(axis=-1)
+    lmax, rmax = np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1)
+
+    def make(i):
+        a, scale = float(absr[i]), max(float(lmax[i]), float(rmax[i]))
+        if not (np.isfinite(a) and np.isfinite(scale)):
+            return errored_report(identity, p[i], "non-finite residual")
+        rel = a / (scale + REL_FLOOR)
+        return IdentityResidualReport(identity, p[i].tolist(), a, rel,
+                                      rel < tol)
+
+    return _rows(p, make)
+
+
+def _squared(s):
+    return pointwise(lambda v: v ** 2, s)
 
 
 def _require_horizontal(name, v, ph, g):
     v = np.asarray(v, dtype=float)
-    hv = ph @ v
-    if float(hv @ g @ hv) <= 1e-16:
+    hv = matvec(ph, v)
+    if (quad(hv, g, hv) <= 1e-16).any():
         raise GeometryError("%s has no horizontal part" % name)
     return hv
 
 
 def verify_koszul_h(ctx: BiconformalContext, geo: LocalGeometry, x_comp,
-                    y_comp, tol: float = 1e-5) -> IdentityResidualReport:
+                    y_comp, tol: float = 1e-5):
     """Horizontal part of nabla-bar_X Y for horizontal X = P_H x_comp and
     Y = P_H y_comp against the closed form the Koszul formula gives:
 
@@ -314,20 +330,21 @@ def verify_koszul_h(ctx: BiconformalContext, geo: LocalGeometry, x_comp,
     g = geo.g
     ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
-    y = ph @ np.asarray(y_comp, dtype=float)
+    y = matvec(ph, np.asarray(y_comp, dtype=float))
     gamma_bar = geo.under(ctx.gbar).christoffel
-    lhs = ph @ np.einsum("kij,i,j->k", gamma_bar, x, y)
+    lhs = matvec(ph, np.einsum("...kij,...i,...j->...k", gamma_bar, x, y))
 
     grad_ls, _ = ctx.gbar.grad_log_factors(geo)
-    dls = g @ grad_ls  # covector of ln sigma
-    rhs = (ph @ np.einsum("kij,i,j->k", geo.christoffel, x, y)
-           - (dls @ x) * y - (dls @ y) * x
-           + float(x @ g @ y) * (ph @ grad_ls))
+    dls = matvec(g, grad_ls)  # covector of ln sigma
+    rhs = (matvec(ph, np.einsum("...kij,...i,...j->...k", geo.christoffel,
+                                x, y))
+           - dot(dls, x)[..., None] * y - dot(dls, y)[..., None] * x
+           + quad(x, g, y)[..., None] * matvec(ph, grad_ls))
     return _report("koszul-horizontal", geo.p, lhs, rhs, tol)
 
 
 def verify_koszul_v(ctx: BiconformalContext, geo: LocalGeometry, v_comp,
-                    tol: float = 1e-5) -> IdentityResidualReport:
+                    tol: float = 1e-5):
     """Horizontal part of nabla-bar_V V for vertical V against the law
 
     H(nabla-bar_V V) = (sigma^2 / 2) [2 rho^-2 H(nabla_V V)
@@ -345,24 +362,26 @@ def verify_koszul_v(ctx: BiconformalContext, geo: LocalGeometry, v_comp,
     g = geo.g
     ph = geo.projector_and_lift[0]
     v_comp = np.asarray(v_comp, dtype=float)
-    v = v_comp - ph @ v_comp
-    if float(v @ g @ v) <= 1e-16:
+    v = v_comp - matvec(ph, v_comp)
+    if (quad(v, g, v) <= 1e-16).any():
         raise GeometryError("V has no vertical part")
-    dv = -np.einsum("k,kab,b->a", v, geo.projector_and_lift_derivs[0], v_comp)
-    lhs = ph @ geo.under(ctx.gbar).covariant_derivative(v, v, dv)
+    dv = -np.einsum("...k,...kab,...b->...a", v,
+                    geo.projector_and_lift_derivs[0], v_comp)
+    lhs = matvec(ph, geo.under(ctx.gbar).covariant_derivative(v, v, dv))
 
     s_jet, r_jet = ctx.gbar.factor_jets(geo)
     rho = r_jet.value
     # covector of rho^-2
-    d_rho_m2 = -2.0 * rho ** -3 * r_jet.grad
-    inner = (2.0 * rho ** -2 * (ph @ geo.covariant_derivative(v, v, dv))
-             - float(v @ g @ v) * (ph @ geo.ginv @ d_rho_m2))
-    rhs = 0.5 * s_jet.value ** 2 * inner
+    d_rho_m2 = pointwise(lambda r: -2.0 * r ** -3, rho)[..., None] * r_jet.grad
+    inner = (pointwise(lambda r: 2.0 * r ** -2, rho)[..., None]
+             * matvec(ph, geo.covariant_derivative(v, v, dv))
+             - quad(v, g, v)[..., None] * matvec(ph @ geo.ginv, d_rho_m2))
+    rhs = pointwise(lambda s: 0.5 * s ** 2, s_jet.value)[..., None] * inner
     return _report("koszul-vertical", geo.p, lhs, rhs, tol)
 
 
 def verify_mean_curvature(ctx: BiconformalContext, geo: LocalGeometry,
-                          tol: float = 1e-5) -> IdentityResidualReport:
+                          tol: float = 1e-5):
     """Fiber mean curvature under the change: mu-bar = sigma^2 [mu + H(grad ln rho)].
 
     Both sides read the same dP_H (g-bar keeps H), so a wrong dP_H is caught
@@ -376,12 +395,12 @@ def verify_mean_curvature(ctx: BiconformalContext, geo: LocalGeometry,
     _, grad_lr = ctx.gbar.grad_log_factors(geo)
     ph = horizontal_projector(geo)
     s, _ = ctx.gbar.factor_values(geo)
-    rhs = s ** 2 * (mu + ph @ grad_lr)
+    rhs = _squared(s)[..., None] * (mu + matvec(ph, grad_lr))
     return _report("mean-curvature", geo.p, lhs, rhs, tol)
 
 
 def verify_f_divergence(ctx: BiconformalContext, geo: LocalGeometry,
-                        tol: float = 1e-5) -> IdentityResidualReport:
+                        tol: float = 1e-5):
     """F div_H F under the change: sigma^2 [F div_H F + (2n-2) grad_H ln sigma].
 
     The gradient correction is projected to H: the full gradient differs
@@ -393,12 +412,12 @@ def verify_f_divergence(ctx: BiconformalContext, geo: LocalGeometry,
     ph = horizontal_projector(geo)
     s, _ = ctx.gbar.factor_values(geo)
     n2 = 2.0 * ctx.phi.n - 2.0
-    rhs = s ** 2 * (div + n2 * (ph @ grad_ls))
+    rhs = _squared(s)[..., None] * (div + n2 * matvec(ph, grad_ls))
     return _report("f-divergence", geo.p, lhs, rhs, tol)
 
 
 def verify_tension_transform(ctx: BiconformalContext, geo: LocalGeometry,
-                             tol: float = 1e-5) -> IdentityResidualReport:
+                             tol: float = 1e-5):
     """Tension field under the change:
 
     tau-bar = sigma^2 [tau + dphi((2n-m) grad ln rho + (2-2n) grad ln sigma)]
@@ -410,13 +429,12 @@ def verify_tension_transform(ctx: BiconformalContext, geo: LocalGeometry,
     s, _ = ctx.gbar.factor_values(geo)
     two_n, m = ctx.phi.two_n, ctx.phi.m
     correction = (two_n - m) * grad_lr + (2.0 - two_n) * grad_ls
-    rhs = s ** 2 * (tau + a @ correction)
+    rhs = _squared(s)[..., None] * (tau + matvec(a, correction))
     return _report("tension-transform", geo.p, lhs, rhs, tol)
 
 
 def verify_phh_covariant_formula(ctx: BiconformalContext, geo: LocalGeometry,
-                                 x_comp, y_comp, tol: float = 1e-5
-                                 ) -> IdentityResidualReport:
+                                 x_comp, y_comp, tol: float = 1e-5):
     """Horizontal part of (nabla-bar_X F)Y for horizontal X, Y against its
     expansion in terms of the unchanged connection and ln sigma:
 
@@ -433,35 +451,23 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, geo: LocalGeometry,
 
     gamma_bar = geo.under(ctx.gbar).christoffel
     nab_bar = nabla_f_operator(f, df, gamma_bar)
-    lhs = ph @ np.einsum("i,ikj,j->k", x, nab_bar, y)
+    lhs = matvec(ph, np.einsum("...i,...ikj,...j->...k", x, nab_bar, y))
 
     nab = nabla_f_operator(f, df, geo.christoffel)
     grad_ls, _ = ctx.gbar.grad_log_factors(geo)
-    grad_h = ph @ grad_ls
-    dls = g @ grad_ls
-    fy = f @ y
-    fx = f @ x
-    rhs = (ph @ np.einsum("i,ikj,j->k", x, nab, y)
-           + float(x @ g @ fy) * grad_h
-           - float(dls @ fy) * x
-           + float(dls @ y) * fx
-           - float(x @ g @ y) * (f @ grad_h))
+    grad_h = matvec(ph, grad_ls)
+    dls = matvec(g, grad_ls)
+    fy = matvec(f, y)
+    fx = matvec(f, x)
+    rhs = (matvec(ph, np.einsum("...i,...ikj,...j->...k", x, nab, y))
+           + quad(x, g, fy)[..., None] * grad_h
+           - dot(dls, fy)[..., None] * x
+           + dot(dls, y)[..., None] * fx
+           - quad(x, g, y)[..., None] * matvec(f, grad_h))
     return _report("phh-covariant", geo.p, lhs, rhs, tol)
 
 
 # ---- holomorphic test functions for the pullback characterization --------
-
-def _holo_z1(w):
-    return w[0], w[1]
-
-
-def _holo_z1_sq(w):
-    return w[0] * w[0] - w[1] * w[1], 2.0 * w[0] * w[1]
-
-
-def _holo_exp_z1(w):
-    return jets.exp(w[0]) * jets.cos(w[1]), jets.exp(w[0]) * jets.sin(w[1])
-
 
 def _holo_z1_z2(w):
     if len(w) < 4:
@@ -470,27 +476,28 @@ def _holo_z1_z2(w):
 
 
 HOLOMORPHIC_BUILTINS = {
-    "z1": _holo_z1,
-    "z1^2": _holo_z1_sq,
-    "exp(z1)": _holo_exp_z1,
+    "z1": lambda w: (w[0], w[1]),
+    "z1^2": lambda w: (w[0] * w[0] - w[1] * w[1], 2.0 * w[0] * w[1]),
+    "exp(z1)": lambda w: (jets.exp(w[0]) * jets.cos(w[1]),
+                          jets.exp(w[0]) * jets.sin(w[1])),
     "z1*z2": _holo_z1_z2,
 }
 
 
 def verify_pullback_characterization(geo: LocalGeometry, holo_name: str,
-                                     tol: float = 1e-5
-                                     ) -> IdentityResidualReport:
+                                     tol: float = 1e-5):
     """Laplacian of Re and Im of (holomorphic f) o phi; both vanish for a
     pseudo-harmonic morphism with respect to the metric of ``geo``."""
     fn = HOLOMORPHIC_BUILTINS[holo_name]
     # the jets of f o phi at p: f applied to the kept jets of phi
-    lap = np.array([geo.laplacian(part) for part in fn(geo.source.jets)])
-    return _report("pullback", geo.p, lap, np.zeros(2), tol)
+    lap = np.stack([geo.laplacian(part) for part in fn(geo.source.jets)],
+                   axis=-1)
+    return _report("pullback", geo.p, lap, np.zeros_like(lap), tol)
 
 
 def verify_tension_equivalence(geo: LocalGeometry,
                                J: AlmostComplexStructureField,
-                               tol: float = 1e-6) -> IdentityResidualReport:
+                               tol: float = 1e-6):
     """Trace-formula tension field against the f-structure route."""
     lhs = tension_field(geo).components
     rhs = tension_via_f_structure(geo, J).components
@@ -499,7 +506,7 @@ def verify_tension_equivalence(geo: LocalGeometry,
 
 def verify_phwc_equivalence(geo: LocalGeometry,
                             J: AlmostComplexStructureField,
-                            tol: float = 1e-6) -> IdentityResidualReport:
+                            tol: float = 1e-6):
     """The operator-commutator defect and the metric-compatibility defect
     vanish together (both below tol, or both above)."""
     d1, s1 = phwc_defect(geo, J)
@@ -508,12 +515,15 @@ def verify_phwc_equivalence(geo: LocalGeometry,
         d2, s2 = phwc_metric_defect(geo, J)
         r2 = d2 / (s2 + REL_FLOOR)
     except RankError:
+        if geo.p.ndim > 1:
+            raise  # at some rows of the batch: those are settled one by one
         # no submersion structure; only the commutator defect is defined
         return IdentityResidualReport("phwc-equivalence", geo.p.tolist(),
-                                      d1, r1, True)
-    agree = (r1 < tol) == (r2 < tol)
-    return IdentityResidualReport("phwc-equivalence", geo.p.tolist(),
-                                  max(d1, d2), max(r1, r2), agree)
+                                      float(d1), float(r1), True)
+    return _rows(geo.p, lambda i: IdentityResidualReport(
+        "phwc-equivalence", geo.p[i].tolist(),
+        max(float(d1[i]), float(d2[i])), max(float(r1[i]), float(r2[i])),
+        bool((r1[i] < tol) == (r2[i] < tol))))
 
 
 def one_function_context(phi: SmoothMap, J: AlmostComplexStructureField,
@@ -524,7 +534,7 @@ def one_function_context(phi: SmoothMap, J: AlmostComplexStructureField,
 
 
 def corollary_psh_at(scenario, ctx: BiconformalContext, geo: LocalGeometry,
-                     tol: float = 1e-5) -> IdentityResidualReport:
+                     tol: float = 1e-5):
     """Harmonicity and metric compatibility survive the one-function change.
 
     On a scenario that is harmonic and PHWC under g, both the tension field
@@ -533,23 +543,21 @@ def corollary_psh_at(scenario, ctx: BiconformalContext, geo: LocalGeometry,
     (here checked through sigma^2 tau, the exact transformed value for this
     change).  ``ctx`` is the one-function change."""
     bar = geo.under(ctx.gbar)
-    tau_bar = tension_field(bar).components
+    tau_bar = np.abs(tension_field(bar).components).max(axis=-1)
     defect, scale = phwc_defect(bar, ctx.J)
-    rel_defect = defect / (scale + REL_FLOOR)
-    tau_norm = float(np.max(np.abs(tau_bar))) / REL_FLOOR
+    rel = defect / (scale + REL_FLOOR)
     if scenario.expected_flags.get("harmonic"):
-        ok = tau_norm < tol and rel_defect < tol
-        resid = max(tau_norm, rel_defect)
+        tau = tau_bar / REL_FLOOR
+        ok, resid = (tau < tol) & (rel < tol), np.where(rel > tau, rel, tau)
     else:
         # tension must not collapse to zero where tau_g is nonzero
         s, _ = ctx.gbar.factor_values(geo)
-        tau_g = tension_field(geo).components
-        ref = s ** 2 * float(np.max(np.abs(tau_g)))
-        ok = rel_defect < tol and (
-            ref < 10 * tol or float(np.max(np.abs(tau_bar))) > 0.5 * ref)
-        resid = rel_defect
-    return IdentityResidualReport("corollary-psh", geo.p.tolist(),
-                                  resid, resid, ok)
+        ref = _squared(s) * np.abs(tension_field(geo).components).max(axis=-1)
+        ok = (rel < tol) & ((ref < 10 * tol) | (tau_bar > 0.5 * ref))
+        resid = rel
+    return _rows(geo.p, lambda i: IdentityResidualReport(
+        "corollary-psh", geo.p[i].tolist(), float(resid[i]), float(resid[i]),
+        bool(ok[i])))
 
 
 # why corollary-phh has no breaking direction to check
@@ -564,8 +572,7 @@ def phh_breaking_checkable(n: int, sigma: Expr) -> bool:
 
 
 def corollary_phh_at(ctx: BiconformalContext, geo: LocalGeometry,
-                     tol: float = 1e-6,
-                     breaking_floor: float = 1e-3) -> IdentityResidualReport:
+                     tol: float = 1e-6, breaking_floor: float = 1e-3):
     """PHH survives the one-function change ``ctx`` exactly for constant
     sigma.
 
@@ -573,13 +580,15 @@ def corollary_phh_at(ctx: BiconformalContext, geo: LocalGeometry,
     sigma with a horizontally nonvanishing gradient must break PHH visibly
     (defect above ``breaking_floor``); see ``phh_breaking_checkable``."""
     defect, scale = phh_defect(geo.under(ctx.gbar), ctx.J)
+    rel = defect / (scale + REL_FLOOR)
     if exprs.max_var_index(ctx.change.sigma) < 0:
-        ok = defect / (scale + REL_FLOOR) < tol
+        ok = rel < tol
     else:
-        grad_h = geo.projector_and_lift[0] @ ctx.gbar.grad_log_factors(geo)[0]
-        g = geo.g
-        strength = float(np.sqrt(grad_h @ g @ grad_h))
+        grad_h = matvec(geo.projector_and_lift[0],
+                        ctx.gbar.grad_log_factors(geo)[0])
+        strength = np.sqrt(quad(grad_h, geo.g, grad_h))
         # only points with a visible horizontal log-gradient must break
-        ok = defect > breaking_floor if strength > 0.05 else True
-    return IdentityResidualReport("corollary-phh", geo.p.tolist(),
-                                  defect, defect / (scale + REL_FLOOR), ok)
+        ok = (defect > breaking_floor) | ~(strength > 0.05)
+    return _rows(geo.p, lambda i: IdentityResidualReport(
+        "corollary-phh", geo.p[i].tolist(), float(defect[i]), float(rel[i]),
+        bool(ok[i])))

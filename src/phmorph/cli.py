@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 from . import exprs, scenarios
 from .manifold import GeometryError
@@ -98,17 +99,10 @@ def _write_atomic(path: str, payload: str):
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig(
-        scenario=args.scenario,
-        sigma=args.sigma,
-        rho=args.rho,
-        special_sigma=args.special_sigma,
-        samples=args.samples,
-        seed=args.seed,
-        tol_ad=args.tol_ad,
-        tol_fd=args.tol_fd,
-        identities=args.identities.split(",") if args.identities else None,
-    )
+    options = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+               if f.name != "identities"}
+    config = RunConfig(identities=args.identities.split(",")
+                       if args.identities else None, **options)
     try:
         report = run_verification(config)
     except (ValueError, KeyError, GeometryError, exprs.ParseError) as err:

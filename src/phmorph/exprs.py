@@ -143,16 +143,9 @@ class _Parser:
             pos = self.i
             self.i += 1
             # right-associative; allow a unary minus in the exponent
-            exponent = self.nested(self.parse_unary_power, pos)
+            exponent = self.nested(self.parse_unary, pos)
             return Binary("pow", base, exponent, pos)
         return base
-
-    def parse_unary_power(self) -> Expr:
-        if self.peek() == "-":
-            pos = self.i
-            self.i += 1
-            return Unary("neg", self.nested(self.parse_unary_power, pos), pos)
-        return self.parse_power()
 
     def parse_atom(self) -> Expr:
         c = self.peek()

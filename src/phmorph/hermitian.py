@@ -2,8 +2,8 @@
 PHWC/PHH defect measures and the horizontal divergence of the f-structure.
 
 Every function here takes the point context, a ``maps.LocalGeometry`` (phi,
-a point and a metric), and what a check reads is kept there, read-only and
-keyed on J, and computed once:
+a point or a batch, and a metric), and what a check reads is kept there,
+read-only, keyed on J and computed once:
 
 - J and dJ at phi(p) come from one jet evaluation per (J, point), kept in
   the source geometry, and F, dF and ``phwc_defect`` read them;
@@ -12,7 +12,8 @@ keyed on J, and computed once:
   computes the lift (``LocalGeometry.horizontal``), which g and a
   biconformal change of it share;
 - ``phwc_defect``, ``phwc_metric_defect`` and ``f_divergence_horizontal``
-  are kept in the geometry of their own metric.
+  are kept in the geometry of their own metric (one value per point of a
+  batch; the Frobenius norms are taken matrix by matrix).
 
 The horizontal quantities (``f_divergence_horizontal``, ``phh_defect``,
 ``phwc_metric_defect``) read a frame {f_a} of H only through
@@ -29,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jets import first
 from .manifold import (ChartedRiemannianManifold, TangentVector,
-                       jet_matrix_and_derivs)
+                       jet_matrix_and_derivs, matvec, per_k)
 from .maps import (FrameError, LocalGeometry, check_submersion, differential,
                    mean_curvature_vertical, ortho_split)
 
@@ -45,7 +47,7 @@ class AlmostComplexStructureField:
         self.fn = component_fn  # callable(coords) -> (2n, 2n) nested sequence
 
     def matrix_and_derivs(self, q):
-        """(J, dJ) at q with dJ[c, a, b] = d_c J^a_b, exact by AD."""
+        """(J, dJ) at q with dJ[..., c, a, b] = d_c J^a_b, exact by AD."""
         return jet_matrix_and_derivs(self.fn, q)
 
 
@@ -67,15 +69,20 @@ def f_structure(geo: LocalGeometry,
         @ check_submersion(geo)))
 
 
+def _frobenius(a):
+    norms = [np.linalg.norm(x) for x in a.reshape((-1,) + a.shape[-2:])]
+    return np.array(norms).reshape(a.shape[:-2])
+
+
 def phwc_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
     """Frobenius norm of [dphi o dphi*, J] plus the scale used for a relative
     reading.  Defined for any map (no submersion requirement)."""
     def compute():
         a = differential(geo)
-        op = a @ geo.ginv @ a.T @ geo.source.h  # dphi o dphi^*
+        op = a @ geo.ginv @ a.mT @ geo.source.h  # dphi o dphi^*
         jq = j_at_image(geo, J)[0]
         comm = op @ jq - jq @ op
-        return float(np.linalg.norm(comm)), float(np.linalg.norm(op))
+        return _frobenius(comm), _frobenius(op)
 
     return geo.field(("phwc_defect", J), compute)
 
@@ -87,8 +94,8 @@ def phwc_metric_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
     def compute():
         g = geo.g
         r = geo.horizontal_factor
-        fr = r @ f_structure(geo, J).T  # row a: F r_a
-        return float(np.linalg.norm(fr @ g @ fr.T - r @ g @ r.T)), 1.0
+        fr = r @ f_structure(geo, J).mT  # row a: F r_a
+        return _frobenius(fr @ g @ fr.mT - r @ g @ r.mT), 1.0
 
     return geo.field(("phwc_metric_defect", J), compute)
 
@@ -111,19 +118,21 @@ def _require_phwc(geo, J):
     the pairs {e, F e} of an adapted frame, and the horizontal traces of
     nabla F, are only meaningful where F is metric compatible on H."""
     md, _ = phwc_metric_defect(geo, J)
-    if md > PHWC_TOL:
+    bad = md > PHWC_TOL
+    if np.count_nonzero(bad):
         raise FrameError("the PHWC condition fails: metric compatibility "
-                         "defect %g > %g at %s" % (md, PHWC_TOL,
-                                                   geo.p.tolist()))
+                         "defect %g > %g at %s"
+                         % (first(md, bad), PHWC_TOL,
+                            first(geo.p, bad).tolist()))
 
 
 def adapted_frame(geo: LocalGeometry, J: AlmostComplexStructureField,
                   seed_order=None) -> AdaptedFrame:
     """An adapted orthonormal frame, built on each call: Gram-Schmidt of the
     horizontal frame of ``ortho_split`` (in ``seed_order``, if given) into
-    pairs {e_i, F e_i}.  Requires metric compatibility of the induced
-    horizontal structure (the PHWC condition), which is what makes the
-    {e, F e} pairs orthonormal."""
+    pairs {e_i, F e_i}, at one point.  Requires metric compatibility of the
+    induced horizontal structure (the PHWC condition), which is what makes
+    the {e, F e} pairs orthonormal."""
     _require_phwc(geo, J)
     g = geo.g
     split = ortho_split(geo)
@@ -155,7 +164,7 @@ def adapted_frame(geo: LocalGeometry, J: AlmostComplexStructureField,
 
 def d_f_structure(geo: LocalGeometry,
                   J: AlmostComplexStructureField) -> np.ndarray:
-    """Coordinate derivatives dF[i, k, j] = d_i F^k_j of the f-structure
+    """Coordinate derivatives dF[..., i, k, j] = d_i F^k_j of the f-structure
     F = L J A, exact:
 
     d_i F = d_i L J A + L (d_c J A^c_i) A + L J d_i A."""
@@ -166,21 +175,22 @@ def d_f_structure(geo: LocalGeometry,
         lift = geo.projector_and_lift[1]
         d_lift = geo.projector_and_lift_derivs[1]
         jq, dj = j_at_image(geo, J)
-        dj_along = np.einsum("cab,ci->iab", dj, a)  # d_i of J at phi
-        return d_lift @ (jq @ a) + lift @ dj_along @ a + (lift @ jq) @ da
+        dj_along = np.einsum("...cab,...ci->...iab", dj, a)  # d_i of J at phi
+        return (d_lift @ per_k(jq @ a) + per_k(lift) @ dj_along @ per_k(a)
+                + per_k(lift @ jq) @ da)
 
     return geo.field(("dF", J), compute)
 
 
 def nabla_f_operator(f: np.ndarray, df: np.ndarray,
                      gamma: np.ndarray) -> np.ndarray:
-    """Covariant derivative of the f-structure as a (i, k, j) array:
+    """Covariant derivative of the f-structure as a (..., i, k, j) array:
 
     (nabla_i F)^k_j = d_i F^k_j + Gamma^k_il F^l_j - F^k_l Gamma^l_ij
 
-    so that (nabla_X F)Y = X^i Y^j nabla[i, :, j]."""
-    return (df + np.einsum("kil,lj->ikj", gamma, f)
-            - np.einsum("kl,lij->ikj", f, gamma))
+    so that (nabla_X F)Y = X^i Y^j nabla[..., i, :, j]."""
+    return (df + np.einsum("...kil,...lj->...ikj", gamma, f)
+            - np.einsum("...kl,...lij->...ikj", f, gamma))
 
 
 def _nabla_f(geo, J) -> np.ndarray:
@@ -201,8 +211,8 @@ def f_divergence_horizontal(geo: LocalGeometry,
     horizontal for PHWC maps and zero for PHH ones.  Kept per J."""
     def compute():
         r = geo.horizontal_factor
-        total = np.einsum("ai,ikj,aj->k", r, _nabla_f(geo, J), r)
-        return TangentVector(geo.p, f_structure(geo, J) @ total)
+        total = np.einsum("...ai,...ikj,...aj->...k", r, _nabla_f(geo, J), r)
+        return TangentVector(geo.p, matvec(f_structure(geo, J), total))
 
     return geo.field(("f_divergence", J), compute)
 
@@ -217,11 +227,11 @@ def phh_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
     PHH.  The scale is the same norm without H, at least 1."""
     r = geo.horizontal_factor
     g = geo.g
-    pairs = np.einsum("ai,ikj,bj->abk", r, _nabla_f(geo, J), r)
-    horizontal = pairs @ geo.projector_and_lift[0].T
-    total = np.einsum("abk,kl,abl->", horizontal, g, horizontal)
-    scale = np.einsum("abk,kl,abl->", pairs, g, pairs)
-    return float(np.sqrt(total)), max(float(np.sqrt(scale)), 1.0)
+    pairs = np.einsum("...ai,...ikj,...bj->...abk", r, _nabla_f(geo, J), r)
+    horizontal = pairs @ per_k(geo.projector_and_lift[0].mT)
+    total = np.einsum("...abk,...kl,...abl->...", horizontal, g, horizontal)
+    scale = np.einsum("...abk,...kl,...abl->...", pairs, g, pairs)
+    return np.sqrt(total), np.maximum(np.sqrt(scale), 1.0)
 
 
 def tension_via_f_structure(geo: LocalGeometry,
@@ -239,4 +249,4 @@ def tension_via_f_structure(geo: LocalGeometry,
         mu = mean_curvature_vertical(geo)
         total += (phi.m - phi.two_n) * mu.components
     a = differential(geo)
-    return TangentVector(geo.map_jets[0], -(a @ total))
+    return TangentVector(geo.map_jets[0], -matvec(a, total))

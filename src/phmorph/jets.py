@@ -4,14 +4,22 @@ Every scalar field in the engine is evaluated through this type so that
 first derivatives (Christoffel symbols) and second derivatives (tension
 fields, Laplacians) come out exact to machine precision.
 
-Where non-finite jets are caught: the public ``Jet2(...)`` constructor and
-``seed_coordinates`` check shapes and every component.  The arithmetic in this
-module builds its results with ``_check=False``, which checks only the value:
+A jet's value has a batch shape, ``()`` for one point or ``(B,)`` for B
+points, its gradient that shape + (d,) and its Hessian that shape + (d, d);
+a constant made from a number has shape ``()`` and broadcasts.  Each row is
+computed as at one point: the arithmetic is elementwise, and the chain
+rule's derivatives run in Python floats (``pointwise``), since numpy's
+``exp`` and ``**`` can differ from Python's in the last bit, and warn where
+those raise.
+
+Where non-finite jets are caught: the public ``Jet2(...)`` constructor
+checks shapes and every component.  The arithmetic in this module builds its
+results with ``_check=False``, which checks only the value, and never warns:
 IEEE arithmetic never turns a non-finite gradient or Hessian entry finite
 again, so the full check runs once where a jet leaves the arithmetic
-(``SmoothMap.jets``, ``LocalGeometry.laplacian``, ``factor_jets`` and
-``manifold.jet_matrix_and_derivs``, behind ``JetMetric`` and
-``AlmostComplexStructureField``), through ``Jet2.check``.
+(``lift``, behind ``SmoothMap.jets`` and ``factor_jets``,
+``LocalGeometry.laplacian`` and ``manifold.jet_matrix_and_derivs``, behind
+``JetMetric`` and ``AlmostComplexStructureField``), through ``Jet2.check``.
 """
 
 from __future__ import annotations
@@ -26,8 +34,30 @@ class JetDomainError(ValueError):
     by zero, ...) or produces a non-finite component."""
 
 
+# overflow gives inf and NaN silently, as in Python floats
+quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def pointwise(fn, values):
+    """``fn`` on each entry as a Python float (raising as ``math`` does)."""
+    values = np.asarray(values, dtype=float)
+    return np.array([fn(v) for v in values.ravel().tolist()],
+                    dtype=float).reshape(values.shape)
+
+
+def finite(a) -> bool:
+    return math.isfinite(a) if a.ndim == 0 else np.isfinite(a).all()
+
+
+def first(values, bad):
+    """The entry (or point) of the first row where the mask ``bad`` holds,
+    which an error message names."""
+    return np.asarray(values)[bad][0]
+
+
 class Jet2:
-    """Value, gradient and Hessian of a scalar with respect to d chart coordinates.
+    """Value, gradient and Hessian of a scalar with respect to d chart
+    coordinates, at a point or at each point of a batch.
 
     The Hessian is stored dense and stays exactly symmetric: every rule below
     builds it from symmetric pieces (scalar multiples of symmetric matrices and
@@ -35,55 +65,61 @@ class Jet2:
     """
 
     __slots__ = ("value", "grad", "hess")
+    __array_ufunc__ = None  # a numpy operand on the left defers to the jet
 
     def __init__(self, value, grad, hess, _check=True):
-        self.value = float(value)
+        self.value = np.asarray(value, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
         if _check:
             self.check()
-        elif not math.isfinite(self.value):
+        elif not finite(self.value):
             raise JetDomainError("non-finite jet component")
 
     def check(self) -> "Jet2":
         """Boundary check: consistent shapes and every component finite.
 
         Returns the jet itself so boundaries can check and pass it on."""
-        d = self.grad.shape[0]
-        if self.grad.shape != (d,) or self.hess.shape != (d, d):
+        shape, d = self.value.shape, self.grad.shape[-1:]
+        if self.grad.shape != shape + d or self.hess.shape != shape + d + d:
             raise ValueError("jet gradient/Hessian shape mismatch")
-        if not (math.isfinite(self.value)
-                and np.isfinite(self.grad).all()
-                and np.isfinite(self.hess).all()):
+        if not (finite(self.value) and finite(self.grad)
+                and finite(self.hess)):
             raise JetDomainError("non-finite jet component")
         return self
 
     @property
     def dim(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
     @staticmethod
     def constant(value, dim: int) -> "Jet2":
-        return Jet2(value, np.zeros(dim), np.zeros((dim, dim)), _check=False)
+        value = np.asarray(value, dtype=float)
+        return Jet2(value, np.zeros(value.shape + (dim,)),
+                    np.zeros(value.shape + (dim, dim)), _check=False)
 
     def _lift(self, other) -> "Jet2":
         if isinstance(other, Jet2):
             if other.dim != self.dim:
                 raise ValueError("jet dimension mismatch")
             return other
-        return Jet2.constant(float(other), self.dim)
+        return Jet2.constant(other, self.dim)
 
-    def _compose(self, f0: float, f1: float, f2: float) -> "Jet2":
-        # chain rule for scalar f applied to this jet
-        g = self.grad
-        return Jet2(f0, f1 * g, f1 * self.hess + f2 * np.outer(g, g),
-                    _check=False)
+    @quiet
+    def _chain(self, derivs) -> "Jet2":
+        # chain rule for f with derivs(v) = (f(v), f'(v), f''(v)) in floats
+        f = np.array([derivs(v) for v in self.value.ravel().tolist()],
+                     dtype=float).reshape(self.value.shape + (3,))
+        f1, f2, g = f[..., 1, None], f[..., 2, None, None], self.grad
+        return Jet2(f[..., 0], f1 * g, f1[..., None] * self.hess
+                    + f2 * (g[..., :, None] * g[..., None, :]), _check=False)
 
     # ---- arithmetic -----------------------------------------------------
 
     def __neg__(self):
         return Jet2(-self.value, -self.grad, -self.hess, _check=False)
 
+    @quiet
     def __add__(self, other):
         o = self._lift(other)
         return Jet2(self.value + o.value, self.grad + o.grad,
@@ -91,6 +127,7 @@ class Jet2:
 
     __radd__ = __add__
 
+    @quiet
     def __sub__(self, other):
         o = self._lift(other)
         return Jet2(self.value - o.value, self.grad - o.grad,
@@ -99,24 +136,25 @@ class Jet2:
     def __rsub__(self, other):
         return self._lift(other).__sub__(self)
 
+    @quiet
     def __mul__(self, other):
         o = self._lift(other)
-        g = self.grad * o.value + o.grad * self.value
+        a, b = self.value[..., None], o.value[..., None]
+        g = self.grad * b + o.grad * a
         # symmetrize the cross term before summing: float addition is not
         # associative, so chaining the two outer products after the Hessian
         # terms would lose bitwise symmetry
-        cross = np.outer(self.grad, o.grad)
-        cross = cross + cross.T
-        h = self.hess * o.value + o.hess * self.value + cross
+        cross = self.grad[..., :, None] * o.grad[..., None, :]
+        cross = cross + cross.swapaxes(-1, -2)
+        h = self.hess * b[..., None] + o.hess * a[..., None] + cross
         return Jet2(self.value * o.value, g, h, _check=False)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet2":
-        u = self.value
-        if u == 0.0:
+        if np.count_nonzero(self.value == 0.0):
             raise JetDomainError("division by zero jet value")
-        return self._compose(1.0 / u, -1.0 / u ** 2, 2.0 / u ** 3)
+        return self._chain(lambda u: (1.0 / u, -1.0 / u ** 2, 2.0 / u ** 3))
 
     def __truediv__(self, other):
         return self * self._lift(other).reciprocal()
@@ -127,17 +165,24 @@ class Jet2:
     def __pow__(self, exponent):
         if isinstance(exponent, Jet2):
             # a constant-jet exponent keeps the integer fast path available
-            # (so x^2 still works at negative x)
-            if exponent.grad.any() or exponent.hess.any():
-                return exp(exponent * log(self))
-            exponent = exponent.value
+            # (so x^2 still works at negative x), for all rows or for none
+            varying = (exponent.grad.any(axis=-1)
+                       | exponent.hess.any(axis=(-2, -1)))
+            if varying.all():
+                return exp(log(self) * exponent)
+            values = set(exponent.value.ravel().tolist())
+            if varying.any() or len(values) > 1:
+                raise JetDomainError("a jet exponent that is not constant "
+                                     "over the batch")
+            exponent = values.pop()
         e = float(exponent)
         if e == int(e):
             return self._int_pow(int(e))
-        if self.value <= 0.0:
-            raise JetDomainError(
-                "non-integer power of non-positive base %r" % self.value)
-        return exp(e * log(self))
+        bad = self.value <= 0.0
+        if np.count_nonzero(bad):
+            raise JetDomainError("non-integer power of non-positive base %r"
+                                 % float(first(self.value, bad)))
+        return exp(log(self) * e)
 
     def _int_pow(self, k: int) -> "Jet2":
         # repeated multiplication avoids the log-domain restriction
@@ -159,39 +204,49 @@ class Jet2:
     # ---- misc -----------------------------------------------------------
 
     def __repr__(self):
-        return "Jet2(%r, %r, %r)" % (self.value, self.grad.tolist(),
+        return "Jet2(%r, %r, %r)" % (self.value.tolist(), self.grad.tolist(),
                                      self.hess.tolist())
 
 
 def seed_coordinates(coords) -> list:
-    """Seed chart coordinates as independent variables.
-
-    The k-th jet carries value coords[k], gradient e_k and zero Hessian.
-    """
+    """Seed chart coordinates (shape (d,) or (B, d)) as independent
+    variables: the k-th jet carries value coords[..., k], gradient e_k and
+    zero Hessian."""
     coords = np.asarray(coords, dtype=float)
-    d = coords.shape[0]
+    d = coords.shape[-1] if coords.ndim else 0
     if d == 0:
         raise ValueError("cannot seed a zero-dimensional chart")
-    out = []
-    for k in range(d):
-        g = np.zeros(d)
-        g[k] = 1.0
-        out.append(Jet2(coords[k], g, np.zeros((d, d))))
-    return out
+    zeros = np.zeros(coords.shape + (d,))
+    grads = zeros + np.eye(d)
+    return [Jet2(coords[..., k], grads[..., k, :], zeros, _check=False)
+            for k in range(d)]
 
 
-# ---- elementary functions (dispatch on float or Jet2) -------------------
+def lift(x, dim: int, shape) -> Jet2:
+    """A jet (or a number) leaving the arithmetic, checked, over ``shape``."""
+    if not isinstance(x, Jet2):
+        x = Jet2.constant(float(x), dim)
+    if x.value.shape != shape:
+        x = Jet2(np.broadcast_to(x.value, shape),
+                 np.broadcast_to(x.grad, shape + (dim,)),
+                 np.broadcast_to(x.hess, shape + (dim, dim)), _check=False)
+    return x.check()
+
+
+# ---- elementary functions (dispatch on numbers or Jet2) -----------------
 
 def _unary(x, fv, f1, f2, domain=None, name=""):
+    values = x.value if isinstance(x, Jet2) else np.asarray(x, dtype=float)
+    if domain is not None:
+        for v in values.ravel().tolist():
+            if not domain(v):
+                raise JetDomainError("%s of out-of-domain value %r"
+                                     % (name, v))
     if isinstance(x, Jet2):
-        if domain is not None and not domain(x.value):
-            raise JetDomainError("%s of out-of-domain value %r" % (name, x.value))
-        v = x.value
-        return x._compose(fv(v), f1(v), f2(v))
-    v = float(x)
-    if domain is not None and not domain(v):
-        raise JetDomainError("%s of out-of-domain value %r" % (name, v))
-    return fv(v)
+        return x._chain(lambda v: (fv(v), f1(v), f2(v)))
+    if values.ndim == 0:
+        return fv(float(values))
+    return pointwise(fv, values)
 
 
 def sin(x):
@@ -215,4 +270,3 @@ def sqrt(x):
     return _unary(x, math.sqrt, lambda v: 0.5 / math.sqrt(v),
                   lambda v: -0.25 / v ** 1.5,
                   domain=lambda v: v > 0.0, name="sqrt")
-

@@ -16,8 +16,10 @@ Nothing here keeps per-point data: ``metric_at`` (with its domain,
 finiteness, symmetry and positive-definiteness checks), ``inverse_metric_at``
 and ``christoffel`` compute on each call.  What a run reads at a point is
 kept once, read-only, in the ``maps.LocalGeometry`` that the runner builds
-for that point and drops after it.  ``jet_matrix_and_derivs`` is a boundary
-where non-finite jets are caught (see ``jets``).
+for a chunk of points and drops after it.  ``jet_matrix_and_derivs`` is a
+boundary where non-finite jets are caught (see ``jets``).  Every function
+takes a point (shape (m,)) or a batch of points (shape (B, m)); a check
+fails if it fails at some row, and names the first such row.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .jets import Jet2
+from .jets import Jet2, first
 
 
 class GeometryError(ValueError):
@@ -56,21 +58,49 @@ class TangentVector:
             raise ValueError("tangent vector base/component length mismatch")
 
 
-def read_only(value):
-    """Make an array read-only, or every array held by a tuple, a Jet2 or a
-    dataclass instance (such as a ``TangentVector``); returns the value."""
+def each_array(fn, value):
+    """``value`` with ``fn`` applied to every array it holds: itself, or in a
+    tuple, a Jet2 or a dataclass instance (such as a ``TangentVector``)."""
     if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif isinstance(value, tuple):
-        for item in value:
-            read_only(item)
-    elif isinstance(value, Jet2):
-        read_only(value.grad)
-        read_only(value.hess)
-    elif dataclasses.is_dataclass(value):
-        for item in dataclasses.fields(value):
-            read_only(getattr(value, item.name))
+        return fn(value)
+    if isinstance(value, tuple):
+        return tuple(each_array(fn, item) for item in value)
+    if isinstance(value, Jet2):
+        return Jet2(fn(value.value), fn(value.grad), fn(value.hess),
+                    _check=False)
+    if dataclasses.is_dataclass(value):
+        return type(value)(*(each_array(fn, getattr(value, item.name))
+                             for item in dataclasses.fields(value)))
     return value
+
+
+def read_only(value):
+    """Make every array that ``value`` holds read-only; returns the value."""
+    def lock(array):
+        array.flags.writeable = False
+        return array
+
+    each_array(lock, value)
+    return value
+
+
+# numpy's @ on matrices and vectors, row by row over a batch as at a point
+
+
+def matvec(a, v):
+    return (a @ v[..., None])[..., 0]
+
+
+def dot(x, y):
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def quad(x, g, y):
+    return (x[..., None, :] @ g @ y[..., :, None])[..., 0, 0]
+
+
+def per_k(a):  # against a stack of matrices over a derivative index k
+    return a[..., None, :, :]
 
 
 class MetricField:
@@ -93,35 +123,38 @@ class MetricField:
         raise NotImplementedError
 
     def matrix_and_derivs(self, p, source=None):
-        """Return (g, dg) with g shape (m, m) and dg[k, i, j] = d_k g_ij."""
+        """Return (g, dg) with dg[..., k, i, j] = d_k g_ij."""
         raise NotImplementedError
 
 
 def jet_matrix(fn, p) -> np.ndarray:
     """Values at p of a square matrix field whose entries ``fn`` evaluates
-    on floats or Jet2 coordinates."""
-    rows = fn(np.asarray(p, dtype=float))
-    return np.array([[float(x) for x in row] for row in rows])
+    on numbers (arrays over a batch) or Jet2 coordinates."""
+    p = np.asarray(p, dtype=float)
+    return _stack(fn(list(p.T)), p.shape[:-1], None)
 
 
 def jet_matrix_and_derivs(fn, p):
     """(M, dM) at p of such a field, one row and column per chart
-    coordinate: dM[k, i, j] = d_k M_ij, exact by AD."""
-    coords = jets.seed_coordinates(np.asarray(p, dtype=float))
-    d = len(coords)
-    rows = fn(coords)
-    mat = np.empty((d, d))
-    dmat = np.zeros((d, d, d))
+    coordinate: dM[..., k, i, j] = d_k M_ij, exact by AD."""
+    p = np.asarray(p, dtype=float)
+    return _stack(fn(jets.seed_coordinates(p)), p.shape[:-1], p.shape[-1])
+
+
+def _stack(rows, shape, dim):  # the entries, and their checked gradients
+    d = len(rows)
+    mat = np.empty(shape + (d, d))
+    dmat = None if dim is None else np.zeros(shape + (dim, d, d))
     for i in range(d):
         for j in range(d):
             entry = rows[i][j]
             if isinstance(entry, Jet2):
                 entry.check()
-                mat[i, j] = entry.value
-                dmat[:, i, j] = entry.grad
+                mat[..., i, j] = entry.value
+                dmat[..., :, i, j] = entry.grad
             else:
-                mat[i, j] = float(entry)
-    return mat, dmat
+                mat[..., i, j] = entry
+    return mat if dim is None else (mat, dmat)
 
 
 class JetMetric(MetricField):
@@ -162,9 +195,7 @@ class FDMetric(MetricField):
 
 def richardson_partial(fn, p, k, step):
     """Central difference d_k fn(p) at steps h and h/2, Richardson-combined."""
-    e = np.zeros_like(p)
-    e[k] = 1.0
-    return directional_derivative(fn, p, e, step)
+    return directional_derivative(fn, p, np.eye(len(p))[k], step)
 
 
 def directional_derivative(field, p, direction, step=1e-4):
@@ -204,11 +235,14 @@ class ChartedRiemannianManifold:
 
     def check_in_domain(self, p):
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.dim,):
+        if p.shape[-1:] != (self.dim,):
             raise DomainError("point dimension %s != chart dimension %d"
                               % (p.shape, self.dim))
-        if not self.domain_predicate(p):
-            raise DomainError("point %s outside chart domain" % (p.tolist(),))
+        bad = np.array([not self.domain_predicate(q) for q in
+                        p.reshape(-1, self.dim)]).reshape(p.shape[:-1])
+        if np.count_nonzero(bad):
+            raise DomainError("point %s outside chart domain"
+                              % (first(p, bad).tolist(),))
         return p
 
     def metric_at(self, p, source=None):
@@ -217,15 +251,20 @@ class ChartedRiemannianManifold:
         ``MetricField``)."""
         q = self.check_in_domain(p)
         g = np.array(self.metric.matrix(q, source), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise MetricError("metric not finite at %s" % (q.tolist(),))
-        if np.max(np.abs(g - g.T)) > 1e-12:
+        bad = ~np.isfinite(g).all(axis=(-2, -1))
+        if np.count_nonzero(bad):
+            raise MetricError("metric not finite at %s"
+                              % (first(q, bad).tolist(),))
+        bad = np.max(np.abs(g - g.mT), axis=(-2, -1)) > 1e-12
+        if np.count_nonzero(bad):
             raise MetricError("metric matrix not symmetric at %s"
-                              % (q.tolist(),))
-        w = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if w[0] <= 1e-12:
+                              % (first(q, bad).tolist(),))
+        w = np.linalg.eigvalsh(0.5 * (g + g.mT))[..., 0]
+        bad = w <= 1e-12
+        if np.count_nonzero(bad):
             raise MetricError("metric not positive definite at %s "
-                              "(min eigenvalue %g)" % (q.tolist(), w[0]))
+                              "(min eigenvalue %g)"
+                              % (first(q, bad).tolist(), first(w, bad)))
         return g
 
     def inverse_metric_at(self, p):
@@ -233,7 +272,7 @@ class ChartedRiemannianManifold:
         return inverse_metric(self.metric_at(p), p)
 
     def christoffel(self, p):
-        """Levi-Civita coefficients Gamma[k, i, j] = Gamma^k_ij at p
+        """Levi-Civita coefficients Gamma[..., k, i, j] = Gamma^k_ij at p
         (computed on each call, after ``metric_at`` validates g there)."""
         self.metric_at(p)
         return levi_civita(*self.metric.matrix_and_derivs(p))
@@ -242,19 +281,22 @@ class ChartedRiemannianManifold:
 def inverse_metric(g, p):
     """g^-1 of a validated metric matrix g at p, checked for accuracy."""
     ginv = np.linalg.inv(g)
-    if np.max(np.abs(g @ ginv - np.eye(len(g)))) > 1e-10:
-        raise MetricError("metric inversion inaccurate at %s" % (p,))
+    bad = np.abs(g @ ginv - np.eye(g.shape[-1])).max(axis=(-2, -1)) > 1e-10
+    if np.count_nonzero(bad):
+        raise MetricError("metric inversion inaccurate at %s"
+                          % (first(p, bad),))
     return ginv
 
 
 def levi_civita(g, dg):
-    """Gamma[k, i, j] = Gamma^k_ij from (g, dg) with dg[k, i, j] = d_k g_ij,
-    inverting this g (``matrix_and_derivs``' own, not ``metric_at``'s)."""
+    """Gamma[..., k, i, j] = Gamma^k_ij from (g, dg) with dg[..., k, i, j] =
+    d_k g_ij, inverting this g (``matrix_and_derivs``' own, not
+    ``metric_at``'s)."""
     ginv = np.linalg.inv(g)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     # dg[k, i, j] = d_k g_ij; bracket[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, bracket)
+    bracket = dg + dg.swapaxes(-3, -2) - dg.swapaxes(-3, -2).swapaxes(-2, -1)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
 
 
 def euclidean_metric(dim: int) -> JetMetric:

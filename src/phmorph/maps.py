@@ -2,12 +2,15 @@
 splitting, tension field and fiber mean curvature.
 
 A ``LocalGeometry`` is the point context: everything a check reads about phi
-at one point p under one metric.  ``LocalGeometry(phi, p)`` is the geometry
-under phi's source metric; ``geo.under(metric)`` gives the geometry under
-another metric, built on the first request and kept on that source geometry,
-whose ``source`` it is.  The runner builds one source geometry per sample
-point, hands it to every check there and drops it before the next point, so
-no metric, map or module keeps per-point data.  Each field is computed on its
+at a point p, or at each row of a batch of points (shape (B, m)), under one
+metric, each row computed as at one point (batched ``inv``, ``eigvalsh``,
+``svd`` and ``cholesky``, ``...``-prefixed ``einsum`` and ``@``).
+``LocalGeometry(phi, p)`` is the geometry under phi's source metric;
+``geo.under(metric)`` the one under another metric, whose fields its source
+keeps: no geometry refers to those built from it, so reference counting
+frees them with the source, which the runner drops after each chunk of
+sample points.  ``rows`` gives a batch's one-point geometries, on which a
+check that fails on the batch is re-run.  Each field is computed on its
 first read, kept read-only, and never kept when it fails:
 
 - here: g (validated by ``metric_at``), (g, dg), g^-1 and Gamma (read by
@@ -25,27 +28,28 @@ first read, kept read-only, and never kept when it fails:
   as jets, and the g-gradients of their logarithms.
 
 The public functions of the same names take a geometry and read these
-fields.  ``ortho_split`` (built on each call) and the ``horizontal_lift``
-wrapper serve only the tests; they stay here because the benchmark's tracer
-(``perfbench/tracer.py``) names them, until ROADMAP item 3's benchmark
-change.  The derivatives are exact: with M = A g^-1 A^T, the lift
-L = g^-1 A^T M^-1 and P_H = L A are differentiated through d_k A (the map's
-Hessian), d_k g and d(M^-1) = -M^-1 dM M^-1, so no check evaluates the map
-away from its sample point.  The fiber mean curvature needs no frame.
+fields.  ``ortho_split`` (built on each call, at one point) and the
+``horizontal_lift`` wrapper serve only the tests; they stay here because the
+benchmark's tracer (``perfbench/tracer.py``) names them, until ROADMAP item
+3's benchmark change.  The derivatives are exact: with M = A g^-1 A^T, the
+lift L = g^-1 A^T M^-1 and P_H = L A are differentiated through d_k A (the
+map's Hessian), d_k g and d(M^-1) = -M^-1 dM M^-1, so no check evaluates the
+map away from its sample point.  The fiber mean curvature needs no frame.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import jets
-from .jets import Jet2
+from .jets import Jet2, first
 from .manifold import (ChartedRiemannianManifold, GeometryError, MetricField,
-                       TangentVector, inverse_metric, levi_civita, read_only)
+                       TangentVector, each_array, inverse_metric, levi_civita,
+                       matvec, per_k, read_only)
 
 RANK_TOL = 1e-8
 
@@ -84,29 +88,37 @@ class SmoothMap:
     def jets(self, p):
         """Jets of the 2n components at p, each checked for non-finite
         components (computed on each call)."""
+        p = np.asarray(p, dtype=float)
         out = self.components(jets.seed_coordinates(p))
-        return [(x if isinstance(x, Jet2)
-                 else Jet2.constant(float(x), self.m)).check() for x in out]
+        return [jets.lift(x, self.m, p.shape[:-1]) for x in out]
 
 
 def differential(geo: LocalGeometry) -> np.ndarray:
-    """Matrix A[a, i] = d_i phi^a at the point (shape 2n x m, read-only)."""
+    """Matrix A[..., a, i] = d_i phi^a at the point (read-only)."""
     return geo.map_jets[1]
 
 
+def _kept(compute):
+    """A ``LocalGeometry`` field, kept by ``field`` under its name."""
+    return property(lambda geo: geo.field(compute.__name__, compute, geo),
+                    doc=compute.__doc__)
+
+
 class LocalGeometry:
-    """phi's local data at p on ``src``, its source with one metric (the
-    fields are listed in the module docstring).  Fields are read-only; a
-    failed computation is not kept, so it fails every read."""
+    """phi's local data at p (or a batch) on ``src``, its source with one
+    metric (the fields are listed in the module docstring).  Fields are
+    read-only; a failed computation is not kept, so it fails every read."""
 
     def __init__(self, phi: SmoothMap, p, metric: Optional[MetricField] = None,
                  source: Optional["LocalGeometry"] = None):
         """The geometry under phi's source metric, or (from ``under``) the
-        one under ``metric`` whose source geometry is ``source``."""
-        self.phi, self._source, self._fields, self._under = phi, source, {}, {}
+        one under ``metric`` whose fields ``source`` keeps."""
+        self.phi, self._source, self._metric = phi, source, metric
         self.p = read_only(np.array(p, dtype=float))
         self.src = phi.source if metric is None else \
             phi.source.with_metric(metric)
+        self._fields = {} if source is None else source._fields
+        self._views = weakref.WeakValueDictionary() if source is None else None
 
     @property
     def source(self) -> "LocalGeometry":
@@ -114,125 +126,140 @@ class LocalGeometry:
         return self if self._source is None else self._source
 
     def under(self, metric: MetricField) -> "LocalGeometry":
-        """phi's geometry at p under ``metric``, built on the first request
-        and kept on the source geometry."""
+        """phi's geometry at p under ``metric``."""
         source = self.source
         if metric is source.src.metric:
             return source
-        geo = source._under.get(metric)
+        geo = source._views.get(metric)
         if geo is None:
-            geo = source._under[metric] = LocalGeometry(self.phi, self.p,
+            geo = source._views[metric] = LocalGeometry(self.phi, self.p,
                                                         metric, source)
         return geo
 
-    def field(self, key, compute):
-        """Further data under a key, made by ``compute`` on the first read
-        (the fields of other modules, such as F keyed on ("F", J))."""
+    @property
+    def rows(self):
+        """The point context's one-point geometries (itself at one point),
+        each starting with the fields the batch has computed, at its row."""
+        if self.p.ndim == 1:
+            return (self,)
+
+        def build(i):
+            row = LocalGeometry(self.phi, self.p[i])
+            row._fields.update(
+                (key, each_array(lambda a: a[i, ...], value))
+                for key, value in self._fields.items() if key[1] != "rows")
+            return row
+
+        return self.field("rows", lambda: tuple(map(build,
+                                                    range(len(self.p)))))
+
+    def field(self, key, compute, *args):
+        """Further data under a key, made by ``compute(*args)`` on the first
+        read (the fields of other modules, such as F keyed on ("F", J))."""
+        key = (self._metric, key)
         value = self._fields.get(key)
         if value is None:
-            value = self._fields[key] = read_only(compute())
+            value = self._fields[key] = read_only(compute(*args))
         return value
 
-    @cached_property
+    @_kept
     def g(self) -> np.ndarray:
-        return read_only(self.src.metric_at(self.p, self._source))
+        return self.src.metric_at(self.p, self._source)
 
-    @cached_property
+    @_kept
     def metric_and_derivs(self):
         """(g, dg) from ``matrix_and_derivs``, read once g is validated."""
         self.g
-        g, dg = self.src.metric.matrix_and_derivs(self.p, self._source)
-        return read_only((np.asarray(g, dtype=float),
-                          np.asarray(dg, dtype=float)))
+        return self.src.metric.matrix_and_derivs(self.p, self._source)
 
-    @cached_property
+    @_kept
     def ginv(self) -> np.ndarray:
-        return read_only(inverse_metric(self.g, self.p))
+        return inverse_metric(self.g, self.p)
 
-    @cached_property
+    @_kept
     def christoffel(self) -> np.ndarray:
-        """Gamma[k, i, j] = Gamma^k_ij, from ``metric_and_derivs``' own g."""
-        return read_only(levi_civita(*self.metric_and_derivs))
+        """Gamma[..., k, i, j] = Gamma^k_ij, from ``metric_and_derivs``."""
+        return levi_civita(*self.metric_and_derivs)
 
-    @cached_property
+    @_kept
     def jets(self):
         """The map's jets at p, in the chart domain (read from ``source``)."""
         self.phi.source.check_in_domain(self.p)
-        return read_only(tuple(self.phi.jets(self.p)))
+        return tuple(self.phi.jets(self.p))
 
-    @cached_property
+    @_kept
     def map_jets(self):
-        """(phi(p), A, dA) from the map's jets, with A[a, i] = d_i phi^a and
-        dA[k, a, i] = d_k A[a, i] = d_i d_k phi^a."""
+        """(phi(p), A, dA) from the map's jets, with A[..., a, i] = d_i phi^a
+        and dA[..., k, a, i] = d_k A[a, i] = d_i d_k phi^a."""
         if self.source is not self:
             return self.source.map_jets
         out = self.jets
-        return read_only((np.array([j.value for j in out]),
-                          np.array([j.grad for j in out]),
-                          np.transpose(np.array([j.hess for j in out]),
-                                       (2, 0, 1))))
+        return (np.stack([j.value for j in out], axis=-1),
+                np.stack([j.grad for j in out], axis=-2),
+                np.moveaxis(np.stack([j.hess for j in out], axis=-3), -1, -3))
 
-    @cached_property
+    @_kept
     def h(self) -> np.ndarray:
         """The target's metric at phi(p), validated (read from ``source``)."""
-        return read_only(self.phi.target.metric_at(self.map_jets[0]))
+        return self.phi.target.metric_at(self.map_jets[0])
 
-    @cached_property
+    @_kept
     def target_christoffel(self) -> np.ndarray:
         """The target's Gamma at phi(p), once h is validated (read from
         ``source``)."""
         self.h
-        return read_only(levi_civita(
-            *self.phi.target.metric.matrix_and_derivs(self.map_jets[0])))
+        return levi_civita(
+            *self.phi.target.metric.matrix_and_derivs(self.map_jets[0]))
 
     def covariant_derivative(self, x, y, dy_along_x) -> np.ndarray:
         """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p, for a field
         Y with components y and derivative dy_along_x = X^i d_i Y there."""
         return (np.asarray(dy_along_x, dtype=float)
-                + np.einsum("kij,i,j->k", self.christoffel, x, y))
+                + np.einsum("...kij,...i,...j->...k", self.christoffel, x, y))
 
-    def laplacian(self, jet: Jet2) -> float:
+    def laplacian(self, jet: Jet2):
         """g^ij (d_i d_j f - Gamma^k_ij d_k f) at p for the jet of f there,
         which is checked for non-finite components."""
         jet.check()
-        return float(np.einsum("ij,ij->", self.ginv, jet.hess)
-                     - np.einsum("ij,kij,k->", self.ginv, self.christoffel,
-                                 jet.grad))
+        return (np.einsum("...ij,...ij->...", self.ginv, jet.hess)
+                - np.einsum("...ij,...kij,...k->...", self.ginv,
+                            self.christoffel, jet.grad))
 
-    @cached_property
+    @_kept
     def _differential(self):
         """dphi and its smallest singular value (read from ``source``)."""
         if self.source is not self:
             return self.source._differential
         a = self.map_jets[1]
-        return a, np.linalg.svd(a, compute_uv=False)[-1]
+        return a, np.linalg.svd(a, compute_uv=False)[..., -1]
 
-    @cached_property
+    @property
     def horizontal(self) -> "LocalGeometry":
         """The geometry that computes H and the lift: the source metric's,
         when this metric is a change of it that keeps H."""
         keeps = self.src.metric.keeps_horizontal_of is self.phi
         return self.source if keeps else self
 
-    @cached_property
+    @_kept
     def _lift_factors(self):
         """A, g^-1 A^T and M^-1 = (A g^-1 A^T)^-1."""
         a = check_submersion(self)
-        adjoint = self.ginv @ a.T
+        adjoint = self.ginv @ a.mT
         return a, adjoint, np.linalg.inv(a @ adjoint)
 
-    @cached_property
+    @_kept
     def projector_and_lift(self):
         """(P_H, lift): the lift is L = g^-1 A^T M^-1, and P_H = L A."""
         if self.horizontal is not self:
             return self.horizontal.projector_and_lift
         a, adjoint, minv = self._lift_factors
         lift = adjoint @ minv
-        return read_only(lift @ a), read_only(lift)
+        return lift @ a, lift
 
-    @cached_property
+    @_kept
     def projector_and_lift_derivs(self):
-        """(dP_H, dL) with dP_H[k] = d_k P_H and dL[k] = d_k L:
+        """(dP_H, dL) with dP_H[..., k, :, :] = d_k P_H and dL[..., k, :, :]
+        = d_k L:
 
         dL = (d(g^-1) A^T + g^-1 dA^T - L dM) M^-1,  dP_H = dL A + L dA,
         dM = dA g^-1 A^T + A (d(g^-1) A^T + g^-1 dA^T)."""
@@ -241,21 +268,22 @@ class LocalGeometry:
         a, adjoint, minv = self._lift_factors
         lift, da = self.projector_and_lift[1], self.map_jets[2]
         dg = self.metric_and_derivs[1]
-        dginv = -np.einsum("ij,kjl,lm->kim", self.ginv, dg, self.ginv)
-        d_adjoint = dginv @ a.T + self.ginv @ np.transpose(da, (0, 2, 1))
-        d_gram = da @ adjoint + a @ d_adjoint
-        d_lift = (d_adjoint - lift @ d_gram) @ minv
-        return read_only(d_lift @ a + lift @ da), read_only(d_lift)
+        dginv = -np.einsum("...ij,...kjl,...lm->...kim", self.ginv, dg,
+                           self.ginv)
+        d_adjoint = dginv @ per_k(a.mT) + per_k(self.ginv) @ da.mT
+        d_gram = da @ per_k(adjoint) + per_k(a) @ d_adjoint
+        d_lift = (d_adjoint - per_k(lift) @ d_gram) @ per_k(minv)
+        return d_lift @ per_k(a) + per_k(lift) @ da, d_lift
 
-    @cached_property
+    @_kept
     def horizontal_factor(self) -> np.ndarray:
         """R = K^T A g^-1 (2n x m) with K K^T = M^-1 (Cholesky), so that
         R^T R = g^-1 A^T M^-1 A g^-1 = P_H g^-1 P_H^T and R g R^T = I: its
         rows are a g-orthonormal basis of H, found without Gram-Schmidt."""
         _, adjoint, minv = self._lift_factors
-        return read_only(np.linalg.cholesky(minv).T @ adjoint.T)
+        return np.linalg.cholesky(minv).mT @ adjoint.mT
 
-    @cached_property
+    @_kept
     def tension_field(self) -> TangentVector:
         """Trace of the second fundamental form, in target chart components:
 
@@ -265,12 +293,18 @@ class LocalGeometry:
         q, a, da = self.map_jets
         ginv = self.ginv
         gamma_n = self.source.target_christoffel
-        tau = (np.einsum("ij,iaj->a", ginv, da)
-               - np.einsum("ij,kij,ak->a", ginv, self.christoffel, a)
-               + np.einsum("ij,abc,bi,cj->a", ginv, gamma_n, a, a))
-        return read_only(TangentVector(q, tau))
+        # a batched einsum sums this term in another order: row by row
+        rows = zip(ginv, da) if self.p.ndim > 1 else [(ginv, da)]
+        second = np.array([np.einsum("ij,iaj->a", g, d)
+                           for g, d in rows]).reshape(q.shape)
+        tau = (second
+               - np.einsum("...ij,...kij,...ak->...a", ginv, self.christoffel,
+                           a)
+               + np.einsum("...ij,...abc,...bi,...cj->...a", ginv, gamma_n,
+                           a, a))
+        return TangentVector(q, tau)
 
-    @cached_property
+    @_kept
     def mean_curvature_vertical(self) -> TangentVector:
         """Normalized mean curvature of the fibers:
 
@@ -290,19 +324,21 @@ class LocalGeometry:
         ph = self.projector_and_lift[0]
         dph = self.projector_and_lift_derivs[0]
         pv = np.eye(m) - ph
-        t = pv @ self.ginv @ pv.T
-        total = (np.einsum("kij,ij->k", self.christoffel, t)
-                 - np.einsum("ib,ikb->k", t, dph))
-        return read_only(TangentVector(self.p, ph @ total / (m - two_n)))
+        t = pv @ self.ginv @ pv.mT
+        total = (np.einsum("...kij,...ij->...k", self.christoffel, t)
+                 - np.einsum("...ib,...ikb->...k", t, dph))
+        return TangentVector(self.p, matvec(ph, total) / (m - two_n))
 
 
 def check_submersion(geo: LocalGeometry, rank_tol: float = RANK_TOL):
     """The differential at the point, checked to have full rank 2n
     (read-only)."""
     a, smallest = geo._differential
-    if smallest <= rank_tol:
+    bad = smallest <= rank_tol
+    if np.count_nonzero(bad):
         raise RankError("map is not a submersion at %s: smallest singular "
-                        "value %g" % (geo.p.tolist(), smallest))
+                        "value %g" % (first(geo.p, bad).tolist(),
+                                      first(smallest, bad)))
     return a
 
 

@@ -4,20 +4,20 @@ assemble a deterministic machine-readable report.
 ``IDENTITIES`` is the one list of the laws a run checks, in report order.
 Each entry names what the identity requires of the scenario and the change
 (``REQUIREMENTS``; the first that fails is its skip reason) and the check
-that gives its report at one sample point.  ``run_identity`` dispatches one
-identity at one point and turns a sample error into an errored report.
+that gives its reports at the sample points of a point context.
 
-A run is point-major: at each sample point, in sample order, the runner
-builds the point context, phi's ``maps.LocalGeometry`` there, and hands it
-to every applicable identity and then to the flag checks.  The geometries
-under the change's g-bar and the one-function g-bar are built from it on
-their first request and kept on it, so each is computed once per point; the
-runner drops them all before the next point.  Each identity, and each flag,
-folds its one-point reports into one ``IdentityAggregate`` in point order."""
+A run checks its sample points in chunks of ``CHUNK``, in order: a chunk's
+point context, phi's ``maps.LocalGeometry`` over its points as one batch, is
+handed to every applicable identity (``run_identity``) and then to the flag
+checks, and dropped before the next chunk.  A check that raises a sample
+error on a chunk is re-run on each row's one-point geometry
+(``LocalGeometry.rows``), which gives that point's report, errored or not,
+as a run of one point would.  Each identity, and each flag, folds its
+reports into one ``IdentityAggregate`` in point order."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -39,6 +39,12 @@ from .hermitian import phh_defect, phwc_defect
 from .maps import LocalGeometry, tension_field
 from .scenarios import Scenario, sample_points
 
+# Sample points per batch.  A batch pays numpy's per-call overhead once for
+# its rows but keeps their geometries alive (about 40 kB a point on
+# flat-projection-6-4), so the chunk bounds peak memory at any sample count.
+# At 1,000 samples 64 was the fastest size tried; 1,000 took 35 MB more.
+CHUNK = 64
+
 
 @dataclass
 class RunConfig:
@@ -55,6 +61,8 @@ class RunConfig:
     def validate(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not all(0 < t < float("inf") for t in (self.tol_ad, self.tol_fd)):
             raise ValueError("tolerances must be finite and positive")
         if self.rho is not None and self.special_sigma is not None:
@@ -90,7 +98,7 @@ def _check_chart(scenario: Scenario, expressions):
 
 
 class RunContext:
-    """What the one-point checks of a run read: the scenario, the config,
+    """What the checks of a run read: the scenario, the config,
     the biconformal context of the change and that of the one-function
     change of its sigma (None when the scenario has no fibers)."""
 
@@ -102,11 +110,14 @@ class RunContext:
         self.one_function = (one_function_context(phi, J, change.sigma)
                              if phi.m > phi.two_n else None)
 
-    def draw(self, idx: int, tag: int, count: int = 1):
-        """Random test components for sample ``idx``, seeded by the run's
-        seed, ``idx`` and the identity's ``tag``."""
-        rng = np.random.default_rng([self.config.seed, idx, tag])
-        draws = rng.standard_normal((count, self.scenario.phi.m))
+    def draw(self, geo: LocalGeometry, idx: int, tag: int, count: int = 1):
+        """Random test components for the rows of ``geo``, sample indices
+        idx, idx + 1, ..., seeded by the run's seed, sample index and tag."""
+        seed, rows = self.config.seed, geo.p.size // geo.p.shape[-1]
+        draws = np.stack([
+            np.random.default_rng([seed, idx + i, tag]).standard_normal(
+                (count, self.scenario.phi.m)) for i in range(rows)], axis=1)
+        draws = draws.reshape((count,) + geo.p.shape)
         return draws[0] if count == 1 else draws
 
 
@@ -123,7 +134,9 @@ def _pullback(run: RunContext, geo: LocalGeometry, idx):
         if run.config.special_sigma is not None:
             reps.append(verify_pullback_characterization(
                 geo.under(run.change.gbar), holo, tol=tol))
-    return max(reps, key=lambda r: r.rel_residual)
+    if geo.p.ndim == 1:
+        return max(reps, key=lambda r: r.rel_residual)
+    return [max(row, key=lambda r: r.rel_residual) for row in zip(*reps)]
 
 
 # requirement -> (holds(scenario, change), skip reason when it does not)
@@ -144,10 +157,9 @@ REQUIREMENTS = {
 
 @dataclass(frozen=True)
 class Identity:
-    """A law's row: the ``REQUIREMENTS`` it needs, its one-point check
-    (run, point context, sample index) -> IdentityResidualReport, and
-    whether its aggregate ranks the worst point by absolute residual (the
-    corollaries)."""
+    """A law's row: the ``REQUIREMENTS`` it needs, its check (run, point
+    context, first sample index) -> a report per point, and whether its
+    aggregate ranks the worst point by absolute residual (the corollaries)."""
     requires: Tuple[str, ...]
     check: Callable
     worst_by_abs: bool = False
@@ -166,10 +178,10 @@ IDENTITIES = {
     "tension-transform": Identity(("phwc",), lambda run, geo, idx: (
         verify_tension_transform(run.change, geo, tol=run.config.tol_fd))),
     "koszul-horizontal": Identity(("phwc",), lambda run, geo, idx: (
-        verify_koszul_h(run.change, geo, *run.draw(idx, 3, count=2),
+        verify_koszul_h(run.change, geo, *run.draw(geo, idx, 3, count=2),
                         tol=run.config.tol_fd))),
     "koszul-vertical": Identity(("phwc", "fibers"), lambda run, geo, idx: (
-        verify_koszul_v(run.change, geo, run.draw(idx, 4),
+        verify_koszul_v(run.change, geo, run.draw(geo, idx, 4),
                         tol=run.config.tol_fd))),
     "mean-curvature": Identity(("phwc", "fibers"), lambda run, geo, idx: (
         verify_mean_curvature(run.change, geo, tol=run.config.tol_fd))),
@@ -177,7 +189,7 @@ IDENTITIES = {
         verify_f_divergence(run.change, geo, tol=run.config.tol_fd))),
     "phh-covariant": Identity(("phwc",), lambda run, geo, idx: (
         verify_phh_covariant_formula(run.change, geo,
-                                     *run.draw(idx, 7, count=2),
+                                     *run.draw(geo, idx, 7, count=2),
                                      tol=run.config.tol_fd))),
     "pullback": Identity(("phwc", "harmonic"), _pullback),
     "corollary-psh": Identity(("phwc", "fibers"), lambda run, geo, idx: (
@@ -203,13 +215,16 @@ def skip_reason(name: str, scenario: Scenario,
 
 
 def run_identity(name: str, run: RunContext, geo: LocalGeometry, idx: int):
-    """The report of one identity at the point of ``geo``, the point context,
-    with sample index ``idx`` (a point's random test vectors are drawn from
-    it); a sample error gives an errored report."""
+    """The reports of one identity at the point context ``geo``, whose first
+    row has sample index ``idx``.  A sample error on a batch re-runs it on
+    each row's one-point geometry, and at one point is an errored report."""
     try:
         return IDENTITIES[name].check(run, geo, idx)
     except SAMPLE_ERRORS as err:
-        return errored_report(name, geo.p, err)
+        if geo.p.ndim == 1:
+            return errored_report(name, geo.p, err)
+    return [run_identity(name, run, row, idx + i)
+            for i, row in enumerate(geo.rows)]
 
 
 def _relative(defect_and_scale):
@@ -217,13 +232,26 @@ def _relative(defect_and_scale):
     return defect / (scale + REL_FLOOR)
 
 
-# flag -> its relative defect at a point, (point context, J) -> float
+# flag -> its relative defect at each point, (point context, J) -> array
 FLAG_DEFECTS = {
     "phwc": lambda geo, J: _relative(phwc_defect(geo, J)),
     "harmonic": lambda geo, J: (
-        float(np.max(np.abs(tension_field(geo).components))) / REL_FLOOR),
+        np.max(np.abs(tension_field(geo).components), axis=-1) / REL_FLOOR),
     "phh": lambda geo, J: _relative(phh_defect(geo, J)),
 }
+
+
+def _flag_reports(flag: str, geo: LocalGeometry, J):
+    """The flag's defects at ``geo`` as reports, settled as in
+    ``run_identity``."""
+    try:
+        defect = FLAG_DEFECTS[flag](geo, J)
+    except SAMPLE_ERRORS as err:
+        if geo.p.ndim == 1:
+            return [errored_report(flag, geo.p, err)]
+        return [rep for row in geo.rows for rep in _flag_reports(flag, row, J)]
+    return [IdentityResidualReport(flag, q, d, d, True) for q, d in zip(
+        geo.p.reshape(-1, geo.phi.m).tolist(), np.ravel(defect).tolist())]
 
 
 def _flag_tallies(scenario: Scenario):
@@ -258,20 +286,15 @@ def _flag_entries(scenario: Scenario, tallies, tol):
 def confirm_flags(scenario: Scenario, geos, tol: float = 1e-5,
                   tallies=None):
     """Re-measure the scenario's expected PHWC / PHH / harmonicity flags at
-    the point contexts ``geos`` (the map's ``LocalGeometry`` at each point),
-    into new ``tallies`` or, point by point in a run, into the run's (a
-    sample error is an errored report), and return the report's flag section
-    over every point folded so far."""
+    the point contexts ``geos`` (the map's ``LocalGeometry`` at a point or
+    a chunk), into new ``tallies`` or, chunk by chunk in a run, into the
+    run's (a sample error is an errored report), and return the report's
+    flag section over every point folded so far."""
     tallies = _flag_tallies(scenario) if tallies is None else tallies
     for geo in geos:
         for flag, tally in tallies.items():
-            try:
-                defect = FLAG_DEFECTS[flag](geo, scenario.J)
-                rep = IdentityResidualReport(flag, geo.p.tolist(),
-                                             defect, defect, True)
-            except SAMPLE_ERRORS as err:
-                rep = errored_report(flag, geo.p, err)
-            tally.add(rep)
+            for rep in _flag_reports(flag, geo, scenario.J):
+                tally.add(rep)
     return _flag_entries(scenario, tallies, tol)
 
 
@@ -299,10 +322,11 @@ def run_verification(config: RunConfig):
         else:
             skipped.append({"name": name, "reason": reason})
     flag_tallies = _flag_tallies(scenario)
-    for idx, p in enumerate(points):
-        geo = LocalGeometry(scenario.phi, p)
+    for start in range(0, len(points), CHUNK):
+        geo = LocalGeometry(scenario.phi, points[start:start + CHUNK])
         for agg in totals:
-            agg.add(run_identity(agg.name, run, geo, idx))
+            for rep in run_identity(agg.name, run, geo, start):
+                agg.add(rep)
         flags = confirm_flags(scenario, [geo], config.tol_fd, flag_tallies)
 
     per_identity = [agg.as_dict() for agg in totals]
@@ -319,17 +343,9 @@ def _assemble(config, scenario, per_identity, flags, skipped, warnings,
     return {
         "schema_version": 2,
         "scenario": scenario.name,
-        "config": {
-            "sigma": config.sigma,
-            "rho": config.rho,
-            "special_sigma": config.special_sigma,
-            "samples": config.samples,
-            "seed": config.seed,
-            "tol_ad": config.tol_ad,
-            "tol_fd": config.tol_fd,
-            "identities": list(config.identities) if config.identities
-                          else list(ALL_IDENTITIES),
-        },
+        "config": dict({key: value for key, value in asdict(config).items()
+                        if key != "scenario"},
+                       identities=list(config.identities or ALL_IDENTITIES)),
         "per_identity": per_identity,
         "skipped_identities": skipped,
         "flags": flags,

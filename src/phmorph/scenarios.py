@@ -8,6 +8,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from .jets import first
 from .manifold import (ChartedRiemannianManifold, GeometryError, JetMetric,
                        euclidean_space)
 from .maps import LocalGeometry, SmoothMap, differential
@@ -119,12 +120,10 @@ def _curved_fibers_nonharmonic() -> Scenario:
     def metric_fn(coords):
         from .jets import exp
         u = exp(2.0 * coords[0])
-        one = 1.0
-        zero = 0.0
-        return [[one, zero, zero, zero],
-                [zero, one, zero, zero],
-                [zero, zero, u, zero],
-                [zero, zero, zero, u]]
+        return [[1.0, 0.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, u, 0.0],
+                [0.0, 0.0, 0.0, u]]
 
     source = ChartedRiemannianManifold(
         4, JetMetric(4, metric_fn),
@@ -142,14 +141,15 @@ class _HopfScenario(Scenario):
     def self_check(self, tol: float = 1e-8, count: int = 5):
         """The horizontal differential must be an isometry (Riemannian
         submersion control)."""
-        pts = sample_points(self, count, seed=7)
-        for p in pts:
-            geo = LocalGeometry(self.phi, p)
-            a = differential(geo)
-            defect = np.max(np.abs(a @ geo.ginv @ a.T @ geo.h - np.eye(2)))
-            if defect > tol:
-                return False, ("horizontal differential is not an isometry "
-                               "at %s (defect %g)" % (p.tolist(), defect))
+        geo = LocalGeometry(self.phi, sample_points(self, count, seed=7))
+        a = differential(geo)
+        defect = np.abs(a @ geo.ginv @ a.mT @ geo.h
+                        - np.eye(2)).max(axis=(-2, -1))
+        bad = defect > tol
+        if np.count_nonzero(bad):
+            return False, ("horizontal differential is not an isometry at %s "
+                           "(defect %g)" % (first(geo.p, bad).tolist(),
+                                            first(defect, bad)))
         return True, ""
 
 
@@ -158,10 +158,7 @@ def _hopf() -> Scenario:
     def source_metric(coords):
         r2 = coords[0] * coords[0] + coords[1] * coords[1] + coords[2] * coords[2]
         conf = 4.0 / ((1.0 + r2) * (1.0 + r2))
-        zero = 0.0
-        return [[conf, zero, zero],
-                [zero, conf, zero],
-                [zero, zero, conf]]
+        return [[conf, 0.0, 0.0], [0.0, conf, 0.0], [0.0, 0.0, conf]]
 
     def fiber_coordinate(coords):
         # |w|^2 where the chart point maps to (z, w) on the unit 3-sphere
@@ -181,8 +178,7 @@ def _hopf() -> Scenario:
     def target_metric(coords):
         r2 = coords[0] * coords[0] + coords[1] * coords[1]
         conf = 1.0 / ((1.0 + r2) * (1.0 + r2))
-        zero = 0.0
-        return [[conf, zero], [zero, conf]]
+        return [[conf, 0.0], [0.0, conf]]
 
     target = ChartedRiemannianManifold(
         2, JetMetric(2, target_metric),

@@ -188,7 +188,7 @@ def test_changed_metric_reads_the_source_geometry_it_is_handed():
     gbar = changed_metric(*FACTOR_CASE)
     geo = at(gbar.phi, P4)
     value = gbar.matrix(P4, geo)
-    assert "projector_and_lift" in vars(geo)
+    assert (None, "projector_and_lift") in geo._fields
     jets = gbar.factor_jets(geo)
     assert np.array_equal(value, gbar.matrix(P4))
     assert np.array_equal(gbar.matrix_and_derivs(P4, geo)[1],
@@ -238,17 +238,20 @@ def test_changes_built_one_after_another_never_share_factors():
 
 def test_factors_evaluated_once_per_change_point_and_route(monkeypatch):
     # in a run, sigma and rho are evaluated once per (change, point), on the
-    # one route (as jets), for the change and for the one-function change
+    # one route (as jets), for the change and for the one-function change;
+    # a batched call counts once for each of its rows
     calls, changes = [], []
     for route in ("factor_values", "factor_jets"):
         inner = getattr(BiconformalChange, route)
 
         def counting(self, p, route=route, inner=inner):
             changes.append(self)  # keeps each id for the run
-            calls.append((id(self), route, np.asarray(p).tobytes()))
+            calls.extend((id(self), route, q.tobytes())
+                         for q in np.reshape(p, (-1, np.shape(p)[-1])))
             return inner(self, p)
 
         monkeypatch.setattr(BiconformalChange, route, counting)
+    monkeypatch.setattr(pm.runner, "CHUNK", 3)  # a full and a partial chunk
     rep = pm.run_verification(pm.RunConfig(
         scenario="flat-projection-6-4", sigma="exp(0.2*x1)",
         rho="1+0.1*x5^2", samples=4))

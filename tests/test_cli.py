@@ -5,13 +5,17 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phmorph import runner
 from phmorph.cli import main
+from phmorph.runner import ALL_IDENTITIES
+from phmorph.scenarios import list_scenarios
 from tests.test_exprs import random_expression
 
 
@@ -288,6 +292,44 @@ def test_fuzzed_runs_end_in_an_exit_code(seed, tol_ad, tol_fd, samples):
                      "--sigma", sigma, "--rho", rho,
                      "--samples", str(samples), "--tol-ad=" + tol_ad,
                      "--tol-fd=" + tol_fd, "--report", path])
+        assert code in (0, 1, 2)
+        if os.path.exists(path):
+            with open(path) as handle:
+                json.load(handle, parse_constant=_strict)
+
+
+def test_negative_seed_exit_two(capsys):
+    # rejected with the configuration, before the scenario is built
+    code = main(["verify", "--scenario", "flat-projection-4-2",
+                 "--seed", "-1", "--samples", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0\n"
+
+
+FUZZ_CHUNK = 3  # so that a few samples span several chunks
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from(list_scenarios()), st.text(max_size=8)),
+       st.one_of(st.none(), st.lists(
+           st.sampled_from(ALL_IDENTITIES + ("no-such-identity",)),
+           min_size=1, max_size=4)),
+       st.integers(min_value=1, max_value=2 * FUZZ_CHUNK + 1),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_fuzzed_scenarios_identities_and_sample_counts_end_in_an_exit_code(
+        scenario, identities, samples, seed):
+    # sigma over x1..x3 fits every chart and may error at some points
+    sigma = random_expression(np.random.default_rng(seed))
+    argv = ["verify", "--scenario", scenario, "--sigma", sigma,
+            "--samples", str(samples), "--seed", str(seed)]
+    if identities is not None:
+        argv += ["--identities", ",".join(identities)]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(runner, "CHUNK", FUZZ_CHUNK):
+        path = os.path.join(tmp, "report.json")
+        code = main(argv + ["--report", path])
         assert code in (0, 1, 2)
         if os.path.exists(path):
             with open(path) as handle:

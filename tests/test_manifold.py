@@ -271,10 +271,11 @@ def test_out_of_domain_point_fails_on_every_call():
     with pytest.raises(DomainError):
         open_half.metric_at(p)
     # a wrong shape with the same bytes as a valid point is still rejected
+    # (a (1, 2) array is a batch of one point)
     whole = ChartedRiemannianManifold(2, metric)
     whole.metric_at(np.zeros(2))
     with pytest.raises(DomainError):
-        whole.metric_at(np.zeros((1, 2)))
+        whole.metric_at(np.zeros((2, 1)))
 
 
 def test_non_positive_definite_point_fails_on_every_call():

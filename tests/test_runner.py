@@ -16,6 +16,7 @@ from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
                      manifold, maps, parse, run_verification, runner,
                      sample_points, scenarios)
 from phmorph.biconformal import IdentityAggregate
+from phmorph.manifold import per_k
 from phmorph.maps import LocalGeometry
 from phmorph.runner import (IDENTITIES, RunContext, run_identity,
                             skip_reason)
@@ -75,12 +76,17 @@ def test_report_flags_section_reports_measurements():
     assert "measured_max_defect" in flags["phwc"]
 
 
-# ---- point-major runs ----------------------------------------------------
+# ---- batched runs --------------------------------------------------------
+
+def rows(p):
+    """The points of one point or of a batch, as bytes."""
+    return [q.tobytes() for q in np.reshape(p, (-1, np.shape(p)[-1]))]
+
 
 def _one_pass_per_identity(config):
     """The report sections a run gives when each identity, and then the flag
-    check, runs once over all the sample points, each on point contexts of
-    its own."""
+    check, runs once over all the sample points, each on a one-point
+    geometry of its own."""
     scenario = get_scenario(config.scenario)
     change = config.build_change(scenario)
     points = sample_points(scenario, config.samples, config.seed)
@@ -101,22 +107,40 @@ def _one_pass_per_identity(config):
     return per_identity, skipped, flags
 
 
-@pytest.mark.parametrize("config", [
-    RunConfig(scenario="hopf", sigma="exp(0.2*x1+0.1*x3)",
-              rho="1+0.2*x2^2", samples=5),
-    RunConfig(scenario="flat-projection-6-4", sigma="exp(0.2*x1)",
-              rho="1+0.1*x5^2", samples=5),
-    # rho = x2 is negative on half the box: errored samples get folded too
-    RunConfig(scenario="flat-projection-4-2", rho="x2", samples=3),
-], ids=["hopf", "flat-projection-6-4", "errored-samples"])
-def test_point_major_run_equals_one_pass_per_identity(config):
+BATCH_CONFIGS = {name: RunConfig(scenario=name, sigma="exp(0.2*x1+0.1*x3)",
+                                 rho="1+0.2*x2^2", samples=8)
+                 for name in scenarios.list_scenarios()}
+BATCH_CONFIGS.update({
+    # rho = x2 and sigma = x1 are negative on half the box: some rows of a
+    # chunk error and are settled one by one
+    "errored-samples": RunConfig(scenario="flat-projection-4-2", rho="x2",
+                                 samples=8),
+    "errored-sigma": RunConfig(scenario="flat-projection-6-4", sigma="x1",
+                               samples=8),
+    "special-sigma": RunConfig(scenario="flat-projection-6-4",
+                               special_sigma="1+0.1*x1^2", samples=8),
+})
+
+
+@pytest.mark.parametrize("config", BATCH_CONFIGS.values(),
+                         ids=BATCH_CONFIGS.keys())
+def test_point_major_run_equals_one_pass_per_identity(monkeypatch, config):
+    # a run in two full chunks of 3 points and a partial one gives, bit for
+    # bit, the reports of one-point geometries, and the same error messages
+    def as_dict(self):
+        return dict(inner(self), errors=self.errors)
+
+    inner = IdentityAggregate.as_dict
+    monkeypatch.setattr(IdentityAggregate, "as_dict", as_dict)
+    monkeypatch.setattr(runner, "CHUNK", 3)
     rep = run_verification(config)
     per_identity, skipped, flags = _one_pass_per_identity(config)
-    assert rep["per_identity"] == per_identity
+    assert json.dumps(rep["per_identity"]) == json.dumps(per_identity)
     assert rep["skipped_identities"] == skipped
-    assert rep["flags"] == flags
-    if config.rho == "x2":
-        assert any(row["samples_error"] for row in rep["per_identity"])
+    assert json.dumps(rep["flags"]) == json.dumps(flags)
+    if config.rho == "x2" or config.sigma == "x1":
+        assert any(0 < row["samples_error"] < 8
+                   for row in rep["per_identity"])
 
 
 def test_map_jets_computed_once_per_distinct_point(monkeypatch):
@@ -128,7 +152,7 @@ def test_map_jets_computed_once_per_distinct_point(monkeypatch):
 
     def counting(coords):
         if isinstance(coords[0], Jet2):
-            jet_points.append(np.array([c.value for c in coords]).tobytes())
+            jet_points.extend(rows(np.stack([c.value for c in coords], -1)))
         return inner(coords)
 
     scenario.phi.components = counting
@@ -150,11 +174,12 @@ def test_changed_metric_derivatives_computed_once_per_distinct_point(
     inner = biconformal.ChangedMetric.matrix_and_derivs
 
     def counting(self, p, source=None):
-        calls.append((self, np.asarray(p).tobytes()))
+        calls.extend((self, q) for q in rows(p))
         return inner(self, p, source)
 
     monkeypatch.setattr(biconformal.ChangedMetric, "matrix_and_derivs",
                         counting)
+    monkeypatch.setattr(runner, "CHUNK", 3)
     rep = run_verification(RunConfig(scenario="flat-projection-6-4",
                                      sigma="exp(0.2*x1)", rho="1+0.1*x5^2",
                                      samples=4))
@@ -187,15 +212,18 @@ def test_a_run_evaluates_each_field_once_per_distinct_point(monkeypatch,
     counts = {}
 
     def counting(inner, name):
+        # a batched call counts once for each of its rows
         def wrapper(self, p, *source):
-            key = (name, id(self), np.asarray(p, dtype=float).tobytes())
-            counts[key] = counts.get(key, 0) + 1
+            for q in rows(np.asarray(p, dtype=float)):
+                key = (name, id(self), q)
+                counts[key] = counts.get(key, 0) + 1
             return inner(self, p, *source)
         return wrapper
 
     for cls, name in EVALUATIONS:
         monkeypatch.setattr(cls, name, counting(getattr(cls, name),
                                                 cls.__name__ + "." + name))
+    monkeypatch.setattr(runner, "CHUNK", 3)
     assert run_verification(config)["verdict"] == "pass"
     assert {name for name, _, _ in counts} == {
         cls.__name__ + "." + name for cls, name in EVALUATIONS}
@@ -232,20 +260,21 @@ def test_a_run_builds_no_frame(monkeypatch, scenario):
 
 
 def test_a_run_folds_its_flags_through_confirm_flags(monkeypatch):
-    # one function folds flags for a run, a point at a time, and for a list
-    # of points
+    # one function folds flags for a run, a chunk at a time, and for a list
+    # of one-point geometries
     calls = []
     inner = runner.confirm_flags
 
-    def counting(scenario, points, *args):
-        calls.append(len(points))
-        return inner(scenario, points, *args)
+    def counting(scenario, geos, *args):
+        calls.append([geo.p.shape for geo in geos])
+        return inner(scenario, geos, *args)
 
     monkeypatch.setattr(runner, "confirm_flags", counting)
+    monkeypatch.setattr(runner, "CHUNK", 2)
     config = RunConfig(scenario="flat-projection-4-2", sigma="exp(0.2*x1)",
                        samples=3)
     rep = run_verification(config)
-    assert calls == [1, 1, 1]
+    assert calls == [[(2, 4)], [(1, 4)]]
     scenario = get_scenario(config.scenario)
     geos = [LocalGeometry(scenario.phi, p)
             for p in sample_points(scenario, 3, 42)]
@@ -260,9 +289,9 @@ def _projector_and_lift_derivs_without_l_dm(geo):
     a, adjoint, minv = geo._lift_factors
     lift, da = geo.projector_and_lift[1], geo.map_jets[2]
     dg = geo.metric_and_derivs[1]
-    dginv = -np.einsum("ij,kjl,lm->kim", geo.ginv, dg, geo.ginv)
-    d_lift = (dginv @ a.T + geo.ginv @ np.transpose(da, (0, 2, 1))) @ minv
-    return d_lift @ a + lift @ da, d_lift
+    dginv = -np.einsum("...ij,...kjl,...lm->...kim", geo.ginv, dg, geo.ginv)
+    d_lift = (dginv @ per_k(a.mT) + per_k(geo.ginv) @ da.mT) @ per_k(minv)
+    return d_lift @ per_k(a) + per_k(lift) @ da, d_lift
 
 
 def test_a_wrong_projector_derivative_fails_a_hopf_run(monkeypatch):
@@ -400,7 +429,11 @@ def test_benchmark_tracer_sees_every_layer_a_run_reaches():
     code = (
         "import json\n"
         "from tracer import TARGETS, Tracer\n"
+        "from phmorph import maps\n"
         "from phmorph.runner import RunConfig, run_verification\n"
+        "shapes, jets = [], maps.SmoothMap.jets\n"
+        "maps.SmoothMap.jets = lambda self, p: (shapes.append(p.shape)\n"
+        "                                       or jets(self, p))\n"
         "tracer = Tracer(TARGETS)\n"
         "tracer.install()\n"
         "rep = run_verification(RunConfig(scenario='flat-projection-6-4', "
@@ -410,6 +443,7 @@ def test_benchmark_tracer_sees_every_layer_a_run_reaches():
         "    name = tracer.span_names[nid]\n"
         "    calls[name] = calls.get(name, 0) + 1\n"
         "print(json.dumps({'verdict': rep['verdict'], 'calls': calls, "
+        "'shapes': shapes, "
         "'points': {k: len(v) for k, v in tracer.points.items()}}))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]))
@@ -420,18 +454,18 @@ def test_benchmark_tracer_sees_every_layer_a_run_reaches():
     assert out["verdict"] == "pass"
     assert {name: out["calls"].get(name, 0) > 0
             for name in TRACED_LAYERS} == dict.fromkeys(TRACED_LAYERS, True)
-    # one evaluation of the map's jets per distinct point
-    assert out["calls"]["maps.SmoothMap.jets"] == 2
-    assert out["points"]["maps.SmoothMap.jets"] == 2
+    # one evaluation of the map's jets, over both points
+    assert out["calls"]["maps.SmoothMap.jets"] == 1
+    assert out["shapes"] == [[2, 6]]
+    assert out["points"]["maps.SmoothMap.jets"] == 1
 
 
 def test_a_run_keeps_only_the_current_points_geometries(monkeypatch):
-    # no geometry outlives its point: while a check runs, the geometries
-    # alive are those of its point, and none are once the run returns, so
-    # a run's memory does not grow with its sample count.  A point's
-    # geometries refer to one another (the source geometry keeps those built
-    # from it, and each of those reads it), so the cycle collector frees
-    # them; it skips the objects frozen here, which are older than the run
+    # no geometry outlives its chunk: while a check runs, the geometries
+    # alive are those of its chunk's points, and none are once the run
+    # returns, so a run's memory does not grow with its sample count.  No
+    # geometry refers to those built from it, so reference counting frees
+    # them, with the cycle collector off
     built = []
     init = maps.LocalGeometry.__init__
 
@@ -440,30 +474,32 @@ def test_a_run_keeps_only_the_current_points_geometries(monkeypatch):
         built.append(weakref.ref(self))
 
     def alive_points():
-        gc.collect()
-        return {ref().p.tobytes() for ref in built if ref() is not None}
+        return {q for ref in built if ref() is not None for q in rows(ref().p)}
 
     seen = []
     check = runner.run_identity
 
     def probing(name, run, geo, idx):
-        seen.append((geo.p.tobytes(), alive_points()))
+        seen.append((set(rows(geo.p)), alive_points()))
         return check(name, run, geo, idx)
 
     monkeypatch.setattr(maps.LocalGeometry, "__init__", tracking)
     monkeypatch.setattr(runner, "run_identity", probing)
-    gc.freeze()
+    monkeypatch.setattr(runner, "CHUNK", 3)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         rep = run_verification(RunConfig(scenario="flat-projection-6-4",
                                          sigma="exp(0.2*x1)",
-                                         rho="1+0.1*x5^2", samples=4))
+                                         rho="1+0.1*x5^2", samples=5))
+        assert rep["verdict"] == "pass"
+        assert [len(chunk) for chunk, _ in seen] == (
+            [3] * len(ALL_IDENTITIES) + [2] * len(ALL_IDENTITIES))
+        assert all(alive == chunk for chunk, alive in seen)
+        assert alive_points() == set()
     finally:
-        gc.unfreeze()
-    assert rep["verdict"] == "pass"
-    assert len(seen) == 4 * len(ALL_IDENTITIES)
-    assert all(alive == {point} for point, alive in seen)
-    assert len(built) == 4 * 3  # g, g-bar and the one-function g-bar
-    assert alive_points() == set()
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("option", ["sigma", "rho", "special_sigma"])
