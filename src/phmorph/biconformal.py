@@ -31,8 +31,8 @@ import numpy as np
 from . import exprs, jets
 from .exprs import Expr
 from .jets import JetDomainError, first, pointwise, quiet
-from .manifold import (GeometryError, MetricError, MetricField, dot, matvec,
-                       per_k, quad)
+from .manifold import (GeometryError, MetricError, MetricField, contract, dot,
+                       matvec, outer, per_k, quad)
 from .maps import (LocalGeometry, RankError, SmoothMap, differential,
                    horizontal_projector, mean_curvature_vertical,
                    tension_field)
@@ -285,23 +285,23 @@ def _rows(p, make):
     return make(()) if np.ndim(p) == 1 else [make(i) for i in range(len(p))]
 
 
+@quiet
 def _report(identity, p, lhs, rhs, tol):
     """Residual report of lhs = rhs (components on the last axis) at each
     point; a non-finite side is a sample error."""
     p = np.asarray(p, dtype=float)
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     absr = np.abs(lhs - rhs).max(axis=-1)
-    lmax, rmax = np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1)
-
-    def make(i):
-        a, scale = float(absr[i]), max(float(lmax[i]), float(rmax[i]))
-        if not (np.isfinite(a) and np.isfinite(scale)):
-            return errored_report(identity, p[i], "non-finite residual")
-        rel = a / (scale + REL_FLOOR)
-        return IdentityResidualReport(identity, p[i].tolist(), a, rel,
-                                      rel < tol)
-
-    return _rows(p, make)
+    scale = np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1))
+    rel = absr / (scale + REL_FLOOR)
+    finite = np.isfinite(absr) & np.isfinite(scale)
+    reports = [
+        IdentityResidualReport(identity, q, a, r, r < tol) if ok
+        else errored_report(identity, q, "non-finite residual")
+        for q, a, r, ok in zip(p.reshape(-1, p.shape[-1]).tolist(),
+                               absr.ravel().tolist(), rel.ravel().tolist(),
+                               finite.ravel().tolist())]
+    return reports if p.ndim > 1 else reports[0]
 
 
 def _squared(s):
@@ -331,13 +331,12 @@ def verify_koszul_h(ctx: BiconformalContext, geo: LocalGeometry, x_comp,
     ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
     y = matvec(ph, np.asarray(y_comp, dtype=float))
-    gamma_bar = geo.under(ctx.gbar).christoffel
-    lhs = matvec(ph, np.einsum("...kij,...i,...j->...k", gamma_bar, x, y))
+    xy = outer(x, y)
+    lhs = matvec(ph, contract(geo.under(ctx.gbar).christoffel, xy))
 
     grad_ls, _ = ctx.gbar.grad_log_factors(geo)
     dls = matvec(g, grad_ls)  # covector of ln sigma
-    rhs = (matvec(ph, np.einsum("...kij,...i,...j->...k", geo.christoffel,
-                                x, y))
+    rhs = (matvec(ph, contract(geo.christoffel, xy))
            - dot(dls, x)[..., None] * y - dot(dls, y)[..., None] * x
            + quad(x, g, y)[..., None] * matvec(ph, grad_ls))
     return _report("koszul-horizontal", geo.p, lhs, rhs, tol)
@@ -365,8 +364,8 @@ def verify_koszul_v(ctx: BiconformalContext, geo: LocalGeometry, v_comp,
     v = v_comp - matvec(ph, v_comp)
     if (quad(v, g, v) <= 1e-16).any():
         raise GeometryError("V has no vertical part")
-    dv = -np.einsum("...k,...kab,...b->...a", v,
-                    geo.projector_and_lift_derivs[0], v_comp)
+    dv = -contract(geo.projector_and_lift_derivs[0].swapaxes(-3, -2),
+                   outer(v, v_comp))
     lhs = matvec(ph, geo.under(ctx.gbar).covariant_derivative(v, v, dv))
 
     s_jet, r_jet = ctx.gbar.factor_jets(geo)
@@ -449,9 +448,9 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, geo: LocalGeometry,
     f = f_structure(geo, ctx.J)
     df = d_f_structure(geo, ctx.J)
 
-    gamma_bar = geo.under(ctx.gbar).christoffel
-    nab_bar = nabla_f_operator(f, df, gamma_bar)
-    lhs = matvec(ph, np.einsum("...i,...ikj,...j->...k", x, nab_bar, y))
+    xy = outer(x, y)
+    nab_bar = nabla_f_operator(f, df, geo.under(ctx.gbar).christoffel)
+    lhs = matvec(ph, contract(nab_bar.swapaxes(-3, -2), xy))
 
     nab = nabla_f_operator(f, df, geo.christoffel)
     grad_ls, _ = ctx.gbar.grad_log_factors(geo)
@@ -459,7 +458,7 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, geo: LocalGeometry,
     dls = matvec(g, grad_ls)
     fy = matvec(f, y)
     fx = matvec(f, x)
-    rhs = (matvec(ph, np.einsum("...i,...ikj,...j->...k", x, nab, y))
+    rhs = (matvec(ph, contract(nab.swapaxes(-3, -2), xy))
            + quad(x, g, fy)[..., None] * grad_h
            - dot(dls, fy)[..., None] * x
            + dot(dls, y)[..., None] * fx

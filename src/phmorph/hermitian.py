@@ -13,7 +13,7 @@ read-only, keyed on J and computed once:
   biconformal change of it share;
 - ``phwc_defect``, ``phwc_metric_defect`` and ``f_divergence_horizontal``
   are kept in the geometry of their own metric (one value per point of a
-  batch; the Frobenius norms are taken matrix by matrix).
+  batch; a Frobenius norm is one dot product of the matrix's entries).
 
 The horizontal quantities (``f_divergence_horizontal``, ``phh_defect``,
 ``phwc_metric_defect``) read a frame {f_a} of H only through
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import first
-from .manifold import (ChartedRiemannianManifold, TangentVector,
-                       jet_matrix_and_derivs, matvec, per_k)
+from .manifold import (ChartedRiemannianManifold, TangentVector, act_first,
+                       contract, dot, jet_matrix_and_derivs, matvec, per_k)
 from .maps import (FrameError, LocalGeometry, check_submersion, differential,
                    mean_curvature_vertical, ortho_split)
 
@@ -70,8 +70,8 @@ def f_structure(geo: LocalGeometry,
 
 
 def _frobenius(a):
-    norms = [np.linalg.norm(x) for x in a.reshape((-1,) + a.shape[-2:])]
-    return np.array(norms).reshape(a.shape[:-2])
+    flat = a.reshape(a.shape[:-2] + (1, -1))
+    return np.sqrt(flat @ flat.mT)[..., 0, 0]
 
 
 def phwc_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
@@ -175,7 +175,7 @@ def d_f_structure(geo: LocalGeometry,
         lift = geo.projector_and_lift[1]
         d_lift = geo.projector_and_lift_derivs[1]
         jq, dj = j_at_image(geo, J)
-        dj_along = np.einsum("...cab,...ci->...iab", dj, a)  # d_i of J at phi
+        dj_along = act_first(a.mT, dj)  # d_i of J at phi
         return (d_lift @ per_k(jq @ a) + per_k(lift) @ dj_along @ per_k(a)
                 + per_k(lift @ jq) @ da)
 
@@ -189,8 +189,7 @@ def nabla_f_operator(f: np.ndarray, df: np.ndarray,
     (nabla_i F)^k_j = d_i F^k_j + Gamma^k_il F^l_j - F^k_l Gamma^l_ij
 
     so that (nabla_X F)Y = X^i Y^j nabla[..., i, :, j]."""
-    return (df + np.einsum("...kil,...lj->...ikj", gamma, f)
-            - np.einsum("...kl,...lij->...ikj", f, gamma))
+    return df + (gamma @ per_k(f) - act_first(f, gamma)).swapaxes(-3, -2)
 
 
 def _nabla_f(geo, J) -> np.ndarray:
@@ -211,7 +210,7 @@ def f_divergence_horizontal(geo: LocalGeometry,
     horizontal for PHWC maps and zero for PHH ones.  Kept per J."""
     def compute():
         r = geo.horizontal_factor
-        total = np.einsum("...ai,...ikj,...aj->...k", r, _nabla_f(geo, J), r)
+        total = contract(_nabla_f(geo, J).swapaxes(-3, -2), r.mT @ r)
         return TangentVector(geo.p, matvec(f_structure(geo, J), total))
 
     return geo.field(("f_divergence", J), compute)
@@ -226,11 +225,15 @@ def phh_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
     frame (the max over frame pairs would); zero exactly when the map is
     PHH.  The scale is the same norm without H, at least 1."""
     r = geo.horizontal_factor
-    g = geo.g
-    pairs = np.einsum("...ai,...ikj,...bj->...abk", r, _nabla_f(geo, J), r)
-    horizontal = pairs @ per_k(geo.projector_and_lift[0].mT)
-    total = np.einsum("...abk,...kl,...abl->...", horizontal, g, horizontal)
-    scale = np.einsum("...abk,...kl,...abl->...", pairs, g, pairs)
+    pairs = act_first(r, _nabla_f(geo, J)) @ per_k(r.mT)  # [a, k, b]
+    horizontal = per_k(geo.projector_and_lift[0]) @ pairs
+
+    def norm2(x):  # sum over a, b of g(x[a, :, b], x[a, :, b])
+        gx = per_k(geo.g) @ x
+        return dot(x.reshape(x.shape[:-3] + (-1,)),
+                   gx.reshape(x.shape[:-3] + (-1,)))
+
+    total, scale = norm2(horizontal), norm2(pairs)
     return np.sqrt(total), np.maximum(np.sqrt(scale), 1.0)
 
 

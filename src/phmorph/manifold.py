@@ -84,7 +84,8 @@ def read_only(value):
     return value
 
 
-# numpy's @ on matrices and vectors, row by row over a batch as at a point
+# Contractions as numpy's @, one BLAS call per matrix of a batch, which
+# gives each row the bits it gets at one point
 
 
 def matvec(a, v):
@@ -101,6 +102,20 @@ def quad(x, g, y):
 
 def per_k(a):  # against a stack of matrices over a derivative index k
     return a[..., None, :, :]
+
+
+def contract(t, s):  # t[..., k, i, j] s[..., i, j], summed over i and j
+    return matvec(t.reshape(t.shape[:-2] + (-1,)),
+                  s.reshape(s.shape[:-2] + (-1,)))
+
+
+def act_first(a, t):  # a[..., p, i] t[..., i, k, j], summed over i
+    out = a @ t.reshape(t.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-1] + t.shape[-2:])
+
+
+def outer(x, y):
+    return x[..., :, None] * y[..., None, :]
 
 
 class MetricField:
@@ -129,9 +144,13 @@ class MetricField:
 
 def jet_matrix(fn, p) -> np.ndarray:
     """Values at p of a square matrix field whose entries ``fn`` evaluates
-    on numbers (arrays over a batch) or Jet2 coordinates."""
+    on coordinate arrays or Jet2 coordinates."""
     p = np.asarray(p, dtype=float)
-    return _stack(fn(list(p.T)), p.shape[:-1], None)
+    # one point is a batch of one row, so that numpy computes an entry
+    # (``x ** 2`` as x*x, say) as it does over a batch
+    q = np.atleast_2d(p)
+    mat = _stack(fn(list(q.T)), q.shape[:-1], None)
+    return mat.reshape(p.shape[:-1] + mat.shape[-2:])
 
 
 def jet_matrix_and_derivs(fn, p):
@@ -292,11 +311,10 @@ def levi_civita(g, dg):
     """Gamma[..., k, i, j] = Gamma^k_ij from (g, dg) with dg[..., k, i, j] =
     d_k g_ij, inverting this g (``matrix_and_derivs``' own, not
     ``metric_at``'s)."""
-    ginv = np.linalg.inv(g)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    # dg[k, i, j] = d_k g_ij; bracket[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = dg + dg.swapaxes(-3, -2) - dg.swapaxes(-3, -2).swapaxes(-2, -1)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
+    # dg[k, i, j] = d_k g_ij; bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    moved = np.moveaxis(dg, -1, -3)  # moved[l, i, j] = d_i g_jl
+    return 0.5 * act_first(np.linalg.inv(g), moved + moved.mT - dg)
 
 
 def euclidean_metric(dim: int) -> JetMetric:

@@ -4,7 +4,8 @@ splitting, tension field and fiber mean curvature.
 A ``LocalGeometry`` is the point context: everything a check reads about phi
 at a point p, or at each row of a batch of points (shape (B, m)), under one
 metric, each row computed as at one point (batched ``inv``, ``eigvalsh``,
-``svd`` and ``cholesky``, ``...``-prefixed ``einsum`` and ``@``).
+``svd`` and ``cholesky``, and every contraction as ``@``, one BLAS call per
+matrix: ``manifold.contract``, ``act_first`` and ``matvec``).
 ``LocalGeometry(phi, p)`` is the geometry under phi's source metric;
 ``geo.under(metric)`` the one under another metric, whose fields its source
 keeps: no geometry refers to those built from it, so reference counting
@@ -48,8 +49,9 @@ import numpy as np
 from . import jets
 from .jets import Jet2, first
 from .manifold import (ChartedRiemannianManifold, GeometryError, MetricField,
-                       TangentVector, each_array, inverse_metric, levi_civita,
-                       matvec, per_k, read_only)
+                       TangentVector, contract, dot, each_array,
+                       inverse_metric, levi_civita, matvec, outer, per_k,
+                       read_only)
 
 RANK_TOL = 1e-8
 
@@ -215,15 +217,14 @@ class LocalGeometry:
         """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p, for a field
         Y with components y and derivative dy_along_x = X^i d_i Y there."""
         return (np.asarray(dy_along_x, dtype=float)
-                + np.einsum("...kij,...i,...j->...k", self.christoffel, x, y))
+                + contract(self.christoffel, outer(x, y)))
 
     def laplacian(self, jet: Jet2):
         """g^ij (d_i d_j f - Gamma^k_ij d_k f) at p for the jet of f there,
         which is checked for non-finite components."""
         jet.check()
-        return (np.einsum("...ij,...ij->...", self.ginv, jet.hess)
-                - np.einsum("...ij,...kij,...k->...", self.ginv,
-                            self.christoffel, jet.grad))
+        return (contract(jet.hess[..., None, :, :], self.ginv)[..., 0]
+                - dot(contract(self.christoffel, self.ginv), jet.grad))
 
     @_kept
     def _differential(self):
@@ -268,8 +269,7 @@ class LocalGeometry:
         a, adjoint, minv = self._lift_factors
         lift, da = self.projector_and_lift[1], self.map_jets[2]
         dg = self.metric_and_derivs[1]
-        dginv = -np.einsum("...ij,...kjl,...lm->...kim", self.ginv, dg,
-                           self.ginv)
+        dginv = -(per_k(self.ginv) @ dg @ per_k(self.ginv))
         d_adjoint = dginv @ per_k(a.mT) + per_k(self.ginv) @ da.mT
         d_gram = da @ per_k(adjoint) + per_k(a) @ d_adjoint
         d_lift = (d_adjoint - per_k(lift) @ d_gram) @ per_k(minv)
@@ -292,16 +292,9 @@ class LocalGeometry:
         """
         q, a, da = self.map_jets
         ginv = self.ginv
-        gamma_n = self.source.target_christoffel
-        # a batched einsum sums this term in another order: row by row
-        rows = zip(ginv, da) if self.p.ndim > 1 else [(ginv, da)]
-        second = np.array([np.einsum("ij,iaj->a", g, d)
-                           for g, d in rows]).reshape(q.shape)
-        tau = (second
-               - np.einsum("...ij,...kij,...ak->...a", ginv, self.christoffel,
-                           a)
-               + np.einsum("...ij,...abc,...bi,...cj->...a", ginv, gamma_n,
-                           a, a))
+        tau = (contract(da.swapaxes(-3, -2), ginv)
+               - matvec(a, contract(self.christoffel, ginv))
+               + contract(self.source.target_christoffel, a @ ginv @ a.mT))
         return TangentVector(q, tau)
 
     @_kept
@@ -325,8 +318,7 @@ class LocalGeometry:
         dph = self.projector_and_lift_derivs[0]
         pv = np.eye(m) - ph
         t = pv @ self.ginv @ pv.mT
-        total = (np.einsum("...kij,...ij->...k", self.christoffel, t)
-                 - np.einsum("...ib,...ikb->...k", t, dph))
+        total = contract(self.christoffel - dph.swapaxes(-3, -2), t)
         return TangentVector(self.p, matvec(ph, total) / (m - two_n))
 
 

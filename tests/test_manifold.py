@@ -187,6 +187,22 @@ def test_asymmetric_metric_rejected():
         man.metric_at(np.zeros(2))
 
 
+def test_jet_metric_with_powers_gives_each_point_its_batched_bits():
+    # numpy computes x ** 3 on an array by repeated multiplication and on a
+    # numpy scalar with C pow, which differ in the last bit on some inputs;
+    # one point is evaluated as a batch of one row
+    def fn(coords):
+        x, y = coords
+        off = 0.1 * x ** 3 * y ** 2
+        return [[1.0 + x ** 2, off], [off, 2.0 + y ** 3]]
+
+    metric = JetMetric(2, fn)
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (200, 2))
+    batched = metric.matrix(points)
+    assert batched.shape == (200, 2, 2)
+    assert np.array_equal(batched, [metric.matrix(p) for p in points])
+
+
 def test_richardson_partial_beats_plain_central_difference():
     f = lambda p: math.exp(3.0 * p[0])
     p = np.array([0.5])
