@@ -10,15 +10,17 @@ is either
   ``phmorph.cli.main`` in process on that workload's arguments (read from
   ``perfbench/workloads.json`` and built by ``perfbench/child.py``), or
 - a layer read of ``benchmarks/bench_layers.py``, ``chunk_fill:<workload>``
-  or ``identity:<workload>:<identity>``: one round, its set-up untimed.
+  or ``identity:<workload>:<identity>``: one round, its set-up untimed,
+  each round of a task at the next of ``bench_layers``' sample points.
 
 Both workers use this checkout's benchmark code; only ``phmorph`` differs.
 The outcome of every run (exit code, verdict, skipped identities, flag
 outcomes and per-identity counts of a workload) must be the same on both
 sides, or the tool exits 1.  For each task it prints each side's median and
 quartiles, the ratio of the medians (change / parent) with the quartiles of
-the pair ratios, and in how many pairs the change was faster.  Run it from the repository root, with the
-parent commit checked out elsewhere (``git worktree`` or ``git archive``):
+the pair ratios, and in how many pairs the change was faster.  Run it from
+the repository root, with the parent commit checked out elsewhere
+(``git worktree`` or ``git archive``):
 
     python benchmarks/ab.py PARENT_ROOT . --pairs 40 readme-6-4 hopf-full
 """
@@ -35,6 +37,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 WORKLOADS = ("readme-6-4", "hopf-full", "hopf-subset")
+WARMUP = 3  # untimed runs per side before a task's pairs
 
 
 def worker(root, samples):
@@ -52,13 +55,14 @@ def worker(root, samples):
         spec = json.load(fh)
     replies = os.fdopen(os.dup(1), "w")
     sys.stdout = open(os.devnull, "w")
+    setups = {}  # one round set-up per layer task, rotating over its points
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "report.json")
         for line in sys.stdin:
             task, seed = json.loads(line)
             kind, _, rest = task.partition(":")
             if rest:
-                seconds, outcome = layer(kind, rest.split(":"))
+                seconds, outcome = layer(kind, rest.split(":"), setups)
             else:
                 argv = cli_argv(spec["workloads"][task]["args"],
                                 samples or spec["samples"], seed, report)
@@ -76,11 +80,16 @@ def worker(root, samples):
             print(json.dumps([seconds, outcome]), file=replies, flush=True)
 
 
-def layer(kind, args):
-    """One round of a ``bench_layers`` read: (seconds, outcome)."""
+def layer(kind, args, setups):
+    """One round of a ``bench_layers`` read: (seconds, outcome).  Its
+    set-up comes from ``setups``, one per task, so that successive rounds
+    read successive sample points, as ``bench_layers`` does."""
     import bench_layers
     rows = bench_layers.CHUNK_ROWS if kind == "chunk_fill" else None
-    (run, point, idx), _ = bench_layers.fresh_runs(args[0], rows)()
+    key = (kind,) + tuple(args)
+    if key not in setups:
+        setups[key] = bench_layers.fresh_runs(args[0], rows)
+    (run, point, idx), _ = setups[key]()
     if kind == "chunk_fill":
         read = bench_layers.fill
     elif kind == "identity":
@@ -119,12 +128,12 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def compare(workers, task, pairs, warmup, seed):
-    """Time ``task`` in ``pairs`` alternating pairs after ``warmup`` untimed
+def compare(workers, task, pairs, seed):
+    """Time ``task`` in ``pairs`` alternating pairs after ``WARMUP`` untimed
     runs per side; returns (per-side seconds, outcomes agree)."""
     parent, change = workers
     same = True
-    for _ in range(warmup):
+    for _ in range(WARMUP):
         same &= parent.time(task, seed)[1] == change.time(task, seed)[1]
     times = ([], [])
     for i in range(pairs):
@@ -156,7 +165,6 @@ def main(argv=None):
     parser.add_argument("change", help="source tree of the change")
     parser.add_argument("tasks", nargs="*", default=list(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=20)
-    parser.add_argument("--warmup", type=int, default=3)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--samples", type=int, default=None,
                         help="sample points per workload run (default: "
@@ -169,8 +177,7 @@ def main(argv=None):
     agree = True
     try:
         for task in args.tasks:
-            times, same = compare(workers, task, args.pairs, args.warmup,
-                                  args.seed)
+            times, same = compare(workers, task, args.pairs, args.seed)
             print(summary(task, times) + ("" if same else
                                           "  OUTCOMES DIFFER"), flush=True)
             agree &= same
