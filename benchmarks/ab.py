@@ -100,7 +100,8 @@ def layer(kind, args, setups):
     start = time.perf_counter()
     out = read(run, point, idx)
     seconds = time.perf_counter() - start
-    return seconds, None if out is None else [out.passed, out.error]
+    return seconds, None if out is None else [[rep.passed, rep.error]
+                                              for rep in out]
 
 
 class Worker:

@@ -2,9 +2,10 @@
 over a chunk of ``CHUNK_ROWS`` points.
 
 Every round builds the scenario, the change, the run context and the point
-context (phi's ``maps.LocalGeometry`` at the sample point, or over the
-chunk's points as one batch, as the runner builds it) anew (not timed), then
-times one read there, so nothing that the read needs is computed yet:
+context (phi's ``maps.LocalGeometry`` over the sample point as a 1-row
+batch, as the runner re-runs a row, or over the chunk's points as one batch,
+as the runner builds it) anew (not timed), then times one read there, so
+nothing that the read needs is computed yet:
 
 - ``jet2_arithmetic``: a rational and transcendental expression in Jet2
   arithmetic on seeded coordinates, at a point and over a chunk;
@@ -62,8 +63,8 @@ POINTS = {name: sample_points(get_scenario(config.scenario), ROUNDS, 42)
 
 def fresh_runs(workload, rows=None):
     """Setup of one round after another: a new run context and the point
-    context at the next sample point (with its index), or over the first
-    ``rows`` points."""
+    context at the next sample point as a 1-row batch (with its index), or
+    over the first ``rows`` points."""
     config = WORKLOADS[workload]
     state = {"idx": -1}
 
@@ -72,7 +73,7 @@ def fresh_runs(workload, rows=None):
         run = RunContext(scenario, config, config.build_change(scenario))
         state["idx"] = (state["idx"] + 1) % ROUNDS
         idx = state["idx"]
-        points = (POINTS[workload][idx] if rows is None
+        points = (POINTS[workload][idx:idx + 1] if rows is None
                   else POINTS[workload][:rows])
         return (run, maps.LocalGeometry(scenario.phi, points), idx), {}
 
@@ -109,7 +110,7 @@ def test_map_jets(benchmark, workload, rows):
 
 def fill(run, point, idx):
     phi, J = run.scenario.phi, run.scenario.J
-    for geo in (point, point.under(run.change.gbar)):
+    for geo in (point, point.under(run.gbar)):
         geo.christoffel
         geo.projector_and_lift_derivs
         hermitian.d_f_structure(geo, J)
@@ -123,7 +124,7 @@ def fill(run, point, idx):
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_factor_jets(benchmark, workload):
     timed(benchmark, workload,
-          lambda run, point, idx: run.change.change.factor_jets(point.p))
+          lambda run, point, idx: run.gbar.change.factor_jets(point.p))
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -151,7 +152,7 @@ def test_identity(benchmark, workload, name):
     results = []
 
     def check(run, point, idx):
-        results.append(run_identity(name, run, point, idx))
+        results.extend(run_identity(name, run, point, idx))
 
     timed(benchmark, workload, check)
     assert all(rep.error is None for rep in results)

@@ -5,8 +5,7 @@ f-structures, and verification of biconformal metric-change identities."""
 from .jets import Jet2, JetDomainError, seed_coordinates
 from .exprs import EvalError, ParseError, eval_jet, parse, to_text
 from .manifold import (ChartedRiemannianManifold, DomainError, FDMetric,
-                       GeometryError, JetMetric, MetricError, TangentVector,
-                       euclidean_space)
+                       GeometryError, JetMetric, MetricError, euclidean_space)
 from .maps import (LocalGeometry, OrthoSplit, RankError, FrameError,
                    SmoothMap, differential, mean_curvature_vertical,
                    ortho_split, tension_field)
@@ -14,11 +13,11 @@ from .hermitian import (AlmostComplexStructureField, AdaptedFrame,
                         adapted_frame, f_divergence_horizontal, f_structure,
                         phh_defect, phwc_defect, phwc_metric_defect,
                         tension_via_f_structure)
-from .biconformal import (BiconformalChange, BiconformalContext,
-                          ChangedMetric, IdentityResidualReport,
-                          PositivityError, special_change,
-                          verify_f_divergence, verify_koszul_h,
-                          verify_koszul_v, verify_mean_curvature,
+from .biconformal import (BiconformalChange, ChangedMetric,
+                          IdentityResidualReport, PositivityError,
+                          special_change, verify_f_divergence,
+                          verify_koszul_h, verify_koszul_v,
+                          verify_mean_curvature,
                           verify_phh_covariant_formula,
                           verify_phwc_equivalence,
                           verify_pullback_characterization,

@@ -11,19 +11,20 @@ whose values g-bar and the right sides of the laws read (no float twin), and
 ``PositivityError`` on every call.
 
 Every ``verify_*`` and ``corollary_*_at`` routine takes the point context,
-phi's source geometry at a sample point or a batch of them, and reads the
-geometry under g-bar from it (``LocalGeometry.under``).  It computes one
-identity's two sides by independent routes (the Levi-Civita geometry of
-g-bar, built from g-bar's own (g-bar, d g-bar), on one side; the closed-form
-transformation law on g's connection on the other) and reports the residual
-at each point (a list of reports for a batch); ``runner.IDENTITIES`` folds
-the reports over a run's points.
+phi's source geometry over a batch of sample points, and, for a law of the
+change, the ``ChangedMetric``, whose geometry it reads from the point context
+(``LocalGeometry.under``).  It computes one identity's two sides by
+independent routes (the Levi-Civita geometry of g-bar, built from g-bar's own
+(g-bar, d g-bar), on one side; the closed-form transformation law on g's
+connection on the other) and returns one report per row (``row_reports``);
+``runner.IDENTITIES`` folds the reports over a run's points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -205,19 +206,6 @@ class ChangedMetric(MetricField):
 
 
 @dataclass
-class BiconformalContext:
-    """A map together with a biconformal change of its source metric."""
-    phi: SmoothMap
-    J: AlmostComplexStructureField
-    change: BiconformalChange
-    gbar: ChangedMetric
-
-    @staticmethod
-    def build(phi, J, change):
-        return BiconformalContext(phi, J, change, ChangedMetric(phi, change))
-
-
-@dataclass
 class IdentityResidualReport:
     identity: str
     point: list
@@ -280,28 +268,26 @@ class IdentityAggregate:
                     passed=self.passed)
 
 
-def _rows(p, make):
-    """make(i) at one point (i = ()), or the list of make(i) over a batch."""
-    return make(()) if np.ndim(p) == 1 else [make(i) for i in range(len(p))]
+def row_reports(identity, p, absr, rel, passed, finite=None):
+    """One report per row of the batch of points p, from per-row arrays; a
+    row that is not ``finite`` (every row is, by default) is errored."""
+    rows = zip(p.tolist(), absr.tolist(), rel.tolist(), passed.tolist(),
+               repeat(True) if finite is None else finite.tolist())
+    return [IdentityResidualReport(identity, q, a, r, ok) if fin
+            else errored_report(identity, q, "non-finite residual")
+            for q, a, r, ok, fin in rows]
 
 
 @quiet
 def _report(identity, p, lhs, rhs, tol):
-    """Residual report of lhs = rhs (components on the last axis) at each
-    point; a non-finite side is a sample error."""
-    p = np.asarray(p, dtype=float)
+    """Residual reports of lhs = rhs (components on the last axis) at the
+    rows of p; a non-finite side is a sample error."""
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     absr = np.abs(lhs - rhs).max(axis=-1)
     scale = np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1))
     rel = absr / (scale + REL_FLOOR)
-    finite = np.isfinite(absr) & np.isfinite(scale)
-    reports = [
-        IdentityResidualReport(identity, q, a, r, r < tol) if ok
-        else errored_report(identity, q, "non-finite residual")
-        for q, a, r, ok in zip(p.reshape(-1, p.shape[-1]).tolist(),
-                               absr.ravel().tolist(), rel.ravel().tolist(),
-                               finite.ravel().tolist())]
-    return reports if p.ndim > 1 else reports[0]
+    return row_reports(identity, p, absr, rel, rel < tol,
+                       np.isfinite(absr) & np.isfinite(scale))
 
 
 def _squared(s):
@@ -316,8 +302,8 @@ def _require_horizontal(name, v, ph, g):
     return hv
 
 
-def verify_koszul_h(ctx: BiconformalContext, geo: LocalGeometry, x_comp,
-                    y_comp, tol: float = 1e-5):
+def verify_koszul_h(gbar: ChangedMetric, geo: LocalGeometry, x_comp, y_comp,
+                    tol: float = 1e-5):
     """Horizontal part of nabla-bar_X Y for horizontal X = P_H x_comp and
     Y = P_H y_comp against the closed form the Koszul formula gives:
 
@@ -332,9 +318,9 @@ def verify_koszul_h(ctx: BiconformalContext, geo: LocalGeometry, x_comp,
     x = _require_horizontal("X", x_comp, ph, g)
     y = matvec(ph, np.asarray(y_comp, dtype=float))
     xy = outer(x, y)
-    lhs = matvec(ph, contract(geo.under(ctx.gbar).christoffel, xy))
+    lhs = matvec(ph, contract(geo.under(gbar).christoffel, xy))
 
-    grad_ls, _ = ctx.gbar.grad_log_factors(geo)
+    grad_ls, _ = gbar.grad_log_factors(geo)
     dls = matvec(g, grad_ls)  # covector of ln sigma
     rhs = (matvec(ph, contract(geo.christoffel, xy))
            - dot(dls, x)[..., None] * y - dot(dls, y)[..., None] * x
@@ -342,7 +328,7 @@ def verify_koszul_h(ctx: BiconformalContext, geo: LocalGeometry, x_comp,
     return _report("koszul-horizontal", geo.p, lhs, rhs, tol)
 
 
-def verify_koszul_v(ctx: BiconformalContext, geo: LocalGeometry, v_comp,
+def verify_koszul_v(gbar: ChangedMetric, geo: LocalGeometry, v_comp,
                     tol: float = 1e-5):
     """Horizontal part of nabla-bar_V V for vertical V against the law
 
@@ -355,7 +341,7 @@ def verify_koszul_v(ctx: BiconformalContext, geo: LocalGeometry, v_comp,
     does not cancel.  Both sides read the same dP_H (the left through
     d g-bar), so a wrong dP_H is caught by koszul-horizontal,
     tension-f-structure and ``test_projector_derivative_matches_fd``."""
-    phi = ctx.phi
+    phi = gbar.phi
     if phi.m <= phi.two_n:
         raise GeometryError("no vertical distribution (m = 2n)")
     g = geo.g
@@ -366,9 +352,9 @@ def verify_koszul_v(ctx: BiconformalContext, geo: LocalGeometry, v_comp,
         raise GeometryError("V has no vertical part")
     dv = -contract(geo.projector_and_lift_derivs[0].swapaxes(-3, -2),
                    outer(v, v_comp))
-    lhs = matvec(ph, geo.under(ctx.gbar).covariant_derivative(v, v, dv))
+    lhs = matvec(ph, geo.under(gbar).covariant_derivative(v, v, dv))
 
-    s_jet, r_jet = ctx.gbar.factor_jets(geo)
+    s_jet, r_jet = gbar.factor_jets(geo)
     rho = r_jet.value
     # covector of rho^-2
     d_rho_m2 = pointwise(lambda r: -2.0 * r ** -3, rho)[..., None] * r_jet.grad
@@ -379,61 +365,62 @@ def verify_koszul_v(ctx: BiconformalContext, geo: LocalGeometry, v_comp,
     return _report("koszul-vertical", geo.p, lhs, rhs, tol)
 
 
-def verify_mean_curvature(ctx: BiconformalContext, geo: LocalGeometry,
+def verify_mean_curvature(gbar: ChangedMetric, geo: LocalGeometry,
                           tol: float = 1e-5):
     """Fiber mean curvature under the change: mu-bar = sigma^2 [mu + H(grad ln rho)].
 
     Both sides read the same dP_H (g-bar keeps H), so a wrong dP_H is caught
     by koszul-horizontal, tension-f-structure and
     ``test_projector_derivative_matches_fd``."""
-    phi = ctx.phi
+    phi = gbar.phi
     if phi.m <= phi.two_n:
         raise GeometryError("no fibers (m = 2n)")
-    lhs = mean_curvature_vertical(geo.under(ctx.gbar)).components
-    mu = mean_curvature_vertical(geo).components
-    _, grad_lr = ctx.gbar.grad_log_factors(geo)
+    lhs = mean_curvature_vertical(geo.under(gbar))
+    mu = mean_curvature_vertical(geo)
+    _, grad_lr = gbar.grad_log_factors(geo)
     ph = horizontal_projector(geo)
-    s, _ = ctx.gbar.factor_values(geo)
+    s, _ = gbar.factor_values(geo)
     rhs = _squared(s)[..., None] * (mu + matvec(ph, grad_lr))
     return _report("mean-curvature", geo.p, lhs, rhs, tol)
 
 
-def verify_f_divergence(ctx: BiconformalContext, geo: LocalGeometry,
-                        tol: float = 1e-5):
+def verify_f_divergence(gbar: ChangedMetric, geo: LocalGeometry,
+                        J: AlmostComplexStructureField, tol: float = 1e-5):
     """F div_H F under the change: sigma^2 [F div_H F + (2n-2) grad_H ln sigma].
 
     The gradient correction is projected to H: the full gradient differs
     from it by a vertical component that the left side cannot contain.
     """
-    lhs = f_divergence_horizontal(geo.under(ctx.gbar), ctx.J).components
-    div = f_divergence_horizontal(geo, ctx.J).components
-    grad_ls, _ = ctx.gbar.grad_log_factors(geo)
+    lhs = f_divergence_horizontal(geo.under(gbar), J)
+    div = f_divergence_horizontal(geo, J)
+    grad_ls, _ = gbar.grad_log_factors(geo)
     ph = horizontal_projector(geo)
-    s, _ = ctx.gbar.factor_values(geo)
-    n2 = 2.0 * ctx.phi.n - 2.0
+    s, _ = gbar.factor_values(geo)
+    n2 = 2.0 * gbar.phi.n - 2.0
     rhs = _squared(s)[..., None] * (div + n2 * matvec(ph, grad_ls))
     return _report("f-divergence", geo.p, lhs, rhs, tol)
 
 
-def verify_tension_transform(ctx: BiconformalContext, geo: LocalGeometry,
+def verify_tension_transform(gbar: ChangedMetric, geo: LocalGeometry,
                              tol: float = 1e-5):
     """Tension field under the change:
 
     tau-bar = sigma^2 [tau + dphi((2n-m) grad ln rho + (2-2n) grad ln sigma)]
     """
-    lhs = tension_field(geo.under(ctx.gbar)).components
-    tau = tension_field(geo).components
-    grad_ls, grad_lr = ctx.gbar.grad_log_factors(geo)
+    lhs = tension_field(geo.under(gbar))
+    tau = tension_field(geo)
+    grad_ls, grad_lr = gbar.grad_log_factors(geo)
     a = differential(geo)
-    s, _ = ctx.gbar.factor_values(geo)
-    two_n, m = ctx.phi.two_n, ctx.phi.m
+    s, _ = gbar.factor_values(geo)
+    two_n, m = gbar.phi.two_n, gbar.phi.m
     correction = (two_n - m) * grad_lr + (2.0 - two_n) * grad_ls
     rhs = _squared(s)[..., None] * (tau + matvec(a, correction))
     return _report("tension-transform", geo.p, lhs, rhs, tol)
 
 
-def verify_phh_covariant_formula(ctx: BiconformalContext, geo: LocalGeometry,
-                                 x_comp, y_comp, tol: float = 1e-5):
+def verify_phh_covariant_formula(gbar: ChangedMetric, geo: LocalGeometry,
+                                 J: AlmostComplexStructureField, x_comp,
+                                 y_comp, tol: float = 1e-5):
     """Horizontal part of (nabla-bar_X F)Y for horizontal X, Y against its
     expansion in terms of the unchanged connection and ln sigma:
 
@@ -445,15 +432,15 @@ def verify_phh_covariant_formula(ctx: BiconformalContext, geo: LocalGeometry,
     ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
     y = _require_horizontal("Y", y_comp, ph, g)
-    f = f_structure(geo, ctx.J)
-    df = d_f_structure(geo, ctx.J)
+    f = f_structure(geo, J)
+    df = d_f_structure(geo, J)
 
     xy = outer(x, y)
-    nab_bar = nabla_f_operator(f, df, geo.under(ctx.gbar).christoffel)
+    nab_bar = nabla_f_operator(f, df, geo.under(gbar).christoffel)
     lhs = matvec(ph, contract(nab_bar.swapaxes(-3, -2), xy))
 
     nab = nabla_f_operator(f, df, geo.christoffel)
-    grad_ls, _ = ctx.gbar.grad_log_factors(geo)
+    grad_ls, _ = gbar.grad_log_factors(geo)
     grad_h = matvec(ph, grad_ls)
     dls = matvec(g, grad_ls)
     fy = matvec(f, y)
@@ -498,8 +485,8 @@ def verify_tension_equivalence(geo: LocalGeometry,
                                J: AlmostComplexStructureField,
                                tol: float = 1e-6):
     """Trace-formula tension field against the f-structure route."""
-    lhs = tension_field(geo).components
-    rhs = tension_via_f_structure(geo, J).components
+    lhs = tension_field(geo)
+    rhs = tension_via_f_structure(geo, J)
     return _report("tension-f-structure", geo.p, lhs, rhs, tol)
 
 
@@ -507,32 +494,26 @@ def verify_phwc_equivalence(geo: LocalGeometry,
                             J: AlmostComplexStructureField,
                             tol: float = 1e-6):
     """The operator-commutator defect and the metric-compatibility defect
-    vanish together (both below tol, or both above)."""
+    vanish together (both below tol, or both above).  Where phi has no
+    submersion structure only the commutator defect is defined, and is the
+    reading; a batch with a regular row raises there, so that the runner
+    settles it one row at a time."""
     d1, s1 = phwc_defect(geo, J)
     r1 = d1 / (s1 + REL_FLOOR)
     try:
         d2, s2 = phwc_metric_defect(geo, J)
-        r2 = d2 / (s2 + REL_FLOOR)
     except RankError:
-        if geo.p.ndim > 1:
-            raise  # at some rows of the batch: those are settled one by one
-        # no submersion structure; only the commutator defect is defined
-        return IdentityResidualReport("phwc-equivalence", geo.p.tolist(),
-                                      float(d1), float(r1), True)
-    return _rows(geo.p, lambda i: IdentityResidualReport(
-        "phwc-equivalence", geo.p[i].tolist(),
-        max(float(d1[i]), float(d2[i])), max(float(r1[i]), float(r2[i])),
-        bool((r1[i] < tol) == (r2[i] < tol))))
+        if len(geo.p) > 1:
+            raise
+        return row_reports("phwc-equivalence", geo.p, d1, r1,
+                           np.ones_like(r1, dtype=bool))
+    r2 = d2 / (s2 + REL_FLOOR)
+    # the larger of each pair, the first where they tie or one is NaN
+    return row_reports("phwc-equivalence", geo.p, np.where(d2 > d1, d2, d1),
+                       np.where(r2 > r1, r2, r1), (r1 < tol) == (r2 < tol))
 
 
-def one_function_context(phi: SmoothMap, J: AlmostComplexStructureField,
-                         sigma: Expr):
-    """The one-function change of sigma; raises GeometryError for m = 2n."""
-    return BiconformalContext.build(phi, J,
-                                    special_change(sigma, phi.m, phi.n))
-
-
-def corollary_psh_at(scenario, ctx: BiconformalContext, geo: LocalGeometry,
+def corollary_psh_at(scenario, gbar: ChangedMetric, geo: LocalGeometry,
                      tol: float = 1e-5):
     """Harmonicity and metric compatibility survive the one-function change.
 
@@ -540,28 +521,29 @@ def corollary_psh_at(scenario, ctx: BiconformalContext, geo: LocalGeometry,
     and the PHWC defect must stay below tolerance under g_sigma; on a
     non-harmonic PHWC scenario the tension must stay visibly nonzero
     (here checked through sigma^2 tau, the exact transformed value for this
-    change).  ``ctx`` is the one-function change."""
-    bar = geo.under(ctx.gbar)
-    tau_bar = np.abs(tension_field(bar).components).max(axis=-1)
-    defect, scale = phwc_defect(bar, ctx.J)
+    change).  ``gbar`` is the one-function change."""
+    bar = geo.under(gbar)
+    tau_bar = np.abs(tension_field(bar)).max(axis=-1)
+    defect, scale = phwc_defect(bar, scenario.J)
     rel = defect / (scale + REL_FLOOR)
     if scenario.expected_flags.get("harmonic"):
         tau = tau_bar / REL_FLOOR
         ok, resid = (tau < tol) & (rel < tol), np.where(rel > tau, rel, tau)
     else:
         # tension must not collapse to zero where tau_g is nonzero
-        s, _ = ctx.gbar.factor_values(geo)
-        ref = _squared(s) * np.abs(tension_field(geo).components).max(axis=-1)
+        s, _ = gbar.factor_values(geo)
+        ref = _squared(s) * np.abs(tension_field(geo)).max(axis=-1)
         ok = (rel < tol) & ((ref < 10 * tol) | (tau_bar > 0.5 * ref))
         resid = rel
-    return _rows(geo.p, lambda i: IdentityResidualReport(
-        "corollary-psh", geo.p[i].tolist(), float(resid[i]), float(resid[i]),
-        bool(ok[i])))
+    return row_reports("corollary-psh", geo.p, resid, resid, ok)
 
 
 # why corollary-phh has no breaking direction to check
 PHH_N1_WARNING = ("breaking direction skipped: the correction term carries "
                   "a factor 2n-2 = 0 for n = 1")
+
+# the PHH defect that a nonconstant sigma must reach where it breaks PHH
+BREAKING_FLOOR = 1e-3
 
 
 def phh_breaking_checkable(n: int, sigma: Expr) -> bool:
@@ -570,24 +552,22 @@ def phh_breaking_checkable(n: int, sigma: Expr) -> bool:
     return n >= 2 or exprs.max_var_index(sigma) < 0
 
 
-def corollary_phh_at(ctx: BiconformalContext, geo: LocalGeometry,
-                     tol: float = 1e-6, breaking_floor: float = 1e-3):
-    """PHH survives the one-function change ``ctx`` exactly for constant
+def corollary_phh_at(gbar: ChangedMetric, geo: LocalGeometry,
+                     J: AlmostComplexStructureField, tol: float = 1e-6):
+    """PHH survives the one-function change ``gbar`` exactly for constant
     sigma.
 
     Constant sigma: the PHH defect under g_sigma stays below tol.  Nonconstant
     sigma with a horizontally nonvanishing gradient must break PHH visibly
-    (defect above ``breaking_floor``); see ``phh_breaking_checkable``."""
-    defect, scale = phh_defect(geo.under(ctx.gbar), ctx.J)
+    (defect above ``BREAKING_FLOOR``); see ``phh_breaking_checkable``."""
+    defect, scale = phh_defect(geo.under(gbar), J)
     rel = defect / (scale + REL_FLOOR)
-    if exprs.max_var_index(ctx.change.sigma) < 0:
+    if exprs.max_var_index(gbar.change.sigma) < 0:
         ok = rel < tol
     else:
         grad_h = matvec(geo.projector_and_lift[0],
-                        ctx.gbar.grad_log_factors(geo)[0])
+                        gbar.grad_log_factors(geo)[0])
         strength = np.sqrt(quad(grad_h, geo.g, grad_h))
         # only points with a visible horizontal log-gradient must break
-        ok = (defect > breaking_floor) | ~(strength > 0.05)
-    return _rows(geo.p, lambda i: IdentityResidualReport(
-        "corollary-phh", geo.p[i].tolist(), float(defect[i]), float(rel[i]),
-        bool(ok[i])))
+        ok = (defect > BREAKING_FLOOR) | ~(strength > 0.05)
+    return row_reports("corollary-phh", geo.p, defect, rel, ok)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import first
-from .manifold import (ChartedRiemannianManifold, TangentVector, act_first,
-                       contract, dot, jet_matrix_and_derivs, matvec, per_k)
+from .manifold import (ChartedRiemannianManifold, act_first, contract, dot,
+                       jet_matrix_and_derivs, matvec, per_k)
 from .maps import (FrameError, LocalGeometry, check_submersion, differential,
                    mean_curvature_vertical, ortho_split)
 
@@ -200,7 +200,7 @@ def _nabla_f(geo, J) -> np.ndarray:
 
 
 def f_divergence_horizontal(geo: LocalGeometry,
-                            J: AlmostComplexStructureField) -> TangentVector:
+                            J: AlmostComplexStructureField) -> np.ndarray:
     """F applied to the horizontal trace of nabla F:
 
     F sum_a (nabla_{f_a} F)(f_a)
@@ -211,7 +211,7 @@ def f_divergence_horizontal(geo: LocalGeometry,
     def compute():
         r = geo.horizontal_factor
         total = contract(_nabla_f(geo, J).swapaxes(-3, -2), r.mT @ r)
-        return TangentVector(geo.p, matvec(f_structure(geo, J), total))
+        return matvec(f_structure(geo, J), total)
 
     return geo.field(("f_divergence", J), compute)
 
@@ -238,7 +238,7 @@ def phh_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
 
 
 def tension_via_f_structure(geo: LocalGeometry,
-                            J: AlmostComplexStructureField) -> TangentVector:
+                            J: AlmostComplexStructureField) -> np.ndarray:
     """Tension field through the f-structure route:
 
     tau = -dphi( F div_H F + (m - 2n) mu^V )
@@ -246,10 +246,7 @@ def tension_via_f_structure(geo: LocalGeometry,
     Only meaningful for PHWC maps (``f_divergence_horizontal`` requires
     it)."""
     phi = geo.phi
-    div = f_divergence_horizontal(geo, J)
-    total = div.components.copy()
+    total = f_divergence_horizontal(geo, J)
     if phi.m > phi.two_n:
-        mu = mean_curvature_vertical(geo)
-        total += (phi.m - phi.two_n) * mu.components
-    a = differential(geo)
-    return TangentVector(geo.map_jets[0], -matvec(a, total))
+        total = total + (phi.m - phi.two_n) * mean_curvature_vertical(geo)
+    return -matvec(differential(geo), total)

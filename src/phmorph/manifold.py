@@ -19,13 +19,11 @@ kept once, read-only, in the ``maps.LocalGeometry`` that the runner builds
 for a chunk of points and drops after it.  ``jet_matrix_and_derivs`` is a
 boundary where non-finite jets are caught (see ``jets``).  Every function
 takes a point (shape (m,)) or a batch of points (shape (B, m)); a check
-fails if it fails at some row, and names the first such row.
+fails if it fails at some row, and names the first such row.  A vector is a
+plain array of its components, on the last axis.
 """
 
 from __future__ import annotations
-
-import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,22 +43,9 @@ class MetricError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    base: np.ndarray
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        object.__setattr__(self, "components",
-                           np.asarray(self.components, dtype=float))
-        if self.base.shape != self.components.shape:
-            raise ValueError("tangent vector base/component length mismatch")
-
-
 def each_array(fn, value):
     """``value`` with ``fn`` applied to every array it holds: itself, or in a
-    tuple, a Jet2 or a dataclass instance (such as a ``TangentVector``)."""
+    tuple or a Jet2."""
     if isinstance(value, np.ndarray):
         return fn(value)
     if isinstance(value, tuple):
@@ -68,9 +53,6 @@ def each_array(fn, value):
     if isinstance(value, Jet2):
         return Jet2(fn(value.value), fn(value.grad), fn(value.hess),
                     _check=False)
-    if dataclasses.is_dataclass(value):
-        return type(value)(*(each_array(fn, getattr(value, item.name))
-                             for item in dataclasses.fields(value)))
     return value
 
 
@@ -326,7 +308,6 @@ def euclidean_metric(dim: int) -> JetMetric:
     return JetMetric(dim, fn)
 
 
-def euclidean_space(dim: int, box: float = 1.0) -> ChartedRiemannianManifold:
-    return ChartedRiemannianManifold(
-        dim, euclidean_metric(dim),
-        sample_region=(-box * np.ones(dim), box * np.ones(dim)))
+def euclidean_space(dim: int) -> ChartedRiemannianManifold:
+    """Flat R^dim, sampled in the box [-1, 1]^dim."""
+    return ChartedRiemannianManifold(dim, euclidean_metric(dim))

@@ -10,7 +10,7 @@ matrix: ``manifold.contract``, ``act_first`` and ``matvec``).
 ``geo.under(metric)`` the one under another metric, whose fields its source
 keeps: no geometry refers to those built from it, so reference counting
 frees them with the source, which the runner drops after each chunk of
-sample points.  ``rows`` gives a batch's one-point geometries, on which a
+sample points.  ``rows`` gives a batch's rows as 1-row batches, on which a
 check that fails on the batch is re-run.  Each field is computed on its
 first read, kept read-only, and never kept when it fails:
 
@@ -19,7 +19,7 @@ first read, kept read-only, and never kept when it fails:
   derivatives, the rank check, P_H, the lift and their derivatives, the
   horizontal factor R with R^T R = P_H g^-1 P_H^T (``hermitian`` takes its
   horizontal traces over R's rows), ``tension_field`` and
-  ``mean_curvature_vertical``;
+  ``mean_curvature_vertical`` (component arrays, as every vector here);
 - in the source geometry only: the map's jets, and the target's h and Gamma
   at phi(p);
 - per J, from ``hermitian``: J and dJ at phi(p), F and dF (in the geometry
@@ -49,9 +49,8 @@ import numpy as np
 from . import jets
 from .jets import Jet2, first
 from .manifold import (ChartedRiemannianManifold, GeometryError, MetricField,
-                       TangentVector, contract, dot, each_array,
-                       inverse_metric, levi_civita, matvec, outer, per_k,
-                       read_only)
+                       contract, dot, each_array, inverse_metric, levi_civita,
+                       matvec, outer, per_k, read_only)
 
 RANK_TOL = 1e-8
 
@@ -140,15 +139,12 @@ class LocalGeometry:
 
     @property
     def rows(self):
-        """The point context's one-point geometries (itself at one point),
-        each starting with the fields the batch has computed, at its row."""
-        if self.p.ndim == 1:
-            return (self,)
-
+        """The batch's rows as 1-row batches, each starting with the fields
+        the batch has computed, at its row."""
         def build(i):
-            row = LocalGeometry(self.phi, self.p[i])
+            row = LocalGeometry(self.phi, self.p[i:i + 1])
             row._fields.update(
-                (key, each_array(lambda a: a[i, ...], value))
+                (key, each_array(lambda a: a[i:i + 1], value))
                 for key, value in self._fields.items() if key[1] != "rows")
             return row
 
@@ -284,21 +280,20 @@ class LocalGeometry:
         return np.linalg.cholesky(minv).mT @ adjoint.mT
 
     @_kept
-    def tension_field(self) -> TangentVector:
+    def tension_field(self) -> np.ndarray:
         """Trace of the second fundamental form, in target chart components:
 
         tau^a = g^{ij} (d_i d_j phi^a - Gamma^k_ij(M) d_k phi^a
                         + Gamma^a_bc(N) d_i phi^b d_j phi^c)
         """
-        q, a, da = self.map_jets
+        _, a, da = self.map_jets
         ginv = self.ginv
-        tau = (contract(da.swapaxes(-3, -2), ginv)
-               - matvec(a, contract(self.christoffel, ginv))
-               + contract(self.source.target_christoffel, a @ ginv @ a.mT))
-        return TangentVector(q, tau)
+        return (contract(da.swapaxes(-3, -2), ginv)
+                - matvec(a, contract(self.christoffel, ginv))
+                + contract(self.source.target_christoffel, a @ ginv @ a.mT))
 
     @_kept
-    def mean_curvature_vertical(self) -> TangentVector:
+    def mean_curvature_vertical(self) -> np.ndarray:
         """Normalized mean curvature of the fibers:
 
         mu^V = (1 / (m - 2n)) sum_alpha H(nabla_{e_alpha} e_alpha)
@@ -319,14 +314,14 @@ class LocalGeometry:
         pv = np.eye(m) - ph
         t = pv @ self.ginv @ pv.mT
         total = contract(self.christoffel - dph.swapaxes(-3, -2), t)
-        return TangentVector(self.p, matvec(ph, total) / (m - two_n))
+        return matvec(ph, total) / (m - two_n)
 
 
-def check_submersion(geo: LocalGeometry, rank_tol: float = RANK_TOL):
-    """The differential at the point, checked to have full rank 2n
-    (read-only)."""
+def check_submersion(geo: LocalGeometry):
+    """The differential at the point, checked to have full rank 2n: its
+    smallest singular value above ``RANK_TOL`` (read-only)."""
     a, smallest = geo._differential
-    bad = smallest <= rank_tol
+    bad = smallest <= RANK_TOL
     if np.count_nonzero(bad):
         raise RankError("map is not a submersion at %s: smallest singular "
                         "value %g" % (first(geo.p, bad).tolist(),
@@ -394,12 +389,12 @@ def ortho_split(geo: LocalGeometry) -> OrthoSplit:
     return OrthoSplit(v_frame, _gram_schmidt(ph.T, g, two_n))
 
 
-def tension_field(geo: LocalGeometry) -> TangentVector:
+def tension_field(geo: LocalGeometry) -> np.ndarray:
     """Trace of the second fundamental form, in target chart components
     (``LocalGeometry``)."""
     return geo.tension_field
 
 
-def mean_curvature_vertical(geo: LocalGeometry) -> TangentVector:
+def mean_curvature_vertical(geo: LocalGeometry) -> np.ndarray:
     """Normalized mean curvature of the fibers (``LocalGeometry``)."""
     return geo.mean_curvature_vertical

@@ -9,11 +9,12 @@ that gives its reports at the sample points of a point context.
 A run checks its sample points in chunks of ``CHUNK``, in order: a chunk's
 point context, phi's ``maps.LocalGeometry`` over its points as one batch, is
 handed to every applicable identity (``run_identity``) and then to the flag
-checks, and dropped before the next chunk.  A check that raises a sample
-error on a chunk is re-run on each row's one-point geometry
-(``LocalGeometry.rows``), which gives that point's report, errored or not,
-as a run of one point would.  Each identity, and each flag, folds its
-reports into one ``IdentityAggregate`` in point order."""
+checks (``confirm_flags``), and dropped before the next chunk.  Every check
+returns one report per row.  ``_settle`` runs both kinds: a check that raises
+a sample error on a batch is re-run on each row as a 1-row batch
+(``LocalGeometry.rows``), and a sample error at one row is that row's
+errored report.  Each identity, and each flag, folds its reports into one
+``IdentityAggregate`` in point order."""
 
 from __future__ import annotations
 
@@ -23,12 +24,11 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import exprs, scenarios
-from .biconformal import (BiconformalChange, BiconformalContext,
+from .biconformal import (BiconformalChange, ChangedMetric,
                           HOLOMORPHIC_BUILTINS, IdentityAggregate,
-                          IdentityResidualReport, PHH_N1_WARNING, REL_FLOOR,
-                          SAMPLE_ERRORS, corollary_phh_at, corollary_psh_at,
-                          errored_report, one_function_context,
-                          phh_breaking_checkable, special_change,
+                          PHH_N1_WARNING, REL_FLOOR, SAMPLE_ERRORS,
+                          corollary_phh_at, corollary_psh_at, errored_report,
+                          phh_breaking_checkable, row_reports, special_change,
                           verify_f_divergence, verify_koszul_h,
                           verify_koszul_v, verify_mean_curvature,
                           verify_phh_covariant_formula,
@@ -98,22 +98,23 @@ def _check_chart(scenario: Scenario, expressions):
 
 
 class RunContext:
-    """What the checks of a run read: the scenario, the config,
-    the biconformal context of the change and that of the one-function
-    change of its sigma (None when the scenario has no fibers)."""
+    """What the checks of a run read: the scenario, the config, the changed
+    metric ``gbar`` and that of the one-function change of its sigma,
+    ``one_function`` (None when the scenario has no fibers)."""
 
     def __init__(self, scenario: Scenario, config: RunConfig,
                  change: BiconformalChange):
-        phi, J = scenario.phi, scenario.J
+        phi = scenario.phi
         self.scenario, self.config = scenario, config
-        self.change = BiconformalContext.build(phi, J, change)
-        self.one_function = (one_function_context(phi, J, change.sigma)
-                             if phi.m > phi.two_n else None)
+        self.gbar = ChangedMetric(phi, change)
+        self.one_function = (
+            ChangedMetric(phi, special_change(change.sigma, phi.m, phi.n))
+            if phi.m > phi.two_n else None)
 
     def draw(self, geo: LocalGeometry, idx: int, tag: int, count: int = 1):
         """Random test components for the rows of ``geo``, sample indices
         idx, idx + 1, ..., seeded by the run's seed, sample index and tag."""
-        seed, rows = self.config.seed, geo.p.size // geo.p.shape[-1]
+        seed, rows = self.config.seed, len(geo.p)
         draws = np.stack([
             np.random.default_rng([seed, idx + i, tag]).standard_normal(
                 (count, self.scenario.phi.m)) for i in range(rows)], axis=1)
@@ -133,9 +134,7 @@ def _pullback(run: RunContext, geo: LocalGeometry, idx):
         reps.append(verify_pullback_characterization(geo, holo, tol=tol))
         if run.config.special_sigma is not None:
             reps.append(verify_pullback_characterization(
-                geo.under(run.change.gbar), holo, tol=tol))
-    if geo.p.ndim == 1:
-        return max(reps, key=lambda r: r.rel_residual)
+                geo.under(run.gbar), holo, tol=tol))
     return [max(row, key=lambda r: r.rel_residual) for row in zip(*reps)]
 
 
@@ -176,19 +175,20 @@ IDENTITIES = {
         verify_tension_equivalence(geo, run.scenario.J,
                                    tol=run.config.tol_fd))),
     "tension-transform": Identity(("phwc",), lambda run, geo, idx: (
-        verify_tension_transform(run.change, geo, tol=run.config.tol_fd))),
+        verify_tension_transform(run.gbar, geo, tol=run.config.tol_fd))),
     "koszul-horizontal": Identity(("phwc",), lambda run, geo, idx: (
-        verify_koszul_h(run.change, geo, *run.draw(geo, idx, 3, count=2),
+        verify_koszul_h(run.gbar, geo, *run.draw(geo, idx, 3, count=2),
                         tol=run.config.tol_fd))),
     "koszul-vertical": Identity(("phwc", "fibers"), lambda run, geo, idx: (
-        verify_koszul_v(run.change, geo, run.draw(geo, idx, 4),
+        verify_koszul_v(run.gbar, geo, run.draw(geo, idx, 4),
                         tol=run.config.tol_fd))),
     "mean-curvature": Identity(("phwc", "fibers"), lambda run, geo, idx: (
-        verify_mean_curvature(run.change, geo, tol=run.config.tol_fd))),
+        verify_mean_curvature(run.gbar, geo, tol=run.config.tol_fd))),
     "f-divergence": Identity(("phwc",), lambda run, geo, idx: (
-        verify_f_divergence(run.change, geo, tol=run.config.tol_fd))),
+        verify_f_divergence(run.gbar, geo, run.scenario.J,
+                            tol=run.config.tol_fd))),
     "phh-covariant": Identity(("phwc",), lambda run, geo, idx: (
-        verify_phh_covariant_formula(run.change, geo,
+        verify_phh_covariant_formula(run.gbar, geo, run.scenario.J,
                                      *run.draw(geo, idx, 7, count=2),
                                      tol=run.config.tol_fd))),
     "pullback": Identity(("phwc", "harmonic"), _pullback),
@@ -197,8 +197,9 @@ IDENTITIES = {
                          tol=run.config.tol_fd)), worst_by_abs=True),
     "corollary-phh": Identity(
         ("phwc", "fibers", "phh", "n >= 2 or sigma constant"),
-        lambda run, geo, idx: corollary_phh_at(run.one_function, geo,
-                                               tol=10.0 * run.config.tol_ad),
+        lambda run, geo, idx: corollary_phh_at(
+            run.one_function, geo, run.scenario.J,
+            tol=10.0 * run.config.tol_ad),
         worst_by_abs=True),
 }
 ALL_IDENTITIES = tuple(IDENTITIES)
@@ -214,17 +215,25 @@ def skip_reason(name: str, scenario: Scenario,
     return None
 
 
-def run_identity(name: str, run: RunContext, geo: LocalGeometry, idx: int):
-    """The reports of one identity at the point context ``geo``, whose first
-    row has sample index ``idx``.  A sample error on a batch re-runs it on
-    each row's one-point geometry, and at one point is an errored report."""
+def _settle(name: str, check: Callable, geo: LocalGeometry, idx: int):
+    """``check(geo, idx)``, the reports named ``name`` at the rows of the
+    point context ``geo``, whose first row has sample index ``idx``.  A
+    sample error re-runs the check on each row as a 1-row batch, and at one
+    row is that row's errored report."""
     try:
-        return IDENTITIES[name].check(run, geo, idx)
+        return check(geo, idx)
     except SAMPLE_ERRORS as err:
-        if geo.p.ndim == 1:
-            return errored_report(name, geo.p, err)
-    return [run_identity(name, run, row, idx + i)
-            for i, row in enumerate(geo.rows)]
+        if len(geo.p) == 1:
+            return [errored_report(name, geo.p[0], err)]
+    return [rep for i, row in enumerate(geo.rows)
+            for rep in _settle(name, check, row, idx + i)]
+
+
+def run_identity(name: str, run: RunContext, geo: LocalGeometry, idx: int):
+    """The reports of one identity at the rows of the point context ``geo``,
+    whose first row has sample index ``idx`` (settled by ``_settle``)."""
+    check = IDENTITIES[name].check
+    return _settle(name, lambda geo, idx: check(run, geo, idx), geo, idx)
 
 
 def _relative(defect_and_scale):
@@ -236,22 +245,16 @@ def _relative(defect_and_scale):
 FLAG_DEFECTS = {
     "phwc": lambda geo, J: _relative(phwc_defect(geo, J)),
     "harmonic": lambda geo, J: (
-        np.max(np.abs(tension_field(geo).components), axis=-1) / REL_FLOOR),
+        np.max(np.abs(tension_field(geo)), axis=-1) / REL_FLOOR),
     "phh": lambda geo, J: _relative(phh_defect(geo, J)),
 }
 
 
 def _flag_reports(flag: str, geo: LocalGeometry, J):
-    """The flag's defects at ``geo`` as reports, settled as in
-    ``run_identity``."""
-    try:
-        defect = FLAG_DEFECTS[flag](geo, J)
-    except SAMPLE_ERRORS as err:
-        if geo.p.ndim == 1:
-            return [errored_report(flag, geo.p, err)]
-        return [rep for row in geo.rows for rep in _flag_reports(flag, row, J)]
-    return [IdentityResidualReport(flag, q, d, d, True) for q, d in zip(
-        geo.p.reshape(-1, geo.phi.m).tolist(), np.ravel(defect).tolist())]
+    """The flag's defect at each row of ``geo`` as a passing report."""
+    defect = FLAG_DEFECTS[flag](geo, J)
+    return row_reports(flag, geo.p, defect, defect,
+                       np.ones_like(defect, dtype=bool))
 
 
 def _flag_tallies(scenario: Scenario):
@@ -286,14 +289,15 @@ def _flag_entries(scenario: Scenario, tallies, tol):
 def confirm_flags(scenario: Scenario, geos, tol: float = 1e-5,
                   tallies=None):
     """Re-measure the scenario's expected PHWC / PHH / harmonicity flags at
-    the point contexts ``geos`` (the map's ``LocalGeometry`` at a point or
-    a chunk), into new ``tallies`` or, chunk by chunk in a run, into the
-    run's (a sample error is an errored report), and return the report's
-    flag section over every point folded so far."""
+    the point contexts ``geos`` (the map's ``LocalGeometry`` over a batch
+    of points), into new ``tallies`` or, chunk by chunk in a run, into the
+    run's (settled by ``_settle``), and return the report's flag section
+    over every point folded so far."""
     tallies = _flag_tallies(scenario) if tallies is None else tallies
     for geo in geos:
         for flag, tally in tallies.items():
-            for rep in _flag_reports(flag, geo, scenario.J):
+            for rep in _settle(flag, lambda row, _: _flag_reports(
+                    flag, row, scenario.J), geo, 0):
                 tally.add(rep)
     return _flag_entries(scenario, tallies, tol)
 

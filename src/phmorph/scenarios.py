@@ -138,14 +138,14 @@ def _curved_fibers_nonharmonic() -> Scenario:
 
 
 class _HopfScenario(Scenario):
-    def self_check(self, tol: float = 1e-8, count: int = 5):
+    def self_check(self):
         """The horizontal differential must be an isometry (Riemannian
-        submersion control)."""
-        geo = LocalGeometry(self.phi, sample_points(self, count, seed=7))
+        submersion control), to 1e-8 at five points."""
+        geo = LocalGeometry(self.phi, sample_points(self, 5, seed=7))
         a = differential(geo)
         defect = np.abs(a @ geo.ginv @ a.mT @ geo.h
                         - np.eye(2)).max(axis=(-2, -1))
-        bad = defect > tol
+        bad = defect > 1e-8
         if np.count_nonzero(bad):
             return False, ("horizontal differential is not an isometry at %s "
                            "(defect %g)" % (first(geo.p, bad).tolist(),
@@ -232,16 +232,16 @@ def get_scenario(name: str) -> Scenario:
     return builder()
 
 
-def sample_points(scenario: Scenario, count: int, seed: int,
-                  max_attempts_per_point: int = 1000):
-    """Deterministic rejection sampling inside the scenario's chart box."""
+def sample_points(scenario: Scenario, count: int, seed: int):
+    """Deterministic rejection sampling inside the scenario's chart box, at
+    most 1,000 attempts per requested point."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     lo, hi = scenario.source.sample_region
     points = []
     attempts = 0
-    budget = count * max_attempts_per_point
+    budget = count * 1000
     while len(points) < count:
         if attempts >= budget:
             raise GeometryError("sample region exhausted after %d attempts"

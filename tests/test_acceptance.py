@@ -15,7 +15,6 @@ import pytest
 import phmorph as pm
 from phmorph import (
     BiconformalChange,
-    BiconformalContext,
     ChangedMetric,
     LocalGeometry,
     RunConfig,
@@ -32,7 +31,7 @@ from phmorph import (
     verify_pullback_characterization,
     verify_tension_transform,
 )
-from phmorph.biconformal import corollary_phh_at, one_function_context
+from phmorph.biconformal import corollary_phh_at
 from phmorph.cli import main as cli_main
 from phmorph.hermitian import phwc_defect, phwc_metric_defect
 from phmorph.maps import horizontal_projector
@@ -73,8 +72,8 @@ def test_criterion_01_tension_route_equivalence():
         sc = get_scenario(name)
         for p in sample_points(sc, 45, seed=20):
             geo = LocalGeometry(sc.phi, p)
-            a = tension_field(geo).components
-            b = tension_via_f_structure(geo, sc.J).components
+            a = tension_field(geo)
+            b = tension_via_f_structure(geo, sc.J)
             rel = np.max(np.abs(a - b)) / (np.max(np.abs(a)) + 1.0)
             worst = max(worst, rel)
             count += 1
@@ -89,12 +88,12 @@ def test_criterion_02_tension_transformation_law():
     for name in PHWC_SCENARIOS:
         sc = get_scenario(name)
         for sigma, rho in _sigma_rho_pairs(sc.phi.m, sc.phi.two_n):
-            ctx = BiconformalContext.build(
-                sc.phi, sc.J, BiconformalChange.from_texts(sigma, rho))
+            gbar = ChangedMetric(sc.phi,
+                                 BiconformalChange.from_texts(sigma, rho))
             for p in sample_points(sc, 6, seed=21):
-                geo = LocalGeometry(sc.phi, p)
-                worst = max(worst,
-                            verify_tension_transform(ctx, geo).rel_residual)
+                geo = LocalGeometry(sc.phi, [p])
+                [rep] = verify_tension_transform(gbar, geo)
+                worst = max(worst, rep.rel_residual)
     _report(2, "tension transformation law: max rel residual %.2e" % worst,
             worst < 1e-5)
 
@@ -105,18 +104,19 @@ def test_criterion_03_koszul_identities():
     for name in PHWC_SCENARIOS:
         sc = get_scenario(name)
         m, two_n = sc.phi.m, sc.phi.two_n
-        ctx = BiconformalContext.build(
-            sc.phi, sc.J,
-            BiconformalChange.from_texts(*_sigma_rho_pairs(m, two_n)[2]))
-        geos = [LocalGeometry(sc.phi, p)
+        gbar = ChangedMetric(sc.phi, BiconformalChange.from_texts(
+            *_sigma_rho_pairs(m, two_n)[2]))
+        geos = [LocalGeometry(sc.phi, [p])
                 for p in sample_points(sc, 10, seed=22)]
         for k in range(50):
             geo = geos[k % len(geos)]
             x, y = rng.normal(size=m), rng.normal(size=m)
-            worst = max(worst, verify_koszul_h(ctx, geo, x, y).rel_residual)
+            worst = max(worst,
+                        verify_koszul_h(gbar, geo, x, y)[0].rel_residual)
             if m > two_n:
                 v = rng.normal(size=m)
-                worst = max(worst, verify_koszul_v(ctx, geo, v).rel_residual)
+                worst = max(worst,
+                            verify_koszul_v(gbar, geo, v)[0].rel_residual)
     _report(3, "Koszul connection identities: max rel residual %.2e" % worst,
             worst < 1e-5)
 
@@ -128,24 +128,24 @@ def test_criterion_04_mean_curvature_transformation():
         if sc.phi.m == sc.phi.two_n:
             continue
         for sigma, rho in _sigma_rho_pairs(sc.phi.m, sc.phi.two_n):
-            ctx = BiconformalContext.build(
-                sc.phi, sc.J, BiconformalChange.from_texts(sigma, rho))
+            gbar = ChangedMetric(sc.phi,
+                                 BiconformalChange.from_texts(sigma, rho))
             for p in sample_points(sc, 5, seed=23):
-                geo = LocalGeometry(sc.phi, p)
+                geo = LocalGeometry(sc.phi, [p])
                 worst = max(worst,
-                            verify_mean_curvature(ctx, geo).rel_residual)
+                            verify_mean_curvature(gbar, geo)[0].rel_residual)
     # vertical-only rho: H(grad log rho) = 0 and pure sigma^2 scaling
     sc = get_scenario("curved-fibers-nonharmonic")
     ch = BiconformalChange.from_texts("exp(0.3*x1)", "exp(0.2*x3)")
-    ctx = BiconformalContext.build(sc.phi, sc.J, ch)
+    gbar = ChangedMetric(sc.phi, ch)
     pure_ok = True
     for p in sample_points(sc, 5, seed=23):
         geo = LocalGeometry(sc.phi, p)
-        _, grad_lr = ctx.gbar.grad_log_factors(geo)
+        _, grad_lr = gbar.grad_log_factors(geo)
         ph = horizontal_projector(geo)
         s, _ = ch.factor_values(p)
-        mu = pm.mean_curvature_vertical(geo).components
-        mubar = pm.mean_curvature_vertical(geo.under(ctx.gbar)).components
+        mu = pm.mean_curvature_vertical(geo)
+        mubar = pm.mean_curvature_vertical(geo.under(gbar))
         pure_ok &= np.max(np.abs(ph @ grad_lr)) < 1e-10
         pure_ok &= np.max(np.abs(mubar - s**2 * mu)) < 1e-6
     ok = worst < 1e-5 and pure_ok
@@ -158,20 +158,21 @@ def test_criterion_05_f_divergence_transformation():
     # term; on n = 1 scenarios the correction vanishes identically
     sc = get_scenario("flat-projection-6-4")
     worst_n2 = 0.0
-    ctx = BiconformalContext.build(
-        sc.phi, sc.J, BiconformalChange.from_texts("exp(0.2*x1+0.1*x2)", "1"))
+    gbar = ChangedMetric(
+        sc.phi, BiconformalChange.from_texts("exp(0.2*x1+0.1*x2)", "1"))
     for p in sample_points(sc, 8, seed=24):
-        geo = LocalGeometry(sc.phi, p)
-        worst_n2 = max(worst_n2, pm.verify_f_divergence(ctx, geo).rel_residual)
+        geo = LocalGeometry(sc.phi, [p])
+        worst_n2 = max(worst_n2, pm.verify_f_divergence(
+            gbar, geo, sc.J)[0].rel_residual)
     worst_n1 = 0.0
     for name in ("flat-projection-4-2", "curved-fibers-nonharmonic", "hopf"):
         sc1 = get_scenario(name)
-        ctx1 = BiconformalContext.build(
-            sc1.phi, sc1.J, BiconformalChange.from_texts("exp(0.2*x1)", "1"))
+        gbar1 = ChangedMetric(
+            sc1.phi, BiconformalChange.from_texts("exp(0.2*x1)", "1"))
         for p in sample_points(sc1, 6, seed=24):
-            geo = LocalGeometry(sc1.phi, p)
-            worst_n1 = max(worst_n1,
-                           pm.verify_f_divergence(ctx1, geo).rel_residual)
+            geo = LocalGeometry(sc1.phi, [p])
+            worst_n1 = max(worst_n1, pm.verify_f_divergence(
+                gbar1, geo, sc1.J)[0].rel_residual)
     ok = worst_n2 < 1e-5 and worst_n1 < 1e-5
     _report(5, "f-structure divergence transformation: n=2 max %.2e, "
                "n=1 max %.2e" % (worst_n2, worst_n1), ok)
@@ -188,7 +189,7 @@ def test_criterion_06_one_function_change_preserves_harmonic_phwc():
         worst_tau = worst_defect = 0.0
         for p in sample_points(sc, 10, seed=25):
             geo_bar = LocalGeometry(sc.phi, p).under(gbar)
-            tau = tension_field(geo_bar).components
+            tau = tension_field(geo_bar)
             worst_tau = max(worst_tau, float(np.max(np.abs(tau))))
             worst_defect = max(worst_defect, phwc_defect(geo_bar, sc.J)[0])
         ok &= worst_tau < 1e-5 and worst_defect < 1e-5
@@ -199,13 +200,16 @@ def test_criterion_06_one_function_change_preserves_harmonic_phwc():
 
 def test_criterion_07_phh_breaking_direction():
     sc = get_scenario("flat-projection-6-4")
-    geos = [LocalGeometry(sc.phi, p) for p in sample_points(sc, 10, seed=26)]
-    const_ctx = one_function_context(sc.phi, sc.J, parse("3"))
+    geos = [LocalGeometry(sc.phi, [p])
+            for p in sample_points(sc, 10, seed=26)]
+    m, n = sc.phi.m, sc.phi.n
+    const_gbar = ChangedMetric(sc.phi, special_change(parse("3"), m, n))
     const = fold("corollary-phh", lambda geo: corollary_phh_at(
-        const_ctx, geo, tol=1e-6), geos)
-    broken_ctx = one_function_context(sc.phi, sc.J, parse("1+0.1*x1"))
+        const_gbar, geo, sc.J, tol=1e-6), geos)
+    broken_gbar = ChangedMetric(sc.phi,
+                                special_change(parse("1+0.1*x1"), m, n))
     broken = fold("corollary-phh", lambda geo: corollary_phh_at(
-        broken_ctx, geo, breaking_floor=1e-3), geos)
+        broken_gbar, geo, sc.J), geos)
     # on n = 1 a run skips it (same points: 5 samples at seed 26)
     degen = run_verification(RunConfig(
         scenario="flat-projection-4-2", sigma="1+0.1*x1", samples=5,
@@ -246,13 +250,13 @@ def test_criterion_09_pullback_characterization():
             gbar = ChangedMetric(sc.phi,
                                  special_change(sigma, sc.phi.m, sc.phi.n))
         for p in sample_points(sc, 5, seed=28):
-            geo = LocalGeometry(sc.phi, p)
+            geo = LocalGeometry(sc.phi, [p])
             for holo in holos:
                 worst = max(worst, verify_pullback_characterization(
-                    geo, holo).abs_residual)
+                    geo, holo)[0].abs_residual)
                 if gbar is not None:
                     worst = max(worst, verify_pullback_characterization(
-                        geo.under(gbar), holo).abs_residual)
+                        geo.under(gbar), holo)[0].abs_residual)
     _report(9, "holomorphic pullbacks are harmonic (original and changed "
                "metrics): max residual %.2e" % worst, worst < 1e-5)
 

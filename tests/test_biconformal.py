@@ -9,7 +9,6 @@ import pytest
 import phmorph as pm
 from phmorph import (
     BiconformalChange,
-    BiconformalContext,
     ChangedMetric,
     GeometryError,
     MetricError,
@@ -33,29 +32,35 @@ from phmorph import (
     verify_tension_transform,
 )
 from phmorph.biconformal import (PHH_N1_WARNING, corollary_phh_at,
-                                 corollary_psh_at, one_function_context)
+                                 corollary_psh_at)
 from phmorph.manifold import directional_derivative
 from phmorph.maps import differential, horizontal_projector
 from phmorph.hermitian import adapted_frame, phwc_defect
-from phmorph.runner import IDENTITIES
+from phmorph.runner import IDENTITIES, RunContext, run_identity
 from tests.test_maps import at
 
 
 P4 = np.array([0.3, -0.2, 0.5, 0.1])
 
 
-def ctx_for(name, sigma, rho):
+def gbar_for(name, sigma, rho):
     sc = get_scenario(name)
     ch = BiconformalChange.from_texts(sigma, rho)
-    return sc, BiconformalContext.build(sc.phi, sc.J, ch)
+    return sc, ChangedMetric(sc.phi, ch)
+
+
+def one_function(sc, sigma):
+    """The changed metric of the one-function change of ``sigma``."""
+    return ChangedMetric(sc.phi, special_change(sigma, sc.phi.m, sc.phi.n))
 
 
 def fold(name, check, geos):
-    """A corollary's one-point reports folded into the aggregate that a run
-    folds them into."""
+    """A corollary's reports folded into the aggregate that a run folds
+    them into."""
     agg = IDENTITIES[name].aggregate(name)
     for geo in geos:
-        agg.add(check(geo))
+        for rep in check(geo):
+            agg.add(rep)
     return agg
 
 
@@ -267,10 +272,10 @@ def test_factors_evaluated_once_per_change_point_and_route(monkeypatch):
     "name", ["flat-projection-4-2", "holomorphic-poly",
              "curved-fibers-nonharmonic"])
 def test_identity_change_residuals_vanish(name):
-    sc, ctx = ctx_for(name, "1", "1")
+    sc, gbar = gbar_for(name, "1", "1")
     for fn in (verify_tension_transform, verify_mean_curvature,
-               verify_f_divergence):
-        r = fn(ctx, at(sc.phi, P4))
+               lambda gbar, geo: verify_f_divergence(gbar, geo, sc.J)):
+        [r] = fn(gbar, at(sc.phi, [P4]))
         assert r.passed and r.abs_residual < 1e-9, r
 
 
@@ -289,39 +294,39 @@ NONTRIVIAL = [
 
 @pytest.mark.parametrize("name, sigma, rho", NONTRIVIAL)
 def test_tension_and_curvature_transforms(name, sigma, rho):
-    sc, ctx = ctx_for(name, sigma, rho)
+    sc, gbar = gbar_for(name, sigma, rho)
     for p in sample_points(sc, 6, seed=2):
         for fn in (verify_tension_transform, verify_mean_curvature,
-                   verify_f_divergence):
-            r = fn(ctx, at(sc.phi, p))
+                   lambda gbar, geo: verify_f_divergence(gbar, geo, sc.J)):
+            [r] = fn(gbar, at(sc.phi, [p]))
             assert r.rel_residual < 1e-5, (fn.__name__, p, r)
 
 
 @pytest.mark.parametrize("name, sigma, rho", NONTRIVIAL)
 def test_koszul_identities(name, sigma, rho):
-    sc, ctx = ctx_for(name, sigma, rho)
+    sc, gbar = gbar_for(name, sigma, rho)
     m = sc.phi.m
     rng = np.random.default_rng(7)
     for p in sample_points(sc, 4, seed=8):
         for _ in range(4):
             x = rng.normal(size=m)
             y = rng.normal(size=m)
-            r = verify_koszul_h(ctx, at(sc.phi, p), x, y)
+            [r] = verify_koszul_h(gbar, at(sc.phi, [p]), x, y)
             assert r.rel_residual < 1e-5, (p, r)
             if m > sc.phi.two_n:
                 v = rng.normal(size=m)
-                r = verify_koszul_v(ctx, at(sc.phi, p), v)
+                [r] = verify_koszul_v(gbar, at(sc.phi, [p]), v)
                 assert r.rel_residual < 1e-5, (p, r)
 
 
 @pytest.mark.parametrize("name, sigma, rho", NONTRIVIAL)
 def test_phh_covariant_formula(name, sigma, rho):
-    sc, ctx = ctx_for(name, sigma, rho)
+    sc, gbar = gbar_for(name, sigma, rho)
     rng = np.random.default_rng(13)
     for p in sample_points(sc, 4, seed=8):
         x = rng.normal(size=sc.phi.m)
         y = rng.normal(size=sc.phi.m)
-        r = verify_phh_covariant_formula(ctx, at(sc.phi, p), x, y)
+        [r] = verify_phh_covariant_formula(gbar, at(sc.phi, [p]), sc.J, x, y)
         assert r.rel_residual < 1e-5, (p, r)
 
 
@@ -341,52 +346,54 @@ def relative_residual(lhs, rhs):
 
 
 def test_tolerance_rejects_f_divergence_with_2n_minus_1():
-    sc, ctx = ctx_for(*MUTATION_CASE)
+    sc, gbar = gbar_for(*MUTATION_CASE)
     phi = sc.phi
     for p in sample_points(sc, 4, seed=5):
         geo = at(phi, p)
-        lhs = pm.f_divergence_horizontal(geo.under(ctx.gbar),
-                                         sc.J).components
-        div = pm.f_divergence_horizontal(geo, sc.J).components
-        grad_ls, _ = ctx.gbar.grad_log_factors(geo)
-        s, _ = ctx.change.factor_values(p)
+        lhs = pm.f_divergence_horizontal(geo.under(gbar), sc.J)
+        div = pm.f_divergence_horizontal(geo, sc.J)
+        grad_ls, _ = gbar.grad_log_factors(geo)
+        s, _ = gbar.change.factor_values(p)
         wrong = s ** 2 * (div + (2.0 * phi.n - 1.0)
                           * (horizontal_projector(geo) @ grad_ls))
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        assert verify_f_divergence(ctx, geo, tol=TOL_FD).passed, p
+        [r] = verify_f_divergence(gbar, at(phi, [p]), sc.J, tol=TOL_FD)
+        assert r.passed, p
 
 
 def test_tolerance_rejects_tension_transform_without_the_rho_term():
-    sc, ctx = ctx_for(*MUTATION_CASE)
+    sc, gbar = gbar_for(*MUTATION_CASE)
     phi = sc.phi
     for p in sample_points(sc, 4, seed=5):
         geo = at(phi, p)
-        lhs = tension_field(geo.under(ctx.gbar)).components
-        tau = tension_field(geo).components
-        grad_ls, _ = ctx.gbar.grad_log_factors(geo)
-        s, _ = ctx.change.factor_values(p)
+        lhs = tension_field(geo.under(gbar))
+        tau = tension_field(geo)
+        grad_ls, _ = gbar.grad_log_factors(geo)
+        s, _ = gbar.change.factor_values(p)
         # (2n - m) grad ln rho dropped
         wrong = s ** 2 * (tau + differential(geo)
                           @ ((2.0 - phi.two_n) * grad_ls))
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        assert verify_tension_transform(ctx, geo, tol=TOL_FD).passed, p
+        [r] = verify_tension_transform(gbar, at(phi, [p]), tol=TOL_FD)
+        assert r.passed, p
 
 
 def test_tolerance_rejects_mean_curvature_without_the_rho_term():
-    sc, ctx = ctx_for(*MUTATION_CASE)
+    sc, gbar = gbar_for(*MUTATION_CASE)
     phi = sc.phi
     for p in sample_points(sc, 4, seed=5):
         geo = at(phi, p)
-        lhs = mean_curvature_vertical(geo.under(ctx.gbar)).components
-        mu = mean_curvature_vertical(geo).components
-        s, _ = ctx.change.factor_values(p)
+        lhs = mean_curvature_vertical(geo.under(gbar))
+        mu = mean_curvature_vertical(geo)
+        s, _ = gbar.change.factor_values(p)
         wrong = s ** 2 * mu  # H(grad ln rho) dropped
         assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
-        assert verify_mean_curvature(ctx, geo, tol=TOL_FD).passed, p
+        [r] = verify_mean_curvature(gbar, at(phi, [p]), tol=TOL_FD)
+        assert r.passed, p
 
 
 def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
-    sc, ctx = ctx_for(*MUTATION_CASE)
+    sc, gbar = gbar_for(*MUTATION_CASE)
     phi = sc.phi
     rng = np.random.default_rng(5)
     for p in sample_points(sc, 4, seed=5):
@@ -399,8 +406,8 @@ def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
         dv = directional_derivative(v_field, p, v)  # the Richardson oracle
         geo = at(phi, p)
         ph = horizontal_projector(geo)
-        lhs = ph @ geo.under(ctx.gbar).covariant_derivative(v, v, dv)
-        s, r = ctx.change.factor_jets(p)
+        lhs = ph @ geo.under(gbar).covariant_derivative(v, v, dv)
+        s, r = gbar.change.factor_jets(p)
         g = phi.source.metric_at(p)
         d_rho_m2 = -2.0 * r.value ** -3 * r.grad
         inner = 2.0 * r.value ** -2 * (
@@ -410,14 +417,15 @@ def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
             inner = inner + (d_rho_m2 @ f_i) * float(v @ g @ v) * f_i
         wrong = 0.5 * s.value ** 2 * inner
         assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
-        assert verify_koszul_v(ctx, geo, v_comp, tol=TOL_FD).passed, p
+        [r] = verify_koszul_v(gbar, at(phi, [p]), v_comp, tol=TOL_FD)
+        assert r.passed, p
 
 
 def test_tolerance_rejects_koszul_vertical_without_the_test_field_derivative():
     # dV = -V^k (d_k P_H) v enters the left side with weight 1 and the right
     # side with sigma^2 rho^-2, so it does not cancel: on hopf, where P_H
     # varies, the law with dV dropped from both sides misses
-    sc, ctx = ctx_for("hopf", "exp(0.2*x1+0.1*x3)", "1+0.2*x2^2")
+    sc, gbar = gbar_for("hopf", "exp(0.2*x1+0.1*x3)", "1+0.2*x2^2")
     phi = sc.phi
     rng = np.random.default_rng(5)
     for p in sample_points(sc, 4, seed=5):
@@ -426,20 +434,21 @@ def test_tolerance_rejects_koszul_vertical_without_the_test_field_derivative():
         ph = horizontal_projector(geo)
         g = phi.source.metric_at(p)
         v = v_comp - ph @ v_comp
-        gamma_bar = geo.under(ctx.gbar).christoffel
+        gamma_bar = geo.under(gbar).christoffel
         lhs = ph @ np.einsum("kij,i,j->k", gamma_bar, v, v)
-        s, r = ctx.change.factor_jets(p)
+        s, r = gbar.change.factor_jets(p)
         d_rho_m2 = -2.0 * r.value ** -3 * r.grad
         nabla_vv = np.einsum("kij,i,j->k", phi.source.christoffel(p), v, v)
         wrong = 0.5 * s.value ** 2 * (
             2.0 * r.value ** -2 * (ph @ nabla_vv)
             - float(v @ g @ v) * (ph @ np.linalg.inv(g) @ d_rho_m2))
         assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
-        assert verify_koszul_v(ctx, geo, v_comp, tol=TOL_FD).passed, p
+        [r] = verify_koszul_v(gbar, at(phi, [p]), v_comp, tol=TOL_FD)
+        assert r.passed, p
 
 
 def test_tolerance_rejects_koszul_horizontal_without_the_gxy_term():
-    sc, ctx = ctx_for(*MUTATION_CASE)
+    sc, gbar = gbar_for(*MUTATION_CASE)
     phi = sc.phi
     rng = np.random.default_rng(6)
     for p in sample_points(sc, 4, seed=5):
@@ -452,23 +461,24 @@ def test_tolerance_rejects_koszul_horizontal_without_the_gxy_term():
         ph = horizontal_projector(geo)
         x, y = ph @ x_comp, y_field(p)
         dy = directional_derivative(y_field, p, x)  # the Richardson oracle
-        lhs = ph @ geo.under(ctx.gbar).covariant_derivative(x, y, dy)
+        lhs = ph @ geo.under(gbar).covariant_derivative(x, y, dy)
         g = phi.source.metric_at(p)
-        dls = g @ ctx.gbar.grad_log_factors(geo)[0]  # covector of ln sigma
+        dls = g @ gbar.grad_log_factors(geo)[0]  # covector of ln sigma
         wrong = ph @ geo.covariant_derivative(x, y, dy)
         for f_i in adapted_frame(geo, sc.J).horizontal:
             # g(X, Y) grad_H ln sigma, the (dls @ f_i) g(X, Y) f_i sum, dropped
             wrong = wrong + (-(dls @ x) * float(y @ g @ f_i)
                              - (dls @ y) * float(x @ g @ f_i)) * f_i
-        dropped = float(x @ g @ y) * (ph @ ctx.gbar.grad_log_factors(geo)[0])
+        dropped = float(x @ g @ y) * (ph @ gbar.grad_log_factors(geo)[0])
         assert np.max(np.abs(dropped)) > 1e-3, p
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        assert verify_koszul_h(ctx, geo, x_comp, y_comp,
-                               tol=TOL_FD).passed, p
+        [r] = verify_koszul_h(gbar, at(phi, [p]), x_comp, y_comp,
+                              tol=TOL_FD)
+        assert r.passed, p
 
 
 def test_tolerance_rejects_phh_covariant_without_the_y_ln_sigma_term():
-    sc, ctx = ctx_for(*MUTATION_CASE)
+    sc, gbar = gbar_for(*MUTATION_CASE)
     phi = sc.phi
     rng = np.random.default_rng(7)
     for p in sample_points(sc, 4, seed=5):
@@ -478,13 +488,13 @@ def test_tolerance_rejects_phh_covariant_without_the_y_ln_sigma_term():
         x, y = ph @ x_comp, ph @ y_comp
         f = pm.f_structure(geo, sc.J)
         df = pm.hermitian.d_f_structure(geo, sc.J)
-        gamma_bar = geo.under(ctx.gbar).christoffel
+        gamma_bar = geo.under(gbar).christoffel
         nab_bar = pm.hermitian.nabla_f_operator(f, df, gamma_bar)
         lhs = ph @ np.einsum("i,ikj,j->k", x, nab_bar, y)
         nab = pm.hermitian.nabla_f_operator(f, df,
                                             phi.source.christoffel(p))
         g = phi.source.metric_at(p)
-        grad_ls = ctx.gbar.grad_log_factors(geo)[0]
+        grad_ls = gbar.grad_log_factors(geo)[0]
         grad_h, dls = ph @ grad_ls, g @ grad_ls
         dropped = float(dls @ y) * (f @ x)  # Y(ln sigma) FX
         wrong = (ph @ np.einsum("i,ikj,j->k", x, nab, y)
@@ -493,8 +503,9 @@ def test_tolerance_rejects_phh_covariant_without_the_y_ln_sigma_term():
                  - float(x @ g @ y) * (f @ grad_h))
         assert np.max(np.abs(dropped)) > 1e-3, p
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        assert verify_phh_covariant_formula(ctx, geo, x_comp, y_comp,
-                                            tol=TOL_FD).passed, p
+        [r] = verify_phh_covariant_formula(gbar, at(phi, [p]), sc.J, x_comp,
+                                           y_comp, tol=TOL_FD)
+        assert r.passed, p
 
 
 def test_tolerance_rejects_tension_f_structure_with_m_minus_2n_plus_1():
@@ -504,14 +515,15 @@ def test_tolerance_rejects_tension_f_structure_with_m_minus_2n_plus_1():
     phi = sc.phi
     for p in sample_points(sc, 4, seed=5):
         geo = at(phi, p)
-        lhs = tension_field(geo).components
-        div = pm.f_divergence_horizontal(geo, sc.J).components
-        mu = mean_curvature_vertical(geo).components
+        lhs = tension_field(geo)
+        div = pm.f_divergence_horizontal(geo, sc.J)
+        mu = mean_curvature_vertical(geo)
         assert np.max(np.abs(differential(geo) @ mu)) > 1e-3, p
         wrong = -(differential(geo)
                   @ (div + (phi.m - phi.two_n + 1.0) * mu))
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        assert verify_tension_equivalence(geo, sc.J, tol=TOL_FD).passed, p
+        [r] = verify_tension_equivalence(at(phi, [p]), sc.J, tol=TOL_FD)
+        assert r.passed, p
 
 
 def test_tolerance_rejects_corollary_psh_with_a_wrong_rho_exponent():
@@ -521,27 +533,30 @@ def test_tolerance_rejects_corollary_psh_with_a_wrong_rho_exponent():
     phi = sc.phi
     sigma = parse(MUTATION_CASE[1])
     exponent = -(2.0 * phi.n - 1.0) / (phi.m - phi.two_n)
-    wrong = BiconformalContext.build(phi, sc.J, BiconformalChange(
+    wrong = ChangedMetric(phi, BiconformalChange(
         sigma, pm.exprs.Binary("pow", sigma, pm.exprs.Lit(exponent))))
-    right = one_function_context(phi, sc.J, sigma)
+    right = one_function(sc, sigma)
     for p in sample_points(sc, 4, seed=5):
         geo = at(phi, p)
-        grad_ls = right.gbar.grad_log_factors(geo)[0]
+        grad_ls = right.grad_log_factors(geo)[0]
         grad_h = horizontal_projector(geo) @ grad_ls
         assert np.max(np.abs(grad_h)) > 1e-3, p
-        rep = corollary_psh_at(sc, wrong, geo, tol=TOL_FD)
+        [rep] = corollary_psh_at(sc, wrong, at(phi, [p]), tol=TOL_FD)
         assert rep.rel_residual > TOL_FD and not rep.passed, p
-        assert corollary_psh_at(sc, right, geo, tol=TOL_FD).passed, p
+        [rep] = corollary_psh_at(sc, right, at(phi, [p]), tol=TOL_FD)
+        assert rep.passed, p
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_side_is_a_sample_error(bad):
-    p = [0.1, 0.2]
+    p = np.array([[0.1, 0.2]])
     for lhs, rhs in [([bad, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, bad])]:
-        rep = pm.biconformal._report("tension-transform", p, lhs, rhs, 1e-5)
+        [rep] = pm.biconformal._report("tension-transform", p, [lhs], [rhs],
+                                       1e-5)
         assert rep.error is not None and not rep.passed
-    assert pm.biconformal._report("tension-transform", p, [1.0, 0.0],
-                                  [1.0, 0.0], 1e-5).passed
+    [rep] = pm.biconformal._report("tension-transform", p, [[1.0, 0.0]],
+                                   [[1.0, 0.0]], 1e-5)
+    assert rep.passed
 
 
 def test_vertical_rho_leaves_mean_curvature_pure_scaling():
@@ -549,16 +564,16 @@ def test_vertical_rho_leaves_mean_curvature_pure_scaling():
     # transformed mean curvature is exactly sigma^2 mu
     sc = get_scenario("curved-fibers-nonharmonic")
     ch = BiconformalChange.from_texts("exp(0.3*x1)", "exp(0.2*x3)")
-    ctx = BiconformalContext.build(sc.phi, sc.J, ch)
+    gbar = ChangedMetric(sc.phi, ch)
     for p in sample_points(sc, 5, seed=4):
         geo = at(sc.phi, p)
-        grad_ls, grad_lr = ctx.gbar.grad_log_factors(geo)
+        grad_ls, grad_lr = gbar.grad_log_factors(geo)
         ph = horizontal_projector(geo)
         assert np.max(np.abs(ph @ grad_lr)) < 1e-10
         s, _ = ch.factor_values(p)
         mu = mean_curvature_vertical(geo)
-        mubar = mean_curvature_vertical(geo.under(ctx.gbar))
-        assert np.allclose(mubar.components, s**2 * mu.components, atol=1e-6)
+        mubar = mean_curvature_vertical(geo.under(gbar))
+        assert np.allclose(mubar, s**2 * mu, atol=1e-6)
 
 
 # ---- equivalences -------------------------------------------------------
@@ -569,7 +584,7 @@ def test_vertical_rho_leaves_mean_curvature_pure_scaling():
 def test_tension_equivalence(name):
     sc = get_scenario(name)
     for p in sample_points(sc, 5, seed=6):
-        r = verify_tension_equivalence(at(sc.phi, p), sc.J)
+        [r] = verify_tension_equivalence(at(sc.phi, [p]), sc.J)
         assert r.rel_residual < 1e-6, (p, r)
 
 
@@ -578,7 +593,7 @@ def test_tension_equivalence(name):
 def test_phwc_equivalence(name):
     sc = get_scenario(name)
     for p in sample_points(sc, 5, seed=6):
-        r = verify_phwc_equivalence(at(sc.phi, p), sc.J)
+        [r] = verify_phwc_equivalence(at(sc.phi, [p]), sc.J)
         assert r.passed, (p, r)
 
 
@@ -588,8 +603,8 @@ def test_phwc_equivalence_passes_only_where_phi_has_no_rank(monkeypatch):
     # a sample error, never a pass
     z_squared = SmoothMap(pm.euclidean_space(4), pm.euclidean_space(2),
                           lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
-    rep = verify_phwc_equivalence(at(z_squared, np.zeros(4)),
-                                  pm.scenarios.constant_J(z_squared.target))
+    [rep] = verify_phwc_equivalence(at(z_squared, np.zeros((1, 4))),
+                                    pm.scenarios.constant_J(z_squared.target))
     assert rep.passed and rep.rel_residual == 0.0
 
     def failing(geo):
@@ -599,7 +614,7 @@ def test_phwc_equivalence_passes_only_where_phi_has_no_rank(monkeypatch):
                         property(failing))
     sc = get_scenario("flat-projection-4-2")
     with pytest.raises(MetricError):
-        verify_phwc_equivalence(at(sc.phi, P4), sc.J)
+        verify_phwc_equivalence(at(sc.phi, [P4]), sc.J)
     report = pm.run_verification(pm.RunConfig(
         scenario="flat-projection-4-2", samples=2,
         identities=["phwc-equivalence"]))
@@ -608,24 +623,49 @@ def test_phwc_equivalence_passes_only_where_phi_has_no_rank(monkeypatch):
     assert report["verdict"] == "fail"
 
 
+def test_phwc_equivalence_settles_a_rank_deficient_row_of_a_batch():
+    # z^2 has no rank at the origin: the batch raises there, and the run
+    # settles it row by row, the origin with the commutator-only reading
+    # and every other row as in a batch of its own
+    z_squared = SmoothMap(pm.euclidean_space(4), pm.euclidean_space(2),
+                          lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
+    scenario = pm.Scenario("z-squared", z_squared,
+                           pm.scenarios.constant_J(z_squared.target),
+                           expected_flags={})
+    config = pm.RunConfig(scenario="z-squared")
+    run = RunContext(scenario, config, config.build_change(scenario))
+    points = np.array([P4, [0.2, 0.4, -0.1, 0.3], np.zeros(4),
+                       [-0.5, 0.1, 0.2, 0.0], [0.1, -0.3, 0.6, 0.4]])
+    with pytest.raises(pm.RankError):
+        verify_phwc_equivalence(at(z_squared, points), scenario.J)
+    reports = run_identity("phwc-equivalence", run, at(z_squared, points), 7)
+    origin = reports.pop(2)
+    assert origin.error is None and origin.passed
+    assert origin.point == [0.0] * 4 and origin.rel_residual == 0.0
+    alone = [run_identity("phwc-equivalence", run, at(z_squared, [p]), 0)[0]
+             for p in np.delete(points, 2, axis=0)]
+    assert reports == alone
+    assert all(rep.error is None and rep.passed for rep in reports)
+
+
 def test_pullback_characterization():
     sc = get_scenario("holomorphic-poly")
     for p in sample_points(sc, 5, seed=6):
         for holo in ("z1", "z1^2", "exp(z1)"):
-            r = verify_pullback_characterization(at(sc.phi, p), holo)
+            [r] = verify_pullback_characterization(at(sc.phi, [p]), holo)
             assert r.abs_residual < 1e-5, (p, holo, r)
 
 
 def test_pullback_z1z2_needs_bigger_target():
     sc = get_scenario("flat-projection-4-2")
     with pytest.raises(GeometryError):
-        verify_pullback_characterization(at(sc.phi, P4), "z1*z2")
+        verify_pullback_characterization(at(sc.phi, [P4]), "z1*z2")
 
 
 def test_pullback_rejects_unknown_name():
     sc = get_scenario("flat-projection-4-2")
     with pytest.raises((KeyError, ValueError, GeometryError)):
-        verify_pullback_characterization(at(sc.phi, P4), "z1^7")
+        verify_pullback_characterization(at(sc.phi, [P4]), "z1^7")
 
 
 # ---- corollaries --------------------------------------------------------
@@ -634,9 +674,9 @@ def test_corollary_one_function_change_preserves_harmonicity():
     # g_sigma: tension and PHWC defect both stay below tolerance
     sc = get_scenario("flat-projection-6-4")
     points = sample_points(sc, 10, seed=11)
-    ctx = one_function_context(sc.phi, sc.J, parse("1+0.2*x1^2+0.1*x5"))
-    out = fold("corollary-psh", lambda geo: corollary_psh_at(sc, ctx, geo),
-               [at(sc.phi, p) for p in points])
+    gbar = one_function(sc, parse("1+0.2*x1^2+0.1*x5"))
+    out = fold("corollary-psh", lambda geo: corollary_psh_at(sc, gbar, geo),
+               [at(sc.phi, [p]) for p in points])
     assert out.passed
     assert out.max_abs_residual < 1e-5
 
@@ -649,7 +689,7 @@ def test_corollary_one_function_change_direct_tension():
     for p in sample_points(sc, 5, seed=12):
         geo_bar = at(sc.phi, p, gbar)
         tau = tension_field(geo_bar)
-        assert np.max(np.abs(tau.components)) < 1e-6, p
+        assert np.max(np.abs(tau)) < 1e-6, p
         defect, _ = phwc_defect(geo_bar, sc.J)
         assert defect < 1e-8
 
@@ -657,9 +697,9 @@ def test_corollary_one_function_change_direct_tension():
 def test_corollary_converse_nonharmonic_stays_nonharmonic():
     sc = get_scenario("curved-fibers-nonharmonic")
     points = sample_points(sc, 8, seed=11)
-    ctx = one_function_context(sc.phi, sc.J, parse("1+0.2*x1^2"))
-    out = fold("corollary-psh", lambda geo: corollary_psh_at(sc, ctx, geo),
-               [at(sc.phi, p) for p in points])
+    out = fold("corollary-psh", lambda geo: corollary_psh_at(
+        sc, one_function(sc, parse("1+0.2*x1^2")), geo),
+        [at(sc.phi, [p]) for p in points])
     assert out.passed
     # and directly: the transformed tension keeps its sigma^2 tau magnitude
     ch = special_change(parse("1+0.2*x1^2"), 4, 1)
@@ -667,24 +707,24 @@ def test_corollary_converse_nonharmonic_stays_nonharmonic():
     p = points[0]
     s, _ = ch.factor_values(p)
     tau = tension_field(at(sc.phi, p, gbar))
-    assert np.allclose(tau.components, s**2 * np.array([2.0, 0.0]), atol=1e-6)
+    assert np.allclose(tau, s**2 * np.array([2.0, 0.0]), atol=1e-6)
 
 
 def test_corollary_phh_constant_sigma_preserved():
     sc = get_scenario("flat-projection-6-4")
     points = sample_points(sc, 6, seed=11)
-    ctx = one_function_context(sc.phi, sc.J, parse("3"))
-    out = fold("corollary-phh", lambda geo: corollary_phh_at(ctx, geo),
-               [at(sc.phi, p) for p in points])
+    gbar = one_function(sc, parse("3"))
+    out = fold("corollary-phh", lambda geo: corollary_phh_at(gbar, geo, sc.J),
+               [at(sc.phi, [p]) for p in points])
     assert out.passed
 
 
 def test_corollary_phh_breaking_direction():
     sc = get_scenario("flat-projection-6-4")
     points = sample_points(sc, 6, seed=11)
-    ctx = one_function_context(sc.phi, sc.J, parse("1+0.1*x1"))
-    out = fold("corollary-phh", lambda geo: corollary_phh_at(ctx, geo),
-               [at(sc.phi, p) for p in points])
+    gbar = one_function(sc, parse("1+0.1*x1"))
+    out = fold("corollary-phh", lambda geo: corollary_phh_at(gbar, geo, sc.J),
+               [at(sc.phi, [p]) for p in points])
     assert out.passed
 
 

@@ -132,7 +132,7 @@ def test_odd_target_dimension_rejected():
 def test_tension_flat_projection_vanishes():
     phi = anisotropic_map()
     tau = tension_field(at(phi, np.array([0.3, -0.2, 0.5, 0.1])))
-    assert np.allclose(tau.components, 0.0, atol=1e-12)
+    assert np.allclose(tau, 0.0, atol=1e-12)
 
 
 def test_tension_is_laplacian_for_scalar_components():
@@ -140,7 +140,7 @@ def test_tension_is_laplacian_for_scalar_components():
     phi = SmoothMap(euclidean_space(2), euclidean_space(2),
                     lambda c: [c[0] ** 2 + c[1] ** 2, c[0] * c[1]])
     tau = tension_field(at(phi, np.array([0.3, -0.7])))
-    assert np.allclose(tau.components, [4.0, 0.0], atol=1e-12)
+    assert np.allclose(tau, [4.0, 0.0], atol=1e-12)
 
 
 def test_tension_target_christoffel_contribution():
@@ -158,7 +158,7 @@ def test_tension_target_christoffel_contribution():
     gamma_n = target.christoffel(p)
     expected = gamma_n[:, 0, 0] + gamma_n[:, 1, 1]
     tau = tension_field(at(phi, p))
-    assert np.allclose(tau.components, expected, atol=1e-12)
+    assert np.allclose(tau, expected, atol=1e-12)
     assert np.allclose(expected, [0.0, 0.0], atol=1e-12)
 
 
@@ -169,13 +169,13 @@ def test_tension_curved_fibers_closed_form():
     phi = curved_fiber_map()
     for p in ([0.0, 0.0, 0.0, 0.0], [0.4, -0.3, 0.2, 0.6]):
         tau = tension_field(at(phi, np.array(p)))
-        assert np.allclose(tau.components, [2.0, 0.0], atol=1e-10)
+        assert np.allclose(tau, [2.0, 0.0], atol=1e-10)
 
 
 def test_mean_curvature_flat_fibers_vanishes():
     phi = anisotropic_map()
     mu = mean_curvature_vertical(at(phi, np.array([0.3, -0.2, 0.5, 0.1])))
-    assert np.allclose(mu.components, 0.0, atol=1e-8)
+    assert np.allclose(mu, 0.0, atol=1e-8)
 
 
 def test_mean_curvature_curved_fibers_closed_form():
@@ -185,10 +185,10 @@ def test_mean_curvature_curved_fibers_closed_form():
     p = np.array([0.4, -0.3, 0.2, 0.6])
     geo = at(phi, p)
     mu = mean_curvature_vertical(geo)
-    assert np.allclose(mu.components, [-1.0, 0.0, 0.0, 0.0], atol=1e-7)
+    assert np.allclose(mu, [-1.0, 0.0, 0.0, 0.0], atol=1e-7)
     # mean curvature is horizontal by construction
     pv = np.eye(4) - horizontal_projector(geo)
-    assert np.allclose(pv @ mu.components, 0.0, atol=1e-7)
+    assert np.allclose(pv @ mu, 0.0, atol=1e-7)
 
 
 def test_dimension_bookkeeping():
@@ -373,11 +373,8 @@ def test_local_geometry_keeps_its_own_copy_of_the_point():
 # on each call and kept nowhere.
 
 DERIVED_READERS = {
-    "tension_field": lambda geo: (tension_field(geo).base,
-                                  tension_field(geo).components),
-    "mean_curvature_vertical": lambda geo: (
-        mean_curvature_vertical(geo).base,
-        mean_curvature_vertical(geo).components),
+    "tension_field": lambda geo: (tension_field(geo),),
+    "mean_curvature_vertical": lambda geo: (mean_curvature_vertical(geo),),
 }
 
 

@@ -85,8 +85,8 @@ def rows(p):
 
 def _one_pass_per_identity(config):
     """The report sections a run gives when each identity, and then the flag
-    check, runs once over all the sample points, each on a one-point
-    geometry of its own."""
+    check, runs once over all the sample points, each on a 1-row batch of
+    its own."""
     scenario = get_scenario(config.scenario)
     change = config.build_change(scenario)
     points = sample_points(scenario, config.samples, config.seed)
@@ -99,10 +99,11 @@ def _one_pass_per_identity(config):
             continue
         agg = IDENTITIES[name].aggregate(name)
         for idx, p in enumerate(points):
-            agg.add(run_identity(name, run, LocalGeometry(scenario.phi, p),
-                                 idx))
+            for rep in run_identity(name, run,
+                                    LocalGeometry(scenario.phi, [p]), idx):
+                agg.add(rep)
         per_identity.append(agg.as_dict())
-    flags = confirm_flags(scenario, [LocalGeometry(scenario.phi, p)
+    flags = confirm_flags(scenario, [LocalGeometry(scenario.phi, [p])
                                      for p in points], tol=config.tol_fd)
     return per_identity, skipped, flags
 
@@ -126,7 +127,7 @@ BATCH_CONFIGS.update({
                          ids=BATCH_CONFIGS.keys())
 def test_point_major_run_equals_one_pass_per_identity(monkeypatch, config):
     # a run in two full chunks of 3 points and a partial one gives, bit for
-    # bit, the reports of one-point geometries, and the same error messages
+    # bit, the reports of 1-row batches, and the same error messages
     def as_dict(self):
         return dict(inner(self), errors=self.errors)
 
@@ -261,7 +262,7 @@ def test_a_run_builds_no_frame(monkeypatch, scenario):
 
 def test_a_run_folds_its_flags_through_confirm_flags(monkeypatch):
     # one function folds flags for a run, a chunk at a time, and for a list
-    # of one-point geometries
+    # of 1-row batches
     calls = []
     inner = runner.confirm_flags
 
@@ -276,9 +277,35 @@ def test_a_run_folds_its_flags_through_confirm_flags(monkeypatch):
     rep = run_verification(config)
     assert calls == [[(2, 4)], [(1, 4)]]
     scenario = get_scenario(config.scenario)
-    geos = [LocalGeometry(scenario.phi, p)
+    geos = [LocalGeometry(scenario.phi, [p])
             for p in sample_points(scenario, 3, 42)]
     assert rep["flags"] == inner(scenario, geos, config.tol_fd)
+
+
+def test_a_flag_settles_sample_errors_row_by_row(monkeypatch):
+    # the PHH defect raises at the rows of a chunk with x1 < 0: those rows
+    # are the flag's errored points, and its worst defect is that of the
+    # other rows, each measured as a 1-row batch
+    inner = runner.phh_defect
+
+    def failing(geo, J):
+        if np.count_nonzero(geo.p[:, 0] < 0):
+            raise manifold.GeometryError("x1 < 0")
+        return inner(geo, J)
+
+    scenario = get_scenario("hopf")
+    points = np.array(sample_points(scenario, 8, 42))
+    negative = points[:, 0] < 0
+    assert 0 < np.count_nonzero(negative) < len(points)
+    phh = runner.FLAG_DEFECTS["phh"]
+    expected = max(phh(LocalGeometry(scenario.phi, [p]), scenario.J)[0]
+                   for p in points[~negative])
+    assert expected > 0.0
+    monkeypatch.setattr(runner, "phh_defect", failing)
+    flags = confirm_flags(scenario, [LocalGeometry(scenario.phi, points)])
+    assert flags["phh"]["samples_error"] == np.count_nonzero(negative)
+    assert flags["phh"]["measured_max_defect"] == expected
+    assert flags["phwc"]["samples_error"] == 0
 
 
 def _projector_and_lift_derivs_without_l_dm(geo):
@@ -357,8 +384,9 @@ def test_linalg_error_in_a_corollary_is_a_sample_error(monkeypatch):
     run = RunContext(scenario, config, config.build_change(scenario))
     agg = IDENTITIES["corollary-psh"].aggregate("corollary-psh")
     for idx, p in enumerate(sample_points(scenario, 3, 42)):
-        agg.add(run_identity("corollary-psh", run,
-                             LocalGeometry(scenario.phi, p), idx))
+        for rep in run_identity("corollary-psh", run,
+                                LocalGeometry(scenario.phi, [p]), idx):
+            agg.add(rep)
     assert agg.samples_error == 3 and agg.samples_pass == 0
     assert agg.errors[0]["error"] == "Singular matrix"
     assert not agg.passed

@@ -84,7 +84,7 @@ def test_confirm_flags_positive_and_negative():
     for name in ("flat-projection-4-2", "nonphwc-anisotropic",
                  "curved-fibers-nonharmonic"):
         phi = get_scenario(name).phi
-        points[name] = [LocalGeometry(phi, p) for p in
+        points[name] = [LocalGeometry(phi, [p]) for p in
                         sample_points(get_scenario(name), 6, seed=5)]
     flags = confirm_flags(get_scenario("flat-projection-4-2"),
                           points["flat-projection-4-2"])
