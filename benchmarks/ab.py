@@ -13,7 +13,9 @@ is either
   or ``identity:<workload>:<identity>``: one round, its set-up untimed,
   each round of a task at the next of ``bench_layers``' sample points.
 
-Both workers use this checkout's benchmark code; only ``phmorph`` differs.
+Both workers use this checkout's perfbench code.  Each imports its own
+tree's ``benchmarks/bench_layers.py`` (this checkout's when the tree has
+none), so a layer read can compare trees whose library API differs.
 The outcome of every run (exit code, verdict, skipped identities, flag
 outcomes and per-identity counts of a workload) must be the same on both
 sides, or the tool exits 1.  For each task it prints each side's median and
@@ -42,9 +44,13 @@ WARMUP = 3  # untimed runs per side before a task's pairs
 
 def worker(root, samples):
     """Serve timing requests ``[task, seed]`` on stdin, one JSON line each,
-    answering ``[seconds, outcome]``, with phmorph imported from ROOT/src."""
+    answering ``[seconds, outcome]``, with phmorph imported from ROOT/src
+    and ``bench_layers`` from ROOT/benchmarks if it is there."""
     src = os.path.join(os.path.abspath(root), "src")
-    sys.path[:0] = [src, HERE, PERFBENCH]
+    benches = os.path.join(os.path.abspath(root), "benchmarks")
+    if not os.path.isfile(os.path.join(benches, "bench_layers.py")):
+        benches = HERE
+    sys.path[:0] = [src, benches, PERFBENCH]
     import phmorph
     from phmorph import cli
     if not os.path.abspath(phmorph.__file__).startswith(src + os.sep):

@@ -112,13 +112,13 @@ class RunContext:
             if phi.m > phi.two_n else None)
 
     def draw(self, geo: LocalGeometry, idx: int, tag: int, count: int = 1):
-        """Random test components for the rows of ``geo``, sample indices
-        idx, idx + 1, ..., seeded by the run's seed, sample index and tag."""
-        seed, rows = self.config.seed, len(geo.p)
-        draws = np.stack([
-            np.random.default_rng([seed, idx + i, tag]).standard_normal(
-                (count, self.scenario.phi.m)) for i in range(rows)], axis=1)
-        draws = draws.reshape((count,) + geo.p.shape)
+        """``count`` test vectors for each row of ``geo``, sample indices
+        idx, idx + 1, ..., components in [-1, 1) keyed by the run's seed,
+        the sample index and the tag (``scenarios.uniform``)."""
+        rows, m = geo.p.shape
+        keys = np.stack([idx + np.arange(rows), np.full(rows, tag)], axis=1)
+        u = scenarios.uniform(self.config.seed, keys, count * m)
+        draws = (2.0 * u - 1.0).reshape(rows, count, m).swapaxes(0, 1)
         return draws[0] if count == 1 else draws
 
 

@@ -232,25 +232,50 @@ def get_scenario(name: str) -> Scenario:
     return builder()
 
 
+# SplitMix64's increment and finalizer multipliers (Steele, Lea & Flood 2014)
+_GAMMA, _C1, _C2 = (np.uint64(c) for c in (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+
+def _output(state, counter):
+    """Output ``counter`` (from 0) of the SplitMix64 stream seeded with
+    ``state``: the finalizer at state + (counter + 1) * gamma.  On uint64
+    arrays, which wrap silently where numpy scalars warn."""
+    z = state + _GAMMA * (counter + np.uint64(1))
+    z = (z ^ (z >> np.uint64(30))) * _C1
+    z = (z ^ (z >> np.uint64(27))) * _C2
+    return z ^ (z >> np.uint64(31))
+
+
+def uniform(seed: int, keys, columns: int) -> np.ndarray:
+    """Doubles in [0, 1), one row per row of the integer array ``keys`` and
+    ``columns`` a row, entry (r, j) a function of (seed, keys[r], j) alone:
+    each 64-bit limb of the seed, then each key, picks the output of a
+    SplitMix64 stream that seeds the next stream, and column j is output j
+    of the last."""
+    words = [np.full(len(keys), seed >> s & 2 ** 64 - 1, np.uint64)
+             for s in range(0, max(seed.bit_length(), 1), 64)]
+    state = np.zeros(len(keys), dtype=np.uint64)
+    for word in words + list(np.asarray(keys, np.uint64).T):
+        state = _output(state, word)
+    counter = np.arange(columns, dtype=np.uint64)
+    return (_output(state[:, None], counter) >> np.uint64(11)) * 2.0 ** -53
+
+
 def sample_points(scenario: Scenario, count: int, seed: int):
     """Deterministic rejection sampling inside the scenario's chart box, at
-    most 1,000 attempts per requested point."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
+    most 1,000 attempts per requested point.  Candidate k is drawn from
+    ``uniform(seed, [[k]], m)`` alone, so a smaller count gives a prefix."""
+    if count < 1 or seed < 0:
+        raise ValueError("count must be >= 1 and seed >= 0")
     lo, hi = scenario.source.sample_region
-    points = []
-    attempts = 0
-    budget = count * 1000
-    while len(points) < count:
-        if attempts >= budget:
-            raise GeometryError("sample region exhausted after %d attempts"
-                                % attempts)
-        attempts += 1
-        p = rng.uniform(lo, hi)
-        if not scenario.source.domain_predicate(p):
-            continue
-        if scenario.excluded(p):
-            continue
-        points.append(p)
-    return points
+    points, budget = [], count * 1000
+    for start in range(0, budget, count):  # attempts in blocks of count
+        keys = np.arange(start, start + count)[:, None]
+        for p in lo + (hi - lo) * uniform(seed, keys, len(lo)):
+            if (scenario.source.domain_predicate(p)
+                    and not scenario.excluded(p)):
+                points.append(p)
+                if len(points) == count:
+                    return points
+    raise GeometryError("sample region exhausted after %d attempts" % budget)

@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, report files, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phmorph import runner
+from phmorph import runner, scenarios
 from phmorph.cli import main
 from phmorph.runner import ALL_IDENTITIES
 from phmorph.scenarios import list_scenarios
 from tests.test_exprs import random_expression
+from tests.test_golden import WORKLOADS
+
+README_ARGS = WORKLOADS["readme-6-4"][0]
 
 
 def run(capsys, *argv):
@@ -277,9 +281,13 @@ TOLERANCES = st.one_of(
                      "1e-5", "1", "tight"]),
     st.floats().map(repr))
 
+# half the seeds past 64 bits, which the sample generator folds in limbs
+SEEDS = st.one_of(st.integers(min_value=0, max_value=2**32 - 1),
+                  st.integers(min_value=2**64, max_value=2**80))
+
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), TOLERANCES, TOLERANCES,
+@given(SEEDS, TOLERANCES, TOLERANCES,
        st.integers(min_value=1, max_value=2))
 def test_fuzzed_runs_end_in_an_exit_code(seed, tol_ad, tol_fd, samples):
     # sigma may use x5, one past the chart of flat-projection-4-2
@@ -289,13 +297,48 @@ def test_fuzzed_runs_end_in_an_exit_code(seed, tol_ad, tol_fd, samples):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         code = main(["verify", "--scenario", "flat-projection-4-2",
-                     "--sigma", sigma, "--rho", rho,
+                     "--sigma", sigma, "--rho", rho, "--seed", str(seed),
                      "--samples", str(samples), "--tol-ad=" + tol_ad,
                      "--tol-fd=" + tol_fd, "--report", path])
         assert code in (0, 1, 2)
         if os.path.exists(path):
             with open(path) as handle:
                 json.load(handle, parse_constant=_strict)
+
+
+def test_a_seed_above_64_bits_runs(capsys):
+    code, out = run(capsys, "verify", "--scenario", "flat-projection-4-2",
+                    "--seed", str(2**70), "--samples", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "pass"
+    assert data["config"]["seed"] == 2**70
+
+
+def test_an_exhausted_sample_region_exit_two(capsys):
+    sc = dataclasses.replace(scenarios.get_scenario("flat-projection-4-2"),
+                             excluded=lambda p: True)
+    with mock.patch.object(scenarios, "get_scenario", lambda name: sc):
+        code = main(["verify", "--scenario", sc.name, "--samples", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == \
+        "error: sample region exhausted after 3000 attempts\n"
+
+
+def test_a_run_does_not_load_numpy_random(tmp_path):
+    # points and test directions come from scenarios.uniform, whose hash
+    # needs no generator module
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = ("import sys; from phmorph.cli import main; "
+            "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
+    argv = (["verify"] + README_ARGS
+            + ["--samples", "20", "--report", str(tmp_path / "r.json")])
+    proc = subprocess.run([sys.executable, "-c", code] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_negative_seed_exit_two(capsys):
@@ -317,7 +360,7 @@ FUZZ_CHUNK = 3  # so that a few samples span several chunks
            st.sampled_from(ALL_IDENTITIES + ("no-such-identity",)),
            min_size=1, max_size=4)),
        st.integers(min_value=1, max_value=2 * FUZZ_CHUNK + 1),
-       st.integers(min_value=0, max_value=2**32 - 1))
+       SEEDS)
 def test_fuzzed_scenarios_identities_and_sample_counts_end_in_an_exit_code(
         scenario, identities, samples, seed):
     # sigma over x1..x3 fits every chart and may error at some points

@@ -144,6 +144,39 @@ def test_point_major_run_equals_one_pass_per_identity(monkeypatch, config):
                    for row in rep["per_identity"])
 
 
+def _readme_run(seed):
+    config = RunConfig(scenario="flat-projection-6-4", sigma="exp(0.2*x1)",
+                       rho="1+0.1*x5^2", seed=seed)
+    scenario = get_scenario(config.scenario)
+    return RunContext(scenario, config, config.build_change(scenario))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_batch_draws_what_its_rows_draw_alone(count):
+    # test components are keyed by (seed, sample index, tag) alone, so a
+    # row draws the same bits in a chunk and in a 1-row re-run
+    run = _readme_run(2**70 + 3)
+    geo = LocalGeometry(run.scenario.phi,
+                        sample_points(run.scenario, 5, seed=1))
+    rows = [run.draw(row, 10 + i, 3, count) for i, row in enumerate(geo.rows)]
+    assert np.array_equal(run.draw(geo, 10, 3, count),
+                          np.concatenate(rows, axis=-2))
+
+
+def test_draws_differ_across_tags_and_seeds_and_lie_in_the_unit_box():
+    draws = []
+    for seed in (0, 1, 2**64, 2**70):
+        run = _readme_run(seed)
+        geo = LocalGeometry(run.scenario.phi,
+                            sample_points(run.scenario, 5, seed=1))
+        for tag in (3, 4, 7):
+            draw = run.draw(geo, 0, tag, count=2)
+            assert draw.shape == (2, 5, 6)
+            assert np.all(-1.0 <= draw) and np.all(draw < 1.0)
+            draws.append(draw.tobytes())
+    assert len(set(draws)) == len(draws)
+
+
 def test_map_jets_computed_once_per_distinct_point(monkeypatch):
     # no check evaluates the map away from a point: its jets are computed
     # once at each sample point and at each of the self-check's points

@@ -1,12 +1,15 @@
 """Bundled geometries: registry, sampling, flags and self-consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import phmorph as pm
 from phmorph import (LocalGeometry, confirm_flags, differential, get_scenario,
                      list_scenarios, sample_points)
-from phmorph.scenarios import standard_J
+from phmorph.manifold import GeometryError
+from phmorph.scenarios import standard_J, uniform
 
 
 EXPECTED_NAMES = {
@@ -38,6 +41,33 @@ def test_sampling_is_deterministic():
     assert np.array_equal(np.array(a), np.array(b))
     c = sample_points(sc, 15, seed=4)
     assert not np.array_equal(np.array(a), np.array(c))
+
+
+def test_fewer_samples_are_a_prefix_of_more():
+    # a hopf candidate among the first ten attempts at seed 11 falls outside
+    # the domain, so the tenth point comes from the second block of 10
+    # attempts in one call and from the first block of 25 in the other
+    sc = get_scenario("hopf")
+    lo, hi = sc.source.sample_region
+    first = lo + (hi - lo) * uniform(11, np.arange(10)[:, None], 3)
+    few, more = sample_points(sc, 10, seed=11), sample_points(sc, 25, seed=11)
+    assert not np.array_equal(np.array(few), first)
+    assert np.array_equal(np.array(few), np.array(more[:10]))
+
+
+@pytest.mark.parametrize("count, seed", [(0, 1), (1, -1)])
+def test_a_zero_count_or_a_negative_seed_is_rejected(count, seed):
+    # a negative seed would otherwise hash as its two's complement limbs
+    with pytest.raises(ValueError):
+        sample_points(get_scenario("flat-projection-4-2"), count, seed)
+
+
+def test_an_exhausted_sample_region_raises():
+    sc = dataclasses.replace(get_scenario("flat-projection-4-2"),
+                             excluded=lambda p: True)
+    with pytest.raises(GeometryError) as exc:
+        sample_points(sc, 2, seed=0)
+    assert str(exc.value) == "sample region exhausted after 2000 attempts"
 
 
 def test_sampling_respects_exclusions():
