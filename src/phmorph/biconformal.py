@@ -22,7 +22,6 @@ connection on the other) and returns one report per row (``row_reports``);
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 from typing import Optional
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import exprs, jets
 from .exprs import Expr
-from .jets import JetDomainError, first, pointwise, quiet
+from .jets import JetDomainError, first, quiet
 from .manifold import (GeometryError, MetricError, MetricField, contract, dot,
                        matvec, outer, per_k, quad)
 from .maps import (LocalGeometry, RankError, SmoothMap, differential,
@@ -109,8 +108,8 @@ def _inverse_square(name, jet, p):
     positive before anything is divided by it."""
     value = jet.value
     square = value * value
-    weight = np.where(square > 0.0, 1.0 / square, math.inf)
-    bad = ~((0.0 < weight) & (weight < math.inf))
+    weight = np.where(square > 0.0, 1.0 / square, np.inf)
+    bad = ~((0.0 < weight) & (weight < np.inf))
     if np.count_nonzero(bad):
         raise MetricError("%s^-2 is not a finite positive number at %s "
                           "(%s = %g)" % (name, first(p, bad).tolist(), name,
@@ -290,10 +289,6 @@ def _report(identity, p, lhs, rhs, tol):
                        np.isfinite(absr) & np.isfinite(scale))
 
 
-def _squared(s):
-    return pointwise(lambda v: v ** 2, s)
-
-
 def _require_horizontal(name, v, ph, g):
     v = np.asarray(v, dtype=float)
     hv = matvec(ph, v)
@@ -357,11 +352,11 @@ def verify_koszul_v(gbar: ChangedMetric, geo: LocalGeometry, v_comp,
     s_jet, r_jet = gbar.factor_jets(geo)
     rho = r_jet.value
     # covector of rho^-2
-    d_rho_m2 = pointwise(lambda r: -2.0 * r ** -3, rho)[..., None] * r_jet.grad
-    inner = (pointwise(lambda r: 2.0 * r ** -2, rho)[..., None]
+    d_rho_m2 = (-2.0 * rho ** -3)[..., None] * r_jet.grad
+    inner = ((2.0 * rho ** -2)[..., None]
              * matvec(ph, geo.covariant_derivative(v, v, dv))
              - quad(v, g, v)[..., None] * matvec(ph @ geo.ginv, d_rho_m2))
-    rhs = pointwise(lambda s: 0.5 * s ** 2, s_jet.value)[..., None] * inner
+    rhs = (0.5 * s_jet.value ** 2)[..., None] * inner
     return _report("koszul-vertical", geo.p, lhs, rhs, tol)
 
 
@@ -380,7 +375,7 @@ def verify_mean_curvature(gbar: ChangedMetric, geo: LocalGeometry,
     _, grad_lr = gbar.grad_log_factors(geo)
     ph = horizontal_projector(geo)
     s, _ = gbar.factor_values(geo)
-    rhs = _squared(s)[..., None] * (mu + matvec(ph, grad_lr))
+    rhs = (s ** 2)[..., None] * (mu + matvec(ph, grad_lr))
     return _report("mean-curvature", geo.p, lhs, rhs, tol)
 
 
@@ -397,7 +392,7 @@ def verify_f_divergence(gbar: ChangedMetric, geo: LocalGeometry,
     ph = horizontal_projector(geo)
     s, _ = gbar.factor_values(geo)
     n2 = 2.0 * gbar.phi.n - 2.0
-    rhs = _squared(s)[..., None] * (div + n2 * matvec(ph, grad_ls))
+    rhs = (s ** 2)[..., None] * (div + n2 * matvec(ph, grad_ls))
     return _report("f-divergence", geo.p, lhs, rhs, tol)
 
 
@@ -414,7 +409,7 @@ def verify_tension_transform(gbar: ChangedMetric, geo: LocalGeometry,
     s, _ = gbar.factor_values(geo)
     two_n, m = gbar.phi.two_n, gbar.phi.m
     correction = (two_n - m) * grad_lr + (2.0 - two_n) * grad_ls
-    rhs = _squared(s)[..., None] * (tau + matvec(a, correction))
+    rhs = (s ** 2)[..., None] * (tau + matvec(a, correction))
     return _report("tension-transform", geo.p, lhs, rhs, tol)
 
 
@@ -532,7 +527,7 @@ def corollary_psh_at(scenario, gbar: ChangedMetric, geo: LocalGeometry,
     else:
         # tension must not collapse to zero where tau_g is nonzero
         s, _ = gbar.factor_values(geo)
-        ref = _squared(s) * np.abs(tension_field(geo)).max(axis=-1)
+        ref = s ** 2 * np.abs(tension_field(geo)).max(axis=-1)
         ok = (rel < tol) & ((ref < 10 * tol) | (tau_bar > 0.5 * ref))
         resid = rel
     return row_reports("corollary-psh", geo.p, resid, resid, ok)

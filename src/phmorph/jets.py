@@ -7,10 +7,12 @@ fields, Laplacians) come out exact to machine precision.
 A jet's value has a batch shape, ``()`` for one point or ``(B,)`` for B
 points, its gradient that shape + (d,) and its Hessian that shape + (d, d);
 a constant made from a number has shape ``()`` and broadcasts.  Each row is
-computed as at one point: the arithmetic is elementwise, and the chain
-rule's derivatives run in Python floats (``pointwise``), since numpy's
-``exp`` and ``**`` can differ from Python's in the last bit, and warn where
-those raise.
+computed as at one point: the arithmetic and the chain rule's elementary
+functions are numpy ufuncs over the whole batch, elementwise, so a row gives
+the same bits in a batch of any length as alone.  On plain numbers and
+arrays (``exprs.eval_jet`` on floats, ``manifold.jet_matrix``) the
+elementary functions raise an ``ArithmeticError`` on overflow, an invalid
+operation or a division by zero; underflow stays silent.
 
 Where non-finite jets are caught: the public ``Jet2(...)`` constructor
 checks shapes and every component.  The arithmetic in this module builds its
@@ -24,8 +26,6 @@ again, so the full check runs once where a jet leaves the arithmetic
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -38,15 +38,8 @@ class JetDomainError(ValueError):
 quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def pointwise(fn, values):
-    """``fn`` on each entry as a Python float (raising as ``math`` does)."""
-    values = np.asarray(values, dtype=float)
-    return np.array([fn(v) for v in values.ravel().tolist()],
-                    dtype=float).reshape(values.shape)
-
-
 def finite(a) -> bool:
-    return math.isfinite(a) if a.ndim == 0 else np.isfinite(a).all()
+    return np.isfinite(a).all()
 
 
 def first(values, bad):
@@ -106,12 +99,10 @@ class Jet2:
         return Jet2.constant(other, self.dim)
 
     @quiet
-    def _chain(self, derivs) -> "Jet2":
-        # chain rule for f with derivs(v) = (f(v), f'(v), f''(v)) in floats
-        f = np.array([derivs(v) for v in self.value.ravel().tolist()],
-                     dtype=float).reshape(self.value.shape + (3,))
-        f1, f2, g = f[..., 1, None], f[..., 2, None, None], self.grad
-        return Jet2(f[..., 0], f1 * g, f1[..., None] * self.hess
+    def _chain(self, f0, f1, f2) -> "Jet2":
+        # chain rule for f with f(u), f'(u) and f''(u) at the jet's values u
+        f1, f2, g = f1[..., None], f2[..., None, None], self.grad
+        return Jet2(f0, f1 * g, f1[..., None] * self.hess
                     + f2 * (g[..., :, None] * g[..., None, :]), _check=False)
 
     # ---- arithmetic -----------------------------------------------------
@@ -151,10 +142,12 @@ class Jet2:
 
     __rmul__ = __mul__
 
+    @quiet
     def reciprocal(self) -> "Jet2":
-        if np.count_nonzero(self.value == 0.0):
+        u = self.value
+        if np.count_nonzero(u == 0.0):
             raise JetDomainError("division by zero jet value")
-        return self._chain(lambda u: (1.0 / u, -1.0 / u ** 2, 2.0 / u ** 3))
+        return self._chain(1.0 / u, -1.0 / u ** 2, 2.0 / u ** 3)
 
     def __truediv__(self, other):
         return self * self._lift(other).reciprocal()
@@ -235,38 +228,41 @@ def lift(x, dim: int, shape) -> Jet2:
 
 # ---- elementary functions (dispatch on numbers or Jet2) -----------------
 
-def _unary(x, fv, f1, f2, domain=None, name=""):
-    values = x.value if isinstance(x, Jet2) else np.asarray(x, dtype=float)
-    if domain is not None:
-        for v in values.ravel().tolist():
-            if not domain(v):
-                raise JetDomainError("%s of out-of-domain value %r"
-                                     % (name, v))
+@quiet
+def _unary(x, f, derivs, positive=""):
+    """f at a number, an array or a jet, with ``derivs(u, f(u))`` = (f'(u),
+    f''(u)); the function named by ``positive`` takes positive values only."""
+    u = x.value if isinstance(x, Jet2) else np.asarray(x, dtype=float)
+    if positive:
+        bad = ~(u > 0.0)
+        if np.count_nonzero(bad):
+            raise JetDomainError("%s of out-of-domain value %r"
+                                 % (positive, float(first(u, bad))))
     if isinstance(x, Jet2):
-        return x._chain(lambda v: (fv(v), f1(v), f2(v)))
-    if values.ndim == 0:
-        return fv(float(values))
-    return pointwise(fv, values)
+        value = f(u)
+        return x._chain(value, *derivs(u, value))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        value = f(u)
+    return value if u.ndim else float(value)
 
 
 def sin(x):
-    return _unary(x, math.sin, math.cos, lambda v: -math.sin(v))
+    return _unary(x, np.sin, lambda u, s: (np.cos(u), -s))
 
 
 def cos(x):
-    return _unary(x, math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v))
+    return _unary(x, np.cos, lambda u, c: (-np.sin(u), -c))
 
 
 def exp(x):
-    return _unary(x, math.exp, math.exp, math.exp)
+    return _unary(x, np.exp, lambda u, e: (e, e))
 
 
 def log(x):
-    return _unary(x, math.log, lambda v: 1.0 / v, lambda v: -1.0 / v ** 2,
-                  domain=lambda v: v > 0.0, name="log")
+    return _unary(x, np.log, lambda u, _: (1.0 / u, -1.0 / u ** 2),
+                  positive="log")
 
 
 def sqrt(x):
-    return _unary(x, math.sqrt, lambda v: 0.5 / math.sqrt(v),
-                  lambda v: -0.25 / v ** 1.5,
-                  domain=lambda v: v > 0.0, name="sqrt")
+    return _unary(x, np.sqrt, lambda u, r: (0.5 / r, -0.25 / u ** 1.5),
+                  positive="sqrt")
