@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exprs, jets
 from .exprs import Expr
-from .jets import JetDomainError, first, quiet
+from .jets import JetDomainError, first
 from .manifold import (GeometryError, MetricError, MetricField, contract, dot,
                        matvec, outer, per_k, quad)
 from .maps import (LocalGeometry, RankError, SmoothMap, differential,
@@ -101,7 +101,6 @@ def special_change(sigma: Expr, m: int, n: int) -> BiconformalChange:
     return BiconformalChange(sigma, rho)
 
 
-@quiet
 def _inverse_square(name, jet, p):
     """(f^-2, d(f^-2)) of a factor jet f, with d(f^-2) = -2 f^-2 d(ln f)
     (overflowing to inf silently), both checked: f^-2 to be finite and
@@ -277,7 +276,6 @@ def row_reports(identity, p, absr, rel, passed, finite=None):
             for q, a, r, ok, fin in rows]
 
 
-@quiet
 def _report(identity, p, lhs, rhs, tol):
     """Residual reports of lhs = rhs (components on the last axis) at the
     rows of p; a non-finite side is a sample error."""

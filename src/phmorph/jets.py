@@ -16,9 +16,10 @@ operation or a division by zero; underflow stays silent.
 
 Where non-finite jets are caught: the public ``Jet2(...)`` constructor
 checks shapes and every component.  The arithmetic in this module builds its
-results with ``_check=False``, which checks only the value, and never warns:
-IEEE arithmetic never turns a non-finite gradient or Hessian entry finite
-again, so the full check runs once where a jet leaves the arithmetic
+results with ``_check=False``, which checks only the value.  It follows
+numpy's floating-point error state, which ``runner.run_verification`` sets
+to give inf and NaN silently over a run: IEEE arithmetic never turns a
+non-finite gradient or Hessian entry finite again, so the full check runs once where a jet leaves the arithmetic
 (``lift``, behind ``SmoothMap.jets`` and ``factor_jets``,
 ``LocalGeometry.laplacian`` and ``manifold.jet_matrix_and_derivs``, behind
 ``JetMetric`` and ``AlmostComplexStructureField``), through ``Jet2.check``.
@@ -32,14 +33,6 @@ import numpy as np
 class JetDomainError(ValueError):
     """Raised when an operation leaves its real domain (log of <= 0, division
     by zero, ...) or produces a non-finite component."""
-
-
-# overflow gives inf and NaN silently, as in Python floats
-quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
-
-
-def finite(a) -> bool:
-    return np.isfinite(a).all()
 
 
 def first(values, bad):
@@ -66,7 +59,7 @@ class Jet2:
         self.hess = np.asarray(hess, dtype=float)
         if _check:
             self.check()
-        elif not finite(self.value):
+        elif not np.isfinite(self.value).all():
             raise JetDomainError("non-finite jet component")
 
     def check(self) -> "Jet2":
@@ -76,8 +69,8 @@ class Jet2:
         shape, d = self.value.shape, self.grad.shape[-1:]
         if self.grad.shape != shape + d or self.hess.shape != shape + d + d:
             raise ValueError("jet gradient/Hessian shape mismatch")
-        if not (finite(self.value) and finite(self.grad)
-                and finite(self.hess)):
+        if not all(np.isfinite(a).all() for a in (self.value, self.grad,
+                                                  self.hess)):
             raise JetDomainError("non-finite jet component")
         return self
 
@@ -98,7 +91,6 @@ class Jet2:
             return other
         return Jet2.constant(other, self.dim)
 
-    @quiet
     def _chain(self, f0, f1, f2) -> "Jet2":
         # chain rule for f with f(u), f'(u) and f''(u) at the jet's values u
         f1, f2, g = f1[..., None], f2[..., None, None], self.grad
@@ -110,7 +102,6 @@ class Jet2:
     def __neg__(self):
         return Jet2(-self.value, -self.grad, -self.hess, _check=False)
 
-    @quiet
     def __add__(self, other):
         o = self._lift(other)
         return Jet2(self.value + o.value, self.grad + o.grad,
@@ -118,7 +109,6 @@ class Jet2:
 
     __radd__ = __add__
 
-    @quiet
     def __sub__(self, other):
         o = self._lift(other)
         return Jet2(self.value - o.value, self.grad - o.grad,
@@ -127,7 +117,6 @@ class Jet2:
     def __rsub__(self, other):
         return self._lift(other).__sub__(self)
 
-    @quiet
     def __mul__(self, other):
         o = self._lift(other)
         a, b = self.value[..., None], o.value[..., None]
@@ -142,7 +131,6 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    @quiet
     def reciprocal(self) -> "Jet2":
         u = self.value
         if np.count_nonzero(u == 0.0):
@@ -228,7 +216,6 @@ def lift(x, dim: int, shape) -> Jet2:
 
 # ---- elementary functions (dispatch on numbers or Jet2) -----------------
 
-@quiet
 def _unary(x, f, derivs, positive=""):
     """f at a number, an array or a jet, with ``derivs(u, f(u))`` = (f'(u),
     f''(u)); the function named by ``positive`` takes positive values only."""

@@ -14,7 +14,10 @@ returns one report per row.  ``_settle`` runs both kinds: a check that raises
 a sample error on a batch is re-run on each row as a 1-row batch
 (``LocalGeometry.rows``), and a sample error at one row is that row's
 errored report.  Each identity, and each flag, folds its reports into one
-``IdentityAggregate`` in point order."""
+``IdentityAggregate`` in point order.  The chunks run in one numpy
+floating-point error state, in which overflow, invalid operations and
+division by zero give inf and NaN silently; the checks report them as sample
+errors."""
 
 from __future__ import annotations
 
@@ -326,12 +329,14 @@ def run_verification(config: RunConfig):
         else:
             skipped.append({"name": name, "reason": reason})
     flag_tallies = _flag_tallies(scenario)
-    for start in range(0, len(points), CHUNK):
-        geo = LocalGeometry(scenario.phi, points[start:start + CHUNK])
-        for agg in totals:
-            for rep in run_identity(agg.name, run, geo, start):
-                agg.add(rep)
-        flags = confirm_flags(scenario, [geo], config.tol_fd, flag_tallies)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, len(points), CHUNK):
+            geo = LocalGeometry(scenario.phi, points[start:start + CHUNK])
+            for agg in totals:
+                for rep in run_identity(agg.name, run, geo, start):
+                    agg.add(rep)
+            flags = confirm_flags(scenario, [geo], config.tol_fd,
+                                  flag_tallies)
 
     per_identity = [agg.as_dict() for agg in totals]
     return _assemble(config, scenario, per_identity, flags, skipped, warnings)
