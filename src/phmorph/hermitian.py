@@ -20,9 +20,8 @@ The horizontal quantities (``f_divergence_horizontal``, ``phh_defect``,
 sum_a f_a f_a^T = P_H g^-1 P_H^T, so they contract over the rows of
 ``LocalGeometry.horizontal_factor``, whose R^T R is that matrix, and no
 check builds a frame.  ``adapted_frame`` builds {e_i, F e_i} on each call for
-the tests; it stays here because the benchmark's tracer names it, until
-ROADMAP item 3's benchmark change.  It and both traces raise ``FrameError``
-on every call where PHWC fails."""
+the tests; it stays here until the benchmark's tracer stops naming it.  It
+and both traces raise ``FrameError`` on every call where PHWC fails."""
 
 from __future__ import annotations
 

@@ -8,9 +8,8 @@ metric (``biconformal.ChangedMetric``) differentiates its projector algebra in
 closed form.  ``FDMetric``, ``richardson_partial`` and
 ``directional_derivative`` (Richardson-extrapolated central differences) are
 oracles for the tests; no verification run calls them.  They, and
-``inverse_metric_at`` and ``christoffel``, stay in this module only because
-the benchmark's tracer (``perfbench/tracer.py``) names them; ROADMAP item 3
-moves them out with a benchmark change.
+``inverse_metric_at`` and ``christoffel``, stay in this module until the
+benchmark's tracer (``perfbench/tracer.py``) stops naming them.
 
 Nothing here keeps per-point data: ``metric_at`` (with its domain,
 finiteness, symmetry and positive-definiteness checks), ``inverse_metric_at``
@@ -285,7 +284,7 @@ def inverse_metric(g, p):
     bad = np.abs(g @ ginv - np.eye(g.shape[-1])).max(axis=(-2, -1)) > 1e-10
     if np.count_nonzero(bad):
         raise MetricError("metric inversion inaccurate at %s"
-                          % (first(p, bad),))
+                          % first(p, bad).tolist())
     return ginv
 
 

@@ -30,12 +30,12 @@ first read, kept read-only, and never kept when it fails:
 
 The public functions of the same names take a geometry and read these
 fields.  ``ortho_split`` (built on each call, at one point) and the
-``horizontal_lift`` wrapper serve only the tests; they stay here because the
-benchmark's tracer (``perfbench/tracer.py``) names them, until ROADMAP item
-3's benchmark change.  The derivatives are exact: with M = A g^-1 A^T, the
-lift L = g^-1 A^T M^-1 and P_H = L A are differentiated through d_k A (the
-map's Hessian), d_k g and d(M^-1) = -M^-1 dM M^-1, so no check evaluates the
-map away from its sample point.  The fiber mean curvature needs no frame.
+``horizontal_lift`` wrapper serve only the tests; they stay here until the
+benchmark's tracer (``perfbench/tracer.py``) stops naming them.  The
+derivatives are exact: with M = A g^-1 A^T, the lift L = g^-1 A^T M^-1 and
+P_H = L A are differentiated through d_k A (the map's Hessian), d_k g and
+d(M^-1) = -M^-1 dM M^-1, so no check evaluates the map away from its sample
+point.  The fiber mean curvature needs no frame.
 """
 
 from __future__ import annotations

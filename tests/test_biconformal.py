@@ -549,6 +549,50 @@ def test_tolerance_rejects_corollary_psh_with_a_wrong_rho_exponent():
         assert rep.passed, p
 
 
+def test_tolerance_rejects_pullback_of_a_non_holomorphic_function(
+        monkeypatch):
+    # |z1|^2 is not holomorphic: its pullback has Laplacian 2|d phi_1|^2,
+    # nonzero wherever phi is a submersion, so no point passes; the same
+    # function in place of the builtin z1 fails the run's pullback identity
+    def abs_z1_squared(w):
+        return w[0] * w[0] + w[1] * w[1], 0.0 * w[0]
+
+    builtins = pm.biconformal.HOLOMORPHIC_BUILTINS
+    monkeypatch.setitem(builtins, "|z1|^2", abs_z1_squared)
+    sc = get_scenario("flat-projection-6-4")
+    geo = at(sc.phi, sample_points(sc, 4, seed=5))
+    for rep in verify_pullback_characterization(geo, "|z1|^2", tol=TOL_FD):
+        assert rep.rel_residual > 100 * TOL_FD and not rep.passed, rep
+    assert all(rep.passed for rep in
+               verify_pullback_characterization(geo, "z1", tol=TOL_FD))
+    monkeypatch.setitem(builtins, "z1", abs_z1_squared)
+    report = pm.run_verification(pm.RunConfig(
+        scenario="flat-projection-6-4", samples=4, identities=["pullback"]))
+    row = report["per_identity"][0]
+    assert (row["samples_fail"], row["samples_error"]) == (4, 0)
+    assert report["verdict"] == "fail"
+
+
+def test_tolerance_rejects_phwc_equivalence_without_the_metric_defect(
+        monkeypatch):
+    # nonphwc-anisotropic is not PHWC: its commutator defect is far above
+    # the tolerance, so a metric-compatibility defect read as 0 disagrees
+    # with it at every point
+    monkeypatch.setattr(pm.biconformal, "phwc_metric_defect",
+                        lambda geo, J: (np.zeros(len(geo.p)), 1.0))
+    sc = get_scenario("nonphwc-anisotropic")
+    tol = pm.RunConfig(scenario=sc.name).tol_ad
+    reps = verify_phwc_equivalence(at(sc.phi, sample_points(sc, 5, seed=6)),
+                                   sc.J, tol=tol)
+    assert len(reps) == 5 and not any(rep.passed for rep in reps)
+    assert all(rep.rel_residual > 100 * tol for rep in reps)
+    report = pm.run_verification(pm.RunConfig(
+        scenario=sc.name, samples=5, identities=["phwc-equivalence"]))
+    row = report["per_identity"][0]
+    assert (row["samples_fail"], row["samples_error"]) == (5, 0)
+    assert report["verdict"] == "fail"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_side_is_a_sample_error(bad):
     p = np.array([[0.1, 0.2]])

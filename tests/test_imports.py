@@ -36,3 +36,28 @@ def test_an_unused_import_is_found():
     source = ("import numpy as np\nfrom os import path, sep\n"
               "print(np.pi, sep)\n")
     assert unused_imports(source) == [(2, "path")]
+
+
+def math_imports(source):
+    """The lines of ``source`` that import Python's ``math`` module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import)
+                  and any(alias.name == "math" for alias in node.names)
+                  or isinstance(node, ast.ImportFrom)
+                  and node.module == "math")
+
+
+SOURCES = sorted(SRC.glob("*.py"))
+
+
+# every number of a run goes through numpy, so that a row gives the same
+# bits in a batch as alone: no second numeric path in Python floats
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_math_import(path):
+    assert math_imports(path.read_text()) == []
+
+
+def test_a_math_import_is_found():
+    source = ("import numpy as np, math as m\nfrom math import exp\n"
+              "import mathx\nprint(np.pi, m.pi, exp(1))\n")
+    assert math_imports(source) == [1, 2]

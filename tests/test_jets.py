@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import phmorph.jets as jets
 from phmorph import Jet2, JetDomainError, seed_coordinates
+from phmorph.runner import CHUNK
 
 
 def fd_grad_hess(f, x, h=1e-5):
@@ -103,6 +104,44 @@ def test_domain_errors():
     zero = x + 1.0
     with pytest.raises(JetDomainError):
         1.0 / zero
+
+
+def test_domain_errors_name_the_first_bad_value_of_a_batch():
+    x, _ = seed_coordinates([[1.0, 0.0], [-2.0, 0.0], [0.0, 0.0]])
+    for fn in (jets.log, jets.sqrt):
+        with pytest.raises(JetDomainError, match="out-of-domain value -2.0$"):
+            fn(x)
+        with pytest.raises(JetDomainError, match="out-of-domain value 0.0$"):
+            fn(np.array([3.0, 0.0, -1.0]))
+
+
+BATCH_KERNELS = {
+    "sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "log": jets.log,
+    "sqrt": jets.sqrt, "reciprocal": Jet2.reciprocal,
+    "power": lambda u: u ** 1.7,
+}
+
+
+@pytest.mark.parametrize("rows", [CHUNK, CHUNK + 3])
+@pytest.mark.parametrize("kernel", sorted(BATCH_KERNELS))
+def test_kernels_give_each_row_its_bits_in_any_batch(kernel, rows):
+    # a row of a chunk and the same row re-run alone (a 1-row batch) must
+    # agree bit for bit, also in the tail of a batch that is not a multiple
+    # of the SIMD width
+    fn = BATCH_KERNELS[kernel]
+    points = np.random.default_rng(8).uniform(0.2, 1.5, (rows, 2))
+
+    def f(p):
+        x, y = seed_coordinates(p)
+        return fn(x * y + 0.5 * x)  # positive, with a Hessian
+
+    batch = f(points)
+    assert batch.value.shape == (rows,)
+    for i in range(rows):
+        one = f(points[i:i + 1])
+        for part in ("value", "grad", "hess"):
+            assert np.array_equal(getattr(batch, part)[i],
+                                  getattr(one, part)[0]), (part, i)
 
 
 def test_hessian_symmetry_is_exact():

@@ -20,7 +20,8 @@ from phmorph import (
     parse,
     seed_coordinates,
 )
-from phmorph.manifold import directional_derivative, richardson_partial
+from phmorph.manifold import (directional_derivative, inverse_metric,
+                              richardson_partial)
 from phmorph.maps import LocalGeometry
 
 
@@ -312,6 +313,17 @@ def test_non_positive_definite_point_fails_on_every_call():
             with pytest.raises(MetricError):
                 getattr(geo, field)
     assert metric.evaluations == 15
+
+
+def test_inaccurate_inversion_names_the_point_as_a_list():
+    # condition number 2e9: g g^-1 - I is about 5e-10, above the 1e-10 check
+    near = 1.0 - 1e-9
+    g = np.array([[1.0, near], [near, 1.0]])
+    for gs, p in [(g, [0.1, 0.2]),
+                  (np.stack([np.eye(2), g]), [[0.3, 0.4], [0.1, 0.2]])]:
+        with pytest.raises(MetricError) as info:
+            inverse_metric(gs, np.array(p))
+        assert str(info.value) == "metric inversion inaccurate at [0.1, 0.2]"
 
 
 class CountingDerivs(FDMetric):
