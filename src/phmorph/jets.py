@@ -17,12 +17,13 @@ operation or a division by zero; underflow stays silent.
 Where non-finite jets are caught: the public ``Jet2(...)`` constructor
 checks shapes and every component.  The arithmetic in this module builds its
 results with ``_check=False``, which checks only the value.  It follows
-numpy's floating-point error state, which ``runner.run_verification`` sets
-to give inf and NaN silently over a run: IEEE arithmetic never turns a
-non-finite gradient or Hessian entry finite again, so the full check runs once where a jet leaves the arithmetic
-(``lift``, behind ``SmoothMap.jets`` and ``factor_jets``,
-``LocalGeometry.laplacian`` and ``manifold.jet_matrix_and_derivs``, behind
-``JetMetric`` and ``AlmostComplexStructureField``), through ``Jet2.check``.
+numpy's floating-point error state, in which ``runner.run_verification``
+gives inf and NaN silently: IEEE arithmetic never turns a non-finite
+gradient or Hessian entry finite again, so the full check runs once where a
+jet leaves the arithmetic (``lift``, behind ``SmoothMap.jets`` and
+``factor_jets``, ``LocalGeometry.laplacian`` and
+``manifold.jet_matrix_and_derivs``, behind ``JetMetric`` and
+``AlmostComplexStructureField``), through ``Jet2.check``.
 """
 
 from __future__ import annotations

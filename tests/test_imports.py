@@ -41,10 +41,10 @@ def test_an_unused_import_is_found():
 def math_imports(source):
     """The lines of ``source`` that import Python's ``math`` module."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Import)
-                  and any(alias.name == "math" for alias in node.names)
-                  or isinstance(node, ast.ImportFrom)
-                  and node.module == "math")
+                  if (isinstance(node, ast.Import)
+                      and any(alias.name == "math" for alias in node.names))
+                  or (isinstance(node, ast.ImportFrom)
+                      and node.module == "math"))
 
 
 SOURCES = sorted(SRC.glob("*.py"))
