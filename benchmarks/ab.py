@@ -20,7 +20,10 @@ The outcome of every run (exit code, verdict, skipped identities, flag
 outcomes and per-identity counts of a workload) must be the same on both
 sides, or the tool exits 1.  For each task it prints each side's median and
 quartiles, the ratio of the medians (change / parent) with the quartiles of
-the pair ratios, and in how many pairs the change was faster.  Run it from
+the pair ratios, and in how many pairs the change was faster; for a
+workload it prints the same for the seconds spent in ``run_verification``'s
+set-up steps, read as ``perfbench/child.py`` reads ``setup_s`` (perfbench's
+``Tracer(SETUP_TARGETS)`` installed in each worker).  Run it from
 the repository root, with the parent commit checked out elsewhere
 (``git worktree`` or ``git archive``):
 
@@ -44,8 +47,9 @@ WARMUP = 3  # untimed runs per side before a task's pairs
 
 def worker(root, samples):
     """Serve timing requests ``[task, seed]`` on stdin, one JSON line each,
-    answering ``[seconds, outcome]``, with phmorph imported from ROOT/src
-    and ``bench_layers`` from ROOT/benchmarks if it is there."""
+    answering ``[seconds, outcome, setup seconds]`` (the last None for a
+    layer read), with phmorph imported from ROOT/src and ``bench_layers``
+    from ROOT/benchmarks if it is there."""
     src = os.path.join(os.path.abspath(root), "src")
     benches = os.path.join(os.path.abspath(root), "benchmarks")
     if not os.path.isfile(os.path.join(benches, "bench_layers.py")):
@@ -57,6 +61,9 @@ def worker(root, samples):
         raise ImportError("phmorph imported from %s, not from %s"
                           % (phmorph.__file__, src))
     from child import cli_argv
+    from tracer import SETUP_TARGETS, Tracer
+    tracer = Tracer(SETUP_TARGETS)
+    tracer.install()
     with open(os.path.join(PERFBENCH, "workloads.json")) as fh:
         spec = json.load(fh)
     replies = os.fdopen(os.dup(1), "w")
@@ -67,14 +74,17 @@ def worker(root, samples):
         for line in sys.stdin:
             task, seed = json.loads(line)
             kind, _, rest = task.partition(":")
+            setup = None
             if rest:
                 seconds, outcome = layer(kind, rest.split(":"), setups)
             else:
                 argv = cli_argv(spec["workloads"][task]["args"],
                                 samples or spec["samples"], seed, report)
+                before = tracer.top_level_seconds()
                 start = time.perf_counter()
                 code = cli.main(argv)
                 seconds = time.perf_counter() - start
+                setup = tracer.top_level_seconds() - before
                 with open(report) as fh:
                     rep = json.load(fh)
                 flags = {name: [flag["confirmed"], flag["samples_error"]]
@@ -83,7 +93,8 @@ def worker(root, samples):
                            flags] + [
                     [row["name"], row["samples_pass"], row["samples_fail"],
                      row["samples_error"]] for row in rep["per_identity"]]
-            print(json.dumps([seconds, outcome]), file=replies, flush=True)
+            print(json.dumps([seconds, outcome, setup]), file=replies,
+                  flush=True)
 
 
 def layer(kind, args, setups):
@@ -137,20 +148,22 @@ def quartiles(values):
 
 def compare(workers, task, pairs, seed):
     """Time ``task`` in ``pairs`` alternating pairs after ``WARMUP`` untimed
-    runs per side; returns (per-side seconds, outcomes agree)."""
+    runs per side; returns (per-side seconds, per-side set-up seconds,
+    outcomes agree)."""
     parent, change = workers
     same = True
     for _ in range(WARMUP):
         same &= parent.time(task, seed)[1] == change.time(task, seed)[1]
-    times = ([], [])
+    times, setups = ([], []), ([], [])
     for i in range(pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
         out = {}
         for side in order:
-            seconds, out[side] = workers[side].time(task, seed)
+            seconds, out[side], setup = workers[side].time(task, seed)
             times[side].append(seconds)
+            setups[side].append(setup)
         same &= out[0] == out[1]
-    return times, same
+    return times, setups, same
 
 
 def summary(task, times):
@@ -184,9 +197,12 @@ def main(argv=None):
     agree = True
     try:
         for task in args.tasks:
-            times, same = compare(workers, task, args.pairs, args.seed)
+            times, setups, same = compare(workers, task, args.pairs,
+                                          args.seed)
             print(summary(task, times) + ("" if same else
                                           "  OUTCOMES DIFFER"), flush=True)
+            if None not in setups[0]:
+                print(summary(task + " set-up", setups), flush=True)
             agree &= same
     finally:
         for w in workers:

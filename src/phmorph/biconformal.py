@@ -332,8 +332,9 @@ def verify_koszul_v(gbar: ChangedMetric, geo: LocalGeometry, v_comp,
     is part of the fibers' second fundamental form H(nabla_V V): it enters
     the left side with weight 1 and the right with sigma^2 rho^-2, so it
     does not cancel.  Both sides read the same dP_H (the left through
-    d g-bar), so a wrong dP_H is caught by koszul-horizontal,
-    tension-f-structure and ``test_projector_derivative_matches_fd``."""
+    d g-bar), so this law does not test it; koszul-horizontal and
+    tension-f-structure catch a wrong one, as
+    ``test_a_wrong_projector_derivative_fails_a_hopf_run`` shows."""
     phi = gbar.phi
     if phi.m <= phi.two_n:
         raise GeometryError("no vertical distribution (m = 2n)")
@@ -362,9 +363,9 @@ def verify_mean_curvature(gbar: ChangedMetric, geo: LocalGeometry,
                           tol: float = 1e-5):
     """Fiber mean curvature under the change: mu-bar = sigma^2 [mu + H(grad ln rho)].
 
-    Both sides read the same dP_H (g-bar keeps H), so a wrong dP_H is caught
-    by koszul-horizontal, tension-f-structure and
-    ``test_projector_derivative_matches_fd``."""
+    Both sides read the same dP_H (g-bar keeps H), so this law does not
+    test it; koszul-horizontal and tension-f-structure catch a wrong dP_H,
+    as ``test_a_wrong_projector_derivative_fails_a_hopf_run`` shows."""
     phi = gbar.phi
     if phi.m <= phi.two_n:
         raise GeometryError("no fibers (m = 2n)")

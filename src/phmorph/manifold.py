@@ -221,7 +221,8 @@ class ChartedRiemannianManifold:
             raise ValueError("metric dimension mismatch")
         self.dim = dim
         self.metric = metric
-        self.domain_predicate = domain_predicate or (lambda p: True)
+        self.domain_predicate = domain_predicate or (
+            lambda p: np.ones(p.shape[:-1], dtype=bool))
         if sample_region is None:
             sample_region = (-np.ones(dim), np.ones(dim))
         self.sample_region = (np.asarray(sample_region[0], dtype=float),
@@ -238,8 +239,7 @@ class ChartedRiemannianManifold:
         if p.shape[-1:] != (self.dim,):
             raise DomainError("point dimension %s != chart dimension %d"
                               % (p.shape, self.dim))
-        bad = np.array([not self.domain_predicate(q) for q in
-                        p.reshape(-1, self.dim)]).reshape(p.shape[:-1])
+        bad = np.logical_not(self.domain_predicate(p))
         if np.count_nonzero(bad):
             raise DomainError("point %s outside chart domain"
                               % (first(p, bad).tolist(),))

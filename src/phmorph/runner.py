@@ -8,10 +8,12 @@ that gives its reports at the sample points of a point context.
 
 A run checks its sample points in chunks of ``CHUNK``, in order: a chunk's
 point context, phi's ``maps.LocalGeometry`` over its points as one batch, is
-handed to every applicable identity (``run_identity``) and then to the flag
-checks (``confirm_flags``), and dropped before the next chunk.  Every check
-returns one report per row.  ``_settle`` runs both kinds: a check that raises
-a sample error on a batch is re-run on each row as a 1-row batch
+handed to every applicable identity (``run_identity``), then to the flag
+checks (``confirm_flags``) and, for an optional scenario, to its
+construction check (``Scenario.self_check``, whose failure gives the
+"skipped" report), and dropped before the next chunk.  Every check returns
+one report per row.  ``_settle`` runs both kinds: a check that raises a
+sample error on a batch is re-run on each row as a 1-row batch
 (``LocalGeometry.rows``), and a sample error at one row is that row's
 errored report.  Each identity, and each flag, folds its reports into one
 ``IdentityAggregate`` in point order.  The chunks run in one numpy
@@ -309,14 +311,6 @@ def run_verification(config: RunConfig):
     """Execute a full verification run; returns the report dictionary."""
     config.validate()
     scenario = scenarios.get_scenario(config.scenario)
-    warnings = []
-    if scenario.optional:
-        ok, msg = scenario.self_check()
-        if not ok:
-            warnings.append("optional scenario construction check failed: "
-                            + msg)
-            return _assemble(config, scenario, [], {}, [], warnings,
-                             verdict="skipped")
     change = config.build_change(scenario)
     points = sample_points(scenario, config.samples, config.seed)
 
@@ -337,9 +331,15 @@ def run_verification(config: RunConfig):
                     agg.add(rep)
             flags = confirm_flags(scenario, [geo], config.tol_fd,
                                   flag_tallies)
+            if scenario.optional:
+                ok, msg = scenario.self_check(geo)
+                if not ok:
+                    return _assemble(config, scenario, [], {}, [], [
+                        "optional scenario construction check failed: "
+                        + msg], verdict="skipped")
 
     per_identity = [agg.as_dict() for agg in totals]
-    return _assemble(config, scenario, per_identity, flags, skipped, warnings)
+    return _assemble(config, scenario, per_identity, flags, skipped, [])
 
 
 def _assemble(config, scenario, per_identity, flags, skipped, warnings,

@@ -1,5 +1,6 @@
 """Bundled example geometries with known PHWC / PHH / harmonicity status,
-plus deterministic sample-point generation."""
+plus deterministic sample-point generation.  ``excluded`` and the source's
+``domain_predicate`` map points (..., m) to a bool array (...)."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ class Scenario:
     phi: SmoothMap
     J: AlmostComplexStructureField
     expected_flags: Dict[str, Optional[bool]]
-    excluded: Callable = field(default=lambda p: False)
+    excluded: Callable = field(default=lambda p: np.zeros(p.shape[:-1], bool))
     optional: bool = False
     description: str = ""
 
@@ -33,8 +34,8 @@ class Scenario:
     def target(self) -> ChartedRiemannianManifold:
         return self.phi.target
 
-    def self_check(self):
-        """Construction sanity for optional scenarios; (ok, message)."""
+    def self_check(self, geo: LocalGeometry):
+        """(ok, message) of the construction check at the rows of ``geo``."""
         return True, ""
 
 
@@ -105,8 +106,9 @@ def _holomorphic_poly() -> Scenario:
     def excluded(p):
         # both singular values of dphi are |(df/dz, df/dw)| = |(2z, 3w^2)|;
         # in closed form, so that sampling evaluates no jets of the map
-        z, w = complex(p[0], p[1]), complex(p[2], p[3])
-        return abs(2.0 * z) ** 2 + abs(3.0 * w * w) ** 2 < 0.01
+        z = p[..., 0] + 1j * p[..., 1]
+        w = p[..., 2] + 1j * p[..., 3]
+        return np.abs(2.0 * z) ** 2 + np.abs(3.0 * w * w) ** 2 < 0.01
 
     return Scenario(
         "holomorphic-poly", phi, constant_J(target),
@@ -138,10 +140,9 @@ def _curved_fibers_nonharmonic() -> Scenario:
 
 
 class _HopfScenario(Scenario):
-    def self_check(self):
+    def self_check(self, geo: LocalGeometry):
         """The horizontal differential must be an isometry (Riemannian
-        submersion control), to 1e-8 at five points."""
-        geo = LocalGeometry(self.phi, sample_points(self, 5, seed=7))
+        submersion control), to 1e-8 at each row of ``geo``."""
         a = differential(geo)
         defect = np.abs(a @ geo.ginv @ a.mT @ geo.h
                         - np.eye(2)).max(axis=(-2, -1))
@@ -160,15 +161,12 @@ def _hopf() -> Scenario:
         conf = 4.0 / ((1.0 + r2) * (1.0 + r2))
         return [[conf, 0.0, 0.0], [0.0, conf, 0.0], [0.0, 0.0, conf]]
 
-    def fiber_coordinate(coords):
-        # |w|^2 where the chart point maps to (z, w) on the unit 3-sphere
-        x1, x2, x3 = coords
+    def domain(p):
+        # |w|^2 > 0.05 where the chart point maps to (z, w) on the unit sphere
+        x1, x2, x3 = np.moveaxis(p, -1, 0)
         r2 = x1 * x1 + x2 * x2 + x3 * x3
         denom = (1.0 + r2) * (1.0 + r2)
-        return (4.0 * x3 * x3 + (r2 - 1.0) * (r2 - 1.0)) / denom
-
-    def domain(p):
-        return fiber_coordinate([float(v) for v in p]) > 0.05
+        return (4.0 * x3 * x3 + (r2 - 1.0) * (r2 - 1.0)) / denom > 0.05
 
     source = ChartedRiemannianManifold(
         3, JetMetric(3, source_metric), domain_predicate=domain,
@@ -265,17 +263,18 @@ def uniform(seed: int, keys, columns: int) -> np.ndarray:
 def sample_points(scenario: Scenario, count: int, seed: int):
     """Deterministic rejection sampling inside the scenario's chart box, at
     most 1,000 attempts per requested point.  Candidate k is drawn from
-    ``uniform(seed, [[k]], m)`` alone, so a smaller count gives a prefix."""
+    ``uniform(seed, [[k]], m)`` alone, so a smaller count gives a prefix.
+    Candidates are drawn and tested in blocks of 2 * count."""
     if count < 1 or seed < 0:
         raise ValueError("count must be >= 1 and seed >= 0")
     lo, hi = scenario.source.sample_region
     points, budget = [], count * 1000
-    for start in range(0, budget, count):  # attempts in blocks of count
-        keys = np.arange(start, start + count)[:, None]
-        for p in lo + (hi - lo) * uniform(seed, keys, len(lo)):
-            if (scenario.source.domain_predicate(p)
-                    and not scenario.excluded(p)):
-                points.append(p)
-                if len(points) == count:
-                    return points
+    for start in range(0, budget, 2 * count):
+        keys = np.arange(start, start + 2 * count)[:, None]
+        block = lo + (hi - lo) * uniform(seed, keys, len(lo))
+        points.extend(block[np.logical_and(
+            scenario.source.domain_predicate(block),
+            np.logical_not(scenario.excluded(block)))][:count - len(points)])
+        if len(points) == count:
+            return points
     raise GeometryError("sample region exhausted after %d attempts" % budget)

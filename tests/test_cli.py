@@ -317,7 +317,7 @@ def test_a_seed_above_64_bits_runs(capsys):
 
 def test_an_exhausted_sample_region_exit_two(capsys):
     sc = dataclasses.replace(scenarios.get_scenario("flat-projection-4-2"),
-                             excluded=lambda p: True)
+                             excluded=lambda p: np.ones(p.shape[:-1], bool))
     with mock.patch.object(scenarios, "get_scenario", lambda name: sc):
         code = main(["verify", "--scenario", sc.name, "--samples", "3"])
     captured = capsys.readouterr()

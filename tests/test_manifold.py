@@ -274,8 +274,8 @@ def test_memoized_metric_arrays_are_read_only():
 
 def test_out_of_domain_point_fails_on_every_call():
     metric = CountingMetric(2, lambda p: np.eye(2))
-    open_half = ChartedRiemannianManifold(2, metric,
-                                          domain_predicate=lambda p: p[0] > 0)
+    open_half = ChartedRiemannianManifold(
+        2, metric, domain_predicate=lambda p: p[..., 0] > 0)
     p = np.array([-0.5, 0.0])
     for _ in range(2):
         with pytest.raises(DomainError):
@@ -368,8 +368,8 @@ def test_christoffel_of_two_metrics_at_one_point_never_mix():
 
 def test_christoffel_fails_on_every_call_outside_the_domain():
     metric = CountingDerivs(2, lambda p: np.eye(2))
-    open_half = ChartedRiemannianManifold(2, metric,
-                                          domain_predicate=lambda p: p[0] > 0)
+    open_half = ChartedRiemannianManifold(
+        2, metric, domain_predicate=lambda p: p[..., 0] > 0)
     geo = geometry(open_half, np.array([-0.5, 0.0]))
     for _ in range(2):
         with pytest.raises(DomainError):

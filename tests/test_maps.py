@@ -310,7 +310,7 @@ def test_rank_deficient_point_fails_on_every_call():
 def test_out_of_domain_point_fails_on_every_call():
     source = ChartedRiemannianManifold(
         4, JetMetric(4, curved_fiber_metric_components),
-        domain_predicate=lambda p: p[0] > 0)
+        domain_predicate=lambda p: p[..., 0] > 0)
     phi = SmoothMap(source, euclidean_space(2), lambda c: [c[0], c[1]])
     geo = at(phi, np.array([-0.4, 0.3, 0.2, 0.6]))
     for _ in range(2):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
-                     biconformal, confirm_flags, get_scenario, hermitian,
+                     biconformal, cli, confirm_flags, get_scenario, hermitian,
                      manifold, maps, parse, run_verification, runner,
                      sample_points, scenarios)
 from phmorph.biconformal import IdentityAggregate
@@ -179,7 +179,8 @@ def test_draws_differ_across_tags_and_seeds_and_lie_in_the_unit_box():
 
 def test_map_jets_computed_once_per_distinct_point(monkeypatch):
     # no check evaluates the map away from a point: its jets are computed
-    # once at each sample point and at each of the self-check's points
+    # once at each sample point of the run and nowhere else (the
+    # construction check reads the run's point contexts)
     scenario = get_scenario("hopf")
     inner = scenario.phi.components
     jet_points = []
@@ -195,9 +196,8 @@ def test_map_jets_computed_once_per_distinct_point(monkeypatch):
                                      sigma="exp(0.2*x1+0.1*x3)",
                                      rho="1+0.2*x2^2", samples=5))
     assert rep["verdict"] == "pass"
-    expected = (sample_points(scenario, 5, 42)  # the run's points
-                + sample_points(scenario, 5, 7))  # the self-check's
-    assert sorted(jet_points) == sorted(p.tobytes() for p in expected)
+    assert sorted(jet_points) == sorted(
+        p.tobytes() for p in sample_points(scenario, 5, 42))
 
 
 def test_changed_metric_derivatives_computed_once_per_distinct_point(
@@ -357,7 +357,9 @@ def _projector_and_lift_derivs_without_l_dm(geo):
 def test_a_wrong_projector_derivative_fails_a_hopf_run(monkeypatch):
     # d g-bar reads dP_H, so koszul-horizontal sees a wrong one through the
     # Christoffel symbols of g-bar, which its left side contracts on (X, Y)
-    # with no test-field derivative
+    # with no test-field derivative; tension-f-structure sees it through
+    # div_H F.  Both sides of koszul-vertical and of mean-curvature read the
+    # same dP_H, so neither of those laws tests it
     config = RunConfig(scenario="hopf", sigma="exp(0.2*x1+0.1*x3)",
                        rho="1+0.2*x2^2", samples=5)
     assert run_verification(config)["verdict"] == "pass"
@@ -366,7 +368,64 @@ def test_a_wrong_projector_derivative_fails_a_hopf_run(monkeypatch):
     rep = run_verification(config)
     assert rep["verdict"] == "fail"
     failed = {row["name"] for row in rep["per_identity"] if not row["passed"]}
-    assert "koszul-horizontal" in failed, failed
+    assert failed == {"koszul-horizontal", "tension-f-structure"}, failed
+
+
+CONSTRUCTION_FAILED = ("optional scenario construction check failed: "
+                       "horizontal differential is not an isometry at")
+
+
+def _double_target_metric(scenario):
+    """Double the target metric of the scenario's map in place: dphi is then
+    no longer an isometry on H."""
+    inner = scenario.phi.target.metric.fn
+    scenario.phi.target.metric = manifold.JetMetric(2, lambda coords: [
+        [2.0 * entry for entry in row] for row in inner(coords)])
+
+
+def _assert_skipped(rep, point):
+    """The report of a run whose construction check failed at ``point``."""
+    assert rep["verdict"] == "skipped"
+    assert rep["warnings"] == [
+        "%s %s (defect 1)" % (CONSTRUCTION_FAILED, point.tolist())]
+    assert (rep["per_identity"], rep["flags"], rep["skipped_identities"]) == (
+        [], {}, [])
+    assert rep["flags_confirmed"] is False
+
+
+def test_a_failed_construction_check_skips_the_run(monkeypatch, tmp_path):
+    scenario = get_scenario("hopf")
+    _double_target_metric(scenario)
+    monkeypatch.setattr(scenarios, "get_scenario", lambda name: scenario)
+    config = RunConfig(scenario="hopf", samples=5, seed=3)
+    rep = run_verification(config)
+    # every row fails; the first is named, a sample point of the run
+    _assert_skipped(rep, sample_points(scenario, 5, 3)[0])
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", "--scenario", "hopf", "--samples", "5",
+                     "--seed", "3", "--report", str(report)]) == 0
+    assert json.loads(report.read_text()) == rep
+
+
+def test_a_construction_check_failing_on_the_second_chunk(monkeypatch):
+    # the check passes on the first chunk (64 points), after which the
+    # target metric is doubled: the second chunk's fields are computed with
+    # it, and its first row is named
+    scenario = get_scenario("hopf")
+    inner = type(scenario).self_check
+    calls = []
+
+    def second_fails(geo):
+        calls.append(len(geo.p))
+        out = inner(scenario, geo)
+        _double_target_metric(scenario)
+        return out
+
+    monkeypatch.setattr(scenario, "self_check", second_fails)
+    monkeypatch.setattr(scenarios, "get_scenario", lambda name: scenario)
+    rep = run_verification(RunConfig(scenario="hopf", samples=70, seed=3))
+    assert calls == [runner.CHUNK, 70 - runner.CHUNK]
+    _assert_skipped(rep, sample_points(scenario, 70, 3)[runner.CHUNK])
 
 
 def _rep(point, rel, abs_=None, error=None):

@@ -44,15 +44,90 @@ def test_sampling_is_deterministic():
 
 
 def test_fewer_samples_are_a_prefix_of_more():
-    # a hopf candidate among the first ten attempts at seed 11 falls outside
-    # the domain, so the tenth point comes from the second block of 10
-    # attempts in one call and from the first block of 25 in the other
+    # a hopf candidate among the first `count` attempts falls outside the
+    # domain; at seed 2906 both attempts of the first block of 2 do, so the
+    # one point comes from the second block in one call and from the first
+    # block of 50 in the other
     sc = get_scenario("hopf")
     lo, hi = sc.source.sample_region
-    first = lo + (hi - lo) * uniform(11, np.arange(10)[:, None], 3)
-    few, more = sample_points(sc, 10, seed=11), sample_points(sc, 25, seed=11)
-    assert not np.array_equal(np.array(few), first)
-    assert np.array_equal(np.array(few), np.array(more[:10]))
+    for count, seed in [(10, 11), (1, 2906)]:
+        first = lo + (hi - lo) * uniform(seed, np.arange(count)[:, None], 3)
+        few, more = sample_points(sc, count, seed), sample_points(sc, 25, seed)
+        assert not np.array_equal(np.array(few), first)
+        assert np.array_equal(np.array(few), np.array(more[:count]))
+
+
+def _hopf_in_domain(p):
+    # |w|^2 > 0.05 on the unit 3-sphere, on Python floats
+    x1, x2, x3 = (float(v) for v in p)
+    r2 = x1 * x1 + x2 * x2 + x3 * x3
+    denom = (1.0 + r2) * (1.0 + r2)
+    return (4.0 * x3 * x3 + (r2 - 1.0) * (r2 - 1.0)) / denom > 0.05
+
+
+def _holomorphic_excluded(p):
+    # the singular values of dphi, through Python's complex abs
+    z, w = complex(p[0], p[1]), complex(p[2], p[3])
+    return abs(2.0 * z) ** 2 + abs(3.0 * w * w) ** 2 < 0.01
+
+
+# scenario -> (in domain, excluded) at one point, on Python scalars
+SCALAR_PREDICATES = {
+    "hopf": (_hopf_in_domain, lambda p: False),
+    "holomorphic-poly": (lambda p: True, _holomorphic_excluded),
+}
+
+
+def _reference_points(sc, count, seed):
+    """Rejection sampling one candidate at a time, with scalar predicates,
+    drawing candidate k from ``uniform(seed, [[k]], m)``: (points, number
+    of rejected candidates)."""
+    in_domain, excluded = SCALAR_PREDICATES.get(
+        sc.name, (lambda p: True, lambda p: False))
+    lo, hi = sc.source.sample_region
+    points, rejected = [], 0
+    for start in range(0, 1000 * count, count):
+        keys = np.arange(start, start + count)[:, None]
+        for p in lo + (hi - lo) * uniform(seed, keys, len(lo)):
+            if in_domain(p) and not excluded(p):
+                points.append(p)
+                if len(points) == count:
+                    return points, rejected
+            else:
+                rejected += 1
+    raise AssertionError("reference sampling exhausted")
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+def test_array_predicates_keep_the_sample_points(name):
+    sc = get_scenario(name)
+    rejected = 0
+    for seed in range(50):
+        for count in (1, 5, 20, 64, 100):
+            expected, more = _reference_points(sc, count, seed)
+            rejected += more
+            assert np.array_equal(np.array(sample_points(sc, count, seed)),
+                                  np.array(expected)), (seed, count)
+    assert (rejected > 0) == (name == "hopf")
+
+
+@pytest.mark.parametrize("name, box", [
+    ("hopf", (-0.75, 0.75)),
+    # around the critical point of z^2 + w^3, where about half is excluded
+    ("holomorphic-poly", (-0.05, 0.05)),
+])
+def test_array_predicates_match_the_scalar_ones(name, box):
+    # row by row on 2,000 points, most near the predicate's boundary
+    sc = get_scenario(name)
+    in_domain, excluded = SCALAR_PREDICATES[name]
+    p = box[0] + (box[1] - box[0]) * uniform(1, np.arange(2000)[:, None],
+                                             sc.phi.m)
+    if name == "holomorphic-poly":
+        p[:, 2:] *= 6.0
+    keep = sc.source.domain_predicate(p) & ~sc.excluded(p)
+    assert keep.dtype == bool and keep.shape == (2000,)
+    assert 0.2 < keep.mean() < 0.98
+    assert keep.tolist() == [in_domain(q) and not excluded(q) for q in p]
 
 
 @pytest.mark.parametrize("count, seed", [(0, 1), (1, -1)])
@@ -64,7 +139,7 @@ def test_a_zero_count_or_a_negative_seed_is_rejected(count, seed):
 
 def test_an_exhausted_sample_region_raises():
     sc = dataclasses.replace(get_scenario("flat-projection-4-2"),
-                             excluded=lambda p: True)
+                             excluded=lambda p: np.ones(p.shape[:-1], bool))
     with pytest.raises(GeometryError) as exc:
         sample_points(sc, 2, seed=0)
     assert str(exc.value) == "sample region exhausted after 2000 attempts"
@@ -83,7 +158,8 @@ def test_sampling_respects_exclusions():
 def test_self_checks_pass():
     for name in list_scenarios():
         sc = get_scenario(name)
-        ok, msg = sc.self_check()
+        geo = LocalGeometry(sc.phi, sample_points(sc, 5, seed=7))
+        ok, msg = sc.self_check(geo)
         assert ok, (name, msg)
 
 
