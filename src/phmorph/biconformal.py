@@ -136,9 +136,9 @@ class ChangedMetric(MetricField):
               + d(rho^-2) (g - g P_H) + rho^-2 (dg - d(g P_H)),
 
     with d(g P_H) = dg P_H + g dP_H.  Each method reads phi's source
-    geometry ``source`` at the point; ``matrix`` and ``matrix_and_derivs``
-    build one when called without it.  sigma and rho are evaluated once per
-    point, as jets, and kept there."""
+    geometry ``source`` at the point, which phi's geometries under this
+    metric hand on (``LocalGeometry.under``).  sigma and rho are evaluated
+    once per point, as jets, and kept there."""
 
     def __init__(self, phi: SmoothMap, change: BiconformalChange):
         super().__init__(phi.m)
@@ -167,34 +167,19 @@ class ChangedMetric(MetricField):
 
         return source.field(("grad_log_factors", self), compute)
 
-    def _source(self, p, source):
-        """``source``, or phi's geometry at p built here when no geometry of
-        phi's is handed on (a geometry of another map under this metric)."""
-        if source is None or source.phi is not self.phi:
-            return LocalGeometry(self.phi, p)
-        return source
-
-    def _horizontal_block(self, geo):
-        """g and g^H = g P_H in phi's source geometry ``geo`` (symmetric up
-        to roundoff by construction, so symmetrized)."""
-        return geo.g, _symmetric(geo.g @ geo.projector_and_lift[0])
-
-    def matrix(self, p, source=None):
-        geo = self._source(p, source)
-        g, gh = self._horizontal_block(geo)
-        s, r = self.factor_jets(geo)
-        return (gh * _inverse_square("sigma", s, p)[0][..., None, None]
-                + (g - gh) * _inverse_square("rho", r, p)[0][..., None, None])
-
-    def matrix_and_derivs(self, p, source=None):
-        geo = self._source(p, source)
-        s, r = self.factor_jets(geo)
+    def matrix_and_derivs(self, p, source):
+        if getattr(source, "phi", None) is not self.phi:
+            raise GeometryError("g-bar reads its own map's geometry")
+        g, dg = source.metric_and_derivs
+        ph = source.projector_and_lift[0]
+        s, r = self.factor_jets(source)
         w_h, dw_h = _inverse_square("sigma", s, p)
         w_v, dw_v = _inverse_square("rho", r, p)
-        g, gh = self._horizontal_block(geo)
-        dg = geo.metric_and_derivs[1]
-        dgh = _symmetric(dg @ per_k(geo.projector_and_lift[0])
-                         + per_k(g) @ geo.projector_and_lift_derivs[0])
+        # g^H = g P_H is symmetric up to roundoff by construction, so it and
+        # its derivative are symmetrized
+        gh = _symmetric(g @ ph)
+        dgh = _symmetric(dg @ per_k(ph)
+                         + per_k(g) @ source.projector_and_lift_derivs[0])
         w_h, w_v = w_h[..., None, None], w_v[..., None, None]
         gbar = gh * w_h + (g - gh) * w_v
         dgbar = (dw_h[..., None, None] * per_k(gh) + per_k(w_h) * dgh

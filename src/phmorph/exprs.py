@@ -10,7 +10,7 @@ Grammar (highest precedence first):
 with functions sin, cos, exp, log, sqrt, parentheses, decimal literals and
 positional variables x1..x9.  No implicit multiplication.  Parsed trees are
 immutable and at most ``MAX_DEPTH`` levels deep, within the recursion limit
-of the walks below; evaluation works over floats or Jet2 coordinates alike.
+of the walks below; evaluation (``eval_jet``) is over Jet2 coordinates.
 """
 
 from __future__ import annotations
@@ -225,29 +225,19 @@ def _check_depth(depth, pos):
         raise ParseError("expression deeper than %d levels" % MAX_DEPTH, pos)
 
 
-def _power(base, exponent):
-    # on plain floats, as Jet2.__pow__ does: ** would return a complex number
-    if (not isinstance(base, Jet2) and not isinstance(exponent, Jet2)
-            and base <= 0.0 and not float(exponent).is_integer()):
-        raise JetDomainError(
-            "non-integer power of non-positive base %r" % base)
-    return base ** exponent
-
-
 _BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-               "div": operator.truediv, "pow": _power}
+               "div": operator.truediv, "pow": operator.pow}
 _CALLS = {name: getattr(jets, name) for name in FUNCTIONS}
 
 
 def eval_jet(e: Expr, coords):
-    """Evaluate an expression at seeded coordinates (Jet2 or plain floats).
+    """Evaluate an expression as a Jet2 at seeded Jet2 coordinates
+    (``jets.seed_coordinates``): the value with its derivatives.
 
     A value outside an operation's domain, a division by zero and a float
     overflow raise ``EvalError`` at the offending node."""
     if isinstance(e, Lit):
-        if coords and isinstance(coords[0], Jet2):
-            return Jet2.constant(e.value, coords[0].dim)
-        return e.value
+        return Jet2.constant(e.value, coords[0].dim)
     if isinstance(e, Var):
         if e.index >= len(coords):
             raise EvalError("variable x%d exceeds chart dimension %d"

@@ -9,10 +9,9 @@ points, its gradient that shape + (d,) and its Hessian that shape + (d, d);
 a constant made from a number has shape ``()`` and broadcasts.  Each row is
 computed as at one point: the arithmetic and the chain rule's elementary
 functions are numpy ufuncs over the whole batch, elementwise, so a row gives
-the same bits in a batch of any length as alone.  On plain numbers and
-arrays (``exprs.eval_jet`` on floats, ``manifold.jet_matrix``) the
-elementary functions raise an ``ArithmeticError`` on overflow, an invalid
-operation or a division by zero; underflow stays silent.
+the same bits in a batch of any length as alone.  A value is the
+zeroth-order part of its jet: there is no separate evaluation on plain
+numbers, and the elementary functions take jets only.
 
 Where non-finite jets are caught: the public ``Jet2(...)`` constructor
 checks shapes and every component.  The arithmetic in this module builds its
@@ -215,23 +214,19 @@ def lift(x, dim: int, shape) -> Jet2:
     return x.check()
 
 
-# ---- elementary functions (dispatch on numbers or Jet2) -----------------
+# ---- elementary functions of a jet --------------------------------------
 
-def _unary(x, f, derivs, positive=""):
-    """f at a number, an array or a jet, with ``derivs(u, f(u))`` = (f'(u),
-    f''(u)); the function named by ``positive`` takes positive values only."""
-    u = x.value if isinstance(x, Jet2) else np.asarray(x, dtype=float)
+def _unary(x: Jet2, f, derivs, positive=""):
+    """f at a jet, with ``derivs(u, f(u))`` = (f'(u), f''(u)); the function
+    named by ``positive`` takes positive values only."""
+    u = x.value
     if positive:
         bad = ~(u > 0.0)
         if np.count_nonzero(bad):
             raise JetDomainError("%s of out-of-domain value %r"
                                  % (positive, float(first(u, bad))))
-    if isinstance(x, Jet2):
-        value = f(u)
-        return x._chain(value, *derivs(u, value))
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        value = f(u)
-    return value if u.ndim else float(value)
+    value = f(u)
+    return x._chain(value, *derivs(u, value))
 
 
 def sin(x):

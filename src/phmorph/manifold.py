@@ -1,7 +1,8 @@
 """Charted Riemannian manifolds and the Levi-Civita machinery.
 
-A metric is a "metric field": something that can produce the component matrix
-g_ij at a chart point and its first coordinate derivatives, exactly.
+A metric is a "metric field": something that produces the component matrix
+g_ij at a chart point and its first coordinate derivatives, exactly, in one
+evaluation (``matrix_and_derivs``; the value is the jet's zeroth order).
 ``JetMetric`` wraps a jet-evaluable component function, whose derivatives
 come from the second-order AD path; the biconformal change of a map's source
 metric (``biconformal.ChangedMetric``) differentiates its projector algebra in
@@ -11,15 +12,16 @@ oracles for the tests; no verification run calls them.  They, and
 ``inverse_metric_at`` and ``christoffel``, stay in this module until the
 benchmark's tracer (``perfbench/tracer.py``) stops naming them.
 
-Nothing here keeps per-point data: ``metric_at`` (with its domain,
-finiteness, symmetry and positive-definiteness checks), ``inverse_metric_at``
-and ``christoffel`` compute on each call.  What a run reads at a point is
-kept once, read-only, in the ``maps.LocalGeometry`` that the runner builds
-for a chunk of points and drops after it.  ``jet_matrix_and_derivs`` is a
-boundary where non-finite jets are caught (see ``jets``).  Every function
-takes a point (shape (m,)) or a batch of points (shape (B, m)); a check
-fails if it fails at some row, and names the first such row.  A vector is a
-plain array of its components, on the last axis.
+Nothing here keeps per-point data: ``metric_at``, the one validated
+evaluation of a metric (domain, and g finite, symmetric and positive
+definite), and its readers ``inverse_metric_at`` and ``christoffel`` compute
+on each call.  What a run reads at a point is kept once, read-only, in the
+``maps.LocalGeometry`` that the runner builds for a chunk of points and
+drops after it.  ``jet_matrix_and_derivs`` is a boundary where non-finite
+jets are caught (see ``jets``).  Every function takes a point (shape (m,))
+or a batch of points (shape (B, m)); a check fails if it fails at some row,
+and names the first such row.  A vector is a plain array of its components,
+on the last axis.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def outer(x, y):
 
 
 class MetricField:
-    """Interface: dim, matrix(p, source), matrix_and_derivs(p, source).
+    """Interface: dim, matrix_and_derivs(p, source).
 
     ``source`` is phi's ``maps.LocalGeometry`` at p under phi's source
     metric, handed on by phi's geometries under other metrics: a metric
@@ -115,36 +117,20 @@ class MetricField:
     def __init__(self, dim: int):
         self.dim = dim
 
-    def matrix(self, p, source=None) -> np.ndarray:
-        raise NotImplementedError
-
     def matrix_and_derivs(self, p, source=None):
         """Return (g, dg) with dg[..., k, i, j] = d_k g_ij."""
         raise NotImplementedError
 
 
-def jet_matrix(fn, p) -> np.ndarray:
-    """Values at p of a square matrix field whose entries ``fn`` evaluates
-    on coordinate arrays or Jet2 coordinates."""
-    p = np.asarray(p, dtype=float)
-    # one point is a batch of one row, so that numpy computes an entry
-    # (``x ** 2`` as x*x, say) as it does over a batch
-    q = np.atleast_2d(p)
-    mat = _stack(fn(list(q.T)), q.shape[:-1], None)
-    return mat.reshape(p.shape[:-1] + mat.shape[-2:])
-
-
 def jet_matrix_and_derivs(fn, p):
-    """(M, dM) at p of such a field, one row and column per chart
-    coordinate: dM[..., k, i, j] = d_k M_ij, exact by AD."""
+    """(M, dM) at p of a square matrix field whose entries ``fn`` evaluates
+    on Jet2 coordinates, one row and column per chart coordinate:
+    dM[..., k, i, j] = d_k M_ij, exact by AD; each jet entry is checked."""
     p = np.asarray(p, dtype=float)
-    return _stack(fn(jets.seed_coordinates(p)), p.shape[:-1], p.shape[-1])
-
-
-def _stack(rows, shape, dim):  # the entries, and their checked gradients
+    rows = fn(jets.seed_coordinates(p))
     d = len(rows)
-    mat = np.empty(shape + (d, d))
-    dmat = None if dim is None else np.zeros(shape + (dim, d, d))
+    mat = np.empty(p.shape[:-1] + (d, d))
+    dmat = np.zeros(p.shape[:-1] + (p.shape[-1], d, d))
     for i in range(d):
         for j in range(d):
             entry = rows[i][j]
@@ -154,18 +140,15 @@ def _stack(rows, shape, dim):  # the entries, and their checked gradients
                 dmat[..., :, i, j] = entry.grad
             else:
                 mat[..., i, j] = entry
-    return mat if dim is None else (mat, dmat)
+    return mat, dmat
 
 
 class JetMetric(MetricField):
     def __init__(self, dim: int, component_fn):
-        # component_fn(coords) -> (dim, dim) nested sequence, works on
-        # floats or Jet2 coordinates
+        # component_fn(coords) -> (dim, dim) nested sequence of Jet2 entries
+        # or constants, on Jet2 coordinates
         super().__init__(dim)
         self.fn = component_fn
-
-    def matrix(self, p, source=None):
-        return jet_matrix(self.fn, p)
 
     def matrix_and_derivs(self, p, source=None):
         return jet_matrix_and_derivs(self.fn, p)
@@ -181,15 +164,17 @@ class FDMetric(MetricField):
         self.step = step
 
     def matrix(self, p, source=None):
-        return np.asarray(self.fn(np.asarray(p, dtype=float)), dtype=float)
+        # a copy: a geometry keeps g read-only, not the function's own array
+        return np.array(self.fn(np.asarray(p, dtype=float)), dtype=float)
 
     def matrix_and_derivs(self, p, source=None):
         p = np.asarray(p, dtype=float)
         m = self.dim
         g = self.matrix(p)
-        dg = np.empty((m, m, m))
-        for k in range(m):
-            dg[k] = richardson_partial(self.fn, p, k, self.step)
+        dg = np.full((m, m, m), np.nan)  # inf - inf is undefined, and
+        if np.isfinite(g).all():  # metric_at rejects a non-finite g
+            for k in range(m):
+                dg[k] = richardson_partial(self.fn, p, k, self.step)
         return g, dg
 
 
@@ -246,11 +231,11 @@ class ChartedRiemannianManifold:
         return p
 
     def metric_at(self, p, source=None):
-        """The metric matrix at p, checked to be finite, symmetric and
-        positive definite (computed on each call; ``source`` as in
-        ``MetricField``)."""
+        """(g, dg) at p from one ``matrix_and_derivs``, with g checked to be
+        finite, symmetric and positive definite (computed on each call;
+        ``source`` as in ``MetricField``)."""
         q = self.check_in_domain(p)
-        g = np.array(self.metric.matrix(q, source), dtype=float)
+        g, dg = self.metric.matrix_and_derivs(q, source)
         bad = ~np.isfinite(g).all(axis=(-2, -1))
         if np.count_nonzero(bad):
             raise MetricError("metric not finite at %s"
@@ -265,22 +250,22 @@ class ChartedRiemannianManifold:
             raise MetricError("metric not positive definite at %s "
                               "(min eigenvalue %g)"
                               % (first(q, bad).tolist(), first(w, bad)))
-        return g
+        return g, dg
 
     def inverse_metric_at(self, p):
-        """Inverse metric matrix at p (computed on each call)."""
-        return inverse_metric(self.metric_at(p), p)
+        """Inverse metric matrix at p, checked (computed on each call)."""
+        g = self.metric_at(p)[0]
+        return inverse_metric(g, np.linalg.inv(g), p)
 
     def christoffel(self, p):
         """Levi-Civita coefficients Gamma[..., k, i, j] = Gamma^k_ij at p
-        (computed on each call, after ``metric_at`` validates g there)."""
-        self.metric_at(p)
-        return levi_civita(*self.metric.matrix_and_derivs(p))
+        (computed on each call)."""
+        g, dg = self.metric_at(p)
+        return levi_civita(np.linalg.inv(g), dg)
 
 
-def inverse_metric(g, p):
-    """g^-1 of a validated metric matrix g at p, checked for accuracy."""
-    ginv = np.linalg.inv(g)
+def inverse_metric(g, ginv, p):
+    """g^-1 = ``ginv`` of a validated metric matrix g at p, checked."""
     bad = np.abs(g @ ginv - np.eye(g.shape[-1])).max(axis=(-2, -1)) > 1e-10
     if np.count_nonzero(bad):
         raise MetricError("metric inversion inaccurate at %s"
@@ -288,14 +273,13 @@ def inverse_metric(g, p):
     return ginv
 
 
-def levi_civita(g, dg):
-    """Gamma[..., k, i, j] = Gamma^k_ij from (g, dg) with dg[..., k, i, j] =
-    d_k g_ij, inverting this g (``matrix_and_derivs``' own, not
-    ``metric_at``'s)."""
+def levi_civita(ginv, dg):
+    """Gamma[..., k, i, j] = Gamma^k_ij from g^-1 and dg[..., k, i, j] =
+    d_k g_ij."""
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     # dg[k, i, j] = d_k g_ij; bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     moved = np.moveaxis(dg, -1, -3)  # moved[l, i, j] = d_i g_jl
-    return 0.5 * act_first(np.linalg.inv(g), moved + moved.mT - dg)
+    return 0.5 * act_first(ginv, moved + moved.mT - dg)
 
 
 def euclidean_metric(dim: int) -> JetMetric:

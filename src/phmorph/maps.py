@@ -14,14 +14,15 @@ sample points.  ``rows`` gives a batch's rows as 1-row batches, on which a
 check that fails on the batch is re-run.  Each field is computed on its
 first read, kept read-only, and never kept when it fails:
 
-- here: g (validated by ``metric_at``), (g, dg), g^-1 and Gamma (read by
-  ``covariant_derivative`` and ``laplacian``), phi(p), dphi and its
+- here: (g, dg) from one ``metric_at``, which validates g; g^-1, inverted
+  once, which ``ginv`` checks for accuracy and Gamma reads unchecked; Gamma
+  (read by ``covariant_derivative`` and ``laplacian``), phi(p), dphi and its
   derivatives, the rank check, P_H, the lift and their derivatives, the
   horizontal factor R with R^T R = P_H g^-1 P_H^T (``hermitian`` takes its
   horizontal traces over R's rows), ``tension_field`` and
   ``mean_curvature_vertical`` (component arrays, as every vector here);
-- in the source geometry only: the map's jets, and the target's h and Gamma
-  at phi(p);
+- in the source geometry only: the map's jets, and the target's (h, dh),
+  from one ``metric_at``, and Gamma at phi(p);
 - per J, from ``hermitian``: J and dJ at phi(p), F and dF (in the geometry
   that computes the lift), ``phwc_defect``, ``phwc_metric_defect`` and
   ``f_divergence_horizontal``;
@@ -161,23 +162,27 @@ class LocalGeometry:
         return value
 
     @_kept
-    def g(self) -> np.ndarray:
+    def metric_and_derivs(self):
+        """(g, dg) from one ``metric_at``, which validates g."""
         return self.src.metric_at(self.p, self._source)
 
+    @property
+    def g(self) -> np.ndarray:
+        return self.metric_and_derivs[0]
+
     @_kept
-    def metric_and_derivs(self):
-        """(g, dg) from ``matrix_and_derivs``, read once g is validated."""
-        self.g
-        return self.src.metric.matrix_and_derivs(self.p, self._source)
+    def _inverse(self) -> np.ndarray:
+        """g^-1, unchecked: Gamma reads it, and ``ginv`` checks it."""
+        return np.linalg.inv(self.g)
 
     @_kept
     def ginv(self) -> np.ndarray:
-        return inverse_metric(self.g, self.p)
+        return inverse_metric(self.g, self._inverse, self.p)
 
     @_kept
     def christoffel(self) -> np.ndarray:
-        """Gamma[..., k, i, j] = Gamma^k_ij, from ``metric_and_derivs``."""
-        return levi_civita(*self.metric_and_derivs)
+        """Gamma[..., k, i, j] = Gamma^k_ij, from g^-1 and dg."""
+        return levi_civita(self._inverse, self.metric_and_derivs[1])
 
     @_kept
     def jets(self):
@@ -197,17 +202,19 @@ class LocalGeometry:
                 np.moveaxis(np.stack([j.hess for j in out], axis=-3), -1, -3))
 
     @_kept
-    def h(self) -> np.ndarray:
-        """The target's metric at phi(p), validated (read from ``source``)."""
+    def target_metric_and_derivs(self):
+        """(h, dh) at phi(p) from one ``metric_at`` (read from ``source``)."""
         return self.phi.target.metric_at(self.map_jets[0])
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.target_metric_and_derivs[0]
 
     @_kept
     def target_christoffel(self) -> np.ndarray:
-        """The target's Gamma at phi(p), once h is validated (read from
-        ``source``)."""
-        self.h
-        return levi_civita(
-            *self.phi.target.metric.matrix_and_derivs(self.map_jets[0]))
+        """The target's Gamma at phi(p) (read from ``source``)."""
+        h, dh = self.target_metric_and_derivs
+        return levi_civita(np.linalg.inv(h), dh)
 
     def covariant_derivative(self, x, y, dy_along_x) -> np.ndarray:
         """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p, for a field

@@ -72,8 +72,8 @@ def test_constant_change_scales_blocks():
     sc = get_scenario("flat-projection-4-2")
     ch = BiconformalChange.from_texts("2", "1")
     gbar = ChangedMetric(sc.phi, ch)
-    assert np.allclose(gbar.matrix(P4), np.diag([0.25, 0.25, 1.0, 1.0]),
-                       atol=1e-14)
+    assert np.allclose(at(sc.phi, P4, gbar).g,
+                       np.diag([0.25, 0.25, 1.0, 1.0]), atol=1e-14)
 
 
 def test_change_preserves_block_orthogonality():
@@ -85,10 +85,10 @@ def test_change_preserves_block_orthogonality():
     for p in sample_points(sc, 5, seed=1):
         ph = horizontal_projector(at(sc.phi, p))
         pv = np.eye(4) - ph
-        gb = gbar.matrix(p)
+        gb = at(sc.phi, p, gbar).g
         assert np.max(np.abs(ph.T @ gb @ pv)) < 1e-10
         # and the horizontal block is the sigma^-2 rescaling of g's
-        g = sc.phi.source.metric_at(p)
+        g = sc.phi.source.metric_at(p)[0]
         s, _ = ch.factor_values(p)
         assert np.allclose(ph.T @ gb @ ph, ph.T @ g @ ph / s**2, atol=1e-10)
 
@@ -127,9 +127,9 @@ def test_compose_matches_sequential_metrics():
     b = BiconformalChange.from_texts("2", "exp(0.1*x3)")
     both = BiconformalChange.from_texts("exp(0.3*x1)*2",
                                         "(1+x2^2)*exp(0.1*x3)")
-    once = ChangedMetric(sc.phi, both).matrix(P4)
+    once = at(sc.phi, P4, ChangedMetric(sc.phi, both)).g
     sb, rb = b.factor_values(P4)
-    ga = ChangedMetric(sc.phi, a).matrix(P4)
+    ga = at(sc.phi, P4, ChangedMetric(sc.phi, a)).g
     ph = horizontal_projector(at(sc.phi, P4))
     twice = ga @ ph / sb**2 + (ga - ga @ ph) / rb**2
     assert np.max(np.abs(once - twice)) < 1e-12
@@ -138,7 +138,8 @@ def test_compose_matches_sequential_metrics():
 def test_identity_change_is_identity():
     sc = get_scenario("curved-fibers-nonharmonic")
     gbar = ChangedMetric(sc.phi, BiconformalChange.from_texts("1", "1"))
-    assert np.allclose(gbar.matrix(P4), sc.phi.source.metric_at(P4), atol=1e-14)
+    assert np.allclose(at(sc.phi, P4, gbar).g, sc.phi.source.metric_at(P4)[0],
+                       atol=1e-14)
 
 
 # ---- sigma and rho kept per point by the changed metric ------------------
@@ -188,23 +189,25 @@ def test_factor_field_arrays_are_read_only():
 
 def test_changed_metric_reads_the_source_geometry_it_is_handed():
     # handed phi's geometry at the point, g-bar fills it (P_H, the factor
-    # jets) and its own geometry reads it; called with the point alone, it
-    # builds a geometry of its own, with the same values
+    # jets) and its own geometry reads it
     gbar = changed_metric(*FACTOR_CASE)
     geo = at(gbar.phi, P4)
-    value = gbar.matrix(P4, geo)
+    value, derivs = gbar.matrix_and_derivs(P4, geo)
     assert (None, "projector_and_lift") in geo._fields
     jets = gbar.factor_jets(geo)
-    assert np.array_equal(value, gbar.matrix(P4))
-    assert np.array_equal(gbar.matrix_and_derivs(P4, geo)[1],
-                          gbar.matrix_and_derivs(P4)[1])
     bar = geo.under(gbar)
-    assert bar.source is geo and np.array_equal(bar.g, value)
+    assert bar.source is geo
+    assert np.array_equal(bar.g, value)
+    assert np.array_equal(bar.metric_and_derivs[1], derivs)
     assert gbar.factor_jets(geo) is jets
-    # another map's geometry under g-bar hands on no geometry of phi's
+    # another map's geometry under g-bar hands on no geometry of phi's, so
+    # g-bar refuses it rather than read that map's P_H
     other = SmoothMap(gbar.phi.source, gbar.phi.target,
                       lambda c: [c[0] + 0.1 * c[2], c[1]])
-    assert np.array_equal(at(other, P4, gbar).g, value)
+    with pytest.raises(GeometryError, match="its own map's geometry"):
+        at(other, P4, gbar).g
+    with pytest.raises(GeometryError, match="its own map's geometry"):
+        gbar.phi.source.with_metric(gbar).metric_at(P4)
 
 
 @pytest.mark.parametrize("sigma, rho, factor", [("x2", "1", "sigma"),
@@ -217,11 +220,10 @@ def test_nonpositive_factor_fails_on_every_call(sigma, rho, factor):
                      gbar.grad_log_factors):
             with pytest.raises(PositivityError, match=factor):
                 read(geo)
-        for read in (gbar.matrix, gbar.matrix_and_derivs):
-            with pytest.raises(PositivityError, match=factor):
-                read(P4)
-            with pytest.raises(PositivityError, match=factor):
-                read(P4, geo)
+        with pytest.raises(PositivityError, match=factor):
+            gbar.matrix_and_derivs(P4, geo)
+        with pytest.raises(PositivityError, match=factor):
+            geo.under(gbar).g
 
 
 def test_changes_built_one_after_another_never_share_factors():
@@ -235,7 +237,7 @@ def test_changes_built_one_after_another_never_share_factors():
         geo = at(sc.phi, P4)
         assert gbar.factor_values(geo) == (sigma, rho)
         assert gbar.factor_jets(geo)[0].value == sigma
-        assert np.array_equal(gbar.matrix(P4), np.diag(
+        assert np.array_equal(geo.under(gbar).g, np.diag(
             [sigma ** -2] * 2 + [rho ** -2] * 2))
         del gbar
         gc.collect()
@@ -408,7 +410,7 @@ def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
         ph = horizontal_projector(geo)
         lhs = ph @ geo.under(gbar).covariant_derivative(v, v, dv)
         s, r = gbar.change.factor_jets(p)
-        g = phi.source.metric_at(p)
+        g = phi.source.metric_at(p)[0]
         d_rho_m2 = -2.0 * r.value ** -3 * r.grad
         inner = 2.0 * r.value ** -2 * (
             ph @ geo.covariant_derivative(v, v, dv))
@@ -434,7 +436,7 @@ def test_tolerance_rejects_koszul_vertical_without_the_test_field_derivative():
         v_comp = rng.normal(size=phi.m)
         geo = at(phi, p)
         ph = horizontal_projector(geo)
-        g = phi.source.metric_at(p)
+        g = phi.source.metric_at(p)[0]
         v = v_comp - ph @ v_comp
         gamma_bar = geo.under(gbar).christoffel
         lhs = ph @ np.einsum("kij,i,j->k", gamma_bar, v, v)
@@ -464,7 +466,7 @@ def test_tolerance_rejects_koszul_horizontal_without_the_gxy_term():
         x, y = ph @ x_comp, y_field(p)
         dy = directional_derivative(y_field, p, x)  # the Richardson oracle
         lhs = ph @ geo.under(gbar).covariant_derivative(x, y, dy)
-        g = phi.source.metric_at(p)
+        g = phi.source.metric_at(p)[0]
         dls = g @ gbar.grad_log_factors(geo)[0]  # covector of ln sigma
         wrong = ph @ geo.covariant_derivative(x, y, dy)
         for f_i in adapted_frame(geo, sc.J).horizontal:
@@ -495,7 +497,7 @@ def test_tolerance_rejects_phh_covariant_without_the_y_ln_sigma_term():
         lhs = ph @ np.einsum("i,ikj,j->k", x, nab_bar, y)
         nab = pm.hermitian.nabla_f_operator(f, df,
                                             phi.source.christoffel(p))
-        g = phi.source.metric_at(p)
+        g = phi.source.metric_at(p)[0]
         grad_ls = gbar.grad_log_factors(geo)[0]
         grad_h, dls = ph @ grad_ls, g @ grad_ls
         dropped = float(dls @ y) * (f @ x)  # Y(ln sigma) FX

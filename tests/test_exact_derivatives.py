@@ -39,8 +39,9 @@ def change_for(sc):
 
 
 def metric_matrix(sc, gbar):
-    """Value-level matrix of g (gbar None) or of g-bar."""
-    return sc.phi.source.metric_at if gbar is None else gbar.matrix
+    """The matrix of g (gbar None) or of g-bar, as a function of the
+    point."""
+    return lambda q: at(sc.phi, q, gbar).g
 
 
 def lift_from_matrix(phi, h, q):
@@ -192,10 +193,16 @@ def test_f_structure_derivative_follows_a_varying_j(changed):
 @pytest.mark.parametrize("name", list_scenarios())
 def test_changed_metric_derivative_matches_fd(name):
     sc, gbar, points = case(name, True)
-    oracle = FDMetric(sc.phi.m, gbar.matrix)
+    oracle = FDMetric(sc.phi.m, metric_matrix(sc, gbar))
     for p in points:
-        value, exact = gbar.matrix_and_derivs(p)
-        assert np.allclose(value, gbar.matrix(p), rtol=1e-14, atol=0)
+        geo = at(sc.phi, p)
+        value, exact = gbar.matrix_and_derivs(p, geo)
+        # g-bar = sigma^-2 g^H + rho^-2 (g - g^H), with g^H = g P_H symmetrized
+        g, (s, r) = geo.g, gbar.factor_values(geo)
+        gh = g @ geo.projector_and_lift[0]
+        gh = 0.5 * (gh + gh.T)
+        assert np.allclose(value, gh / s ** 2 + (g - gh) / r ** 2,
+                           rtol=1e-14, atol=0)
         assert relative(exact, oracle.matrix_and_derivs(p)[1]) < REL, p
 
 

@@ -61,3 +61,40 @@ def test_a_math_import_is_found():
     source = ("import numpy as np, math as m\nfrom math import exp\n"
               "import mathx\nprint(np.pi, m.pi, exp(1))\n")
     assert math_imports(source) == [1, 2]
+
+
+def errstate_uses(source):
+    """(line, enclosing function) of each use of numpy's ``errstate`` in
+    ``source``, the function "" at module level."""
+    uses = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (getattr(child, "attr", None) == "errstate"
+                    or getattr(child, "id", None) == "errstate"
+                    or (isinstance(child, ast.alias)
+                        and child.name == "errstate")):
+                uses.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), "")
+    return sorted(uses)
+
+
+# numpy's floating-point error state of a run is set once, where the run
+# starts: no second numeric path that raises on overflow grows back
+def test_errstate_only_in_run_verification():
+    uses = {(path.name, function) for path in SOURCES
+            for _, function in errstate_uses(path.read_text())}
+    assert uses == {("runner.py", "run_verification")}
+
+
+def test_an_errstate_is_found():
+    source = ("import numpy as np\nfrom numpy import errstate\n"
+              "def f(u):\n    with np.errstate(over='raise'):\n"
+              "        return np.exp(u)\n"
+              "with errstate(all='ignore'):\n    pass\n")
+    assert errstate_uses(source) == [(2, ""), (4, "f"), (6, "")]

@@ -102,7 +102,7 @@ def test_ad_and_fd_metrics_agree():
     fd = sphere_manifold("fd")
     for p in ([1.1, 0.2], [0.7, -0.5], [2.0, 1.0]):
         p = np.array(p)
-        assert np.allclose(ad.metric_at(p), fd.metric_at(p), rtol=1e-12)
+        assert np.allclose(ad.metric_at(p)[0], fd.metric_at(p)[0], rtol=1e-12)
         assert np.allclose(ad.christoffel(p), fd.christoffel(p), atol=1e-7)
 
 
@@ -199,9 +199,11 @@ def test_jet_metric_with_powers_gives_each_point_its_batched_bits():
 
     metric = JetMetric(2, fn)
     points = np.random.default_rng(3).uniform(-1.0, 1.0, (200, 2))
-    batched = metric.matrix(points)
+    batched, d_batched = metric.matrix_and_derivs(points)
     assert batched.shape == (200, 2, 2)
-    assert np.array_equal(batched, [metric.matrix(p) for p in points])
+    alone = [metric.matrix_and_derivs(p) for p in points]
+    assert np.array_equal(batched, [g for g, _ in alone])
+    assert np.array_equal(d_batched, [dg for _, dg in alone])
 
 
 def test_richardson_partial_beats_plain_central_difference():
@@ -223,7 +225,8 @@ def test_field_jet_matches_callable_and_expr():
 
 
 class CountingMetric(FDMetric):
-    """FD metric that counts its value-level evaluations."""
+    """FD metric that counts its evaluations: ``matrix_and_derivs`` reads
+    ``matrix`` once, and differences the matrix function itself."""
 
     def __init__(self, dim, matrix_fn):
         super().__init__(dim, matrix_fn)
@@ -238,7 +241,7 @@ def test_metric_memo_warm_equals_cold():
     # the geometry keeps g and g^-1, equal to the manifold's computed ones
     p = np.array([1.1, 0.3])
     cold = sphere_manifold()
-    g_cold, ginv_cold = cold.metric_at(p), cold.inverse_metric_at(p)
+    g_cold, ginv_cold = cold.metric_at(p)[0], cold.inverse_metric_at(p)
     geo = LocalGeometry(chart_map(sphere_manifold()), p.copy())
     geo.ginv
     assert np.array_equal(geo.g, g_cold)
@@ -322,8 +325,32 @@ def test_inaccurate_inversion_names_the_point_as_a_list():
     for gs, p in [(g, [0.1, 0.2]),
                   (np.stack([np.eye(2), g]), [[0.3, 0.4], [0.1, 0.2]])]:
         with pytest.raises(MetricError) as info:
-            inverse_metric(gs, np.array(p))
+            inverse_metric(gs, np.linalg.inv(gs), np.array(p))
         assert str(info.value) == "metric inversion inaccurate at [0.1, 0.2]"
+
+
+def test_christoffel_reads_the_inverse_that_ginv_checks(monkeypatch):
+    # g^-1 is computed once per geometry; only ginv checks its accuracy, so
+    # an inaccurate inversion fails ginv and leaves Gamma readable
+    near = 1.0 - 1e-9
+    g = np.array([[1.0, near], [near, 1.0]])
+    inversions = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        inversions.append(np.array(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    geo = geometry(ChartedRiemannianManifold(2, FDMetric(2, lambda p: g)),
+                   np.array([0.1, 0.2]))
+    for _ in range(2):
+        with pytest.raises(MetricError, match="metric inversion inaccurate"):
+            geo.ginv
+        gamma = geo.christoffel
+    assert np.array_equal(gamma, np.zeros((2, 2, 2)))
+    assert sum(np.array_equal(a, g) for a in inversions) == 1
+    assert g.flags.writeable  # the geometry locks a copy, not this array
 
 
 class CountingDerivs(FDMetric):

@@ -75,7 +75,7 @@ def test_differential_and_hessian_polynomial_map():
 def test_projectors_algebra():
     phi = curved_fiber_map()
     p = np.array([0.4, -0.3, 0.2, 0.6])
-    g = phi.source.metric_at(p)
+    g = phi.source.metric_at(p)[0]
     ph = horizontal_projector(at(phi, p))
     pv = np.eye(4) - ph
     assert np.allclose(ph @ ph, ph, atol=1e-12)
@@ -107,7 +107,7 @@ def test_ortho_split_orthonormal_and_deterministic():
     s2 = ortho_split(at(phi, p))
     assert np.array_equal(s1.vertical_frame, s2.vertical_frame)
     assert np.array_equal(s1.horizontal_frame, s2.horizontal_frame)
-    g = phi.source.metric_at(p)
+    g = phi.source.metric_at(p)[0]
     full = np.vstack([s1.horizontal_frame, s1.vertical_frame])
     gram = full @ g @ full.T
     assert np.allclose(gram, np.eye(4), atol=1e-10)
@@ -353,7 +353,7 @@ def test_horizontal_factor_squares_to_the_horizontal_inverse_metric(sheared):
     geo = at(phi, P, metric)
     r, ph = geo.horizontal_factor, horizontal_projector(geo)
     assert np.allclose(r.T @ r, ph @ geo.ginv @ ph.T, atol=1e-12)
-    assert np.allclose(r @ geo.src.metric_at(P) @ r.T, np.eye(2), atol=1e-12)
+    assert np.allclose(r @ geo.g @ r.T, np.eye(2), atol=1e-12)
     assert not r.flags.writeable
 
 

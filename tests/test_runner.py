@@ -222,11 +222,10 @@ def test_changed_metric_derivatives_computed_once_per_distinct_point(
     assert len({metric for metric, _ in calls}) == 2
 
 
-# what a run evaluates per point: each metric (g, h and both g-bar), J and
-# the map (``SmoothMap.jets`` evaluates its components once a call)
-EVALUATIONS = [(manifold.JetMetric, "matrix"),
-               (manifold.JetMetric, "matrix_and_derivs"),
-               (biconformal.ChangedMetric, "matrix"),
+# what a run evaluates per point: each metric (g, h and both g-bar, each
+# through ``metric_at``, value and derivatives at once), J and the map
+# (``SmoothMap.jets`` evaluates its components once a call)
+EVALUATIONS = [(manifold.JetMetric, "matrix_and_derivs"),
                (biconformal.ChangedMetric, "matrix_and_derivs"),
                (hermitian.AlmostComplexStructureField, "matrix_and_derivs"),
                (maps.SmoothMap, "jets")]

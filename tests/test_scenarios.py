@@ -146,6 +146,22 @@ def test_an_exhausted_sample_region_raises():
 
 
 def test_sampling_respects_exclusions():
+    # half of the box is excluded: candidates fall there, and none is
+    # returned (a sampler that ignored ``excluded`` would return about half
+    # of its points there, as the unrestricted scenario does)
+    plain = get_scenario("flat-projection-4-2")
+    drawn = []
+
+    def right_half(p):
+        drawn.extend(p[..., 0] > 0)
+        return p[..., 0] > 0
+
+    half = dataclasses.replace(plain, excluded=right_half)
+    points = np.array(sample_points(half, 30, seed=3))
+    assert sum(drawn) >= 10
+    assert not np.any(points[:, 0] > 0)
+    assert np.count_nonzero(
+        np.array(sample_points(plain, 30, seed=3))[:, 0] > 0) >= 10
     # the polynomial scenario excludes near-critical points of the map
     sc = get_scenario("holomorphic-poly")
     for p in sample_points(sc, 30, seed=3):
@@ -171,7 +187,7 @@ def test_hopf_chart_is_a_riemannian_submersion():
         geo = LocalGeometry(sc.phi, p)
         A = differential(geo)
         ginv = sc.phi.source.inverse_metric_at(p)
-        h = sc.phi.target.metric_at(geo.map_jets[0])
+        h = sc.phi.target.metric_at(geo.map_jets[0])[0]
         assert np.allclose(A @ ginv @ A.T @ h, np.eye(2), atol=1e-9)
 
 
