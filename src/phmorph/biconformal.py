@@ -3,12 +3,12 @@ their transformation laws.
 
 The changed metric g-bar = sigma^-2 g^H + rho^-2 g^V is a ``ChangedMetric``
 with exact first derivatives: d(g P_H) comes from the projector algebra of
-``maps.LocalGeometry`` and the factors' derivatives from their jets.  It is
-handed phi's geometry at the point under g (the source geometry) and keeps
-sigma and rho there: ``factor_jets``, evaluated once per (change, point),
-whose values g-bar and the right sides of the laws read (no float twin), and
-``grad_log_factors``.  A factor that is not positive raises
-``PositivityError`` on every call.
+``maps.LocalGeometry`` and the factors' derivatives from their jets.  Its
+one evaluation, ``matrix_and_derivs(source)``, reads phi's geometry at the
+point under g (the source geometry), where it keeps sigma and rho:
+``factor_jets``, evaluated once per (change, point), whose values g-bar and
+the right sides of the laws read (no float twin), and ``grad_log_factors``.
+A factor that is not positive raises ``PositivityError`` on every call.
 
 Every ``verify_*`` and ``corollary_*_at`` routine takes the point context,
 phi's source geometry over a batch of sample points, and, for a law of the
@@ -31,8 +31,8 @@ import numpy as np
 from . import exprs, jets
 from .exprs import Expr
 from .jets import JetDomainError, first
-from .manifold import (GeometryError, MetricError, MetricField, contract, dot,
-                       matvec, outer, per_k, quad)
+from .manifold import (GeometryError, MetricError, contract, dot, matvec,
+                       outer, per_k, quad)
 from .maps import (LocalGeometry, RankError, SmoothMap, differential,
                    horizontal_projector, mean_curvature_vertical,
                    tension_field)
@@ -126,24 +126,21 @@ def _symmetric(a):
     return 0.5 * (a + a.mT)
 
 
-class ChangedMetric(MetricField):
+class ChangedMetric:
     """g-bar = sigma^-2 g^H + rho^-2 g^V for a map phi and a change, with
-    g^H = g P_H.  It keeps phi's horizontal distribution, so phi's P_H, lift
-    and their derivatives are read from the source geometry.  Its
-    derivatives are exact:
+    g^H = g P_H.  It keeps phi's horizontal distribution, so phi's
+    geometries under it read P_H, the lift and their derivatives from the
+    source geometry.  Its derivatives are exact:
 
     d g-bar = d(sigma^-2) g P_H + sigma^-2 d(g P_H)
               + d(rho^-2) (g - g P_H) + rho^-2 (dg - d(g P_H)),
 
     with d(g P_H) = dg P_H + g dP_H.  Each method reads phi's source
-    geometry ``source`` at the point, which phi's geometries under this
-    metric hand on (``LocalGeometry.under``).  sigma and rho are evaluated
-    once per point, as jets, and kept there."""
+    geometry ``source`` at the point (``LocalGeometry.under`` hands it on),
+    where sigma and rho are evaluated once, as jets, and kept."""
 
     def __init__(self, phi: SmoothMap, change: BiconformalChange):
-        super().__init__(phi.m)
         self.phi, self.change = phi, change
-        self.keeps_horizontal_of = phi
 
     def factor_jets(self, source: LocalGeometry):
         """(sigma, rho) at the point as jets
@@ -167,9 +164,11 @@ class ChangedMetric(MetricField):
 
         return source.field(("grad_log_factors", self), compute)
 
-    def matrix_and_derivs(self, p, source):
+    def matrix_and_derivs(self, source: LocalGeometry):
+        """(g-bar, d g-bar) at the point of ``source``, phi's geometry."""
         if getattr(source, "phi", None) is not self.phi:
             raise GeometryError("g-bar reads its own map's geometry")
+        p = source.p
         g, dg = source.metric_and_derivs
         ph = source.projector_and_lift[0]
         s, r = self.factor_jets(source)
@@ -455,8 +454,7 @@ def verify_pullback_characterization(geo: LocalGeometry, holo_name: str,
     pseudo-harmonic morphism with respect to the metric of ``geo``."""
     fn = HOLOMORPHIC_BUILTINS[holo_name]
     # the jets of f o phi at p: f applied to the kept jets of phi
-    lap = np.stack([geo.laplacian(part) for part in fn(geo.source.jets)],
-                   axis=-1)
+    lap = np.stack([geo.laplacian(part) for part in fn(geo.jets)], axis=-1)
     return _report("pullback", geo.p, lap, np.zeros_like(lap), tol)
 
 

@@ -8,9 +8,8 @@ read-only, keyed on J and computed once:
 - J and dJ at phi(p) come from one jet evaluation per (J, point), kept in
   the source geometry, and F, dF and ``phwc_defect`` read them;
 - F = L J(phi) A and its exact derivative dF depend on the metric only
-  through the horizontal lift L, so they are kept in the geometry that
-  computes the lift (``LocalGeometry.horizontal``), which g and a
-  biconformal change of it share;
+  through the horizontal lift L, which a biconformal change keeps, so they
+  are kept in the source geometry (``LocalGeometry.source``);
 - ``phwc_defect``, ``phwc_metric_defect`` and ``f_divergence_horizontal``
   are kept in the geometry of their own metric (one value per point of a
   batch; a Frobenius norm is one dot product of the matrix's entries).
@@ -62,7 +61,7 @@ def f_structure(geo: LocalGeometry,
     J composed with dphi.  Kills the vertical distribution, acts as the
     induced complex structure on the horizontal one, and is smooth in p
     (no frame choice involved)."""
-    geo = geo.horizontal
+    geo = geo.source
     return geo.field(("F", J), lambda: (
         geo.projector_and_lift[1] @ j_at_image(geo, J)[0]
         @ check_submersion(geo)))
@@ -78,7 +77,7 @@ def phwc_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
     reading.  Defined for any map (no submersion requirement)."""
     def compute():
         a = differential(geo)
-        op = a @ geo.ginv @ a.mT @ geo.source.h  # dphi o dphi^*
+        op = a @ geo.ginv @ a.mT @ geo.h  # dphi o dphi^*
         jq = j_at_image(geo, J)[0]
         comm = op @ jq - jq @ op
         return _frobenius(comm), _frobenius(op)
@@ -167,7 +166,7 @@ def d_f_structure(geo: LocalGeometry,
     F = L J A, exact:
 
     d_i F = d_i L J A + L (d_c J A^c_i) A + L J d_i A."""
-    geo = geo.horizontal
+    geo = geo.source
 
     def compute():
         a, da = check_submersion(geo), geo.map_jets[2]

@@ -1,27 +1,28 @@
 """Charted Riemannian manifolds and the Levi-Civita machinery.
 
-A metric is a "metric field": something that produces the component matrix
-g_ij at a chart point and its first coordinate derivatives, exactly, in one
-evaluation (``matrix_and_derivs``; the value is the jet's zeroth order).
-``JetMetric`` wraps a jet-evaluable component function, whose derivatives
-come from the second-order AD path; the biconformal change of a map's source
-metric (``biconformal.ChangedMetric``) differentiates its projector algebra in
-closed form.  ``FDMetric``, ``richardson_partial`` and
-``directional_derivative`` (Richardson-extrapolated central differences) are
-oracles for the tests; no verification run calls them.  They, and
-``inverse_metric_at`` and ``christoffel``, stay in this module until the
-benchmark's tracer (``perfbench/tracer.py``) stops naming them.
+A metric is a "metric field" (``MetricField``): something that produces the
+component matrix g_ij at a chart point and its first coordinate derivatives,
+exactly, in one evaluation (``matrix_and_derivs(p)``; the value is the jet's
+zeroth order).  ``JetMetric`` wraps a jet-evaluable component function,
+whose derivatives come from the second-order AD path.  ``FDMetric``,
+``richardson_partial`` and ``directional_derivative`` (Richardson-
+extrapolated central differences) are oracles for the tests; no
+verification run calls them.  They, and ``inverse_metric_at`` and
+``christoffel``, stay in this module until the benchmark's tracer
+(``perfbench/tracer.py``) stops naming them.
 
 Nothing here keeps per-point data: ``metric_at``, the one validated
-evaluation of a metric (domain, and g finite, symmetric and positive
-definite), and its readers ``inverse_metric_at`` and ``christoffel`` compute
-on each call.  What a run reads at a point is kept once, read-only, in the
-``maps.LocalGeometry`` that the runner builds for a chunk of points and
-drops after it.  ``jet_matrix_and_derivs`` is a boundary where non-finite
-jets are caught (see ``jets``).  Every function takes a point (shape (m,))
-or a batch of points (shape (B, m)); a check fails if it fails at some row,
-and names the first such row.  A vector is a plain array of its components,
-on the last axis.
+evaluation of a manifold's metric (the chart domain, then ``check_metric``:
+g finite, symmetric and positive definite), and its readers
+``inverse_metric_at`` and ``christoffel`` compute on each call
+(``check_metric`` also validates g-bar, ``biconformal.ChangedMetric``, which
+reads a map's geometry).  What a run reads at a point is kept once,
+read-only, in the ``maps.LocalGeometry`` that the runner builds for a chunk
+of points and drops after it.  ``jet_matrix_and_derivs`` is a boundary where
+non-finite jets are caught (see ``jets``).  Every function takes a point
+(shape (m,)) or a batch of points (shape (B, m)); a check fails if it fails
+at some row, and names the first such row.  A vector is a plain array of its
+components, on the last axis.
 """
 
 from __future__ import annotations
@@ -102,22 +103,12 @@ def outer(x, y):
 
 
 class MetricField:
-    """Interface: dim, matrix_and_derivs(p, source).
-
-    ``source`` is phi's ``maps.LocalGeometry`` at p under phi's source
-    metric, handed on by phi's geometries under other metrics: a metric
-    defined through phi (a biconformal change of its source metric) reads
-    phi's per-point data there.  Other metrics ignore it."""
-
-    # The map whose horizontal distribution this metric shares with the map's
-    # source metric (a biconformal change of it), or None.  That map's
-    # projectors and lift are then read from the source metric's geometry.
-    keeps_horizontal_of = None
+    """Interface: dim, matrix_and_derivs(p)."""
 
     def __init__(self, dim: int):
         self.dim = dim
 
-    def matrix_and_derivs(self, p, source=None):
+    def matrix_and_derivs(self, p):
         """Return (g, dg) with dg[..., k, i, j] = d_k g_ij."""
         raise NotImplementedError
 
@@ -150,7 +141,7 @@ class JetMetric(MetricField):
         super().__init__(dim)
         self.fn = component_fn
 
-    def matrix_and_derivs(self, p, source=None):
+    def matrix_and_derivs(self, p):
         return jet_matrix_and_derivs(self.fn, p)
 
 
@@ -163,11 +154,11 @@ class FDMetric(MetricField):
         self.fn = matrix_fn
         self.step = step
 
-    def matrix(self, p, source=None):
+    def matrix(self, p):
         # a copy: a geometry keeps g read-only, not the function's own array
         return np.array(self.fn(np.asarray(p, dtype=float)), dtype=float)
 
-    def matrix_and_derivs(self, p, source=None):
+    def matrix_and_derivs(self, p):
         p = np.asarray(p, dtype=float)
         m = self.dim
         g = self.matrix(p)
@@ -214,11 +205,6 @@ class ChartedRiemannianManifold:
                               np.asarray(sample_region[1], dtype=float))
         self.name = name
 
-    def with_metric(self, metric: MetricField) -> "ChartedRiemannianManifold":
-        return ChartedRiemannianManifold(self.dim, metric,
-                                         self.domain_predicate,
-                                         self.sample_region, self.name)
-
     def check_in_domain(self, p):
         p = np.asarray(p, dtype=float)
         if p.shape[-1:] != (self.dim,):
@@ -230,27 +216,11 @@ class ChartedRiemannianManifold:
                               % (first(p, bad).tolist(),))
         return p
 
-    def metric_at(self, p, source=None):
-        """(g, dg) at p from one ``matrix_and_derivs``, with g checked to be
-        finite, symmetric and positive definite (computed on each call;
-        ``source`` as in ``MetricField``)."""
+    def metric_at(self, p):
+        """(g, dg) at p from one ``matrix_and_derivs``, in the chart domain
+        and checked by ``check_metric`` (computed on each call)."""
         q = self.check_in_domain(p)
-        g, dg = self.metric.matrix_and_derivs(q, source)
-        bad = ~np.isfinite(g).all(axis=(-2, -1))
-        if np.count_nonzero(bad):
-            raise MetricError("metric not finite at %s"
-                              % (first(q, bad).tolist(),))
-        bad = np.max(np.abs(g - g.mT), axis=(-2, -1)) > 1e-12
-        if np.count_nonzero(bad):
-            raise MetricError("metric matrix not symmetric at %s"
-                              % (first(q, bad).tolist(),))
-        w = np.linalg.eigvalsh(0.5 * (g + g.mT))[..., 0]
-        bad = w <= 1e-12
-        if np.count_nonzero(bad):
-            raise MetricError("metric not positive definite at %s "
-                              "(min eigenvalue %g)"
-                              % (first(q, bad).tolist(), first(w, bad)))
-        return g, dg
+        return check_metric(*self.metric.matrix_and_derivs(q), q)
 
     def inverse_metric_at(self, p):
         """Inverse metric matrix at p, checked (computed on each call)."""
@@ -262,6 +232,26 @@ class ChartedRiemannianManifold:
         (computed on each call)."""
         g, dg = self.metric_at(p)
         return levi_civita(np.linalg.inv(g), dg)
+
+
+def check_metric(g, dg, q):
+    """(g, dg) at the points q, with g checked to be finite, symmetric and
+    positive definite."""
+    bad = ~np.isfinite(g).all(axis=(-2, -1))
+    if np.count_nonzero(bad):
+        raise MetricError("metric not finite at %s"
+                          % (first(q, bad).tolist(),))
+    bad = np.max(np.abs(g - g.mT), axis=(-2, -1)) > 1e-12
+    if np.count_nonzero(bad):
+        raise MetricError("metric matrix not symmetric at %s"
+                          % (first(q, bad).tolist(),))
+    w = np.linalg.eigvalsh(0.5 * (g + g.mT))[..., 0]
+    bad = w <= 1e-12
+    if np.count_nonzero(bad):
+        raise MetricError("metric not positive definite at %s "
+                          "(min eigenvalue %g)"
+                          % (first(q, bad).tolist(), first(w, bad)))
+    return g, dg
 
 
 def inverse_metric(g, ginv, p):

@@ -6,28 +6,30 @@ at a point p, or at each row of a batch of points (shape (B, m)), under one
 metric, each row computed as at one point (batched ``inv``, ``eigvalsh``,
 ``svd`` and ``cholesky``, and every contraction as ``@``, one BLAS call per
 matrix: ``manifold.contract``, ``act_first`` and ``matvec``).
-``LocalGeometry(phi, p)`` is the geometry under phi's source metric;
-``geo.under(metric)`` the one under another metric, whose fields its source
-keeps: no geometry refers to those built from it, so reference counting
-frees them with the source, which the runner drops after each chunk of
-sample points.  ``rows`` gives a batch's rows as 1-row batches, on which a
-check that fails on the batch is re-run.  Each field is computed on its
-first read, kept read-only, and never kept when it fails:
+``LocalGeometry(phi, p)`` is the geometry under phi's source metric g, its
+own ``source``; ``geo.under(change)`` the one under a
+``biconformal.ChangedMetric`` g-bar, whose fields the source keeps, on
+(change, name): no geometry refers to those built from it, so reference
+counting frees them with the source, which the runner drops after each
+chunk of sample points.  ``rows`` gives a batch's rows as 1-row batches, on
+which a check that fails on the batch is re-run.  Each field is computed on
+its first read, kept read-only, and never kept when it fails:
 
-- here: (g, dg) from one ``metric_at``, which validates g; g^-1, inverted
-  once, which ``ginv`` checks for accuracy and Gamma reads unchecked; Gamma
-  (read by ``covariant_derivative`` and ``laplacian``), phi(p), dphi and its
-  derivatives, the rank check, P_H, the lift and their derivatives, the
-  horizontal factor R with R^T R = P_H g^-1 P_H^T (``hermitian`` takes its
-  horizontal traces over R's rows), ``tension_field`` and
-  ``mean_curvature_vertical`` (component arrays, as every vector here);
-- in the source geometry only: the map's jets, and the target's (h, dh),
-  from one ``metric_at``, and Gamma at phi(p);
-- per J, from ``hermitian``: J and dJ at phi(p), F and dF (in the geometry
-  that computes the lift), ``phwc_defect``, ``phwc_metric_defect`` and
-  ``f_divergence_horizontal``;
-- per ``biconformal.ChangedMetric``, in the source geometry: sigma and rho
-  as jets, and the g-gradients of their logarithms.
+- per metric: (g, dg) from one ``metric_at``, which validates g (under a
+  change, ``check_metric`` of g-bar's); g^-1, inverted once, which ``ginv``
+  checks for accuracy and Gamma reads unchecked; Gamma (read by
+  ``covariant_derivative`` and ``laplacian``), the horizontal factor R with
+  R^T R = P_H g^-1 P_H^T (``hermitian`` takes its horizontal traces over
+  R's rows), ``tension_field`` and ``mean_curvature_vertical`` (component
+  arrays, as every vector here);
+- once, in the source, as no change alters them (``_kept_in_source``): the
+  map's jets, phi(p), dphi and its derivatives, the rank check, the
+  target's (h, dh) from one ``metric_at`` and Gamma at phi(p), and P_H, the
+  lift and their derivatives (g-bar keeps phi's horizontal space);
+- per J, from ``hermitian``: J and dJ at phi(p), F and dF (in the source),
+  ``phwc_defect``, ``phwc_metric_defect`` and ``f_divergence_horizontal``;
+- per ``ChangedMetric``, in the source: sigma and rho as jets, and the
+  g-gradients of their logarithms.
 
 The public functions of the same names take a geometry and read these
 fields.  ``ortho_split`` (built on each call, at one point) and the
@@ -41,7 +43,6 @@ point.  The fiber mean curvature needs no frame.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,9 +50,9 @@ import numpy as np
 
 from . import jets
 from .jets import Jet2, first
-from .manifold import (ChartedRiemannianManifold, GeometryError, MetricField,
-                       contract, dot, each_array, inverse_metric, levi_civita,
-                       matvec, outer, per_k, read_only)
+from .manifold import (ChartedRiemannianManifold, GeometryError,
+                       check_metric, contract, dot, each_array, inverse_metric,
+                       levi_civita, matvec, outer, per_k, read_only)
 
 RANK_TOL = 1e-8
 
@@ -106,37 +107,35 @@ def _kept(compute):
                     doc=compute.__doc__)
 
 
-class LocalGeometry:
-    """phi's local data at p (or a batch) on ``src``, its source with one
-    metric (the fields are listed in the module docstring).  Fields are
-    read-only; a failed computation is not kept, so it fails every read."""
+def _kept_in_source(compute):
+    """A ``LocalGeometry`` field that no change alters, kept in ``source``."""
+    return property(lambda geo: geo.source.field(compute.__name__, compute,
+                                                 geo.source),
+                    doc=compute.__doc__)
 
-    def __init__(self, phi: SmoothMap, p, metric: Optional[MetricField] = None,
+
+class LocalGeometry:
+    """phi's local data at p (or a batch) under phi's source metric g, or
+    under a ``biconformal.ChangedMetric`` of it (the fields are listed in
+    the module docstring).  Fields are read-only; a failed computation is
+    not kept, so it fails every read."""
+
+    def __init__(self, phi: SmoothMap, p, change=None,
                  source: Optional["LocalGeometry"] = None):
-        """The geometry under phi's source metric, or (from ``under``) the
-        one under ``metric`` whose fields ``source`` keeps."""
-        self.phi, self._source, self._metric = phi, source, metric
+        """The geometry under g, or (from ``under``) the one under
+        ``change``, whose fields ``source`` keeps."""
+        self.phi, self.change, self._source = phi, change, source
         self.p = read_only(np.array(p, dtype=float))
-        self.src = phi.source if metric is None else \
-            phi.source.with_metric(metric)
         self._fields = {} if source is None else source._fields
-        self._views = weakref.WeakValueDictionary() if source is None else None
 
     @property
     def source(self) -> "LocalGeometry":
-        """phi's geometry at p under its source metric."""
+        """phi's geometry at p under g."""
         return self if self._source is None else self._source
 
-    def under(self, metric: MetricField) -> "LocalGeometry":
-        """phi's geometry at p under ``metric``."""
-        source = self.source
-        if metric is source.src.metric:
-            return source
-        geo = source._views.get(metric)
-        if geo is None:
-            geo = source._views[metric] = LocalGeometry(self.phi, self.p,
-                                                        metric, source)
-        return geo
+    def under(self, change) -> "LocalGeometry":
+        """phi's geometry at p under ``change``, a ``ChangedMetric`` of phi."""
+        return LocalGeometry(self.phi, self.p, change, self.source)
 
     @property
     def rows(self):
@@ -154,8 +153,8 @@ class LocalGeometry:
 
     def field(self, key, compute, *args):
         """Further data under a key, made by ``compute(*args)`` on the first
-        read (the fields of other modules, such as F keyed on ("F", J))."""
-        key = (self._metric, key)
+        read and kept on (change, key) (such as F, keyed on ("F", J))."""
+        key = (self.change, key)
         value = self._fields.get(key)
         if value is None:
             value = self._fields[key] = read_only(compute(*args))
@@ -163,8 +162,12 @@ class LocalGeometry:
 
     @_kept
     def metric_and_derivs(self):
-        """(g, dg) from one ``metric_at``, which validates g."""
-        return self.src.metric_at(self.p, self._source)
+        """(g, dg) from one ``metric_at``, which validates g; under a change,
+        (g-bar, d g-bar), which ``check_metric`` validates."""
+        if self.change is None:
+            return self.phi.source.metric_at(self.p)
+        return check_metric(*self.change.matrix_and_derivs(self.source),
+                            self.p)
 
     @property
     def g(self) -> np.ndarray:
@@ -184,35 +187,33 @@ class LocalGeometry:
         """Gamma[..., k, i, j] = Gamma^k_ij, from g^-1 and dg."""
         return levi_civita(self._inverse, self.metric_and_derivs[1])
 
-    @_kept
+    @_kept_in_source
     def jets(self):
-        """The map's jets at p, in the chart domain (read from ``source``)."""
+        """The map's jets at p, in the chart domain."""
         self.phi.source.check_in_domain(self.p)
         return tuple(self.phi.jets(self.p))
 
-    @_kept
+    @_kept_in_source
     def map_jets(self):
         """(phi(p), A, dA) from the map's jets, with A[..., a, i] = d_i phi^a
         and dA[..., k, a, i] = d_k A[a, i] = d_i d_k phi^a."""
-        if self.source is not self:
-            return self.source.map_jets
         out = self.jets
         return (np.stack([j.value for j in out], axis=-1),
                 np.stack([j.grad for j in out], axis=-2),
                 np.moveaxis(np.stack([j.hess for j in out], axis=-3), -1, -3))
 
-    @_kept
+    @_kept_in_source
     def target_metric_and_derivs(self):
-        """(h, dh) at phi(p) from one ``metric_at`` (read from ``source``)."""
+        """(h, dh) at phi(p) from one ``metric_at``."""
         return self.phi.target.metric_at(self.map_jets[0])
 
     @property
     def h(self) -> np.ndarray:
         return self.target_metric_and_derivs[0]
 
-    @_kept
+    @_kept_in_source
     def target_christoffel(self) -> np.ndarray:
-        """The target's Gamma at phi(p) (read from ``source``)."""
+        """The target's Gamma at phi(p)."""
         h, dh = self.target_metric_and_derivs
         return levi_civita(np.linalg.inv(h), dh)
 
@@ -229,20 +230,11 @@ class LocalGeometry:
         return (contract(jet.hess[..., None, :, :], self.ginv)[..., 0]
                 - dot(contract(self.christoffel, self.ginv), jet.grad))
 
-    @_kept
+    @_kept_in_source
     def _differential(self):
-        """dphi and its smallest singular value (read from ``source``)."""
-        if self.source is not self:
-            return self.source._differential
+        """dphi and its smallest singular value."""
         a = self.map_jets[1]
         return a, np.linalg.svd(a, compute_uv=False)[..., -1]
-
-    @property
-    def horizontal(self) -> "LocalGeometry":
-        """The geometry that computes H and the lift: the source metric's,
-        when this metric is a change of it that keeps H."""
-        keeps = self.src.metric.keeps_horizontal_of is self.phi
-        return self.source if keeps else self
 
     @_kept
     def _lift_factors(self):
@@ -251,24 +243,21 @@ class LocalGeometry:
         adjoint = self.ginv @ a.mT
         return a, adjoint, np.linalg.inv(a @ adjoint)
 
-    @_kept
+    @_kept_in_source
     def projector_and_lift(self):
-        """(P_H, lift): the lift is L = g^-1 A^T M^-1, and P_H = L A."""
-        if self.horizontal is not self:
-            return self.horizontal.projector_and_lift
+        """(P_H, lift): the lift is L = g^-1 A^T M^-1, and P_H = L A; a
+        change keeps H, so they are g's."""
         a, adjoint, minv = self._lift_factors
         lift = adjoint @ minv
         return lift @ a, lift
 
-    @_kept
+    @_kept_in_source
     def projector_and_lift_derivs(self):
         """(dP_H, dL) with dP_H[..., k, :, :] = d_k P_H and dL[..., k, :, :]
         = d_k L:
 
         dL = (d(g^-1) A^T + g^-1 dA^T - L dM) M^-1,  dP_H = dL A + L dA,
         dM = dA g^-1 A^T + A (d(g^-1) A^T + g^-1 dA^T)."""
-        if self.horizontal is not self:
-            return self.horizontal.projector_and_lift_derivs
         a, adjoint, minv = self._lift_factors
         lift, da = self.projector_and_lift[1], self.map_jets[2]
         dg = self.metric_and_derivs[1]
@@ -297,7 +286,7 @@ class LocalGeometry:
         ginv = self.ginv
         return (contract(da.swapaxes(-3, -2), ginv)
                 - matvec(a, contract(self.christoffel, ginv))
-                + contract(self.source.target_christoffel, a @ ginv @ a.mT))
+                + contract(self.target_christoffel, a @ ginv @ a.mT))
 
     @_kept
     def mean_curvature_vertical(self) -> np.ndarray:

@@ -271,23 +271,26 @@ def _flag_tallies(scenario: Scenario):
 
 def _flag_entries(scenario: Scenario, tallies, tol):
     """The report's flag section: per flag, the expected value, the worst
-    defect over the points (None where it is not measured), the errored
-    points and whether the expectation is confirmed."""
+    defect over the measured points (None where there is none), the
+    errored points and whether the expectation is confirmed: never where a
+    point errored."""
     out = {}
     for flag in FLAG_DEFECTS:
         expected = scenario.expected_flags.get(flag)
         tally = tallies.get(flag)
-        worst = None if tally is None else tally.max_rel_residual
-        if expected is None or worst is None:
+        errors = 0 if tally is None else tally.samples_error
+        worst = tally.max_rel_residual if tally and tally.samples_pass \
+            else None
+        if expected is None or tally is None:
             confirmed = None
+        elif errors or worst is None:
+            confirmed = False
         elif expected:
             confirmed = worst < tol
         else:
             confirmed = worst > 10.0 * tol
         out[flag] = {"expected": expected, "measured_max_defect": worst,
-                     "samples_error": 0 if tally is None
-                     else tally.samples_error,
-                     "confirmed": confirmed}
+                     "samples_error": errors, "confirmed": confirmed}
     return out
 
 

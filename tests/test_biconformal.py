@@ -37,6 +37,7 @@ from phmorph.manifold import directional_derivative
 from phmorph.maps import differential, horizontal_projector
 from phmorph.hermitian import adapted_frame, phwc_defect
 from phmorph.runner import IDENTITIES, RunContext, run_identity
+from tests.test_exact_derivatives import rotated_j
 from tests.test_maps import at
 
 
@@ -192,7 +193,7 @@ def test_changed_metric_reads_the_source_geometry_it_is_handed():
     # jets) and its own geometry reads it
     gbar = changed_metric(*FACTOR_CASE)
     geo = at(gbar.phi, P4)
-    value, derivs = gbar.matrix_and_derivs(P4, geo)
+    value, derivs = gbar.matrix_and_derivs(geo)
     assert (None, "projector_and_lift") in geo._fields
     jets = gbar.factor_jets(geo)
     bar = geo.under(gbar)
@@ -206,8 +207,6 @@ def test_changed_metric_reads_the_source_geometry_it_is_handed():
                       lambda c: [c[0] + 0.1 * c[2], c[1]])
     with pytest.raises(GeometryError, match="its own map's geometry"):
         at(other, P4, gbar).g
-    with pytest.raises(GeometryError, match="its own map's geometry"):
-        gbar.phi.source.with_metric(gbar).metric_at(P4)
 
 
 @pytest.mark.parametrize("sigma, rho, factor", [("x2", "1", "sigma"),
@@ -221,7 +220,7 @@ def test_nonpositive_factor_fails_on_every_call(sigma, rho, factor):
             with pytest.raises(PositivityError, match=factor):
                 read(geo)
         with pytest.raises(PositivityError, match=factor):
-            gbar.matrix_and_derivs(P4, geo)
+            gbar.matrix_and_derivs(geo)
         with pytest.raises(PositivityError, match=factor):
             geo.under(gbar).g
 
@@ -776,6 +775,23 @@ def test_corollary_phh_breaking_direction():
     out = fold("corollary-phh", lambda geo: corollary_phh_at(gbar, geo, sc.J),
                [at(sc.phi, [p]) for p in points])
     assert out.passed
+
+
+def test_corollary_phh_fails_where_phh_does_not_hold():
+    # with a J that varies along the target, phi is not PHH under g, and the
+    # constant change sigma = 2 keeps it so: the check must fail at every
+    # point, where the scenario's own J passes
+    sc = get_scenario("flat-projection-6-4")
+    gbar = one_function(sc, parse("2"))
+    geos = [at(sc.phi, [p]) for p in sample_points(sc, 5, seed=42)]
+    own = fold("corollary-phh", lambda geo: corollary_phh_at(gbar, geo, sc.J),
+               geos)
+    assert own.passed and own.samples_pass == 5
+    j = rotated_j(sc.phi.target)
+    out = fold("corollary-phh", lambda geo: corollary_phh_at(gbar, geo, j),
+               geos)
+    assert out.samples_fail == 5 and not out.passed
+    assert out.max_abs_residual == pytest.approx(1.44, abs=0.01)
 
 
 def test_corollary_phh_n1_degeneracy_skipped():

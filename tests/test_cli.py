@@ -52,6 +52,19 @@ def test_verify_pass_exit_zero(capsys):
     assert "verdict" in out or "pass" in out
 
 
+def test_an_errored_flag_point_exits_one(capsys, monkeypatch):
+    from tests.test_runner import ERRORED_FLAG_RUN, _unreadable
+    monkeypatch.setitem(runner.FLAG_DEFECTS, "phwc", _unreadable)
+    config = ERRORED_FLAG_RUN
+    code, out = run(capsys, "verify", "--scenario", config.scenario,
+                    "--sigma", config.sigma, "--rho", config.rho,
+                    "--samples", str(config.samples), "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["flags"]["phwc"]["confirmed"] is False
+    assert report["verdict"] == "fail"
+
+
 def test_verify_failure_exit_one(capsys):
     # absurdly tight FD tolerance forces residual failures
     code, out = run(capsys, "verify", "--scenario", "flat-projection-6-4",

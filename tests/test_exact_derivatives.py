@@ -196,7 +196,7 @@ def test_changed_metric_derivative_matches_fd(name):
     oracle = FDMetric(sc.phi.m, metric_matrix(sc, gbar))
     for p in points:
         geo = at(sc.phi, p)
-        value, exact = gbar.matrix_and_derivs(p, geo)
+        value, exact = gbar.matrix_and_derivs(geo)
         # g-bar = sigma^-2 g^H + rho^-2 (g - g^H), with g^H = g P_H symmetrized
         g, (s, r) = geo.g, gbar.factor_values(geo)
         gh = g @ geo.projector_and_lift[0]

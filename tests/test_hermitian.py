@@ -21,9 +21,9 @@ from phmorph import (
 )
 from phmorph.hermitian import d_f_structure, nabla_f_operator
 from phmorph.maps import horizontal_projector
-from phmorph.manifold import DomainError, JetMetric
+from phmorph.manifold import DomainError
 from phmorph.scenarios import constant_J, standard_J
-from tests.test_maps import at
+from tests.test_maps import at, changed, with_sheared_metric
 
 
 def test_standard_J_block_form():
@@ -213,13 +213,6 @@ def test_tension_via_f_structure_rejects_nonphwc():
 
 # ---- F and dF in the local geometry --------------------------------------
 
-def sheared_metric():
-    # g(e1, e3) = g(e2, e4) = 0.3: another horizontal space for the flat
-    # projection R^4 -> R^2
-    g = np.eye(4) + 0.3 * (np.eye(4, k=2) + np.eye(4, k=-2))
-    return JetMetric(4, lambda c: g.tolist())
-
-
 F_READERS = {
     "F": lambda sc, geo: f_structure(geo, sc.J),
     "dF": lambda sc, geo: d_f_structure(geo, sc.J),
@@ -232,9 +225,9 @@ P = np.array([0.3, -0.2, 0.5, 0.1])
 def test_f_structure_warm_equals_cold(name, sheared):
     read = F_READERS[name]
     fresh = get_scenario("holomorphic-poly")
-    cold = read(fresh, at(fresh.phi, P, sheared_metric() if sheared else None))
+    cold = read(fresh, at(with_sheared_metric(fresh.phi) if sheared else fresh.phi, P))
     sc = get_scenario("holomorphic-poly")
-    geo = at(sc.phi, P.copy(), sheared_metric() if sheared else None)
+    geo = at(with_sheared_metric(sc.phi) if sheared else sc.phi, P.copy())
     for _ in range(2):  # fills the geometry, then reads it
         for other in F_READERS.values():
             other(sc, geo)
@@ -261,21 +254,28 @@ def test_f_structure_derivative_is_kept_per_j():
 
 
 def test_f_structure_under_two_metrics_never_mixes():
-    sc = get_scenario("flat-projection-4-2")
-    sheared = sheared_metric()
+    # g and g-bar share one store: one F, which reads only the lift that
+    # g-bar keeps, and the scale of the PHWC defect, |dphi dphi^*|, for each
+    sc = get_scenario("holomorphic-poly")
     geo = at(sc.phi, P)
-    reads = [f_structure(geo if metric is None else geo.under(metric), sc.J)
-             for metric in (None, sheared, None, sheared)]
-    fresh = get_scenario("flat-projection-4-2")
-    cold_g = f_structure(at(fresh.phi, P), fresh.J)
-    cold_s = f_structure(at(fresh.phi, P, sheared_metric()), fresh.J)
-    assert not np.allclose(cold_g, cold_s)
-    for got, cold in zip(reads, [cold_g, cold_s, cold_g, cold_s]):
-        assert np.array_equal(got, cold)
+    gbar = changed(sc.phi)
+
+    def reads(sc, geo):
+        return [f_structure(geo, sc.J), phwc_defect(geo, sc.J)[1]]
+
+    got = [reads(sc, geo if change is None else geo.under(change))
+           for change in (None, gbar, None, gbar)]
+    fresh = get_scenario("holomorphic-poly")
+    cold_g = reads(fresh, at(fresh.phi, P))
+    cold_s = reads(fresh, at(fresh.phi, P, changed(fresh.phi)))
+    for warm, cold in zip(got, [cold_g, cold_s, cold_g, cold_s]):
+        assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+    assert got[1][0] is got[0][0]
+    assert not np.allclose(cold_g[1], cold_s[1])
     # a second J on the same map, metric and point gets its own F
     minus_j = pm.AlmostComplexStructureField(
         sc.J.target, lambda c: (-standard_J(2)).tolist())
-    assert np.array_equal(f_structure(geo, minus_j), -cold_g)
+    assert np.array_equal(f_structure(geo, minus_j), -cold_g[0])
 
 
 def test_f_structure_fails_on_every_call_where_phi_is_singular():

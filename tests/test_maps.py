@@ -5,6 +5,8 @@ import pytest
 
 import phmorph.jets as jets
 from phmorph import (
+    BiconformalChange,
+    ChangedMetric,
     RankError,
     SmoothMap,
     differential,
@@ -23,11 +25,11 @@ from phmorph.maps import (
 )
 
 
-def at(phi, p, metric=None):
+def at(phi, p, change=None):
     """phi's point context at p: its geometry under its source metric, or
-    the one under ``metric`` built from it."""
+    the one under the ``ChangedMetric`` ``change`` built from it."""
     geo = LocalGeometry(phi, p)
-    return geo if metric is None else geo.under(metric)
+    return geo if change is None else geo.under(change)
 
 
 def anisotropic_map():
@@ -246,6 +248,18 @@ def sheared_metric():
     return JetMetric(4, lambda c: g.tolist())
 
 
+def with_sheared_metric(phi):
+    """phi, its source metric replaced by ``sheared_metric``."""
+    src = phi.source
+    return SmoothMap(ChartedRiemannianManifold(
+        4, sheared_metric(), src.domain_predicate, src.sample_region,
+        src.name), phi.target, phi.components)
+
+
+def fiber_map(is_sheared):
+    return with_sheared_metric(curved_fiber_map()) if is_sheared else curved_fiber_map()
+
+
 GEOMETRY_READERS = {
     "check_submersion": check_submersion,
     "horizontal_projector": horizontal_projector,
@@ -261,10 +275,8 @@ P = np.array([0.4, -0.3, 0.2, 0.6])
 @pytest.mark.parametrize("name", sorted(GEOMETRY_READERS))
 def test_local_geometry_warm_equals_cold(name, sheared):
     read = GEOMETRY_READERS[name]
-    cold = read(at(curved_fiber_map(), P,
-                   sheared_metric() if sheared else None))
-    geo = at(curved_fiber_map(), P.copy(),
-             sheared_metric() if sheared else None)
+    cold = read(at(fiber_map(sheared), P))
+    geo = at(fiber_map(sheared), P.copy())
     for _ in range(2):  # fills the geometry, then reads it
         for other in GEOMETRY_READERS.values():
             other(geo)
@@ -272,22 +284,51 @@ def test_local_geometry_warm_equals_cold(name, sheared):
     assert read(geo) is read(geo)
 
 
-def test_under_builds_each_geometry_once_on_its_source():
-    geo = at(curved_fiber_map(), P)
-    sheared = sheared_metric()
-    child = geo.under(sheared)
+def changed(phi):
+    """A biconformal change of phi's source metric with both factors
+    nonconstant."""
+    return ChangedMetric(phi, BiconformalChange.from_texts("exp(0.3*x1)",
+                                                           "1+x2^2"))
+
+
+# the fields that no change alters, kept in the source geometry only
+KEPT_IN_SOURCE = ("jets", "map_jets", "_differential",
+                  "target_metric_and_derivs", "target_christoffel",
+                  "projector_and_lift", "projector_and_lift_derivs")
+
+
+def test_under_builds_a_geometry_on_its_source():
+    phi = curved_fiber_map()
+    geo, gbar = at(phi, P), changed(phi)
+    child = geo.under(gbar)
     assert geo.source is geo and child.source is geo
-    assert geo.under(sheared) is child and child.under(sheared) is child
-    assert geo.under(geo.src.metric) is geo
-    assert child.under(geo.src.metric) is geo
+    assert child.change is gbar and geo.change is None
+    grandchild = child.under(gbar)
+    assert grandchild is not child and grandchild.source is geo
+    assert np.array_equal(grandchild.p, geo.p)
     assert not np.allclose(child.g, geo.g)
-    # the map's data is read from the source geometry
-    assert child.map_jets is geo.map_jets
+    assert grandchild.g is child.g  # one store, keyed on the change
+
+
+def test_fields_no_change_alters_are_the_sources():
+    phi = curved_fiber_map()
+    geo = at(phi, P)
+    bar = geo.under(changed(phi))
+    for name in KEPT_IN_SOURCE:
+        assert getattr(geo, name) is getattr(bar, name), name
+    # read through the view first, they are still kept in the source only
+    geo = at(phi, P)
+    bar = geo.under(changed(phi))
+    for name in KEPT_IN_SOURCE:
+        assert getattr(bar, name) is getattr(geo, name), name
+    assert {name for change, name in geo._fields if change is not None} \
+        .isdisjoint(KEPT_IN_SOURCE)
+    assert {name for change, name in geo._fields} >= set(KEPT_IN_SOURCE)
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRY_READERS))
 def test_local_geometry_arrays_are_read_only(name):
-    out = GEOMETRY_READERS[name](at(curved_fiber_map(), P, sheared_metric()))
+    out = GEOMETRY_READERS[name](at(fiber_map(True), P))
     assert not out.flags.writeable
     with pytest.raises(ValueError):
         out[0, 0] = 1.0
@@ -324,33 +365,28 @@ def test_out_of_domain_point_fails_on_every_call():
 
 
 def test_results_under_two_metrics_at_one_point_never_mix():
+    # g and g-bar share one store, keyed on the change
     phi = curved_fiber_map()
-    sheared = sheared_metric()
+    gbar = changed(phi)
     geo = at(phi, P)
-    reads = []
-    for metric in (None, sheared, None, sheared):
-        read = geo if metric is None else geo.under(metric)
-        reads.append([horizontal_projector(read), horizontal_lift(read),
-                      read.christoffel])
-    cold = at(curved_fiber_map(), P)
-    cold_g = [horizontal_projector(cold), horizontal_lift(cold),
-              cold.christoffel]
-    cold = at(curved_fiber_map(), P, sheared_metric())
-    cold_s = [horizontal_projector(cold), horizontal_lift(cold),
-              cold.christoffel]
-    for got, cold in zip(reads, [cold_g, cold_s, cold_g, cold_s]):
-        assert all(np.array_equal(a, b) for a, b in zip(got, cold))
-    assert not np.allclose(cold_g[0], cold_s[0])
-    assert not np.allclose(cold_g[2], cold_s[2])
+
+    def reads(geo):
+        return [geo.g, geo.christoffel, mean_curvature_vertical(geo)]
+
+    got = [reads(geo if change is None else geo.under(change))
+           for change in (None, gbar, None, gbar)]
+    fresh = curved_fiber_map()
+    cold_g, cold_s = reads(at(fresh, P)), reads(at(fresh, P, changed(fresh)))
+    for warm, cold in zip(got, [cold_g, cold_s, cold_g, cold_s]):
+        assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+    assert all(not np.allclose(a, b) for a, b in zip(cold_g, cold_s))
 
 
 @pytest.mark.parametrize("sheared", [False, True], ids=["g", "sheared"])
 def test_horizontal_factor_squares_to_the_horizontal_inverse_metric(sheared):
     # R^T R = P_H g^-1 P_H^T, so a horizontal trace over R's rows is one
     # over any orthonormal frame of H; R's rows are one such frame
-    phi = curved_fiber_map()
-    metric = sheared_metric() if sheared else None
-    geo = at(phi, P, metric)
+    geo = at(fiber_map(sheared), P)
     r, ph = geo.horizontal_factor, horizontal_projector(geo)
     assert np.allclose(r.T @ r, ph @ geo.ginv @ ph.T, atol=1e-12)
     assert np.allclose(r @ geo.g @ r.T, np.eye(2), atol=1e-12)
@@ -382,10 +418,8 @@ DERIVED_READERS = {
 @pytest.mark.parametrize("name", sorted(DERIVED_READERS))
 def test_derived_fields_warm_equal_cold(name, sheared):
     read = DERIVED_READERS[name]
-    cold = read(at(curved_fiber_map(), P,
-                   sheared_metric() if sheared else None))
-    geo = at(curved_fiber_map(), P.copy(),
-             sheared_metric() if sheared else None)
+    cold = read(at(fiber_map(sheared), P))
+    geo = at(fiber_map(sheared), P.copy())
     for _ in range(2):  # fills the geometry, then reads it
         for other in DERIVED_READERS.values():
             other(geo)
@@ -396,8 +430,7 @@ def test_derived_fields_warm_equal_cold(name, sheared):
 
 @pytest.mark.parametrize("name", sorted(DERIVED_READERS))
 def test_derived_field_arrays_are_read_only(name):
-    for out in DERIVED_READERS[name](at(curved_fiber_map(), P,
-                                        sheared_metric())):
+    for out in DERIVED_READERS[name](at(fiber_map(True), P)):
         assert not out.flags.writeable
         with pytest.raises(ValueError):
             out[0] = 1.0

@@ -20,6 +20,7 @@ from phmorph.manifold import per_k
 from phmorph.maps import LocalGeometry
 from phmorph.runner import (IDENTITIES, RunContext, run_identity,
                             skip_reason)
+from tests.test_maps import KEPT_IN_SOURCE
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -74,6 +75,41 @@ def test_report_flags_section_reports_measurements():
     assert flags["harmonic"]["expected"] is False
     assert flags["harmonic"]["confirmed"]
     assert "measured_max_defect" in flags["phwc"]
+
+
+def _unreadable(geo, J):
+    raise manifold.GeometryError("flag defect unreadable")
+
+
+# a run whose phwc flag errors at every point when ``_unreadable`` measures it
+ERRORED_FLAG_RUN = RunConfig(scenario="flat-projection-6-4",
+                             sigma="exp(0.2*x1)", rho="1+0.1*x5^2",
+                             samples=5)
+
+
+def test_an_errored_flag_point_does_not_confirm_the_flag(monkeypatch):
+    monkeypatch.setitem(runner.FLAG_DEFECTS, "phwc", _unreadable)
+    rep = run_verification(ERRORED_FLAG_RUN)
+    assert rep["flags"]["phwc"] == {"expected": True,
+                                    "measured_max_defect": None,
+                                    "samples_error": 5, "confirmed": False}
+    assert rep["flags"]["harmonic"]["confirmed"] is True
+    assert rep["flags_confirmed"] is False
+    assert rep["verdict"] == "fail"
+    assert all(row["passed"] for row in rep["per_identity"])
+    # errored at some points only: measured at the others, still unconfirmed
+    inner = runner.FLAG_DEFECTS["harmonic"]
+
+    def partly(geo, J):
+        if np.count_nonzero(geo.p[:, 0] < 0):
+            _unreadable(geo, J)
+        return inner(geo, J)
+
+    monkeypatch.setitem(runner.FLAG_DEFECTS, "harmonic", partly)
+    flag = run_verification(ERRORED_FLAG_RUN)["flags"]["harmonic"]
+    assert 0 < flag["samples_error"] < 5
+    assert flag["measured_max_defect"] < 1e-12
+    assert flag["confirmed"] is False
 
 
 # ---- batched runs --------------------------------------------------------
@@ -207,9 +243,9 @@ def test_changed_metric_derivatives_computed_once_per_distinct_point(
     calls = []
     inner = biconformal.ChangedMetric.matrix_and_derivs
 
-    def counting(self, p, source=None):
-        calls.extend((self, q) for q in rows(p))
-        return inner(self, p, source)
+    def counting(self, source):
+        calls.extend((self, q) for q in rows(source.p))
+        return inner(self, source)
 
     monkeypatch.setattr(biconformal.ChangedMetric, "matrix_and_derivs",
                         counting)
@@ -222,9 +258,10 @@ def test_changed_metric_derivatives_computed_once_per_distinct_point(
     assert len({metric for metric, _ in calls}) == 2
 
 
-# what a run evaluates per point: each metric (g, h and both g-bar, each
-# through ``metric_at``, value and derivatives at once), J and the map
-# (``SmoothMap.jets`` evaluates its components once a call)
+# what a run evaluates per point: each metric (g and h through
+# ``metric_at``, and both g-bar from phi's geometry, value and derivatives
+# at once), J and the map (``SmoothMap.jets`` evaluates its components once
+# a call)
 EVALUATIONS = [(manifold.JetMetric, "matrix_and_derivs"),
                (biconformal.ChangedMetric, "matrix_and_derivs"),
                (hermitian.AlmostComplexStructureField, "matrix_and_derivs"),
@@ -245,12 +282,14 @@ def test_a_run_evaluates_each_field_once_per_distinct_point(monkeypatch,
     counts = {}
 
     def counting(inner, name):
-        # a batched call counts once for each of its rows
-        def wrapper(self, p, *source):
-            for q in rows(np.asarray(p, dtype=float)):
+        # a batched call counts once for each of its rows: g-bar's, once
+        # for each row of the geometry it reads
+        def wrapper(self, p):
+            points = p.p if isinstance(p, LocalGeometry) else p
+            for q in rows(np.asarray(points, dtype=float)):
                 key = (name, id(self), q)
                 counts[key] = counts.get(key, 0) + 1
-            return inner(self, p, *source)
+            return inner(self, p)
         return wrapper
 
     for cls, name in EVALUATIONS:
@@ -338,13 +377,14 @@ def test_a_flag_settles_sample_errors_row_by_row(monkeypatch):
     assert flags["phh"]["samples_error"] == np.count_nonzero(negative)
     assert flags["phh"]["measured_max_defect"] == expected
     assert flags["phwc"]["samples_error"] == 0
+    assert flags["phwc"]["confirmed"] is True
 
 
 def _projector_and_lift_derivs_without_l_dm(geo):
     """``LocalGeometry.projector_and_lift_derivs`` with the -L dM term of
-    dL dropped: a wrong dP_H."""
-    if geo.horizontal is not geo:
-        return geo.horizontal.projector_and_lift_derivs
+    dL dropped: a wrong dP_H, computed in the source geometry as the kept
+    one is."""
+    geo = geo.source
     a, adjoint, minv = geo._lift_factors
     lift, da = geo.projector_and_lift[1], geo.map_jets[2]
     dg = geo.metric_and_derivs[1]
@@ -577,6 +617,31 @@ def test_benchmark_tracer_sees_every_layer_a_run_reaches():
     assert out["calls"]["maps.SmoothMap.jets"] == 1
     assert out["shapes"] == [[2, 6]]
     assert out["points"]["maps.SmoothMap.jets"] == 1
+
+
+def test_a_run_keeps_the_fields_no_change_alters_in_the_source_only(
+        monkeypatch):
+    # g-bar keeps phi's horizontal space: a run reads the map's data, the
+    # target's and the projectors and lift once per point, in the source
+    # geometry, and keeps no copy of them under a change
+    seen = []
+    inner = runner.run_identity
+
+    def recording(name, run, geo, idx):
+        seen.append(geo)
+        return inner(name, run, geo, idx)
+
+    monkeypatch.setattr(runner, "run_identity", recording)
+    rep = run_verification(RunConfig(scenario="flat-projection-6-4",
+                                     sigma="exp(0.2*x1)", rho="1+0.1*x5^2",
+                                     samples=4))
+    assert rep["verdict"] == "pass"
+    keys = {key for geo in seen for key in geo._fields}
+    under_a_change = {name for change, name in keys if change is not None}
+    assert "christoffel" in under_a_change
+    assert under_a_change.isdisjoint(KEPT_IN_SOURCE)
+    assert {name for change, name in keys if change is None} >= set(
+        KEPT_IN_SOURCE)
 
 
 def test_a_run_keeps_only_the_current_points_geometries(monkeypatch):
