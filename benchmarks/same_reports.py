@@ -12,7 +12,10 @@ errored sample, which the report counts but does not list).  The list:
   sample points;
 - at 60 samples and seed 5, three runs that stress the arithmetic: a large
   constant one-function sigma on hopf, and sigma^2 / rho^2 near 1e8 on hopf
-  and on holomorphic-poly.
+  and on holomorphic-poly;
+- at 20 samples and seed 5, ``curved-fibers-nonharmonic --sigma
+  'exp(0.3*x1+0.2*x3)'``: n = 1 with a nonconstant sigma, where
+  corollary-phh checks that PHH is kept.
 
 It prints one line per run and exits 1 on any difference.  Run it from the
 repository root, with the parent commit unpacked elsewhere
@@ -55,6 +58,11 @@ def runs(report):
     out += [(" ".join(args[1:]) + " samples=60 seed=5",
              ["verify"] + args + ["--samples", "60", "--seed", "5",
                                   "--report", report]) for args in STRESS]
+    n1 = ["--scenario", "curved-fibers-nonharmonic",
+          "--sigma", "exp(0.3*x1+0.2*x3)"]
+    out.append((" ".join(n1[1:]) + " samples=20 seed=5",
+                ["verify"] + n1 + ["--samples", "20", "--seed", "5",
+                                   "--report", report]))
     return out
 
 

@@ -10,21 +10,23 @@ point under g (the source geometry), where it keeps sigma and rho:
 the right sides of the laws read (no float twin), and ``grad_log_factors``.
 A factor that is not positive raises ``PositivityError`` on every call.
 
-Every ``verify_*`` and ``corollary_*_at`` routine takes the point context,
-phi's source geometry over a batch of sample points, and, for a law of the
-change, the ``ChangedMetric``, whose geometry it reads from the point context
+Every ``verify_*`` routine takes the point context, phi's source geometry
+over a batch of sample points, and, for a law of the change, the
+``ChangedMetric``, whose geometry it reads from the point context
 (``LocalGeometry.under``).  It computes one identity's two sides by
 independent routes (the Levi-Civita geometry of g-bar, built from g-bar's own
 (g-bar, d g-bar), on one side; the closed-form transformation law on g's
 connection on the other) and returns one report per row (``row_reports``);
-``runner.IDENTITIES`` folds the reports over a run's points.
+``runner.IDENTITIES`` folds the reports over a run's points.  ``PROPERTIES``
+(PHWC, harmonicity, PHH) are read under g by the run's flags and under the
+one-function change by the corollaries (``corollary_at``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -490,61 +492,80 @@ def verify_phwc_equivalence(geo: LocalGeometry,
                        np.where(r2 > r1, r2, r1), (r1 < tol) == (r2 < tol))
 
 
-def corollary_psh_at(scenario, gbar: ChangedMetric, geo: LocalGeometry,
-                     tol: float = 1e-5):
-    """Harmonicity and metric compatibility survive the one-function change.
-
-    On a scenario that is harmonic and PHWC under g, both the tension field
-    and the PHWC defect must stay below tolerance under g_sigma; on a
-    non-harmonic PHWC scenario the tension must stay visibly nonzero
-    (here checked through sigma^2 tau, the exact transformed value for this
-    change).  ``gbar`` is the one-function change."""
-    bar = geo.under(gbar)
-    tau_bar = np.abs(tension_field(bar)).max(axis=-1)
-    defect, scale = phwc_defect(bar, scenario.J)
-    rel = defect / (scale + REL_FLOOR)
-    if scenario.expected_flags.get("harmonic"):
-        tau = tau_bar / REL_FLOOR
-        ok, resid = (tau < tol) & (rel < tol), np.where(rel > tau, rel, tau)
-    else:
-        # tension must not collapse to zero where tau_g is nonzero
-        s, _ = gbar.factor_values(geo)
-        ref = s ** 2 * np.abs(tension_field(geo)).max(axis=-1)
-        ok = (rel < tol) & ((ref < 10 * tol) | (tau_bar > 0.5 * ref))
-        resid = rel
-    return row_reports("corollary-psh", geo.p, resid, resid, ok)
-
-
-# why corollary-phh has no breaking direction to check
-PHH_N1_WARNING = ("breaking direction skipped: the correction term carries "
-                  "a factor 2n-2 = 0 for n = 1")
+# ---- properties of phi and J, read under g and under a change -----------
 
 # the PHH defect that a nonconstant sigma must reach where it breaks PHH
 BREAKING_FLOOR = 1e-3
 
 
-def phh_breaking_checkable(n: int, sigma: Expr) -> bool:
-    """Whether corollary-phh applies: for nonconstant sigma the PHH defect
-    grows through a factor 2n-2, which vanishes for n = 1."""
-    return n >= 2 or exprs.max_var_index(sigma) < 0
+@dataclass(frozen=True)
+class Property:
+    """A property of phi and J: ``reading(geo, J)``, its (defect, relative
+    defect) at each row of a geometry, holds below tolerance; ``kept(gbar)``,
+    whether the one-function change keeps it where phi has it; ``shows(gbar,
+    geo, defect, tol)``, per row, whether its failure under gbar shows."""
+    reading: Callable
+    kept: Callable = lambda gbar: True
+    shows: Optional[Callable] = None
 
 
-def corollary_phh_at(gbar: ChangedMetric, geo: LocalGeometry,
-                     J: AlmostComplexStructureField, tol: float = 1e-6):
-    """PHH survives the one-function change ``gbar`` exactly for constant
-    sigma.
+def _reading(defect, scale):
+    return defect, defect / (scale + REL_FLOOR)
 
-    Constant sigma: the PHH defect under g_sigma stays below tol.  Nonconstant
-    sigma with a horizontally nonvanishing gradient must break PHH visibly
-    (defect above ``BREAKING_FLOOR``); see ``phh_breaking_checkable``."""
-    defect, scale = phh_defect(geo.under(gbar), J)
-    rel = defect / (scale + REL_FLOOR)
-    if exprs.max_var_index(gbar.change.sigma) < 0:
-        ok = rel < tol
-    else:
-        grad_h = matvec(geo.projector_and_lift[0],
-                        gbar.grad_log_factors(geo)[0])
-        strength = np.sqrt(quad(grad_h, geo.g, grad_h))
-        # only points with a visible horizontal log-gradient must break
-        ok = (defect > BREAKING_FLOOR) | ~(strength > 0.05)
-    return row_reports("corollary-phh", geo.p, defect, rel, ok)
+
+def _tension(geo, J):
+    tau = np.abs(tension_field(geo)).max(axis=-1)
+    return tau, tau / REL_FLOOR
+
+
+def _tension_shows(gbar, geo, tau_bar, tol):
+    # the change gives tau-bar = sigma^2 tau: a visible tau must not vanish
+    ref = gbar.factor_values(geo)[0] ** 2 * _tension(geo, None)[0]
+    return (ref < 10 * tol) | (tau_bar > 0.5 * ref)
+
+
+def _phh_shows(gbar, geo, defect, tol):
+    # only points with a visible horizontal log-gradient of sigma must break
+    grad_h = matvec(geo.projector_and_lift[0], gbar.grad_log_factors(geo)[0])
+    strength = np.sqrt(quad(grad_h, geo.g, grad_h))
+    return (defect > BREAKING_FLOOR) | ~(strength > 0.05)
+
+
+# what a run's flags read under g, and its corollaries under the
+# one-function change.  PHH is kept for constant sigma, and at n = 1 for
+# every sigma: the correction term carries a factor 2n - 2, and on a
+# 2-dimensional H, H(nabla_X F)|_H is skew and anticommutes with F, so it
+# is 0 for every PHWC map
+PROPERTIES = {
+    "phwc": Property(lambda geo, J: _reading(*phwc_defect(geo, J))),
+    "harmonic": Property(_tension, shows=_tension_shows),
+    "phh": Property(lambda geo, J: _reading(*phh_defect(geo, J)),
+                    kept=lambda gbar: gbar.phi.n == 1 or exprs.max_var_index(
+                        gbar.change.sigma) < 0, shows=_phh_shows),
+}
+
+# corollary -> the properties it reads under the one-function change
+COROLLARIES = {"corollary-psh": ("phwc", "harmonic"),
+               "corollary-phh": ("phh",)}
+
+
+def corollary_at(name, flags, gbar: ChangedMetric, geo: LocalGeometry,
+                 J: AlmostComplexStructureField, tol: float):
+    """The corollary ``name`` at the rows of the point context ``geo``:
+    each of its ``PROPERTIES``, read under the one-function change
+    ``gbar``, holds where phi has it under g (``flags``, the scenario's
+    expected flags) and the change keeps it, and shows that it fails
+    elsewhere.  The residual is the worst reading of the properties phi has
+    under g, relative in both fields where there are several (their
+    defects differ in scale)."""
+    names, bar, ok, worst = COROLLARIES[name], geo.under(gbar), True, None
+    for prop_name in names:
+        prop, has = PROPERTIES[prop_name], flags.get(prop_name)
+        defect, rel = prop.reading(bar, J)
+        ok = ok & (rel < tol if has and prop.kept(gbar)
+                   else prop.shows(gbar, geo, defect, tol))
+        if has:
+            new = (rel if len(names) > 1 else defect, rel)
+            worst = new if worst is None else tuple(
+                np.where(worst[1] > rel, a, b) for a, b in zip(worst, new))
+    return row_reports(name, geo.p, *worst, ok)

@@ -2,7 +2,8 @@
 machine-readable reports.
 
 Exit codes: 0 all selected identities pass, 1 an identity or flag check
-failed, 2 configuration or expression errors or an unwritable report.
+failed, 2 configuration or expression errors, a run too large for memory or
+an unwritable report.
 """
 
 from __future__ import annotations
@@ -107,6 +108,9 @@ def cmd_verify(args) -> int:
         report = run_verification(config)
     except (ValueError, KeyError, GeometryError, exprs.ParseError) as err:
         print("error: %s" % err, file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print("error: out of memory: %s" % err, file=sys.stderr)
         return 2
     payload = render_report(report, args.format)
     try:

@@ -7,10 +7,10 @@ Grammar (highest precedence first):
     term    :  *  /
     sum     :  +  -
 
-with functions sin, cos, exp, log, sqrt, parentheses, decimal literals and
-positional variables x1..x9.  No implicit multiplication.  Parsed trees are
-immutable and at most ``MAX_DEPTH`` levels deep, within the recursion limit
-of the walks below; evaluation (``eval_jet``) is over Jet2 coordinates.
+with functions sin, cos, exp, log, sqrt, parentheses, ASCII decimal literals
+and positional variables x1..x9.  No implicit multiplication.  Parsed trees
+are immutable and at most ``MAX_DEPTH`` levels deep, within the recursion
+limit of the walks below; evaluation (``eval_jet``) is over Jet2 coordinates.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class _Parser:
                 self.error("expected ')'")
             self.i += 1
             return e
-        if c.isdigit() or c == ".":
+        if "0" <= c <= "9" or c == ".":
             return self.parse_number()
         if c.isalpha():
             return self.parse_ident()
@@ -167,14 +167,14 @@ class _Parser:
         pos = self.i
         j = self.i
         text = self.text
-        while j < len(text) and (text[j].isdigit() or text[j] == "."):
+        while j < len(text) and ("0" <= text[j] <= "9" or text[j] == "."):
             j += 1
         if j < len(text) and text[j] in "eE":
             k = j + 1
             if k < len(text) and text[k] in "+-":
                 k += 1
-            if k < len(text) and text[k].isdigit():
-                while k < len(text) and text[k].isdigit():
+            if k < len(text) and "0" <= text[k] <= "9":
+                while k < len(text) and "0" <= text[k] <= "9":
                     k += 1
                 j = k
         token = text[pos:j]
@@ -193,7 +193,7 @@ class _Parser:
             j += 1
         name = text[pos:j]
         self.i = j
-        if len(name) == 2 and name[0] == "x" and name[1].isdigit() and name[1] != "0":
+        if len(name) == 2 and name[0] == "x" and "1" <= name[1] <= "9":
             return Var(int(name[1]) - 1, pos)
         if name in FUNCTIONS:
             if self.peek() != "(":

@@ -9,12 +9,13 @@ that gives its reports at the sample points of a point context.
 A run checks its sample points in chunks of ``CHUNK``, in order: a chunk's
 point context, phi's ``maps.LocalGeometry`` over its points as one batch, is
 handed to every applicable identity (``run_identity``), then to the flag
-checks (``confirm_flags``) and, for an optional scenario, to its
-construction check (``Scenario.self_check``, whose failure gives the
-"skipped" report), and dropped before the next chunk.  Every check returns
-one report per row.  ``_settle`` runs both kinds: a check that raises a
-sample error on a batch is re-run on each row as a 1-row batch
-(``LocalGeometry.rows``), and a sample error at one row is that row's
+checks (``confirm_flags``: ``biconformal.PROPERTIES`` under g, which the
+corollaries read under the one-function change) and, for an optional
+scenario, to its construction check (``Scenario.self_check``, whose failure
+gives the "skipped" report), and dropped before the next chunk.  Every
+check returns one report per row.  ``_settle`` runs both kinds: a check
+that raises a sample error on a batch is re-run on each row as a 1-row
+batch (``LocalGeometry.rows``), and a sample error at one row is that row's
 errored report.  Each identity, and each flag, folds its reports into one
 ``IdentityAggregate`` in point order.  The chunks run in one numpy
 floating-point error state, in which overflow, invalid operations and
@@ -29,19 +30,17 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import exprs, scenarios
-from .biconformal import (BiconformalChange, ChangedMetric,
-                          HOLOMORPHIC_BUILTINS, IdentityAggregate,
-                          PHH_N1_WARNING, REL_FLOOR, SAMPLE_ERRORS,
-                          corollary_phh_at, corollary_psh_at, errored_report,
-                          phh_breaking_checkable, row_reports, special_change,
+from .biconformal import (COROLLARIES, PROPERTIES, BiconformalChange,
+                          ChangedMetric, HOLOMORPHIC_BUILTINS,
+                          IdentityAggregate, SAMPLE_ERRORS, corollary_at,
+                          errored_report, row_reports, special_change,
                           verify_f_divergence, verify_koszul_h,
                           verify_koszul_v, verify_mean_curvature,
                           verify_phh_covariant_formula,
                           verify_phwc_equivalence,
                           verify_pullback_characterization,
                           verify_tension_equivalence, verify_tension_transform)
-from .hermitian import phh_defect, phwc_defect
-from .maps import LocalGeometry, tension_field
+from .maps import LocalGeometry
 from .scenarios import Scenario, sample_points
 
 # Sample points per batch.  A batch pays numpy's per-call overhead once for
@@ -153,24 +152,20 @@ REQUIREMENTS = {
                  "scenario is not harmonic"),
     "phh": (lambda sc, change: bool(sc.expected_flags.get("phh")),
             "scenario is not PHH"),
-    "n >= 2 or sigma constant": (
-        lambda sc, change: phh_breaking_checkable(sc.phi.n, change.sigma),
-        "skipped: " + PHH_N1_WARNING),
 }
 
 
 @dataclass(frozen=True)
 class Identity:
-    """A law's row: the ``REQUIREMENTS`` it needs, its check (run, point
-    context, first sample index) -> a report per point, and whether its
-    aggregate ranks the worst point by absolute residual (the corollaries)."""
+    """A law's row: the ``REQUIREMENTS`` it needs and its check (run, point
+    context, first sample index) -> a report per point."""
     requires: Tuple[str, ...]
     check: Callable
-    worst_by_abs: bool = False
 
     def aggregate(self, name: str) -> IdentityAggregate:
-        """The empty tally that this identity's reports fold into."""
-        return IdentityAggregate(name, worst_by_abs=self.worst_by_abs)
+        """The empty tally that this identity's reports fold into; a
+        corollary's ranks the worst point by absolute residual."""
+        return IdentityAggregate(name, worst_by_abs=name in COROLLARIES)
 
 
 IDENTITIES = {
@@ -198,14 +193,13 @@ IDENTITIES = {
                                      tol=run.config.tol_fd))),
     "pullback": Identity(("phwc", "harmonic"), _pullback),
     "corollary-psh": Identity(("phwc", "fibers"), lambda run, geo, idx: (
-        corollary_psh_at(run.scenario, run.one_function, geo,
-                         tol=run.config.tol_fd)), worst_by_abs=True),
+        corollary_at("corollary-psh", run.scenario.expected_flags,
+                     run.one_function, geo, run.scenario.J,
+                     run.config.tol_fd))),
     "corollary-phh": Identity(
-        ("phwc", "fibers", "phh", "n >= 2 or sigma constant"),
-        lambda run, geo, idx: corollary_phh_at(
-            run.one_function, geo, run.scenario.J,
-            tol=10.0 * run.config.tol_ad),
-        worst_by_abs=True),
+        ("phwc", "fibers", "phh"), lambda run, geo, idx: corollary_at(
+            "corollary-phh", run.scenario.expected_flags, run.one_function,
+            geo, run.scenario.J, 10.0 * run.config.tol_ad)),
 }
 ALL_IDENTITIES = tuple(IDENTITIES)
 
@@ -241,31 +235,10 @@ def run_identity(name: str, run: RunContext, geo: LocalGeometry, idx: int):
     return _settle(name, lambda geo, idx: check(run, geo, idx), geo, idx)
 
 
-def _relative(defect_and_scale):
-    defect, scale = defect_and_scale
-    return defect / (scale + REL_FLOOR)
-
-
-# flag -> its relative defect at each point, (point context, J) -> array
-FLAG_DEFECTS = {
-    "phwc": lambda geo, J: _relative(phwc_defect(geo, J)),
-    "harmonic": lambda geo, J: (
-        np.max(np.abs(tension_field(geo)), axis=-1) / REL_FLOOR),
-    "phh": lambda geo, J: _relative(phh_defect(geo, J)),
-}
-
-
-def _flag_reports(flag: str, geo: LocalGeometry, J):
-    """The flag's defect at each row of ``geo`` as a passing report."""
-    defect = FLAG_DEFECTS[flag](geo, J)
-    return row_reports(flag, geo.p, defect, defect,
-                       np.ones_like(defect, dtype=bool))
-
-
 def _flag_tallies(scenario: Scenario):
     """One empty tally per measured flag; PHH is measured only on a PHWC
     scenario."""
-    return {flag: IdentityAggregate(flag) for flag in FLAG_DEFECTS
+    return {flag: IdentityAggregate(flag) for flag in PROPERTIES
             if flag != "phh" or scenario.expected_flags.get("phwc")}
 
 
@@ -275,7 +248,7 @@ def _flag_entries(scenario: Scenario, tallies, tol):
     errored points and whether the expectation is confirmed: never where a
     point errored."""
     out = {}
-    for flag in FLAG_DEFECTS:
+    for flag in PROPERTIES:
         expected = scenario.expected_flags.get(flag)
         tally = tallies.get(flag)
         errors = 0 if tally is None else tally.samples_error
@@ -296,16 +269,17 @@ def _flag_entries(scenario: Scenario, tallies, tol):
 
 def confirm_flags(scenario: Scenario, geos, tol: float = 1e-5,
                   tallies=None):
-    """Re-measure the scenario's expected PHWC / PHH / harmonicity flags at
-    the point contexts ``geos`` (the map's ``LocalGeometry`` over a batch
+    """Re-measure the scenario's expected flags, the ``PROPERTIES`` under g,
+    at the point contexts ``geos`` (the map's ``LocalGeometry`` over a batch
     of points), into new ``tallies`` or, chunk by chunk in a run, into the
     run's (settled by ``_settle``), and return the report's flag section
     over every point folded so far."""
     tallies = _flag_tallies(scenario) if tallies is None else tallies
     for geo in geos:
         for flag, tally in tallies.items():
-            for rep in _settle(flag, lambda row, _: _flag_reports(
-                    flag, row, scenario.J), geo, 0):
+            for rep in _settle(flag, lambda row, _: row_reports(
+                    flag, row.p, *PROPERTIES[flag].reading(row, scenario.J),
+                    np.ones(len(row.p), dtype=bool)), geo, 0):
                 tally.add(rep)
     return _flag_entries(scenario, tallies, tol)
 

@@ -31,7 +31,7 @@ from phmorph import (
     verify_pullback_characterization,
     verify_tension_transform,
 )
-from phmorph.biconformal import corollary_phh_at
+from phmorph.biconformal import corollary_at
 from phmorph.cli import main as cli_main
 from phmorph.hermitian import phwc_defect, phwc_metric_defect
 from phmorph.maps import horizontal_projector
@@ -204,22 +204,25 @@ def test_criterion_07_phh_breaking_direction():
             for p in sample_points(sc, 10, seed=26)]
     m, n = sc.phi.m, sc.phi.n
     const_gbar = ChangedMetric(sc.phi, special_change(parse("3"), m, n))
-    const = fold("corollary-phh", lambda geo: corollary_phh_at(
-        const_gbar, geo, sc.J, tol=1e-6), geos)
+    const = fold("corollary-phh", lambda geo: corollary_at(
+        "corollary-phh", sc.expected_flags, const_gbar, geo, sc.J, 1e-6),
+        geos)
     broken_gbar = ChangedMetric(sc.phi,
                                 special_change(parse("1+0.1*x1"), m, n))
-    broken = fold("corollary-phh", lambda geo: corollary_phh_at(
-        broken_gbar, geo, sc.J), geos)
-    # on n = 1 a run skips it (same points: 5 samples at seed 26)
-    degen = run_verification(RunConfig(
+    broken = fold("corollary-phh", lambda geo: corollary_at(
+        "corollary-phh", sc.expected_flags, broken_gbar, geo, sc.J, 1e-6),
+        geos)
+    # on n = 1 PHH is kept for every sigma: a run checks it, and it passes
+    # at all 5 points (same points: 5 samples at seed 26)
+    n1 = run_verification(RunConfig(
         scenario="flat-projection-4-2", sigma="1+0.1*x1", samples=5,
         seed=26, identities=["corollary-phh"]))
     ok = (const.passed and broken.passed
-          and [row["name"] for row in degen["skipped_identities"]]
-          == ["corollary-phh"]
-          and not any(row["samples_fail"] for row in degen["per_identity"]))
-    _report(7, "PHH preserved iff sigma constant (n >= 2), n = 1 degeneracy "
-               "skipped", ok)
+          and n1["skipped_identities"] == []
+          and [(row["name"], row["samples_pass"], row["passed"])
+               for row in n1["per_identity"]] == [("corollary-phh", 5, True)])
+    _report(7, "PHH preserved iff sigma constant (n >= 2), and for every "
+               "sigma at n = 1", ok)
 
 
 def test_criterion_08_phwc_equivalence_and_negative_control():

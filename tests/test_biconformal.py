@@ -31,8 +31,7 @@ from phmorph import (
     verify_tension_equivalence,
     verify_tension_transform,
 )
-from phmorph.biconformal import (PHH_N1_WARNING, corollary_phh_at,
-                                 corollary_psh_at)
+from phmorph.biconformal import PROPERTIES, corollary_at
 from phmorph.manifold import directional_derivative
 from phmorph.maps import differential, horizontal_projector
 from phmorph.hermitian import adapted_frame, phwc_defect
@@ -544,9 +543,9 @@ def test_tolerance_rejects_corollary_psh_with_a_wrong_rho_exponent():
         grad_ls = right.grad_log_factors(geo)[0]
         grad_h = horizontal_projector(geo) @ grad_ls
         assert np.max(np.abs(grad_h)) > 1e-3, p
-        [rep] = corollary_psh_at(sc, wrong, at(phi, [p]), tol=TOL_FD)
+        [rep] = psh(sc, wrong, at(phi, [p]))
         assert rep.rel_residual > TOL_FD and not rep.passed, p
-        [rep] = corollary_psh_at(sc, right, at(phi, [p]), tol=TOL_FD)
+        [rep] = psh(sc, right, at(phi, [p]))
         assert rep.passed, p
 
 
@@ -719,12 +718,25 @@ def test_pullback_rejects_unknown_name():
 
 # ---- corollaries --------------------------------------------------------
 
+def psh(sc, gbar, geo):
+    """corollary-psh at the rows of ``geo`` on the scenario's flags."""
+    return corollary_at("corollary-psh", sc.expected_flags, gbar, geo, sc.J,
+                        TOL_FD)
+
+
+def phh(sc, gbar, geo, J=None):
+    """corollary-phh at the rows of ``geo`` on the scenario's flags, for its
+    J or for ``J``."""
+    return corollary_at("corollary-phh", sc.expected_flags, gbar, geo,
+                        J or sc.J, 1e-6)
+
+
 def test_corollary_one_function_change_preserves_harmonicity():
     # g_sigma: tension and PHWC defect both stay below tolerance
     sc = get_scenario("flat-projection-6-4")
     points = sample_points(sc, 10, seed=11)
     gbar = one_function(sc, parse("1+0.2*x1^2+0.1*x5"))
-    out = fold("corollary-psh", lambda geo: corollary_psh_at(sc, gbar, geo),
+    out = fold("corollary-psh", lambda geo: psh(sc, gbar, geo),
                [at(sc.phi, [p]) for p in points])
     assert out.passed
     assert out.max_abs_residual < 1e-5
@@ -746,7 +758,7 @@ def test_corollary_one_function_change_direct_tension():
 def test_corollary_converse_nonharmonic_stays_nonharmonic():
     sc = get_scenario("curved-fibers-nonharmonic")
     points = sample_points(sc, 8, seed=11)
-    out = fold("corollary-psh", lambda geo: corollary_psh_at(
+    out = fold("corollary-psh", lambda geo: psh(
         sc, one_function(sc, parse("1+0.2*x1^2")), geo),
         [at(sc.phi, [p]) for p in points])
     assert out.passed
@@ -763,7 +775,7 @@ def test_corollary_phh_constant_sigma_preserved():
     sc = get_scenario("flat-projection-6-4")
     points = sample_points(sc, 6, seed=11)
     gbar = one_function(sc, parse("3"))
-    out = fold("corollary-phh", lambda geo: corollary_phh_at(gbar, geo, sc.J),
+    out = fold("corollary-phh", lambda geo: phh(sc, gbar, geo),
                [at(sc.phi, [p]) for p in points])
     assert out.passed
 
@@ -772,7 +784,8 @@ def test_corollary_phh_breaking_direction():
     sc = get_scenario("flat-projection-6-4")
     points = sample_points(sc, 6, seed=11)
     gbar = one_function(sc, parse("1+0.1*x1"))
-    out = fold("corollary-phh", lambda geo: corollary_phh_at(gbar, geo, sc.J),
+    assert not PROPERTIES["phh"].kept(gbar)
+    out = fold("corollary-phh", lambda geo: phh(sc, gbar, geo),
                [at(sc.phi, [p]) for p in points])
     assert out.passed
 
@@ -784,24 +797,55 @@ def test_corollary_phh_fails_where_phh_does_not_hold():
     sc = get_scenario("flat-projection-6-4")
     gbar = one_function(sc, parse("2"))
     geos = [at(sc.phi, [p]) for p in sample_points(sc, 5, seed=42)]
-    own = fold("corollary-phh", lambda geo: corollary_phh_at(gbar, geo, sc.J),
-               geos)
+    own = fold("corollary-phh", lambda geo: phh(sc, gbar, geo), geos)
     assert own.passed and own.samples_pass == 5
     j = rotated_j(sc.phi.target)
-    out = fold("corollary-phh", lambda geo: corollary_phh_at(gbar, geo, j),
-               geos)
+    out = fold("corollary-phh", lambda geo: phh(sc, gbar, geo, j), geos)
     assert out.samples_fail == 5 and not out.passed
     assert out.max_abs_residual == pytest.approx(1.44, abs=0.01)
 
 
-def test_corollary_phh_n1_degeneracy_skipped():
-    # a run skips it, with the warning in the reason
+# sigma with a visible horizontal log-gradient on both n = 1 PHH scenarios
+N1_SIGMA = "exp(0.3*x1+0.2*x3)"
+
+
+@pytest.mark.parametrize("scenario", ["flat-projection-4-2",
+                                      "curved-fibers-nonharmonic"])
+def test_corollary_phh_n1_kept_for_every_sigma(scenario):
+    # at n = 1 the correction term carries 2n - 2 = 0, and H(nabla_X F)|_H
+    # on a 2-dimensional H is skew and anticommutes with F, so it is 0 for
+    # every PHWC map: a run checks PHH kept under a nonconstant sigma
+    sc = get_scenario(scenario)
+    assert PROPERTIES["phh"].kept(one_function(sc, parse(N1_SIGMA)))
     rep = pm.run_verification(pm.RunConfig(
-        scenario="flat-projection-4-2", sigma="1+0.1*x1", samples=4, seed=11,
+        scenario=scenario, sigma=N1_SIGMA, samples=20, seed=5,
         identities=["corollary-phh"]))
-    assert rep["per_identity"] == []
-    assert rep["skipped_identities"] == [
-        {"name": "corollary-phh", "reason": "skipped: " + PHH_N1_WARNING}]
+    assert rep["skipped_identities"] == []
+    [row] = rep["per_identity"]
+    assert (row["samples_pass"], row["passed"]) == (20, True)
+    assert row["max_abs_residual"] == 0.0
+    assert rep["verdict"] == "pass"
+
+
+def test_a_phh_defect_under_the_change_fails_the_n1_branch(monkeypatch):
+    # no PHWC J can break PHH under an n = 1 change, so a defect of 1.0 is
+    # planted under g-bar: the n = 1 branch checks that PHH is kept and
+    # fails it at every point, while the flag under g still confirms
+    inner = pm.biconformal.phh_defect
+
+    def planted(geo, J):
+        defect, scale = inner(geo, J)
+        return (defect if geo.change is None else np.ones_like(defect),
+                scale)
+
+    monkeypatch.setattr(pm.biconformal, "phh_defect", planted)
+    rep = pm.run_verification(pm.RunConfig(
+        scenario="flat-projection-4-2", sigma=N1_SIGMA, samples=5,
+        identities=["corollary-phh"]))
+    [row] = rep["per_identity"]
+    assert (row["samples_fail"], row["max_abs_residual"]) == (5, 1.0)
+    assert rep["flags"]["phh"]["confirmed"] is True
+    assert rep["verdict"] == "fail"
 
 
 def test_report_round_trip_text():

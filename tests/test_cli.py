@@ -53,8 +53,8 @@ def test_verify_pass_exit_zero(capsys):
 
 
 def test_an_errored_flag_point_exits_one(capsys, monkeypatch):
-    from tests.test_runner import ERRORED_FLAG_RUN, _unreadable
-    monkeypatch.setitem(runner.FLAG_DEFECTS, "phwc", _unreadable)
+    from tests.test_runner import ERRORED_FLAG_RUN, make_unreadable
+    make_unreadable(monkeypatch, "phwc")
     config = ERRORED_FLAG_RUN
     code, out = run(capsys, "verify", "--scenario", config.scenario,
                     "--sigma", config.sigma, "--rho", config.rho,
@@ -263,6 +263,30 @@ def assert_config_error(capsys, *argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sigma, offset", [
+    ("x\u0661", 2), ("\u0661.\u0665", 0), ("x\u00b2", 2)])
+def test_non_ascii_digits_exit_two_with_an_offset(capsys, sigma, offset):
+    assert_config_error(capsys, "verify", "--scenario", "flat-projection-4-2",
+                        "--samples", "1", "--sigma", sigma)
+    code = main(["verify", "--scenario", "flat-projection-4-2",
+                 "--samples", "1", "--sigma", sigma])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(" at offset %d\n" % offset)
+
+
+def test_a_run_too_large_for_memory_exits_two(capsys, monkeypatch):
+    # as --samples 1000000000 does where sample_points cannot allocate
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(runner, "sample_points", too_large)
+    assert_config_error(capsys, "verify", "--scenario", "flat-projection-4-2",
+                        "--samples", "1000000000")
+    main(["verify", "--scenario", "flat-projection-4-2"])
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 7.45 GiB for an array\n")
 
 
 @pytest.mark.parametrize("option, value", [

@@ -73,6 +73,20 @@ def test_parse_error_reports_offset():
     assert exc.value.position == 4
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("x\u0661", 2),  # x and an Arabic-Indic one: an unknown identifier
+    ("\u0661.\u0665", 0),  # 1.5 in Arabic-Indic digits
+    ("x\u00b2", 2),  # x and a superscript two
+    ("2.\u0665", 2),
+    ("1e\u0665", 1),  # float() would read it as 1e5
+])
+def test_only_ascii_digits_are_digits(text, offset):
+    # the grammar's literals and x1..x9 are ASCII; str.isdigit is not
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == offset
+
+
 def test_variables_are_one_based():
     assert ev("x1", 7.0) == 7.0
     assert ev("x3", 0.0, 0.0, 5.0) == 5.0

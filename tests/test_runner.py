@@ -1,6 +1,7 @@
 """Verification runner: config validation, the identity table, gating and
 report assembly."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -15,7 +16,7 @@ from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
                      biconformal, cli, confirm_flags, get_scenario, hermitian,
                      manifold, maps, parse, run_verification, runner,
                      sample_points, scenarios)
-from phmorph.biconformal import IdentityAggregate
+from phmorph.biconformal import PROPERTIES, IdentityAggregate
 from phmorph.manifold import per_k
 from phmorph.maps import LocalGeometry
 from phmorph.runner import (IDENTITIES, RunContext, run_identity,
@@ -77,18 +78,30 @@ def test_report_flags_section_reports_measurements():
     assert "measured_max_defect" in flags["phwc"]
 
 
-def _unreadable(geo, J):
-    raise manifold.GeometryError("flag defect unreadable")
+def make_unreadable(monkeypatch, flag, where=lambda p: True):
+    """Make the reading of ``flag`` under g raise on a batch with a row
+    where ``where`` holds; the corollaries read it under a change as
+    before."""
+    prop = PROPERTIES[flag]
+
+    def reading(geo, J):
+        if geo.change is None and np.count_nonzero(where(geo.p)):
+            raise manifold.GeometryError("flag defect unreadable")
+        return prop.reading(geo, J)
+
+    monkeypatch.setitem(PROPERTIES, flag,
+                        dataclasses.replace(prop, reading=reading))
 
 
-# a run whose phwc flag errors at every point when ``_unreadable`` measures it
+# a run whose phwc flag errors at every point once ``make_unreadable`` makes
+# it unreadable
 ERRORED_FLAG_RUN = RunConfig(scenario="flat-projection-6-4",
                              sigma="exp(0.2*x1)", rho="1+0.1*x5^2",
                              samples=5)
 
 
 def test_an_errored_flag_point_does_not_confirm_the_flag(monkeypatch):
-    monkeypatch.setitem(runner.FLAG_DEFECTS, "phwc", _unreadable)
+    make_unreadable(monkeypatch, "phwc")
     rep = run_verification(ERRORED_FLAG_RUN)
     assert rep["flags"]["phwc"] == {"expected": True,
                                     "measured_max_defect": None,
@@ -98,14 +111,7 @@ def test_an_errored_flag_point_does_not_confirm_the_flag(monkeypatch):
     assert rep["verdict"] == "fail"
     assert all(row["passed"] for row in rep["per_identity"])
     # errored at some points only: measured at the others, still unconfirmed
-    inner = runner.FLAG_DEFECTS["harmonic"]
-
-    def partly(geo, J):
-        if np.count_nonzero(geo.p[:, 0] < 0):
-            _unreadable(geo, J)
-        return inner(geo, J)
-
-    monkeypatch.setitem(runner.FLAG_DEFECTS, "harmonic", partly)
+    make_unreadable(monkeypatch, "harmonic", lambda p: p[:, 0] < 0)
     flag = run_verification(ERRORED_FLAG_RUN)["flags"]["harmonic"]
     assert 0 < flag["samples_error"] < 5
     assert flag["measured_max_defect"] < 1e-12
@@ -357,7 +363,7 @@ def test_a_flag_settles_sample_errors_row_by_row(monkeypatch):
     # the PHH defect raises at the rows of a chunk with x1 < 0: those rows
     # are the flag's errored points, and its worst defect is that of the
     # other rows, each measured as a 1-row batch
-    inner = runner.phh_defect
+    inner = biconformal.phh_defect
 
     def failing(geo, J):
         if np.count_nonzero(geo.p[:, 0] < 0):
@@ -368,11 +374,11 @@ def test_a_flag_settles_sample_errors_row_by_row(monkeypatch):
     points = np.array(sample_points(scenario, 8, 42))
     negative = points[:, 0] < 0
     assert 0 < np.count_nonzero(negative) < len(points)
-    phh = runner.FLAG_DEFECTS["phh"]
-    expected = max(phh(LocalGeometry(scenario.phi, [p]), scenario.J)[0]
+    phh = PROPERTIES["phh"].reading
+    expected = max(phh(LocalGeometry(scenario.phi, [p]), scenario.J)[1][0]
                    for p in points[~negative])
     assert expected > 0.0
-    monkeypatch.setattr(runner, "phh_defect", failing)
+    monkeypatch.setattr(biconformal, "phh_defect", failing)
     flags = confirm_flags(scenario, [LocalGeometry(scenario.phi, points)])
     assert flags["phh"]["samples_error"] == np.count_nonzero(negative)
     assert flags["phh"]["measured_max_defect"] == expected
@@ -496,8 +502,8 @@ def test_the_table_sets_how_an_aggregate_ranks_and_a_skip_passes():
             if IDENTITIES[name].aggregate(name).worst_by_abs] == [
         "corollary-psh", "corollary-phh"]
     # a skipped identity gets no aggregate, and the run still passes
-    rep = run_verification(RunConfig(scenario="flat-projection-4-2",
-                                     sigma="1+0.1*x1", samples=1,
+    rep = run_verification(RunConfig(scenario="hopf", sigma="1+0.1*x1",
+                                     samples=1,
                                      identities=["corollary-phh"]))
     assert rep["per_identity"] == [] and rep["verdict"] == "pass"
     assert [row["name"] for row in rep["skipped_identities"]] == [
@@ -532,19 +538,17 @@ NOT_PHWC = {name: "scenario is not PHWC" for name in ALL_IDENTITIES[1:]}
 NO_FIBERS = {name: "scenario has no fibers (m = 2n)" for name in
              ("koszul-vertical", "mean-curvature", "corollary-psh",
               "corollary-phh")}
-N1_NONCONSTANT = ("skipped: breaking direction skipped: the correction term "
-                  "carries a factor 2n-2 = 0 for n = 1")
 
 
+# at n = 1 corollary-phh is checked for every sigma (PHH is kept there)
 @pytest.mark.parametrize("scenario, sigma, expected", [
-    ("flat-projection-4-2", "1+0.1*x1", {"corollary-phh": N1_NONCONSTANT}),
+    ("flat-projection-4-2", "1+0.1*x1", {}),
     ("flat-projection-4-2", "2", {}),
     ("flat-projection-6-4", "1+0.1*x1", {}),
     ("holomorphic-poly", "1+0.1*x1", {"corollary-phh": "scenario is not PHH"}),
     ("nonphwc-anisotropic", "1+0.1*x1", NOT_PHWC),
     ("curved-fibers-nonharmonic", "1+0.1*x1",
-     {"pullback": "scenario is not harmonic",
-      "corollary-phh": N1_NONCONSTANT}),
+     {"pullback": "scenario is not harmonic"}),
     ("hopf", "1+0.1*x1", {"corollary-phh": "scenario is not PHH"}),
     ("flat-projection-2-2", "1+0.1*x1", NO_FIBERS),
 ])
