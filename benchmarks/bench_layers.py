@@ -124,7 +124,7 @@ def fill(run, point, idx):
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_factor_jets(benchmark, workload):
     timed(benchmark, workload,
-          lambda run, point, idx: run.gbar.change.factor_jets(point.p))
+          lambda run, point, idx: run.gbar.factor_jets(point))
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -146,7 +146,7 @@ CASES = [(workload, name) for workload in sorted(WORKLOADS)
 def test_identity(benchmark, workload, name):
     config = WORKLOADS[workload]
     scenario = get_scenario(config.scenario)
-    reason = skip_reason(name, scenario, config.build_change(scenario))
+    reason = skip_reason(name, scenario)
     if reason is not None:
         pytest.skip(reason)
     results = []

@@ -13,11 +13,10 @@ from .hermitian import (AlmostComplexStructureField, AdaptedFrame,
                         adapted_frame, f_divergence_horizontal, f_structure,
                         phh_defect, phwc_defect, phwc_metric_defect,
                         tension_via_f_structure)
-from .biconformal import (BiconformalChange, ChangedMetric,
-                          IdentityResidualReport, PositivityError,
-                          special_change, verify_f_divergence,
-                          verify_koszul_h, verify_koszul_v,
-                          verify_mean_curvature,
+from .biconformal import (ChangedMetric, IdentityResidualReport,
+                          PositivityError, special_change,
+                          verify_f_divergence, verify_koszul_h,
+                          verify_koszul_v, verify_mean_curvature,
                           verify_phh_covariant_formula,
                           verify_phwc_equivalence,
                           verify_pullback_characterization,

@@ -1,14 +1,17 @@
 """Biconformal changes of the domain metric and numerical verification of
 their transformation laws.
 
-The changed metric g-bar = sigma^-2 g^H + rho^-2 g^V is a ``ChangedMetric``
-with exact first derivatives: d(g P_H) comes from the projector algebra of
-``maps.LocalGeometry`` and the factors' derivatives from their jets.  Its
-one evaluation, ``matrix_and_derivs(source)``, reads phi's geometry at the
-point under g (the source geometry), where it keeps sigma and rho:
-``factor_jets``, evaluated once per (change, point), whose values g-bar and
-the right sides of the laws read (no float twin), and ``grad_log_factors``.
-A factor that is not positive raises ``PositivityError`` on every call.
+A change g-bar = sigma^-2 g^H + rho^-2 g^V is defined by phi's splitting
+H + V, so it is one object with its map: a ``ChangedMetric``, built from
+phi and the parsed sigma and rho (``from_texts``; ``special_change`` gives
+the one-function family).  Its first derivatives are exact: d(g P_H) comes
+from the projector algebra of ``maps.LocalGeometry`` and the factors'
+derivatives from their jets.  Its one evaluation,
+``matrix_and_derivs(source)``, reads phi's geometry at the point under g
+(the source geometry), where it keeps sigma and rho: ``factor_jets``,
+evaluated once per (change, point), whose values g-bar and the right sides
+of the laws read (no float twin), and ``grad_log_factors``.  A factor that
+is not positive raises ``PositivityError`` on every call.
 
 Every ``verify_*`` routine takes the point context, phi's source geometry
 over a batch of sample points, and, for a law of the change, the
@@ -57,52 +60,6 @@ SAMPLE_ERRORS = (GeometryError, JetDomainError, exprs.EvalError,
                  np.linalg.LinAlgError, ArithmeticError)
 
 
-@dataclass(frozen=True)
-class BiconformalChange:
-    """Rescale the horizontal metric block by sigma^-2 and the vertical one
-    by rho^-2, both factors given as parsed scalar-field expressions."""
-    sigma: Expr
-    rho: Expr
-
-    @staticmethod
-    def from_texts(sigma_text: str, rho_text: Optional[str] = None):
-        sigma = exprs.parse(sigma_text)
-        rho = exprs.parse(rho_text) if rho_text else exprs.Lit(1.0)
-        return BiconformalChange(sigma, rho)
-
-    def factor_values(self, p):
-        """(sigma, rho) at p: the values of ``factor_jets``."""
-        s, r = self.factor_jets(p)
-        return s.value, r.value
-
-    def factor_jets(self, p):
-        p = np.asarray(p, dtype=float)
-        coords = jets.seed_coordinates(p)
-        values = [exprs.eval_jet(e, coords) for e in (self.sigma, self.rho)]
-        s, r = (jets.lift(v, len(coords), p.shape[:-1]) for v in values)
-        for name, f in (("sigma", s), ("rho", r)):
-            bad = f.value <= 0.0
-            if np.count_nonzero(bad):
-                raise PositivityError("%s = %g <= 0 at %s"
-                                      % (name, first(f.value, bad),
-                                         first(p, bad).tolist()))
-        return s, r
-
-
-def special_change(sigma: Expr, m: int, n: int) -> BiconformalChange:
-    """The one-function family: vertical factor rho^-2 = sigma^((4n-4)/(m-2n)),
-    i.e. rho = sigma^(-(2n-2)/(m-2n)).  Requires genuine fibers (m > 2n)."""
-    if m <= 2 * n:
-        raise GeometryError("the one-function change needs m > 2n "
-                            "(got m=%d, n=%d)" % (m, n))
-    exponent = -(2.0 * n - 2.0) / (m - 2.0 * n)
-    if exponent == 0.0:
-        rho: Expr = exprs.Lit(1.0)
-    else:
-        rho = exprs.Binary("pow", sigma, exprs.Lit(exponent))
-    return BiconformalChange(sigma, rho)
-
-
 def _inverse_square(name, jet, p):
     """(f^-2, d(f^-2)) of a factor jet f, with d(f^-2) = -2 f^-2 d(ln f)
     (overflowing to inf silently), both checked: f^-2 to be finite and
@@ -129,10 +86,10 @@ def _symmetric(a):
 
 
 class ChangedMetric:
-    """g-bar = sigma^-2 g^H + rho^-2 g^V for a map phi and a change, with
-    g^H = g P_H.  It keeps phi's horizontal distribution, so phi's
-    geometries under it read P_H, the lift and their derivatives from the
-    source geometry.  Its derivatives are exact:
+    """g-bar = sigma^-2 g^H + rho^-2 g^V for a map phi, with g^H = g P_H and
+    sigma and rho given as parsed expressions.  It keeps phi's horizontal
+    distribution, so phi's geometries under it read P_H, the lift and their
+    derivatives from the source geometry.  Its derivatives are exact:
 
     d g-bar = d(sigma^-2) g P_H + sigma^-2 d(g P_H)
               + d(rho^-2) (g - g P_H) + rho^-2 (dg - d(g P_H)),
@@ -141,14 +98,33 @@ class ChangedMetric:
     geometry ``source`` at the point (``LocalGeometry.under`` hands it on),
     where sigma and rho are evaluated once, as jets, and kept."""
 
-    def __init__(self, phi: SmoothMap, change: BiconformalChange):
-        self.phi, self.change = phi, change
+    def __init__(self, phi: SmoothMap, sigma: Expr,
+                 rho: Expr = exprs.Lit(1.0)):
+        self.phi, self.sigma, self.rho = phi, sigma, rho
+
+    @staticmethod
+    def from_texts(phi: SmoothMap, sigma_text: str,
+                   rho_text: Optional[str] = None) -> "ChangedMetric":
+        sigma = exprs.parse(sigma_text)
+        rho = exprs.parse(rho_text) if rho_text else exprs.Lit(1.0)
+        return ChangedMetric(phi, sigma, rho)
 
     def factor_jets(self, source: LocalGeometry):
-        """(sigma, rho) at the point as jets
-        (``BiconformalChange.factor_jets``)."""
-        return source.field(("factor_jets", self),
-                            lambda: self.change.factor_jets(source.p))
+        """(sigma, rho) at the point as jets, each checked to be positive."""
+        def compute():
+            p = source.p
+            coords = jets.seed_coordinates(p)
+            s, r = (jets.lift(exprs.eval_jet(e, coords), len(coords),
+                              p.shape[:-1]) for e in (self.sigma, self.rho))
+            for name, f in (("sigma", s), ("rho", r)):
+                bad = f.value <= 0.0
+                if np.count_nonzero(bad):
+                    raise PositivityError("%s = %g <= 0 at %s"
+                                          % (name, first(f.value, bad),
+                                             first(p, bad).tolist()))
+            return s, r
+
+        return source.field(("factor_jets", self), compute)
 
     def factor_values(self, source: LocalGeometry):
         """(sigma, rho) at the point: the values of the kept
@@ -187,6 +163,21 @@ class ChangedMetric:
                  + dw_v[..., None, None] * per_k(g - gh)
                  + per_k(w_v) * (dg - dgh))
         return gbar, dgbar
+
+
+def special_change(phi: SmoothMap, sigma: Expr) -> ChangedMetric:
+    """The one-function family of phi: vertical factor
+    rho^-2 = sigma^((4n-4)/(m-2n)), i.e. rho = sigma^(-(2n-2)/(m-2n)).
+    Requires genuine fibers (m > 2n)."""
+    m, n = phi.m, phi.n
+    if m <= 2 * n:
+        raise GeometryError("the one-function change needs m > 2n "
+                            "(got m=%d, n=%d)" % (m, n))
+    exponent = -(2.0 * n - 2.0) / (m - 2.0 * n)
+    if exponent == 0.0:
+        return ChangedMetric(phi, sigma)
+    return ChangedMetric(phi, sigma,
+                         exprs.Binary("pow", sigma, exprs.Lit(exponent)))
 
 
 @dataclass
@@ -541,7 +532,7 @@ PROPERTIES = {
     "harmonic": Property(_tension, shows=_tension_shows),
     "phh": Property(lambda geo, J: _reading(*phh_defect(geo, J)),
                     kept=lambda gbar: gbar.phi.n == 1 or exprs.max_var_index(
-                        gbar.change.sigma) < 0, shows=_phh_shows),
+                        gbar.sigma) < 0, shows=_phh_shows),
 }
 
 # corollary -> the properties it reads under the one-function change

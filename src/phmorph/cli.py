@@ -89,8 +89,11 @@ def render_report(report, fmt: str) -> str:
 def _write_atomic(path: str, payload: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    umask = os.umask(0)  # read by setting it, and restored at once
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
+            os.chmod(tmp, 0o666 & ~umask)  # open()'s mode, not mkstemp's 0600
             handle.write(payload)
         os.replace(tmp, path)
     except BaseException:

@@ -204,7 +204,7 @@ class _Parser:
                 self.error("expected ')' closing call to %r" % name)
             self.i += 1
             return Call(name, arg, pos)
-        self.error("unknown identifier %r" % name)
+        raise ParseError("unknown identifier %r" % name, pos)
 
 
 def parse(text: str) -> Expr:

@@ -1,12 +1,12 @@
 """Charted Riemannian manifolds and the Levi-Civita machinery.
 
-A metric is a "metric field" (``MetricField``): something that produces the
-component matrix g_ij at a chart point and its first coordinate derivatives,
-exactly, in one evaluation (``matrix_and_derivs(p)``; the value is the jet's
-zeroth order).  ``JetMetric`` wraps a jet-evaluable component function,
-whose derivatives come from the second-order AD path.  ``FDMetric``,
-``richardson_partial`` and ``directional_derivative`` (Richardson-
-extrapolated central differences) are oracles for the tests; no
+A metric is any object with ``dim`` and ``matrix_and_derivs(p)``, which
+gives the component matrix g_ij at a chart point and its first coordinate
+derivatives dg[..., k, i, j] = d_k g_ij, exactly, in one evaluation (the
+value is the jet's zeroth order).  ``JetMetric`` wraps a jet-evaluable
+component function, whose derivatives come from the second-order AD path.
+``FDMetric``, ``richardson_partial`` and ``directional_derivative``
+(Richardson-extrapolated central differences) are oracles for the tests; no
 verification run calls them.  They, and ``inverse_metric_at`` and
 ``christoffel``, stay in this module until the benchmark's tracer
 (``perfbench/tracer.py``) stops naming them.
@@ -102,17 +102,6 @@ def outer(x, y):
     return x[..., :, None] * y[..., None, :]
 
 
-class MetricField:
-    """Interface: dim, matrix_and_derivs(p)."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def matrix_and_derivs(self, p):
-        """Return (g, dg) with dg[..., k, i, j] = d_k g_ij."""
-        raise NotImplementedError
-
-
 def jet_matrix_and_derivs(fn, p):
     """(M, dM) at p of a square matrix field whose entries ``fn`` evaluates
     on Jet2 coordinates, one row and column per chart coordinate:
@@ -134,25 +123,22 @@ def jet_matrix_and_derivs(fn, p):
     return mat, dmat
 
 
-class JetMetric(MetricField):
+class JetMetric:
     def __init__(self, dim: int, component_fn):
         # component_fn(coords) -> (dim, dim) nested sequence of Jet2 entries
         # or constants, on Jet2 coordinates
-        super().__init__(dim)
-        self.fn = component_fn
+        self.dim, self.fn = dim, component_fn
 
     def matrix_and_derivs(self, p):
         return jet_matrix_and_derivs(self.fn, p)
 
 
-class FDMetric(MetricField):
+class FDMetric:
     """Value-level matrix function with Richardson-extrapolated central
     difference derivatives; a test oracle for the exact metrics."""
 
     def __init__(self, dim: int, matrix_fn, step: float = 1e-4):
-        super().__init__(dim)
-        self.fn = matrix_fn
-        self.step = step
+        self.dim, self.fn, self.step = dim, matrix_fn, step
 
     def matrix(self, p):
         # a copy: a geometry keeps g read-only, not the function's own array
@@ -189,7 +175,7 @@ def directional_derivative(field, p, direction, step=1e-4):
 
 
 class ChartedRiemannianManifold:
-    def __init__(self, dim: int, metric: MetricField, domain_predicate=None,
+    def __init__(self, dim: int, metric, domain_predicate=None,
                  sample_region=None, name: str = ""):
         if dim < 1:
             raise ValueError("dimension must be positive")

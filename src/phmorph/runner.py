@@ -2,9 +2,11 @@
 assemble a deterministic machine-readable report.
 
 ``IDENTITIES`` is the one list of the laws a run checks, in report order.
-Each entry names what the identity requires of the scenario and the change
-(``REQUIREMENTS``; the first that fails is its skip reason) and the check
-that gives its reports at the sample points of a point context.
+Each entry names what the identity requires of the scenario (``REQUIREMENTS``;
+the first that fails is its skip reason) and the check that gives its
+reports at the sample points of a point context.  A run verifies one
+``biconformal.ChangedMetric`` (``RunConfig.build_change``) and reads the
+corollaries under the one-function change of its sigma.
 
 A run checks its sample points in chunks of ``CHUNK``, in order: a chunk's
 point context, phi's ``maps.LocalGeometry`` over its points as one batch, is
@@ -30,10 +32,10 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import exprs, scenarios
-from .biconformal import (COROLLARIES, PROPERTIES, BiconformalChange,
-                          ChangedMetric, HOLOMORPHIC_BUILTINS,
-                          IdentityAggregate, SAMPLE_ERRORS, corollary_at,
-                          errored_report, row_reports, special_change,
+from .biconformal import (COROLLARIES, PROPERTIES, ChangedMetric,
+                          HOLOMORPHIC_BUILTINS, IdentityAggregate,
+                          SAMPLE_ERRORS, corollary_at, errored_report,
+                          row_reports, special_change,
                           verify_f_divergence, verify_koszul_h,
                           verify_koszul_v, verify_mean_curvature,
                           verify_phh_covariant_formula,
@@ -79,16 +81,16 @@ class RunConfig:
         if len(set(names)) < len(names):
             raise ValueError("identities repeated in %s" % ",".join(names))
 
-    def build_change(self, scenario: Scenario) -> BiconformalChange:
-        """The change to verify; raises ValueError if an expression uses a
-        variable outside the scenario's chart."""
+    def build_change(self, scenario: Scenario) -> ChangedMetric:
+        """The changed metric to verify; raises ValueError if an expression
+        uses a variable outside the scenario's chart."""
         if self.special_sigma is not None:
             sigma = exprs.parse(self.special_sigma)
             _check_chart(scenario, {"special-sigma": sigma})
-            return special_change(sigma, scenario.phi.m, scenario.phi.n)
-        change = BiconformalChange.from_texts(self.sigma, self.rho)
-        _check_chart(scenario, {"sigma": change.sigma, "rho": change.rho})
-        return change
+            return special_change(scenario.phi, sigma)
+        gbar = ChangedMetric.from_texts(scenario.phi, self.sigma, self.rho)
+        _check_chart(scenario, {"sigma": gbar.sigma, "rho": gbar.rho})
+        return gbar
 
 
 def _check_chart(scenario: Scenario, expressions):
@@ -107,13 +109,11 @@ class RunContext:
     ``one_function`` (None when the scenario has no fibers)."""
 
     def __init__(self, scenario: Scenario, config: RunConfig,
-                 change: BiconformalChange):
+                 gbar: ChangedMetric):
         phi = scenario.phi
-        self.scenario, self.config = scenario, config
-        self.gbar = ChangedMetric(phi, change)
-        self.one_function = (
-            ChangedMetric(phi, special_change(change.sigma, phi.m, phi.n))
-            if phi.m > phi.two_n else None)
+        self.scenario, self.config, self.gbar = scenario, config, gbar
+        self.one_function = (special_change(phi, gbar.sigma)
+                             if phi.m > phi.two_n else None)
 
     def draw(self, geo: LocalGeometry, idx: int, tag: int, count: int = 1):
         """``count`` test vectors for each row of ``geo``, sample indices
@@ -142,15 +142,15 @@ def _pullback(run: RunContext, geo: LocalGeometry, idx):
     return [max(row, key=lambda r: r.rel_residual) for row in zip(*reps)]
 
 
-# requirement -> (holds(scenario, change), skip reason when it does not)
+# requirement -> (holds(scenario), skip reason when it does not)
 REQUIREMENTS = {
-    "phwc": (lambda sc, change: bool(sc.expected_flags.get("phwc")),
+    "phwc": (lambda sc: bool(sc.expected_flags.get("phwc")),
              "scenario is not PHWC"),
-    "fibers": (lambda sc, change: sc.phi.m > sc.phi.two_n,
+    "fibers": (lambda sc: sc.phi.m > sc.phi.two_n,
                "scenario has no fibers (m = 2n)"),
-    "harmonic": (lambda sc, change: bool(sc.expected_flags.get("harmonic")),
+    "harmonic": (lambda sc: bool(sc.expected_flags.get("harmonic")),
                  "scenario is not harmonic"),
-    "phh": (lambda sc, change: bool(sc.expected_flags.get("phh")),
+    "phh": (lambda sc: bool(sc.expected_flags.get("phh")),
             "scenario is not PHH"),
 }
 
@@ -204,12 +204,11 @@ IDENTITIES = {
 ALL_IDENTITIES = tuple(IDENTITIES)
 
 
-def skip_reason(name: str, scenario: Scenario,
-                change: BiconformalChange) -> Optional[str]:
-    """Why the identity does not apply to this scenario and change, or None."""
+def skip_reason(name: str, scenario: Scenario) -> Optional[str]:
+    """Why the identity does not apply to this scenario, or None."""
     for requirement in IDENTITIES[name].requires:
         holds, reason = REQUIREMENTS[requirement]
-        if not holds(scenario, change):
+        if not holds(scenario):
             return reason
     return None
 
@@ -288,13 +287,13 @@ def run_verification(config: RunConfig):
     """Execute a full verification run; returns the report dictionary."""
     config.validate()
     scenario = scenarios.get_scenario(config.scenario)
-    change = config.build_change(scenario)
+    gbar = config.build_change(scenario)
     points = sample_points(scenario, config.samples, config.seed)
 
-    run = RunContext(scenario, config, change)
+    run = RunContext(scenario, config, gbar)
     totals, skipped = [], []
     for name in config.identities or ALL_IDENTITIES:
-        reason = skip_reason(name, scenario, change)
+        reason = skip_reason(name, scenario)
         if reason is None:
             totals.append(IDENTITIES[name].aggregate(name))
         else:

@@ -14,7 +14,6 @@ import pytest
 
 import phmorph as pm
 from phmorph import (
-    BiconformalChange,
     ChangedMetric,
     LocalGeometry,
     RunConfig,
@@ -88,8 +87,7 @@ def test_criterion_02_tension_transformation_law():
     for name in PHWC_SCENARIOS:
         sc = get_scenario(name)
         for sigma, rho in _sigma_rho_pairs(sc.phi.m, sc.phi.two_n):
-            gbar = ChangedMetric(sc.phi,
-                                 BiconformalChange.from_texts(sigma, rho))
+            gbar = ChangedMetric.from_texts(sc.phi, sigma, rho)
             for p in sample_points(sc, 6, seed=21):
                 geo = LocalGeometry(sc.phi, [p])
                 [rep] = verify_tension_transform(gbar, geo)
@@ -104,8 +102,8 @@ def test_criterion_03_koszul_identities():
     for name in PHWC_SCENARIOS:
         sc = get_scenario(name)
         m, two_n = sc.phi.m, sc.phi.two_n
-        gbar = ChangedMetric(sc.phi, BiconformalChange.from_texts(
-            *_sigma_rho_pairs(m, two_n)[2]))
+        gbar = ChangedMetric.from_texts(sc.phi,
+                                        *_sigma_rho_pairs(m, two_n)[2])
         geos = [LocalGeometry(sc.phi, [p])
                 for p in sample_points(sc, 10, seed=22)]
         for k in range(50):
@@ -128,22 +126,20 @@ def test_criterion_04_mean_curvature_transformation():
         if sc.phi.m == sc.phi.two_n:
             continue
         for sigma, rho in _sigma_rho_pairs(sc.phi.m, sc.phi.two_n):
-            gbar = ChangedMetric(sc.phi,
-                                 BiconformalChange.from_texts(sigma, rho))
+            gbar = ChangedMetric.from_texts(sc.phi, sigma, rho)
             for p in sample_points(sc, 5, seed=23):
                 geo = LocalGeometry(sc.phi, [p])
                 worst = max(worst,
                             verify_mean_curvature(gbar, geo)[0].rel_residual)
     # vertical-only rho: H(grad log rho) = 0 and pure sigma^2 scaling
     sc = get_scenario("curved-fibers-nonharmonic")
-    ch = BiconformalChange.from_texts("exp(0.3*x1)", "exp(0.2*x3)")
-    gbar = ChangedMetric(sc.phi, ch)
+    gbar = ChangedMetric.from_texts(sc.phi, "exp(0.3*x1)", "exp(0.2*x3)")
     pure_ok = True
     for p in sample_points(sc, 5, seed=23):
         geo = LocalGeometry(sc.phi, p)
         _, grad_lr = gbar.grad_log_factors(geo)
         ph = horizontal_projector(geo)
-        s, _ = ch.factor_values(p)
+        s, _ = gbar.factor_values(geo)
         mu = pm.mean_curvature_vertical(geo)
         mubar = pm.mean_curvature_vertical(geo.under(gbar))
         pure_ok &= np.max(np.abs(ph @ grad_lr)) < 1e-10
@@ -158,8 +154,7 @@ def test_criterion_05_f_divergence_transformation():
     # term; on n = 1 scenarios the correction vanishes identically
     sc = get_scenario("flat-projection-6-4")
     worst_n2 = 0.0
-    gbar = ChangedMetric(
-        sc.phi, BiconformalChange.from_texts("exp(0.2*x1+0.1*x2)", "1"))
+    gbar = ChangedMetric.from_texts(sc.phi, "exp(0.2*x1+0.1*x2)", "1")
     for p in sample_points(sc, 8, seed=24):
         geo = LocalGeometry(sc.phi, [p])
         worst_n2 = max(worst_n2, pm.verify_f_divergence(
@@ -167,8 +162,7 @@ def test_criterion_05_f_divergence_transformation():
     worst_n1 = 0.0
     for name in ("flat-projection-4-2", "curved-fibers-nonharmonic", "hopf"):
         sc1 = get_scenario(name)
-        gbar1 = ChangedMetric(
-            sc1.phi, BiconformalChange.from_texts("exp(0.2*x1)", "1"))
+        gbar1 = ChangedMetric.from_texts(sc1.phi, "exp(0.2*x1)", "1")
         for p in sample_points(sc1, 6, seed=24):
             geo = LocalGeometry(sc1.phi, [p])
             worst_n1 = max(worst_n1, pm.verify_f_divergence(
@@ -184,8 +178,7 @@ def test_criterion_06_one_function_change_preserves_harmonic_phwc():
     for name in ("flat-projection-4-2", "flat-projection-6-4"):
         sc = get_scenario(name)
         sigma = parse("1+0.2*x1^2+0.1*x2")
-        ch = special_change(sigma, sc.phi.m, sc.phi.n)
-        gbar = ChangedMetric(sc.phi, ch)
+        gbar = special_change(sc.phi, sigma)
         worst_tau = worst_defect = 0.0
         for p in sample_points(sc, 10, seed=25):
             geo_bar = LocalGeometry(sc.phi, p).under(gbar)
@@ -202,13 +195,11 @@ def test_criterion_07_phh_breaking_direction():
     sc = get_scenario("flat-projection-6-4")
     geos = [LocalGeometry(sc.phi, [p])
             for p in sample_points(sc, 10, seed=26)]
-    m, n = sc.phi.m, sc.phi.n
-    const_gbar = ChangedMetric(sc.phi, special_change(parse("3"), m, n))
+    const_gbar = special_change(sc.phi, parse("3"))
     const = fold("corollary-phh", lambda geo: corollary_at(
         "corollary-phh", sc.expected_flags, const_gbar, geo, sc.J, 1e-6),
         geos)
-    broken_gbar = ChangedMetric(sc.phi,
-                                special_change(parse("1+0.1*x1"), m, n))
+    broken_gbar = special_change(sc.phi, parse("1+0.1*x1"))
     broken = fold("corollary-phh", lambda geo: corollary_at(
         "corollary-phh", sc.expected_flags, broken_gbar, geo, sc.J, 1e-6),
         geos)
@@ -250,8 +241,7 @@ def test_criterion_09_pullback_characterization():
         sigma = parse("1+0.1*x1^2")
         gbar = None
         if sc.phi.m > sc.phi.two_n:
-            gbar = ChangedMetric(sc.phi,
-                                 special_change(sigma, sc.phi.m, sc.phi.n))
+            gbar = special_change(sc.phi, sigma)
         for p in sample_points(sc, 5, seed=28):
             geo = LocalGeometry(sc.phi, [p])
             for holo in holos:

@@ -8,7 +8,6 @@ import pytest
 
 import phmorph as pm
 from phmorph import (
-    BiconformalChange,
     ChangedMetric,
     GeometryError,
     MetricError,
@@ -45,13 +44,18 @@ P4 = np.array([0.3, -0.2, 0.5, 0.1])
 
 def gbar_for(name, sigma, rho):
     sc = get_scenario(name)
-    ch = BiconformalChange.from_texts(sigma, rho)
-    return sc, ChangedMetric(sc.phi, ch)
+    return sc, ChangedMetric.from_texts(sc.phi, sigma, rho)
 
 
 def one_function(sc, sigma):
     """The changed metric of the one-function change of ``sigma``."""
-    return ChangedMetric(sc.phi, special_change(sigma, sc.phi.m, sc.phi.n))
+    return special_change(sc.phi, sigma)
+
+
+def factors_at(gbar, p):
+    """(sigma, rho) at the point p, read through a 1-row geometry."""
+    s, r = gbar.factor_values(at(gbar.phi, [p]))
+    return s[0], r[0]
 
 
 def fold(name, check, geos):
@@ -70,8 +74,7 @@ def test_constant_change_scales_blocks():
     # sigma = 2, rho = 1 on the flat projection: horizontal block shrinks by
     # 1/4, vertical block untouched
     sc = get_scenario("flat-projection-4-2")
-    ch = BiconformalChange.from_texts("2", "1")
-    gbar = ChangedMetric(sc.phi, ch)
+    gbar = ChangedMetric.from_texts(sc.phi, "2", "1")
     assert np.allclose(at(sc.phi, P4, gbar).g,
                        np.diag([0.25, 0.25, 1.0, 1.0]), atol=1e-14)
 
@@ -80,8 +83,7 @@ def test_change_preserves_block_orthogonality():
     # H and V stay orthogonal for the changed metric, on a scenario whose
     # horizontal distribution is not coordinate-aligned
     sc = get_scenario("holomorphic-poly")
-    ch = BiconformalChange.from_texts("exp(0.3*x1)", "1+x2^2")
-    gbar = ChangedMetric(sc.phi, ch)
+    gbar = ChangedMetric.from_texts(sc.phi, "exp(0.3*x1)", "1+x2^2")
     for p in sample_points(sc, 5, seed=1):
         ph = horizontal_projector(at(sc.phi, p))
         pv = np.eye(4) - ph
@@ -89,47 +91,52 @@ def test_change_preserves_block_orthogonality():
         assert np.max(np.abs(ph.T @ gb @ pv)) < 1e-10
         # and the horizontal block is the sigma^-2 rescaling of g's
         g = sc.phi.source.metric_at(p)[0]
-        s, _ = ch.factor_values(p)
+        s, _ = gbar.factor_values(at(sc.phi, p))
         assert np.allclose(ph.T @ gb @ ph, ph.T @ g @ ph / s**2, atol=1e-10)
 
 
 def test_rho_defaults_to_one():
     # omitting rho leaves the vertical block untouched
-    ch = BiconformalChange.from_texts("1+x1^2")
-    s, r = ch.factor_values(P4)
-    assert s == pytest.approx(1.09, rel=1e-14)
-    assert r == 1.0
+    phi = get_scenario("flat-projection-4-2").phi
+    for gbar in (ChangedMetric.from_texts(phi, "1+x1^2"),
+                 ChangedMetric(phi, parse("1+x1^2"))):
+        s, r = factors_at(gbar, P4)
+        assert s == pytest.approx(1.09, rel=1e-14)
+        assert r == 1.0
 
 
 def test_positivity_enforced():
-    ch = BiconformalChange.from_texts("x1", "1")
+    phi = get_scenario("flat-projection-4-2").phi
     with pytest.raises(PositivityError):
-        ch.factor_values(np.array([-0.5, 0.0, 0.0, 0.0]))
+        factors_at(ChangedMetric.from_texts(phi, "x1", "1"),
+                   np.array([-0.5, 0.0, 0.0, 0.0]))
     with pytest.raises(PositivityError):
-        BiconformalChange.from_texts("1", "0").factor_values(P4)
+        factors_at(ChangedMetric.from_texts(phi, "1", "0"), P4)
 
 
 def test_special_change_exponents():
     # rho = sigma^{-(2n-2)/(m-2n)}
     s = parse("exp(x1)")
-    assert special_change(s, 4, 1).factor_values(P4)[1] == pytest.approx(1.0)
-    ch = special_change(s, 6, 2)
-    sv, rv = ch.factor_values(np.array([0.3, 0, 0, 0, 0, 0]))
+    n1 = special_change(get_scenario("flat-projection-4-2").phi, s)
+    assert factors_at(n1, P4)[1] == pytest.approx(1.0)
+    n2 = special_change(get_scenario("flat-projection-6-4").phi, s)
+    sv, rv = factors_at(n2, np.array([0.3, 0, 0, 0, 0, 0]))
     assert rv == pytest.approx(1.0 / sv, rel=1e-14)
-    with pytest.raises(GeometryError):
-        special_change(s, 4, 2)
+    r4 = pm.euclidean_space(4)
+    with pytest.raises(GeometryError):  # m = 2n
+        special_change(SmoothMap(r4, r4, lambda c: c), s)
 
 
 def test_compose_matches_sequential_metrics():
     # change a, then change b, is the one change with multiplied factors
     sc = get_scenario("flat-projection-4-2")
-    a = BiconformalChange.from_texts("exp(0.3*x1)", "1+x2^2")
-    b = BiconformalChange.from_texts("2", "exp(0.1*x3)")
-    both = BiconformalChange.from_texts("exp(0.3*x1)*2",
-                                        "(1+x2^2)*exp(0.1*x3)")
-    once = at(sc.phi, P4, ChangedMetric(sc.phi, both)).g
-    sb, rb = b.factor_values(P4)
-    ga = at(sc.phi, P4, ChangedMetric(sc.phi, a)).g
+    a = ChangedMetric.from_texts(sc.phi, "exp(0.3*x1)", "1+x2^2")
+    b = ChangedMetric.from_texts(sc.phi, "2", "exp(0.1*x3)")
+    both = ChangedMetric.from_texts(sc.phi, "exp(0.3*x1)*2",
+                                    "(1+x2^2)*exp(0.1*x3)")
+    once = at(sc.phi, P4, both).g
+    sb, rb = factors_at(b, P4)
+    ga = at(sc.phi, P4, a).g
     ph = horizontal_projector(at(sc.phi, P4))
     twice = ga @ ph / sb**2 + (ga - ga @ ph) / rb**2
     assert np.max(np.abs(once - twice)) < 1e-12
@@ -137,7 +144,7 @@ def test_compose_matches_sequential_metrics():
 
 def test_identity_change_is_identity():
     sc = get_scenario("curved-fibers-nonharmonic")
-    gbar = ChangedMetric(sc.phi, BiconformalChange.from_texts("1", "1"))
+    gbar = ChangedMetric.from_texts(sc.phi, "1", "1")
     assert np.allclose(at(sc.phi, P4, gbar).g, sc.phi.source.metric_at(P4)[0],
                        atol=1e-14)
 
@@ -156,7 +163,7 @@ FACTOR_CASE = ("holomorphic-poly", "exp(0.3*x1)", "1+x2^2")
 
 def changed_metric(name, sigma, rho):
     sc = get_scenario(name)
-    return ChangedMetric(sc.phi, BiconformalChange.from_texts(sigma, rho))
+    return ChangedMetric.from_texts(sc.phi, sigma, rho)
 
 
 @pytest.mark.parametrize("name", sorted(FACTOR_READERS))
@@ -172,7 +179,6 @@ def test_factor_fields_warm_equal_cold(name):
         warm = read(gbar, geo)
         assert len(warm) == len(cold)
         assert all(np.array_equal(w, c) for w, c in zip(warm, cold))
-    assert gbar.factor_values(geo) == gbar.change.factor_values(P4)
 
 
 def test_factor_field_arrays_are_read_only():
@@ -230,8 +236,8 @@ def test_changes_built_one_after_another_never_share_factors():
     sc = get_scenario("flat-projection-4-2")
     for k in range(1, 31):
         sigma, rho = float(k), float(k % 7 + 1)
-        gbar = ChangedMetric(sc.phi, BiconformalChange(
-            pm.exprs.Lit(sigma), pm.exprs.Lit(rho)))
+        gbar = ChangedMetric(sc.phi, pm.exprs.Lit(sigma),
+                             pm.exprs.Lit(rho))
         geo = at(sc.phi, P4)
         assert gbar.factor_values(geo) == (sigma, rho)
         assert gbar.factor_jets(geo)[0].value == sigma
@@ -243,27 +249,48 @@ def test_changes_built_one_after_another_never_share_factors():
 
 def test_factors_evaluated_once_per_change_point_and_route(monkeypatch):
     # in a run, sigma and rho are evaluated once per (change, point), on the
-    # one route (as jets), for the change and for the one-function change;
-    # a batched call counts once for each of its rows
-    calls, changes = [], []
-    for route in ("factor_values", "factor_jets"):
-        inner = getattr(BiconformalChange, route)
+    # one route (as jets, by ChangedMetric.factor_jets), for the change and
+    # for the one-function change; a batched call counts once for each of
+    # its rows
+    calls, changes, reading = [], [], []
+    factor_jets, eval_jet = ChangedMetric.factor_jets, pm.exprs.eval_jet
 
-        def counting(self, p, route=route, inner=inner):
-            changes.append(self)  # keeps each id for the run
-            calls.extend((id(self), route, q.tobytes())
-                         for q in np.reshape(p, (-1, np.shape(p)[-1])))
-            return inner(self, p)
+    def reading_factors(self, source):
+        changes.append(self)  # keeps each id for the run
+        reading.append(self)
+        try:
+            return factor_jets(self, source)
+        finally:
+            reading.pop()
 
-        monkeypatch.setattr(BiconformalChange, route, counting)
+    def evaluating(expr, coords):
+        # an outermost call evaluates a factor of the change being read (a
+        # call outside factor_jets records a string, failing the id check);
+        # the nested calls evaluate its parts
+        change = reading[-1] if reading else "no change"
+        if change is not None:
+            p = np.stack([x.value for x in coords], axis=-1)
+            calls.extend((id(change), expr, q.tobytes())
+                         for q in p.reshape(-1, p.shape[-1]))
+        reading.append(None)
+        try:
+            return eval_jet(expr, coords)
+        finally:
+            reading.pop()
+
+    monkeypatch.setattr(ChangedMetric, "factor_jets", reading_factors)
+    monkeypatch.setattr(pm.exprs, "eval_jet", evaluating)
     monkeypatch.setattr(pm.runner, "CHUNK", 3)  # a full and a partial chunk
     rep = pm.run_verification(pm.RunConfig(
         scenario="flat-projection-6-4", sigma="exp(0.2*x1)",
         rho="1+0.1*x5^2", samples=4))
     assert rep["verdict"] == "pass"
-    assert len(calls) == len(set(calls)) == 2 * 4
-    assert {route for _, route, _ in calls} == {"factor_jets"}
-    assert len({change for change, _, _ in calls}) == 2
+    evaluations = {(change, q) for change, _, q in calls}
+    assert len(evaluations) == 2 * 4
+    # sigma and rho once each per evaluation, each read by a change
+    assert len(calls) == len(set(calls)) == 2 * len(evaluations)
+    assert {change for change, _, _ in calls} == set(map(id, changes))
+    assert len(set(map(id, changes))) == 2
 
 
 # ---- identity verifiers, trivial cases ----------------------------------
@@ -353,7 +380,7 @@ def test_tolerance_rejects_f_divergence_with_2n_minus_1():
         lhs = pm.f_divergence_horizontal(geo.under(gbar), sc.J)
         div = pm.f_divergence_horizontal(geo, sc.J)
         grad_ls, _ = gbar.grad_log_factors(geo)
-        s, _ = gbar.change.factor_values(p)
+        s, _ = gbar.factor_values(geo)
         wrong = s ** 2 * (div + (2.0 * phi.n - 1.0)
                           * (horizontal_projector(geo) @ grad_ls))
         assert relative_residual(lhs, wrong) > TOL_FD, p
@@ -369,7 +396,7 @@ def test_tolerance_rejects_tension_transform_without_the_rho_term():
         lhs = tension_field(geo.under(gbar))
         tau = tension_field(geo)
         grad_ls, _ = gbar.grad_log_factors(geo)
-        s, _ = gbar.change.factor_values(p)
+        s, _ = gbar.factor_values(geo)
         # (2n - m) grad ln rho dropped
         wrong = s ** 2 * (tau + differential(geo)
                           @ ((2.0 - phi.two_n) * grad_ls))
@@ -385,7 +412,7 @@ def test_tolerance_rejects_mean_curvature_without_the_rho_term():
         geo = at(phi, p)
         lhs = mean_curvature_vertical(geo.under(gbar))
         mu = mean_curvature_vertical(geo)
-        s, _ = gbar.change.factor_values(p)
+        s, _ = gbar.factor_values(geo)
         wrong = s ** 2 * mu  # H(grad ln rho) dropped
         assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
         [r] = verify_mean_curvature(gbar, at(phi, [p]), tol=TOL_FD)
@@ -407,7 +434,7 @@ def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
         geo = at(phi, p)
         ph = horizontal_projector(geo)
         lhs = ph @ geo.under(gbar).covariant_derivative(v, v, dv)
-        s, r = gbar.change.factor_jets(p)
+        s, r = gbar.factor_jets(geo)
         g = phi.source.metric_at(p)[0]
         d_rho_m2 = -2.0 * r.value ** -3 * r.grad
         inner = 2.0 * r.value ** -2 * (
@@ -438,7 +465,7 @@ def test_tolerance_rejects_koszul_vertical_without_the_test_field_derivative():
         v = v_comp - ph @ v_comp
         gamma_bar = geo.under(gbar).christoffel
         lhs = ph @ np.einsum("kij,i,j->k", gamma_bar, v, v)
-        s, r = gbar.change.factor_jets(p)
+        s, r = gbar.factor_jets(geo)
         d_rho_m2 = -2.0 * r.value ** -3 * r.grad
         nabla_vv = np.einsum("kij,i,j->k", phi.source.christoffel(p), v, v)
         wrong = 0.5 * s.value ** 2 * (
@@ -535,8 +562,8 @@ def test_tolerance_rejects_corollary_psh_with_a_wrong_rho_exponent():
     phi = sc.phi
     sigma = parse(MUTATION_CASE[1])
     exponent = -(2.0 * phi.n - 1.0) / (phi.m - phi.two_n)
-    wrong = ChangedMetric(phi, BiconformalChange(
-        sigma, pm.exprs.Binary("pow", sigma, pm.exprs.Lit(exponent))))
+    wrong = ChangedMetric(phi, sigma, pm.exprs.Binary(
+        "pow", sigma, pm.exprs.Lit(exponent)))
     right = one_function(sc, sigma)
     for p in sample_points(sc, 4, seed=5):
         geo = at(phi, p)
@@ -611,14 +638,13 @@ def test_vertical_rho_leaves_mean_curvature_pure_scaling():
     # rho depending only on fiber coordinates: H(grad log rho) = 0, so the
     # transformed mean curvature is exactly sigma^2 mu
     sc = get_scenario("curved-fibers-nonharmonic")
-    ch = BiconformalChange.from_texts("exp(0.3*x1)", "exp(0.2*x3)")
-    gbar = ChangedMetric(sc.phi, ch)
+    gbar = ChangedMetric.from_texts(sc.phi, "exp(0.3*x1)", "exp(0.2*x3)")
     for p in sample_points(sc, 5, seed=4):
         geo = at(sc.phi, p)
         grad_ls, grad_lr = gbar.grad_log_factors(geo)
         ph = horizontal_projector(geo)
         assert np.max(np.abs(ph @ grad_lr)) < 1e-10
-        s, _ = ch.factor_values(p)
+        s, _ = gbar.factor_values(geo)
         mu = mean_curvature_vertical(geo)
         mubar = mean_curvature_vertical(geo.under(gbar))
         assert np.allclose(mubar, s**2 * mu, atol=1e-6)
@@ -745,8 +771,7 @@ def test_corollary_one_function_change_preserves_harmonicity():
 def test_corollary_one_function_change_direct_tension():
     # same content checked without the summary plumbing
     sc = get_scenario("flat-projection-4-2")
-    ch = special_change(parse("1+0.1*x1+0.2*x3^2"), 4, 1)
-    gbar = ChangedMetric(sc.phi, ch)
+    gbar = special_change(sc.phi, parse("1+0.1*x1+0.2*x3^2"))
     for p in sample_points(sc, 5, seed=12):
         geo_bar = at(sc.phi, p, gbar)
         tau = tension_field(geo_bar)
@@ -763,10 +788,9 @@ def test_corollary_converse_nonharmonic_stays_nonharmonic():
         [at(sc.phi, [p]) for p in points])
     assert out.passed
     # and directly: the transformed tension keeps its sigma^2 tau magnitude
-    ch = special_change(parse("1+0.2*x1^2"), 4, 1)
-    gbar = ChangedMetric(sc.phi, ch)
+    gbar = special_change(sc.phi, parse("1+0.2*x1^2"))
     p = points[0]
-    s, _ = ch.factor_values(p)
+    s, _ = gbar.factor_values(at(sc.phi, p))
     tau = tension_field(at(sc.phi, p, gbar))
     assert np.allclose(tau, s**2 * np.array([2.0, 0.0]), atol=1e-6)
 
@@ -850,6 +874,7 @@ def test_a_phh_defect_under_the_change_fails_the_n1_branch(monkeypatch):
 
 def test_report_round_trip_text():
     # the change remembers printable factor expressions
-    ch = BiconformalChange.from_texts("exp(0.3*x1)", "1+x2^2")
+    ch = ChangedMetric.from_texts(get_scenario("flat-projection-4-2").phi,
+                                  "exp(0.3*x1)", "1+x2^2")
     assert to_text(ch.sigma) == "exp(0.3 * x1)"
     assert to_text(ch.rho) == "1 + x2^2"

@@ -136,6 +136,19 @@ def test_json_report_schema(tmp_path, capsys):
                 "samples_pass", "samples_fail", "samples_error"} <= set(row)
 
 
+def test_a_report_file_has_the_mode_of_a_new_file(tmp_path, capsys):
+    # as open(path, "w") would create it: 0o666 less the umask
+    path = tmp_path / "out.json"
+    umask = os.umask(0o022)
+    try:
+        code, _ = run(capsys, "verify", "--scenario", "flat-projection-4-2",
+                      "--samples", "1", "--report", str(path))
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert path.stat().st_mode & 0o777 == 0o644
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -266,7 +279,7 @@ def assert_config_error(capsys, *argv):
 
 
 @pytest.mark.parametrize("sigma, offset", [
-    ("x\u0661", 2), ("\u0661.\u0665", 0), ("x\u00b2", 2)])
+    ("x\u0661", 0), ("\u0661.\u0665", 0), ("x\u00b2", 0)])
 def test_non_ascii_digits_exit_two_with_an_offset(capsys, sigma, offset):
     assert_config_error(capsys, "verify", "--scenario", "flat-projection-4-2",
                         "--samples", "1", "--sigma", sigma)

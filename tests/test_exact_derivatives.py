@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import phmorph.jets as jets
-from phmorph import (AlmostComplexStructureField, BiconformalChange,
-                     ChangedMetric, FDMetric, LocalGeometry, differential,
+from phmorph import (AlmostComplexStructureField, ChangedMetric, FDMetric,
+                     LocalGeometry, differential,
                      f_structure, get_scenario, list_scenarios,
                      mean_curvature_vertical, sample_points)
 from phmorph.hermitian import d_f_structure, j_at_image
@@ -34,8 +34,8 @@ def relative(exact, oracle):
 
 def change_for(sc):
     m = sc.phi.m
-    return BiconformalChange.from_texts("exp(0.2*x1+0.1*x%d)" % m,
-                                        "1+0.2*x2^2+0.1*x%d^2" % m)
+    return ChangedMetric.from_texts(sc.phi, "exp(0.2*x1+0.1*x%d)" % m,
+                                    "1+0.2*x2^2+0.1*x%d^2" % m)
 
 
 def metric_matrix(sc, gbar):
@@ -113,7 +113,7 @@ IDS = ["%s-%s" % (name, "gbar" if changed else "g") for name, changed in CASES]
 
 def case(name, changed):
     sc = get_scenario(name)
-    gbar = ChangedMetric(sc.phi, change_for(sc)) if changed else None
+    gbar = change_for(sc) if changed else None
     return sc, gbar, sample_points(sc, 3, seed=31)
 
 

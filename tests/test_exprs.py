@@ -74,15 +74,22 @@ def test_parse_error_reports_offset():
 
 
 @pytest.mark.parametrize("text, offset", [
-    ("x\u0661", 2),  # x and an Arabic-Indic one: an unknown identifier
+    ("x\u0661", 0),  # x and an Arabic-Indic one: an unknown identifier
     ("\u0661.\u0665", 0),  # 1.5 in Arabic-Indic digits
-    ("x\u00b2", 2),  # x and a superscript two
+    ("x\u00b2", 0),  # x and a superscript two
     ("2.\u0665", 2),
     ("1e\u0665", 1),  # float() would read it as 1e5
 ])
 def test_only_ascii_digits_are_digits(text, offset):
     # the grammar's literals and x1..x9 are ASCII; str.isdigit is not
     with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == offset
+
+
+@pytest.mark.parametrize("text, offset", [("foo(1)", 0), ("x1 + bar", 5)])
+def test_an_unknown_identifier_is_reported_where_it_starts(text, offset):
+    with pytest.raises(ParseError, match="unknown identifier") as exc:
         parse(text)
     assert exc.value.position == offset
 

@@ -175,8 +175,7 @@ def test_phh_defect_frame_invariant():
     # seed order, it is the same number.  A nonconstant sigma breaks PHH on the
     # n = 2 projection, so the defect is far from zero.
     sc = get_scenario("flat-projection-6-4")
-    gbar = pm.ChangedMetric(sc.phi, pm.BiconformalChange.from_texts(
-        "exp(0.2*x1+0.1*x2)", "1"))
+    gbar = pm.ChangedMetric.from_texts(sc.phi, "exp(0.2*x1+0.1*x2)", "1")
     for p in sample_points(sc, 3, seed=3):
         geo = at(sc.phi, p, gbar)
         base = phh_defect(geo, sc.J)[0]
@@ -242,8 +241,7 @@ def test_f_structure_derivative_is_kept_per_j():
     geo = at(sc.phi, P)
     first = d_f_structure(geo, sc.J)
     assert d_f_structure(geo, sc.J) is first
-    gbar = pm.ChangedMetric(sc.phi, pm.BiconformalChange.from_texts(
-        "exp(0.3*x1)", "1+x2^2"))
+    gbar = pm.ChangedMetric.from_texts(sc.phi, "exp(0.3*x1)", "1+x2^2")
     assert d_f_structure(geo.under(gbar), sc.J) is first
     minus_j = pm.AlmostComplexStructureField(
         sc.J.target, lambda c: (-standard_J(2)).tolist())
@@ -299,10 +297,10 @@ def test_f_structure_fails_on_every_call_where_phi_is_singular():
 # (map, metric, point); an adapted frame is built on each call, the same
 # whether the geometry it reads is warm or cold.
 
-CHANGE = pm.BiconformalChange.from_texts("exp(0.3*x1)", "1+x2^2")
+CHANGE = ("exp(0.3*x1)", "1+x2^2")  # sigma, rho
 METRICS = {
     "g": lambda sc: None,
-    "gbar": lambda sc: pm.ChangedMetric(sc.phi, CHANGE),
+    "gbar": lambda sc: pm.ChangedMetric.from_texts(sc.phi, *CHANGE),
 }
 FRAME_READERS = {
     "phwc_defect": lambda sc, geo: phwc_defect(geo, sc.J),
@@ -334,7 +332,7 @@ def test_frame_fields_warm_equal_cold(name, metric_name):
 @pytest.mark.parametrize("name", ["f_divergence_horizontal"])
 def test_frame_field_arrays_are_read_only(name):
     sc = get_scenario("holomorphic-poly")
-    geo = at(sc.phi, P, pm.ChangedMetric(sc.phi, CHANGE))
+    geo = at(sc.phi, P, pm.ChangedMetric.from_texts(sc.phi, *CHANGE))
     for out in FRAME_READERS[name](sc, geo):
         assert not out.flags.writeable
         with pytest.raises(ValueError):

@@ -192,7 +192,7 @@ def test_nonfinite_gradient_caught_at_boundaries():
     # (1e300*x1)^2 at x1 = 1e-200: the value 1e200 is finite, the gradient
     # and Hessian overflow. Arithmetic checks only values, so the boundaries
     # must catch it, on every call.
-    from phmorph import BiconformalChange, EvalError, SmoothMap, euclidean_space
+    from phmorph import ChangedMetric, EvalError, SmoothMap, euclidean_space
     from phmorph.exprs import eval_jet, parse
     from phmorph.maps import LocalGeometry
 
@@ -202,11 +202,11 @@ def test_nonfinite_gradient_caught_at_boundaries():
     plane = euclidean_space(2)
     phi = SmoothMap(plane, plane, lambda c: [eval_jet(expr, c), c[1]])
     identity = LocalGeometry(SmoothMap(plane, plane, lambda c: c), p)
-    change = BiconformalChange(expr, expr)
+    change = ChangedMetric(identity.phi, expr, expr)
     for _ in range(2):
         with pytest.raises((JetDomainError, EvalError)):
             identity.laplacian(eval_jet(expr, seed_coordinates(p)))
         with pytest.raises((JetDomainError, EvalError)):
             phi.jets(p)
         with pytest.raises((JetDomainError, EvalError)):
-            change.factor_jets(p)
+            change.factor_jets(identity)

@@ -5,7 +5,6 @@ import pytest
 
 import phmorph.jets as jets
 from phmorph import (
-    BiconformalChange,
     ChangedMetric,
     RankError,
     SmoothMap,
@@ -287,8 +286,7 @@ def test_local_geometry_warm_equals_cold(name, sheared):
 def changed(phi):
     """A biconformal change of phi's source metric with both factors
     nonconstant."""
-    return ChangedMetric(phi, BiconformalChange.from_texts("exp(0.3*x1)",
-                                                           "1+x2^2"))
+    return ChangedMetric.from_texts(phi, "exp(0.3*x1)", "1+x2^2")
 
 
 # the fields that no change alters, kept in the source geometry only

@@ -130,12 +130,12 @@ def _one_pass_per_identity(config):
     check, runs once over all the sample points, each on a 1-row batch of
     its own."""
     scenario = get_scenario(config.scenario)
-    change = config.build_change(scenario)
+    gbar = config.build_change(scenario)
     points = sample_points(scenario, config.samples, config.seed)
-    run = RunContext(scenario, config, change)
+    run = RunContext(scenario, config, gbar)
     per_identity, skipped = [], []
     for name in config.identities or ALL_IDENTITIES:
-        reason = skip_reason(name, scenario, change)
+        reason = skip_reason(name, scenario)
         if reason is not None:
             skipped.append({"name": name, "reason": reason})
             continue
