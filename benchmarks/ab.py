@@ -3,8 +3,11 @@
 Each tree (its ``src/`` directory) is imported by one long-lived worker
 process, so both stay warm; the worker times one task per request and the
 controller alternates the two workers pair by pair, swapping which side runs
-first, so both sides sample the same speed phases of a shared host.  A task
-is either
+first, so both sides sample the same speed phases of a shared host.  Being
+warm and in process, it does not see what a fresh ``phmorph verify``
+process pays once, such as the first use of a module that starts lazily;
+perfbench (``perfbench/run.py``), which times fresh processes, does.  A
+task is either
 
 - a perfbench workload (``readme-6-4``, ``hopf-full``, ``hopf-subset``):
   ``phmorph.cli.main`` in process on that workload's arguments (read from

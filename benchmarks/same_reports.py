@@ -16,6 +16,12 @@ errored sample, which the report counts but does not list).  The list:
 - at 20 samples and seed 5, ``curved-fibers-nonharmonic --sigma
   'exp(0.3*x1+0.2*x3)'``: n = 1 with a nonconstant sigma, where
   corollary-phh checks that PHH is kept.
+- the argument syntax, on ``flat-projection-4-2`` at 20 samples:
+  ``--samples=20``, ``--sam 20`` (a unique prefix), ``--seed -1`` (a
+  negative number as a value), ``--tol-fd -1e-5`` (a value read as an
+  option), ``--format xml`` (not a choice), ``--fd-step 1e-4`` (an unknown
+  option) and a missing ``--scenario``; those that are usage or
+  configuration errors exit 2 and write no report.
 
 It prints one line per run and exits 1 on any difference.  Run it from the
 repository root, with the parent commit unpacked elsewhere
@@ -41,6 +47,15 @@ STRESS = [
      "--rho", "100*exp(x1+0.5*x2)"],
 ]
 
+SYNTAX = [
+    ["--samples=20"],
+    ["--sam", "20"],
+    ["--samples", "20", "--seed", "-1"],
+    ["--samples", "20", "--tol-fd", "-1e-5"],
+    ["--samples", "20", "--format", "xml"],
+    ["--samples", "20", "--fd-step", "1e-4"],
+]
+
 
 def runs(report):
     """(name, CLI arguments) of each compared run, writing to ``report``."""
@@ -63,6 +78,10 @@ def runs(report):
     out.append((" ".join(n1[1:]) + " samples=20 seed=5",
                 ["verify"] + n1 + ["--samples", "20", "--seed", "5",
                                    "--report", report]))
+    out += [(" ".join(args), ["verify", "--scenario", "flat-projection-4-2"]
+             + args + ["--report", report]) for args in SYNTAX]
+    out.append(("no --scenario",
+                ["verify", "--samples", "20", "--report", report]))
     return out
 
 

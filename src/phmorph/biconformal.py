@@ -106,7 +106,8 @@ class ChangedMetric:
     def from_texts(phi: SmoothMap, sigma_text: str,
                    rho_text: Optional[str] = None) -> "ChangedMetric":
         sigma = exprs.parse(sigma_text)
-        rho = exprs.parse(rho_text) if rho_text else exprs.Lit(1.0)
+        rho = (exprs.parse(rho_text) if rho_text is not None
+               else exprs.Lit(1.0))
         return ChangedMetric(phi, sigma, rho)
 
     def factor_jets(self, source: LocalGeometry):

@@ -2,22 +2,44 @@
 machine-readable reports.
 
 Exit codes: 0 all selected identities pass, 1 an identity or flag check
-failed, 2 configuration or expression errors, a run too large for memory or
-an unwritable report.
+failed, 2 a malformed or unknown option, configuration or expression errors,
+a run too large for memory or an unwritable report.
+
+The options of ``verify`` are the fields of ``runner.RunConfig``: ``--`` and
+the field name with ``_`` as ``-``, read by ``int`` or ``float`` where the
+field's default is one and kept as text otherwise, required where the field
+has no default; then ``--report`` and ``--format``.  The command line is read
+by argparse's rules, without argparse, whose set-up would cost a fresh
+process a third of a short run:
+
+- ``--opt value`` and ``--opt=value`` both set an option, and the last of
+  repeated options wins;
+- a unique prefix of an option stands for it, and an ambiguous one is an
+  error;
+- a separate value may start with ``-`` only if it is a negative number
+  (``-1``, ``-.5``) or holds a space;
+- every usage error prints a usage line and ``phmorph <command>: error:
+  ...`` naming the option on stderr and exits 2, and ``-h``/``--help``
+  prints help on stdout and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
+import stat
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from . import exprs, scenarios
 from .manifold import GeometryError
 from .runner import ALL_IDENTITIES, RunConfig, run_verification
+
+PROG = "phmorph"
+DESCRIPTION = ("Numerical verification of biconformal metric-change "
+               "identities on bundled\nexample geometries.")
 
 
 def _scenario_descriptor(name):
@@ -32,10 +54,10 @@ def _scenario_descriptor(name):
     }
 
 
-def cmd_list(args) -> int:
+def cmd_list(values) -> int:
     names = scenarios.list_scenarios()
     descriptors = [_scenario_descriptor(n) for n in names]
-    if args.format == "json":
+    if values["format"] == "json":
         print(json.dumps(descriptors, indent=2, sort_keys=True))
         return 0
     for d in descriptors:
@@ -86,14 +108,28 @@ def render_report(report, fmt: str) -> str:
     return _report_text(report)
 
 
-def _write_atomic(path: str, payload: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
-    umask = os.umask(0)  # read by setting it, and restored at once
-    os.umask(umask)
+def _write_report(path: str, payload: str):
+    """Write the report as ``open(path, "w")`` would, but replace a regular
+    file atomically: through a temporary file in its directory, with the
+    mode of the file it replaces, or that of a new file.  A symlink is
+    followed, and a path that is not a regular file (a FIFO, a device) is
+    written in place, never replaced."""
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)  # read by setting it, and restored at once
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(mode):
+            with open(path, "w") as handle:
+                handle.write(payload)
+            return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".report-")
     try:
         with os.fdopen(fd, "w") as handle:
-            os.chmod(tmp, 0o666 & ~umask)  # open()'s mode, not mkstemp's 0600
+            os.chmod(tmp, mode & 0o7777)  # not mkstemp's 0600
             handle.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -102,11 +138,17 @@ def _write_atomic(path: str, payload: str):
         raise
 
 
-def cmd_verify(args) -> int:
-    options = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-               if f.name != "identities"}
-    config = RunConfig(identities=args.identities.split(",")
-                       if args.identities else None, **options)
+def run_config(values) -> RunConfig:
+    """The ``RunConfig`` of parsed ``verify`` options; ``--identities`` is
+    split on commas."""
+    options = {f.name: values[f.name] for f in fields(RunConfig)}
+    identities = options.pop("identities")
+    return RunConfig(identities=identities.split(",") if identities else None,
+                     **options)
+
+
+def cmd_verify(values) -> int:
+    config = run_config(values)
     try:
         report = run_verification(config)
     except (ValueError, KeyError, GeometryError, exprs.ParseError) as err:
@@ -115,65 +157,229 @@ def cmd_verify(args) -> int:
     except MemoryError as err:
         print("error: out of memory: %s" % err, file=sys.stderr)
         return 2
-    payload = render_report(report, args.format)
+    payload = render_report(report, values["format"])
     try:
-        if args.report:
-            _write_atomic(args.report, payload)
+        if values["report"]:
+            _write_report(values["report"], payload)
         else:
             sys.stdout.write(payload)
     except OSError as err:
         print("error: cannot write the report to %s: %s"
-              % (args.report or "stdout", err.strerror or err), file=sys.stderr)
+              % (values["report"] or "stdout", err.strerror or err),
+              file=sys.stderr)
         return 2
     if report["verdict"] in ("pass", "skipped"):
         return 0
     return 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="phmorph",
-        description="Numerical verification of biconformal metric-change "
-                    "identities on bundled example geometries.")
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option:
+    """One ``--name VALUE`` option: ``convert`` reads its text into the value
+    kept under ``dest``, which must then be one of ``choices`` if any."""
 
-    p_list = sub.add_parser("list", help="list bundled scenarios")
-    p_list.add_argument("--format", choices=("text", "json"), default="text")
-    p_list.set_defaults(func=cmd_list)
+    def __init__(self, dest, convert=str, default=None, help="", choices=(),
+                 required=False):
+        self.dest, self.convert, self.default = dest, convert, default
+        self.help, self.choices, self.required = help, choices, required
 
-    p_verify = sub.add_parser("verify", help="run the identity suite")
-    p_verify.add_argument("--scenario", required=True)
-    p_verify.add_argument("--sigma", default="1",
-                          help="horizontal conformal factor expression")
-    p_verify.add_argument("--rho", default=None,
-                          help="vertical conformal factor expression "
-                               "(default: 1)")
-    p_verify.add_argument("--special-sigma", default=None,
-                          help="use the one-function change driven by this "
-                               "sigma expression (requires m > 2n)")
-    p_verify.add_argument("--samples", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--tol-ad", type=float, default=1e-8)
-    p_verify.add_argument("--tol-fd", type=float, default=1e-5)
-    p_verify.add_argument("--identities", default=None,
-                          help="comma-separated subset of: "
-                               + ",".join(ALL_IDENTITIES))
-    p_verify.add_argument("--report", default=None,
-                          help="write the report to this path (atomically)")
-    p_verify.add_argument("--format", choices=("json", "csv", "text"),
-                          default="json")
-    p_verify.set_defaults(func=cmd_verify)
-    return parser
+
+class UsageError(Exception):
+    """A malformed, unknown, ambiguous or missing option."""
+
+
+HELP = Option("help", help="show this help message and exit")
+HELP_OPTIONS = {"-h": HELP, "--help": HELP}
+
+FIELD_HELP = {
+    "sigma": "horizontal conformal factor expression",
+    "rho": "vertical conformal factor expression (default: 1)",
+    "special_sigma": "use the one-function change driven by this sigma "
+                     "expression (requires m > 2n)",
+    "identities": "comma-separated subset of: " + ",".join(ALL_IDENTITIES),
+}
+
+
+def _field_option(field) -> Option:
+    required = field.default is MISSING
+    default = None if required else field.default
+    convert = type(default) if type(default) in (int, float) else str
+    return Option(field.name, convert, default, FIELD_HELP.get(field.name, ""),
+                  required=required)
+
+
+# name -> (what it does, its options by option string, what runs it)
+COMMANDS = {
+    "list": ("list bundled scenarios", {
+        **HELP_OPTIONS,
+        "--format": Option("format", default="text", choices=("text", "json")),
+    }, cmd_list),
+    "verify": ("run the identity suite", {
+        **HELP_OPTIONS,
+        **{"--" + f.name.replace("_", "-"): _field_option(f)
+           for f in fields(RunConfig)},
+        "--report": Option("report",
+                           help="write the report to this path (atomically)"),
+        "--format": Option("format", default="json",
+                           choices=("json", "csv", "text")),
+    }, cmd_verify),
+}
+
+
+def _classify(options, arg):
+    """What argparse makes of ``arg``: None for a value, else the option
+    string it names (None when unknown) and the text given with it, after
+    ``=`` or, for ``-h``, attached (None when there is none)."""
+    if not arg or arg[0] != "-":
+        return None
+    if arg in options:
+        return arg, None
+    if len(arg) == 1:
+        return None
+    if arg[1] == "-":
+        prefix, eq, attached = arg.partition("=")
+        matches = [(o, attached if eq else None) for o in options
+                   if o.startswith(prefix)]
+    else:
+        matches = [(o, arg[2:]) for o in options if o == arg[:2]]
+    if len(matches) > 1:
+        raise UsageError("ambiguous option: %s could match %s"
+                         % (arg, ", ".join(o for o, _ in matches)))
+    if matches:
+        return matches[0]
+    # argparse's test for a separate value that starts with "-"
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _convert(name: str, option: Option, text: str):
+    try:
+        value = option.convert(text)
+    except (TypeError, ValueError):
+        raise UsageError("argument %s: invalid %s value: %r"
+                         % (name, option.convert.__name__, text)) from None
+    if option.choices and value not in option.choices:
+        raise UsageError("argument %s: invalid choice: %r (choose from %s)"
+                         % (name, value,
+                            ", ".join(repr(c) for c in option.choices)))
+    return value
+
+
+def parse_options(options, argv) -> dict:
+    """The value of each option's ``dest`` in ``argv``, read left to right
+    by argparse's rules, or None where ``-h`` is read first.  Raises
+    ``UsageError``."""
+    kinds = []
+    for i, arg in enumerate(argv):
+        if arg == "--":  # argparse reads what follows as values
+            kinds += [(None, None)] + [None] * (len(argv) - i - 1)
+            break
+        kinds.append(_classify(options, arg))
+    values = {o.dest: o.default for o in options.values()}
+    seen, unknown = set(), []
+    i = 0
+    while i < len(argv):
+        kind, arg = kinds[i], argv[i]
+        i += 1
+        if kind is None or kind[0] is None:
+            unknown.append(arg)
+            continue
+        name, text = kind
+        option = options[name]
+        if option is HELP:
+            if text is not None:
+                raise UsageError("argument -h/--help: ignored explicit "
+                                 "argument %r" % text)
+            return None
+        if text is None:
+            if i == len(argv) or kinds[i] is not None:
+                raise UsageError("argument %s: expected one argument" % name)
+            text = argv[i]
+            i += 1
+        values[option.dest] = _convert(name, option, text)
+        seen.add(name)
+    missing = [name for name, o in options.items()
+               if o.required and name not in seen]
+    if missing:
+        raise UsageError("the following arguments are required: %s"
+                         % ", ".join(missing))
+    if unknown:
+        raise UsageError("unrecognized arguments: %s" % " ".join(unknown))
+    return values
+
+
+def _metavar(option: Option) -> str:
+    if option.choices:
+        return "{%s}" % ",".join(option.choices)
+    return option.dest.upper()
+
+
+def usage(command: str) -> str:
+    """The usage line of a command, or of the program for ``""``."""
+    if not command:
+        return "usage: %s [-h] {%s} ..." % (PROG, ",".join(COMMANDS))
+    line = "usage: %s %s [-h]" % (PROG, command)
+    indent = " " * line.index("[")
+    lines = []
+    for name, option in COMMANDS[command][1].items():
+        if option is HELP:
+            continue
+        part = "%s %s" % (name, _metavar(option))
+        part = part if option.required else "[%s]" % part
+        if len(line) + 1 + len(part) > 79:
+            lines.append(line)
+            line = indent + part
+        else:
+            line += " " + part
+    return "\n".join(lines + [line])
+
+
+def help_text(command: str) -> str:
+    """The help of a command, or of the program for ``""``."""
+    if not command:
+        return "%s\n\n%s\n\ncommands:\n%s\n" % (
+            usage(""), DESCRIPTION, "\n".join(
+                "  %-8s%s" % (name, about)
+                for name, (about, _, _) in COMMANDS.items()))
+    about, options, _ = COMMANDS[command]
+    lines = [usage(command), "", about, "", "options:"]
+    for name, option in options.items():
+        notes = [option.help] if option.help else []
+        if option.required:
+            notes.append("(required)")
+        elif option.default is not None:
+            notes.append("(default: %s)" % option.default)
+        if name != "-h":
+            lines += ["  -h, --help" if option is HELP
+                      else "  %s %s" % (name, _metavar(option)),
+                      "      " + " ".join(notes)]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else ""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors already
-        return int(exc.code or 0)
-    return args.func(args)
+        if command:
+            values = parse_options(COMMANDS[command][1], argv[1:])
+        elif not argv:
+            raise UsageError("the following arguments are required: command")
+        elif _classify(HELP_OPTIONS, argv[0]) in (("-h", None),
+                                                  ("--help", None)):
+            values = None
+        else:
+            raise UsageError("argument command: invalid choice: %r (choose "
+                             "from %s)" % (argv[0], ", ".join(
+                                 map(repr, COMMANDS))))
+    except UsageError as err:
+        print("%s\n%s: error: %s" % (usage(command),
+                                     " ".join(filter(None, (PROG, command))),
+                                     err), file=sys.stderr)
+        return 2
+    if values is None:
+        sys.stdout.write(help_text(command))
+        return 0
+    return COMMANDS[command][2](values)
 
 
 if __name__ == "__main__":

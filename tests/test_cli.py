@@ -1,8 +1,12 @@
 """Command-line interface: flags, exit codes, report files, determinism."""
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -10,12 +14,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phmorph import runner, scenarios
+from phmorph import cli, runner, scenarios
 from phmorph.cli import main
-from phmorph.runner import ALL_IDENTITIES
+from phmorph.runner import ALL_IDENTITIES, RunConfig
 from phmorph.scenarios import list_scenarios
 from tests.test_exprs import random_expression
 from tests.test_golden import WORKLOADS
@@ -149,6 +153,59 @@ def test_a_report_file_has_the_mode_of_a_new_file(tmp_path, capsys):
     assert path.stat().st_mode & 0o777 == 0o644
 
 
+def test_an_existing_report_file_keeps_its_mode(tmp_path, capsys):
+    # as open(path, "w") would leave it, whatever the umask
+    path = tmp_path / "out.json"
+    path.write_text("old")
+    path.chmod(0o600)
+    umask = os.umask(0o022)
+    try:
+        code, _ = run(capsys, "verify", "--scenario", "flat-projection-4-2",
+                      "--samples", "1", "--report", str(path))
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert path.stat().st_mode & 0o7777 == 0o600
+    assert json.loads(path.read_text())["verdict"] == "pass"
+
+
+def test_a_report_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _ = run(capsys, "verify", "--scenario", "flat-projection-4-2",
+                  "--samples", "1", "--report", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("through_symlink", [False, True],
+                         ids=["fifo", "symlink-to-fifo"])
+def test_a_report_into_a_fifo_is_written_in_place(tmp_path, capsys,
+                                                  through_symlink):
+    # a path that is not a regular file is written, never replaced; the
+    # report of one sample fits in the pipe's buffer, so nothing blocks
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    path = fifo
+    if through_symlink:
+        path = tmp_path / "link"
+        path.symlink_to(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _ = run(capsys, "verify", "--scenario", "flat-projection-4-2",
+                      "--samples", "1", "--report", str(path))
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert path.is_symlink() == through_symlink
+    assert json.loads(data)["verdict"] == "pass"
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -269,13 +326,23 @@ def test_changed_metric_out_of_the_float_range_warns_nothing():
 
 
 def assert_config_error(capsys, *argv):
-    """The run exits 2 with one ``error:`` line and no traceback."""
+    """The run exits 2 with one ``error:`` line and no traceback; returns
+    that line."""
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("option", ["--sigma", "--rho", "--special-sigma"])
+def test_an_empty_expression_exit_two(capsys, option):
+    err = assert_config_error(capsys, "verify", "--scenario",
+                              "flat-projection-4-2", "--samples", "1",
+                              option, "")
+    assert err == "error: empty expression at offset 0\n"
 
 
 @pytest.mark.parametrize("sigma, offset", [
@@ -377,18 +444,33 @@ def test_an_exhausted_sample_region_exit_two(capsys):
         "error: sample region exhausted after 3000 attempts\n"
 
 
-def test_a_run_does_not_load_numpy_random(tmp_path):
-    # points and test directions come from scenarios.uniform, whose hash
-    # needs no generator module
+def loaded_by_a_run(tmp_path, modules):
+    """The exit code of a README run in a fresh process, then the names of
+    ``modules`` it left in ``sys.modules``; and its stderr."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     code = ("import sys; from phmorph.cli import main; "
-            "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
+            "code = main(sys.argv[2:]); print(code, *[m for m in "
+            "sys.argv[1].split(',') if m in sys.modules])")
     argv = (["verify"] + README_ARGS
             + ["--samples", "20", "--report", str(tmp_path / "r.json")])
-    proc = subprocess.run([sys.executable, "-c", code] + argv, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    proc = subprocess.run([sys.executable, "-c", code, ",".join(modules)]
+                          + argv, env=env, capture_output=True, text=True,
+                          timeout=120)
+    return proc.stdout.split(), proc.stderr
+
+
+def test_a_run_does_not_load_numpy_random(tmp_path):
+    # points and test directions come from scenarios.uniform, whose hash
+    # needs no generator module
+    out, err = loaded_by_a_run(tmp_path, ["numpy.random"])
+    assert out == ["0"], err
+
+
+def test_a_run_does_not_load_argparse_gettext_or_locale(tmp_path):
+    # their set-up cost a fresh process a third of a short run
+    out, err = loaded_by_a_run(tmp_path, ["argparse", "gettext", "locale"])
+    assert out == ["0"], err
 
 
 def test_negative_seed_exit_two(capsys):
@@ -427,3 +509,177 @@ def test_fuzzed_scenarios_identities_and_sample_counts_end_in_an_exit_code(
         if os.path.exists(path):
             with open(path) as handle:
                 json.load(handle, parse_constant=_strict)
+
+
+def reference_parser():
+    """The argparse parser that read the command line before
+    ``cli.parse_options``: the reference its rules are checked against."""
+    parser = argparse.ArgumentParser(
+        prog="phmorph",
+        description="Numerical verification of biconformal metric-change "
+                    "identities on bundled example geometries.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_list = sub.add_parser("list", help="list bundled scenarios")
+    p_list.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_verify = sub.add_parser("verify", help="run the identity suite")
+    p_verify.add_argument("--scenario", required=True)
+    p_verify.add_argument("--sigma", default="1",
+                          help="horizontal conformal factor expression")
+    p_verify.add_argument("--rho", default=None,
+                          help="vertical conformal factor expression "
+                               "(default: 1)")
+    p_verify.add_argument("--special-sigma", default=None,
+                          help="use the one-function change driven by this "
+                               "sigma expression (requires m > 2n)")
+    p_verify.add_argument("--samples", type=int, default=100)
+    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--tol-ad", type=float, default=1e-8)
+    p_verify.add_argument("--tol-fd", type=float, default=1e-5)
+    p_verify.add_argument("--identities", default=None,
+                          help="comma-separated subset of: "
+                               + ",".join(ALL_IDENTITIES))
+    p_verify.add_argument("--report", default=None,
+                          help="write the report to this path (atomically)")
+    p_verify.add_argument("--format", choices=("json", "csv", "text"),
+                          default="json")
+    return parser
+
+
+REFERENCE = reference_parser()
+VERIFY_OPTIONS = ["--scenario", "--sigma", "--rho", "--special-sigma",
+                  "--samples", "--seed", "--tol-ad", "--tol-fd",
+                  "--identities", "--report", "--format"]
+
+
+def reference_outcome(argv):
+    """Exit code of the reference parser, or what the command reads."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            ns = REFERENCE.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+    if ns.command == "list":
+        return ns.format
+    options = {f.name: getattr(ns, f.name)
+               for f in dataclasses.fields(RunConfig)
+               if f.name != "identities"}
+    config = RunConfig(identities=ns.identities.split(",")
+                       if ns.identities else None, **options)
+    return repr(config), ns.report, ns.format  # repr: nan == nan
+
+
+def outcome(argv):
+    """Exit code of ``main`` where it stops at the command line, or what
+    the command reads."""
+    command, args = argv[0], argv[1:]
+    try:
+        values = cli.parse_options(cli.COMMANDS[command][1], args)
+    except cli.UsageError:
+        values = None
+    if values is None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (out.getvalue() == "") == (code == 2)
+        assert err.getvalue().startswith("usage: ") == (code == 2)
+        return code
+    if command == "list":
+        return values["format"]
+    return repr(cli.run_config(values)), values["report"], values["format"]
+
+
+def prefixes(name):
+    """``name`` or a prefix of it, which may be ambiguous."""
+    return st.one_of(st.just(name), st.just(name),
+                     st.integers(3, len(name)).map(lambda k: name[:k]))
+
+
+STRINGS = st.sampled_from(["hopf", "exp(0.2*x1)", "", "-", "-1 + x1", "x=1",
+                           "tension-transform,koszul-horizontal"])
+INTS = st.one_of(st.integers(-5, 10**6).map(str),
+                 st.sampled_from(["1_000", " 7 ", "-1"]))
+FLOATS = st.one_of(st.floats().map(repr),
+                   st.sampled_from(["nan", "1e400", "-.5", "1e-5", "2"]))
+TYPED = {"--samples": INTS, "--seed": INTS, "--tol-ad": FLOATS,
+         "--tol-fd": FLOATS,
+         "--format": st.sampled_from(["json", "csv", "text"])}
+# an option, maybe abbreviated, with a value of its type, apart or after "="
+WELL_FORMED = st.sampled_from(VERIFY_OPTIONS).flatmap(
+    lambda name: st.tuples(prefixes(name), TYPED.get(name, STRINGS),
+                           st.booleans()))
+WELL_FORMED = WELL_FORMED.map(
+    lambda t: ["=".join(t[:2])] if t[2] else list(t[:2]))
+# a value of the wrong type or that reads as an option, an option without
+# its value, a stray value, an unknown option, help or "--"
+ANY_VALUE = st.one_of(st.sampled_from(["-x1", "-1e-5", "-h x", "xml"]),
+                      STRINGS, INTS, FLOATS)
+MALFORMED = st.one_of(
+    st.tuples(st.sampled_from(VERIFY_OPTIONS).flatmap(prefixes), ANY_VALUE)
+    .map(list),
+    st.sampled_from(VERIFY_OPTIONS + ["--fd-step"]).flatmap(prefixes)
+    .map(lambda name: [name]),
+    ANY_VALUE.map(lambda value: [value]),
+    st.sampled_from(["-h", "--help", "--he", "-hx", "--help=1", "--foo",
+                     "--foo=1", "-x", "--", "---"]).map(lambda a: [a]))
+ARGVS = st.tuples(
+    st.sampled_from(["verify"] * 5 + ["list"]),
+    st.sampled_from([[]] + [["--scenario", "hopf"], ["--scen=hopf"]] * 2),
+    st.lists(WELL_FORMED, max_size=5),
+    st.one_of(st.just([]), st.lists(MALFORMED, min_size=1, max_size=2)),
+    st.integers(0, 5),
+).map(lambda t: [t[0]] + t[1] + sum(t[2][:t[4]] + t[3] + t[2][t[4]:], []))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ARGVS)
+@example(["verify", "--help", "--", "--s"])  # all after "--" are values
+def test_the_command_line_reads_as_argparse_reads_it(argv):
+    # exit 2 exactly where argparse exits 2, help where it gives help, and
+    # otherwise the same configuration, report path and format
+    assert outcome(argv) == reference_outcome(argv)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--samples", "x"], "--samples"), (["--sam=1.5"], "--samples"),
+    (["--tol-fd", "-1e-5"], "--tol-fd"), (["--sigma", "-x1"], "--sigma"),
+    (["--s", "1"], "--s"), (["--format", "xml"], "--format"),
+    (["--fd-step=1e-4"], "--fd-step"), (["--scenario"], "--scenario")])
+def test_a_usage_error_exits_two_naming_the_option(capsys, argv, option):
+    code = main(["verify", "--scenario", "hopf"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    usage, error = captured.err.split("\nphmorph verify: error: ")
+    assert usage.startswith("usage: phmorph verify [-h] --scenario SCENARIO")
+    assert option in error and error.endswith("\n")
+
+
+def test_a_missing_scenario_exits_two_naming_it(capsys):
+    assert main(["verify", "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("phmorph verify: error: the following "
+                                 "arguments are required: --scenario\n")
+
+
+def test_help_lists_each_option_with_its_default(capsys):
+    assert main(["verify", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: phmorph verify [-h]")
+    for name in VERIFY_OPTIONS:
+        assert "\n  %s " % name in captured.out, name
+    for field in dataclasses.fields(RunConfig):
+        if field.default not in (None, dataclasses.MISSING):
+            assert "(default: %s)" % field.default in captured.out
+    assert "horizontal conformal factor expression" in captured.out
+    assert main(["verify", "-h"]) == 0
+    assert capsys.readouterr().out == captured.out
+    assert main(["list", "--help"]) == 0
+    assert "\n  --format {text,json}\n      (default: text)\n" \
+        in capsys.readouterr().out
+    assert main(["--help"]) == 0
+    assert "\n  verify " in capsys.readouterr().out
