@@ -313,9 +313,6 @@ def verify_koszul_v(gbar: ChangedMetric, geo: LocalGeometry, v_comp,
     d g-bar), so this law does not test it; koszul-horizontal and
     tension-f-structure catch a wrong one, as
     ``test_a_wrong_projector_derivative_fails_a_hopf_run`` shows."""
-    phi = gbar.phi
-    if phi.m <= phi.two_n:
-        raise GeometryError("no vertical distribution (m = 2n)")
     g = geo.g
     ph = geo.projector_and_lift[0]
     v_comp = np.asarray(v_comp, dtype=float)
@@ -344,9 +341,6 @@ def verify_mean_curvature(gbar: ChangedMetric, geo: LocalGeometry,
     Both sides read the same dP_H (g-bar keeps H), so this law does not
     test it; koszul-horizontal and tension-f-structure catch a wrong dP_H,
     as ``test_a_wrong_projector_derivative_fails_a_hopf_run`` shows."""
-    phi = gbar.phi
-    if phi.m <= phi.two_n:
-        raise GeometryError("no fibers (m = 2n)")
     lhs = mean_curvature_vertical(geo.under(gbar))
     mu = mean_curvature_vertical(geo)
     _, grad_lr = gbar.grad_log_factors(geo)

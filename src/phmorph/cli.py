@@ -1,9 +1,10 @@
 """Command-line driver: list scenarios, run verification suites, emit
-machine-readable reports.
-
-Exit codes: 0 all selected identities pass, 1 an identity or flag check
-failed, 2 a malformed or unknown option, configuration or expression errors,
-a run too large for memory or an unwritable report.
+machine-readable reports.  Each command returns its output and exit code,
+and ``main`` alone writes the one and gives the other: 0 all selected
+identities pass, 1 an identity or flag check failed, 2 a malformed or
+unknown option, configuration or expression errors, a run too large for
+memory or output that cannot be written (a closed stdout, an empty or
+unwritable ``--report``), each reported in one line on stderr.
 
 The options of ``verify`` are the fields of ``runner.RunConfig``: ``--`` and
 the field name with ``_`` as ``-``, read by ``int`` or ``float`` where the
@@ -25,6 +26,7 @@ process a third of a short run:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -33,8 +35,7 @@ import sys
 import tempfile
 from dataclasses import MISSING, fields
 
-from . import exprs, scenarios
-from .manifold import GeometryError
+from . import scenarios
 from .runner import ALL_IDENTITIES, RunConfig, run_verification
 
 PROG = "phmorph"
@@ -54,19 +55,16 @@ def _scenario_descriptor(name):
     }
 
 
-def cmd_list(values) -> int:
-    names = scenarios.list_scenarios()
-    descriptors = [_scenario_descriptor(n) for n in names]
+def cmd_list(values):
+    """The scenario list in ``values["format"]`` and exit code 0."""
+    rows = [_scenario_descriptor(n) for n in scenarios.list_scenarios()]
     if values["format"] == "json":
-        print(json.dumps(descriptors, indent=2, sort_keys=True))
-        return 0
-    for d in descriptors:
-        flags = ", ".join("%s=%s" % (k, v)
-                          for k, v in sorted(d["expected_flags"].items()))
-        opt = " [optional]" if d["optional"] else ""
-        print("%s (m=%d, 2n=%d)%s - %s" % (d["name"], d["m"],
-                                           d["target_dim"], opt, flags))
-    return 0
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n", 0
+    return "".join("%s (m=%d, 2n=%d)%s - %s\n" % (
+        d["name"], d["m"], d["target_dim"],
+        " [optional]" if d["optional"] else "",
+        ", ".join("%s=%s" % kv for kv in sorted(d["expected_flags"].items())))
+        for d in rows), 0
 
 
 def _report_text(report) -> str:
@@ -114,6 +112,8 @@ def _write_report(path: str, payload: str):
     mode of the file it replaces, or that of a new file.  A symlink is
     followed, and a path that is not a regular file (a FIFO, a device) is
     written in place, never replaced."""
+    if not path:  # as open("", "w") fails; realpath reads "" as "."
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
     path = os.path.realpath(path)
     try:
         mode = os.stat(path).st_mode
@@ -143,34 +143,16 @@ def run_config(values) -> RunConfig:
     split on commas."""
     options = {f.name: values[f.name] for f in fields(RunConfig)}
     identities = options.pop("identities")
-    return RunConfig(identities=identities.split(",") if identities else None,
-                     **options)
+    return RunConfig(identities=None if identities is None
+                     else identities.split(","), **options)
 
 
-def cmd_verify(values) -> int:
-    config = run_config(values)
-    try:
-        report = run_verification(config)
-    except (ValueError, KeyError, GeometryError, exprs.ParseError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except MemoryError as err:
-        print("error: out of memory: %s" % err, file=sys.stderr)
-        return 2
-    payload = render_report(report, values["format"])
-    try:
-        if values["report"]:
-            _write_report(values["report"], payload)
-        else:
-            sys.stdout.write(payload)
-    except OSError as err:
-        print("error: cannot write the report to %s: %s"
-              % (values["report"] or "stdout", err.strerror or err),
-              file=sys.stderr)
-        return 2
-    if report["verdict"] in ("pass", "skipped"):
-        return 0
-    return 1
+def cmd_verify(values):
+    """The rendered report and exit code 0 (pass or skipped) or 1 (fail);
+    raises on a configuration error or a run too large for memory."""
+    report = run_verification(run_config(values))
+    return (render_report(report, values["format"]),
+            0 if report["verdict"] in ("pass", "skipped") else 1)
 
 
 class Option:
@@ -357,8 +339,11 @@ def help_text(command: str) -> str:
 
 
 def main(argv=None) -> int:
+    """Run the command of ``argv``, write what it returns to stdout or
+    ``--report`` and give its exit code, or report a failure and give 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else ""
+    path = None
     try:
         if command:
             values = parse_options(COMMANDS[command][1], argv[1:])
@@ -371,15 +356,30 @@ def main(argv=None) -> int:
             raise UsageError("argument command: invalid choice: %r (choose "
                              "from %s)" % (argv[0], ", ".join(
                                  map(repr, COMMANDS))))
+        if values is None:
+            payload, code = help_text(command), 0
+        else:
+            payload, code = COMMANDS[command][2](values)
+            path = values.get("report")
+        if path is None:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        else:
+            _write_report(path, payload)
+        return code
     except UsageError as err:
         print("%s\n%s: error: %s" % (usage(command),
                                      " ".join(filter(None, (PROG, command))),
                                      err), file=sys.stderr)
-        return 2
-    if values is None:
-        sys.stdout.write(help_text(command))
-        return 0
-    return COMMANDS[command][2](values)
+    except (ValueError, KeyError) as err:  # ParseError and GeometryError too
+        print("error: %s" % err, file=sys.stderr)
+    except MemoryError as err:
+        print("error: out of memory: %s" % err, file=sys.stderr)
+    except OSError as err:
+        print("error: cannot write the report to %s: %s"
+              % ("stdout" if path is None else path, err.strerror or err),
+              file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

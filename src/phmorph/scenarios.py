@@ -30,10 +30,6 @@ class Scenario:
     def source(self) -> ChartedRiemannianManifold:
         return self.phi.source
 
-    @property
-    def target(self) -> ChartedRiemannianManifold:
-        return self.phi.target
-
     def self_check(self, geo: LocalGeometry):
         """(ok, message) of the construction check at the rows of ``geo``."""
         return True, ""

@@ -127,6 +127,19 @@ def test_special_change_exponents():
         special_change(SmoothMap(r4, r4, lambda c: c), s)
 
 
+def test_the_fiber_laws_raise_on_a_map_without_fibers():
+    # runs skip both laws where m = 2n; called directly, they find no
+    # vertical part and no fibers
+    r4 = pm.euclidean_space(4)
+    phi = SmoothMap(r4, r4, lambda c: c)
+    gbar = ChangedMetric.from_texts(phi, "exp(x1)")
+    geo = at(phi, [P4])
+    with pytest.raises(GeometryError, match="V has no vertical part"):
+        verify_koszul_v(gbar, geo, np.array([[1.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(GeometryError, match="no fibers"):
+        verify_mean_curvature(gbar, geo)
+
+
 def test_compose_matches_sequential_metrics():
     # change a, then change b, is the one change with multiplied factors
     sc = get_scenario("flat-projection-4-2")

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -25,6 +26,12 @@ from tests.test_exprs import random_expression
 from tests.test_golden import WORKLOADS
 
 README_ARGS = WORKLOADS["readme-6-4"][0]
+
+
+def src_env():
+    """The environment of a fresh process that imports phmorph from here."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
 
 
 def run(capsys, *argv):
@@ -206,6 +213,26 @@ def test_a_report_into_a_fifo_is_written_in_place(tmp_path, capsys,
     assert json.loads(data)["verdict"] == "pass"
 
 
+def test_a_failed_replace_leaves_the_old_report(tmp_path, capsys,
+                                               monkeypatch):
+    path = tmp_path / "out.json"
+    path.write_text("old")
+    path.chmod(0o640)
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    err = assert_config_error(capsys, "verify", "--scenario",
+                              "flat-projection-4-2", "--samples", "1",
+                              "--report", str(path))
+    assert err == "error: cannot write the report to %s: %s\n" % (
+        path, os.strerror(errno.EACCES))
+    assert path.read_text() == "old"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -224,6 +251,42 @@ def test_csv_format(capsys):
     header = out.splitlines()[0]
     assert header.startswith("identity,")
     assert "max_rel_residual" in header
+
+
+def test_text_format_lists_identities_skips_and_flags(capsys):
+    # nonphwc-anisotropic skips every identity but phwc-equivalence
+    argv = ["verify", "--scenario", "nonphwc-anisotropic", "--samples", "3"]
+    assert main(argv + ["--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    code, out = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    [row] = report["per_identity"]
+    assert out.splitlines() == [
+        "scenario: nonphwc-anisotropic",
+        "verdict: pass",
+        "  phwc-equivalence     pass=3 fail=0 error=0 max_rel=%.3e"
+        % row["max_rel_residual"],
+    ] + ["  %-20s skipped (scenario is not PHWC)" % name
+         for name in ALL_IDENTITIES if name != "phwc-equivalence"] + [
+        "  flag harmonic   expected=True confirmed=True",
+        "  flag phh        expected=None confirmed=None",
+        "  flag phwc       expected=False confirmed=True",
+    ]
+
+
+def test_text_format_of_a_skipped_run_shows_its_warning(capsys,
+                                                        monkeypatch):
+    from tests.test_runner import CONSTRUCTION_FAILED, _double_target_metric
+    scenario = scenarios.get_scenario("hopf")
+    _double_target_metric(scenario)
+    monkeypatch.setattr(scenarios, "get_scenario", lambda name: scenario)
+    code, out = run(capsys, "verify", "--scenario", "hopf", "--samples", "5",
+                    "--seed", "3", "--format", "text")
+    assert code == 0
+    point = scenarios.sample_points(scenario, 5, 3)[0]
+    assert out == ("scenario: hopf\nverdict: skipped\n"
+                   "  warning: %s %s (defect 1)\n"
+                   % (CONSTRUCTION_FAILED, point.tolist()))
 
 
 def test_errored_samples_fail_the_run(capsys):
@@ -311,13 +374,11 @@ def test_fd_step_is_retired(tmp_path, capsys):
 def test_changed_metric_out_of_the_float_range_warns_nothing():
     # sigma^-2 underflows or overflows at most points: each is a sample
     # error with a message, and numpy never divides by zero or overflows
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "phmorph.cli", "verify",
          "--scenario", "flat-projection-4-2", "--sigma", "exp(1000*x1)",
          "--samples", "12"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     data = json.loads(proc.stdout, parse_constant=_strict)
@@ -343,6 +404,25 @@ def test_an_empty_expression_exit_two(capsys, option):
                               "flat-projection-4-2", "--samples", "1",
                               option, "")
     assert err == "error: empty expression at offset 0\n"
+
+
+def test_an_empty_identity_list_exit_two(capsys):
+    err = assert_config_error(capsys, "verify", "--scenario",
+                              "flat-projection-4-2", "--samples", "1",
+                              "--identities", "")
+    assert err.startswith("error: unknown identity ''; available: ")
+
+
+def test_an_empty_report_path_exit_two(tmp_path, capsys, monkeypatch):
+    # as open("", "w") fails; nothing is written, in the working directory
+    # or elsewhere
+    monkeypatch.chdir(tmp_path)
+    err = assert_config_error(capsys, "verify", "--scenario",
+                              "flat-projection-4-2", "--samples", "1",
+                              "--report", "")
+    assert err == ("error: cannot write the report to : %s\n"
+                   % os.strerror(errno.ENOENT))
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("sigma, offset", [
@@ -447,16 +527,14 @@ def test_an_exhausted_sample_region_exit_two(capsys):
 def loaded_by_a_run(tmp_path, modules):
     """The exit code of a README run in a fresh process, then the names of
     ``modules`` it left in ``sys.modules``; and its stderr."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     code = ("import sys; from phmorph.cli import main; "
             "code = main(sys.argv[2:]); print(code, *[m for m in "
             "sys.argv[1].split(',') if m in sys.modules])")
     argv = (["verify"] + README_ARGS
             + ["--samples", "20", "--report", str(tmp_path / "r.json")])
     proc = subprocess.run([sys.executable, "-c", code, ",".join(modules)]
-                          + argv, env=env, capture_output=True, text=True,
-                          timeout=120)
+                          + argv, env=src_env(), capture_output=True,
+                          text=True, timeout=120)
     return proc.stdout.split(), proc.stderr
 
 
@@ -471,6 +549,27 @@ def test_a_run_does_not_load_argparse_gettext_or_locale(tmp_path):
     # their set-up cost a fresh process a third of a short run
     out, err = loaded_by_a_run(tmp_path, ["argparse", "gettext", "locale"])
     assert out == ["0"], err
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"], ["list", "--format", "json"], ["--help"], ["verify", "--help"],
+    ["verify", "--scenario", "flat-projection-4-2", "--samples", "2",
+     "--format", "text"]], ids=" ".join)
+def test_a_closed_stdout_exits_two_with_one_error_line(argv):
+    # stdout is a pipe whose read end is closed before the command runs
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "phmorph.cli"] + argv,
+                              env=src_env(), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_negative_seed_exit_two(capsys):
@@ -566,8 +665,8 @@ def reference_outcome(argv):
     options = {f.name: getattr(ns, f.name)
                for f in dataclasses.fields(RunConfig)
                if f.name != "identities"}
-    config = RunConfig(identities=ns.identities.split(",")
-                       if ns.identities else None, **options)
+    config = RunConfig(identities=None if ns.identities is None
+                       else ns.identities.split(","), **options)
     return repr(config), ns.report, ns.format  # repr: nan == nan
 
 
@@ -665,6 +764,17 @@ def test_a_missing_scenario_exits_two_naming_it(capsys):
                                  "arguments are required: --scenario\n")
 
 
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--foo", "-h"]],
+                         ids=["none", "unknown", "option-first"])
+def test_a_missing_or_unknown_command_exits_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage == "usage: phmorph [-h] {list,verify} ..."
+    assert error.startswith("phmorph: error: ")
+
+
 def test_help_lists_each_option_with_its_default(capsys):
     assert main(["verify", "--help"]) == 0
     captured = capsys.readouterr()
@@ -683,3 +793,6 @@ def test_help_lists_each_option_with_its_default(capsys):
         in capsys.readouterr().out
     assert main(["--help"]) == 0
     assert "\n  verify " in capsys.readouterr().out
+    assert main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: phmorph [-h] {list,verify} ...\n")
