@@ -156,4 +156,4 @@ def test_identity(benchmark, workload, name):
 
     timed(benchmark, workload, check)
     assert all(rep.error is None for rep in results)
-    assert np.all([rep.passed for rep in results]) or name == "corollary-phh"
+    assert np.all([rep.passed for rep in results])

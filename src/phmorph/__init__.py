@@ -3,7 +3,7 @@ Hermitian manifolds: second-order jet autodiff, tension fields, induced
 f-structures, and verification of biconformal metric-change identities."""
 
 from .jets import Jet2, JetDomainError, seed_coordinates
-from .exprs import EvalError, ParseError, eval_jet, parse, to_text
+from .exprs import EvalError, ParseError, eval_jet, parse
 from .manifold import (ChartedRiemannianManifold, DomainError, FDMetric,
                        GeometryError, JetMetric, MetricError, euclidean_space)
 from .maps import (LocalGeometry, OrthoSplit, RankError, FrameError,

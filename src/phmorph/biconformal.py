@@ -21,8 +21,12 @@ independent routes (the Levi-Civita geometry of g-bar, built from g-bar's own
 (g-bar, d g-bar), on one side; the closed-form transformation law on g's
 connection on the other) and returns one report per row (``row_reports``);
 ``runner.IDENTITIES`` folds the reports over a run's points.  ``PROPERTIES``
-(PHWC, harmonicity, PHH) are read under g by the run's flags and under the
-one-function change by the corollaries (``corollary_at``).
+(PHWC, harmonicity, PHH) are read under g by the run's flags, and under the
+one-function change by the corollaries (``corollary_at``), against exact
+predictions from g-side quantities: a PHWC defect of 0, the tension field
+sigma^2 tau, and a PHH defect of sigma times the frame norm of
+phh-covariant's correction (``phh_correction``).  A corollary's residual is
+a true residual, read by one rule at every point.
 """
 
 from __future__ import annotations
@@ -198,9 +202,8 @@ def errored_report(identity, p, err) -> IdentityResidualReport:
 
 @dataclass
 class IdentityAggregate:
-    """Per-identity tally of sample reports, read in sample-point order.
-    A corollary's worst point has the largest absolute residual rather than
-    the largest relative one (for corollary-phh, the PHH defect itself)."""
+    """Per-identity tally of sample reports, read in sample-point order;
+    the worst point has the largest relative residual."""
     name: str
     samples_pass: int = 0
     samples_fail: int = 0
@@ -209,7 +212,6 @@ class IdentityAggregate:
     max_rel_residual: float = 0.0
     worst_point: Optional[list] = None
     errors: list = dc_field(default_factory=list)
-    worst_by_abs: bool = False
 
     def add(self, rep: IdentityResidualReport):
         if rep.error is not None:
@@ -218,11 +220,7 @@ class IdentityAggregate:
             return
         # ">=": of two equal residuals the later point is the worst; a NaN
         # residual never is
-        if self.worst_by_abs:
-            beats = rep.abs_residual >= self.max_abs_residual
-        else:
-            beats = rep.rel_residual >= self.max_rel_residual
-        if beats:
+        if rep.rel_residual >= self.max_rel_residual:
             self.max_abs_residual = rep.abs_residual
             self.max_rel_residual = rep.rel_residual
             self.worst_point = rep.point
@@ -384,16 +382,35 @@ def verify_tension_transform(gbar: ChangedMetric, geo: LocalGeometry,
     return _report("tension-transform", geo.p, lhs, rhs, tol)
 
 
+def phh_correction(gbar: ChangedMetric, geo: LocalGeometry,
+                   J: AlmostComplexStructureField, x, y, base=0.0):
+    """base + C(X, Y), what the change adds to H((nabla_X F)Y) for
+    horizontal X, Y (components on the last axis, after any axes past the
+    batch's, such as a frame's pairs, over which the fields are spread),
+    summed from base, in the order of the terms:
+
+    C(X, Y) = g(X, FY) grad_H(ln sigma) - FY(ln sigma) X + Y(ln sigma) FX
+              - g(X, Y) F(grad_H(ln sigma))"""
+    spread = tuple(range(geo.p.ndim - 1, np.ndim(x) - 1))
+    g, f, ph, grad_ls = (np.expand_dims(a, spread) for a in (
+        geo.g, f_structure(geo, J), geo.projector_and_lift[0],
+        gbar.grad_log_factors(geo)[0]))
+    grad_h, dls, fy = matvec(ph, grad_ls), matvec(g, grad_ls), matvec(f, y)
+    return (base + quad(x, g, fy)[..., None] * grad_h
+            - dot(dls, fy)[..., None] * x
+            + dot(dls, y)[..., None] * matvec(f, x)
+            - quad(x, g, y)[..., None] * matvec(f, grad_h))
+
+
 def verify_phh_covariant_formula(gbar: ChangedMetric, geo: LocalGeometry,
                                  J: AlmostComplexStructureField, x_comp,
                                  y_comp, tol: float = 1e-5):
     """Horizontal part of (nabla-bar_X F)Y for horizontal X, Y against its
     expansion in terms of the unchanged connection and ln sigma:
 
-    H((nabla-bar_X F)Y) = H((nabla_X F)Y) + g(X, FY) grad_H(ln sigma)
-                          - FY(ln sigma) X + Y(ln sigma) FX
-                          - g(X, Y) F(grad_H(ln sigma))
-    """
+    H((nabla-bar_X F)Y) = H((nabla_X F)Y) + C(X, Y)
+
+    with C the correction of ``phh_correction``."""
     g = geo.g
     ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
@@ -406,16 +423,8 @@ def verify_phh_covariant_formula(gbar: ChangedMetric, geo: LocalGeometry,
     lhs = matvec(ph, contract(nab_bar.swapaxes(-3, -2), xy))
 
     nab = nabla_f_operator(f, df, geo.christoffel)
-    grad_ls, _ = gbar.grad_log_factors(geo)
-    grad_h = matvec(ph, grad_ls)
-    dls = matvec(g, grad_ls)
-    fy = matvec(f, y)
-    fx = matvec(f, x)
-    rhs = (matvec(ph, contract(nab.swapaxes(-3, -2), xy))
-           + quad(x, g, fy)[..., None] * grad_h
-           - dot(dls, fy)[..., None] * x
-           + dot(dls, y)[..., None] * fx
-           - quad(x, g, y)[..., None] * matvec(f, grad_h))
+    rhs = phh_correction(gbar, geo, J, x, y,
+                         matvec(ph, contract(nab.swapaxes(-3, -2), xy)))
     return _report("phh-covariant", geo.p, lhs, rhs, tol)
 
 
@@ -480,54 +489,51 @@ def verify_phwc_equivalence(geo: LocalGeometry,
 
 # ---- properties of phi and J, read under g and under a change -----------
 
-# the PHH defect that a nonconstant sigma must reach where it breaks PHH
-BREAKING_FLOOR = 1e-3
-
-
 @dataclass(frozen=True)
 class Property:
-    """A property of phi and J: ``reading(geo, J)``, its (defect, relative
-    defect) at each row of a geometry, holds below tolerance; ``kept(gbar)``,
-    whether the one-function change keeps it where phi has it; ``shows(gbar,
-    geo, defect, tol)``, per row, whether its failure under gbar shows."""
-    reading: Callable
-    kept: Callable = lambda gbar: True
-    shows: Optional[Callable] = None
+    """A property of phi and J: ``measure(geo, J)`` gives per row a value
+    (components on the last axis) that vanishes where it holds, and its
+    scale; ``predict(gbar, geo, J)``, that value under the one-function
+    change ``gbar``, from phi's geometry ``geo`` under g."""
+    measure: Callable
+    predict: Callable
+
+    def reading(self, geo: LocalGeometry, J, prediction=0.0):
+        """(defect, relative defect) per row: the largest component of the
+        value less ``prediction``, relative to the scale + ``REL_FLOOR``."""
+        value, scale = self.measure(geo, J)
+        defect = np.abs(value - prediction).max(axis=-1)
+        return defect, defect / (scale + REL_FLOOR)
 
 
-def _reading(defect, scale):
-    return defect, defect / (scale + REL_FLOOR)
+def _defect(defect, scale):  # a defect as a value of one component
+    return defect[..., None], scale
 
 
-def _tension(geo, J):
-    tau = np.abs(tension_field(geo)).max(axis=-1)
-    return tau, tau / REL_FLOOR
-
-
-def _tension_shows(gbar, geo, tau_bar, tol):
-    # the change gives tau-bar = sigma^2 tau: a visible tau must not vanish
-    ref = gbar.factor_values(geo)[0] ** 2 * _tension(geo, None)[0]
-    return (ref < 10 * tol) | (tau_bar > 0.5 * ref)
-
-
-def _phh_shows(gbar, geo, defect, tol):
-    # only points with a visible horizontal log-gradient of sigma must break
-    grad_h = matvec(geo.projector_and_lift[0], gbar.grad_log_factors(geo)[0])
-    strength = np.sqrt(quad(grad_h, geo.g, grad_h))
-    return (defect > BREAKING_FLOOR) | ~(strength > 0.05)
+def _phh_prediction(gbar, geo, J):
+    """sigma ||C||, the PHH defect of a PHH map under the one-function
+    change: on the g-bar-orthonormal frame {sigma r_a} (r_a the rows of
+    the horizontal factor) H(nabla-bar F) is sigma^2 C, of g-bar-norm sigma
+    |C|.  It is 0 for constant sigma, and at n = 1, where C vanishes."""
+    r = geo.horizontal_factor
+    c = phh_correction(gbar, geo, J, r[..., :, None, :], r[..., None, :, :])
+    c = c.reshape(c.shape[:-3] + (-1, c.shape[-1]))  # one row per pair
+    norm2 = (c @ geo.g * c).sum(axis=(-2, -1))
+    return (gbar.factor_values(geo)[0] * np.sqrt(norm2))[..., None]
 
 
 # what a run's flags read under g, and its corollaries under the
-# one-function change.  PHH is kept for constant sigma, and at n = 1 for
-# every sigma: the correction term carries a factor 2n - 2, and on a
-# 2-dimensional H, H(nabla_X F)|_H is skew and anticommutes with F, so it
-# is 0 for every PHWC map
+# one-function change, where tau-bar = sigma^2 tau: the change's two
+# gradient terms in ``verify_tension_transform`` cancel
 PROPERTIES = {
-    "phwc": Property(lambda geo, J: _reading(*phwc_defect(geo, J))),
-    "harmonic": Property(_tension, shows=_tension_shows),
-    "phh": Property(lambda geo, J: _reading(*phh_defect(geo, J)),
-                    kept=lambda gbar: gbar.phi.n == 1 or exprs.max_var_index(
-                        gbar.sigma) < 0, shows=_phh_shows),
+    "phwc": Property(lambda geo, J: _defect(*phwc_defect(geo, J)),
+                     lambda gbar, geo, J: 0.0),
+    "harmonic": Property(
+        lambda geo, J: (tension_field(geo), 0.0),
+        lambda gbar, geo, J: (gbar.factor_values(geo)[0] ** 2)[..., None]
+        * tension_field(geo)),
+    "phh": Property(lambda geo, J: _defect(*phh_defect(geo, J)),
+                    _phh_prediction),
 }
 
 # corollary -> the properties it reads under the one-function change
@@ -535,23 +541,17 @@ COROLLARIES = {"corollary-psh": ("phwc", "harmonic"),
                "corollary-phh": ("phh",)}
 
 
-def corollary_at(name, flags, gbar: ChangedMetric, geo: LocalGeometry,
+def corollary_at(name, gbar: ChangedMetric, geo: LocalGeometry,
                  J: AlmostComplexStructureField, tol: float):
     """The corollary ``name`` at the rows of the point context ``geo``:
     each of its ``PROPERTIES``, read under the one-function change
-    ``gbar``, holds where phi has it under g (``flags``, the scenario's
-    expected flags) and the change keeps it, and shows that it fails
-    elsewhere.  The residual is the worst reading of the properties phi has
-    under g, relative in both fields where there are several (their
-    defects differ in scale)."""
-    names, bar, ok, worst = COROLLARIES[name], geo.under(gbar), True, None
-    for prop_name in names:
-        prop, has = PROPERTIES[prop_name], flags.get(prop_name)
-        defect, rel = prop.reading(bar, J)
-        ok = ok & (rel < tol if has and prop.kept(gbar)
-                   else prop.shows(gbar, geo, defect, tol))
-        if has:
-            new = (rel if len(names) > 1 else defect, rel)
-            worst = new if worst is None else tuple(
-                np.where(worst[1] > rel, a, b) for a, b in zip(worst, new))
-    return row_reports(name, geo.p, *worst, ok)
+    ``gbar``, equals its prediction from phi's geometry under g.  A row's
+    residual is that of the property with the largest relative residual; a
+    non-finite one is a sample error."""
+    bar, props = geo.under(gbar), [PROPERTIES[p] for p in COROLLARIES[name]]
+    absr, rel = (np.stack(part) for part in zip(*(
+        prop.reading(bar, J, prop.predict(gbar, geo, J)) for prop in props)))
+    worst = rel.argmax(axis=0)[None]  # each row's worst property
+    return row_reports(name, geo.p, np.take_along_axis(absr, worst, 0)[0],
+                       np.take_along_axis(rel, worst, 0)[0],
+                       (rel < tol).all(axis=0), np.isfinite(rel).all(axis=0))

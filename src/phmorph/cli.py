@@ -4,7 +4,8 @@ and ``main`` alone writes the one and gives the other: 0 all selected
 identities pass, 1 an identity or flag check failed, 2 a malformed or
 unknown option, configuration or expression errors, a run too large for
 memory or output that cannot be written (a closed stdout, an empty or
-unwritable ``--report``), each reported in one line on stderr.
+unwritable ``--report``), each reported in one line on stderr, which names
+what could not be written (a report, or other output).
 
 The options of ``verify`` are the fields of ``runner.RunConfig``: ``--`` and
 the field name with ``_`` as ``-``, read by ``int`` or ``float`` where the
@@ -19,6 +20,9 @@ process a third of a short run:
   error;
 - a separate value may start with ``-`` only if it is a negative number
   (``-1``, ``-.5``) or holds a space;
+- options before the command are the program's: ``-h`` there gives its
+  help, and an unknown one is reported with the command's unknown options
+  (``phmorph --foo -h`` prints help);
 - every usage error prints a usage line and ``phmorph <command>: error:
   ...`` naming the option on stderr and exits 2, and ``-h``/``--help``
   prints help on stdout and exits 0.
@@ -166,7 +170,9 @@ class Option:
 
 
 class UsageError(Exception):
-    """A malformed, unknown, ambiguous or missing option."""
+    """A malformed, unknown, ambiguous or missing option, among the
+    arguments of ``command`` ("" for the program's own)."""
+    command = ""
 
 
 HELP = Option("help", help="show this help message and exit")
@@ -247,10 +253,11 @@ def _convert(name: str, option: Option, text: str):
     return value
 
 
-def parse_options(options, argv) -> dict:
+def parse_options(options, argv, unknown=()) -> dict:
     """The value of each option's ``dest`` in ``argv``, read left to right
     by argparse's rules, or None where ``-h`` is read first.  Raises
-    ``UsageError``."""
+    ``UsageError``, which names the ``unknown`` arguments given before
+    ``argv`` with those of ``argv``."""
     kinds = []
     for i, arg in enumerate(argv):
         if arg == "--":  # argparse reads what follows as values
@@ -258,7 +265,7 @@ def parse_options(options, argv) -> dict:
             break
         kinds.append(_classify(options, arg))
     values = {o.dest: o.default for o in options.values()}
-    seen, unknown = set(), []
+    seen, unknown = set(), list(unknown)
     i = 0
     while i < len(argv):
         kind, arg = kinds[i], argv[i]
@@ -338,29 +345,45 @@ def help_text(command: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_command_line(argv):
+    """(command, values) of ``argv`` as argparse reads it: the command is
+    the first argument read as a value, after the program's own options;
+    ``values`` is None for help (command "" for the program's), else the
+    command's options.  Raises ``UsageError``."""
+    at = next((i for i, arg in enumerate(argv)
+               if arg == "--" or _classify(HELP_OPTIONS, arg) is None),
+              len(argv))
+    helps = [arg for arg in argv[:at] if _classify(HELP_OPTIONS, arg)[0]]
+    if helps:  # read before the command
+        return "", parse_options(HELP_OPTIONS, helps[:1])
+    if at == len(argv):
+        raise UsageError("the following arguments are required: command")
+    command = argv[at]
+    if command not in COMMANDS:
+        raise UsageError("argument command: invalid choice: %r (choose "
+                         "from %s)" % (command, ", ".join(
+                             map(repr, COMMANDS))))
+    try:
+        return command, parse_options(COMMANDS[command][1], argv[at + 1:],
+                                      argv[:at])
+    except UsageError as err:
+        err.command = command
+        raise
+
+
 def main(argv=None) -> int:
     """Run the command of ``argv``, write what it returns to stdout or
     ``--report`` and give its exit code, or report a failure and give 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else ""
-    path = None
+    path, what = None, "output"
     try:
-        if command:
-            values = parse_options(COMMANDS[command][1], argv[1:])
-        elif not argv:
-            raise UsageError("the following arguments are required: command")
-        elif _classify(HELP_OPTIONS, argv[0]) in (("-h", None),
-                                                  ("--help", None)):
-            values = None
-        else:
-            raise UsageError("argument command: invalid choice: %r (choose "
-                             "from %s)" % (argv[0], ", ".join(
-                                 map(repr, COMMANDS))))
+        command, values = parse_command_line(argv)
         if values is None:
             payload, code = help_text(command), 0
         else:
             payload, code = COMMANDS[command][2](values)
-            path = values.get("report")
+            if "report" in values:  # the command writes a report
+                path, what = values["report"], "report"
         if path is None:
             sys.stdout.write(payload)
             sys.stdout.flush()
@@ -368,17 +391,16 @@ def main(argv=None) -> int:
             _write_report(path, payload)
         return code
     except UsageError as err:
-        print("%s\n%s: error: %s" % (usage(command),
-                                     " ".join(filter(None, (PROG, command))),
-                                     err), file=sys.stderr)
+        print("%s\n%s: error: %s" % (usage(err.command), " ".join(
+            filter(None, (PROG, err.command))), err), file=sys.stderr)
     except (ValueError, KeyError) as err:  # ParseError and GeometryError too
         print("error: %s" % err, file=sys.stderr)
     except MemoryError as err:
         print("error: out of memory: %s" % err, file=sys.stderr)
     except OSError as err:
-        print("error: cannot write the report to %s: %s"
-              % ("stdout" if path is None else path, err.strerror or err),
-              file=sys.stderr)
+        print("error: cannot write the %s to %s: %s"
+              % (what, "stdout" if path is None else repr(path),
+                 err.strerror or err), file=sys.stderr)
     return 2
 
 

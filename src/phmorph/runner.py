@@ -12,7 +12,8 @@ A run checks its sample points in chunks of ``CHUNK``, in order: a chunk's
 point context, phi's ``maps.LocalGeometry`` over its points as one batch, is
 handed to every applicable identity (``run_identity``), then to the flag
 checks (``confirm_flags``: ``biconformal.PROPERTIES`` under g, which the
-corollaries read under the one-function change) and, for an optional
+corollaries read under the one-function change against their predictions)
+and, for an optional
 scenario, to its construction check (``Scenario.self_check``, whose failure
 gives the "skipped" report), and dropped before the next chunk.  Every
 check returns one report per row.  ``_settle`` runs both kinds: a check
@@ -32,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import exprs, scenarios
-from .biconformal import (COROLLARIES, PROPERTIES, ChangedMetric,
+from .biconformal import (PROPERTIES, ChangedMetric,
                           HOLOMORPHIC_BUILTINS, IdentityAggregate,
                           SAMPLE_ERRORS, corollary_at, errored_report,
                           row_reports, special_change,
@@ -162,11 +163,6 @@ class Identity:
     requires: Tuple[str, ...]
     check: Callable
 
-    def aggregate(self, name: str) -> IdentityAggregate:
-        """The empty tally that this identity's reports fold into; a
-        corollary's ranks the worst point by absolute residual."""
-        return IdentityAggregate(name, worst_by_abs=name in COROLLARIES)
-
 
 IDENTITIES = {
     "phwc-equivalence": Identity((), lambda run, geo, idx: (
@@ -193,13 +189,12 @@ IDENTITIES = {
                                      tol=run.config.tol_fd))),
     "pullback": Identity(("phwc", "harmonic"), _pullback),
     "corollary-psh": Identity(("phwc", "fibers"), lambda run, geo, idx: (
-        corollary_at("corollary-psh", run.scenario.expected_flags,
-                     run.one_function, geo, run.scenario.J,
+        corollary_at("corollary-psh", run.one_function, geo, run.scenario.J,
                      run.config.tol_fd))),
     "corollary-phh": Identity(
         ("phwc", "fibers", "phh"), lambda run, geo, idx: corollary_at(
-            "corollary-phh", run.scenario.expected_flags, run.one_function,
-            geo, run.scenario.J, 10.0 * run.config.tol_ad)),
+            "corollary-phh", run.one_function, geo, run.scenario.J,
+            10.0 * run.config.tol_ad)),
 }
 ALL_IDENTITIES = tuple(IDENTITIES)
 
@@ -295,7 +290,7 @@ def run_verification(config: RunConfig):
     for name in config.identities or ALL_IDENTITIES:
         reason = skip_reason(name, scenario)
         if reason is None:
-            totals.append(IDENTITIES[name].aggregate(name))
+            totals.append(IdentityAggregate(name))
         else:
             skipped.append({"name": name, "reason": reason})
     flag_tallies = _flag_tallies(scenario)
@@ -326,7 +321,7 @@ def _assemble(config, scenario, per_identity, flags, skipped, warnings,
     if verdict is None:
         verdict = "pass" if (identities_ok and flags_confirmed) else "fail"
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "scenario": scenario.name,
         "config": dict({key: value for key, value in asdict(config).items()
                         if key != "scenario"},

@@ -19,7 +19,6 @@ from phmorph import (
     sample_points,
     special_change,
     tension_field,
-    to_text,
     verify_f_divergence,
     verify_koszul_h,
     verify_koszul_v,
@@ -30,11 +29,12 @@ from phmorph import (
     verify_tension_equivalence,
     verify_tension_transform,
 )
-from phmorph.biconformal import PROPERTIES, corollary_at
-from phmorph.manifold import directional_derivative
+from phmorph.biconformal import PROPERTIES, IdentityAggregate, corollary_at
+from phmorph.manifold import directional_derivative, matvec, quad
 from phmorph.maps import differential, horizontal_projector
 from phmorph.hermitian import adapted_frame, phwc_defect
-from phmorph.runner import IDENTITIES, RunContext, run_identity
+from phmorph.runner import RunContext, run_identity
+from tests.expr_text import to_text
 from tests.test_exact_derivatives import rotated_j
 from tests.test_maps import at
 
@@ -61,7 +61,7 @@ def factors_at(gbar, p):
 def fold(name, check, geos):
     """A corollary's reports folded into the aggregate that a run folds
     them into."""
-    agg = IDENTITIES[name].aggregate(name)
+    agg = IdentityAggregate(name)
     for geo in geos:
         for rep in check(geo):
             agg.add(rep)
@@ -241,6 +241,20 @@ def test_nonpositive_factor_fails_on_every_call(sigma, rho, factor):
             gbar.matrix_and_derivs(geo)
         with pytest.raises(PositivityError, match=factor):
             geo.under(gbar).g
+
+
+def test_a_non_finite_derivative_of_the_weight_is_a_metric_error():
+    # at x1 = 0.03, sigma = 1.8e-154 has a finite sigma^-2 = 3.0e307, but
+    # d(sigma^-2) = -2 sigma^-2 d(ln sigma) = -40 sigma^-2 overflows; a run
+    # reports the point as errored
+    sigma = "1e-154*exp(20*x1)"
+    gbar = changed_metric("flat-projection-4-2", sigma, "1")
+    geo = at(gbar.phi, [[0.03, 0.1, -0.2, 0.3]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(MetricError, match=r"the derivative of "
+                                              r"sigma\^-2 is not finite"):
+            gbar.matrix_and_derivs(geo)
+    assert np.isfinite(gbar.factor_values(geo)[0][0] ** -2)
 
 
 def test_changes_built_one_after_another_never_share_factors():
@@ -758,16 +772,14 @@ def test_pullback_rejects_unknown_name():
 # ---- corollaries --------------------------------------------------------
 
 def psh(sc, gbar, geo):
-    """corollary-psh at the rows of ``geo`` on the scenario's flags."""
-    return corollary_at("corollary-psh", sc.expected_flags, gbar, geo, sc.J,
-                        TOL_FD)
+    """corollary-psh at the rows of ``geo``."""
+    return corollary_at("corollary-psh", gbar, geo, sc.J, TOL_FD)
 
 
 def phh(sc, gbar, geo, J=None):
-    """corollary-phh at the rows of ``geo`` on the scenario's flags, for its
-    J or for ``J``."""
-    return corollary_at("corollary-phh", sc.expected_flags, gbar, geo,
-                        J or sc.J, 1e-6)
+    """corollary-phh at the rows of ``geo``, for the scenario's J or for
+    ``J``."""
+    return corollary_at("corollary-phh", gbar, geo, J or sc.J, 1e-6)
 
 
 def test_corollary_one_function_change_preserves_harmonicity():
@@ -818,13 +830,34 @@ def test_corollary_phh_constant_sigma_preserved():
 
 
 def test_corollary_phh_breaking_direction():
+    # at n = 2 a nonconstant sigma breaks PHH visibly, and the corollary
+    # reads the defect against its prediction sigma ||C||
     sc = get_scenario("flat-projection-6-4")
-    points = sample_points(sc, 6, seed=11)
+    geos = [at(sc.phi, [p]) for p in sample_points(sc, 6, seed=11)]
     gbar = one_function(sc, parse("1+0.1*x1"))
-    assert not PROPERTIES["phh"].kept(gbar)
-    out = fold("corollary-phh", lambda geo: phh(sc, gbar, geo),
-               [at(sc.phi, [p]) for p in points])
-    assert out.passed
+    prop = PROPERTIES["phh"]
+    for geo in geos:
+        assert prop.reading(geo.under(gbar), sc.J)[0][0] > 1e-3
+        assert prop.predict(gbar, geo, sc.J)[0, 0] > 1e-3
+    out = fold("corollary-phh", lambda geo: phh(sc, gbar, geo), geos)
+    assert out.passed and out.max_abs_residual < 1e-12
+
+
+@pytest.mark.parametrize("scenario", ["flat-projection-6-4",
+                                      "flat-projection-4-2", "hopf"])
+def test_the_phh_prediction_has_a_closed_form(scenario):
+    # on a PHWC map, F is an isometry of H, and the frame sums of C's terms
+    # give ||C||^2 = 8 (n - 1) |grad_H ln sigma|^2: 0 at n = 1 and for
+    # constant sigma
+    sc = get_scenario(scenario)
+    gbar = one_function(sc, parse("exp(0.3*x1+0.2*x3)"))
+    geo = at(sc.phi, sample_points(sc, 10, seed=5))
+    grad_h = matvec(horizontal_projector(geo), gbar.grad_log_factors(geo)[0])
+    closed = gbar.factor_values(geo)[0] * np.sqrt(
+        8.0 * (sc.phi.n - 1) * quad(grad_h, geo.g, grad_h))
+    predicted = PROPERTIES["phh"].predict(gbar, geo, sc.J)[:, 0]
+    assert predicted == pytest.approx(closed, rel=1e-12, abs=1e-14)
+    assert (predicted.max() > 1.0) == (sc.phi.n == 2)
 
 
 def test_corollary_phh_fails_where_phh_does_not_hold():
@@ -853,7 +886,9 @@ def test_corollary_phh_n1_kept_for_every_sigma(scenario):
     # on a 2-dimensional H is skew and anticommutes with F, so it is 0 for
     # every PHWC map: a run checks PHH kept under a nonconstant sigma
     sc = get_scenario(scenario)
-    assert PROPERTIES["phh"].kept(one_function(sc, parse(N1_SIGMA)))
+    gbar = one_function(sc, parse(N1_SIGMA))
+    geo = at(sc.phi, sample_points(sc, 20, seed=5))
+    assert np.all(PROPERTIES["phh"].predict(gbar, geo, sc.J) == 0.0)
     rep = pm.run_verification(pm.RunConfig(
         scenario=scenario, sigma=N1_SIGMA, samples=20, seed=5,
         identities=["corollary-phh"]))

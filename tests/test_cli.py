@@ -136,7 +136,7 @@ def test_json_report_schema(tmp_path, capsys):
                   "--report", str(report))
     assert code == 0
     data = json.loads(report.read_text())
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
     assert data["scenario"] == "curved-fibers-nonharmonic"
     assert data["verdict"] == "pass"
     for key in ("config", "per_identity", "skipped_identities", "flags",
@@ -226,8 +226,8 @@ def test_a_failed_replace_leaves_the_old_report(tmp_path, capsys,
     err = assert_config_error(capsys, "verify", "--scenario",
                               "flat-projection-4-2", "--samples", "1",
                               "--report", str(path))
-    assert err == "error: cannot write the report to %s: %s\n" % (
-        path, os.strerror(errno.EACCES))
+    assert err == "error: cannot write the report to %r: %s\n" % (
+        str(path), os.strerror(errno.EACCES))
     assert path.read_text() == "old"
     assert stat.S_IMODE(path.stat().st_mode) == 0o640
     assert os.listdir(tmp_path) == ["out.json"]
@@ -367,7 +367,7 @@ def test_fd_step_is_retired(tmp_path, capsys):
     assert main(["verify", "--scenario", "flat-projection-4-2",
                  "--samples", "2", "--report", str(report)]) == 0
     data = json.loads(report.read_text())
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
     assert "fd_step" not in data["config"]
 
 
@@ -420,7 +420,7 @@ def test_an_empty_report_path_exit_two(tmp_path, capsys, monkeypatch):
     err = assert_config_error(capsys, "verify", "--scenario",
                               "flat-projection-4-2", "--samples", "1",
                               "--report", "")
-    assert err == ("error: cannot write the report to : %s\n"
+    assert err == ("error: cannot write the report to '': %s\n"
                    % os.strerror(errno.ENOENT))
     assert os.listdir(tmp_path) == []
 
@@ -566,7 +566,10 @@ def test_a_closed_stdout_exits_two_with_one_error_line(argv):
     finally:
         os.close(write_end)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ")
+    what = "report" if argv[0] == "verify" and "--help" not in argv \
+        else "output"
+    assert proc.stderr.startswith(
+        "error: cannot write the %s to stdout: " % what)
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
@@ -673,9 +676,8 @@ def reference_outcome(argv):
 def outcome(argv):
     """Exit code of ``main`` where it stops at the command line, or what
     the command reads."""
-    command, args = argv[0], argv[1:]
     try:
-        values = cli.parse_options(cli.COMMANDS[command][1], args)
+        command, values = cli.parse_command_line(argv)
     except cli.UsageError:
         values = None
     if values is None:
@@ -723,18 +725,29 @@ MALFORMED = st.one_of(
     ANY_VALUE.map(lambda value: [value]),
     st.sampled_from(["-h", "--help", "--he", "-hx", "--help=1", "--foo",
                      "--foo=1", "-x", "--", "---"]).map(lambda a: [a]))
+# what may come before the command: help, unknown options, options of a
+# command, "--", or a stray value that is read as the command
+LEADING = st.sampled_from(["-h", "--help", "--he", "-hx", "--help=1", "--foo",
+                           "--foo=1", "-x", "--", "---", "-1", "-h x",
+                           "--scen=hopf", "--format", "bogus"])
 ARGVS = st.tuples(
+    st.one_of(st.just([]), st.just([]), st.lists(LEADING, min_size=1,
+                                                 max_size=2)),
     st.sampled_from(["verify"] * 5 + ["list"]),
     st.sampled_from([[]] + [["--scenario", "hopf"], ["--scen=hopf"]] * 2),
     st.lists(WELL_FORMED, max_size=5),
     st.one_of(st.just([]), st.lists(MALFORMED, min_size=1, max_size=2)),
     st.integers(0, 5),
-).map(lambda t: [t[0]] + t[1] + sum(t[2][:t[4]] + t[3] + t[2][t[4]:], []))
+).map(lambda t: t[0] + [t[1]] + t[2]
+      + sum(t[3][:t[5]] + t[4] + t[3][t[5]:], []))
 
 
 @settings(max_examples=400, deadline=None)
 @given(ARGVS)
 @example(["verify", "--help", "--", "--s"])  # all after "--" are values
+@example(["--foo", "-h", "verify"])  # help before the command
+@example(["--foo", "list"])  # an unknown option before the command
+@example(["--", "list"])  # "--" is read as the command
 def test_the_command_line_reads_as_argparse_reads_it(argv):
     # exit 2 exactly where argparse exits 2, help where it gives help, and
     # otherwise the same configuration, report path and format
@@ -764,7 +777,7 @@ def test_a_missing_scenario_exits_two_naming_it(capsys):
                                  "arguments are required: --scenario\n")
 
 
-@pytest.mark.parametrize("argv", [[], ["bogus"], ["--foo", "-h"]],
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--foo"]],
                          ids=["none", "unknown", "option-first"])
 def test_a_missing_or_unknown_command_exits_two(capsys, argv):
     assert main(argv) == 2
@@ -773,6 +786,19 @@ def test_a_missing_or_unknown_command_exits_two(capsys, argv):
     usage, error = captured.err.splitlines()
     assert usage == "usage: phmorph [-h] {list,verify} ..."
     assert error.startswith("phmorph: error: ")
+
+
+def test_options_before_the_command_are_read_as_argparse_reads_them(capsys):
+    # help there is the program's help; an unknown option there is
+    # reported with the command's own unknown ones
+    assert main(["--foo", "-h"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (cli.help_text(""), "")
+    assert main(["--foo", "list", "--bar"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "phmorph list: error: unrecognized arguments: --foo --bar\n")
 
 
 def test_help_lists_each_option_with_its_default(capsys):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phmorph import ParseError, eval_jet, parse, seed_coordinates, to_text
+from phmorph import ParseError, eval_jet, parse, seed_coordinates
 from phmorph.exprs import MAX_DEPTH, max_var_index
+from tests.expr_text import to_text
 
 
 def value(e, vals):
@@ -90,6 +91,15 @@ def test_only_ascii_digits_are_digits(text, offset):
 @pytest.mark.parametrize("text, offset", [("foo(1)", 0), ("x1 + bar", 5)])
 def test_an_unknown_identifier_is_reported_where_it_starts(text, offset):
     with pytest.raises(ParseError, match="unknown identifier") as exc:
+        parse(text)
+    assert exc.value.position == offset
+
+
+@pytest.mark.parametrize("text, offset", [("exp(x1", 6), ("sin(x1 x2)", 7)])
+def test_an_unclosed_call_is_reported_where_its_parenthesis_is_missing(
+        text, offset):
+    with pytest.raises(ParseError, match="expected '\\)' closing call to "
+                                         "'(exp|sin)'") as exc:
         parse(text)
     assert exc.value.position == offset
 

@@ -210,3 +210,18 @@ def test_nonfinite_gradient_caught_at_boundaries():
             phi.jets(p)
         with pytest.raises((JetDomainError, EvalError)):
             change.factor_jets(identity)
+
+
+def test_a_jet_of_inconsistent_shapes_is_refused():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Jet2(np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Jet2(np.zeros(2), np.zeros((3, 3)), np.zeros((3, 3, 3)))
+
+
+def test_jets_of_different_dimensions_do_not_combine():
+    x = Jet2.constant(1.0, 2)
+    y = Jet2.constant(1.0, 3)
+    for combine in (lambda: x + y, lambda: x * y, lambda: x - y):
+        with pytest.raises(ValueError, match="jet dimension mismatch"):
+            combine()

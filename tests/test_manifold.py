@@ -420,3 +420,10 @@ def test_non_finite_metric_fails_on_every_call(bad):
             with pytest.raises(MetricError, match="not finite"):
                 getattr(geo, field)
     assert metric.evaluations == 12
+
+
+def test_a_manifold_refuses_a_bad_dimension():
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        ChartedRiemannianManifold(0, euclidean_space(1).metric)
+    with pytest.raises(ValueError, match="metric dimension mismatch"):
+        ChartedRiemannianManifold(3, euclidean_space(2).metric)

@@ -17,7 +17,9 @@ from phmorph import (
 from phmorph.manifold import (ChartedRiemannianManifold, DomainError,
                               GeometryError, JetMetric)
 from phmorph.maps import (
+    FrameError,
     LocalGeometry,
+    _gram_schmidt,
     check_submersion,
     horizontal_lift,
     horizontal_projector,
@@ -446,3 +448,11 @@ def test_derived_fields_fail_on_every_call():
                 read(geo)
         with pytest.raises(GeometryError, match="no fibers"):
             mean_curvature_vertical(flat_geo)
+
+
+def test_gram_schmidt_fails_on_too_few_independent_seeds():
+    # the second seed is parallel to the first, the third is too short
+    seeds = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1e-9]])
+    with pytest.raises(FrameError, match=r"could not assemble 2 frame "
+                                         r"vectors \(got 1\)"):
+        _gram_schmidt(seeds, np.eye(2), 2)

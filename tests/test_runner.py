@@ -19,8 +19,7 @@ from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
 from phmorph.biconformal import PROPERTIES, IdentityAggregate
 from phmorph.manifold import per_k
 from phmorph.maps import LocalGeometry
-from phmorph.runner import (IDENTITIES, RunContext, run_identity,
-                            skip_reason)
+from phmorph.runner import RunContext, run_identity, skip_reason
 from tests.test_maps import KEPT_IN_SOURCE
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -79,18 +78,18 @@ def test_report_flags_section_reports_measurements():
 
 
 def make_unreadable(monkeypatch, flag, where=lambda p: True):
-    """Make the reading of ``flag`` under g raise on a batch with a row
-    where ``where`` holds; the corollaries read it under a change as
+    """Make the measure of ``flag`` under g raise on a batch with a row
+    where ``where`` holds; the corollaries measure it under a change as
     before."""
     prop = PROPERTIES[flag]
 
-    def reading(geo, J):
+    def measure(geo, J):
         if geo.change is None and np.count_nonzero(where(geo.p)):
             raise manifold.GeometryError("flag defect unreadable")
-        return prop.reading(geo, J)
+        return prop.measure(geo, J)
 
     monkeypatch.setitem(PROPERTIES, flag,
-                        dataclasses.replace(prop, reading=reading))
+                        dataclasses.replace(prop, measure=measure))
 
 
 # a run whose phwc flag errors at every point once ``make_unreadable`` makes
@@ -139,7 +138,7 @@ def _one_pass_per_identity(config):
         if reason is not None:
             skipped.append({"name": name, "reason": reason})
             continue
-        agg = IDENTITIES[name].aggregate(name)
+        agg = IdentityAggregate(name)
         for idx, p in enumerate(points):
             for rep in run_identity(name, run,
                                     LocalGeometry(scenario.phi, [p]), idx):
@@ -479,9 +478,8 @@ def _rep(point, rel, abs_=None, error=None):
                                   rel < 2.5, error=error)
 
 
-@pytest.mark.parametrize("worst_by_abs", [False, True])
-def test_add_keeps_the_worst_point(worst_by_abs):
-    agg = IdentityAggregate("x", worst_by_abs=worst_by_abs)
+def test_add_keeps_the_worst_point():
+    agg = IdentityAggregate("x")
     for rep in [_rep(0, 1.0, 5.0), _rep(1, 3.0, 1.0),
                 _rep(2, 0.0, error="boom"), _rep(3, 3.0, 1.0),
                 _rep(4, float("nan")), _rep(5, 2.0, 5.0), _rep(6, 0.5, 0.5)]:
@@ -489,19 +487,11 @@ def test_add_keeps_the_worst_point(worst_by_abs):
     assert (agg.samples_pass, agg.samples_fail, agg.samples_error) == (3, 3, 1)
     assert agg.errors == [{"point": [2], "error": "boom"}]
     assert not agg.passed
-    # ties go to the later point, a NaN residual is never the worst, and
-    # corollaries rank by absolute residual
-    if worst_by_abs:
-        assert (agg.worst_point, agg.max_abs_residual) == ([5], 5.0)
-    else:
-        assert (agg.worst_point, agg.max_rel_residual) == ([3], 3.0)
+    # ties go to the later point, and a NaN residual is never the worst
+    assert (agg.worst_point, agg.max_rel_residual) == ([3], 3.0)
 
 
-def test_the_table_sets_how_an_aggregate_ranks_and_a_skip_passes():
-    assert [name for name in ALL_IDENTITIES
-            if IDENTITIES[name].aggregate(name).worst_by_abs] == [
-        "corollary-psh", "corollary-phh"]
-    # a skipped identity gets no aggregate, and the run still passes
+def test_a_skipped_identity_gets_no_aggregate_and_the_run_passes():
     rep = run_verification(RunConfig(scenario="hopf", sigma="1+0.1*x1",
                                      samples=1,
                                      identities=["corollary-phh"]))
@@ -519,7 +509,7 @@ def test_linalg_error_in_a_corollary_is_a_sample_error(monkeypatch):
     config = RunConfig(scenario="flat-projection-6-4", sigma="1+0.1*x1",
                        samples=3)
     run = RunContext(scenario, config, config.build_change(scenario))
-    agg = IDENTITIES["corollary-psh"].aggregate("corollary-psh")
+    agg = IdentityAggregate("corollary-psh")
     for idx, p in enumerate(sample_points(scenario, 3, 42)):
         for rep in run_identity("corollary-psh", run,
                                 LocalGeometry(scenario.phi, [p]), idx):
