@@ -24,15 +24,16 @@ connection on the other) and returns one report per row (``row_reports``);
 (PHWC, harmonicity, PHH) are read under g by the run's flags, and under the
 one-function change by the corollaries (``corollary_at``), against exact
 predictions from g-side quantities: a PHWC defect of 0, the tension field
-sigma^2 tau, and a PHH defect of sigma times the frame norm of
-phh-covariant's correction (``phh_correction``).  A corollary's residual is
-a true residual, read by one rule at every point.
+sigma^2 tau, and a PHH defect of sigma sqrt(8 (n - 1)) |grad_H ln sigma|,
+the frame norm of phh-covariant's correction in closed form.  Every
+residual, defect and flag is read by one rule (``_reading``): a per-row
+defect against its scale, and a row whose defect or scale is not finite
+is a sample error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ from .exprs import Expr
 from .jets import JetDomainError, first
 from .manifold import (GeometryError, MetricError, contract, dot, matvec,
                        outer, per_k, quad)
-from .maps import (LocalGeometry, RankError, SmoothMap, differential,
+from .maps import (LocalGeometry, SmoothMap, differential,
                    horizontal_projector, mean_curvature_vertical,
                    tension_field)
 from .hermitian import (AlmostComplexStructureField, d_f_structure,
@@ -242,25 +243,33 @@ class IdentityAggregate:
                     passed=self.passed)
 
 
-def row_reports(identity, p, absr, rel, passed, finite=None):
-    """One report per row of the batch of points p, from per-row arrays; a
-    row that is not ``finite`` (every row is, by default) is errored."""
-    rows = zip(p.tolist(), absr.tolist(), rel.tolist(), passed.tolist(),
-               repeat(True) if finite is None else finite.tolist())
+def _reading(defect, scale):
+    """The one reading of a per-row defect against its scale: (defect,
+    defect / (scale + ``REL_FLOOR``), finite), a row being finite where both
+    its defect and its scale are."""
+    return (defect, defect / (scale + REL_FLOOR),
+            np.isfinite(defect) & np.isfinite(scale))
+
+
+def row_reports(identity, p, absr, rel, finite, passed):
+    """One report per row of the batch of points p, from per-row arrays (a
+    ``_reading`` and whether the row passed); a row that is not ``finite``
+    is errored."""
+    rows = zip(p.tolist(), absr.tolist(), rel.tolist(), finite.tolist(),
+               passed.tolist())
     return [IdentityResidualReport(identity, q, a, r, ok) if fin
             else errored_report(identity, q, "non-finite residual")
-            for q, a, r, ok, fin in rows]
+            for q, a, r, fin, ok in rows]
 
 
 def _report(identity, p, lhs, rhs, tol):
     """Residual reports of lhs = rhs (components on the last axis) at the
-    rows of p; a non-finite side is a sample error."""
+    rows of p, read against the larger side."""
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    absr = np.abs(lhs - rhs).max(axis=-1)
-    scale = np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1))
-    rel = absr / (scale + REL_FLOOR)
-    return row_reports(identity, p, absr, rel, rel < tol,
-                       np.isfinite(absr) & np.isfinite(scale))
+    absr, rel, finite = _reading(
+        np.abs(lhs - rhs).max(axis=-1),
+        np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1)))
+    return row_reports(identity, p, absr, rel, finite, rel < tol)
 
 
 def _require_horizontal(name, v, ph, g):
@@ -385,17 +394,15 @@ def verify_tension_transform(gbar: ChangedMetric, geo: LocalGeometry,
 def phh_correction(gbar: ChangedMetric, geo: LocalGeometry,
                    J: AlmostComplexStructureField, x, y, base=0.0):
     """base + C(X, Y), what the change adds to H((nabla_X F)Y) for
-    horizontal X, Y (components on the last axis, after any axes past the
-    batch's, such as a frame's pairs, over which the fields are spread),
-    summed from base, in the order of the terms:
+    horizontal X, Y (components on the last axis), summed from base, in the
+    order of the terms:
 
     C(X, Y) = g(X, FY) grad_H(ln sigma) - FY(ln sigma) X + Y(ln sigma) FX
               - g(X, Y) F(grad_H(ln sigma))"""
-    spread = tuple(range(geo.p.ndim - 1, np.ndim(x) - 1))
-    g, f, ph, grad_ls = (np.expand_dims(a, spread) for a in (
-        geo.g, f_structure(geo, J), geo.projector_and_lift[0],
-        gbar.grad_log_factors(geo)[0]))
-    grad_h, dls, fy = matvec(ph, grad_ls), matvec(g, grad_ls), matvec(f, y)
+    g, f = geo.g, f_structure(geo, J)
+    grad_ls = gbar.grad_log_factors(geo)[0]
+    grad_h = matvec(geo.projector_and_lift[0], grad_ls)
+    dls, fy = matvec(g, grad_ls), matvec(f, y)
     return (base + quad(x, g, fy)[..., None] * grad_h
             - dot(dls, fy)[..., None] * x
             + dot(dls, y)[..., None] * matvec(f, x)
@@ -468,23 +475,16 @@ def verify_phwc_equivalence(geo: LocalGeometry,
                             J: AlmostComplexStructureField,
                             tol: float = 1e-6):
     """The operator-commutator defect and the metric-compatibility defect
-    vanish together (both below tol, or both above).  Where phi has no
-    submersion structure only the commutator defect is defined, and is the
-    reading; a batch with a regular row raises there, so that the runner
-    settles it one row at a time."""
-    d1, s1 = phwc_defect(geo, J)
-    r1 = d1 / (s1 + REL_FLOOR)
-    try:
-        d2, s2 = phwc_metric_defect(geo, J)
-    except RankError:
-        if len(geo.p) > 1:
-            raise
-        return row_reports("phwc-equivalence", geo.p, d1, r1,
-                           np.ones_like(r1, dtype=bool))
-    r2 = d2 / (s2 + REL_FLOOR)
-    # the larger of each pair, the first where they tie or one is NaN
+    vanish together (both below tol, or both above).  The second reads phi's
+    horizontal space, so at a critical point of phi it raises ``RankError``,
+    a sample error, as in every other law; a row where either reading is
+    not finite is errored."""
+    d1, r1, finite1 = _reading(*phwc_defect(geo, J))
+    d2, r2, finite2 = _reading(*phwc_metric_defect(geo, J))
+    # the larger of each pair, the first where they tie
     return row_reports("phwc-equivalence", geo.p, np.where(d2 > d1, d2, d1),
-                       np.where(r2 > r1, r2, r1), (r1 < tol) == (r2 < tol))
+                       np.where(r2 > r1, r2, r1), finite1 & finite2,
+                       (r1 < tol) == (r2 < tol))
 
 
 # ---- properties of phi and J, read under g and under a change -----------
@@ -499,11 +499,10 @@ class Property:
     predict: Callable
 
     def reading(self, geo: LocalGeometry, J, prediction=0.0):
-        """(defect, relative defect) per row: the largest component of the
-        value less ``prediction``, relative to the scale + ``REL_FLOOR``."""
+        """The ``_reading`` per row of the largest component of the value
+        less ``prediction``, against the scale."""
         value, scale = self.measure(geo, J)
-        defect = np.abs(value - prediction).max(axis=-1)
-        return defect, defect / (scale + REL_FLOOR)
+        return _reading(np.abs(value - prediction).max(axis=-1), scale)
 
 
 def _defect(defect, scale):  # a defect as a value of one component
@@ -514,11 +513,12 @@ def _phh_prediction(gbar, geo, J):
     """sigma ||C||, the PHH defect of a PHH map under the one-function
     change: on the g-bar-orthonormal frame {sigma r_a} (r_a the rows of
     the horizontal factor) H(nabla-bar F) is sigma^2 C, of g-bar-norm sigma
-    |C|.  It is 0 for constant sigma, and at n = 1, where C vanishes."""
-    r = geo.horizontal_factor
-    c = phh_correction(gbar, geo, J, r[..., :, None, :], r[..., None, :, :])
-    c = c.reshape(c.shape[:-3] + (-1, c.shape[-1]))  # one row per pair
-    norm2 = (c @ geo.g * c).sum(axis=(-2, -1))
+    ||C||, with C phh-covariant's correction.  F is an isometry of H on a
+    PHWC map, so the frame sums of C's terms give
+    ||C||^2 = 8 (n - 1) |grad_H ln sigma|^2: 0 at n = 1 and for constant
+    sigma."""
+    grad_h = matvec(geo.projector_and_lift[0], gbar.grad_log_factors(geo)[0])
+    norm2 = 8.0 * (gbar.phi.n - 1) * quad(grad_h, geo.g, grad_h)
     return (gbar.factor_values(geo)[0] * np.sqrt(norm2))[..., None]
 
 
@@ -546,12 +546,12 @@ def corollary_at(name, gbar: ChangedMetric, geo: LocalGeometry,
     """The corollary ``name`` at the rows of the point context ``geo``:
     each of its ``PROPERTIES``, read under the one-function change
     ``gbar``, equals its prediction from phi's geometry under g.  A row's
-    residual is that of the property with the largest relative residual; a
-    non-finite one is a sample error."""
+    residual is that of the property with the largest relative residual,
+    and a row where any reading is not finite is a sample error."""
     bar, props = geo.under(gbar), [PROPERTIES[p] for p in COROLLARIES[name]]
-    absr, rel = (np.stack(part) for part in zip(*(
+    absr, rel, finite = (np.stack(part) for part in zip(*(
         prop.reading(bar, J, prop.predict(gbar, geo, J)) for prop in props)))
     worst = rel.argmax(axis=0)[None]  # each row's worst property
     return row_reports(name, geo.p, np.take_along_axis(absr, worst, 0)[0],
                        np.take_along_axis(rel, worst, 0)[0],
-                       (rel < tol).all(axis=0), np.isfinite(rel).all(axis=0))
+                       finite.all(axis=0), (rel < tol).all(axis=0))

@@ -114,9 +114,6 @@ class Jet2:
         return Jet2(self.value - o.value, self.grad - o.grad,
                     self.hess - o.hess, _check=False)
 
-    def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
-
     def __mul__(self, other):
         o = self._lift(other)
         a, b = self.value[..., None], o.value[..., None]
@@ -178,15 +175,6 @@ class Jet2:
             if k:
                 base = base * base
         return result
-
-    def __rpow__(self, other):
-        return self._lift(other) ** self
-
-    # ---- misc -----------------------------------------------------------
-
-    def __repr__(self):
-        return "Jet2(%r, %r, %r)" % (self.value.tolist(), self.grad.tolist(),
-                                     self.hess.tolist())
 
 
 def seed_coordinates(coords) -> list:

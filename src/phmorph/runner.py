@@ -107,14 +107,15 @@ def _check_chart(scenario: Scenario, expressions):
 class RunContext:
     """What the checks of a run read: the scenario, the config, the changed
     metric ``gbar`` and that of the one-function change of its sigma,
-    ``one_function`` (None when the scenario has no fibers)."""
+    ``one_function``: ``gbar`` itself on a ``--special-sigma`` run, so that
+    its geometry is built once, and None when the scenario has no fibers."""
 
     def __init__(self, scenario: Scenario, config: RunConfig,
                  gbar: ChangedMetric):
         phi = scenario.phi
         self.scenario, self.config, self.gbar = scenario, config, gbar
-        self.one_function = (special_change(phi, gbar.sigma)
-                             if phi.m > phi.two_n else None)
+        self.one_function = gbar if config.special_sigma is not None else (
+            special_change(phi, gbar.sigma) if phi.m > phi.two_n else None)
 
     def draw(self, geo: LocalGeometry, idx: int, tag: int, count: int = 1):
         """``count`` test vectors for each row of ``geo``, sample indices

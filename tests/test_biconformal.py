@@ -29,8 +29,9 @@ from phmorph import (
     verify_tension_equivalence,
     verify_tension_transform,
 )
-from phmorph.biconformal import PROPERTIES, IdentityAggregate, corollary_at
-from phmorph.manifold import directional_derivative, matvec, quad
+from phmorph.biconformal import (PROPERTIES, IdentityAggregate,
+                                 corollary_at, phh_correction)
+from phmorph.manifold import directional_derivative, quad
 from phmorph.maps import differential, horizontal_projector
 from phmorph.hermitian import adapted_frame, phwc_defect
 from phmorph.runner import RunContext, run_identity
@@ -698,15 +699,15 @@ def test_phwc_equivalence(name):
         assert r.passed, (p, r)
 
 
-def test_phwc_equivalence_passes_only_where_phi_has_no_rank(monkeypatch):
-    # where dphi drops rank only the commutator defect is defined, and the
-    # point passes; any other failure of the metric-compatibility defect is
-    # a sample error, never a pass
+def test_phwc_equivalence_errs_where_phi_has_no_rank(monkeypatch):
+    # where dphi drops rank the metric-compatibility defect is not defined:
+    # the point is a sample error, as in every other law, and so is any
+    # other failure of that defect, never a pass
     z_squared = SmoothMap(pm.euclidean_space(4), pm.euclidean_space(2),
                           lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
-    [rep] = verify_phwc_equivalence(at(z_squared, np.zeros((1, 4))),
-                                    pm.scenarios.constant_J(z_squared.target))
-    assert rep.passed and rep.rel_residual == 0.0
+    with pytest.raises(pm.RankError, match="not a submersion"):
+        verify_phwc_equivalence(at(z_squared, np.zeros((1, 4))),
+                                pm.scenarios.constant_J(z_squared.target))
 
     def failing(geo):
         raise MetricError("metric inversion inaccurate")
@@ -726,8 +727,8 @@ def test_phwc_equivalence_passes_only_where_phi_has_no_rank(monkeypatch):
 
 def test_phwc_equivalence_settles_a_rank_deficient_row_of_a_batch():
     # z^2 has no rank at the origin: the batch raises there, and the run
-    # settles it row by row, the origin with the commutator-only reading
-    # and every other row as in a batch of its own
+    # settles it row by row, the origin as an errored row and every other
+    # row as in a batch of its own
     z_squared = SmoothMap(pm.euclidean_space(4), pm.euclidean_space(2),
                           lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
     scenario = pm.Scenario("z-squared", z_squared,
@@ -741,12 +742,32 @@ def test_phwc_equivalence_settles_a_rank_deficient_row_of_a_batch():
         verify_phwc_equivalence(at(z_squared, points), scenario.J)
     reports = run_identity("phwc-equivalence", run, at(z_squared, points), 7)
     origin = reports.pop(2)
-    assert origin.error is None and origin.passed
-    assert origin.point == [0.0] * 4 and origin.rel_residual == 0.0
+    assert "not a submersion" in origin.error and not origin.passed
+    assert origin.point == [0.0] * 4
     alone = [run_identity("phwc-equivalence", run, at(z_squared, [p]), 0)[0]
              for p in np.delete(points, 2, axis=0)]
     assert reports == alone
     assert all(rep.error is None and rep.passed for rep in reports)
+
+
+@pytest.mark.parametrize("nan", [("phwc_defect", "phwc_metric_defect"),
+                                 ("phwc_defect",), ("phwc_metric_defect",)])
+def test_a_non_finite_phwc_equivalence_row_is_a_sample_error(monkeypatch,
+                                                             nan):
+    # a NaN defect reads below no tolerance, so two NaN defects "agree":
+    # the row is errored all the same, and so is a row with one NaN defect
+    for name in nan:
+        monkeypatch.setattr(pm.biconformal, name, lambda geo, J: (
+            np.full(len(geo.p), np.nan), 1.0))
+    sc = get_scenario("flat-projection-4-2")
+    reps = verify_phwc_equivalence(at(sc.phi, sample_points(sc, 5, 42)), sc.J)
+    assert [rep.error for rep in reps] == ["non-finite residual"] * 5
+    assert not any(rep.passed for rep in reps)
+    report = pm.run_verification(pm.RunConfig(
+        scenario=sc.name, samples=5, identities=["phwc-equivalence"]))
+    row = report["per_identity"][0]
+    assert (row["samples_error"], row["samples_pass"]) == (5, 0)
+    assert report["verdict"] == "fail"
 
 
 def test_pullback_characterization():
@@ -846,17 +867,20 @@ def test_corollary_phh_breaking_direction():
 @pytest.mark.parametrize("scenario", ["flat-projection-6-4",
                                       "flat-projection-4-2", "hopf"])
 def test_the_phh_prediction_has_a_closed_form(scenario):
-    # on a PHWC map, F is an isometry of H, and the frame sums of C's terms
-    # give ||C||^2 = 8 (n - 1) |grad_H ln sigma|^2: 0 at n = 1 and for
-    # constant sigma
+    # the prediction sigma sqrt(8 (n - 1)) |grad_H ln sigma| is sigma ||C||,
+    # the norm of phh-covariant's correction C over the frame pairs of the
+    # horizontal factor's rows: on a PHWC map F is an isometry of H, and the
+    # frame sums of C's terms give ||C||^2 = 8 (n - 1) |grad_H ln sigma|^2
     sc = get_scenario(scenario)
     gbar = one_function(sc, parse("exp(0.3*x1+0.2*x3)"))
     geo = at(sc.phi, sample_points(sc, 10, seed=5))
-    grad_h = matvec(horizontal_projector(geo), gbar.grad_log_factors(geo)[0])
-    closed = gbar.factor_values(geo)[0] * np.sqrt(
-        8.0 * (sc.phi.n - 1) * quad(grad_h, geo.g, grad_h))
+    r = geo.horizontal_factor
+    pairs = [phh_correction(gbar, geo, sc.J, r[:, a], r[:, b])
+             for a in range(sc.phi.two_n) for b in range(sc.phi.two_n)]
+    framed = gbar.factor_values(geo)[0] * np.sqrt(
+        sum(quad(c, geo.g, c) for c in pairs))
     predicted = PROPERTIES["phh"].predict(gbar, geo, sc.J)[:, 0]
-    assert predicted == pytest.approx(closed, rel=1e-12, abs=1e-14)
+    assert predicted == pytest.approx(framed, rel=1e-12, abs=1e-14)
     assert (predicted.max() > 1.0) == (sc.phi.n == 2)
 
 

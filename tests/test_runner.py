@@ -117,6 +117,30 @@ def test_an_errored_flag_point_does_not_confirm_the_flag(monkeypatch):
     assert flag["confirmed"] is False
 
 
+def test_a_non_finite_flag_reading_is_a_sample_error(monkeypatch):
+    # a NaN tension under g at one sample point: that point is the harmonic
+    # flag's errored point, never a pass, and the flag is not confirmed
+    config = RunConfig(scenario="flat-projection-4-2", samples=5)
+    nan_at = sample_points(get_scenario(config.scenario), 5, config.seed)[2]
+    prop = PROPERTIES["harmonic"]
+
+    def measure(geo, J):
+        value, scale = prop.measure(geo, J)
+        if geo.change is None:
+            value = np.where((geo.p == nan_at).all(axis=-1)[:, None],
+                             np.nan, value)
+        return value, scale
+
+    monkeypatch.setitem(PROPERTIES, "harmonic",
+                        dataclasses.replace(prop, measure=measure))
+    rep = run_verification(config)
+    flag = rep["flags"]["harmonic"]
+    assert (flag["samples_error"], flag["confirmed"]) == (1, False)
+    assert flag["measured_max_defect"] < 1e-12
+    assert all(row["passed"] for row in rep["per_identity"])
+    assert rep["verdict"] == "fail"
+
+
 # ---- batched runs --------------------------------------------------------
 
 def rows(p):
@@ -261,6 +285,28 @@ def test_changed_metric_derivatives_computed_once_per_distinct_point(
     assert rep["verdict"] == "pass"
     assert len(calls) == len(set(calls)) == 2 * 4
     assert len({metric for metric, _ in calls}) == 2
+
+
+def test_a_special_sigma_run_builds_the_g_bar_geometry_once(monkeypatch):
+    # the run's change is its one-function change: the corollaries read
+    # the geometry that the laws and the pullback under g-bar read, so each
+    # of its fields is built once in the run's one chunk
+    built = []
+    field = LocalGeometry.field
+
+    def counting(geo, key, compute, *args):
+        if geo.change is not None and (geo.change, key) not in geo._fields:
+            built.append(key if isinstance(key, str) else key[0])
+        return field(geo, key, compute, *args)
+
+    monkeypatch.setattr(LocalGeometry, "field", counting)
+    rep = run_verification(RunConfig(scenario="flat-projection-6-4",
+                                     special_sigma="exp(0.3*x1)", samples=5))
+    assert rep["verdict"] == "pass"
+    assert {"metric_and_derivs", "_inverse", "christoffel", "_lift_factors",
+            "horizontal_factor", "tension_field",
+            "phwc_metric_defect"} <= set(built)
+    assert len(built) == len(set(built))
 
 
 # what a run evaluates per point: each metric (g and h through
