@@ -9,9 +9,9 @@ from the projector algebra of ``maps.LocalGeometry`` and the factors'
 derivatives from their jets.  Its one evaluation,
 ``matrix_and_derivs(source)``, reads phi's geometry at the point under g
 (the source geometry), where it keeps sigma and rho: ``factor_jets``,
-evaluated once per (change, point), whose values g-bar and the right sides
-of the laws read (no float twin), and ``grad_log_factors``.  A factor that
-is not positive raises ``PositivityError`` on every call.
+each expression evaluated once per point, whose values g-bar and the right
+sides of the laws read (no float twin), and ``grad_log_factors``.  A factor
+that is not positive raises ``PositivityError`` on every call.
 
 Every ``verify_*`` routine takes the point context, phi's source geometry
 over a batch of sample points, and, for a law of the change, the
@@ -116,12 +116,28 @@ class ChangedMetric:
         return ChangedMetric(phi, sigma, rho)
 
     def factor_jets(self, source: LocalGeometry):
-        """(sigma, rho) at the point as jets, each checked to be positive."""
+        """(sigma, rho) at the point as jets, each checked to be positive.
+        An expression's jet is kept on it in the source geometry, so that a
+        run's change and its one-function change evaluate sigma once; the
+        latter's rho = sigma^e is sigma's jet to the power e: the
+        ``Jet2.__pow__`` call of ``eval_jet``, whose error it raises."""
         def compute():
-            p = source.p
+            p, rho = source.p, self.rho
             coords = jets.seed_coordinates(p)
-            s, r = (jets.lift(exprs.eval_jet(e, coords), len(coords),
-                              p.shape[:-1]) for e in (self.sigma, self.rho))
+
+            def jet(e):
+                return source.field(("jet", e), lambda: jets.lift(
+                    exprs.eval_jet(e, coords), len(coords), p.shape[:-1]))
+
+            s, r = jet(self.sigma), None
+            if (isinstance(rho, exprs.Binary) and rho.op == "pow"
+                    and rho.left == self.sigma
+                    and isinstance(rho.right, exprs.Lit)):
+                try:
+                    r = s ** rho.right.value
+                except (JetDomainError, ArithmeticError) as err:
+                    raise exprs.EvalError(str(err), rho.pos) from err
+            r = jet(rho) if r is None else jets.lift(r, s.dim, p.shape[:-1])
             for name, f in (("sigma", s), ("rho", r)):
                 bad = f.value <= 0.0
                 if np.count_nonzero(bad):

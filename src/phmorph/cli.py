@@ -54,7 +54,6 @@ def _scenario_descriptor(name):
         "m": sc.phi.m,
         "target_dim": sc.phi.two_n,
         "expected_flags": sc.expected_flags,
-        "optional": sc.optional,
         "description": sc.description,
     }
 
@@ -64,9 +63,8 @@ def cmd_list(values):
     rows = [_scenario_descriptor(n) for n in scenarios.list_scenarios()]
     if values["format"] == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n", 0
-    return "".join("%s (m=%d, 2n=%d)%s - %s\n" % (
+    return "".join("%s (m=%d, 2n=%d) - %s\n" % (
         d["name"], d["m"], d["target_dim"],
-        " [optional]" if d["optional"] else "",
         ", ".join("%s=%s" % kv for kv in sorted(d["expected_flags"].items())))
         for d in rows), 0
 
@@ -84,8 +82,6 @@ def _report_text(report) -> str:
     for flag, info in sorted(report["flags"].items()):
         lines.append("  flag %-10s expected=%s confirmed=%s"
                      % (flag, info["expected"], info["confirmed"]))
-    for w in report["warnings"]:
-        lines.append("  warning: %s" % w)
     return "\n".join(lines) + "\n"
 
 
@@ -152,11 +148,11 @@ def run_config(values) -> RunConfig:
 
 
 def cmd_verify(values):
-    """The rendered report and exit code 0 (pass or skipped) or 1 (fail);
-    raises on a configuration error or a run too large for memory."""
+    """The rendered report and exit code 0 (pass) or 1 (fail); raises on a
+    configuration error or a run too large for memory."""
     report = run_verification(run_config(values))
     return (render_report(report, values["format"]),
-            0 if report["verdict"] in ("pass", "skipped") else 1)
+            0 if report["verdict"] == "pass" else 1)
 
 
 class Option:

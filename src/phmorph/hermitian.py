@@ -147,11 +147,8 @@ def adapted_frame(geo: LocalGeometry, J: AlmostComplexStructureField,
             continue
         e = v / np.sqrt(norm2)
         fe = f @ e
-        fn2 = fe @ g @ fe
-        if fn2 <= 1e-20:
-            raise FrameError("F annihilated a horizontal frame vector")
         e_vecs.append(e)
-        fe_vecs.append(fe / np.sqrt(fn2))
+        fe_vecs.append(fe / np.sqrt(fe @ g @ fe))
         if len(e_vecs) == geo.phi.n:
             break
     if len(e_vecs) < geo.phi.n:

@@ -12,10 +12,9 @@ A run checks its sample points in chunks of ``CHUNK``, in order: a chunk's
 point context, phi's ``maps.LocalGeometry`` over its points as one batch, is
 handed to every applicable identity (``run_identity``), then to the flag
 checks (``confirm_flags``: ``biconformal.PROPERTIES`` under g, which the
-corollaries read under the one-function change against their predictions)
-and, for an optional
-scenario, to its construction check (``Scenario.self_check``, whose failure
-gives the "skipped" report), and dropped before the next chunk.  Every
+corollaries read under the one-function change against their predictions),
+and dropped before the next chunk.  The verdict is "pass" where every
+identity passed and every flag is confirmed, else "fail".  Every
 check returns one report per row.  ``_settle`` runs both kinds: a check
 that raises a sample error on a batch is re-run on each row as a 1-row
 batch (``LocalGeometry.rows``), and a sample error at one row is that row's
@@ -303,24 +302,10 @@ def run_verification(config: RunConfig):
                     agg.add(rep)
             flags = confirm_flags(scenario, [geo], config.tol_fd,
                                   flag_tallies)
-            if scenario.optional:
-                ok, msg = scenario.self_check(geo)
-                if not ok:
-                    return _assemble(config, scenario, [], {}, [], [
-                        "optional scenario construction check failed: "
-                        + msg], verdict="skipped")
 
     per_identity = [agg.as_dict() for agg in totals]
-    return _assemble(config, scenario, per_identity, flags, skipped, [])
-
-
-def _assemble(config, scenario, per_identity, flags, skipped, warnings,
-              verdict=None):
-    flags_confirmed = all(v.get("confirmed") is not False
-                          for v in flags.values()) if flags else False
+    flags_confirmed = all(v["confirmed"] is not False for v in flags.values())
     identities_ok = all(entry["passed"] for entry in per_identity)
-    if verdict is None:
-        verdict = "pass" if (identities_ok and flags_confirmed) else "fail"
     return {
         "schema_version": 3,
         "scenario": scenario.name,
@@ -331,6 +316,6 @@ def _assemble(config, scenario, per_identity, flags, skipped, warnings,
         "skipped_identities": skipped,
         "flags": flags,
         "flags_confirmed": flags_confirmed,
-        "warnings": warnings,
-        "verdict": verdict,
+        "warnings": [],  # no run warns; kept in schema 3
+        "verdict": "pass" if (identities_ok and flags_confirmed) else "fail",
     }

@@ -141,6 +141,15 @@ def test_the_fiber_laws_raise_on_a_map_without_fibers():
         verify_mean_curvature(gbar, geo)
 
 
+def test_koszul_horizontal_raises_on_a_vertical_x():
+    # runs draw X with a horizontal part; e5 is vertical on
+    # flat-projection-6-4, so P_H X = 0
+    sc, gbar = gbar_for("flat-projection-6-4", "exp(0.2*x1)", "1")
+    e = np.eye(6)
+    with pytest.raises(GeometryError, match="X has no horizontal part"):
+        verify_koszul_h(gbar, at(sc.phi, [np.full(6, 0.1)]), e[[4]], e[[0]])
+
+
 def test_compose_matches_sequential_metrics():
     # change a, then change b, is the one change with multiplied factors
     sc = get_scenario("flat-projection-4-2")
@@ -276,10 +285,11 @@ def test_changes_built_one_after_another_never_share_factors():
 
 
 def test_factors_evaluated_once_per_change_point_and_route(monkeypatch):
-    # in a run, sigma and rho are evaluated once per (change, point), on the
-    # one route (as jets, by ChangedMetric.factor_jets), for the change and
-    # for the one-function change; a batched call counts once for each of
-    # its rows
+    # in a run, each factor expression is evaluated once per point, on the
+    # one route (as jets, by ChangedMetric.factor_jets): the change's sigma
+    # and rho, which the one-function change reads too, taking its rho =
+    # sigma^-1 as the power of sigma's jet; a batched call counts once for
+    # each of its rows
     calls, changes, reading = [], [], []
     factor_jets, eval_jet = ChangedMetric.factor_jets, pm.exprs.eval_jet
 
@@ -292,13 +302,13 @@ def test_factors_evaluated_once_per_change_point_and_route(monkeypatch):
             reading.pop()
 
     def evaluating(expr, coords):
-        # an outermost call evaluates a factor of the change being read (a
-        # call outside factor_jets records a string, failing the id check);
-        # the nested calls evaluate its parts
+        # an outermost call is made by the change being read (a call outside
+        # factor_jets records a string, failing the type check); the nested
+        # calls evaluate its parts
         change = reading[-1] if reading else "no change"
         if change is not None:
             p = np.stack([x.value for x in coords], axis=-1)
-            calls.extend((id(change), expr, q.tobytes())
+            calls.extend((type(change), expr, q.tobytes())
                          for q in p.reshape(-1, p.shape[-1]))
         reading.append(None)
         try:
@@ -313,12 +323,33 @@ def test_factors_evaluated_once_per_change_point_and_route(monkeypatch):
         scenario="flat-projection-6-4", sigma="exp(0.2*x1)",
         rho="1+0.1*x5^2", samples=4))
     assert rep["verdict"] == "pass"
-    evaluations = {(change, q) for change, _, q in calls}
-    assert len(evaluations) == 2 * 4
-    # sigma and rho once each per evaluation, each read by a change
-    assert len(calls) == len(set(calls)) == 2 * len(evaluations)
-    assert {change for change, _, _ in calls} == set(map(id, changes))
+    assert {route for route, _, _ in calls} == {ChangedMetric}
+    assert {expr for _, expr, _ in calls} == {parse("exp(0.2*x1)"),
+                                              parse("1+0.1*x5^2")}
+    assert len({q for _, _, q in calls}) == 4
+    # sigma and rho once each per point, though both changes read them
+    assert len(calls) == len(set(calls)) == 2 * 4
     assert len(set(map(id, changes))) == 2
+
+
+@pytest.mark.parametrize("option", ["sigma", "special_sigma"])
+def test_sigma_is_evaluated_once_per_chunk(monkeypatch, option):
+    # the one-function change reads the jet of the sigma it shares with the
+    # run's change, and takes its rho = sigma^-1 as that jet's power: exp,
+    # sigma's one call, is evaluated once in the run's one chunk
+    calls, eval_jet = [], pm.exprs.eval_jet
+
+    def evaluating(expr, coords):
+        if isinstance(expr, pm.exprs.Call):
+            calls.append(expr.func)
+        return eval_jet(expr, coords)
+
+    monkeypatch.setattr(pm.exprs, "eval_jet", evaluating)
+    rep = pm.run_verification(pm.RunConfig(
+        scenario="flat-projection-6-4", samples=5,
+        **{option: "exp(0.3*x1)"}))
+    assert rep["verdict"] == "pass"
+    assert calls == ["exp"]
 
 
 # ---- identity verifiers, trivial cases ----------------------------------

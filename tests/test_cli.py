@@ -44,7 +44,8 @@ def test_list_text(capsys):
     code, out = run(capsys, "list")
     assert code == 0
     assert "flat-projection-4-2" in out
-    assert "hopf" in out
+    assert ("hopf (m=3, 2n=2) - harmonic=True, phh=None, phwc=True\n"
+            in out.splitlines(keepends=True))
 
 
 def test_list_json(capsys):
@@ -54,6 +55,9 @@ def test_list_json(capsys):
     names = [row["name"] for row in data]
     assert names == sorted(names)
     assert "nonphwc-anisotropic" in names
+    for row in data:
+        assert set(row) == {"name", "m", "target_dim", "expected_flags",
+                            "description"}
 
 
 def test_verify_pass_exit_zero(capsys):
@@ -139,9 +143,9 @@ def test_json_report_schema(tmp_path, capsys):
     assert data["schema_version"] == 3
     assert data["scenario"] == "curved-fibers-nonharmonic"
     assert data["verdict"] == "pass"
-    for key in ("config", "per_identity", "skipped_identities", "flags",
-                "warnings"):
+    for key in ("config", "per_identity", "skipped_identities", "flags"):
         assert key in data
+    assert data["warnings"] == []
     for row in data["per_identity"]:
         assert {"name", "passed", "max_abs_residual", "max_rel_residual",
                 "samples_pass", "samples_fail", "samples_error"} <= set(row)
@@ -272,21 +276,6 @@ def test_text_format_lists_identities_skips_and_flags(capsys):
         "  flag phh        expected=None confirmed=None",
         "  flag phwc       expected=False confirmed=True",
     ]
-
-
-def test_text_format_of_a_skipped_run_shows_its_warning(capsys,
-                                                        monkeypatch):
-    from tests.test_runner import CONSTRUCTION_FAILED, _double_target_metric
-    scenario = scenarios.get_scenario("hopf")
-    _double_target_metric(scenario)
-    monkeypatch.setattr(scenarios, "get_scenario", lambda name: scenario)
-    code, out = run(capsys, "verify", "--scenario", "hopf", "--samples", "5",
-                    "--seed", "3", "--format", "text")
-    assert code == 0
-    point = scenarios.sample_points(scenario, 5, 3)[0]
-    assert out == ("scenario: hopf\nverdict: skipped\n"
-                   "  warning: %s %s (defect 1)\n"
-                   % (CONSTRUCTION_FAILED, point.tolist()))
 
 
 def test_errored_samples_fail_the_run(capsys):

@@ -130,6 +130,11 @@ def test_integer_power_of_negative_base_on_jets():
     assert np.allclose(out.grad, [-0.6, 0.75], rtol=1e-14)
 
 
+def test_eval_jet_rejects_what_is_not_an_expression():
+    with pytest.raises(TypeError, match="not an expression node"):
+        eval_jet("x1", seed_coordinates([0.5]))
+
+
 def test_too_few_coordinates_raises():
     from phmorph import EvalError
 

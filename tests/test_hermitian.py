@@ -148,6 +148,14 @@ def test_adapted_frame_requires_phwc():
         adapted_frame(at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])), sc.J)
 
 
+def test_adapted_frame_raises_with_too_few_seeds():
+    # n = 2 on flat-projection-6-4: one seed gives one of its two pairs
+    sc = get_scenario("flat-projection-6-4")
+    geo = at(sc.phi, sample_points(sc, 1, seed=9)[0])
+    with pytest.raises(pm.FrameError, match="could not assemble 2"):
+        adapted_frame(geo, sc.J, seed_order=[0])
+
+
 def test_phh_defect_zero_on_flat_projection():
     sc = get_scenario("flat-projection-6-4")
     for p in sample_points(sc, 5, seed=3):

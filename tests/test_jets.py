@@ -98,6 +98,15 @@ def test_jet_exponent():
     assert np.allclose(f.hess, h, rtol=1e-4)
 
 
+def test_a_jet_exponent_constant_in_each_row_but_not_over_the_batch_raises():
+    # no derivatives in either row, so not a varying exponent, but two
+    # values, so not one number either
+    x = Jet2(np.array([1.5, 2.0]), np.ones((2, 1)), np.zeros((2, 1, 1)))
+    e = Jet2(np.array([2.0, 3.0]), np.zeros((2, 1)), np.zeros((2, 1, 1)))
+    with pytest.raises(JetDomainError, match="not constant over the batch"):
+        x ** e
+
+
 def test_domain_errors():
     (x,) = seed_coordinates([-1.0])
     with pytest.raises(JetDomainError):

@@ -104,8 +104,8 @@ ALLOWED = {
     "maps.ortho_split": "tracer target maps.ortho_split",
     "maps._gram_schmidt": "ortho_split's orthonormalization",
     "scenarios.Scenario.self_check":
-        "tracer target scenarios.self_check, wrapped on the base class; "
-        "hopf's override is the one a run enters",
+        "tracer target scenarios.self_check; no scenario overrides it, "
+        "and no run calls it",
 }
 
 TRACE = r'''

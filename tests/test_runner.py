@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
-                     biconformal, cli, confirm_flags, get_scenario, hermitian,
+                     biconformal, confirm_flags, get_scenario, hermitian,
                      manifold, maps, parse, run_verification, runner,
                      sample_points, scenarios)
 from phmorph.biconformal import PROPERTIES, IdentityAggregate
@@ -459,63 +459,6 @@ def test_a_wrong_projector_derivative_fails_a_hopf_run(monkeypatch):
     assert rep["verdict"] == "fail"
     failed = {row["name"] for row in rep["per_identity"] if not row["passed"]}
     assert failed == {"koszul-horizontal", "tension-f-structure"}, failed
-
-
-CONSTRUCTION_FAILED = ("optional scenario construction check failed: "
-                       "horizontal differential is not an isometry at")
-
-
-def _double_target_metric(scenario):
-    """Double the target metric of the scenario's map in place: dphi is then
-    no longer an isometry on H."""
-    inner = scenario.phi.target.metric.fn
-    scenario.phi.target.metric = manifold.JetMetric(2, lambda coords: [
-        [2.0 * entry for entry in row] for row in inner(coords)])
-
-
-def _assert_skipped(rep, point):
-    """The report of a run whose construction check failed at ``point``."""
-    assert rep["verdict"] == "skipped"
-    assert rep["warnings"] == [
-        "%s %s (defect 1)" % (CONSTRUCTION_FAILED, point.tolist())]
-    assert (rep["per_identity"], rep["flags"], rep["skipped_identities"]) == (
-        [], {}, [])
-    assert rep["flags_confirmed"] is False
-
-
-def test_a_failed_construction_check_skips_the_run(monkeypatch, tmp_path):
-    scenario = get_scenario("hopf")
-    _double_target_metric(scenario)
-    monkeypatch.setattr(scenarios, "get_scenario", lambda name: scenario)
-    config = RunConfig(scenario="hopf", samples=5, seed=3)
-    rep = run_verification(config)
-    # every row fails; the first is named, a sample point of the run
-    _assert_skipped(rep, sample_points(scenario, 5, 3)[0])
-    report = tmp_path / "report.json"
-    assert cli.main(["verify", "--scenario", "hopf", "--samples", "5",
-                     "--seed", "3", "--report", str(report)]) == 0
-    assert json.loads(report.read_text()) == rep
-
-
-def test_a_construction_check_failing_on_the_second_chunk(monkeypatch):
-    # the check passes on the first chunk (64 points), after which the
-    # target metric is doubled: the second chunk's fields are computed with
-    # it, and its first row is named
-    scenario = get_scenario("hopf")
-    inner = type(scenario).self_check
-    calls = []
-
-    def second_fails(geo):
-        calls.append(len(geo.p))
-        out = inner(scenario, geo)
-        _double_target_metric(scenario)
-        return out
-
-    monkeypatch.setattr(scenario, "self_check", second_fails)
-    monkeypatch.setattr(scenarios, "get_scenario", lambda name: scenario)
-    rep = run_verification(RunConfig(scenario="hopf", samples=70, seed=3))
-    assert calls == [runner.CHUNK, 70 - runner.CHUNK]
-    _assert_skipped(rep, sample_points(scenario, 70, 3)[runner.CHUNK])
 
 
 def _rep(point, rel, abs_=None, error=None):

@@ -171,24 +171,17 @@ def test_sampling_respects_exclusions():
         assert sv[-1] >= 0.1
 
 
-def test_self_checks_pass():
-    for name in list_scenarios():
-        sc = get_scenario(name)
-        geo = LocalGeometry(sc.phi, sample_points(sc, 5, seed=7))
-        ok, msg = sc.self_check(geo)
-        assert ok, (name, msg)
-
-
 def test_hopf_chart_is_a_riemannian_submersion():
-    # dphi o dphi* should be the identity on the target tangent space, which
-    # pins both chart metrics and the map formula at once
+    # dphi g^-1 dphi^T h = I on the target tangent space, which pins both
+    # chart metrics and the map formula at once; no run checks it, and no
+    # law or flag sees a constant scale of the target metric.  Read from a
+    # batch's fields, as a run reads a chunk, to 1e-8 in max-abs
     sc = get_scenario("hopf")
-    for p in sample_points(sc, 5, seed=2):
-        geo = LocalGeometry(sc.phi, p)
-        A = differential(geo)
-        ginv = sc.phi.source.inverse_metric_at(p)
-        h = sc.phi.target.metric_at(geo.map_jets[0])[0]
-        assert np.allclose(A @ ginv @ A.T @ h, np.eye(2), atol=1e-9)
+    for count, seed in [(20, 3), (100, 3), (20, 42), (100, 42), (1000, 0)]:
+        geo = LocalGeometry(sc.phi, sample_points(sc, count, seed))
+        a = differential(geo)
+        defect = np.abs(a @ geo.ginv @ a.mT @ geo.h - np.eye(2)).max()
+        assert defect <= 1e-8, (count, seed, defect)
 
 
 def test_holomorphic_scenario_satisfies_cauchy_riemann():
@@ -226,7 +219,6 @@ def test_scenario_dimension_bookkeeping(all_scenarios):
         assert sc.phi.m > sc.phi.two_n or name == "holomorphic-poly" or \
             sc.phi.m >= sc.phi.two_n
         assert sc.phi.two_n % 2 == 0
-        assert sc.optional == (name == "hopf")
 
 
 def test_points_lie_in_domain(all_scenarios, points_for):
