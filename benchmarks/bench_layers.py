@@ -12,6 +12,9 @@ nothing that the read needs is computed yet:
 - ``map_jets``: the map's jets (``SmoothMap.jets``), at a point and over a
   chunk;
 - ``factor_jets``: sigma and rho as jets at the point;
+- ``metric_jets``: hopf's source metric at the chunk's points and its
+  target metric at their images (``JetMetric.matrix_and_derivs``), over a
+  chunk;
 - ``local_geometry_fill``: what a run computes at a point before its
   identities compare sides, under g and under g-bar, the geometry that the
   checks build from the point context (F div_H F brings in the horizontal
@@ -125,6 +128,18 @@ def fill(run, point, idx):
 def test_factor_jets(benchmark, workload):
     timed(benchmark, workload,
           lambda run, point, idx: run.gbar.factor_jets(point))
+
+
+def test_metric_jets(benchmark):
+    phi = get_scenario("hopf").phi
+    points = np.array(POINTS["hopf-full"][:CHUNK_ROWS])
+    images = maps.LocalGeometry(phi, points).map_jets[0]
+
+    def read():
+        phi.source.metric.matrix_and_derivs(points)
+        phi.target.metric.matrix_and_derivs(images)
+
+    benchmark.pedantic(read, rounds=ROUNDS, iterations=1)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))

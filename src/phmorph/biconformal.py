@@ -116,14 +116,16 @@ class ChangedMetric:
         return ChangedMetric(phi, sigma, rho)
 
     def factor_jets(self, source: LocalGeometry):
-        """(sigma, rho) at the point as jets, each checked to be positive.
+        """(sigma, rho) at the point as first-order jets (value and
+        gradient: g-bar and the laws read no second derivative of a
+        factor), each checked to be positive.
         An expression's jet is kept on it in the source geometry, so that a
         run's change and its one-function change evaluate sigma once; the
         latter's rho = sigma^e is sigma's jet to the power e: the
         ``Jet2.__pow__`` call of ``eval_jet``, whose error it raises."""
         def compute():
             p, rho = source.p, self.rho
-            coords = jets.seed_coordinates(p)
+            coords = jets.seed_coordinates(p, order=1)
 
             def jet(e):
                 return source.field(("jet", e), lambda: jets.lift(

@@ -36,7 +36,6 @@ import os
 import re
 import stat
 import sys
-import tempfile
 from dataclasses import MISSING, fields
 
 from . import scenarios
@@ -114,7 +113,8 @@ def _write_report(path: str, payload: str):
     written in place, never replaced."""
     if not path:  # as open("", "w") fails; realpath reads "" as "."
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
-    path = os.path.realpath(path)
+    if os.path.islink(path):
+        path = os.path.realpath(path)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -126,10 +126,18 @@ def _write_report(path: str, payload: str):
             with open(path, "w") as handle:
                 handle.write(payload)
             return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".report-")
+    directory = os.path.dirname(path) or "."
+    while True:  # a fresh name, created by this call alone
+        tmp = os.path.join(directory, ".report-" + os.urandom(8).hex())
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                         | os.O_CLOEXEC, 0o600)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as handle:
-            os.chmod(tmp, mode & 0o7777)  # not mkstemp's 0600
+            os.fchmod(fd, mode & 0o7777)  # not the 0600 it was created with
             handle.write(payload)
         os.replace(tmp, path)
     except BaseException:

@@ -235,9 +235,12 @@ def eval_jet(e: Expr, coords):
     (``jets.seed_coordinates``): the value with its derivatives.
 
     A value outside an operation's domain, a division by zero and a float
-    overflow raise ``EvalError`` at the offending node."""
+    overflow raise ``EvalError`` at the offending node.  The jets have the
+    coordinates' order; a literal beside a jet enters the operation as its
+    float, so no constant jet is built for it, except as a power's base
+    (a jet has no reflected power)."""
     if isinstance(e, Lit):
-        return Jet2.constant(e.value, coords[0].dim)
+        return Jet2.constant(e.value, coords[0].dim, coords[0].order)
     if isinstance(e, Var):
         if e.index >= len(coords):
             raise EvalError("variable x%d exceeds chart dimension %d"
@@ -246,8 +249,11 @@ def eval_jet(e: Expr, coords):
     if isinstance(e, Unary):
         return -eval_jet(e.child, coords)
     if isinstance(e, Binary):
-        a = eval_jet(e.left, coords)
-        b = eval_jet(e.right, coords)
+        left, right = e.left, e.right
+        a = (left.value if isinstance(left, Lit) and e.op != "pow"
+             and not isinstance(right, Lit) else eval_jet(left, coords))
+        b = (right.value if isinstance(right, Lit)
+             and not isinstance(left, Lit) else eval_jet(right, coords))
         try:
             return _BINARY_OPS[e.op](a, b)
         except (JetDomainError, ArithmeticError) as err:

@@ -4,7 +4,8 @@ A metric is any object with ``dim`` and ``matrix_and_derivs(p)``, which
 gives the component matrix g_ij at a chart point and its first coordinate
 derivatives dg[..., k, i, j] = d_k g_ij, exactly, in one evaluation (the
 value is the jet's zeroth order).  ``JetMetric`` wraps a jet-evaluable
-component function, whose derivatives come from the second-order AD path.
+component function, whose derivatives come from first-order jets: the
+Levi-Civita geometry reads g and dg, never a second derivative of g.
 ``FDMetric``, ``richardson_partial`` and ``directional_derivative``
 (Richardson-extrapolated central differences) are oracles for the tests; no
 verification run calls them.  They, and ``inverse_metric_at`` and
@@ -53,7 +54,8 @@ def each_array(fn, value):
     if isinstance(value, tuple):
         return tuple(each_array(fn, item) for item in value)
     if isinstance(value, Jet2):
-        return Jet2(fn(value.value), fn(value.grad), fn(value.hess),
+        return Jet2(fn(value.value), fn(value.grad),
+                    None if value.hess is None else fn(value.hess),
                     _check=False)
     return value
 
@@ -104,18 +106,22 @@ def outer(x, y):
 
 def jet_matrix_and_derivs(fn, p):
     """(M, dM) at p of a square matrix field whose entries ``fn`` evaluates
-    on Jet2 coordinates, one row and column per chart coordinate:
-    dM[..., k, i, j] = d_k M_ij, exact by AD; each jet entry is checked."""
+    on first-order Jet2 coordinates, one row and column per chart
+    coordinate: dM[..., k, i, j] = d_k M_ij, exact by AD; each distinct jet
+    entry is checked once."""
     p = np.asarray(p, dtype=float)
-    rows = fn(jets.seed_coordinates(p))
+    rows = fn(jets.seed_coordinates(p, order=1))
     d = len(rows)
     mat = np.empty(p.shape[:-1] + (d, d))
     dmat = np.zeros(p.shape[:-1] + (p.shape[-1], d, d))
+    checked = set()  # ids of the entries checked, which ``rows`` keeps alive
     for i in range(d):
         for j in range(d):
             entry = rows[i][j]
             if isinstance(entry, Jet2):
-                entry.check()
+                if id(entry) not in checked:
+                    checked.add(id(entry))
+                    entry.check()
                 mat[..., i, j] = entry.value
                 dmat[..., :, i, j] = entry.grad
             else:

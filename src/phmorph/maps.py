@@ -96,6 +96,15 @@ class SmoothMap:
         return [jets.lift(x, self.m, p.shape[:-1]) for x in out]
 
 
+def hessian(jet: Jet2) -> np.ndarray:
+    """The Hessian of a jet that a reader takes second derivatives of,
+    which a first-order jet does not carry."""
+    if jet.hess is None:
+        raise ValueError("a second derivative read from a first-order jet, "
+                         "which carries no Hessian")
+    return jet.hess
+
+
 def differential(geo: LocalGeometry) -> np.ndarray:
     """Matrix A[..., a, i] = d_i phi^a at the point (read-only)."""
     return geo.map_jets[1]
@@ -200,7 +209,8 @@ class LocalGeometry:
         out = self.jets
         return (np.stack([j.value for j in out], axis=-1),
                 np.stack([j.grad for j in out], axis=-2),
-                np.moveaxis(np.stack([j.hess for j in out], axis=-3), -1, -3))
+                np.moveaxis(np.stack([hessian(j) for j in out], axis=-3),
+                            -1, -3))
 
     @_kept_in_source
     def target_metric_and_derivs(self):
@@ -227,7 +237,7 @@ class LocalGeometry:
         """g^ij (d_i d_j f - Gamma^k_ij d_k f) at p for the jet of f there,
         which is checked for non-finite components."""
         jet.check()
-        return (contract(jet.hess[..., None, :, :], self.ginv)[..., 0]
+        return (contract(hessian(jet)[..., None, :, :], self.ginv)[..., 0]
                 - dot(contract(self.christoffel, self.ginv), jet.grad))
 
     @_kept_in_source

@@ -205,10 +205,13 @@ def test_factor_fields_warm_equal_cold(name):
 
 
 def test_factor_field_arrays_are_read_only():
+    # sigma and rho are first-order jets: g-bar and the laws read their
+    # values and gradients, and no Hessian is built
     gbar = changed_metric(*FACTOR_CASE)
     geo = at(gbar.phi, P4)
-    arrays = [jet.grad for jet in gbar.factor_jets(geo)]
-    arrays += [jet.hess for jet in gbar.factor_jets(geo)]
+    factors = gbar.factor_jets(geo)
+    assert all(jet.hess is None for jet in factors)
+    arrays = [part for jet in factors for part in (jet.value, jet.grad)]
     arrays += list(gbar.grad_log_factors(geo))
     for out in arrays:
         assert not out.flags.writeable

@@ -192,6 +192,23 @@ def test_a_report_through_a_symlink_replaces_its_target(tmp_path, capsys):
     assert json.loads(target.read_text())["verdict"] == "pass"
 
 
+def test_a_report_passes_over_a_temporary_name_in_use(tmp_path, capsys):
+    # the temporary file is created exclusively: a name that exists is not
+    # touched, and the next one is drawn
+    taken = tmp_path / (".report-" + "00" * 8)
+    taken.write_text("not ours")
+    draws = iter([bytes(8), bytes(8), b"\x01" * 8])
+    path = tmp_path / "out.json"
+    with mock.patch.object(os, "urandom", lambda n: next(draws)):
+        code, _ = run(capsys, "verify", "--scenario", "flat-projection-4-2",
+                      "--samples", "1", "--report", str(path))
+    assert code == 0
+    assert next(draws, None) is None
+    assert taken.read_text() == "not ours"
+    assert sorted(os.listdir(tmp_path)) == [taken.name, "out.json"]
+    assert json.loads(path.read_text())["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("through_symlink", [False, True],
                          ids=["fifo", "symlink-to-fifo"])
 def test_a_report_into_a_fifo_is_written_in_place(tmp_path, capsys,
@@ -452,6 +469,15 @@ def test_report_into_a_missing_directory_exit_two(tmp_path, capsys):
     assert_config_error(capsys, "verify", "--scenario", "flat-projection-4-2",
                         "--samples", "1", "--report", str(path))
     assert not (tmp_path / "missing").exists()
+
+
+def test_report_path_with_a_trailing_slash_exit_two(tmp_path, capsys):
+    # a path that names a directory, as open(path, "w") refuses it, and no
+    # file is made under the name without its slash
+    path = str(tmp_path / "report") + os.sep
+    assert_config_error(capsys, "verify", "--scenario", "flat-projection-4-2",
+                        "--samples", "1", "--report", path)
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("sigma", ["+".join(["1"] * 3000),

@@ -237,3 +237,144 @@ def test_jets_of_different_dimensions_do_not_combine():
     for combine in (lambda: x + y, lambda: x * y, lambda: x - y):
         with pytest.raises(ValueError, match="jet dimension mismatch"):
             combine()
+
+
+# ---- first-order jets, number operands and the kept reciprocal ----------
+
+from unittest import mock  # noqa: E402
+
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from phmorph.exprs import (FUNCTIONS, Binary, Call, EvalError, Lit,  # noqa: E402
+                           Unary, Var, eval_jet, parse)
+from tests.expr_text import to_text  # noqa: E402
+
+VARIABLES = 3
+LITERALS = st.builds(Lit, st.floats(min_value=0.0, max_value=3.0))
+# a power's exponent is a leaf: a variable's gradient never vanishes, so
+# both orders read it as varying (``Jet2.__pow__``)
+EXPONENTS = st.one_of(LITERALS, st.builds(Var, st.integers(0, VARIABLES - 1)),
+                      st.builds(Unary, st.just("neg"), LITERALS))
+
+
+def _branches(children):
+    return st.one_of(
+        st.builds(Unary, st.just("neg"), children),
+        st.builds(Binary, st.sampled_from(["add", "sub", "mul", "div"]),
+                  children, children),
+        st.builds(Binary, st.just("pow"), children, EXPONENTS),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children))
+
+
+# trees of every node kind, printed and parsed again, so each is an
+# expression that the grammar, with its depth limit, accepts
+EXPRESSIONS = st.recursive(
+    st.one_of(LITERALS, st.builds(Var, st.integers(0, VARIABLES - 1))),
+    _branches, max_leaves=12).map(lambda e: parse(to_text(e)))
+BATCHES = st.integers(1, 3).flatmap(lambda rows: hnp.arrays(
+    float, (rows, VARIABLES), elements=st.floats(min_value=-2.0,
+                                                 max_value=2.0)))
+
+
+def evaluate(e, points, order):
+    """The jet of ``e`` over the batch at the given order, or the message of
+    the error that its evaluation raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return eval_jet(e, seed_coordinates(points, order))
+    except EvalError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSIONS, BATCHES)
+def test_first_order_evaluation_equals_second_order(e, points):
+    second, first_order = (evaluate(e, points, k) for k in (2, 1))
+    if isinstance(second, str):
+        assert first_order == second
+        return
+    assert first_order.hess is None and second.hess is not None
+    for part in ("value", "grad"):
+        assert np.array_equal(getattr(first_order, part),
+                              getattr(second, part), equal_nan=True), part
+
+
+NUMBER_OPERATIONS = {
+    "c*x": (lambda c, x: c * x, lambda k, x: k * x),
+    "x*c": (lambda c, x: x * c, lambda k, x: x * k),
+    "x+c": (lambda c, x: x + c, lambda k, x: x + k),
+    "c+x": (lambda c, x: c + x, lambda k, x: k + x),
+    "x-c": (lambda c, x: x - c, lambda k, x: x - k),
+    "c-x": (lambda c, x: c - x, lambda k, x: k - x),
+    "c/x": (lambda c, x: c / x, lambda k, x: k / x),
+    "x/c": (lambda c, x: x / c, lambda k, x: x / k),
+}
+# a number, zero among them, of a size whose constant jet has a finite
+# reciprocal with finite derivatives
+NUMBERS = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3),
+                    st.floats(min_value=-1e3, max_value=-1e-3))
+
+
+def outcome(operation, *operands):
+    try:
+        with np.errstate(all="ignore"):
+            return operation(*operands)
+    except JetDomainError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(NUMBER_OPERATIONS)), NUMBERS, BATCHES,
+       st.sampled_from([1, 2]))
+def test_a_number_operand_equals_its_constant_jet(name, c, points, order):
+    x1, x2, x3 = seed_coordinates(points, order)
+    x = x1 * x2 + jets.sin(x3) * x1 - x2  # a jet with a full Hessian
+    by_number, by_jet = NUMBER_OPERATIONS[name]
+    number = outcome(by_number, c, x)
+    jet = outcome(by_jet, Jet2.constant(c, x.dim, order), x)
+    if isinstance(jet, str):
+        assert number == jet
+        return
+    assert number.order == jet.order == order
+    for part in ("value", "grad", "hess"):
+        assert np.array_equal(getattr(number, part), getattr(jet, part)), part
+
+
+def counting_reciprocals():
+    """A patch of ``Jet2._chain`` that records the jet of each reciprocal it
+    computes, and the list it records them in."""
+    computed, chain = [], Jet2._chain
+
+    def counted(self, f0, f1, f2):
+        computed.append(self)
+        return chain(self, f0, f1, f2)
+
+    return mock.patch.object(Jet2, "_chain", counted), computed
+
+
+@settings(max_examples=50, deadline=None)
+@given(BATCHES.filter(lambda p: np.all(np.abs(p) > 1e-3)),
+       st.integers(2, 5), st.sampled_from([1, 2]))
+def test_a_repeated_division_computes_the_reciprocal_once(points, times,
+                                                          order):
+    x1, x2, x3 = seed_coordinates(points, order)
+    d = x1 * x2 * x3
+    patch, computed = counting_reciprocals()
+    with patch, np.errstate(all="ignore"):
+        quotients = [(x1 + k) / d for k in range(times)] + [2.0 / d, d ** -2]
+    assert [jet for jet in computed if jet is d] == [d]
+    once = (x1 + 0) * d.reciprocal()
+    assert np.array_equal(quotients[0].grad, once.grad)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_division_by_a_zero_value_raises_at_every_division(order):
+    x1, x2 = seed_coordinates([[1.0, 0.5], [2.0, 0.0]], order)
+    d = x2 * x1  # zero in the second row
+    for divide in (lambda: x1 / d, lambda: 3.0 / d, lambda: d ** -1,
+                   lambda: x1 / d, Jet2.reciprocal.__get__(d)):
+        with pytest.raises(JetDomainError, match="division by zero"):
+            divide()
+    with pytest.raises(JetDomainError, match="division by zero"):
+        x1 / 0.0
+    assert d._reciprocal is None

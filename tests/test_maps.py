@@ -225,6 +225,20 @@ def test_jets_memo_warm_equals_cold():
         assert np.array_equal(c.hess, w.hess)
 
 
+def test_a_hessian_reader_refuses_a_first_order_jet():
+    # the Laplacian and the map's second derivatives need a Hessian, which
+    # a first-order jet (as of a metric or a conformal factor) lacks
+    p = np.array([[0.3, -0.4, 0.7]])
+    missing = "first-order jet, which carries no Hessian"
+    with pytest.raises(ValueError, match=missing):
+        at(rational_map(), p).laplacian(jets.seed_coordinates(p, order=1)[0])
+    phi = SmoothMap(euclidean_space(3), euclidean_space(2), lambda c: (
+        jets.seed_coordinates(np.stack([x.value for x in c], -1), 1)[:2]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=missing):
+            at(phi, p).map_jets
+
+
 def test_memoized_jets_are_read_only():
     phi = rational_map()
     p = np.array([0.3, -0.4, 0.7])

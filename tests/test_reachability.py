@@ -49,6 +49,8 @@ RUNS = [
     (verify(FLAT, "--sigma", "sqrt(1+x1^2)*exp(-0.1*x2)", "--rho",
             "2^(0.1*x2)+log(2+x1)"), 0),
     (verify(FLAT, "--sigma", "1/(2+cos(x1))", "--rho", "(1+x2^2)^-0.5"), 0),
+    # a number less a jet
+    (verify(FLAT, "--sigma", "3-x1"), 0),
     # errors at sample points: a log out of its domain, and a rho that is
     # not positive
     (verify(FLAT, "--sigma", "log(x1)"), 1),
