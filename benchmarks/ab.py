@@ -120,8 +120,20 @@ def layer(kind, args, setups):
     start = time.perf_counter()
     out = read(run, point, idx)
     seconds = time.perf_counter() - start
-    return seconds, None if out is None else [[rep.passed, rep.error]
-                                              for rep in out]
+    return seconds, None if out is None else counts(out)
+
+
+def counts(out):
+    """[pass, fail and error counts, errors] of an identity read: its
+    ``IdentityAggregate``, or, from a tree whose checks give one report per
+    row, the list of those reports."""
+    if not isinstance(out, list):
+        return [out.samples_pass, out.samples_fail, out.samples_error,
+                out.errors]
+    errors = [{"point": rep.point, "error": rep.error} for rep in out
+              if rep.error is not None]
+    passed = sum(rep.passed for rep in out)
+    return [passed, len(out) - passed - len(errors), len(errors), errors]
 
 
 class Worker:

@@ -13,7 +13,7 @@ from .hermitian import (AlmostComplexStructureField, AdaptedFrame,
                         adapted_frame, f_divergence_horizontal, f_structure,
                         phh_defect, phwc_defect, phwc_metric_defect,
                         tension_via_f_structure)
-from .biconformal import (ChangedMetric, IdentityResidualReport,
+from .biconformal import (ChangedMetric, IdentityAggregate,
                           PositivityError, special_change,
                           verify_f_divergence, verify_koszul_h,
                           verify_koszul_v, verify_mean_curvature,

@@ -19,9 +19,10 @@ over a batch of sample points, and, for a law of the change, the
 (``LocalGeometry.under``).  It computes one identity's two sides by
 independent routes (the Levi-Civita geometry of g-bar, built from g-bar's own
 (g-bar, d g-bar), on one side; the closed-form transformation law on g's
-connection on the other) and returns one report per row (``row_reports``);
-``runner.IDENTITIES`` folds the reports over a run's points.  ``PROPERTIES``
-(PHWC, harmonicity, PHH) are read under g by the run's flags, and under the
+connection on the other) and returns the batch's reading: four per-row
+arrays (absolute and relative residual, finite, passed), which the runner
+folds into an ``IdentityAggregate`` (``fold``).  ``PROPERTIES`` (PHWC,
+harmonicity, PHH) are read under g by the run's flags, and under the
 one-function change by the corollaries (``corollary_at``), against exact
 predictions from g-side quantities: a PHWC defect of 0, the tension field
 sigma^2 tau, and a PHH defect of sigma sqrt(8 (n - 1)) |grad_H ln sigma|,
@@ -46,10 +47,10 @@ from .manifold import (GeometryError, MetricError, contract, dot, matvec,
 from .maps import (LocalGeometry, SmoothMap, differential,
                    horizontal_projector, mean_curvature_vertical,
                    tension_field)
-from .hermitian import (AlmostComplexStructureField, d_f_structure,
-                        f_divergence_horizontal, f_structure,
-                        nabla_f_operator, phh_defect, phwc_defect,
-                        phwc_metric_defect, tension_via_f_structure)
+from .hermitian import (AlmostComplexStructureField,
+                        f_divergence_horizontal, f_structure, nabla_f,
+                        phh_defect, phwc_defect, phwc_metric_defect,
+                        tension_via_f_structure)
 
 REL_FLOOR = 1.0  # residuals are read relative to (scale + this floor)
 
@@ -205,24 +206,9 @@ def special_change(phi: SmoothMap, sigma: Expr) -> ChangedMetric:
 
 
 @dataclass
-class IdentityResidualReport:
-    identity: str
-    point: list
-    abs_residual: float
-    rel_residual: float
-    passed: bool
-    error: Optional[str] = None
-
-
-def errored_report(identity, p, err) -> IdentityResidualReport:
-    return IdentityResidualReport(identity, np.asarray(p).tolist(), 0.0, 0.0,
-                                  False, error=str(err))
-
-
-@dataclass
 class IdentityAggregate:
-    """Per-identity tally of sample reports, read in sample-point order;
-    the worst point has the largest relative residual."""
+    """Per-identity tally of the readings of a check, folded in sample-point
+    order; the worst point has the largest relative residual."""
     name: str
     samples_pass: int = 0
     samples_fail: int = 0
@@ -232,21 +218,30 @@ class IdentityAggregate:
     worst_point: Optional[list] = None
     errors: list = dc_field(default_factory=list)
 
-    def add(self, rep: IdentityResidualReport):
-        if rep.error is not None:
-            self.samples_error += 1
-            self.errors.append({"point": rep.point, "error": rep.error})
-            return
-        # ">=": of two equal residuals the later point is the worst; a NaN
-        # residual never is
-        if rep.rel_residual >= self.max_rel_residual:
-            self.max_abs_residual = rep.abs_residual
-            self.max_rel_residual = rep.rel_residual
-            self.worst_point = rep.point
-        if rep.passed:
-            self.samples_pass += 1
-        else:
-            self.samples_fail += 1
+    def fold(self, p, absr, rel, finite, passed):
+        """Fold a batch's reading, per-row arrays at the rows of the points
+        p (a ``_reading`` and whether the row passed), in row order: a row
+        that is not ``finite`` is the error "non-finite residual"."""
+        for q, a, r, fin, ok in zip(p.tolist(), absr.tolist(), rel.tolist(),
+                                    finite.tolist(), passed.tolist()):
+            if not fin:
+                self.error(q, "non-finite residual")
+                continue
+            # ">=": of two equal residuals the later point is the worst; a
+            # NaN residual never is
+            if r >= self.max_rel_residual:
+                self.max_abs_residual, self.max_rel_residual = a, r
+                self.worst_point = q
+            if ok:
+                self.samples_pass += 1
+            else:
+                self.samples_fail += 1
+
+    def error(self, point, err):
+        """Count the sample error ``err`` at ``point``."""
+        self.samples_error += 1
+        self.errors.append({"point": np.asarray(point).tolist(),
+                            "error": str(err)})
 
     @property
     def passed(self) -> bool:
@@ -269,25 +264,25 @@ def _reading(defect, scale):
             np.isfinite(defect) & np.isfinite(scale))
 
 
-def row_reports(identity, p, absr, rel, finite, passed):
-    """One report per row of the batch of points p, from per-row arrays (a
-    ``_reading`` and whether the row passed); a row that is not ``finite``
-    is errored."""
-    rows = zip(p.tolist(), absr.tolist(), rel.tolist(), finite.tolist(),
-               passed.tolist())
-    return [IdentityResidualReport(identity, q, a, r, ok) if fin
-            else errored_report(identity, q, "non-finite residual")
-            for q, a, r, fin, ok in rows]
-
-
-def _report(identity, p, lhs, rhs, tol):
-    """Residual reports of lhs = rhs (components on the last axis) at the
-    rows of p, read against the larger side."""
+def _compare(lhs, rhs, tol):
+    """The reading of lhs = rhs (components on the last axis) per row, read
+    against the larger side, and whether each row is within ``tol``."""
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     absr, rel, finite = _reading(
         np.abs(lhs - rhs).max(axis=-1),
         np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1)))
-    return row_reports(identity, p, absr, rel, finite, rel < tol)
+    return absr, rel, finite, rel < tol
+
+
+def worst_of(readings):
+    """One reading of several of the same rows: per row, the residuals of
+    the reading with the largest relative residual (the first of equal
+    ones), finite where every reading is, and passed where every one did."""
+    absr, rel, finite, passed = (np.stack(part) for part in zip(*readings))
+    worst = rel.argmax(axis=0)[None]  # each row's worst reading
+    return (np.take_along_axis(absr, worst, 0)[0],
+            np.take_along_axis(rel, worst, 0)[0], finite.all(axis=0),
+            passed.all(axis=0))
 
 
 def _require_horizontal(name, v, ph, g):
@@ -321,7 +316,7 @@ def verify_koszul_h(gbar: ChangedMetric, geo: LocalGeometry, x_comp, y_comp,
     rhs = (matvec(ph, contract(geo.christoffel, xy))
            - dot(dls, x)[..., None] * y - dot(dls, y)[..., None] * x
            + quad(x, g, y)[..., None] * matvec(ph, grad_ls))
-    return _report("koszul-horizontal", geo.p, lhs, rhs, tol)
+    return _compare(lhs, rhs, tol)
 
 
 def verify_koszul_v(gbar: ChangedMetric, geo: LocalGeometry, v_comp,
@@ -356,7 +351,7 @@ def verify_koszul_v(gbar: ChangedMetric, geo: LocalGeometry, v_comp,
              * matvec(ph, geo.covariant_derivative(v, v, dv))
              - quad(v, g, v)[..., None] * matvec(ph @ geo.ginv, d_rho_m2))
     rhs = (0.5 * s_jet.value ** 2)[..., None] * inner
-    return _report("koszul-vertical", geo.p, lhs, rhs, tol)
+    return _compare(lhs, rhs, tol)
 
 
 def verify_mean_curvature(gbar: ChangedMetric, geo: LocalGeometry,
@@ -372,7 +367,7 @@ def verify_mean_curvature(gbar: ChangedMetric, geo: LocalGeometry,
     ph = horizontal_projector(geo)
     s, _ = gbar.factor_values(geo)
     rhs = (s ** 2)[..., None] * (mu + matvec(ph, grad_lr))
-    return _report("mean-curvature", geo.p, lhs, rhs, tol)
+    return _compare(lhs, rhs, tol)
 
 
 def verify_f_divergence(gbar: ChangedMetric, geo: LocalGeometry,
@@ -389,7 +384,7 @@ def verify_f_divergence(gbar: ChangedMetric, geo: LocalGeometry,
     s, _ = gbar.factor_values(geo)
     n2 = 2.0 * gbar.phi.n - 2.0
     rhs = (s ** 2)[..., None] * (div + n2 * matvec(ph, grad_ls))
-    return _report("f-divergence", geo.p, lhs, rhs, tol)
+    return _compare(lhs, rhs, tol)
 
 
 def verify_tension_transform(gbar: ChangedMetric, geo: LocalGeometry,
@@ -406,7 +401,7 @@ def verify_tension_transform(gbar: ChangedMetric, geo: LocalGeometry,
     two_n, m = gbar.phi.two_n, gbar.phi.m
     correction = (two_n - m) * grad_lr + (2.0 - two_n) * grad_ls
     rhs = (s ** 2)[..., None] * (tau + matvec(a, correction))
-    return _report("tension-transform", geo.p, lhs, rhs, tol)
+    return _compare(lhs, rhs, tol)
 
 
 def phh_correction(gbar: ChangedMetric, geo: LocalGeometry,
@@ -440,17 +435,14 @@ def verify_phh_covariant_formula(gbar: ChangedMetric, geo: LocalGeometry,
     ph = geo.projector_and_lift[0]
     x = _require_horizontal("X", x_comp, ph, g)
     y = _require_horizontal("Y", y_comp, ph, g)
-    f = f_structure(geo, J)
-    df = d_f_structure(geo, J)
-
     xy = outer(x, y)
-    nab_bar = nabla_f_operator(f, df, geo.under(gbar).christoffel)
+    nab_bar = nabla_f(geo.under(gbar), J)
     lhs = matvec(ph, contract(nab_bar.swapaxes(-3, -2), xy))
 
-    nab = nabla_f_operator(f, df, geo.christoffel)
+    nab = nabla_f(geo, J)
     rhs = phh_correction(gbar, geo, J, x, y,
                          matvec(ph, contract(nab.swapaxes(-3, -2), xy)))
-    return _report("phh-covariant", geo.p, lhs, rhs, tol)
+    return _compare(lhs, rhs, tol)
 
 
 # ---- holomorphic test functions for the pullback characterization --------
@@ -477,7 +469,7 @@ def verify_pullback_characterization(geo: LocalGeometry, holo_name: str,
     fn = HOLOMORPHIC_BUILTINS[holo_name]
     # the jets of f o phi at p: f applied to the kept jets of phi
     lap = np.stack([geo.laplacian(part) for part in fn(geo.jets)], axis=-1)
-    return _report("pullback", geo.p, lap, np.zeros_like(lap), tol)
+    return _compare(lap, np.zeros_like(lap), tol)
 
 
 def verify_tension_equivalence(geo: LocalGeometry,
@@ -486,7 +478,7 @@ def verify_tension_equivalence(geo: LocalGeometry,
     """Trace-formula tension field against the f-structure route."""
     lhs = tension_field(geo)
     rhs = tension_via_f_structure(geo, J)
-    return _report("tension-f-structure", geo.p, lhs, rhs, tol)
+    return _compare(lhs, rhs, tol)
 
 
 def verify_phwc_equivalence(geo: LocalGeometry,
@@ -500,9 +492,8 @@ def verify_phwc_equivalence(geo: LocalGeometry,
     d1, r1, finite1 = _reading(*phwc_defect(geo, J))
     d2, r2, finite2 = _reading(*phwc_metric_defect(geo, J))
     # the larger of each pair, the first where they tie
-    return row_reports("phwc-equivalence", geo.p, np.where(d2 > d1, d2, d1),
-                       np.where(r2 > r1, r2, r1), finite1 & finite2,
-                       (r1 < tol) == (r2 < tol))
+    return (np.where(d2 > d1, d2, d1), np.where(r2 > r1, r2, r1),
+            finite1 & finite2, (r1 < tol) == (r2 < tol))
 
 
 # ---- properties of phi and J, read under g and under a change -----------
@@ -516,11 +507,14 @@ class Property:
     measure: Callable
     predict: Callable
 
-    def reading(self, geo: LocalGeometry, J, prediction=0.0):
+    def reading(self, geo: LocalGeometry, J, prediction=0.0, tol=np.inf):
         """The ``_reading`` per row of the largest component of the value
-        less ``prediction``, against the scale."""
+        less ``prediction``, against the scale, and whether each row is
+        within ``tol`` (every finite row by default, as a flag reads it)."""
         value, scale = self.measure(geo, J)
-        return _reading(np.abs(value - prediction).max(axis=-1), scale)
+        absr, rel, finite = _reading(np.abs(value - prediction).max(axis=-1),
+                                     scale)
+        return absr, rel, finite, rel < tol
 
 
 def _defect(defect, scale):  # a defect as a value of one component
@@ -564,12 +558,9 @@ def corollary_at(name, gbar: ChangedMetric, geo: LocalGeometry,
     """The corollary ``name`` at the rows of the point context ``geo``:
     each of its ``PROPERTIES``, read under the one-function change
     ``gbar``, equals its prediction from phi's geometry under g.  A row's
-    residual is that of the property with the largest relative residual,
-    and a row where any reading is not finite is a sample error."""
+    residual is that of the property with the largest relative residual
+    (``worst_of``), and a row where any reading is not finite is a sample
+    error."""
     bar, props = geo.under(gbar), [PROPERTIES[p] for p in COROLLARIES[name]]
-    absr, rel, finite = (np.stack(part) for part in zip(*(
-        prop.reading(bar, J, prop.predict(gbar, geo, J)) for prop in props)))
-    worst = rel.argmax(axis=0)[None]  # each row's worst property
-    return row_reports(name, geo.p, np.take_along_axis(absr, worst, 0)[0],
-                       np.take_along_axis(rel, worst, 0)[0],
-                       finite.all(axis=0), (rel < tol).all(axis=0))
+    return worst_of([prop.reading(bar, J, prop.predict(gbar, geo, J), tol)
+                     for prop in props])

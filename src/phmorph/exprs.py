@@ -226,7 +226,9 @@ def _check_depth(depth, pos):
 
 
 _BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-               "div": operator.truediv, "pow": operator.pow}
+               "div": operator.truediv, "pow": lambda a, b: (
+                   jets.exp(jets.log(a) * b) if isinstance(b, Jet2)
+                   else a ** b)}
 _CALLS = {name: getattr(jets, name) for name in FUNCTIONS}
 
 
@@ -238,7 +240,10 @@ def eval_jet(e: Expr, coords):
     overflow raise ``EvalError`` at the offending node.  The jets have the
     coordinates' order; a literal beside a jet enters the operation as its
     float, so no constant jet is built for it, except as a power's base
-    (a jet has no reflected power)."""
+    (a jet has no reflected power).  A power's exponent with no variable
+    is a number, and one with a variable is a jet, whatever its derivatives
+    at the point, taken through exp(log(base) * exponent): both orders take
+    one route."""
     if isinstance(e, Lit):
         return Jet2.constant(e.value, coords[0].dim, coords[0].order)
     if isinstance(e, Var):
@@ -254,6 +259,8 @@ def eval_jet(e: Expr, coords):
              and not isinstance(right, Lit) else eval_jet(left, coords))
         b = (right.value if isinstance(right, Lit)
              and not isinstance(left, Lit) else eval_jet(right, coords))
+        if e.op == "pow" and isinstance(b, Jet2) and max_var_index(right) < 0:
+            b = float(b.value)
         try:
             return _BINARY_OPS[e.op](a, b)
         except (JetDomainError, ArithmeticError) as err:

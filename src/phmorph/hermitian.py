@@ -10,9 +10,10 @@ read-only, keyed on J and computed once:
 - F = L J(phi) A and its exact derivative dF depend on the metric only
   through the horizontal lift L, which a biconformal change keeps, so they
   are kept in the source geometry (``LocalGeometry.source``);
-- ``phwc_defect``, ``phwc_metric_defect`` and ``f_divergence_horizontal``
-  are kept in the geometry of their own metric (one value per point of a
-  batch; a Frobenius norm is one dot product of the matrix's entries).
+- nabla F (``nabla_f``), ``phwc_defect``, ``phwc_metric_defect`` and
+  ``f_divergence_horizontal`` are kept in the geometry of their own metric
+  (one value per point of a batch; a Frobenius norm is one dot product of
+  the matrix's entries).
 
 The horizontal quantities (``f_divergence_horizontal``, ``phh_defect``,
 ``phwc_metric_defect``) read a frame {f_a} of H only through
@@ -187,11 +188,11 @@ def nabla_f_operator(f: np.ndarray, df: np.ndarray,
     return df + (gamma @ per_k(f) - act_first(f, gamma)).swapaxes(-3, -2)
 
 
-def _nabla_f(geo, J) -> np.ndarray:
-    """nabla F at the point of ``geo``, on the PHWC condition."""
-    _require_phwc(geo, J)
-    return nabla_f_operator(f_structure(geo, J), d_f_structure(geo, J),
-                            geo.christoffel)
+def nabla_f(geo: LocalGeometry, J: AlmostComplexStructureField):
+    """nabla F at the point of ``geo`` from its metric's Gamma, kept per J
+    (the horizontal traces read it on the PHWC condition)."""
+    return geo.field(("nabla_F", J), lambda: nabla_f_operator(
+        f_structure(geo, J), d_f_structure(geo, J), geo.christoffel))
 
 
 def f_divergence_horizontal(geo: LocalGeometry,
@@ -205,7 +206,8 @@ def f_divergence_horizontal(geo: LocalGeometry,
     horizontal for PHWC maps and zero for PHH ones.  Kept per J."""
     def compute():
         r = geo.horizontal_factor
-        total = contract(_nabla_f(geo, J).swapaxes(-3, -2), r.mT @ r)
+        _require_phwc(geo, J)
+        total = contract(nabla_f(geo, J).swapaxes(-3, -2), r.mT @ r)
         return matvec(f_structure(geo, J), total)
 
     return geo.field(("f_divergence", J), compute)
@@ -220,7 +222,8 @@ def phh_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
     frame (the max over frame pairs would); zero exactly when the map is
     PHH.  The scale is the same norm without H, at least 1."""
     r = geo.horizontal_factor
-    pairs = act_first(r, _nabla_f(geo, J)) @ per_k(r.mT)  # [a, k, b]
+    _require_phwc(geo, J)
+    pairs = act_first(r, nabla_f(geo, J)) @ per_k(r.mT)  # [a, k, b]
     horizontal = per_k(geo.projector_and_lift[0]) @ pairs
 
     def norm2(x):  # sum over a, b of g(x[a, :, b], x[a, :, b])

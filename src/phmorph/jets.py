@@ -210,21 +210,8 @@ class Jet2:
         return self.reciprocal() * other
 
     def __pow__(self, exponent):
-        if isinstance(exponent, Jet2):
-            # a constant-jet exponent keeps the integer fast path available
-            # (so x^2 still works at negative x), for all rows or for none;
-            # a first-order exponent is read as constant in a row where its
-            # gradient vanishes: the same value and gradient, up to rounding
-            varying = exponent.grad.any(axis=-1)
-            if exponent.hess is not None:
-                varying = varying | exponent.hess.any(axis=(-2, -1))
-            if varying.all():
-                return exp(log(self) * exponent)
-            values = set(exponent.value.ravel().tolist())
-            if varying.any() or len(values) > 1:
-                raise JetDomainError("a jet exponent that is not constant "
-                                     "over the batch")
-            exponent = values.pop()
+        """The jet to a number power (``exprs.eval_jet`` takes a jet
+        exponent through exp and log)."""
         e = float(exponent)
         if e == int(e):
             return self._int_pow(int(e))

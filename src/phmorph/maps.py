@@ -18,7 +18,8 @@ its first read, kept read-only, and never kept when it fails:
 - per metric: (g, dg) from one ``metric_at``, which validates g (under a
   change, ``check_metric`` of g-bar's); g^-1, inverted once, which ``ginv``
   checks for accuracy and Gamma reads unchecked; Gamma (read by
-  ``covariant_derivative`` and ``laplacian``), the horizontal factor R with
+  ``covariant_derivative``) and its trace Gamma^k_ij g^ij (read by
+  ``laplacian`` and ``tension_field``), the horizontal factor R with
   R^T R = P_H g^-1 P_H^T (``hermitian`` takes its horizontal traces over
   R's rows), ``tension_field`` and ``mean_curvature_vertical`` (component
   arrays, as every vector here);
@@ -196,6 +197,11 @@ class LocalGeometry:
         """Gamma[..., k, i, j] = Gamma^k_ij, from g^-1 and dg."""
         return levi_civita(self._inverse, self.metric_and_derivs[1])
 
+    @_kept
+    def christoffel_trace(self) -> np.ndarray:
+        """Gamma^k_ij g^ij."""
+        return contract(self.christoffel, self.ginv)
+
     @_kept_in_source
     def jets(self):
         """The map's jets at p, in the chart domain."""
@@ -238,7 +244,7 @@ class LocalGeometry:
         which is checked for non-finite components."""
         jet.check()
         return (contract(hessian(jet)[..., None, :, :], self.ginv)[..., 0]
-                - dot(contract(self.christoffel, self.ginv), jet.grad))
+                - dot(self.christoffel_trace, jet.grad))
 
     @_kept_in_source
     def _differential(self):
@@ -295,7 +301,7 @@ class LocalGeometry:
         _, a, da = self.map_jets
         ginv = self.ginv
         return (contract(da.swapaxes(-3, -2), ginv)
-                - matvec(a, contract(self.christoffel, ginv))
+                - matvec(a, self.christoffel_trace)
                 + contract(self.target_christoffel, a @ ginv @ a.mT))
 
     @_kept

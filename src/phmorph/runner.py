@@ -4,7 +4,7 @@ assemble a deterministic machine-readable report.
 ``IDENTITIES`` is the one list of the laws a run checks, in report order.
 Each entry names what the identity requires of the scenario (``REQUIREMENTS``;
 the first that fails is its skip reason) and the check that gives its
-reports at the sample points of a point context.  A run verifies one
+reading at the sample points of a point context.  A run verifies one
 ``biconformal.ChangedMetric`` (``RunConfig.build_change``) and reads the
 corollaries under the one-function change of its sigma.
 
@@ -14,15 +14,15 @@ handed to every applicable identity (``run_identity``), then to the flag
 checks (``confirm_flags``: ``biconformal.PROPERTIES`` under g, which the
 corollaries read under the one-function change against their predictions),
 and dropped before the next chunk.  The verdict is "pass" where every
-identity passed and every flag is confirmed, else "fail".  Every
-check returns one report per row.  ``_settle`` runs both kinds: a check
-that raises a sample error on a batch is re-run on each row as a 1-row
-batch (``LocalGeometry.rows``), and a sample error at one row is that row's
-errored report.  Each identity, and each flag, folds its reports into one
-``IdentityAggregate`` in point order.  The chunks run in one numpy
-floating-point error state, in which overflow, invalid operations and
-division by zero give inf and NaN silently; the checks report them as sample
-errors."""
+identity passed and every flag is confirmed, else "fail".  Every check
+returns its batch's reading as per-row arrays, and ``_settle`` runs both
+kinds, folding the reading straight into the identity's, or the flag's,
+one ``IdentityAggregate`` in point order: a check that raises a sample
+error on a batch is re-run on each row as a 1-row batch
+(``LocalGeometry.rows``), and a sample error at one row is that row's
+error.  The chunks run in one numpy floating-point error state, in which
+overflow, invalid operations and division by zero give inf and NaN
+silently; the checks report them as sample errors."""
 
 from __future__ import annotations
 
@@ -34,14 +34,14 @@ import numpy as np
 from . import exprs, scenarios
 from .biconformal import (PROPERTIES, ChangedMetric,
                           HOLOMORPHIC_BUILTINS, IdentityAggregate,
-                          SAMPLE_ERRORS, corollary_at, errored_report,
-                          row_reports, special_change,
+                          SAMPLE_ERRORS, corollary_at, special_change,
                           verify_f_divergence, verify_koszul_h,
                           verify_koszul_v, verify_mean_curvature,
                           verify_phh_covariant_formula,
                           verify_phwc_equivalence,
                           verify_pullback_characterization,
-                          verify_tension_equivalence, verify_tension_transform)
+                          verify_tension_equivalence, verify_tension_transform,
+                          worst_of)
 from .maps import LocalGeometry
 from .scenarios import Scenario, sample_points
 
@@ -129,18 +129,15 @@ class RunContext:
 
 def _pullback(run: RunContext, geo: LocalGeometry, idx):
     """Worst of the first three holomorphic pullbacks, under g and, for the
-    one-function change, under g-bar as well: that change preserves the
-    morphism property, so the pullbacks stay harmonic under it."""
+    one-function change, under g-bar as well (``worst_of``): that change
+    keeps the morphism property, so the pullbacks stay harmonic under it."""
     tol = run.config.tol_fd
     names = [h for h in sorted(HOLOMORPHIC_BUILTINS)
              if h != "z1*z2" or run.scenario.phi.two_n >= 4][:3]
-    reps = []
-    for holo in names:
-        reps.append(verify_pullback_characterization(geo, holo, tol=tol))
-        if run.config.special_sigma is not None:
-            reps.append(verify_pullback_characterization(
-                geo.under(run.gbar), holo, tol=tol))
-    return [max(row, key=lambda r: r.rel_residual) for row in zip(*reps)]
+    geos = [geo] if run.config.special_sigma is None else [
+        geo, geo.under(run.gbar)]
+    return worst_of([verify_pullback_characterization(view, holo, tol=tol)
+                     for holo in names for view in geos])
 
 
 # requirement -> (holds(scenario), skip reason when it does not)
@@ -159,7 +156,7 @@ REQUIREMENTS = {
 @dataclass(frozen=True)
 class Identity:
     """A law's row: the ``REQUIREMENTS`` it needs and its check (run, point
-    context, first sample index) -> a report per point."""
+    context, first sample index) -> the reading at its points."""
     requires: Tuple[str, ...]
     check: Callable
 
@@ -208,25 +205,28 @@ def skip_reason(name: str, scenario: Scenario) -> Optional[str]:
     return None
 
 
-def _settle(name: str, check: Callable, geo: LocalGeometry, idx: int):
-    """``check(geo, idx)``, the reports named ``name`` at the rows of the
-    point context ``geo``, whose first row has sample index ``idx``.  A
-    sample error re-runs the check on each row as a 1-row batch, and at one
-    row is that row's errored report."""
+def _settle(agg, check: Callable, geo: LocalGeometry, idx: int):
+    """Fold ``check(geo, idx)``, the reading at the rows of the point context
+    ``geo``, whose first row has sample index ``idx``, into the aggregate
+    ``agg``.  A sample error re-runs the check on each row as a 1-row
+    batch, and at one row is that row's error."""
     try:
-        return check(geo, idx)
+        reading = check(geo, idx)
     except SAMPLE_ERRORS as err:
         if len(geo.p) == 1:
-            return [errored_report(name, geo.p[0], err)]
-    return [rep for i, row in enumerate(geo.rows)
-            for rep in _settle(name, check, row, idx + i)]
+            return agg.error(geo.p[0], err)
+        for i, row in enumerate(geo.rows):
+            _settle(agg, check, row, idx + i)
+    else:
+        agg.fold(geo.p, *reading)
 
 
-def run_identity(name: str, run: RunContext, geo: LocalGeometry, idx: int):
-    """The reports of one identity at the rows of the point context ``geo``,
-    whose first row has sample index ``idx`` (settled by ``_settle``)."""
+def run_identity(name: str, run: RunContext, geo: LocalGeometry, idx: int,
+                 agg: IdentityAggregate):
+    """Fold one identity's reading at the rows of the point context ``geo``,
+    whose first row has sample index ``idx``, into ``agg`` (``_settle``)."""
     check = IDENTITIES[name].check
-    return _settle(name, lambda geo, idx: check(run, geo, idx), geo, idx)
+    _settle(agg, lambda geo, idx: check(run, geo, idx), geo, idx)
 
 
 def _flag_tallies(scenario: Scenario):
@@ -271,10 +271,8 @@ def confirm_flags(scenario: Scenario, geos, tol: float = 1e-5,
     tallies = _flag_tallies(scenario) if tallies is None else tallies
     for geo in geos:
         for flag, tally in tallies.items():
-            for rep in _settle(flag, lambda row, _: row_reports(
-                    flag, row.p, *PROPERTIES[flag].reading(row, scenario.J),
-                    np.ones(len(row.p), dtype=bool)), geo, 0):
-                tally.add(rep)
+            reading = PROPERTIES[flag].reading
+            _settle(tally, lambda row, _: reading(row, scenario.J), geo, 0)
     return _flag_entries(scenario, tallies, tol)
 
 
@@ -298,8 +296,7 @@ def run_verification(config: RunConfig):
         for start in range(0, len(points), CHUNK):
             geo = LocalGeometry(scenario.phi, points[start:start + CHUNK])
             for agg in totals:
-                for rep in run_identity(agg.name, run, geo, start):
-                    agg.add(rep)
+                run_identity(agg.name, run, geo, start, agg)
             flags = confirm_flags(scenario, [geo], config.tol_fd,
                                   flag_tallies)
 

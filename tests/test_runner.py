@@ -12,8 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from phmorph import (ALL_IDENTITIES, IdentityResidualReport, Jet2, RunConfig,
-                     biconformal, confirm_flags, get_scenario, hermitian,
+from phmorph import (ALL_IDENTITIES, Jet2, RunConfig, biconformal, confirm_flags, get_scenario, hermitian,
                      manifold, maps, parse, run_verification, runner,
                      sample_points, scenarios)
 from phmorph.biconformal import PROPERTIES, IdentityAggregate
@@ -164,9 +163,8 @@ def _one_pass_per_identity(config):
             continue
         agg = IdentityAggregate(name)
         for idx, p in enumerate(points):
-            for rep in run_identity(name, run,
-                                    LocalGeometry(scenario.phi, [p]), idx):
-                agg.add(rep)
+            run_identity(name, run, LocalGeometry(scenario.phi, [p]), idx,
+                         agg)
         per_identity.append(agg.as_dict())
     flags = confirm_flags(scenario, [LocalGeometry(scenario.phi, [p])
                                      for p in points], tol=config.tol_fd)
@@ -461,23 +459,29 @@ def test_a_wrong_projector_derivative_fails_a_hopf_run(monkeypatch):
     assert failed == {"koszul-horizontal", "tension-f-structure"}, failed
 
 
-def _rep(point, rel, abs_=None, error=None):
-    return IdentityResidualReport("x", [point],
-                                  rel if abs_ is None else abs_, rel,
-                                  rel < 2.5, error=error)
+def _fold(agg, points, rel, absr, finite=None):
+    """Fold rows at the 1-coordinate ``points`` into ``agg``, passing below
+    a relative residual of 2.5."""
+    rel = np.array(rel)
+    agg.fold(np.array(points, dtype=float)[:, None], np.array(absr), rel,
+             np.ones(len(rel), bool) if finite is None else np.array(finite),
+             rel < 2.5)
 
 
-def test_add_keeps_the_worst_point():
+def test_fold_keeps_the_worst_point():
     agg = IdentityAggregate("x")
-    for rep in [_rep(0, 1.0, 5.0), _rep(1, 3.0, 1.0),
-                _rep(2, 0.0, error="boom"), _rep(3, 3.0, 1.0),
-                _rep(4, float("nan")), _rep(5, 2.0, 5.0), _rep(6, 0.5, 0.5)]:
-        agg.add(rep)
-    assert (agg.samples_pass, agg.samples_fail, agg.samples_error) == (3, 3, 1)
-    assert agg.errors == [{"point": [2], "error": "boom"}]
+    _fold(agg, [0, 1], [1.0, 3.0], [5.0, 1.0])
+    agg.error([2.0], "boom")
+    _fold(agg, [3, 4, 5, 6, 7], [3.0, float("nan"), 2.0, 9.0, 0.5],
+          [1.0, float("nan"), 5.0, 9.0, 0.5], [1, 1, 1, 0, 1])
+    assert (agg.samples_pass, agg.samples_fail, agg.samples_error) == (3, 3, 2)
+    assert agg.errors == [{"point": [2.0], "error": "boom"},
+                          {"point": [6.0], "error": "non-finite residual"}]
     assert not agg.passed
-    # ties go to the later point, and a NaN residual is never the worst
-    assert (agg.worst_point, agg.max_rel_residual) == ([3], 3.0)
+    # ties go to the later point, a NaN residual is never the worst, and a
+    # row that is not finite is none of the points read
+    assert (agg.worst_point, agg.max_rel_residual,
+            agg.max_abs_residual) == ([3.0], 3.0, 1.0)
 
 
 def test_a_skipped_identity_gets_no_aggregate_and_the_run_passes():
@@ -500,9 +504,8 @@ def test_linalg_error_in_a_corollary_is_a_sample_error(monkeypatch):
     run = RunContext(scenario, config, config.build_change(scenario))
     agg = IdentityAggregate("corollary-psh")
     for idx, p in enumerate(sample_points(scenario, 3, 42)):
-        for rep in run_identity("corollary-psh", run,
-                                LocalGeometry(scenario.phi, [p]), idx):
-            agg.add(rep)
+        run_identity("corollary-psh", run, LocalGeometry(scenario.phi, [p]),
+                     idx, agg)
     assert agg.samples_error == 3 and agg.samples_pass == 0
     assert agg.errors[0]["error"] == "Singular matrix"
     assert not agg.passed
@@ -610,9 +613,9 @@ def test_a_run_keeps_the_fields_no_change_alters_in_the_source_only(
     seen = []
     inner = runner.run_identity
 
-    def recording(name, run, geo, idx):
+    def recording(name, run, geo, idx, agg):
         seen.append(geo)
-        return inner(name, run, geo, idx)
+        return inner(name, run, geo, idx, agg)
 
     monkeypatch.setattr(runner, "run_identity", recording)
     rep = run_verification(RunConfig(scenario="flat-projection-6-4",
@@ -646,9 +649,9 @@ def test_a_run_keeps_only_the_current_points_geometries(monkeypatch):
     seen = []
     check = runner.run_identity
 
-    def probing(name, run, geo, idx):
+    def probing(name, run, geo, idx, agg):
         seen.append((set(rows(geo.p)), alive_points()))
-        return check(name, run, geo, idx)
+        return check(name, run, geo, idx, agg)
 
     monkeypatch.setattr(maps.LocalGeometry, "__init__", tracking)
     monkeypatch.setattr(runner, "run_identity", probing)
