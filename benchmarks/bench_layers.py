@@ -112,16 +112,16 @@ def test_map_jets(benchmark, workload, rows):
 
 
 def fill(run, point, idx):
-    phi, J = run.scenario.phi, run.scenario.J
+    phi = run.scenario.phi
     for geo in (point, point.under(run.gbar)):
         geo.christoffel
         geo.projector_and_lift_derivs
-        hermitian.d_f_structure(geo, J)
+        hermitian.d_f_structure(geo)
         maps.tension_field(geo)
         if phi.m > phi.two_n:
             maps.mean_curvature_vertical(geo)
-        hermitian.phwc_defect(geo, J)
-        hermitian.f_divergence_horizontal(geo, J)
+        hermitian.phwc_defect(geo)
+        hermitian.f_divergence_horizontal(geo)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))

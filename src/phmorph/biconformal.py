@@ -16,10 +16,11 @@ that is not positive raises ``PositivityError`` on every call.
 Every ``verify_*`` routine takes the point context, phi's source geometry
 over a batch of sample points, and, for a law of the change, the
 ``ChangedMetric``, whose geometry it reads from the point context
-(``LocalGeometry.under``).  It computes one identity's two sides by
-independent routes (the Levi-Civita geometry of g-bar, built from g-bar's own
-(g-bar, d g-bar), on one side; the closed-form transformation law on g's
-connection on the other) and returns the batch's reading: four per-row
+(``LocalGeometry.under``); a law that reads J reads the one phi carries.
+It computes one identity's two sides by independent routes (the
+Levi-Civita geometry of g-bar, built from g-bar's own (g-bar, d g-bar), on
+one side; the closed-form transformation law on g's connection on the
+other) and returns the batch's reading: four per-row
 arrays (absolute and relative residual, finite, passed), which the runner
 folds into an ``IdentityAggregate`` (``fold``).  ``PROPERTIES`` (PHWC,
 harmonicity, PHH) are read under g by the run's flags, and under the
@@ -47,8 +48,7 @@ from .manifold import (GeometryError, MetricError, contract, dot, matvec,
 from .maps import (LocalGeometry, SmoothMap, differential,
                    horizontal_projector, mean_curvature_vertical,
                    tension_field)
-from .hermitian import (AlmostComplexStructureField,
-                        f_divergence_horizontal, f_structure, nabla_f,
+from .hermitian import (f_divergence_horizontal, f_structure, nabla_f,
                         phh_defect, phwc_defect, phwc_metric_defect,
                         tension_via_f_structure)
 
@@ -371,14 +371,14 @@ def verify_mean_curvature(gbar: ChangedMetric, geo: LocalGeometry,
 
 
 def verify_f_divergence(gbar: ChangedMetric, geo: LocalGeometry,
-                        J: AlmostComplexStructureField, tol: float = 1e-5):
+                        tol: float = 1e-5):
     """F div_H F under the change: sigma^2 [F div_H F + (2n-2) grad_H ln sigma].
 
     The gradient correction is projected to H: the full gradient differs
     from it by a vertical component that the left side cannot contain.
     """
-    lhs = f_divergence_horizontal(geo.under(gbar), J)
-    div = f_divergence_horizontal(geo, J)
+    lhs = f_divergence_horizontal(geo.under(gbar))
+    div = f_divergence_horizontal(geo)
     grad_ls, _ = gbar.grad_log_factors(geo)
     ph = horizontal_projector(geo)
     s, _ = gbar.factor_values(geo)
@@ -404,15 +404,14 @@ def verify_tension_transform(gbar: ChangedMetric, geo: LocalGeometry,
     return _compare(lhs, rhs, tol)
 
 
-def phh_correction(gbar: ChangedMetric, geo: LocalGeometry,
-                   J: AlmostComplexStructureField, x, y, base=0.0):
+def phh_correction(gbar: ChangedMetric, geo: LocalGeometry, x, y, base=0.0):
     """base + C(X, Y), what the change adds to H((nabla_X F)Y) for
     horizontal X, Y (components on the last axis), summed from base, in the
     order of the terms:
 
     C(X, Y) = g(X, FY) grad_H(ln sigma) - FY(ln sigma) X + Y(ln sigma) FX
               - g(X, Y) F(grad_H(ln sigma))"""
-    g, f = geo.g, f_structure(geo, J)
+    g, f = geo.g, f_structure(geo)
     grad_ls = gbar.grad_log_factors(geo)[0]
     grad_h = matvec(geo.projector_and_lift[0], grad_ls)
     dls, fy = matvec(g, grad_ls), matvec(f, y)
@@ -423,8 +422,7 @@ def phh_correction(gbar: ChangedMetric, geo: LocalGeometry,
 
 
 def verify_phh_covariant_formula(gbar: ChangedMetric, geo: LocalGeometry,
-                                 J: AlmostComplexStructureField, x_comp,
-                                 y_comp, tol: float = 1e-5):
+                                 x_comp, y_comp, tol: float = 1e-5):
     """Horizontal part of (nabla-bar_X F)Y for horizontal X, Y against its
     expansion in terms of the unchanged connection and ln sigma:
 
@@ -436,11 +434,11 @@ def verify_phh_covariant_formula(gbar: ChangedMetric, geo: LocalGeometry,
     x = _require_horizontal("X", x_comp, ph, g)
     y = _require_horizontal("Y", y_comp, ph, g)
     xy = outer(x, y)
-    nab_bar = nabla_f(geo.under(gbar), J)
+    nab_bar = nabla_f(geo.under(gbar))
     lhs = matvec(ph, contract(nab_bar.swapaxes(-3, -2), xy))
 
-    nab = nabla_f(geo, J)
-    rhs = phh_correction(gbar, geo, J, x, y,
+    nab = nabla_f(geo)
+    rhs = phh_correction(gbar, geo, x, y,
                          matvec(ph, contract(nab.swapaxes(-3, -2), xy)))
     return _compare(lhs, rhs, tol)
 
@@ -472,46 +470,42 @@ def verify_pullback_characterization(geo: LocalGeometry, holo_name: str,
     return _compare(lap, np.zeros_like(lap), tol)
 
 
-def verify_tension_equivalence(geo: LocalGeometry,
-                               J: AlmostComplexStructureField,
-                               tol: float = 1e-6):
+def verify_tension_equivalence(geo: LocalGeometry, tol: float = 1e-6):
     """Trace-formula tension field against the f-structure route."""
     lhs = tension_field(geo)
-    rhs = tension_via_f_structure(geo, J)
+    rhs = tension_via_f_structure(geo)
     return _compare(lhs, rhs, tol)
 
 
-def verify_phwc_equivalence(geo: LocalGeometry,
-                            J: AlmostComplexStructureField,
-                            tol: float = 1e-6):
+def verify_phwc_equivalence(geo: LocalGeometry, tol: float = 1e-6):
     """The operator-commutator defect and the metric-compatibility defect
     vanish together (both below tol, or both above).  The second reads phi's
     horizontal space, so at a critical point of phi it raises ``RankError``,
     a sample error, as in every other law; a row where either reading is
     not finite is errored."""
-    d1, r1, finite1 = _reading(*phwc_defect(geo, J))
-    d2, r2, finite2 = _reading(*phwc_metric_defect(geo, J))
+    d1, r1, finite1 = _reading(*phwc_defect(geo))
+    d2, r2, finite2 = _reading(*phwc_metric_defect(geo))
     # the larger of each pair, the first where they tie
     return (np.where(d2 > d1, d2, d1), np.where(r2 > r1, r2, r1),
             finite1 & finite2, (r1 < tol) == (r2 < tol))
 
 
-# ---- properties of phi and J, read under g and under a change -----------
+# ---- properties of phi, read under g and under a change -----------------
 
 @dataclass(frozen=True)
 class Property:
-    """A property of phi and J: ``measure(geo, J)`` gives per row a value
+    """A property of phi: ``measure(geo)`` gives per row a value
     (components on the last axis) that vanishes where it holds, and its
-    scale; ``predict(gbar, geo, J)``, that value under the one-function
+    scale; ``predict(gbar, geo)``, that value under the one-function
     change ``gbar``, from phi's geometry ``geo`` under g."""
     measure: Callable
     predict: Callable
 
-    def reading(self, geo: LocalGeometry, J, prediction=0.0, tol=np.inf):
+    def reading(self, geo: LocalGeometry, prediction=0.0, tol=np.inf):
         """The ``_reading`` per row of the largest component of the value
         less ``prediction``, against the scale, and whether each row is
         within ``tol`` (every finite row by default, as a flag reads it)."""
-        value, scale = self.measure(geo, J)
+        value, scale = self.measure(geo)
         absr, rel, finite = _reading(np.abs(value - prediction).max(axis=-1),
                                      scale)
         return absr, rel, finite, rel < tol
@@ -521,7 +515,7 @@ def _defect(defect, scale):  # a defect as a value of one component
     return defect[..., None], scale
 
 
-def _phh_prediction(gbar, geo, J):
+def _phh_prediction(gbar, geo):
     """sigma ||C||, the PHH defect of a PHH map under the one-function
     change: on the g-bar-orthonormal frame {sigma r_a} (r_a the rows of
     the horizontal factor) H(nabla-bar F) is sigma^2 C, of g-bar-norm sigma
@@ -538,14 +532,13 @@ def _phh_prediction(gbar, geo, J):
 # one-function change, where tau-bar = sigma^2 tau: the change's two
 # gradient terms in ``verify_tension_transform`` cancel
 PROPERTIES = {
-    "phwc": Property(lambda geo, J: _defect(*phwc_defect(geo, J)),
-                     lambda gbar, geo, J: 0.0),
+    "phwc": Property(lambda geo: _defect(*phwc_defect(geo)),
+                     lambda gbar, geo: 0.0),
     "harmonic": Property(
-        lambda geo, J: (tension_field(geo), 0.0),
-        lambda gbar, geo, J: (gbar.factor_values(geo)[0] ** 2)[..., None]
+        lambda geo: (tension_field(geo), 0.0),
+        lambda gbar, geo: (gbar.factor_values(geo)[0] ** 2)[..., None]
         * tension_field(geo)),
-    "phh": Property(lambda geo, J: _defect(*phh_defect(geo, J)),
-                    _phh_prediction),
+    "phh": Property(lambda geo: _defect(*phh_defect(geo)), _phh_prediction),
 }
 
 # corollary -> the properties it reads under the one-function change
@@ -553,8 +546,7 @@ COROLLARIES = {"corollary-psh": ("phwc", "harmonic"),
                "corollary-phh": ("phh",)}
 
 
-def corollary_at(name, gbar: ChangedMetric, geo: LocalGeometry,
-                 J: AlmostComplexStructureField, tol: float):
+def corollary_at(name, gbar: ChangedMetric, geo: LocalGeometry, tol: float):
     """The corollary ``name`` at the rows of the point context ``geo``:
     each of its ``PROPERTIES``, read under the one-function change
     ``gbar``, equals its prediction from phi's geometry under g.  A row's
@@ -562,5 +554,5 @@ def corollary_at(name, gbar: ChangedMetric, geo: LocalGeometry,
     (``worst_of``), and a row where any reading is not finite is a sample
     error."""
     bar, props = geo.under(gbar), [PROPERTIES[p] for p in COROLLARIES[name]]
-    return worst_of([prop.reading(bar, J, prop.predict(gbar, geo, J), tol)
+    return worst_of([prop.reading(bar, prop.predict(gbar, geo), tol)
                      for prop in props])

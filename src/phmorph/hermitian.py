@@ -2,11 +2,11 @@
 PHWC/PHH defect measures and the horizontal divergence of the f-structure.
 
 Every function here takes the point context, a ``maps.LocalGeometry`` (phi,
-a point or a batch, and a metric), and what a check reads is kept there,
-read-only, keyed on J and computed once:
+a point or a batch, and a metric), and reads phi's J, ``phi.J``; what a
+check reads is kept there, read-only, and computed once:
 
-- J and dJ at phi(p) come from one jet evaluation per (J, point), kept in
-  the source geometry, and F, dF and ``phwc_defect`` read them;
+- J and dJ at phi(p), one jet evaluation per point kept in the source
+  geometry (``target_j_and_derivs``), are read by F, dF and ``phwc_defect``;
 - F = L J(phi) A and its exact derivative dF depend on the metric only
   through the horizontal lift L, which a biconformal change keeps, so they
   are kept in the source geometry (``LocalGeometry.source``);
@@ -50,21 +50,14 @@ class AlmostComplexStructureField:
         return jet_matrix_and_derivs(self.fn, q)
 
 
-def j_at_image(geo: LocalGeometry, J: AlmostComplexStructureField):
-    """(J, dJ) at phi(p), kept per J in the source geometry."""
-    src = geo.source
-    return src.field(("J", J), lambda: J.matrix_and_derivs(src.map_jets[0]))
-
-
-def f_structure(geo: LocalGeometry,
-                J: AlmostComplexStructureField) -> np.ndarray:
+def f_structure(geo: LocalGeometry) -> np.ndarray:
     """The f-structure on the domain, in chart basis: the horizontal lift of
     J composed with dphi.  Kills the vertical distribution, acts as the
     induced complex structure on the horizontal one, and is smooth in p
     (no frame choice involved)."""
     geo = geo.source
-    return geo.field(("F", J), lambda: (
-        geo.projector_and_lift[1] @ j_at_image(geo, J)[0]
+    return geo.field("F", lambda: (
+        geo.projector_and_lift[1] @ geo.target_j_and_derivs[0]
         @ check_submersion(geo)))
 
 
@@ -73,30 +66,30 @@ def _frobenius(a):
     return np.sqrt(flat @ flat.mT)[..., 0, 0]
 
 
-def phwc_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
+def phwc_defect(geo: LocalGeometry):
     """Frobenius norm of [dphi o dphi*, J] plus the scale used for a relative
     reading.  Defined for any map (no submersion requirement)."""
     def compute():
         a = differential(geo)
         op = a @ geo.ginv @ a.mT @ geo.h  # dphi o dphi^*
-        jq = j_at_image(geo, J)[0]
+        jq = geo.target_j_and_derivs[0]
         comm = op @ jq - jq @ op
         return _frobenius(comm), _frobenius(op)
 
-    return geo.field(("phwc_defect", J), compute)
+    return geo.field("phwc_defect", compute)
 
 
-def phwc_metric_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
+def phwc_metric_defect(geo: LocalGeometry):
     """Frobenius norm of R (F^T g F - g) R^T, g(F X, F Y) - g(X, Y) over the
     rows of the horizontal factor R; the same over every orthonormal frame
     of H, whose vectors are unit: the natural scale is 1."""
     def compute():
         g = geo.g
         r = geo.horizontal_factor
-        fr = r @ f_structure(geo, J).mT  # row a: F r_a
+        fr = r @ f_structure(geo).mT  # row a: F r_a
         return _frobenius(fr @ g @ fr.mT - r @ g @ r.mT), 1.0
 
-    return geo.field(("phwc_metric_defect", J), compute)
+    return geo.field("phwc_metric_defect", compute)
 
 
 @dataclass(frozen=True)
@@ -112,11 +105,11 @@ class AdaptedFrame:
         return np.vstack([self.e, self.fe])
 
 
-def _require_phwc(geo, J):
+def _require_phwc(geo):
     """Raise ``FrameError`` where phi is not PHWC at the point of ``geo``:
     the pairs {e, F e} of an adapted frame, and the horizontal traces of
     nabla F, are only meaningful where F is metric compatible on H."""
-    md, _ = phwc_metric_defect(geo, J)
+    md, _ = phwc_metric_defect(geo)
     bad = md > PHWC_TOL
     if np.count_nonzero(bad):
         raise FrameError("the PHWC condition fails: metric compatibility "
@@ -125,17 +118,16 @@ def _require_phwc(geo, J):
                             first(geo.p, bad).tolist()))
 
 
-def adapted_frame(geo: LocalGeometry, J: AlmostComplexStructureField,
-                  seed_order=None) -> AdaptedFrame:
+def adapted_frame(geo: LocalGeometry, seed_order=None) -> AdaptedFrame:
     """An adapted orthonormal frame, built on each call: Gram-Schmidt of the
     horizontal frame of ``ortho_split`` (in ``seed_order``, if given) into
     pairs {e_i, F e_i}, at one point.  Requires metric compatibility of the
     induced horizontal structure (the PHWC condition), which is what makes
     the {e, F e} pairs orthonormal."""
-    _require_phwc(geo, J)
+    _require_phwc(geo)
     g = geo.g
     split = ortho_split(geo)
-    f = f_structure(geo, J)
+    f = f_structure(geo)
     seeds = split.horizontal_frame if seed_order is None \
         else split.horizontal_frame[list(seed_order)]
     e_vecs, fe_vecs = [], []
@@ -158,8 +150,7 @@ def adapted_frame(geo: LocalGeometry, J: AlmostComplexStructureField,
                         split.vertical_frame)
 
 
-def d_f_structure(geo: LocalGeometry,
-                  J: AlmostComplexStructureField) -> np.ndarray:
+def d_f_structure(geo: LocalGeometry) -> np.ndarray:
     """Coordinate derivatives dF[..., i, k, j] = d_i F^k_j of the f-structure
     F = L J A, exact:
 
@@ -170,12 +161,12 @@ def d_f_structure(geo: LocalGeometry,
         a, da = check_submersion(geo), geo.map_jets[2]
         lift = geo.projector_and_lift[1]
         d_lift = geo.projector_and_lift_derivs[1]
-        jq, dj = j_at_image(geo, J)
+        jq, dj = geo.target_j_and_derivs
         dj_along = act_first(a.mT, dj)  # d_i of J at phi
         return (d_lift @ per_k(jq @ a) + per_k(lift) @ dj_along @ per_k(a)
                 + per_k(lift @ jq) @ da)
 
-    return geo.field(("dF", J), compute)
+    return geo.field("dF", compute)
 
 
 def nabla_f_operator(f: np.ndarray, df: np.ndarray,
@@ -188,32 +179,31 @@ def nabla_f_operator(f: np.ndarray, df: np.ndarray,
     return df + (gamma @ per_k(f) - act_first(f, gamma)).swapaxes(-3, -2)
 
 
-def nabla_f(geo: LocalGeometry, J: AlmostComplexStructureField):
-    """nabla F at the point of ``geo`` from its metric's Gamma, kept per J
-    (the horizontal traces read it on the PHWC condition)."""
-    return geo.field(("nabla_F", J), lambda: nabla_f_operator(
-        f_structure(geo, J), d_f_structure(geo, J), geo.christoffel))
+def nabla_f(geo: LocalGeometry):
+    """nabla F at the point of ``geo`` from its metric's Gamma, kept (the
+    horizontal traces read it on the PHWC condition)."""
+    return geo.field("nabla_F", lambda: nabla_f_operator(
+        f_structure(geo), d_f_structure(geo), geo.christoffel))
 
 
-def f_divergence_horizontal(geo: LocalGeometry,
-                            J: AlmostComplexStructureField) -> np.ndarray:
+def f_divergence_horizontal(geo: LocalGeometry) -> np.ndarray:
     """F applied to the horizontal trace of nabla F:
 
     F sum_a (nabla_{f_a} F)(f_a)
 
     over an orthonormal frame {f_a} of the horizontal distribution (an
     adapted frame {e_i, F e_i} is one; here the horizontal factor's rows);
-    horizontal for PHWC maps and zero for PHH ones.  Kept per J."""
+    horizontal for PHWC maps and zero for PHH ones.  Kept."""
     def compute():
         r = geo.horizontal_factor
-        _require_phwc(geo, J)
-        total = contract(nabla_f(geo, J).swapaxes(-3, -2), r.mT @ r)
-        return matvec(f_structure(geo, J), total)
+        _require_phwc(geo)
+        total = contract(nabla_f(geo).swapaxes(-3, -2), r.mT @ r)
+        return matvec(f_structure(geo), total)
 
-    return geo.field(("f_divergence", J), compute)
+    return geo.field("f_divergence", compute)
 
 
-def phh_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
+def phh_defect(geo: LocalGeometry):
     """Size of the horizontal part of (nabla_X F)Y over horizontal X, Y.
 
     The Frobenius norm over an orthonormal frame {f_a} of the horizontal
@@ -222,8 +212,8 @@ def phh_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
     frame (the max over frame pairs would); zero exactly when the map is
     PHH.  The scale is the same norm without H, at least 1."""
     r = geo.horizontal_factor
-    _require_phwc(geo, J)
-    pairs = act_first(r, nabla_f(geo, J)) @ per_k(r.mT)  # [a, k, b]
+    _require_phwc(geo)
+    pairs = act_first(r, nabla_f(geo)) @ per_k(r.mT)  # [a, k, b]
     horizontal = per_k(geo.projector_and_lift[0]) @ pairs
 
     def norm2(x):  # sum over a, b of g(x[a, :, b], x[a, :, b])
@@ -235,8 +225,7 @@ def phh_defect(geo: LocalGeometry, J: AlmostComplexStructureField):
     return np.sqrt(total), np.maximum(np.sqrt(scale), 1.0)
 
 
-def tension_via_f_structure(geo: LocalGeometry,
-                            J: AlmostComplexStructureField) -> np.ndarray:
+def tension_via_f_structure(geo: LocalGeometry) -> np.ndarray:
     """Tension field through the f-structure route:
 
     tau = -dphi( F div_H F + (m - 2n) mu^V )
@@ -244,7 +233,7 @@ def tension_via_f_structure(geo: LocalGeometry,
     Only meaningful for PHWC maps (``f_divergence_horizontal`` requires
     it)."""
     phi = geo.phi
-    total = f_divergence_horizontal(geo, J)
+    total = f_divergence_horizontal(geo)
     if phi.m > phi.two_n:
         total = total + (phi.m - phi.two_n) * mean_curvature_vertical(geo)
     return -matvec(differential(geo), total)

@@ -182,7 +182,7 @@ def directional_derivative(field, p, direction, step=1e-4):
 
 class ChartedRiemannianManifold:
     def __init__(self, dim: int, metric, domain_predicate=None,
-                 sample_region=None, name: str = ""):
+                 sample_region=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
         if metric.dim != dim:
@@ -195,7 +195,6 @@ class ChartedRiemannianManifold:
             sample_region = (-np.ones(dim), np.ones(dim))
         self.sample_region = (np.asarray(sample_region[0], dtype=float),
                               np.asarray(sample_region[1], dtype=float))
-        self.name = name
 
     def check_in_domain(self, p):
         p = np.asarray(p, dtype=float)

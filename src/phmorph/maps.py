@@ -25,10 +25,10 @@ its first read, kept read-only, and never kept when it fails:
   arrays, as every vector here);
 - once, in the source, as no change alters them (``_kept_in_source``): the
   map's jets, phi(p), dphi and its derivatives, the rank check, the
-  target's (h, dh) from one ``metric_at`` and Gamma at phi(p), and P_H, the
-  lift and their derivatives (g-bar keeps phi's horizontal space);
-- per J, from ``hermitian``: J and dJ at phi(p), F and dF (in the source),
-  ``phwc_defect``, ``phwc_metric_defect`` and ``f_divergence_horizontal``;
+  target's (h, dh) from one ``metric_at``, Gamma and (J, dJ) at phi(p), and
+  P_H, the lift and their derivatives (g-bar keeps phi's horizontal space);
+- from ``hermitian``, on phi's J: F and dF (in the source), ``phwc_defect``,
+  ``phwc_metric_defect`` and ``f_divergence_horizontal``;
 - per ``ChangedMetric``, in the source: sigma and rho as jets, and the
   g-gradients of their logarithms.
 
@@ -67,15 +67,17 @@ class FrameError(GeometryError):
 
 
 class SmoothMap:
-    """Map phi: M^m -> N^2n given by jet-evaluable component functions."""
+    """Map phi: M^m -> (N^2n, h, J) given by jet-evaluable component
+    functions; it carries J, its target's almost complex structure."""
 
     def __init__(self, source: ChartedRiemannianManifold,
-                 target: ChartedRiemannianManifold, components):
+                 target: ChartedRiemannianManifold, components, J):
         if target.dim % 2 != 0:
             raise ValueError("target dimension must be even")
         self.source = source
         self.target = target
         self.components = components  # callable(coords) -> sequence of 2n
+        self.J = J
 
     @property
     def m(self) -> int:
@@ -163,7 +165,7 @@ class LocalGeometry:
 
     def field(self, key, compute, *args):
         """Further data under a key, made by ``compute(*args)`` on the first
-        read and kept on (change, key) (such as F, keyed on ("F", J))."""
+        read and kept on (change, key) (such as F, keyed on "F")."""
         key = (self.change, key)
         value = self._fields.get(key)
         if value is None:
@@ -232,6 +234,11 @@ class LocalGeometry:
         """The target's Gamma at phi(p)."""
         h, dh = self.target_metric_and_derivs
         return levi_civita(np.linalg.inv(h), dh)
+
+    @_kept_in_source
+    def target_j_and_derivs(self):
+        """(J, dJ) of phi's J at phi(p) from one jet evaluation."""
+        return self.phi.J.matrix_and_derivs(self.map_jets[0])
 
     def covariant_derivative(self, x, y, dy_along_x) -> np.ndarray:
         """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p, for a field

@@ -163,10 +163,9 @@ class Identity:
 
 IDENTITIES = {
     "phwc-equivalence": Identity((), lambda run, geo, idx: (
-        verify_phwc_equivalence(geo, run.scenario.J, tol=run.config.tol_ad))),
+        verify_phwc_equivalence(geo, tol=run.config.tol_ad))),
     "tension-f-structure": Identity(("phwc",), lambda run, geo, idx: (
-        verify_tension_equivalence(geo, run.scenario.J,
-                                   tol=run.config.tol_fd))),
+        verify_tension_equivalence(geo, tol=run.config.tol_fd))),
     "tension-transform": Identity(("phwc",), lambda run, geo, idx: (
         verify_tension_transform(run.gbar, geo, tol=run.config.tol_fd))),
     "koszul-horizontal": Identity(("phwc",), lambda run, geo, idx: (
@@ -178,20 +177,18 @@ IDENTITIES = {
     "mean-curvature": Identity(("phwc", "fibers"), lambda run, geo, idx: (
         verify_mean_curvature(run.gbar, geo, tol=run.config.tol_fd))),
     "f-divergence": Identity(("phwc",), lambda run, geo, idx: (
-        verify_f_divergence(run.gbar, geo, run.scenario.J,
-                            tol=run.config.tol_fd))),
+        verify_f_divergence(run.gbar, geo, tol=run.config.tol_fd))),
     "phh-covariant": Identity(("phwc",), lambda run, geo, idx: (
-        verify_phh_covariant_formula(run.gbar, geo, run.scenario.J,
+        verify_phh_covariant_formula(run.gbar, geo,
                                      *run.draw(geo, idx, 7, count=2),
                                      tol=run.config.tol_fd))),
     "pullback": Identity(("phwc", "harmonic"), _pullback),
     "corollary-psh": Identity(("phwc", "fibers"), lambda run, geo, idx: (
-        corollary_at("corollary-psh", run.one_function, geo, run.scenario.J,
+        corollary_at("corollary-psh", run.one_function, geo,
                      run.config.tol_fd))),
     "corollary-phh": Identity(
         ("phwc", "fibers", "phh"), lambda run, geo, idx: corollary_at(
-            "corollary-phh", run.one_function, geo, run.scenario.J,
-            10.0 * run.config.tol_ad)),
+            "corollary-phh", run.one_function, geo, 10.0 * run.config.tol_ad)),
 }
 ALL_IDENTITIES = tuple(IDENTITIES)
 
@@ -272,7 +269,7 @@ def confirm_flags(scenario: Scenario, geos, tol: float = 1e-5,
     for geo in geos:
         for flag, tally in tallies.items():
             reading = PROPERTIES[flag].reading
-            _settle(tally, lambda row, _: reading(row, scenario.J), geo, 0)
+            _settle(tally, lambda row, _: reading(row), geo, 0)
     return _flag_entries(scenario, tallies, tol)
 
 

@@ -1,8 +1,9 @@
 """Bundled example geometries with known PHWC / PHH / harmonicity status,
 plus deterministic sample-point generation.  ``excluded`` and the source's
-``domain_predicate`` map points (..., m) to a bool array (...).  A run
-reads a scenario's construction as given: the test suite checks each one
-(hopf's map, for one, is a Riemannian submersion)."""
+``domain_predicate`` map points (..., m) to a bool array (...).  Each map
+carries its target's standard constant J (``constant_J``).  A run reads a
+scenario's construction as given: the test suite checks each one (hopf's
+map, for one, is a Riemannian submersion)."""
 
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .hermitian import AlmostComplexStructureField
 class Scenario:
     name: str
     phi: SmoothMap
-    J: AlmostComplexStructureField
     expected_flags: Dict[str, Optional[bool]]
     excluded: Callable = field(default=lambda p: np.zeros(p.shape[:-1], bool))
     description: str = ""
@@ -60,7 +60,7 @@ def _projection_map(source, target, indices):
     def components(coords):
         return [coords[i] for i in indices]
 
-    return SmoothMap(source, target, components)
+    return SmoothMap(source, target, components, constant_J(target))
 
 
 def _flat_projection(m: int, two_n: int, name: str) -> Scenario:
@@ -68,7 +68,7 @@ def _flat_projection(m: int, two_n: int, name: str) -> Scenario:
     target = euclidean_space(two_n)
     phi = _projection_map(source, target, range(two_n))
     return Scenario(
-        name, phi, constant_J(target),
+        name, phi,
         expected_flags={"phwc": True, "phh": True, "harmonic": True},
         description="orthogonal projection of flat space onto a flat "
                     "complex factor (totally geodesic fibers)")
@@ -81,9 +81,9 @@ def _nonphwc_anisotropic() -> Scenario:
     def components(coords):
         return [coords[0], 2.0 * coords[1]]
 
-    phi = SmoothMap(source, target, components)
+    phi = SmoothMap(source, target, components, constant_J(target))
     return Scenario(
-        "nonphwc-anisotropic", phi, constant_J(target),
+        "nonphwc-anisotropic", phi,
         expected_flags={"phwc": False, "phh": None, "harmonic": True},
         description="anisotropic stretch (x1, 2 x2); harmonic but the induced "
                     "horizontal structure is not metric compatible")
@@ -99,7 +99,7 @@ def _holomorphic_poly() -> Scenario:
         im = 2.0 * z1 * z2 + 3.0 * w1 * w1 * w2 - w2 * w2 * w2
         return [re, im]
 
-    phi = SmoothMap(source, target, components)
+    phi = SmoothMap(source, target, components, constant_J(target))
 
     def excluded(p):
         # both singular values of dphi are |(df/dz, df/dw)| = |(2z, 3w^2)|;
@@ -109,7 +109,7 @@ def _holomorphic_poly() -> Scenario:
         return np.abs(2.0 * z) ** 2 + np.abs(3.0 * w * w) ** 2 < 0.01
 
     return Scenario(
-        "holomorphic-poly", phi, constant_J(target),
+        "holomorphic-poly", phi,
         expected_flags={"phwc": True, "phh": None, "harmonic": True},
         excluded=excluded,
         description="holomorphic z^2 + w^3 from flat C^2 to flat C, away "
@@ -131,7 +131,7 @@ def _curved_fibers_nonharmonic() -> Scenario:
     target = euclidean_space(2)
     phi = _projection_map(source, target, range(2))
     return Scenario(
-        "curved-fibers-nonharmonic", phi, constant_J(target),
+        "curved-fibers-nonharmonic", phi,
         expected_flags={"phwc": True, "phh": True, "harmonic": False},
         description="flat projection with exponentially weighted fibers; "
                     "PHWC and PHH but the fibers are not minimal")
@@ -180,9 +180,9 @@ def _hopf() -> Scenario:
         w_sq = u3 * u3 + u4 * u4  # equals 1/2 - P3
         return [p1 / w_sq, p2 / w_sq]
 
-    phi = SmoothMap(source, target, components)
+    phi = SmoothMap(source, target, components, constant_J(target))
     return Scenario(
-        "hopf", phi, constant_J(target),
+        "hopf", phi,
         expected_flags={"phwc": True, "phh": None, "harmonic": True},
         description="Hopf fibration of the unit 3-sphere over the radius-1/2 "
                     "sphere, in stereographic charts (Riemannian submersion "

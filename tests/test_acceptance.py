@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import phmorph as pm
 from phmorph import (
@@ -72,7 +71,7 @@ def test_criterion_01_tension_route_equivalence():
         for p in sample_points(sc, 45, seed=20):
             geo = LocalGeometry(sc.phi, p)
             a = tension_field(geo)
-            b = tension_via_f_structure(geo, sc.J)
+            b = tension_via_f_structure(geo)
             rel = np.max(np.abs(a - b)) / (np.max(np.abs(a)) + 1.0)
             worst = max(worst, rel)
             count += 1
@@ -157,16 +156,16 @@ def test_criterion_05_f_divergence_transformation():
     gbar = ChangedMetric.from_texts(sc.phi, "exp(0.2*x1+0.1*x2)", "1")
     for p in sample_points(sc, 8, seed=24):
         geo = LocalGeometry(sc.phi, [p])
-        worst_n2 = max(worst_n2, rel_residual(pm.verify_f_divergence(
-            gbar, geo, sc.J)))
+        worst_n2 = max(worst_n2,
+                       rel_residual(pm.verify_f_divergence(gbar, geo)))
     worst_n1 = 0.0
     for name in ("flat-projection-4-2", "curved-fibers-nonharmonic", "hopf"):
         sc1 = get_scenario(name)
         gbar1 = ChangedMetric.from_texts(sc1.phi, "exp(0.2*x1)", "1")
         for p in sample_points(sc1, 6, seed=24):
             geo = LocalGeometry(sc1.phi, [p])
-            worst_n1 = max(worst_n1, rel_residual(pm.verify_f_divergence(
-                gbar1, geo, sc1.J)))
+            worst_n1 = max(worst_n1,
+                           rel_residual(pm.verify_f_divergence(gbar1, geo)))
     ok = worst_n2 < 1e-5 and worst_n1 < 1e-5
     _report(5, "f-structure divergence transformation: n=2 max %.2e, "
                "n=1 max %.2e" % (worst_n2, worst_n1), ok)
@@ -184,7 +183,7 @@ def test_criterion_06_one_function_change_preserves_harmonic_phwc():
             geo_bar = LocalGeometry(sc.phi, p).under(gbar)
             tau = tension_field(geo_bar)
             worst_tau = max(worst_tau, float(np.max(np.abs(tau))))
-            worst_defect = max(worst_defect, phwc_defect(geo_bar, sc.J)[0])
+            worst_defect = max(worst_defect, phwc_defect(geo_bar)[0])
         ok &= worst_tau < 1e-5 and worst_defect < 1e-5
         detail.append("%s tau %.2e defect %.2e" % (name, worst_tau, worst_defect))
     _report(6, "one-function change preserves harmonicity and PHWC: %s"
@@ -197,12 +196,10 @@ def test_criterion_07_phh_breaking_direction():
             for p in sample_points(sc, 10, seed=26)]
     const_gbar = special_change(sc.phi, parse("3"))
     const = fold("corollary-phh", lambda geo: corollary_at(
-        "corollary-phh", const_gbar, geo, sc.J, 1e-6),
-        geos)
+        "corollary-phh", const_gbar, geo, 1e-6), geos)
     broken_gbar = special_change(sc.phi, parse("1+0.1*x1"))
     broken = fold("corollary-phh", lambda geo: corollary_at(
-        "corollary-phh", broken_gbar, geo, sc.J, 1e-6),
-        geos)
+        "corollary-phh", broken_gbar, geo, 1e-6), geos)
     # on n = 1 PHH is kept for every sigma: a run checks it, and it passes
     # at all 5 points (same points: 5 samples at seed 26)
     n1 = run_verification(RunConfig(
@@ -222,12 +219,12 @@ def test_criterion_08_phwc_equivalence_and_negative_control():
         sc = get_scenario(name)
         for p in sample_points(sc, 8, seed=27):
             geo = LocalGeometry(sc.phi, p)
-            d1, s1 = phwc_defect(geo, sc.J)
-            d2, s2 = phwc_metric_defect(geo, sc.J)
+            d1, s1 = phwc_defect(geo)
+            d2, s2 = phwc_metric_defect(geo)
             ok &= (d1 / (s1 + 1.0) < 1e-6) == (d2 / (s2 + 1.0) < 1e-6)
     sc = get_scenario("nonphwc-anisotropic")
-    exact = phwc_defect(LocalGeometry(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])),
-                        sc.J)[0]
+    exact = phwc_defect(
+        LocalGeometry(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])))[0]
     ok &= abs(exact - 3.0 * math.sqrt(2.0)) < 1e-9
     _report(8, "PHWC operator/metric defect equivalence; control defect "
                "%.12f = 3*sqrt(2)" % exact, ok)
@@ -292,3 +289,21 @@ def test_criterion_11_byte_identical_reports(tmp_path):
     same = paths[0].read_bytes() == paths[1].read_bytes()
     json.loads(paths[0].read_text())  # well-formed
     _report(11, "identical configurations produce byte-identical reports", same)
+
+
+def test_criterion_12_phh_covariant_formula():
+    # H((nabla-bar_X F)Y) = H((nabla_X F)Y) + C(X, Y) for random X and Y at
+    # the sample points of every PHWC scenario, under each of its changes
+    worst = 0.0
+    rng = np.random.default_rng(2212)
+    for name in PHWC_SCENARIOS:
+        sc = get_scenario(name)
+        m, two_n = sc.phi.m, sc.phi.two_n
+        points = sample_points(sc, 6, seed=28)
+        for sigma, rho in _sigma_rho_pairs(m, two_n):
+            gbar = ChangedMetric.from_texts(sc.phi, sigma, rho)
+            x, y = rng.normal(size=(2, len(points), m))
+            worst = max(worst, rel_residual(verify_phh_covariant_formula(
+                gbar, LocalGeometry(sc.phi, points), x, y)))
+    _report(12, "phh covariant formula: max rel residual %.2e" % worst,
+            worst < 1e-5)

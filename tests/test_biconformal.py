@@ -37,7 +37,7 @@ from phmorph.hermitian import adapted_frame, phwc_defect
 from phmorph.runner import RunContext, run_identity
 from tests.expr_text import to_text
 from tests.test_exact_derivatives import rotated_j
-from tests.test_maps import at
+from tests.test_maps import at, smooth_map, with_j
 
 
 P4 = np.array([0.3, -0.2, 0.5, 0.1])
@@ -146,14 +146,14 @@ def test_special_change_exponents():
     assert rv == pytest.approx(1.0 / sv, rel=1e-14)
     r4 = pm.euclidean_space(4)
     with pytest.raises(GeometryError):  # m = 2n
-        special_change(SmoothMap(r4, r4, lambda c: c), s)
+        special_change(smooth_map(r4, r4, lambda c: c), s)
 
 
 def test_the_fiber_laws_raise_on_a_map_without_fibers():
     # runs skip both laws where m = 2n; called directly, they find no
     # vertical part and no fibers
     r4 = pm.euclidean_space(4)
-    phi = SmoothMap(r4, r4, lambda c: c)
+    phi = smooth_map(r4, r4, lambda c: c)
     gbar = ChangedMetric.from_texts(phi, "exp(x1)")
     geo = at(phi, [P4])
     with pytest.raises(GeometryError, match="V has no vertical part"):
@@ -256,7 +256,7 @@ def test_changed_metric_reads_the_source_geometry_it_is_handed():
     # another map's geometry under g-bar hands on no geometry of phi's, so
     # g-bar refuses it rather than read that map's P_H
     other = SmoothMap(gbar.phi.source, gbar.phi.target,
-                      lambda c: [c[0] + 0.1 * c[2], c[1]])
+                      lambda c: [c[0] + 0.1 * c[2], c[1]], gbar.phi.J)
     with pytest.raises(GeometryError, match="its own map's geometry"):
         at(other, P4, gbar).g
 
@@ -384,7 +384,7 @@ def test_sigma_is_evaluated_once_per_chunk(monkeypatch, option):
 def test_identity_change_residuals_vanish(name):
     sc, gbar = gbar_for(name, "1", "1")
     for fn in (verify_tension_transform, verify_mean_curvature,
-               lambda gbar, geo: verify_f_divergence(gbar, geo, sc.J)):
+               verify_f_divergence):
         r = fn(gbar, at(sc.phi, [P4]))
         assert passes(r) and abs_residual(r) < 1e-9, r
 
@@ -407,7 +407,7 @@ def test_tension_and_curvature_transforms(name, sigma, rho):
     sc, gbar = gbar_for(name, sigma, rho)
     for p in sample_points(sc, 6, seed=2):
         for fn in (verify_tension_transform, verify_mean_curvature,
-                   lambda gbar, geo: verify_f_divergence(gbar, geo, sc.J)):
+                   verify_f_divergence):
             r = fn(gbar, at(sc.phi, [p]))
             assert rel_residual(r) < 1e-5, (fn.__name__, p, r)
 
@@ -436,7 +436,7 @@ def test_phh_covariant_formula(name, sigma, rho):
     for p in sample_points(sc, 4, seed=8):
         x = rng.normal(size=sc.phi.m)
         y = rng.normal(size=sc.phi.m)
-        r = verify_phh_covariant_formula(gbar, at(sc.phi, [p]), sc.J, x, y)
+        r = verify_phh_covariant_formula(gbar, at(sc.phi, [p]), x, y)
         assert rel_residual(r) < 1e-5, (p, r)
 
 
@@ -460,14 +460,14 @@ def test_tolerance_rejects_f_divergence_with_2n_minus_1():
     phi = sc.phi
     for p in sample_points(sc, 4, seed=5):
         geo = at(phi, p)
-        lhs = pm.f_divergence_horizontal(geo.under(gbar), sc.J)
-        div = pm.f_divergence_horizontal(geo, sc.J)
+        lhs = pm.f_divergence_horizontal(geo.under(gbar))
+        div = pm.f_divergence_horizontal(geo)
         grad_ls, _ = gbar.grad_log_factors(geo)
         s, _ = gbar.factor_values(geo)
         wrong = s ** 2 * (div + (2.0 * phi.n - 1.0)
                           * (horizontal_projector(geo) @ grad_ls))
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        r = verify_f_divergence(gbar, at(phi, [p]), sc.J, tol=TOL_FD)
+        r = verify_f_divergence(gbar, at(phi, [p]), tol=TOL_FD)
         assert passes(r), p
 
 
@@ -522,7 +522,7 @@ def test_tolerance_rejects_koszul_vertical_with_the_gradient_sign_flipped():
         d_rho_m2 = -2.0 * r.value ** -3 * r.grad
         inner = 2.0 * r.value ** -2 * (
             ph @ geo.covariant_derivative(v, v, dv))
-        for f_i in adapted_frame(geo, sc.J).horizontal:
+        for f_i in adapted_frame(geo).horizontal:
             # the law subtracts this gradient term; here it is added
             inner = inner + (d_rho_m2 @ f_i) * float(v @ g @ v) * f_i
         wrong = 0.5 * s.value ** 2 * inner
@@ -577,7 +577,7 @@ def test_tolerance_rejects_koszul_horizontal_without_the_gxy_term():
         g = phi.source.metric_at(p)[0]
         dls = g @ gbar.grad_log_factors(geo)[0]  # covector of ln sigma
         wrong = ph @ geo.covariant_derivative(x, y, dy)
-        for f_i in adapted_frame(geo, sc.J).horizontal:
+        for f_i in adapted_frame(geo).horizontal:
             # g(X, Y) grad_H ln sigma, the (dls @ f_i) g(X, Y) f_i sum, dropped
             wrong = wrong + (-(dls @ x) * float(y @ g @ f_i)
                              - (dls @ y) * float(x @ g @ f_i)) * f_i
@@ -598,8 +598,8 @@ def test_tolerance_rejects_phh_covariant_without_the_y_ln_sigma_term():
         geo = at(phi, p)
         ph = horizontal_projector(geo)
         x, y = ph @ x_comp, ph @ y_comp
-        f = pm.f_structure(geo, sc.J)
-        df = pm.hermitian.d_f_structure(geo, sc.J)
+        f = pm.f_structure(geo)
+        df = pm.hermitian.d_f_structure(geo)
         gamma_bar = geo.under(gbar).christoffel
         nab_bar = pm.hermitian.nabla_f_operator(f, df, gamma_bar)
         lhs = ph @ np.einsum("i,ikj,j->k", x, nab_bar, y)
@@ -615,8 +615,8 @@ def test_tolerance_rejects_phh_covariant_without_the_y_ln_sigma_term():
                  - float(x @ g @ y) * (f @ grad_h))
         assert np.max(np.abs(dropped)) > 1e-3, p
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        r = verify_phh_covariant_formula(gbar, at(phi, [p]), sc.J, x_comp,
-                                           y_comp, tol=TOL_FD)
+        r = verify_phh_covariant_formula(gbar, at(phi, [p]), x_comp, y_comp,
+                                         tol=TOL_FD)
         assert passes(r), p
 
 
@@ -628,13 +628,13 @@ def test_tolerance_rejects_tension_f_structure_with_m_minus_2n_plus_1():
     for p in sample_points(sc, 4, seed=5):
         geo = at(phi, p)
         lhs = tension_field(geo)
-        div = pm.f_divergence_horizontal(geo, sc.J)
+        div = pm.f_divergence_horizontal(geo)
         mu = mean_curvature_vertical(geo)
         assert np.max(np.abs(differential(geo) @ mu)) > 1e-3, p
         wrong = -(differential(geo)
                   @ (div + (phi.m - phi.two_n + 1.0) * mu))
         assert relative_residual(lhs, wrong) > TOL_FD, p
-        r = verify_tension_equivalence(at(phi, [p]), sc.J, tol=TOL_FD)
+        r = verify_tension_equivalence(at(phi, [p]), tol=TOL_FD)
         assert passes(r), p
 
 
@@ -689,11 +689,11 @@ def test_tolerance_rejects_phwc_equivalence_without_the_metric_defect(
     # the tolerance, so a metric-compatibility defect read as 0 disagrees
     # with it at every point
     monkeypatch.setattr(pm.biconformal, "phwc_metric_defect",
-                        lambda geo, J: (np.zeros(len(geo.p)), 1.0))
+                        lambda geo: (np.zeros(len(geo.p)), 1.0))
     sc = get_scenario("nonphwc-anisotropic")
     tol = pm.RunConfig(scenario=sc.name).tol_ad
     _, rel, finite, passed = verify_phwc_equivalence(
-        at(sc.phi, sample_points(sc, 5, seed=6)), sc.J, tol=tol)
+        at(sc.phi, sample_points(sc, 5, seed=6)), tol=tol)
     assert len(rel) == 5 and finite.all() and not passed.any()
     assert (rel > 100 * tol).all()
     report = pm.run_verification(pm.RunConfig(
@@ -741,7 +741,7 @@ def test_vertical_rho_leaves_mean_curvature_pure_scaling():
 def test_tension_equivalence(name):
     sc = get_scenario(name)
     for p in sample_points(sc, 5, seed=6):
-        r = verify_tension_equivalence(at(sc.phi, [p]), sc.J)
+        r = verify_tension_equivalence(at(sc.phi, [p]))
         assert rel_residual(r) < 1e-6, (p, r)
 
 
@@ -750,7 +750,7 @@ def test_tension_equivalence(name):
 def test_phwc_equivalence(name):
     sc = get_scenario(name)
     for p in sample_points(sc, 5, seed=6):
-        r = verify_phwc_equivalence(at(sc.phi, [p]), sc.J)
+        r = verify_phwc_equivalence(at(sc.phi, [p]))
         assert passes(r), (p, r)
 
 
@@ -758,11 +758,11 @@ def test_phwc_equivalence_errs_where_phi_has_no_rank(monkeypatch):
     # where dphi drops rank the metric-compatibility defect is not defined:
     # the point is a sample error, as in every other law, and so is any
     # other failure of that defect, never a pass
-    z_squared = SmoothMap(pm.euclidean_space(4), pm.euclidean_space(2),
-                          lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
+    z_squared = smooth_map(
+        pm.euclidean_space(4), pm.euclidean_space(2),
+        lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
     with pytest.raises(pm.RankError, match="not a submersion"):
-        verify_phwc_equivalence(at(z_squared, np.zeros((1, 4))),
-                                pm.scenarios.constant_J(z_squared.target))
+        verify_phwc_equivalence(at(z_squared, np.zeros((1, 4))))
 
     def failing(geo):
         raise MetricError("metric inversion inaccurate")
@@ -771,7 +771,7 @@ def test_phwc_equivalence_errs_where_phi_has_no_rank(monkeypatch):
                         property(failing))
     sc = get_scenario("flat-projection-4-2")
     with pytest.raises(MetricError):
-        verify_phwc_equivalence(at(sc.phi, [P4]), sc.J)
+        verify_phwc_equivalence(at(sc.phi, [P4]))
     report = pm.run_verification(pm.RunConfig(
         scenario="flat-projection-4-2", samples=2,
         identities=["phwc-equivalence"]))
@@ -784,17 +784,16 @@ def test_phwc_equivalence_settles_a_rank_deficient_row_of_a_batch():
     # z^2 has no rank at the origin: the batch raises there, and the run
     # settles it row by row, the origin as an errored row and every other
     # row as in a batch of its own
-    z_squared = SmoothMap(pm.euclidean_space(4), pm.euclidean_space(2),
-                          lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
-    scenario = pm.Scenario("z-squared", z_squared,
-                           pm.scenarios.constant_J(z_squared.target),
-                           expected_flags={})
+    z_squared = smooth_map(
+        pm.euclidean_space(4), pm.euclidean_space(2),
+        lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
+    scenario = pm.Scenario("z-squared", z_squared, expected_flags={})
     config = pm.RunConfig(scenario="z-squared")
     run = RunContext(scenario, config, config.build_change(scenario))
     points = np.array([P4, [0.2, 0.4, -0.1, 0.3], np.zeros(4),
                        [-0.5, 0.1, 0.2, 0.0], [0.1, -0.3, 0.6, 0.4]])
     with pytest.raises(pm.RankError):
-        verify_phwc_equivalence(at(z_squared, points), scenario.J)
+        verify_phwc_equivalence(at(z_squared, points))
     batch, alone = (IdentityAggregate("phwc-equivalence") for _ in range(2))
     run_identity("phwc-equivalence", run, at(z_squared, points), 7, batch)
     [origin] = batch.errors
@@ -814,11 +813,11 @@ def test_a_non_finite_phwc_equivalence_row_is_a_sample_error(monkeypatch,
     # a NaN defect reads below no tolerance, so two NaN defects "agree":
     # the row is errored all the same, and so is a row with one NaN defect
     for name in nan:
-        monkeypatch.setattr(pm.biconformal, name, lambda geo, J: (
+        monkeypatch.setattr(pm.biconformal, name, lambda geo: (
             np.full(len(geo.p), np.nan), 1.0))
     sc = get_scenario("flat-projection-4-2")
-    agg = fold("phwc-equivalence", lambda geo: verify_phwc_equivalence(
-        geo, sc.J), [at(sc.phi, sample_points(sc, 5, 42))])
+    agg = fold("phwc-equivalence", verify_phwc_equivalence,
+               [at(sc.phi, sample_points(sc, 5, 42))])
     assert [err["error"] for err in agg.errors] == ["non-finite residual"] * 5
     assert (agg.samples_pass, agg.samples_fail) == (0, 0)
     report = pm.run_verification(pm.RunConfig(
@@ -881,13 +880,12 @@ def test_pullback_rejects_unknown_name():
 
 def psh(sc, gbar, geo):
     """corollary-psh at the rows of ``geo``."""
-    return corollary_at("corollary-psh", gbar, geo, sc.J, TOL_FD)
+    return corollary_at("corollary-psh", gbar, geo, TOL_FD)
 
 
-def phh(sc, gbar, geo, J=None):
-    """corollary-phh at the rows of ``geo``, for the scenario's J or for
-    ``J``."""
-    return corollary_at("corollary-phh", gbar, geo, J or sc.J, 1e-6)
+def phh(sc, gbar, geo):
+    """corollary-phh at the rows of ``geo``."""
+    return corollary_at("corollary-phh", gbar, geo, 1e-6)
 
 
 def test_corollary_one_function_change_preserves_harmonicity():
@@ -909,7 +907,7 @@ def test_corollary_one_function_change_direct_tension():
         geo_bar = at(sc.phi, p, gbar)
         tau = tension_field(geo_bar)
         assert np.max(np.abs(tau)) < 1e-6, p
-        defect, _ = phwc_defect(geo_bar, sc.J)
+        defect, _ = phwc_defect(geo_bar)
         assert defect < 1e-8
 
 
@@ -945,8 +943,8 @@ def test_corollary_phh_breaking_direction():
     gbar = one_function(sc, parse("1+0.1*x1"))
     prop = PROPERTIES["phh"]
     for geo in geos:
-        assert prop.reading(geo.under(gbar), sc.J)[0][0] > 1e-3
-        assert prop.predict(gbar, geo, sc.J)[0, 0] > 1e-3
+        assert prop.reading(geo.under(gbar))[0][0] > 1e-3
+        assert prop.predict(gbar, geo)[0, 0] > 1e-3
     out = fold("corollary-phh", lambda geo: phh(sc, gbar, geo), geos)
     assert out.passed and out.max_abs_residual < 1e-12
 
@@ -962,11 +960,11 @@ def test_the_phh_prediction_has_a_closed_form(scenario):
     gbar = one_function(sc, parse("exp(0.3*x1+0.2*x3)"))
     geo = at(sc.phi, sample_points(sc, 10, seed=5))
     r = geo.horizontal_factor
-    pairs = [phh_correction(gbar, geo, sc.J, r[:, a], r[:, b])
+    pairs = [phh_correction(gbar, geo, r[:, a], r[:, b])
              for a in range(sc.phi.two_n) for b in range(sc.phi.two_n)]
     framed = gbar.factor_values(geo)[0] * np.sqrt(
         sum(quad(c, geo.g, c) for c in pairs))
-    predicted = PROPERTIES["phh"].predict(gbar, geo, sc.J)[:, 0]
+    predicted = PROPERTIES["phh"].predict(gbar, geo)[:, 0]
     assert predicted == pytest.approx(framed, rel=1e-12, abs=1e-14)
     assert (predicted.max() > 1.0) == (sc.phi.n == 2)
 
@@ -977,11 +975,14 @@ def test_corollary_phh_fails_where_phh_does_not_hold():
     # point, where the scenario's own J passes
     sc = get_scenario("flat-projection-6-4")
     gbar = one_function(sc, parse("2"))
-    geos = [at(sc.phi, [p]) for p in sample_points(sc, 5, seed=42)]
+    points = sample_points(sc, 5, seed=42)
+    geos = [at(sc.phi, [p]) for p in points]
     own = fold("corollary-phh", lambda geo: phh(sc, gbar, geo), geos)
     assert own.passed and own.samples_pass == 5
-    j = rotated_j(sc.phi.target)
-    out = fold("corollary-phh", lambda geo: phh(sc, gbar, geo, j), geos)
+    phi = with_j(sc.phi, rotated_j(sc.phi.target))
+    gbar = special_change(phi, parse("2"))
+    out = fold("corollary-phh", lambda geo: phh(sc, gbar, geo),
+               [at(phi, [p]) for p in points])
     assert out.samples_fail == 5 and not out.passed
     assert out.max_abs_residual == pytest.approx(1.44, abs=0.01)
 
@@ -999,7 +1000,7 @@ def test_corollary_phh_n1_kept_for_every_sigma(scenario):
     sc = get_scenario(scenario)
     gbar = one_function(sc, parse(N1_SIGMA))
     geo = at(sc.phi, sample_points(sc, 20, seed=5))
-    assert np.all(PROPERTIES["phh"].predict(gbar, geo, sc.J) == 0.0)
+    assert np.all(PROPERTIES["phh"].predict(gbar, geo) == 0.0)
     rep = pm.run_verification(pm.RunConfig(
         scenario=scenario, sigma=N1_SIGMA, samples=20, seed=5,
         identities=["corollary-phh"]))
@@ -1016,8 +1017,8 @@ def test_a_phh_defect_under_the_change_fails_the_n1_branch(monkeypatch):
     # fails it at every point, while the flag under g still confirms
     inner = pm.biconformal.phh_defect
 
-    def planted(geo, J):
-        defect, scale = inner(geo, J)
+    def planted(geo):
+        defect, scale = inner(geo)
         return (defect if geo.change is None else np.ones_like(defect),
                 scale)
 

@@ -19,7 +19,6 @@ from phmorph.maps import LocalGeometry, SmoothMap
 
 B = 5
 SHAPES = [(3, 2), (4, 2), (6, 4)]  # (m, 2n): hopf, the 4-2 and 6-4 maps
-J = "J"  # the key of the f-structure fields; no J is evaluated
 
 
 def close(got, want):
@@ -57,16 +56,18 @@ def inputs(m, two_n, seed):
         # g positive: the PHH defect is a norm
         "metric_and_derivs": (s @ s.mT + np.eye(m), draw(m, m, m)),
         "horizontal_factor": draw(two_n, m),
-        ("J", J): (draw(two_n, two_n), draw(two_n, two_n, two_n)),
-        ("F", J): draw(m, m), ("dF", J): draw(m, m, m),
-        ("phwc_metric_defect", J): (np.zeros(B), np.ones(B)),  # PHWC
+        "target_j_and_derivs": (draw(two_n, two_n),
+                                draw(two_n, two_n, two_n)),
+        "F": draw(m, m), "dF": draw(m, m, m),
+        "phwc_metric_defect": (np.zeros(B), np.ones(B)),  # PHWC
     }
 
 
 def geometry(m, two_n, fields, row=None, computes=None):
     """A geometry of a map R^m -> R^2n whose fields are ``fields`` (at
-    ``row``, or over the batch) but the one the kernel ``computes``."""
-    phi = SmoothMap(euclidean_space(m), euclidean_space(two_n), None)
+    ``row``, or over the batch) but the one the kernel ``computes``: no
+    component of the map and no J is evaluated."""
+    phi = SmoothMap(euclidean_space(m), euclidean_space(two_n), None, None)
     pick = (lambda a: a) if row is None else (lambda a: a[row])
     geo = LocalGeometry(phi, pick(np.zeros((B, m))))
     for key, value in fields.items():
@@ -127,7 +128,7 @@ def old_d_f_structure(f):
     a, da = f["map_jets"][1], f["map_jets"][2]
     lift, d_lift = f["projector_and_lift"][1], f[
         "projector_and_lift_derivs"][1]
-    jq, dj = f[("J", J)]
+    jq, dj = f["target_j_and_derivs"]
     dj_along = np.einsum("...cab,...ci->...iab", dj, a)
     return (d_lift @ per_k(jq @ a) + per_k(lift) @ dj_along @ per_k(a)
             + per_k(lift @ jq) @ da)
@@ -140,14 +141,14 @@ def old_nabla_f(f, df, gamma):
 
 def old_f_divergence(f):
     r = f["horizontal_factor"]
-    nab = old_nabla_f(f[("F", J)], f[("dF", J)], f["christoffel"])
+    nab = old_nabla_f(f["F"], f["dF"], f["christoffel"])
     total = np.einsum("...ai,...ikj,...aj->...k", r, nab, r)
-    return matvec(f[("F", J)], total)
+    return matvec(f["F"], total)
 
 
 def old_phh_defect(f):
     r, g = f["horizontal_factor"], f["metric_and_derivs"][0]
-    nab = old_nabla_f(f[("F", J)], f[("dF", J)], f["christoffel"])
+    nab = old_nabla_f(f["F"], f["dF"], f["christoffel"])
     pairs = np.einsum("...ai,...ikj,...bj->...abk", r, nab, r)
     horizontal = pairs @ per_k(f["projector_and_lift"][0].mT)
     total = np.einsum("...abk,...kl,...abl->...", horizontal, g, horizontal)
@@ -176,20 +177,20 @@ def test_projector_and_lift_derivs(m, two_n):
 
 @pytest.mark.parametrize("m, two_n", SHAPES)
 def test_d_f_structure(m, two_n):
-    check_kernel(m, two_n, lambda geo: hermitian.d_f_structure(geo, J),
-                 old_d_f_structure, ("dF", J))
+    check_kernel(m, two_n, lambda geo: hermitian.d_f_structure(geo),
+                 old_d_f_structure, "dF")
 
 
 @pytest.mark.parametrize("m, two_n", SHAPES)
 def test_f_divergence_horizontal(m, two_n):
     check_kernel(m, two_n,
-                 lambda geo: hermitian.f_divergence_horizontal(geo, J),
+                 lambda geo: hermitian.f_divergence_horizontal(geo),
                  old_f_divergence)
 
 
 @pytest.mark.parametrize("m, two_n", SHAPES)
 def test_phh_defect(m, two_n):
-    check_kernel(m, two_n, lambda geo: hermitian.phh_defect(geo, J),
+    check_kernel(m, two_n, lambda geo: hermitian.phh_defect(geo),
                  old_phh_defect)
 
 

@@ -9,6 +9,8 @@ projector, the lift and the vertical frames recomputed from the metric's
 matrix at each point.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,9 @@ from phmorph import (AlmostComplexStructureField, ChangedMetric, FDMetric,
                      LocalGeometry, differential,
                      f_structure, get_scenario, list_scenarios,
                      mean_curvature_vertical, sample_points)
-from phmorph.hermitian import d_f_structure, j_at_image
+from phmorph.hermitian import d_f_structure
 from phmorph.manifold import directional_derivative
-from tests.test_maps import at
+from tests.test_maps import at, with_j
 
 # The largest difference is read relative to the oracle's largest entry, or
 # to 0.1 where that is smaller (a flat projection's dP_H is exactly zero).
@@ -137,13 +139,13 @@ def test_f_structure_derivative_matches_fd(name, changed):
     def f_from_matrix(q):
         geo = LocalGeometry(sc.phi, q)
         return (lift_from_matrix(sc.phi, h, q)
-                @ j_at_image(geo, sc.J)[0] @ differential(geo))
+                @ geo.target_j_and_derivs[0] @ differential(geo))
 
     for p in points:
         geo = at(sc.phi, p, gbar)
-        assert np.allclose(f_structure(geo, sc.J),
+        assert np.allclose(f_structure(geo),
                            f_from_matrix(p), rtol=0, atol=1e-12)
-        exact = d_f_structure(geo, sc.J)
+        exact = d_f_structure(geo)
         oracle = [directional_derivative(f_from_matrix, p, e)
                   for e in np.eye(sc.phi.m)]
         assert relative(exact, oracle) < REL, p
@@ -171,20 +173,22 @@ def rotated_j(target):
 @pytest.mark.parametrize("changed", [False, True], ids=["g", "gbar"])
 def test_f_structure_derivative_follows_a_varying_j(changed):
     # every bundled J is constant; here d_c J A^c_i carries part of dF
-    sc, gbar, points = case("flat-projection-6-4", changed)
-    j = rotated_j(sc.phi.target)
+    sc = get_scenario("flat-projection-6-4")
+    sc = replace(sc, phi=with_j(sc.phi, rotated_j(sc.phi.target)))
+    gbar = change_for(sc) if changed else None
+    points, j = sample_points(sc, 3, seed=31), sc.phi.J
     h = metric_matrix(sc, gbar)
     def f_from_matrix(q):
         geo = LocalGeometry(sc.phi, q)
         return (lift_from_matrix(sc.phi, h, q)
-                @ j_at_image(geo, j)[0] @ differential(geo))
+                @ geo.target_j_and_derivs[0] @ differential(geo))
 
     for p in points:
         geo = at(sc.phi, p, gbar)
         jq, dj = j.matrix_and_derivs(geo.map_jets[0])
         assert np.allclose(jq @ jq, -np.eye(4), atol=1e-14)
         assert np.max(np.abs(dj)) > 0.1
-        exact = d_f_structure(geo, j)
+        exact = d_f_structure(geo)
         oracle = [directional_derivative(f_from_matrix, p, e)
                   for e in np.eye(sc.phi.m)]
         assert relative(exact, oracle) < REL, p

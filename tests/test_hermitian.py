@@ -7,7 +7,6 @@ import pytest
 
 import phmorph as pm
 from phmorph import (
-    SmoothMap,
     adapted_frame,
     euclidean_space,
     f_structure,
@@ -23,7 +22,13 @@ from phmorph.hermitian import d_f_structure, nabla_f_operator
 from phmorph.maps import horizontal_projector
 from phmorph.manifold import DomainError
 from phmorph.scenarios import constant_J, standard_J
-from tests.test_maps import at, changed, with_sheared_metric
+from tests.test_maps import at, changed, with_j, with_sheared_metric
+
+
+def with_minus_j(phi):
+    """A second phi into its 2-dimensional target, carrying -J."""
+    return with_j(phi, pm.AlmostComplexStructureField(
+        phi.target, lambda c: (-standard_J(2)).tolist()))
 
 
 def test_standard_J_block_form():
@@ -64,8 +69,8 @@ def test_hopf_target_J_is_kahler():
     sc = get_scenario("hopf")
     for q in ([0.2, 0.4], [-0.9, 1.3]):
         q = np.array(q)
-        assert_hermitian(sc.J, q)
-        assert nabla_j_norm(sc.J, q) < 1e-7
+        assert_hermitian(sc.phi.J, q)
+        assert nabla_j_norm(sc.phi.J, q) < 1e-7
 
 
 def test_phwc_defect_negative_control_exact():
@@ -73,16 +78,16 @@ def test_phwc_defect_negative_control_exact():
     # standard J is [[0, 3], [3, 0]], Frobenius norm 3 sqrt(2)
     sc = get_scenario("nonphwc-anisotropic")
     geo = at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1]))
-    defect, scale = phwc_defect(geo, sc.J)
+    defect, scale = phwc_defect(geo)
     assert abs(defect - 3.0 * math.sqrt(2.0)) < 1e-9
-    assert phwc_metric_defect(geo, sc.J)[0] > 0.1
+    assert phwc_metric_defect(geo)[0] > 0.1
 
 
 def test_phwc_defect_zero_on_projection():
     sc = get_scenario("flat-projection-4-2")
     geo = at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1]))
-    assert phwc_defect(geo, sc.J)[0] == pytest.approx(0.0, abs=1e-12)
-    assert phwc_metric_defect(geo, sc.J)[0] == pytest.approx(0.0, abs=1e-12)
+    assert phwc_defect(geo)[0] == pytest.approx(0.0, abs=1e-12)
+    assert phwc_metric_defect(geo)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -93,8 +98,8 @@ def test_defect_equivalence_on_phwc_scenarios(name):
     sc = get_scenario(name)
     for p in sample_points(sc, 10, seed=5):
         geo = at(sc.phi, p)
-        assert phwc_defect(geo, sc.J)[0] < 1e-9
-        assert phwc_metric_defect(geo, sc.J)[0] < 1e-9
+        assert phwc_defect(geo)[0] < 1e-9
+        assert phwc_metric_defect(geo)[0] < 1e-9
 
 
 @pytest.mark.parametrize("name", ["nonphwc-anisotropic", "hopf"])
@@ -105,10 +110,10 @@ def test_phwc_metric_defect_is_the_frame_norm(name):
     for p in sample_points(sc, 3, seed=5):
         geo = at(sc.phi, p)
         fr = pm.ortho_split(geo).horizontal_frame
-        f = f_structure(geo, sc.J)
+        f = f_structure(geo)
         g = sc.phi.source.metric_at(p)[0]
         form = (fr @ f.T) @ g @ (fr @ f.T).T - fr @ g @ fr.T
-        assert phwc_metric_defect(geo, sc.J)[0] == pytest.approx(
+        assert phwc_metric_defect(geo)[0] == pytest.approx(
             np.linalg.norm(form), rel=1e-12, abs=1e-14)
 
 
@@ -119,7 +124,7 @@ def test_f_structure_algebra(name):
     # F^3 + F = 0, rank 2n, vanishing on the vertical distribution
     sc = get_scenario(name)
     geo = at(sc.phi, sample_points(sc, 3, seed=9)[1])
-    F = f_structure(geo, sc.J)
+    F = f_structure(geo)
     assert np.allclose(F @ F @ F + F, 0.0, atol=1e-10)
     assert np.linalg.matrix_rank(F, tol=1e-8) == sc.phi.two_n
     pv = np.eye(sc.phi.m) - horizontal_projector(geo)
@@ -130,9 +135,9 @@ def test_adapted_frame_structure():
     sc = get_scenario("flat-projection-6-4")
     p = sample_points(sc, 3, seed=9)[0]
     geo = at(sc.phi, p)
-    fr = adapted_frame(geo, sc.J)
+    fr = adapted_frame(geo)
     g = sc.phi.source.metric_at(p)[0]
-    F = f_structure(geo, sc.J)
+    F = f_structure(geo)
     full = np.vstack([fr.e, fr.fe, fr.vertical])
     assert np.allclose(full @ g @ full.T, np.eye(6), atol=1e-9)
     for i in range(sc.phi.n):
@@ -145,7 +150,7 @@ def test_adapted_frame_structure():
 def test_adapted_frame_requires_phwc():
     sc = get_scenario("nonphwc-anisotropic")
     with pytest.raises(pm.GeometryError):
-        adapted_frame(at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])), sc.J)
+        adapted_frame(at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])))
 
 
 def test_adapted_frame_raises_with_too_few_seeds():
@@ -153,19 +158,19 @@ def test_adapted_frame_raises_with_too_few_seeds():
     sc = get_scenario("flat-projection-6-4")
     geo = at(sc.phi, sample_points(sc, 1, seed=9)[0])
     with pytest.raises(pm.FrameError, match="could not assemble 2"):
-        adapted_frame(geo, sc.J, seed_order=[0])
+        adapted_frame(geo, seed_order=[0])
 
 
 def test_phh_defect_zero_on_flat_projection():
     sc = get_scenario("flat-projection-6-4")
     for p in sample_points(sc, 5, seed=3):
-        defect, scale = phh_defect(at(sc.phi, p), sc.J)
+        defect, scale = phh_defect(at(sc.phi, p))
         assert defect < 1e-8
 
 
 def phh_frame_sum(sc, geo, frame):
     # sqrt(sum over frame pairs (x, y) of |H((nabla_x F) y)|^2), pair by pair
-    nab = nabla_f_operator(f_structure(geo, sc.J), d_f_structure(geo, sc.J),
+    nab = nabla_f_operator(f_structure(geo), d_f_structure(geo),
                            geo.christoffel)
     ph = horizontal_projector(geo)
     g = geo.g
@@ -186,18 +191,17 @@ def test_phh_defect_frame_invariant():
     gbar = pm.ChangedMetric.from_texts(sc.phi, "exp(0.2*x1+0.1*x2)", "1")
     for p in sample_points(sc, 3, seed=3):
         geo = at(sc.phi, p, gbar)
-        base = phh_defect(geo, sc.J)[0]
+        base = phh_defect(geo)[0]
         assert base > 0.1
         for seed_order in (None, (3, 2, 1, 0)):
-            fr = adapted_frame(geo, sc.J, seed_order=seed_order)
+            fr = adapted_frame(geo, seed_order=seed_order)
             assert phh_frame_sum(sc, geo, fr) == pytest.approx(
                 base, rel=1e-12)
 
 
 def test_tension_routes_agree_flat():
     sc = get_scenario("flat-projection-4-2")
-    tau = tension_via_f_structure(at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])),
-                                  sc.J)
+    tau = tension_via_f_structure(at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])))
     assert np.allclose(tau, 0.0, atol=1e-10)
 
 
@@ -206,7 +210,7 @@ def test_tension_routes_agree_curved_fibers():
     sc = get_scenario("curved-fibers-nonharmonic")
     geo = at(sc.phi, np.array([0.4, -0.3, 0.2, 0.6]))
     direct = tension_field(geo)
-    viaf = tension_via_f_structure(geo, sc.J)
+    viaf = tension_via_f_structure(geo)
     assert np.allclose(direct, [2.0, 0.0], atol=1e-9)
     assert np.allclose(viaf, direct, atol=1e-7)
 
@@ -214,15 +218,14 @@ def test_tension_routes_agree_curved_fibers():
 def test_tension_via_f_structure_rejects_nonphwc():
     sc = get_scenario("nonphwc-anisotropic")
     with pytest.raises(pm.GeometryError):
-        tension_via_f_structure(at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])),
-                                sc.J)
+        tension_via_f_structure(at(sc.phi, np.array([0.3, -0.2, 0.5, 0.1])))
 
 
 # ---- F and dF in the local geometry --------------------------------------
 
 F_READERS = {
-    "F": lambda sc, geo: f_structure(geo, sc.J),
-    "dF": lambda sc, geo: d_f_structure(geo, sc.J),
+    "F": lambda sc, geo: f_structure(geo),
+    "dF": lambda sc, geo: d_f_structure(geo),
 }
 P = np.array([0.3, -0.2, 0.5, 0.1])
 
@@ -243,19 +246,19 @@ def test_f_structure_warm_equals_cold(name, sheared):
 
 
 def test_f_structure_derivative_is_kept_per_j():
-    # dF has no step: one entry per J, which a biconformal change of g
-    # shares, since F = L J A and the change keeps the lift L
+    # dF has no step: one entry per map, which a biconformal change of g
+    # shares, since F = L J A and the change keeps the lift L; a second map
+    # carrying another J gets its own
     sc = get_scenario("holomorphic-poly")
     geo = at(sc.phi, P)
-    first = d_f_structure(geo, sc.J)
-    assert d_f_structure(geo, sc.J) is first
+    first = d_f_structure(geo)
+    assert d_f_structure(geo) is first
     gbar = pm.ChangedMetric.from_texts(sc.phi, "exp(0.3*x1)", "1+x2^2")
-    assert d_f_structure(geo.under(gbar), sc.J) is first
-    minus_j = pm.AlmostComplexStructureField(
-        sc.J.target, lambda c: (-standard_J(2)).tolist())
-    assert np.array_equal(d_f_structure(geo, minus_j), -first)
+    assert d_f_structure(geo.under(gbar)) is first
+    assert np.array_equal(d_f_structure(at(with_minus_j(sc.phi), P)),
+                          -first)
     assert np.array_equal(
-        d_f_structure(at(get_scenario("holomorphic-poly").phi, P), sc.J),
+        d_f_structure(at(get_scenario("holomorphic-poly").phi, P)),
         first)
 
 
@@ -267,7 +270,7 @@ def test_f_structure_under_two_metrics_never_mixes():
     gbar = changed(sc.phi)
 
     def reads(sc, geo):
-        return [f_structure(geo, sc.J), phwc_defect(geo, sc.J)[1]]
+        return [f_structure(geo), phwc_defect(geo)[1]]
 
     got = [reads(sc, geo if change is None else geo.under(change))
            for change in (None, gbar, None, gbar)]
@@ -279,9 +282,8 @@ def test_f_structure_under_two_metrics_never_mixes():
     assert got[1][0] is got[0][0]
     assert not np.allclose(cold_g[1], cold_s[1])
     # a second J on the same map, metric and point gets its own F
-    minus_j = pm.AlmostComplexStructureField(
-        sc.J.target, lambda c: (-standard_J(2)).tolist())
-    assert np.array_equal(f_structure(geo, minus_j), -cold_g[0])
+    assert np.array_equal(f_structure(at(with_minus_j(sc.phi), P)),
+                          -cold_g[0])
 
 
 def test_f_structure_fails_on_every_call_where_phi_is_singular():
@@ -291,7 +293,7 @@ def test_f_structure_fails_on_every_call_where_phi_is_singular():
     geo = at(sc.phi, np.zeros(4))
     for _ in range(2):
         with pytest.raises(pm.RankError):
-            f_structure(geo, sc.J)
+            f_structure(geo)
     hopf = get_scenario("hopf")
     geo = at(hopf.phi, np.array([1.0, 0.0, 0.0]))  # where |w| = 0
     for _ in range(2):
@@ -301,7 +303,7 @@ def test_f_structure_fails_on_every_call_where_phi_is_singular():
 
 
 # ---- frames and defects in the local geometry ----------------------------
-# The PHWC defects and F div_H F are kept per J in the local geometry of
+# The PHWC defects and F div_H F are kept in the local geometry of
 # (map, metric, point); an adapted frame is built on each call, the same
 # whether the geometry it reads is warm or cold.
 
@@ -311,13 +313,13 @@ METRICS = {
     "gbar": lambda sc: pm.ChangedMetric.from_texts(sc.phi, *CHANGE),
 }
 FRAME_READERS = {
-    "phwc_defect": lambda sc, geo: phwc_defect(geo, sc.J),
-    "phwc_metric_defect": lambda sc, geo: phwc_metric_defect(geo, sc.J),
-    "adapted_frame": lambda sc, geo: (adapted_frame(geo, sc.J).e,
-                                      adapted_frame(geo, sc.J).fe,
-                                      adapted_frame(geo, sc.J).vertical),
+    "phwc_defect": lambda sc, geo: phwc_defect(geo),
+    "phwc_metric_defect": lambda sc, geo: phwc_metric_defect(geo),
+    "adapted_frame": lambda sc, geo: (adapted_frame(geo).e,
+                                      adapted_frame(geo).fe,
+                                      adapted_frame(geo).vertical),
     "f_divergence_horizontal": lambda sc, geo: (
-        pm.f_divergence_horizontal(geo, sc.J),),
+        pm.f_divergence_horizontal(geo),),
 }
 
 
@@ -350,15 +352,13 @@ def test_frame_field_arrays_are_read_only(name):
 def test_adapted_frame_is_built_on_each_call():
     sc = get_scenario("flat-projection-4-2")
     geo = at(sc.phi, P)
-    first = adapted_frame(geo, sc.J)
-    again = adapted_frame(geo, sc.J)
+    first = adapted_frame(geo)
+    again = adapted_frame(geo)
     assert again is not first
     assert np.array_equal(again.e, first.e)
     assert np.array_equal(again.fe, first.fe)
     # a second J gives its own frame: F changes sign, so F e does
-    minus_j = pm.AlmostComplexStructureField(
-        sc.J.target, lambda c: (-standard_J(2)).tolist())
-    negated = adapted_frame(geo, minus_j)
+    negated = adapted_frame(at(with_minus_j(sc.phi), P))
     assert np.array_equal(negated.e, first.e)
     assert np.array_equal(negated.fe, -first.fe)
 
@@ -368,10 +368,10 @@ def test_adapted_frame_fails_on_every_call_where_phi_is_not_phwc():
     geo = at(sc.phi, P)
     for _ in range(2):
         with pytest.raises(pm.FrameError, match="PHWC"):
-            adapted_frame(geo, sc.J)
+            adapted_frame(geo)
         with pytest.raises(pm.FrameError, match="PHWC"):
-            pm.f_divergence_horizontal(geo, sc.J)
+            pm.f_divergence_horizontal(geo)
         with pytest.raises(pm.FrameError, match="PHWC"):
-            tension_via_f_structure(geo, sc.J)
+            tension_via_f_structure(geo)
     # the defects that make it fail are kept
-    assert phwc_metric_defect(geo, sc.J)[0] > 0.1
+    assert phwc_metric_defect(geo)[0] > 0.1

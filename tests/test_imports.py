@@ -5,10 +5,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "phmorph"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "phmorph"
 # the package's own re-exports are its public names, used by importers
 MODULES = sorted(path for path in SRC.glob("*.py")
                  if path.name != "__init__.py")
+# the package's modules, and the tests and benchmarks that import it
+LINTED = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(
+    ROOT.glob("benchmarks/*.py"))
 
 
 def unused_imports(source):
@@ -27,7 +31,9 @@ def unused_imports(source):
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", LINTED, ids=[
+    p.name if p.parent == SRC else p.relative_to(ROOT).as_posix()
+    for p in LINTED])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

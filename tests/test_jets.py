@@ -194,16 +194,17 @@ def test_nonfinite_gradient_caught_at_boundaries():
     # (1e300*x1)^2 at x1 = 1e-200: the value 1e200 is finite, the gradient
     # and Hessian overflow. Arithmetic checks only values, so the boundaries
     # must catch it, on every call.
-    from phmorph import ChangedMetric, EvalError, SmoothMap, euclidean_space
+    from phmorph import ChangedMetric, EvalError, euclidean_space
     from phmorph.exprs import eval_jet, parse
     from phmorph.maps import LocalGeometry
+    from tests.test_maps import smooth_map
 
     expr = parse("(1e300*x1)^2")
     p = np.array([1e-200, 0.5])
     assert math.isfinite(eval_jet(expr, seed_coordinates(p)).value)
     plane = euclidean_space(2)
-    phi = SmoothMap(plane, plane, lambda c: [eval_jet(expr, c), c[1]])
-    identity = LocalGeometry(SmoothMap(plane, plane, lambda c: c), p)
+    phi = smooth_map(plane, plane, lambda c: [eval_jet(expr, c), c[1]])
+    identity = LocalGeometry(smooth_map(plane, plane, lambda c: c), p)
     change = ChangedMetric(identity.phi, expr, expr)
     for _ in range(2):
         with pytest.raises((JetDomainError, EvalError)):

@@ -14,7 +14,6 @@ from phmorph import (
     FDMetric,
     JetMetric,
     MetricError,
-    SmoothMap,
     euclidean_space,
     eval_jet,
     parse,
@@ -23,6 +22,7 @@ from phmorph import (
 from phmorph.manifold import (directional_derivative, inverse_metric,
                               richardson_partial)
 from phmorph.maps import LocalGeometry
+from tests.test_maps import smooth_map
 
 
 def sphere_metric_components(coords):
@@ -44,7 +44,7 @@ def conformal2_components(coords):
 def chart_map(man):
     """The projection of ``man`` onto its first two chart coordinates: its
     local geometries hold the metric's per-point data."""
-    return SmoothMap(man, euclidean_space(2), lambda c: [c[0], c[1]])
+    return smooth_map(man, euclidean_space(2), lambda c: [c[0], c[1]])
 
 
 def geometry(man, p):
@@ -63,7 +63,7 @@ def sphere_manifold(strategy="ad"):
             return np.array([[1.0, 0.0], [0.0, math.sin(p[0]) ** 2]])
 
         metric = FDMetric(2, mat)
-    return ChartedRiemannianManifold(2, metric, name="sphere-polar")
+    return ChartedRiemannianManifold(2, metric)
 
 
 @pytest.mark.parametrize("strategy", ["ad", "fd"])

@@ -16,6 +16,7 @@ from phmorph import (
 )
 from phmorph.manifold import (ChartedRiemannianManifold, DomainError,
                               GeometryError, JetMetric)
+from phmorph.scenarios import constant_J
 from phmorph.maps import (
     FrameError,
     LocalGeometry,
@@ -24,6 +25,17 @@ from phmorph.maps import (
     horizontal_lift,
     horizontal_projector,
 )
+
+
+def smooth_map(source, target, components):
+    """A map into ``target`` carrying the target's standard constant J."""
+    return SmoothMap(source, target, components, constant_J(target))
+
+
+def with_j(phi, J):
+    """A second map with phi's source, target and components, carrying
+    J."""
+    return SmoothMap(phi.source, phi.target, phi.components, J)
 
 
 def at(phi, p, change=None):
@@ -35,8 +47,8 @@ def at(phi, p, change=None):
 
 def anisotropic_map():
     # phi(x) = (x1, 2 x2) from flat R^4 to flat R^2
-    return SmoothMap(euclidean_space(4), euclidean_space(2),
-                     lambda c: [c[0], 2.0 * c[1]])
+    return smooth_map(euclidean_space(4), euclidean_space(2),
+                      lambda c: [c[0], 2.0 * c[1]])
 
 
 def curved_fiber_metric_components(coords):
@@ -54,7 +66,7 @@ def curved_fiber_metric_components(coords):
 def curved_fiber_map():
     source = ChartedRiemannianManifold(
         4, JetMetric(4, curved_fiber_metric_components))
-    return SmoothMap(source, euclidean_space(2), lambda c: [c[0], c[1]])
+    return smooth_map(source, euclidean_space(2), lambda c: [c[0], c[1]])
 
 
 def test_differential_linear_map():
@@ -65,8 +77,8 @@ def test_differential_linear_map():
 
 
 def test_differential_and_hessian_polynomial_map():
-    phi = SmoothMap(euclidean_space(2), euclidean_space(2),
-                    lambda c: [c[0] ** 2 * c[1], c[0] + c[1]])
+    phi = smooth_map(euclidean_space(2), euclidean_space(2),
+                     lambda c: [c[0] ** 2 * c[1], c[0] + c[1]])
     p = np.array([2.0, 1.0])
     A = differential(at(phi, p))
     assert np.allclose(A, [[4.0, 4.0], [1.0, 1.0]], atol=1e-13)
@@ -120,8 +132,8 @@ def test_ortho_split_orthonormal_and_deterministic():
 
 def test_check_submersion_detects_rank_drop():
     # real and imaginary parts of z^2 in the first two coordinates
-    phi = SmoothMap(euclidean_space(4), euclidean_space(2),
-                    lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
+    phi = smooth_map(euclidean_space(4), euclidean_space(2),
+                     lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
     check_submersion(at(phi, np.array([0.5, 0.2, 0.0, 0.0])))
     with pytest.raises(RankError):
         check_submersion(at(phi, np.zeros(4)))
@@ -129,7 +141,7 @@ def test_check_submersion_detects_rank_drop():
 
 def test_odd_target_dimension_rejected():
     with pytest.raises(ValueError):
-        SmoothMap(euclidean_space(4), euclidean_space(3), lambda c: c[:3])
+        smooth_map(euclidean_space(4), euclidean_space(3), lambda c: c[:3])
 
 
 def test_tension_flat_projection_vanishes():
@@ -140,8 +152,8 @@ def test_tension_flat_projection_vanishes():
 
 def test_tension_is_laplacian_for_scalar_components():
     # flat metrics: tau^a = Delta phi^a
-    phi = SmoothMap(euclidean_space(2), euclidean_space(2),
-                    lambda c: [c[0] ** 2 + c[1] ** 2, c[0] * c[1]])
+    phi = smooth_map(euclidean_space(2), euclidean_space(2),
+                     lambda c: [c[0] ** 2 + c[1] ** 2, c[0] * c[1]])
     tau = tension_field(at(phi, np.array([0.3, -0.7])))
     assert np.allclose(tau, [4.0, 0.0], atol=1e-12)
 
@@ -156,7 +168,7 @@ def test_tension_target_christoffel_contribution():
         return [[f, zero], [zero, f]]
 
     target = ChartedRiemannianManifold(2, JetMetric(2, conf))
-    phi = SmoothMap(euclidean_space(2), target, lambda c: [c[0], c[1]])
+    phi = smooth_map(euclidean_space(2), target, lambda c: [c[0], c[1]])
     p = np.array([0.3, -0.2])
     gamma_n = target.christoffel(p)
     expected = gamma_n[:, 0, 0] + gamma_n[:, 1, 1]
@@ -207,7 +219,7 @@ def rational_map():
         r2 = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
         return [c[0] * c[2] / (1.0 + r2), c[1] * c[2] / (1.0 + r2)]
 
-    return SmoothMap(euclidean_space(3), euclidean_space(2), components)
+    return smooth_map(euclidean_space(3), euclidean_space(2), components)
 
 
 def test_jets_memo_warm_equals_cold():
@@ -232,7 +244,7 @@ def test_a_hessian_reader_refuses_a_first_order_jet():
     missing = "first-order jet, which carries no Hessian"
     with pytest.raises(ValueError, match=missing):
         at(rational_map(), p).laplacian(jets.seed_coordinates(p, order=1)[0])
-    phi = SmoothMap(euclidean_space(3), euclidean_space(2), lambda c: (
+    phi = smooth_map(euclidean_space(3), euclidean_space(2), lambda c: (
         jets.seed_coordinates(np.stack([x.value for x in c], -1), 1)[:2]))
     for _ in range(2):
         with pytest.raises(ValueError, match=missing):
@@ -267,8 +279,8 @@ def with_sheared_metric(phi):
     """phi, its source metric replaced by ``sheared_metric``."""
     src = phi.source
     return SmoothMap(ChartedRiemannianManifold(
-        4, sheared_metric(), src.domain_predicate, src.sample_region,
-        src.name), phi.target, phi.components)
+        4, sheared_metric(), src.domain_predicate, src.sample_region),
+        phi.target, phi.components, phi.J)
 
 
 def fiber_map(is_sheared):
@@ -308,7 +320,8 @@ def changed(phi):
 # the fields that no change alters, kept in the source geometry only
 KEPT_IN_SOURCE = ("jets", "map_jets", "_differential",
                   "target_metric_and_derivs", "target_christoffel",
-                  "projector_and_lift", "projector_and_lift_derivs")
+                  "target_j_and_derivs", "projector_and_lift",
+                  "projector_and_lift_derivs")
 
 
 def test_under_builds_a_geometry_on_its_source():
@@ -350,8 +363,8 @@ def test_local_geometry_arrays_are_read_only(name):
 
 def test_rank_deficient_point_fails_on_every_call():
     # real and imaginary parts of z^2: dphi vanishes at the origin
-    phi = SmoothMap(euclidean_space(4), euclidean_space(2),
-                    lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
+    phi = smooth_map(euclidean_space(4), euclidean_space(2),
+                     lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
     geo = at(phi, np.zeros(4))
     for _ in range(2):
         for name in ("check_submersion", "horizontal_projector",
@@ -366,7 +379,7 @@ def test_out_of_domain_point_fails_on_every_call():
     source = ChartedRiemannianManifold(
         4, JetMetric(4, curved_fiber_metric_components),
         domain_predicate=lambda p: p[..., 0] > 0)
-    phi = SmoothMap(source, euclidean_space(2), lambda c: [c[0], c[1]])
+    phi = smooth_map(source, euclidean_space(2), lambda c: [c[0], c[1]])
     geo = at(phi, np.array([-0.4, 0.3, 0.2, 0.6]))
     for _ in range(2):
         for name, read in sorted(GEOMETRY_READERS.items()):
@@ -451,10 +464,10 @@ def test_derived_field_arrays_are_read_only(name):
 
 
 def test_derived_fields_fail_on_every_call():
-    phi = SmoothMap(euclidean_space(4), euclidean_space(2),
-                    lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
-    flat = SmoothMap(euclidean_space(2), euclidean_space(2),
-                     lambda c: [c[0], c[1]])
+    phi = smooth_map(euclidean_space(4), euclidean_space(2),
+                     lambda c: [c[0] ** 2 - c[1] ** 2, 2.0 * c[0] * c[1]])
+    flat = smooth_map(euclidean_space(2), euclidean_space(2),
+                      lambda c: [c[0], c[1]])
     geo, flat_geo = at(phi, np.zeros(4)), at(flat, np.zeros(2))
     for _ in range(2):
         for read in (ortho_split, mean_curvature_vertical):

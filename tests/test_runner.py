@@ -12,9 +12,9 @@ import weakref
 import numpy as np
 import pytest
 
-from phmorph import (ALL_IDENTITIES, Jet2, RunConfig, biconformal, confirm_flags, get_scenario, hermitian,
-                     manifold, maps, parse, run_verification, runner,
-                     sample_points, scenarios)
+from phmorph import (ALL_IDENTITIES, Jet2, RunConfig, biconformal,
+                     confirm_flags, get_scenario, hermitian, manifold, maps,
+                     run_verification, runner, sample_points, scenarios)
 from phmorph.biconformal import PROPERTIES, IdentityAggregate
 from phmorph.manifold import per_k
 from phmorph.maps import LocalGeometry
@@ -82,10 +82,10 @@ def make_unreadable(monkeypatch, flag, where=lambda p: True):
     before."""
     prop = PROPERTIES[flag]
 
-    def measure(geo, J):
+    def measure(geo):
         if geo.change is None and np.count_nonzero(where(geo.p)):
             raise manifold.GeometryError("flag defect unreadable")
-        return prop.measure(geo, J)
+        return prop.measure(geo)
 
     monkeypatch.setitem(PROPERTIES, flag,
                         dataclasses.replace(prop, measure=measure))
@@ -123,8 +123,8 @@ def test_a_non_finite_flag_reading_is_a_sample_error(monkeypatch):
     nan_at = sample_points(get_scenario(config.scenario), 5, config.seed)[2]
     prop = PROPERTIES["harmonic"]
 
-    def measure(geo, J):
-        value, scale = prop.measure(geo, J)
+    def measure(geo):
+        value, scale = prop.measure(geo)
         if geo.change is None:
             value = np.where((geo.p == nan_at).all(axis=-1)[:, None],
                              np.nan, value)
@@ -408,17 +408,17 @@ def test_a_flag_settles_sample_errors_row_by_row(monkeypatch):
     # other rows, each measured as a 1-row batch
     inner = biconformal.phh_defect
 
-    def failing(geo, J):
+    def failing(geo):
         if np.count_nonzero(geo.p[:, 0] < 0):
             raise manifold.GeometryError("x1 < 0")
-        return inner(geo, J)
+        return inner(geo)
 
     scenario = get_scenario("hopf")
     points = np.array(sample_points(scenario, 8, 42))
     negative = points[:, 0] < 0
     assert 0 < np.count_nonzero(negative) < len(points)
     phh = PROPERTIES["phh"].reading
-    expected = max(phh(LocalGeometry(scenario.phi, [p]), scenario.J)[1][0]
+    expected = max(phh(LocalGeometry(scenario.phi, [p]))[1][0]
                    for p in points[~negative])
     assert expected > 0.0
     monkeypatch.setattr(biconformal, "phh_defect", failing)

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import phmorph as pm
 from phmorph import (LocalGeometry, confirm_flags, differential, get_scenario,
                      list_scenarios, sample_points)
 from phmorph.manifold import GeometryError
