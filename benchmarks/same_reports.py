@@ -13,9 +13,14 @@ errored sample, which the report counts but does not list).  The list:
 - at 60 samples and seed 5, three runs that stress the arithmetic: a large
   constant one-function sigma on hopf, and sigma^2 / rho^2 near 1e8 on hopf
   and on holomorphic-poly;
-- at 20 samples and seed 5, ``curved-fibers-nonharmonic --sigma
-  'exp(0.3*x1+0.2*x3)'``: n = 1 with a nonconstant sigma, where
-  corollary-phh checks that PHH is kept.
+- at 20 samples and seed 5:
+
+  - ``curved-fibers-nonharmonic --sigma 'exp(0.3*x1+0.2*x3)'``: n = 1
+    with a nonconstant sigma, where corollary-phh checks that PHH is kept;
+  - ``nonphwc-anisotropic``: the PHWC-false branch of phwc-equivalence,
+    where every other law is skipped;
+  - ``flat-projection-6-4 --special-sigma 'exp(0.3*x1)'``: the
+    one-function change at n = 2, with rho = sigma^-1;
 - the argument syntax, on ``flat-projection-4-2`` at 20 samples:
   ``--samples=20``, ``--sam 20`` (a unique prefix), ``--seed -1`` (a
   negative number as a value), ``--tol-fd -1e-5`` (a value read as an
@@ -47,6 +52,13 @@ STRESS = [
      "--rho", "100*exp(x1+0.5*x2)"],
 ]
 
+SEED5 = [
+    ["--scenario", "curved-fibers-nonharmonic", "--sigma",
+     "exp(0.3*x1+0.2*x3)"],
+    ["--scenario", "nonphwc-anisotropic"],
+    ["--scenario", "flat-projection-6-4", "--special-sigma", "exp(0.3*x1)"],
+]
+
 SYNTAX = [
     ["--samples=20"],
     ["--sam", "20"],
@@ -73,11 +85,9 @@ def runs(report):
     out += [(" ".join(args[1:]) + " samples=60 seed=5",
              ["verify"] + args + ["--samples", "60", "--seed", "5",
                                   "--report", report]) for args in STRESS]
-    n1 = ["--scenario", "curved-fibers-nonharmonic",
-          "--sigma", "exp(0.3*x1+0.2*x3)"]
-    out.append((" ".join(n1[1:]) + " samples=20 seed=5",
-                ["verify"] + n1 + ["--samples", "20", "--seed", "5",
-                                   "--report", report]))
+    out += [(" ".join(args[1:]) + " samples=20 seed=5",
+             ["verify"] + args + ["--samples", "20", "--seed", "5",
+                                  "--report", report]) for args in SEED5]
     out += [(" ".join(args), ["verify", "--scenario", "flat-projection-4-2"]
              + args + ["--report", report]) for args in SYNTAX]
     out.append(("no --scenario",

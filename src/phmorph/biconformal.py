@@ -17,20 +17,20 @@ Every ``verify_*`` routine takes the point context, phi's source geometry
 over a batch of sample points, and, for a law of the change, the
 ``ChangedMetric``, whose geometry it reads from the point context
 (``LocalGeometry.under``); a law that reads J reads the one phi carries.
-It computes one identity's two sides by independent routes (the
-Levi-Civita geometry of g-bar, built from g-bar's own (g-bar, d g-bar), on
-one side; the closed-form transformation law on g's connection on the
-other) and returns the batch's reading: four per-row
-arrays (absolute and relative residual, finite, passed), which the runner
-folds into an ``IdentityAggregate`` (``fold``).  ``PROPERTIES`` (PHWC,
-harmonicity, PHH) are read under g by the run's flags, and under the
-one-function change by the corollaries (``corollary_at``), against exact
-predictions from g-side quantities: a PHWC defect of 0, the tension field
-sigma^2 tau, and a PHH defect of sigma sqrt(8 (n - 1)) |grad_H ln sigma|,
-the frame norm of phh-covariant's correction in closed form.  Every
-residual, defect and flag is read by one rule (``_reading``): a per-row
-defect against its scale, and a row whose defect or scale is not finite
-is a sample error.
+It computes one identity's two sides by independent routes (the Levi-Civita
+geometry of g-bar, built from g-bar's own (g-bar, d g-bar), on one side; the
+closed-form transformation law on g's connection on the other) and returns
+the batch's reading: four per-row arrays (absolute and relative residual,
+finite, passed), which the runner folds into an ``IdentityAggregate``
+(``fold``); the laws L(g-bar) = sigma^2 (L(g) + correction) share one reader
+(``_scaled_law``).  ``PROPERTIES`` (PHWC, harmonicity, PHH) are read under g
+by the run's flags, and under the one-function change by the corollaries
+(``corollary_at``, given their names), against exact predictions from g-side
+quantities: a PHWC defect of 0, the tension field sigma^2 tau, and a PHH
+defect of sigma sqrt(8 (n - 1)) |grad_H ln sigma|, the frame norm of
+phh-covariant's correction in closed form.  Every residual, defect and flag
+is read by one rule (``_reading``): a per-row defect against its scale, and
+a row whose defect or scale is not finite is a sample error.
 """
 
 from __future__ import annotations
@@ -285,9 +285,9 @@ def worst_of(readings):
             passed.all(axis=0))
 
 
-def _require_horizontal(name, v, ph, g):
-    v = np.asarray(v, dtype=float)
-    hv = matvec(ph, v)
+def _require_horizontal(name, v, geo):
+    g, ph = geo.g, geo.projector_and_lift[0]
+    hv = matvec(ph, np.asarray(v, dtype=float))
     if (quad(hv, g, hv) <= 1e-16).any():
         raise GeometryError("%s has no horizontal part" % name)
     return hv
@@ -306,7 +306,7 @@ def verify_koszul_h(gbar: ChangedMetric, geo: LocalGeometry, x_comp, y_comp,
     on (X, Y), the left side g-bar's and the right side g's."""
     g = geo.g
     ph = geo.projector_and_lift[0]
-    x = _require_horizontal("X", x_comp, ph, g)
+    x = _require_horizontal("X", x_comp, geo)
     y = matvec(ph, np.asarray(y_comp, dtype=float))
     xy = outer(x, y)
     lhs = matvec(ph, contract(geo.under(gbar).christoffel, xy))
@@ -354,6 +354,15 @@ def verify_koszul_v(gbar: ChangedMetric, geo: LocalGeometry, v_comp,
     return _compare(lhs, rhs, tol)
 
 
+def _scaled_law(gbar, geo, field, correction, tol):
+    """The reading of L(g-bar) = sigma^2 (L(g) + correction) for a field L
+    of phi's geometry: L under g-bar, sigma, L under g, ``correction()``."""
+    lhs = field(geo.under(gbar))
+    s, _ = gbar.factor_values(geo)
+    return _compare(lhs, (s ** 2)[..., None] * (field(geo) + correction()),
+                    tol)
+
+
 def verify_mean_curvature(gbar: ChangedMetric, geo: LocalGeometry,
                           tol: float = 1e-5):
     """Fiber mean curvature under the change: mu-bar = sigma^2 [mu + H(grad ln rho)].
@@ -361,13 +370,8 @@ def verify_mean_curvature(gbar: ChangedMetric, geo: LocalGeometry,
     Both sides read the same dP_H (g-bar keeps H), so this law does not
     test it; koszul-horizontal and tension-f-structure catch a wrong dP_H,
     as ``test_a_wrong_projector_derivative_fails_a_hopf_run`` shows."""
-    lhs = mean_curvature_vertical(geo.under(gbar))
-    mu = mean_curvature_vertical(geo)
-    _, grad_lr = gbar.grad_log_factors(geo)
-    ph = horizontal_projector(geo)
-    s, _ = gbar.factor_values(geo)
-    rhs = (s ** 2)[..., None] * (mu + matvec(ph, grad_lr))
-    return _compare(lhs, rhs, tol)
+    return _scaled_law(gbar, geo, mean_curvature_vertical, lambda: matvec(
+        horizontal_projector(geo), gbar.grad_log_factors(geo)[1]), tol)
 
 
 def verify_f_divergence(gbar: ChangedMetric, geo: LocalGeometry,
@@ -377,14 +381,9 @@ def verify_f_divergence(gbar: ChangedMetric, geo: LocalGeometry,
     The gradient correction is projected to H: the full gradient differs
     from it by a vertical component that the left side cannot contain.
     """
-    lhs = f_divergence_horizontal(geo.under(gbar))
-    div = f_divergence_horizontal(geo)
-    grad_ls, _ = gbar.grad_log_factors(geo)
-    ph = horizontal_projector(geo)
-    s, _ = gbar.factor_values(geo)
-    n2 = 2.0 * gbar.phi.n - 2.0
-    rhs = (s ** 2)[..., None] * (div + n2 * matvec(ph, grad_ls))
-    return _compare(lhs, rhs, tol)
+    return _scaled_law(gbar, geo, f_divergence_horizontal, lambda: (
+        2.0 * gbar.phi.n - 2.0) * matvec(horizontal_projector(geo),
+                                         gbar.grad_log_factors(geo)[0]), tol)
 
 
 def verify_tension_transform(gbar: ChangedMetric, geo: LocalGeometry,
@@ -393,15 +392,10 @@ def verify_tension_transform(gbar: ChangedMetric, geo: LocalGeometry,
 
     tau-bar = sigma^2 [tau + dphi((2n-m) grad ln rho + (2-2n) grad ln sigma)]
     """
-    lhs = tension_field(geo.under(gbar))
-    tau = tension_field(geo)
-    grad_ls, grad_lr = gbar.grad_log_factors(geo)
-    a = differential(geo)
-    s, _ = gbar.factor_values(geo)
     two_n, m = gbar.phi.two_n, gbar.phi.m
-    correction = (two_n - m) * grad_lr + (2.0 - two_n) * grad_ls
-    rhs = (s ** 2)[..., None] * (tau + matvec(a, correction))
-    return _compare(lhs, rhs, tol)
+    return _scaled_law(gbar, geo, tension_field, lambda: matvec(
+        differential(geo), (two_n - m) * gbar.grad_log_factors(geo)[1]
+        + (2.0 - two_n) * gbar.grad_log_factors(geo)[0]), tol)
 
 
 def phh_correction(gbar: ChangedMetric, geo: LocalGeometry, x, y, base=0.0):
@@ -429,18 +423,15 @@ def verify_phh_covariant_formula(gbar: ChangedMetric, geo: LocalGeometry,
     H((nabla-bar_X F)Y) = H((nabla_X F)Y) + C(X, Y)
 
     with C the correction of ``phh_correction``."""
-    g = geo.g
-    ph = geo.projector_and_lift[0]
-    x = _require_horizontal("X", x_comp, ph, g)
-    y = _require_horizontal("Y", y_comp, ph, g)
-    xy = outer(x, y)
-    nab_bar = nabla_f(geo.under(gbar))
-    lhs = matvec(ph, contract(nab_bar.swapaxes(-3, -2), xy))
+    x = _require_horizontal("X", x_comp, geo)
+    y = _require_horizontal("Y", y_comp, geo)
+    ph, xy = geo.projector_and_lift[0], outer(x, y)
 
-    nab = nabla_f(geo)
-    rhs = phh_correction(gbar, geo, x, y,
-                         matvec(ph, contract(nab.swapaxes(-3, -2), xy)))
-    return _compare(lhs, rhs, tol)
+    def along(view):  # H((nabla_X F)Y) under the metric of ``view``
+        return matvec(ph, contract(nabla_f(view).swapaxes(-3, -2), xy))
+
+    return _compare(along(geo.under(gbar)),
+                    phh_correction(gbar, geo, x, y, along(geo)), tol)
 
 
 # ---- holomorphic test functions for the pullback characterization --------
@@ -472,9 +463,7 @@ def verify_pullback_characterization(geo: LocalGeometry, holo_name: str,
 
 def verify_tension_equivalence(geo: LocalGeometry, tol: float = 1e-6):
     """Trace-formula tension field against the f-structure route."""
-    lhs = tension_field(geo)
-    rhs = tension_via_f_structure(geo)
-    return _compare(lhs, rhs, tol)
+    return _compare(tension_field(geo), tension_via_f_structure(geo), tol)
 
 
 def verify_phwc_equivalence(geo: LocalGeometry, tol: float = 1e-6):
@@ -541,18 +530,14 @@ PROPERTIES = {
     "phh": Property(lambda geo: _defect(*phh_defect(geo)), _phh_prediction),
 }
 
-# corollary -> the properties it reads under the one-function change
-COROLLARIES = {"corollary-psh": ("phwc", "harmonic"),
-               "corollary-phh": ("phh",)}
 
-
-def corollary_at(name, gbar: ChangedMetric, geo: LocalGeometry, tol: float):
-    """The corollary ``name`` at the rows of the point context ``geo``:
-    each of its ``PROPERTIES``, read under the one-function change
+def corollary_at(props, gbar: ChangedMetric, geo: LocalGeometry, tol: float):
+    """A corollary at the rows of the point context ``geo``: each of the
+    ``PROPERTIES`` named in ``props``, read under the one-function change
     ``gbar``, equals its prediction from phi's geometry under g.  A row's
     residual is that of the property with the largest relative residual
     (``worst_of``), and a row where any reading is not finite is a sample
     error."""
-    bar, props = geo.under(gbar), [PROPERTIES[p] for p in COROLLARIES[name]]
+    bar = geo.under(gbar)
     return worst_of([prop.reading(bar, prop.predict(gbar, geo), tol)
-                     for prop in props])
+                     for prop in (PROPERTIES[p] for p in props)])

@@ -74,6 +74,9 @@ class SmoothMap:
                  target: ChartedRiemannianManifold, components, J):
         if target.dim % 2 != 0:
             raise ValueError("target dimension must be even")
+        if J.target.dim != target.dim:
+            raise ValueError("J acts on dimension %d, the target has "
+                             "dimension %d" % (J.target.dim, target.dim))
         self.source = source
         self.target = target
         self.components = components  # callable(coords) -> sequence of 2n

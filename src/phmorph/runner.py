@@ -6,7 +6,8 @@ Each entry names what the identity requires of the scenario (``REQUIREMENTS``;
 the first that fails is its skip reason) and the check that gives its
 reading at the sample points of a point context.  A run verifies one
 ``biconformal.ChangedMetric`` (``RunConfig.build_change``) and reads the
-corollaries under the one-function change of its sigma.
+corollaries, whose rows name the ``biconformal.PROPERTIES`` they read,
+under the one-function change of its sigma.
 
 A run checks its sample points in chunks of ``CHUNK``, in order: a chunk's
 point context, phi's ``maps.LocalGeometry`` over its points as one batch, is
@@ -184,11 +185,11 @@ IDENTITIES = {
                                      tol=run.config.tol_fd))),
     "pullback": Identity(("phwc", "harmonic"), _pullback),
     "corollary-psh": Identity(("phwc", "fibers"), lambda run, geo, idx: (
-        corollary_at("corollary-psh", run.one_function, geo,
+        corollary_at(("phwc", "harmonic"), run.one_function, geo,
                      run.config.tol_fd))),
     "corollary-phh": Identity(
         ("phwc", "fibers", "phh"), lambda run, geo, idx: corollary_at(
-            "corollary-phh", run.one_function, geo, 10.0 * run.config.tol_ad)),
+            ("phh",), run.one_function, geo, 10.0 * run.config.tol_ad)),
 }
 ALL_IDENTITIES = tuple(IDENTITIES)
 

@@ -196,10 +196,10 @@ def test_criterion_07_phh_breaking_direction():
             for p in sample_points(sc, 10, seed=26)]
     const_gbar = special_change(sc.phi, parse("3"))
     const = fold("corollary-phh", lambda geo: corollary_at(
-        "corollary-phh", const_gbar, geo, 1e-6), geos)
+        ("phh",), const_gbar, geo, 1e-6), geos)
     broken_gbar = special_change(sc.phi, parse("1+0.1*x1"))
     broken = fold("corollary-phh", lambda geo: corollary_at(
-        "corollary-phh", broken_gbar, geo, 1e-6), geos)
+        ("phh",), broken_gbar, geo, 1e-6), geos)
     # on n = 1 PHH is kept for every sigma: a run checks it, and it passes
     # at all 5 points (same points: 5 samples at seed 26)
     n1 = run_verification(RunConfig(

@@ -780,6 +780,21 @@ def test_phwc_equivalence_errs_where_phi_has_no_rank(monkeypatch):
     assert report["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("law", [verify_tension_transform,
+                                 verify_mean_curvature, verify_f_divergence])
+def test_a_scaled_law_errs_on_its_left_side_first(law):
+    # at holomorphic-poly's critical point sigma = x1 - 1 is -1 as well:
+    # each sigma^2-scaled law reads its field under g-bar first, which
+    # needs phi's horizontal space, so the point errs on phi's rank; sigma,
+    # or tension-transform's correction, read first would err on its sign
+    sc, gbar = gbar_for("holomorphic-poly", "x1-1", None)
+    geo = at(sc.phi, np.zeros((1, 4)))
+    with pytest.raises(pm.RankError, match="map is not a submersion"):
+        law(gbar, geo)
+    with pytest.raises(PositivityError, match="sigma = -1 <= 0"):
+        gbar.grad_log_factors(geo)
+
+
 def test_phwc_equivalence_settles_a_rank_deficient_row_of_a_batch():
     # z^2 has no rank at the origin: the batch raises there, and the run
     # settles it row by row, the origin as an errored row and every other
@@ -880,12 +895,12 @@ def test_pullback_rejects_unknown_name():
 
 def psh(sc, gbar, geo):
     """corollary-psh at the rows of ``geo``."""
-    return corollary_at("corollary-psh", gbar, geo, TOL_FD)
+    return corollary_at(("phwc", "harmonic"), gbar, geo, TOL_FD)
 
 
 def phh(sc, gbar, geo):
     """corollary-phh at the rows of ``geo``."""
-    return corollary_at("corollary-phh", gbar, geo, 1e-6)
+    return corollary_at(("phh",), gbar, geo, 1e-6)
 
 
 def test_corollary_one_function_change_preserves_harmonicity():

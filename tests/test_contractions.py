@@ -16,6 +16,7 @@ from phmorph.jets import Jet2
 from phmorph.manifold import (act_first, contract, euclidean_space,
                               levi_civita, matvec, outer, per_k, read_only)
 from phmorph.maps import LocalGeometry, SmoothMap
+from phmorph.scenarios import constant_J
 
 B = 5
 SHAPES = [(3, 2), (4, 2), (6, 4)]  # (m, 2n): hopf, the 4-2 and 6-4 maps
@@ -67,7 +68,8 @@ def geometry(m, two_n, fields, row=None, computes=None):
     """A geometry of a map R^m -> R^2n whose fields are ``fields`` (at
     ``row``, or over the batch) but the one the kernel ``computes``: no
     component of the map and no J is evaluated."""
-    phi = SmoothMap(euclidean_space(m), euclidean_space(two_n), None, None)
+    target = euclidean_space(two_n)
+    phi = SmoothMap(euclidean_space(m), target, None, constant_J(target))
     pick = (lambda a: a) if row is None else (lambda a: a[row])
     geo = LocalGeometry(phi, pick(np.zeros((B, m))))
     for key, value in fields.items():

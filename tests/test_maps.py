@@ -144,6 +144,14 @@ def test_odd_target_dimension_rejected():
         smooth_map(euclidean_space(4), euclidean_space(3), lambda c: c[:3])
 
 
+def test_a_j_on_another_dimension_is_rejected():
+    # J on R^4 given to a map into R^2: refused where it is built, naming
+    # both dimensions, not at its first f-structure
+    with pytest.raises(ValueError, match="dimension 4.*dimension 2"):
+        SmoothMap(euclidean_space(4), euclidean_space(2),
+                  lambda c: [c[0], c[1]], constant_J(euclidean_space(4)))
+
+
 def test_tension_flat_projection_vanishes():
     phi = anisotropic_map()
     tau = tension_field(at(phi, np.array([0.3, -0.2, 0.5, 0.1])))
