@@ -28,14 +28,16 @@ errored sample, which the report counts but does not list).  The list:
   option) and a missing ``--scenario``; those that are usage or
   configuration errors exit 2 and write no report.
 
-It prints one line per run and exits 1 on any difference.  Run it from the
-repository root, with the parent commit unpacked elsewhere
-(``git archive``):
+It prints one line per run, naming for reports that differ the first few
+JSON paths where they do (``config.tol_ad``, ``per_identity[2].passed``),
+and exits 1 on any difference.  Run it from the repository root, with the
+parent commit unpacked elsewhere (``git archive``):
 
     python benchmarks/same_reports.py PARENT_ROOT .
 """
 
 import contextlib
+import itertools
 import json
 import os
 import subprocess
@@ -129,6 +131,33 @@ def worker(root):
     json.dump(results, sys.stdout)
 
 
+def json_paths(a, b, path=""):
+    """The paths at which the JSON values ``a`` and ``b`` differ, in the
+    order of a report's sorted keys; "$" is the whole value."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            at = "%s.%s" % (path, key) if path else key
+            if key in a and key in b:
+                yield from json_paths(a[key], b[key], at)
+            else:
+                yield at
+    elif (isinstance(a, list) and isinstance(b, list)
+          and len(a) == len(b)):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from json_paths(x, y, "%s[%d]" % (path, i))
+    elif type(a) is not type(b) or a != b:
+        yield path or "$"
+
+
+def report_paths(parent, change, first=5):
+    """The first few JSON paths where two report texts (None: no report)
+    differ."""
+    reports = [None if text is None else json.loads(text)
+               for text in (parent, change)]
+    paths = list(itertools.islice(json_paths(*reports), first + 1))
+    return ", ".join(paths[:first]) + (", ..." if len(paths) > first else "")
+
+
 def outcomes(root, argvs):
     code = "import sys, same_reports; same_reports.worker(sys.argv[1])"
     env = dict(os.environ, PYTHONPATH=HERE)
@@ -151,6 +180,9 @@ def main(argv):
         parts = [part for part, a, b in zip(
             ("exit code", "report bytes", "error messages"), parent, change)
             if a != b]
+        if parent[1] != change[1]:
+            parts[parts.index("report bytes")] += " at " + report_paths(
+                parent[1], change[1])
         errored = sum(len(errs) for _, errs in change[2])
         differences += bool(parts)
         print("%s: %s" % (name, "differ: " + ", ".join(parts) if parts

@@ -445,8 +445,8 @@ def _holo_z1_z2(w):
 HOLOMORPHIC_BUILTINS = {
     "z1": lambda w: (w[0], w[1]),
     "z1^2": lambda w: (w[0] * w[0] - w[1] * w[1], 2.0 * w[0] * w[1]),
-    "exp(z1)": lambda w: (jets.exp(w[0]) * jets.cos(w[1]),
-                          jets.exp(w[0]) * jets.sin(w[1])),
+    "exp(z1)": lambda w: ((e := jets.exp(w[0])) * jets.cos(w[1]),
+                          e * jets.sin(w[1])),
     "z1*z2": _holo_z1_z2,
 }
 

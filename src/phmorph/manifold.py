@@ -61,12 +61,15 @@ def each_array(fn, value):
 
 
 def read_only(value):
-    """Make every array that ``value`` holds read-only; returns the value."""
-    def lock(array):
-        array.flags.writeable = False
-        return array
-
-    each_array(lock, value)
+    """Make every array that ``value`` holds read-only, in place: itself, or
+    in a tuple or a Jet2; returns the value."""
+    if isinstance(value, Jet2):
+        read_only((value.value, value.grad, value.hess))
+    elif isinstance(value, tuple):
+        for item in value:
+            read_only(item)
+    elif isinstance(value, np.ndarray):
+        value.flags.writeable = False
     return value
 
 

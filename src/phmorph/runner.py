@@ -3,11 +3,11 @@ assemble a deterministic machine-readable report.
 
 ``IDENTITIES`` is the one list of the laws a run checks, in report order.
 Each entry names what the identity requires of the scenario (``REQUIREMENTS``;
-the first that fails is its skip reason) and the check that gives its
-reading at the sample points of a point context.  A run verifies one
-``biconformal.ChangedMetric`` (``RunConfig.build_change``) and reads the
-corollaries, whose rows name the ``biconformal.PROPERTIES`` they read,
-under the one-function change of its sigma.
+the first that fails is its skip reason) and the check that gives its reading
+at the sample points of a point context, against ``tol_fd`` or a constant.
+A run verifies one ``biconformal.ChangedMetric`` (``RunConfig.build_change``)
+and reads the corollaries, whose rows name the ``biconformal.PROPERTIES``
+they read, under the one-function change of its sigma.
 
 A run checks its sample points in chunks of ``CHUNK``, in order: a chunk's
 point context, phi's ``maps.LocalGeometry`` over its points as one batch, is
@@ -61,7 +61,6 @@ class RunConfig:
     special_sigma: Optional[str] = None
     samples: int = 100
     seed: int = 42
-    tol_ad: float = 1e-8
     tol_fd: float = 1e-5
     identities: Optional[List[str]] = None
 
@@ -70,8 +69,8 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not all(0 < t < float("inf") for t in (self.tol_ad, self.tol_fd)):
-            raise ValueError("tolerances must be finite and positive")
+        if not 0 < self.tol_fd < float("inf"):
+            raise ValueError("tol_fd must be finite and positive")
         if self.rho is not None and self.special_sigma is not None:
             raise ValueError("give at most one of rho and special-sigma")
         names = self.identities or ()
@@ -164,7 +163,7 @@ class Identity:
 
 IDENTITIES = {
     "phwc-equivalence": Identity((), lambda run, geo, idx: (
-        verify_phwc_equivalence(geo, tol=run.config.tol_ad))),
+        verify_phwc_equivalence(geo, tol=1e-8))),
     "tension-f-structure": Identity(("phwc",), lambda run, geo, idx: (
         verify_tension_equivalence(geo, tol=run.config.tol_fd))),
     "tension-transform": Identity(("phwc",), lambda run, geo, idx: (
@@ -189,7 +188,7 @@ IDENTITIES = {
                      run.config.tol_fd))),
     "corollary-phh": Identity(
         ("phwc", "fibers", "phh"), lambda run, geo, idx: corollary_at(
-            ("phh",), run.one_function, geo, 10.0 * run.config.tol_ad)),
+            ("phh",), run.one_function, geo, 10.0 * 1e-8)),
 }
 ALL_IDENTITIES = tuple(IDENTITIES)
 
@@ -302,7 +301,7 @@ def run_verification(config: RunConfig):
     flags_confirmed = all(v["confirmed"] is not False for v in flags.values())
     identities_ok = all(entry["passed"] for entry in per_identity)
     return {
-        "schema_version": 3,
+        "schema_version": 4,
         "scenario": scenario.name,
         "config": dict({key: value for key, value in asdict(config).items()
                         if key != "scenario"},
@@ -311,6 +310,6 @@ def run_verification(config: RunConfig):
         "skipped_identities": skipped,
         "flags": flags,
         "flags_confirmed": flags_confirmed,
-        "warnings": [],  # no run warns; kept in schema 3
+        "warnings": [],  # no run warns; kept in schema 4
         "verdict": "pass" if (identities_ok and flags_confirmed) else "fail",
     }

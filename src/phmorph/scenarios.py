@@ -48,12 +48,7 @@ def standard_J(two_n: int) -> np.ndarray:
 
 def constant_J(target: ChartedRiemannianManifold) -> AlmostComplexStructureField:
     j = standard_J(target.dim)
-
-    def fn(coords):
-        return [[j[a, b] for b in range(target.dim)]
-                for a in range(target.dim)]
-
-    return AlmostComplexStructureField(target, fn)
+    return AlmostComplexStructureField(target, lambda coords: j.tolist())
 
 
 def _projection_map(source, target, indices):

@@ -691,7 +691,12 @@ def test_tolerance_rejects_phwc_equivalence_without_the_metric_defect(
     monkeypatch.setattr(pm.biconformal, "phwc_metric_defect",
                         lambda geo: (np.zeros(len(geo.p)), 1.0))
     sc = get_scenario("nonphwc-anisotropic")
-    tol = pm.RunConfig(scenario=sc.name).tol_ad
+    with monkeypatch.context() as patch:  # the tolerance the table passes
+        seen = []
+        patch.setattr(pm.runner, "verify_phwc_equivalence",
+                      lambda geo, tol: seen.append(tol))
+        pm.runner.IDENTITIES["phwc-equivalence"].check(None, None, 0)
+    (tol,) = seen
     _, rel, finite, passed = verify_phwc_equivalence(
         at(sc.phi, sample_points(sc, 5, seed=6)), tol=tol)
     assert len(rel) == 5 and finite.all() and not passed.any()

@@ -140,7 +140,7 @@ def test_json_report_schema(tmp_path, capsys):
                   "--report", str(report))
     assert code == 0
     data = json.loads(report.read_text())
-    assert data["schema_version"] == 3
+    assert data["schema_version"] == 4
     assert data["scenario"] == "curved-fibers-nonharmonic"
     assert data["verdict"] == "pass"
     for key in ("config", "per_identity", "skipped_identities", "flags"):
@@ -373,8 +373,20 @@ def test_fd_step_is_retired(tmp_path, capsys):
     assert main(["verify", "--scenario", "flat-projection-4-2",
                  "--samples", "2", "--report", str(report)]) == 0
     data = json.loads(report.read_text())
-    assert data["schema_version"] == 3
+    assert data["schema_version"] == 4
     assert "fd_step" not in data["config"]
+
+
+def test_the_report_config_holds_the_run_config_fields(tmp_path):
+    # every RunConfig field but the scenario, which the report names at its
+    # top level; tol_ad left the report with its option in schema 4
+    report = tmp_path / "report.json"
+    assert main(["verify", "--scenario", "flat-projection-4-2",
+                 "--samples", "2", "--report", str(report)]) == 0
+    config = json.loads(report.read_text())["config"]
+    assert set(config) == {f.name for f in dataclasses.fields(RunConfig)
+                           if f.name != "scenario"}
+    assert "tol_ad" not in config
 
 
 def test_changed_metric_out_of_the_float_range_warns_nothing():
@@ -457,7 +469,6 @@ def test_a_run_too_large_for_memory_exits_two(capsys, monkeypatch):
 
 @pytest.mark.parametrize("option, value", [
     ("--tol-fd", "nan"), ("--tol-fd", "inf"), ("--tol-fd", "1e400"),
-    ("--tol-ad", "nan"),
 ])
 def test_non_finite_tolerance_exit_two(capsys, option, value):
     assert_config_error(capsys, "verify", "--scenario", "flat-projection-4-2",
@@ -499,9 +510,8 @@ SEEDS = st.one_of(st.integers(min_value=0, max_value=2**32 - 1),
 
 
 @settings(max_examples=40, deadline=None)
-@given(SEEDS, TOLERANCES, TOLERANCES,
-       st.integers(min_value=1, max_value=2))
-def test_fuzzed_runs_end_in_an_exit_code(seed, tol_ad, tol_fd, samples):
+@given(SEEDS, TOLERANCES, st.integers(min_value=1, max_value=2))
+def test_fuzzed_runs_end_in_an_exit_code(seed, tol_fd, samples):
     # sigma may use x5, one past the chart of flat-projection-4-2
     rng = np.random.default_rng(seed)
     sigma = random_expression(rng, variables=5)
@@ -510,8 +520,8 @@ def test_fuzzed_runs_end_in_an_exit_code(seed, tol_ad, tol_fd, samples):
         path = os.path.join(tmp, "report.json")
         code = main(["verify", "--scenario", "flat-projection-4-2",
                      "--sigma", sigma, "--rho", rho, "--seed", str(seed),
-                     "--samples", str(samples), "--tol-ad=" + tol_ad,
-                     "--tol-fd=" + tol_fd, "--report", path])
+                     "--samples", str(samples), "--tol-fd=" + tol_fd,
+                     "--report", path])
         assert code in (0, 1, 2)
         if os.path.exists(path):
             with open(path) as handle:
@@ -652,7 +662,6 @@ def reference_parser():
                                "sigma expression (requires m > 2n)")
     p_verify.add_argument("--samples", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--tol-ad", type=float, default=1e-8)
     p_verify.add_argument("--tol-fd", type=float, default=1e-5)
     p_verify.add_argument("--identities", default=None,
                           help="comma-separated subset of: "
@@ -666,8 +675,8 @@ def reference_parser():
 
 REFERENCE = reference_parser()
 VERIFY_OPTIONS = ["--scenario", "--sigma", "--rho", "--special-sigma",
-                  "--samples", "--seed", "--tol-ad", "--tol-fd",
-                  "--identities", "--report", "--format"]
+                  "--samples", "--seed", "--tol-fd", "--identities",
+                  "--report", "--format"]
 
 
 def reference_outcome(argv):
@@ -719,8 +728,7 @@ INTS = st.one_of(st.integers(-5, 10**6).map(str),
                  st.sampled_from(["1_000", " 7 ", "-1"]))
 FLOATS = st.one_of(st.floats().map(repr),
                    st.sampled_from(["nan", "1e400", "-.5", "1e-5", "2"]))
-TYPED = {"--samples": INTS, "--seed": INTS, "--tol-ad": FLOATS,
-         "--tol-fd": FLOATS,
+TYPED = {"--samples": INTS, "--seed": INTS, "--tol-fd": FLOATS,
          "--format": st.sampled_from(["json", "csv", "text"])}
 # an option, maybe abbreviated, with a value of its type, apart or after "="
 WELL_FORMED = st.sampled_from(VERIFY_OPTIONS).flatmap(
@@ -773,7 +781,8 @@ def test_the_command_line_reads_as_argparse_reads_it(argv):
     (["--samples", "x"], "--samples"), (["--sam=1.5"], "--samples"),
     (["--tol-fd", "-1e-5"], "--tol-fd"), (["--sigma", "-x1"], "--sigma"),
     (["--s", "1"], "--s"), (["--format", "xml"], "--format"),
-    (["--fd-step=1e-4"], "--fd-step"), (["--scenario"], "--scenario")])
+    (["--fd-step=1e-4"], "--fd-step"), (["--scenario"], "--scenario"),
+    (["--tol-ad", "1e-8"], "--tol-ad")])
 def test_a_usage_error_exits_two_naming_the_option(capsys, argv, option):
     code = main(["verify", "--scenario", "hopf"] + argv)
     captured = capsys.readouterr()
@@ -782,6 +791,12 @@ def test_a_usage_error_exits_two_naming_the_option(capsys, argv, option):
     usage, error = captured.err.split("\nphmorph verify: error: ")
     assert usage.startswith("usage: phmorph verify [-h] --scenario SCENARIO")
     assert option in error and error.endswith("\n")
+
+
+def test_the_tol_prefix_names_the_one_tolerance():
+    argv = ["verify", "--scenario", "hopf", "--tol", "1e-6"]
+    assert outcome(argv) == reference_outcome(argv)
+    assert cli.run_config(cli.parse_command_line(argv)[1]).tol_fd == 1e-6
 
 
 def test_a_missing_scenario_exits_two_naming_it(capsys):

@@ -9,21 +9,33 @@ A mutant is a wrong law, put in place with ``monkeypatch``:
   correction dropped, or sigma in place of sigma^2;
 - in corollary-psh's prediction sigma^2 tau: sigma tau, or tau;
 - in corollary-phh's prediction sigma sqrt(8 (n - 1)) |grad_H ln sigma|:
-  n in place of n - 1, or 0.
+  n in place of n - 1, or 0;
+- one term of a closed form dropped, in the check that ``runner`` calls
+  (``runner.verify_koszul_h`` and its like): koszul-horizontal's
+  g(X, Y) grad_H ln sigma or X(ln sigma) Y; koszul-vertical's d(rho^-2) or
+  H(nabla_V V) term; phh-covariant's H((nabla_X F)Y), or the
+  g(X, FY) grad_H ln sigma term of its correction C; tension-f-structure's
+  (m - 2n) mu^V or F div_H F; and the Christoffel term of the Laplacian
+  that pullback reads.
 
 Each runs over six runs at 20 samples and seed 5, each run checking only
 the mutated identity.  A run catches a mutant where that identity does not
 pass; unmutated, it passes on every run that checks it.  ``CATCHES`` is the
 table of the runs that catch each mutant, and every mutant must be caught
-by at least one of them.
+by at least one of them, except those that no run catches: each is a strict
+xfail naming ROADMAP item 2, whose scenario would reach its term.
 """
 
 import numpy as np
 import pytest
 
-from phmorph import RunConfig, biconformal, run_verification
-from phmorph.biconformal import PROPERTIES, Property
-from phmorph.manifold import matvec, quad
+from phmorph import RunConfig, biconformal, run_verification, runner
+from phmorph.biconformal import (HOLOMORPHIC_BUILTINS, PROPERTIES, Property,
+                                 _compare, _require_horizontal)
+from phmorph.hermitian import (f_divergence_horizontal, f_structure,
+                               nabla_f)
+from phmorph.manifold import contract, dot, matvec, outer, quad
+from phmorph.maps import differential, hessian, mean_curvature_vertical
 
 RUNS = {
     "readme-6-4": dict(scenario="flat-projection-6-4", sigma="exp(0.2*x1)",
@@ -44,8 +56,10 @@ SCALED_LAWS = {"tension-transform": biconformal.tension_field,
                "mean-curvature": biconformal.mean_curvature_vertical,
                "f-divergence": biconformal.f_divergence_horizontal}
 
+ALL = set(RUNS)
 # the runs that catch each mutant; the correction vanishes on curved-fibers
-# and flat-4-2 (n = 1, rho = 1), and F div_H F is round-off or 0 on every run
+# and flat-4-2 (n = 1, rho = 1), and F div_H F and H((nabla_X F)Y) are
+# round-off or 0 on every run, whose J has nabla J = 0
 CATCHES = {
     ("tension-transform", "drop L(g)"): {"curved-fibers"},
     ("tension-transform", "drop correction"): {"readme-6-4", "hopf",
@@ -65,6 +79,17 @@ CATCHES = {
     ("corollary-phh", "n for n - 1"): {"readme-6-4", "curved-fibers",
                                        "flat-4-2", "flat-6-4"},
     ("corollary-phh", "0"): {"readme-6-4", "flat-6-4"},
+    ("koszul-horizontal", "drop g(X, Y) grad_H ln sigma"): ALL,
+    ("koszul-horizontal", "drop X(ln sigma) Y"): ALL,
+    ("koszul-vertical", "drop d(rho^-2)"): {"hopf", "holomorphic-poly",
+                                            "flat-6-4"},
+    ("koszul-vertical", "drop H(nabla_V V)"): {"holomorphic-poly",
+                                               "curved-fibers"},
+    ("phh-covariant", "drop H((nabla_X F)Y)"): set(),
+    ("phh-covariant", "drop g(X, FY) grad_H ln sigma"): ALL,
+    ("tension-f-structure", "drop (m - 2n) mu^V"): {"curved-fibers"},
+    ("tension-f-structure", "drop F div_H F"): set(),
+    ("pullback", "drop Christoffel term"): {"hopf"},
 }
 
 
@@ -80,8 +105,7 @@ def scaled_law_mutant(field, how):
         g_side = 0.0 if how == "drop L(g)" else law_field(geo)
         extra = 0.0 if how == "drop correction" else correction()
         scale = s if how == "sigma for sigma^2" else s ** 2
-        return biconformal._compare(lhs, scale[..., None] * (g_side + extra),
-                                    tol)
+        return _compare(lhs, scale[..., None] * (g_side + extra), tol)
 
     return read
 
@@ -113,10 +137,127 @@ PREDICTIONS = {"corollary-psh": ("harmonic", psh_prediction),
                "corollary-phh": ("phh", phh_prediction)}
 
 
+def kept(terms, how):
+    """The sum of the named ``terms``, in order, less the one that ``how``
+    drops."""
+    dropped = how.removeprefix("drop ")
+    assert dropped in terms, how
+    return sum(term for name, term in terms.items() if name != dropped)
+
+
+def koszul_h_mutant(how):
+    """koszul-horizontal with one term of its right side dropped."""
+    def check(gbar, geo, x_comp, y_comp, tol):
+        g, ph = geo.g, geo.projector_and_lift[0]
+        x = _require_horizontal("X", x_comp, geo)
+        y = matvec(ph, y_comp)
+        xy = outer(x, y)
+        grad_ls = gbar.grad_log_factors(geo)[0]
+        dls = matvec(g, grad_ls)
+        rhs = kept({
+            "H(nabla_X Y)": matvec(ph, contract(geo.christoffel, xy)),
+            "X(ln sigma) Y": -dot(dls, x)[..., None] * y,
+            "Y(ln sigma) X": -dot(dls, y)[..., None] * x,
+            "g(X, Y) grad_H ln sigma":
+                quad(x, g, y)[..., None] * matvec(ph, grad_ls)}, how)
+        lhs = matvec(ph, contract(geo.under(gbar).christoffel, xy))
+        return _compare(lhs, rhs, tol)
+
+    return check
+
+
+def koszul_v_mutant(how):
+    """koszul-vertical with one term of its bracket dropped."""
+    def check(gbar, geo, v_comp, tol):
+        g, ph = geo.g, geo.projector_and_lift[0]
+        v = v_comp - matvec(ph, v_comp)
+        dv = -contract(geo.projector_and_lift_derivs[0].swapaxes(-3, -2),
+                       outer(v, v_comp))
+        s, r = gbar.factor_jets(geo)
+        d_rho_m2 = (-2.0 * r.value ** -3)[..., None] * r.grad
+        inner = kept({
+            "H(nabla_V V)": (2.0 * r.value ** -2)[..., None]
+            * matvec(ph, geo.covariant_derivative(v, v, dv)),
+            "d(rho^-2)": -quad(v, g, v)[..., None]
+            * matvec(ph @ geo.ginv, d_rho_m2)}, how)
+        lhs = matvec(ph, geo.under(gbar).covariant_derivative(v, v, dv))
+        return _compare(lhs, (0.5 * s.value ** 2)[..., None] * inner, tol)
+
+    return check
+
+
+def phh_covariant_mutant(how):
+    """phh-covariant with H((nabla_X F)Y), or one term of C, dropped."""
+    def check(gbar, geo, x_comp, y_comp, tol):
+        x = _require_horizontal("X", x_comp, geo)
+        y = _require_horizontal("Y", y_comp, geo)
+        g, ph, f = geo.g, geo.projector_and_lift[0], f_structure(geo)
+        xy = outer(x, y)
+        grad_ls = gbar.grad_log_factors(geo)[0]
+        grad_h, dls, fy = matvec(ph, grad_ls), matvec(g, grad_ls), matvec(f, y)
+
+        def along(view):
+            return matvec(ph, contract(nabla_f(view).swapaxes(-3, -2), xy))
+
+        rhs = kept({
+            "H((nabla_X F)Y)": along(geo),
+            "g(X, FY) grad_H ln sigma": quad(x, g, fy)[..., None] * grad_h,
+            "FY(ln sigma) X": -dot(dls, fy)[..., None] * x,
+            "Y(ln sigma) FX": dot(dls, y)[..., None] * matvec(f, x),
+            "g(X, Y) F grad_H ln sigma":
+                -quad(x, g, y)[..., None] * matvec(f, grad_h)}, how)
+        return _compare(along(geo.under(gbar)), rhs, tol)
+
+    return check
+
+
+def tension_f_structure_mutant(how):
+    """tension-f-structure, tau = -dphi(F div_H F + (m - 2n) mu^V), with
+    one term dropped."""
+    def check(geo, tol):
+        phi = geo.phi
+        total = kept({
+            "F div_H F": f_divergence_horizontal(geo),
+            "(m - 2n) mu^V":
+                (phi.m - phi.two_n) * mean_curvature_vertical(geo)}, how)
+        return _compare(biconformal.tension_field(geo),
+                        -matvec(differential(geo), total), tol)
+
+    return check
+
+
+def pullback_mutant(how):
+    """pullback, reading g^ij d_i d_j f for the Laplacian: its Christoffel
+    term dropped."""
+    assert how == "drop Christoffel term", how
+
+    def check(geo, holo_name, tol):
+        parts = HOLOMORPHIC_BUILTINS[holo_name](geo.jets)
+        lap = np.stack([contract(hessian(part)[..., None, :, :],
+                                 geo.ginv)[..., 0] for part in parts],
+                       axis=-1)
+        return _compare(lap, np.zeros_like(lap), tol)
+
+    return check
+
+
+# law -> the check that runner calls, and its mutant
+CHECKS = {"koszul-horizontal": ("verify_koszul_h", koszul_h_mutant),
+          "koszul-vertical": ("verify_koszul_v", koszul_v_mutant),
+          "phh-covariant": ("verify_phh_covariant_formula",
+                            phh_covariant_mutant),
+          "tension-f-structure": ("verify_tension_equivalence",
+                                  tension_f_structure_mutant),
+          "pullback": ("verify_pullback_characterization", pullback_mutant)}
+
+
 def apply(monkeypatch, law, how):
     if law in SCALED_LAWS:
         monkeypatch.setattr(biconformal, "_scaled_law",
                             scaled_law_mutant(SCALED_LAWS[law], how))
+    elif law in CHECKS:
+        name, mutant = CHECKS[law]
+        monkeypatch.setattr(runner, name, mutant(how))
     else:
         prop, wrong = PREDICTIONS[law]
         monkeypatch.setitem(PROPERTIES, prop, Property(
@@ -142,9 +283,9 @@ def test_every_law_passes_unmutated(law):
 
 @pytest.mark.parametrize("law, how", [
     pytest.param(*mutant, marks=pytest.mark.xfail(
-        strict=True, reason="F div_H F is round-off or 0 on every bundled "
-        "run: ROADMAP item 2's conformal-6-4 scenario (nabla J != 0) would "
-        "reach it"))
+        strict=True, reason="the dropped term is round-off or 0 on every "
+        "bundled run: ROADMAP item 2's conformal-6-4 scenario (nabla J != 0) "
+        "would reach it"))
     if not CATCHES[mutant] else mutant for mutant in CATCHES])
 def test_a_mutant_is_caught(monkeypatch, law, how):
     apply(monkeypatch, law, how)
