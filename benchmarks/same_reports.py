@@ -2,9 +2,10 @@
 
 Each tree (its ``src/`` directory) runs a fixed list of ``phmorph verify``
 configurations, through ``phmorph.cli.main`` in one process of its own, and
-the two are compared run by run: the exit code, the report's bytes and each
+the two are compared run by run: the exit code, the report's bytes, each
 identity's ``IdentityAggregate.errors`` (the point and message of every
-errored sample, which the report counts but does not list).  The list:
+errored sample, which the report counts but does not list) and what the run
+wrote to stderr.  The list:
 
 - the three perfbench workloads (``perfbench/workloads.json``) at seeds 3
   and 42, with 20 and 100 samples;
@@ -26,7 +27,11 @@ errored sample, which the report counts but does not list).  The list:
   negative number as a value), ``--tol-fd -1e-5`` (a value read as an
   option), ``--format xml`` (not a choice), ``--fd-step 1e-4`` (an unknown
   option) and a missing ``--scenario``; those that are usage or
-  configuration errors exit 2 and write no report.
+  configuration errors exit 2 and write no report;
+- ``flat-projection-4-2 --sigma`` with each malformed expression of
+  ``tests/test_reachability.py`` (``1+``, ``sin 1``, ``foo``, ``(1``,
+  ``exp(1``, ``1e``, an empty one and ``x9``, outside the chart): each exits
+  2, and stderr names the error and its offset.
 
 It prints one line per run, naming for reports that differ the first few
 JSON paths where they do (``config.tol_ad``, ``per_identity[2].passed``),
@@ -37,6 +42,7 @@ parent commit unpacked elsewhere (``git archive``):
 """
 
 import contextlib
+import io
 import itertools
 import json
 import os
@@ -70,6 +76,8 @@ SYNTAX = [
     ["--samples", "20", "--fd-step", "1e-4"],
 ]
 
+MALFORMED = ["1+", "sin 1", "foo", "(1", "exp(1", "1e", "", "x9"]
+
 
 def runs(report):
     """(name, CLI arguments) of each compared run, writing to ``report``."""
@@ -94,13 +102,16 @@ def runs(report):
              + args + ["--report", report]) for args in SYNTAX]
     out.append(("no --scenario",
                 ["verify", "--samples", "20", "--report", report]))
+    out += [("flat-projection-4-2 --sigma %r" % text,
+             ["verify", "--scenario", "flat-projection-4-2", "--sigma", text,
+              "--report", report]) for text in MALFORMED]
     return out
 
 
 def worker(root):
     """Run each argument list read as JSON from stdin with phmorph from
     ROOT/src, and write [exit code, report text, [identity, errors] per
-    identity] for each as one JSON list to stdout."""
+    identity, stderr text] for each as one JSON list to stdout."""
     src = os.path.join(os.path.abspath(root), "src")
     sys.path.insert(0, src)
     import phmorph
@@ -120,14 +131,16 @@ def worker(root):
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         for argv in json.load(sys.stdin):
             del errors[:]
-            code = cli.main(argv)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
             report = argv[argv.index("--report") + 1]
             text = None
             if os.path.exists(report):
                 with open(report) as fh:
                     text = fh.read()
                 os.unlink(report)
-            results.append([code, text, list(errors)])
+            results.append([code, text, list(errors), stderr.getvalue()])
     json.dump(results, sys.stdout)
 
 
@@ -178,7 +191,8 @@ def main(argv):
     differences = 0
     for name, parent, change in zip(names, *sides):
         parts = [part for part, a, b in zip(
-            ("exit code", "report bytes", "error messages"), parent, change)
+            ("exit code", "report bytes", "error messages", "stderr"), parent,
+            change)
             if a != b]
         if parent[1] != change[1]:
             parts[parts.index("report bytes")] += " at " + report_paths(

@@ -1,21 +1,21 @@
-"""Tiny scalar-field expression language over chart coordinates x1..x9.
+"""Tiny scalar-field expression language over chart coordinates x1..x9:
+sin, cos, exp, log, sqrt, parentheses, ASCII decimal literals, variables
+x1..x9 and, loosest first, ``+ -`` and ``* /`` (left-associative), unary
+``-`` and ``^`` (right-associative).  No implicit multiplication.
 
-Grammar (highest precedence first):
-
-    power   :  ^  (right-associative)
-    unary   :  -
-    term    :  *  /
-    sum     :  +  -
-
-with functions sin, cos, exp, log, sqrt, parentheses, ASCII decimal literals
-and positional variables x1..x9.  No implicit multiplication.  Parsed trees
-are immutable and at most ``MAX_DEPTH`` levels deep, within the recursion
-limit of the walks below; evaluation (``eval_jet``) is over Jet2 coordinates.
+One loop over the rows of ``_BINARY_ROWS``, loosest first, reads the
+left-associative operators; a unary is ``-`` and a unary, or an atom with an
+optional ``^`` whose exponent is again a unary (``2^3^2`` is ``2^(3^2)``).
+``MAX_DEPTH`` bounds the nesting of signs, powers, parentheses and calls
+while parsing, then the depth of the tree, which chains of ``+`` and ``*``
+deepen without nesting: the parser and the walks below stay within the
+recursion limit.  Trees are immutable; ``eval_jet`` reads them on jets.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -24,6 +24,7 @@ from .jets import Jet2, JetDomainError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 MAX_DEPTH = 100  # the deepest nesting and the deepest tree a parse accepts
+_TOO_DEEP = "expression deeper than %d levels" % MAX_DEPTH
 
 
 class ParseError(ValueError):
@@ -77,152 +78,125 @@ class Call:
 Expr = Union[Lit, Var, Unary, Binary, Call]
 
 
+_BINARY_ROWS = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
+_NUMBER = re.compile(r"[0-9.]*(?:[eE][+-]?[0-9]+)?")  # ASCII digits only
+_IDENT = re.compile(r"\w*")  # the characters that are isalnum() or "_"
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.level = 0
+        self.text, self.i, self.level = text, 0, 0
 
     def nested(self, parse_inner, pos):
         """``parse_inner()`` one nesting level deeper."""
         self.level += 1
-        _check_depth(self.level, pos)
+        if self.level > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, pos)
         inner = parse_inner()
         self.level -= 1
         return inner
 
-    def error(self, msg):
-        raise ParseError(msg, self.i)
-
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
     def peek(self):
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def parse(self) -> Expr:
-        e = self.parse_sum()
-        if self.peek():
-            self.error("unexpected trailing input")
-        return e
-
-    def parse_sum(self) -> Expr:
-        left = self.parse_term()
-        while True:
-            c = self.peek()
-            if not c or c not in "+-":
-                return left
-            pos = self.i
+        """The next character that is not a space, moved to, or ""."""
+        c = self.text[self.i:self.i + 1]
+        while c.isspace():
             self.i += 1
-            right = self.parse_term()
-            left = Binary("add" if c == "+" else "sub", left, right, pos)
+            c = self.text[self.i:self.i + 1]
+        return c
 
-    def parse_term(self) -> Expr:
-        left = self.parse_unary()
-        while True:
-            c = self.peek()
-            if not c or c not in "*/":
-                return left
-            pos = self.i
-            self.i += 1
-            right = self.parse_unary()
-            left = Binary("mul" if c == "*" else "div", left, right, pos)
+    def take(self):
+        """The offset of the current character, stepped past."""
+        self.i += 1
+        return self.i - 1
+
+    def expect(self, char, message):
+        if self.peek() != char:
+            raise ParseError(message, self.i)
+        self.i += 1
+
+    def scan(self, pattern):
+        """The text ``pattern`` matches here and its offset, stepped past."""
+        pos = self.i
+        self.i = pattern.match(self.text, pos).end()
+        return self.text[pos:self.i], pos
+
+    def parse_binary(self, row=0) -> Expr:
+        """A chain of the operators of ``_BINARY_ROWS[row:]``, or a unary."""
+        if row == len(_BINARY_ROWS):
+            return self.parse_unary()
+        ops = _BINARY_ROWS[row]
+        left = self.parse_binary(row + 1)
+        while (c := self.peek()) in ops:
+            pos = self.take()
+            left = Binary(ops[c], left, self.parse_binary(row + 1), pos)
+        return left
 
     def parse_unary(self) -> Expr:
         if self.peek() == "-":
-            pos = self.i
-            self.i += 1
+            pos = self.take()
             return Unary("neg", self.nested(self.parse_unary, pos), pos)
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
         base = self.parse_atom()
-        if self.peek() == "^":
-            pos = self.i
-            self.i += 1
-            # right-associative; allow a unary minus in the exponent
-            exponent = self.nested(self.parse_unary, pos)
-            return Binary("pow", base, exponent, pos)
-        return base
+        if self.peek() != "^":
+            return base
+        pos = self.take()
+        return Binary("pow", base, self.nested(self.parse_unary, pos), pos)
 
     def parse_atom(self) -> Expr:
         c = self.peek()
-        pos = self.i
-        if c == "(":
-            self.i += 1
-            e = self.nested(self.parse_sum, pos)
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.i += 1
-            return e
         if "0" <= c <= "9" or c == ".":
             return self.parse_number()
         if c.isalpha():
             return self.parse_ident()
-        self.error("expected a number, variable, function or '('")
+        pos = self.i
+        self.expect("(", "expected a number, variable, function or '('")
+        e = self.nested(self.parse_binary, pos)
+        self.expect(")", "expected ')'")
+        return e
 
     def parse_number(self) -> Lit:
-        pos = self.i
-        j = self.i
-        text = self.text
-        while j < len(text) and ("0" <= text[j] <= "9" or text[j] == "."):
-            j += 1
-        if j < len(text) and text[j] in "eE":
-            k = j + 1
-            if k < len(text) and text[k] in "+-":
-                k += 1
-            if k < len(text) and "0" <= text[k] <= "9":
-                while k < len(text) and "0" <= text[k] <= "9":
-                    k += 1
-                j = k
-        token = text[pos:j]
+        token, pos = self.scan(_NUMBER)
         try:
-            value = float(token)
+            return Lit(float(token), pos)
         except ValueError:
-            self.error("malformed number %r" % token)
-        self.i = j
-        return Lit(value, pos)
+            raise ParseError("malformed number %r" % token, pos)
 
     def parse_ident(self) -> Expr:
-        pos = self.i
-        j = self.i
-        text = self.text
-        while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-            j += 1
-        name = text[pos:j]
-        self.i = j
+        name, pos = self.scan(_IDENT)
         if len(name) == 2 and name[0] == "x" and "1" <= name[1] <= "9":
             return Var(int(name[1]) - 1, pos)
-        if name in FUNCTIONS:
-            if self.peek() != "(":
-                self.error("function %r requires parenthesized argument" % name)
-            self.i += 1
-            arg = self.nested(self.parse_sum, pos)
-            if self.peek() != ")":
-                self.error("expected ')' closing call to %r" % name)
-            self.i += 1
-            return Call(name, arg, pos)
-        raise ParseError("unknown identifier %r" % name, pos)
+        if name not in FUNCTIONS:
+            raise ParseError("unknown identifier %r" % name, pos)
+        self.expect("(", "function %r requires parenthesized argument" % name)
+        arg = self.nested(self.parse_binary, pos)
+        self.expect(")", "expected ')' closing call to %r" % name)
+        return Call(name, arg, pos)
+
+
+def _children(e: Expr):
+    """The subtrees of a node, in the order of its fields."""
+    if isinstance(e, Binary):
+        return e.left, e.right
+    if isinstance(e, Unary):
+        return (e.child,)
+    if isinstance(e, Call):
+        return (e.arg,)
+    return ()
 
 
 def parse(text: str) -> Expr:
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    tree = _Parser(text).parse()
+    parser = _Parser(text)
+    tree = parser.parse_binary()
+    if parser.peek():
+        raise ParseError("unexpected trailing input", parser.i)
     stack = [(tree, 1)]  # chains of + and * deepen a tree without nesting
     while stack:
         node, depth = stack.pop()
-        _check_depth(depth, node.pos)
-        stack.extend((getattr(node, name), depth + 1) for name in
-                     ("child", "left", "right", "arg") if hasattr(node, name))
+        if depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, node.pos)
+        stack.extend((child, depth + 1) for child in _children(node))
     return tree
-
-
-def _check_depth(depth, pos):
-    if depth > MAX_DEPTH:
-        raise ParseError("expression deeper than %d levels" % MAX_DEPTH, pos)
 
 
 _BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
@@ -278,10 +252,9 @@ def max_var_index(e: Expr) -> int:
     """Highest zero-based variable index used, or -1 for constants."""
     if isinstance(e, Var):
         return e.index
-    if isinstance(e, Unary):
-        return max_var_index(e.child)
-    if isinstance(e, Binary):
-        return max(max_var_index(e.left), max_var_index(e.right))
-    if isinstance(e, Call):
-        return max_var_index(e.arg)
-    return -1
+    index = -1
+    for child in _children(e):
+        child_index = max_var_index(child)
+        if child_index > index:
+            index = child_index
+    return index

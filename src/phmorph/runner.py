@@ -71,8 +71,9 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if not 0 < self.tol_fd < float("inf"):
             raise ValueError("tol_fd must be finite and positive")
-        if self.rho is not None and self.special_sigma is not None:
-            raise ValueError("give at most one of rho and special-sigma")
+        if self.special_sigma is not None and (self.sigma, self.rho) != (
+                "1", None):
+            raise ValueError("give special-sigma without sigma or rho")
         names = self.identities or ()
         for name in names:
             if name not in IDENTITIES:

@@ -111,6 +111,30 @@ def test_verify_rho_and_special_sigma_conflict(capsys):
     assert code == 2
 
 
+def test_a_sigma_beside_special_sigma_exit_two(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    err = assert_config_error(capsys, "verify", "--scenario",
+                              "flat-projection-6-4", "--sigma", "exp(x1)",
+                              "--special-sigma", "2", "--samples", "2",
+                              "--report", str(report))
+    assert err == "error: give special-sigma without sigma or rho\n"
+    assert not report.exists()
+
+
+def test_special_sigma_alone_or_with_sigma_one_runs(tmp_path, capsys):
+    texts = []
+    for sigma in ([], ["--sigma", "1"]):
+        report = tmp_path / "r.json"
+        code = main(["verify", "--scenario", "flat-projection-6-4",
+                     "--special-sigma", "2", "--samples", "2", "--report",
+                     str(report)] + sigma)
+        assert code == 0
+        texts.append(report.read_text())
+    assert texts[0] == texts[1]
+    config = json.loads(texts[0])["config"]
+    assert (config["sigma"], config["special_sigma"]) == ("1", "2")
+
+
 def test_identity_subset_selector(capsys):
     code, out = run(capsys, "verify", "--scenario", "flat-projection-4-2",
                     "--samples", "3", "--identities",

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phmorph import ParseError, eval_jet, parse, seed_coordinates
-from phmorph.exprs import MAX_DEPTH, max_var_index
+from phmorph.exprs import (MAX_DEPTH, Binary, Call, Lit, Unary, Var,
+                           max_var_index)
 from tests.expr_text import to_text
 
 
@@ -102,6 +103,38 @@ def test_an_unclosed_call_is_reported_where_its_parenthesis_is_missing(
                                          "'(exp|sin)'") as exc:
         parse(text)
     assert exc.value.position == offset
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("\xa01+x1", Binary("add", Lit(1.0, 1), Var(0, 3), 2)),
+    ("x1\u2003*\u2003x2", Binary("mul", Var(0, 0), Var(1, 5), 3)),
+    ("é", ("unknown identifier 'é'", 0)),
+    ("\u0661", ("expected a number, variable, function or '('", 0)),
+    ("x½", ("unknown identifier 'x½'", 0)),
+    ("x1_", ("unknown identifier 'x1_'", 0)),
+    ("1e", ("unexpected trailing input", 1)),
+    ("1e+", ("unexpected trailing input", 1)),
+    ("1.e3", Lit(1000.0, 0)),
+    (".", ("malformed number '.'", 0)),
+    ("1..2", ("malformed number '1..2'", 0)),
+    ("sin (x1)", Call("sin", Var(0, 5), 0)),
+    ("sin", ("function 'sin' requires parenthesized argument", 3)),
+    ("((1)", ("expected ')'", 4)),
+    ("exp(x1,x2)", ("expected ')' closing call to 'exp'", 6)),
+    ("2 ^ -x1", Binary("pow", Lit(2.0, 0), Unary("neg", Var(0, 5), 4), 2)),
+    ("-(-1)", Unary("neg", Unary("neg", Lit(1.0, 3), 2), 0)),
+])
+def test_edge_inputs_give_their_tree_or_error(text, expected):
+    # Unicode spaces separate tokens; only ASCII digits are digits; an
+    # identifier runs over every alphanumeric and "_"
+    if isinstance(expected, tuple):
+        message, offset = expected
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == "%s at offset %d" % (message, offset)
+        assert info.value.position == offset
+    else:
+        assert parse(text) == expected
 
 
 def test_variables_are_one_based():

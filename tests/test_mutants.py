@@ -16,10 +16,14 @@ A mutant is a wrong law, put in place with ``monkeypatch``:
   H(nabla_V V) term; phh-covariant's H((nabla_X F)Y), or the
   g(X, FY) grad_H ln sigma term of its correction C; tension-f-structure's
   (m - 2n) mu^V or F div_H F; and the Christoffel term of the Laplacian
-  that pullback reads.
+  that pullback reads;
+- in phwc-equivalence: the commutator defect or the metric-compatibility
+  defect read as 0, or a pass only where both are below tol.
 
-Each runs over six runs at 20 samples and seed 5, each run checking only
-the mutated identity.  A run catches a mutant where that identity does not
+Each runs over seven runs at 20 samples and seed 5, each run checking only
+the mutated identity: six PHWC runs, where both defects of phwc-equivalence
+are round-off, and nonphwc-anisotropic, where both are large and every
+other law is skipped.  A run catches a mutant where that identity does not
 pass; unmutated, it passes on every run that checks it.  ``CATCHES`` is the
 table of the runs that catch each mutant, and every mutant must be caught
 by at least one of them, except those that no run catches: each is a strict
@@ -31,9 +35,9 @@ import pytest
 
 from phmorph import RunConfig, biconformal, run_verification, runner
 from phmorph.biconformal import (HOLOMORPHIC_BUILTINS, PROPERTIES, Property,
-                                 _compare, _require_horizontal)
+                                 _compare, _reading, _require_horizontal)
 from phmorph.hermitian import (f_divergence_horizontal, f_structure,
-                               nabla_f)
+                               nabla_f, phwc_defect, phwc_metric_defect)
 from phmorph.manifold import contract, dot, matvec, outer, quad
 from phmorph.maps import differential, hessian, mean_curvature_vertical
 
@@ -50,13 +54,15 @@ RUNS = {
                      sigma="exp(0.3*x1+0.2*x3)"),
     "flat-6-4": dict(scenario="flat-projection-6-4",
                      special_sigma="exp(0.3*x1)"),
+    "nonphwc-anisotropic": dict(scenario="nonphwc-anisotropic"),
 }
 
 SCALED_LAWS = {"tension-transform": biconformal.tension_field,
                "mean-curvature": biconformal.mean_curvature_vertical,
                "f-divergence": biconformal.f_divergence_horizontal}
 
-ALL = set(RUNS)
+# the PHWC runs: every law but phwc-equivalence is skipped on the seventh
+ALL = set(RUNS) - {"nonphwc-anisotropic"}
 # the runs that catch each mutant; the correction vanishes on curved-fibers
 # and flat-4-2 (n = 1, rho = 1), and F div_H F and H((nabla_X F)Y) are
 # round-off or 0 on every run, whose J has nabla J = 0
@@ -90,6 +96,12 @@ CATCHES = {
     ("tension-f-structure", "drop (m - 2n) mu^V"): {"curved-fibers"},
     ("tension-f-structure", "drop F div_H F"): set(),
     ("pullback", "drop Christoffel term"): {"hopf"},
+    ("phwc-equivalence", "commutator defect read as 0"): {
+        "nonphwc-anisotropic"},
+    ("phwc-equivalence", "metric-compatibility defect read as 0"): {
+        "nonphwc-anisotropic"},
+    ("phwc-equivalence", "pass only where both are below tol"): {
+        "nonphwc-anisotropic"},
 }
 
 
@@ -241,6 +253,27 @@ def pullback_mutant(how):
     return check
 
 
+def phwc_equivalence_mutant(how):
+    """phwc-equivalence with one defect read as 0, or passing only where
+    both defects are below tol."""
+    def check(geo, tol):
+        readings = []
+        for name, defect in (("commutator", phwc_defect),
+                             ("metric-compatibility", phwc_metric_defect)):
+            value, scale = defect(geo)
+            if how == "%s defect read as 0" % name:
+                value = np.zeros_like(value)
+            readings.append(_reading(value, scale))
+        (d1, r1, finite1), (d2, r2, finite2) = readings
+        passed = ((r1 < tol) & (r2 < tol)
+                  if how == "pass only where both are below tol"
+                  else (r1 < tol) == (r2 < tol))
+        return (np.where(d2 > d1, d2, d1), np.where(r2 > r1, r2, r1),
+                finite1 & finite2, passed)
+
+    return check
+
+
 # law -> the check that runner calls, and its mutant
 CHECKS = {"koszul-horizontal": ("verify_koszul_h", koszul_h_mutant),
           "koszul-vertical": ("verify_koszul_v", koszul_v_mutant),
@@ -248,7 +281,9 @@ CHECKS = {"koszul-horizontal": ("verify_koszul_h", koszul_h_mutant),
                             phh_covariant_mutant),
           "tension-f-structure": ("verify_tension_equivalence",
                                   tension_f_structure_mutant),
-          "pullback": ("verify_pullback_characterization", pullback_mutant)}
+          "pullback": ("verify_pullback_characterization", pullback_mutant),
+          "phwc-equivalence": ("verify_phwc_equivalence",
+                               phwc_equivalence_mutant)}
 
 
 def apply(monkeypatch, law, how):

@@ -42,6 +42,23 @@ def test_config_validation():
     RunConfig(scenario="flat-projection-4-2").validate()
 
 
+@pytest.mark.parametrize("given", [dict(sigma="exp(x1)"), dict(sigma="2"),
+                                   dict(rho="2"), dict(sigma="2", rho="2")])
+def test_special_sigma_rejects_a_sigma_or_rho_beside_it(given):
+    # the one-function change fixes both factors: a sigma or rho beside it
+    # would be ignored
+    with pytest.raises(ValueError, match="^give special-sigma without sigma "
+                                         "or rho$"):
+        RunConfig(scenario="flat-projection-6-4", special_sigma="2",
+                  **given).validate()
+
+
+@pytest.mark.parametrize("given", [{}, dict(sigma="1")])
+def test_special_sigma_runs_alone_or_beside_the_default_sigma(given):
+    RunConfig(scenario="flat-projection-6-4", special_sigma="2",
+              **given).validate()
+
+
 def test_all_identities_is_the_schema_order():
     assert len(ALL_IDENTITIES) == len(set(ALL_IDENTITIES))
     assert "tension-transform" in ALL_IDENTITIES
