@@ -14,16 +14,21 @@ task is either
   ``perfbench/workloads.json`` and built by ``perfbench/child.py``), or
 - a layer read of ``benchmarks/bench_layers.py``, ``chunk_fill:<workload>``
   or ``identity:<workload>:<identity>``: one round, its set-up untimed,
-  each round of a task at the next of ``bench_layers``' sample points.
+  each round of a task at the next of ``bench_layers``' sample points; or
+  ``setup:<workload>``: ``bench_layers.set_up``, a run's set-up repeated
+  ``SETUP_REPEATS`` times, which resolves a smaller change in set-up than
+  a workload's one set-up reading does.
 
 Both workers use this checkout's perfbench code.  Each imports its own
 tree's ``benchmarks/bench_layers.py`` (this checkout's when the tree has
-none), so a layer read can compare trees whose library API differs.
+none, or for a read that the tree's copy lacks), so a layer read can
+compare trees whose library API differs.
 The outcome of every run (exit code, verdict, skipped identities, flag
 outcomes and per-identity counts of a workload) must be the same on both
 sides, or the tool exits 1.  For each task it prints each side's median and
-quartiles, the ratio of the medians (change / parent) with the quartiles of
-the pair ratios, and in how many pairs the change was faster; for a
+quartiles, the ratio of the medians (change / parent) with the median and
+quartiles of the pair ratios (the steadier reading when the host's speed
+shifts between phases), and in how many pairs the change was faster; for a
 workload it prints the same for the seconds spent in ``run_verification``'s
 set-up steps, read as ``perfbench/child.py`` reads ``setup_s`` (perfbench's
 ``Tracer(SETUP_TARGETS)`` installed in each worker).  Run it from
@@ -34,6 +39,7 @@ the repository root, with the parent commit checked out elsewhere
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -103,10 +109,18 @@ def worker(root, samples):
 def layer(kind, args, setups):
     """One round of a ``bench_layers`` read: (seconds, outcome).  Its
     set-up comes from ``setups``, one per task, so that successive rounds
-    read successive sample points, as ``bench_layers`` does."""
+    read successive sample points, as ``bench_layers`` does; a ``setup``
+    task keeps its read there."""
     import bench_layers
     rows = bench_layers.CHUNK_ROWS if kind == "chunk_fill" else None
     key = (kind,) + tuple(args)
+    if kind == "setup":
+        if key not in setups:
+            setups[key] = getattr(bench_layers, "set_up", None) or \
+                this_checkouts_bench_layers().set_up
+        start = time.perf_counter()
+        setups[key](args[0])
+        return time.perf_counter() - start, None
     if key not in setups:
         setups[key] = bench_layers.fresh_runs(args[0], rows)
     (run, point, idx), _ = setups[key]()
@@ -121,6 +135,15 @@ def layer(kind, args, setups):
     out = read(run, point, idx)
     seconds = time.perf_counter() - start
     return seconds, None if out is None else counts(out)
+
+
+def this_checkouts_bench_layers():
+    """This checkout's ``bench_layers``, run on the worker's tree."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_layers_here", os.path.join(HERE, "bench_layers.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def counts(out):
@@ -185,13 +208,13 @@ def summary(task, times):
     parent, change = times
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
-    r1, _, r3 = quartiles([c / p for p, c in zip(parent, change)])
+    r1, rm, r3 = quartiles([c / p for p, c in zip(parent, change)])
     wins = sum(c < p for p, c in zip(parent, change))
     return ("%-40s parent %8.3f ms [%.3f, %.3f]  change %8.3f ms "
-            "[%.3f, %.3f]  ratio %.3f (pair ratios %.3f-%.3f)  "
+            "[%.3f, %.3f]  ratio %.3f (pair ratios %.3f [%.3f-%.3f])  "
             "change faster in %d/%d pairs"
             % (task, 1e3 * pm, 1e3 * p1, 1e3 * p3, 1e3 * cm, 1e3 * c1,
-               1e3 * c3, cm / pm, r1, r3, wins, len(parent)))
+               1e3 * c3, cm / pm, rm, r1, r3, wins, len(parent)))
 
 
 def main(argv=None):

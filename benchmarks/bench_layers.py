@@ -22,7 +22,11 @@ nothing that the read needs is computed yet:
   kept, and is left out);
 - ``chunk_fill``: the same over a chunk of points, the runner's batch;
 - ``identity[<name>]``: one call of the identity's check, as the runner
-  makes it.
+  makes it;
+- ``set_up``: what ``run_verification`` does before its first identity
+  (``get_scenario``, ``RunConfig.build_change`` and ``sample_points`` at
+  ``CHUNK_ROWS`` points), ``SETUP_REPEATS`` times a round, so that a change
+  of a few percent in set-up is not lost in the spread of one run's.
 
 Divide a chunk's time by ``CHUNK_ROWS`` for its cost per point.
 
@@ -46,6 +50,7 @@ from phmorph.scenarios import get_scenario, sample_points
 
 ROUNDS = 40
 CHUNK_ROWS = 20  # perfbench's sample count: its runs check one such chunk
+SETUP_REPEATS = 50  # a set-up is about 0.15 ms on 2 vCPUs
 WORKLOAD_FILE = Path(__file__).resolve().parent.parent / "perfbench" / \
     "workloads.json"
 
@@ -109,6 +114,20 @@ def test_jet2_arithmetic(benchmark, rows):
 def test_map_jets(benchmark, workload, rows):
     timed(benchmark, workload,
           lambda run, point, idx: run.scenario.phi.jets(point.p), ROWS[rows])
+
+
+def set_up(workload):
+    """``SETUP_REPEATS`` set-ups of a run of ``workload``."""
+    config = WORKLOADS[workload]
+    for _ in range(SETUP_REPEATS):
+        scenario = get_scenario(config.scenario)
+        config.build_change(scenario)
+        sample_points(scenario, CHUNK_ROWS, 42)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_set_up(benchmark, workload):
+    benchmark.pedantic(set_up, args=(workload,), rounds=ROUNDS, iterations=1)
 
 
 def fill(run, point, idx):

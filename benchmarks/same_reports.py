@@ -11,6 +11,9 @@ wrote to stderr.  The list:
   and 42, with 20 and 100 samples;
 - ``flat-projection-4-2 --rho x2``, whose rho is not positive at some
   sample points;
+- the ``--format csv`` and ``--format text`` reports of readme-6-4 at 20
+  samples and seed 42 and of ``flat-projection-4-2 --rho x2``, so that the
+  csv and text renderers are compared as well as the JSON one;
 - at 60 samples and seed 5, three runs that stress the arithmetic: a large
   constant one-function sigma on hopf, and sigma^2 / rho^2 near 1e8 on hopf
   and on holomorphic-poly;
@@ -35,7 +38,8 @@ wrote to stderr.  The list:
 
 It prints one line per run, naming for reports that differ the first few
 JSON paths where they do (``config.tol_ad``, ``per_identity[2].passed``),
-and exits 1 on any difference.  Run it from the repository root, with the
+or the first line where a csv or text report does, and exits 1 on any
+difference.  Run it from the repository root, with the
 parent commit unpacked elsewhere (``git archive``):
 
     python benchmarks/same_reports.py PARENT_ROOT .
@@ -89,9 +93,15 @@ def runs(report):
             cli_argv(workloads[name]["args"], samples, seed, report))
            for name in sorted(workloads) for seed in (3, 42)
            for samples in (20, 100)]
-    out.append(("flat-projection-4-2 --rho x2",
-                ["verify", "--scenario", "flat-projection-4-2", "--rho", "x2",
-                 "--report", report]))
+    rho_x2 = ["verify", "--scenario", "flat-projection-4-2", "--rho", "x2",
+              "--report", report]
+    out.append(("flat-projection-4-2 --rho x2", rho_x2))
+    for fmt in ("csv", "text"):
+        out += [("readme-6-4 samples=20 seed=42 --format " + fmt,
+                 cli_argv(workloads["readme-6-4"]["args"], 20, 42, report)
+                 + ["--format", fmt]),
+                ("flat-projection-4-2 --rho x2 --format " + fmt,
+                 rho_x2 + ["--format", fmt])]
     out += [(" ".join(args[1:]) + " samples=60 seed=5",
              ["verify"] + args + ["--samples", "60", "--seed", "5",
                                   "--report", report]) for args in STRESS]
@@ -164,9 +174,15 @@ def json_paths(a, b, path=""):
 
 def report_paths(parent, change, first=5):
     """The first few JSON paths where two report texts (None: no report)
-    differ."""
-    reports = [None if text is None else json.loads(text)
-               for text in (parent, change)]
+    differ, or the first line where a csv or text report does."""
+    try:
+        reports = [None if text is None else json.loads(text)
+                   for text in (parent, change)]
+    except json.JSONDecodeError:
+        lines = itertools.zip_longest(*((text or "").splitlines()
+                                        for text in (parent, change)))
+        return "line %d" % next((i for i, (a, b) in enumerate(lines, 1)
+                                 if a != b), 1)
     paths = list(itertools.islice(json_paths(*reports), first + 1))
     return ", ".join(paths[:first]) + (", ..." if len(paths) > first else "")
 

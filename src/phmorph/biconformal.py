@@ -19,18 +19,19 @@ over a batch of sample points, and, for a law of the change, the
 (``LocalGeometry.under``); a law that reads J reads the one phi carries.
 It computes one identity's two sides by independent routes (the Levi-Civita
 geometry of g-bar, built from g-bar's own (g-bar, d g-bar), on one side; the
-closed-form transformation law on g's connection on the other) and returns
-the batch's reading: four per-row arrays (absolute and relative residual,
-finite, passed), which the runner folds into an ``IdentityAggregate``
-(``fold``); the laws L(g-bar) = sigma^2 (L(g) + correction) share one reader
-(``_scaled_law``).  ``PROPERTIES`` (PHWC, harmonicity, PHH) are read under g
-by the run's flags, and under the one-function change by the corollaries
-(``corollary_at``, given their names), against exact predictions from g-side
-quantities: a PHWC defect of 0, the tension field sigma^2 tau, and a PHH
-defect of sigma sqrt(8 (n - 1)) |grad_H ln sigma|, the frame norm of
-phh-covariant's correction in closed form.  Every residual, defect and flag
-is read by one rule (``_reading``): a per-row defect against its scale, and
-a row whose defect or scale is not finite is a sample error.
+closed-form law on g's connection, a sum of named terms (``sum_terms``), on
+the other) and returns the batch's reading: four per-row arrays (absolute
+and relative residual, finite, passed), which the runner folds into an
+``IdentityAggregate`` (``fold``); the laws L(g-bar) = sigma^2 (L(g) +
+correction) share one reader (``_scaled_law``).  ``PROPERTIES`` (PHWC,
+harmonicity, PHH) are read under g by the run's flags, and under the
+one-function change by the corollaries (``corollary_at``, given their
+names), against exact predictions from g-side quantities: a PHWC defect of
+0, the tension field sigma^2 tau, and a PHH defect of
+sigma sqrt(8 (n - 1)) |grad_H ln sigma|, the frame norm of phh-covariant's
+correction in closed form.  Every residual, defect and flag is read by one
+rule (``_reading``): a per-row defect against its scale, and a row whose
+defect or scale is not finite is a sample error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from . import exprs, jets
 from .exprs import Expr
 from .jets import JetDomainError, first
 from .manifold import (GeometryError, MetricError, contract, dot, matvec,
-                       outer, per_k, quad)
+                       outer, per_k, quad, sum_terms)
 from .maps import (LocalGeometry, SmoothMap, differential,
                    horizontal_projector, mean_curvature_vertical,
                    tension_field)
@@ -313,10 +314,12 @@ def verify_koszul_h(gbar: ChangedMetric, geo: LocalGeometry, x_comp, y_comp,
 
     grad_ls, _ = gbar.grad_log_factors(geo)
     dls = matvec(g, grad_ls)  # covector of ln sigma
-    rhs = (matvec(ph, contract(geo.christoffel, xy))
-           - dot(dls, x)[..., None] * y - dot(dls, y)[..., None] * x
-           + quad(x, g, y)[..., None] * matvec(ph, grad_ls))
-    return _compare(lhs, rhs, tol)
+    return _compare(lhs, sum_terms({
+        "H(nabla_X Y)": matvec(ph, contract(geo.christoffel, xy)),
+        "X(ln sigma) Y": -dot(dls, x)[..., None] * y,
+        "Y(ln sigma) X": -dot(dls, y)[..., None] * x,
+        "g(X, Y) grad_H ln sigma":
+            quad(x, g, y)[..., None] * matvec(ph, grad_ls)}), tol)
 
 
 def verify_koszul_v(gbar: ChangedMetric, geo: LocalGeometry, v_comp,
@@ -347,11 +350,12 @@ def verify_koszul_v(gbar: ChangedMetric, geo: LocalGeometry, v_comp,
     rho = r_jet.value
     # covector of rho^-2
     d_rho_m2 = (-2.0 * rho ** -3)[..., None] * r_jet.grad
-    inner = ((2.0 * rho ** -2)[..., None]
-             * matvec(ph, geo.covariant_derivative(v, v, dv))
-             - quad(v, g, v)[..., None] * matvec(ph @ geo.ginv, d_rho_m2))
-    rhs = (0.5 * s_jet.value ** 2)[..., None] * inner
-    return _compare(lhs, rhs, tol)
+    inner = sum_terms({
+        "H(nabla_V V)": (2.0 * rho ** -2)[..., None]
+        * matvec(ph, geo.covariant_derivative(v, v, dv)),
+        "d(rho^-2)":
+            -quad(v, g, v)[..., None] * matvec(ph @ geo.ginv, d_rho_m2)})
+    return _compare(lhs, (0.5 * s_jet.value ** 2)[..., None] * inner, tol)
 
 
 def _scaled_law(gbar, geo, field, correction, tol):
@@ -359,8 +363,8 @@ def _scaled_law(gbar, geo, field, correction, tol):
     of phi's geometry: L under g-bar, sigma, L under g, ``correction()``."""
     lhs = field(geo.under(gbar))
     s, _ = gbar.factor_values(geo)
-    return _compare(lhs, (s ** 2)[..., None] * (field(geo) + correction()),
-                    tol)
+    return _compare(lhs, (s ** 2)[..., None] * sum_terms(
+        {"L(g)": field(geo), "correction": correction()}), tol)
 
 
 def verify_mean_curvature(gbar: ChangedMetric, geo: LocalGeometry,
@@ -394,14 +398,16 @@ def verify_tension_transform(gbar: ChangedMetric, geo: LocalGeometry,
     """
     two_n, m = gbar.phi.two_n, gbar.phi.m
     return _scaled_law(gbar, geo, tension_field, lambda: matvec(
-        differential(geo), (two_n - m) * gbar.grad_log_factors(geo)[1]
-        + (2.0 - two_n) * gbar.grad_log_factors(geo)[0]), tol)
+        differential(geo), sum_terms({
+            "(2n - m) grad ln rho":
+                (two_n - m) * gbar.grad_log_factors(geo)[1],
+            "(2 - 2n) grad ln sigma":
+                (2.0 - two_n) * gbar.grad_log_factors(geo)[0]})), tol)
 
 
-def phh_correction(gbar: ChangedMetric, geo: LocalGeometry, x, y, base=0.0):
-    """base + C(X, Y), what the change adds to H((nabla_X F)Y) for
-    horizontal X, Y (components on the last axis), summed from base, in the
-    order of the terms:
+def phh_correction(gbar: ChangedMetric, geo: LocalGeometry, x, y):
+    """The named terms of C(X, Y), what the change adds to H((nabla_X F)Y)
+    for horizontal X, Y (components on the last axis), in order:
 
     C(X, Y) = g(X, FY) grad_H(ln sigma) - FY(ln sigma) X + Y(ln sigma) FX
               - g(X, Y) F(grad_H(ln sigma))"""
@@ -409,10 +415,11 @@ def phh_correction(gbar: ChangedMetric, geo: LocalGeometry, x, y, base=0.0):
     grad_ls = gbar.grad_log_factors(geo)[0]
     grad_h = matvec(geo.projector_and_lift[0], grad_ls)
     dls, fy = matvec(g, grad_ls), matvec(f, y)
-    return (base + quad(x, g, fy)[..., None] * grad_h
-            - dot(dls, fy)[..., None] * x
-            + dot(dls, y)[..., None] * matvec(f, x)
-            - quad(x, g, y)[..., None] * matvec(f, grad_h))
+    return {"g(X, FY) grad_H ln sigma": quad(x, g, fy)[..., None] * grad_h,
+            "FY(ln sigma) X": -dot(dls, fy)[..., None] * x,
+            "Y(ln sigma) FX": dot(dls, y)[..., None] * matvec(f, x),
+            "g(X, Y) F grad_H ln sigma":
+                -quad(x, g, y)[..., None] * matvec(f, grad_h)}
 
 
 def verify_phh_covariant_formula(gbar: ChangedMetric, geo: LocalGeometry,
@@ -422,7 +429,7 @@ def verify_phh_covariant_formula(gbar: ChangedMetric, geo: LocalGeometry,
 
     H((nabla-bar_X F)Y) = H((nabla_X F)Y) + C(X, Y)
 
-    with C the correction of ``phh_correction``."""
+    with C the sum of the terms of ``phh_correction``."""
     x = _require_horizontal("X", x_comp, geo)
     y = _require_horizontal("Y", y_comp, geo)
     ph, xy = geo.projector_and_lift[0], outer(x, y)
@@ -430,8 +437,9 @@ def verify_phh_covariant_formula(gbar: ChangedMetric, geo: LocalGeometry,
     def along(view):  # H((nabla_X F)Y) under the metric of ``view``
         return matvec(ph, contract(nabla_f(view).swapaxes(-3, -2), xy))
 
-    return _compare(along(geo.under(gbar)),
-                    phh_correction(gbar, geo, x, y, along(geo)), tol)
+    return _compare(along(geo.under(gbar)), sum_terms(
+        {"H((nabla_X F)Y)": along(geo), **phh_correction(gbar, geo, x, y)}),
+        tol)
 
 
 # ---- holomorphic test functions for the pullback characterization --------

@@ -31,7 +31,7 @@ import numpy as np
 
 from .jets import first
 from .manifold import (ChartedRiemannianManifold, act_first, contract, dot,
-                       jet_matrix_and_derivs, matvec, per_k)
+                       jet_matrix_and_derivs, matvec, per_k, sum_terms)
 from .maps import (FrameError, LocalGeometry, check_submersion, differential,
                    mean_curvature_vertical, ortho_split)
 
@@ -233,7 +233,8 @@ def tension_via_f_structure(geo: LocalGeometry) -> np.ndarray:
     Only meaningful for PHWC maps (``f_divergence_horizontal`` requires
     it)."""
     phi = geo.phi
-    total = f_divergence_horizontal(geo)
+    terms = {"F div_H F": f_divergence_horizontal(geo)}
     if phi.m > phi.two_n:
-        total = total + (phi.m - phi.two_n) * mean_curvature_vertical(geo)
-    return -matvec(differential(geo), total)
+        terms["(m - 2n) mu^V"] = ((phi.m - phi.two_n)
+                                  * mean_curvature_vertical(geo))
+    return -matvec(differential(geo), sum_terms(terms))

@@ -107,6 +107,17 @@ def outer(x, y):
     return x[..., :, None] * y[..., None, :]
 
 
+def sum_terms(terms):
+    """The sum of a dict of named arrays, added left to right from the first
+    term: every closed form that a law reads is summed here, by the names of
+    its terms (a subtracted term is added negated, which rounds alike)."""
+    values = iter(terms.values())
+    total = next(values)
+    for term in values:
+        total = total + term
+    return total
+
+
 def jet_matrix_and_derivs(fn, p):
     """(M, dM) at p of a square matrix field whose entries ``fn`` evaluates
     on first-order Jet2 coordinates, one row and column per chart

@@ -53,7 +53,8 @@ from . import jets
 from .jets import Jet2, first
 from .manifold import (ChartedRiemannianManifold, GeometryError,
                        check_metric, contract, dot, each_array, inverse_metric,
-                       levi_civita, matvec, outer, per_k, read_only)
+                       levi_civita, matvec, outer, per_k, read_only,
+                       sum_terms)
 
 RANK_TOL = 1e-8
 
@@ -253,8 +254,10 @@ class LocalGeometry:
         """g^ij (d_i d_j f - Gamma^k_ij d_k f) at p for the jet of f there,
         which is checked for non-finite components."""
         jet.check()
-        return (contract(hessian(jet)[..., None, :, :], self.ginv)[..., 0]
-                - dot(self.christoffel_trace, jet.grad))
+        return sum_terms({
+            "g^ij d_i d_j f":
+                contract(hessian(jet)[..., None, :, :], self.ginv)[..., 0],
+            "Christoffel term": -dot(self.christoffel_trace, jet.grad)})
 
     @_kept_in_source
     def _differential(self):

@@ -31,7 +31,7 @@ from phmorph import (
 )
 from phmorph.biconformal import (PROPERTIES, IdentityAggregate,
                                  corollary_at, phh_correction)
-from phmorph.manifold import directional_derivative, quad
+from phmorph.manifold import directional_derivative, quad, sum_terms
 from phmorph.maps import differential, horizontal_projector
 from phmorph.hermitian import adapted_frame, phwc_defect
 from phmorph.runner import RunContext, run_identity
@@ -980,7 +980,7 @@ def test_the_phh_prediction_has_a_closed_form(scenario):
     gbar = one_function(sc, parse("exp(0.3*x1+0.2*x3)"))
     geo = at(sc.phi, sample_points(sc, 10, seed=5))
     r = geo.horizontal_factor
-    pairs = [phh_correction(gbar, geo, r[:, a], r[:, b])
+    pairs = [sum_terms(phh_correction(gbar, geo, r[:, a], r[:, b]))
              for a in range(sc.phi.two_n) for b in range(sc.phi.two_n)]
     framed = gbar.factor_values(geo)[0] * np.sqrt(
         sum(quad(c, geo.g, c) for c in pairs))

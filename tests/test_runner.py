@@ -650,7 +650,8 @@ def test_a_run_keeps_the_fields_no_change_alters_in_the_source_only(
 def test_a_run_keeps_only_the_current_points_geometries(monkeypatch):
     # no geometry outlives its chunk: while a check runs, the geometries
     # alive are those of its chunk's points, and none are once the run
-    # returns, so a run's memory does not grow with its sample count.  No
+    # returns, so the memory its geometries hold does not grow with its
+    # sample count (its sample points, all drawn first, do).  No
     # geometry refers to those built from it, so reference counting frees
     # them, with the cycle collector off
     built = []
