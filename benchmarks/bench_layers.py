@@ -21,6 +21,9 @@ nothing that the read needs is computed yet:
   factor and the PHWC defect it is checked against; the PHH defect is not
   kept, and is left out);
 - ``chunk_fill``: the same over a chunk of points, the runner's batch;
+- ``metric_checks``: over a chunk, ``check_metric`` of g, of h at the
+  images and of g-bar, whose matrices are evaluated in the set-up, and
+  ``check_submersion`` of the map's differential;
 - ``identity[<name>]``: one call of the identity's check, as the runner
   makes it;
 - ``set_up``: what ``run_verification`` does before its first identity
@@ -43,7 +46,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phmorph import IdentityAggregate, hermitian, jets, maps
+from phmorph import IdentityAggregate, hermitian, jets, manifold, maps
 from phmorph.runner import (ALL_IDENTITIES, RunConfig, RunContext,
                             run_identity, skip_reason)
 from phmorph.scenarios import get_scenario, sample_points
@@ -169,6 +172,36 @@ def test_local_geometry_fill(benchmark, workload):
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_chunk_fill(benchmark, workload):
     timed(benchmark, workload, fill, CHUNK_ROWS)
+
+
+def metric_check_inputs(workload):
+    """Set-up of one round after another: a chunk's point context and its
+    (matrix, derivatives, points) for g, h and g-bar."""
+    fresh = fresh_runs(workload, CHUNK_ROWS)
+
+    def setup():
+        (run, point, _), _ = fresh()
+        phi, images = run.scenario.phi, point.map_jets[0]
+        # g-bar reads phi's rank check: a twin context keeps it untimed
+        twin = maps.LocalGeometry(phi, point.p)
+        return (point, [
+            phi.source.metric.matrix_and_derivs(point.p) + (point.p,),
+            phi.target.metric.matrix_and_derivs(images) + (images,),
+            run.gbar.matrix_and_derivs(twin) + (point.p,)]), {}
+
+    return setup
+
+
+def metric_checks(point, metrics):
+    for metric in metrics:
+        manifold.check_metric(*metric)
+    maps.check_submersion(point)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_metric_checks(benchmark, workload):
+    benchmark.pedantic(metric_checks, setup=metric_check_inputs(workload),
+                       rounds=ROUNDS, iterations=1)
 
 
 CASES = [(workload, name) for workload in sorted(WORKLOADS)

@@ -14,7 +14,7 @@ verification run calls them.  They, and ``inverse_metric_at`` and
 
 Nothing here keeps per-point data: ``metric_at``, the one validated
 evaluation of a manifold's metric (the chart domain, then ``check_metric``:
-g finite, symmetric and positive definite), and its readers
+g finite, symmetric and positive definite, by Cholesky), and its readers
 ``inverse_metric_at`` and ``christoffel`` compute on each call
 (``check_metric`` also validates g-bar, ``biconformal.ChangedMetric``, which
 reads a map's geometry).  What a run reads at a point is kept once,
@@ -32,6 +32,8 @@ import numpy as np
 
 from . import jets
 from .jets import Jet2, first
+
+METRIC_FLOOR = 1e-12  # a metric's least eigenvalue must exceed it
 
 
 class GeometryError(ValueError):
@@ -239,9 +241,26 @@ class ChartedRiemannianManifold:
         return levi_civita(np.linalg.inv(g), dg)
 
 
+def certified_above(sym, floor, weight):
+    """Whether each matrix of the symmetric stack ``sym`` (n x n) has its
+    least eigenvalue, as ``eigvalsh`` computes it, above ``floor``: True if
+    Cholesky of sym - c I, c = floor + 16 w eps n max(sym), w = ``weight`` >=
+    n, gives a finite R.  Its backward error (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., Thm 10.5) and the shift's rounding
+    leave 14 w eps n max(sym) > ``eigvalsh``'s error p(n) eps ||sym||_2 if
+    p(n) < 14 n: an assumption (LAPACK's Users' Guide, 4.7, says "modestly
+    growing") that the Hypothesis soundness tests bear out for n <= 6."""
+    n = sym.shape[-1]
+    c = floor + 16 * weight * np.finfo(float).eps * n * sym.max()
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(sym - c * np.eye(n))).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def check_metric(g, dg, q):
-    """(g, dg) at the points q, with g checked to be finite, symmetric and
-    positive definite."""
+    """(g, dg) at the points q, g checked finite, symmetric and positive
+    definite, above ``METRIC_FLOOR``: by Cholesky, else by ``eigvalsh``."""
     bad = ~np.isfinite(g).all(axis=(-2, -1))
     if np.count_nonzero(bad):
         raise MetricError("metric not finite at %s"
@@ -250,12 +269,14 @@ def check_metric(g, dg, q):
     if np.count_nonzero(bad):
         raise MetricError("metric matrix not symmetric at %s"
                           % (first(q, bad).tolist(),))
-    w = np.linalg.eigvalsh(0.5 * (g + g.mT))[..., 0]
-    bad = w <= 1e-12
-    if np.count_nonzero(bad):
-        raise MetricError("metric not positive definite at %s "
-                          "(min eigenvalue %g)"
-                          % (first(q, bad).tolist(), first(w, bad)))
+    sym = 0.5 * (g + g.mT)
+    if not certified_above(sym, METRIC_FLOOR, g.shape[-1]):
+        w = np.linalg.eigvalsh(sym)[..., 0]
+        bad = w <= METRIC_FLOOR
+        if np.count_nonzero(bad):
+            raise MetricError("metric not positive definite at %s "
+                              "(min eigenvalue %g)"
+                              % (first(q, bad).tolist(), first(w, bad)))
     return g, dg
 
 

@@ -3,9 +3,9 @@ splitting, tension field and fiber mean curvature.
 
 A ``LocalGeometry`` is the point context: everything a check reads about phi
 at a point p, or at each row of a batch of points (shape (B, m)), under one
-metric, each row computed as at one point (batched ``inv``, ``eigvalsh``,
-``svd`` and ``cholesky``, and every contraction as ``@``, one BLAS call per
-matrix: ``manifold.contract``, ``act_first`` and ``matvec``).
+metric, each row computed as at one point (batched ``inv`` and ``cholesky``,
+a passing run's only LAPACK routines, since each is paged in where called, and
+every contraction one BLAS ``@`` per matrix, as in ``manifold.contract``).
 ``LocalGeometry(phi, p)`` is the geometry under phi's source metric g, its
 own ``source``; ``geo.under(change)`` the one under a
 ``biconformal.ChangedMetric`` g-bar, whose fields the source keeps, on
@@ -52,9 +52,9 @@ import numpy as np
 from . import jets
 from .jets import Jet2, first
 from .manifold import (ChartedRiemannianManifold, GeometryError,
-                       check_metric, contract, dot, each_array, inverse_metric,
-                       levi_civita, matvec, outer, per_k, read_only,
-                       sum_terms)
+                       certified_above, check_metric, contract, dot,
+                       each_array, inverse_metric, levi_civita, matvec,
+                       outer, per_k, read_only, sum_terms)
 
 RANK_TOL = 1e-8
 
@@ -260,9 +260,13 @@ class LocalGeometry:
             "Christoffel term": -dot(self.christoffel_trace, jet.grad)})
 
     @_kept_in_source
-    def _differential(self):
-        """dphi and its smallest singular value."""
+    def _certified_differential(self):
+        """dphi and its least singular value, inf where ``certified_above``
+        shows A A^T > ``RANK_TOL``^2 (weight m + 2n; svd's p < 7w assumed)."""
         a = self.map_jets[1]
+        if np.abs(a).max() < 1e100 and certified_above(  # no overflow in A A^T
+                a @ a.mT, RANK_TOL ** 2, sum(a.shape[-2:])):
+            return a, np.full(a.shape[:-2], np.inf)
         return a, np.linalg.svd(a, compute_uv=False)[..., -1]
 
     @_kept
@@ -343,9 +347,9 @@ class LocalGeometry:
 
 
 def check_submersion(geo: LocalGeometry):
-    """The differential at the point, checked to have full rank 2n: its
-    smallest singular value above ``RANK_TOL`` (read-only)."""
-    a, smallest = geo._differential
+    """dphi at the point, checked to have full rank 2n: its least singular
+    value above ``RANK_TOL``, by Cholesky, else by ``svd`` (read-only)."""
+    a, smallest = geo._certified_differential
     bad = smallest <= RANK_TOL
     if np.count_nonzero(bad):
         raise RankError("map is not a submersion at %s: smallest singular "

@@ -49,7 +49,7 @@ def inputs(m, two_n, seed):
         "ginv": draw(m, m), "christoffel": draw(m, m, m),
         "target_christoffel": draw(two_n, two_n, two_n),
         "map_jets": (draw(two_n), a, draw(m, two_n, m)),
-        "_differential": (a, np.ones(B)),  # passes the rank check
+        "_certified_differential": (a, np.full(B, np.inf)),  # certified
         "projector_and_lift": (draw(m, m), draw(m, two_n)),
         "projector_and_lift_derivs": (draw(m, m, m), draw(m, m, two_n)),
         "_lift_factors": (draw(two_n, m), draw(m, two_n),

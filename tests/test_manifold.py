@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phmorph.jets as jets
+import phmorph.manifold as manifold
 from phmorph import (
     ChartedRiemannianManifold,
     DomainError,
@@ -19,7 +20,8 @@ from phmorph import (
     parse,
     seed_coordinates,
 )
-from phmorph.manifold import (directional_derivative, inverse_metric,
+from phmorph.manifold import (certified_above, check_metric,
+                              directional_derivative, inverse_metric,
                               richardson_partial)
 from phmorph.maps import LocalGeometry
 from tests.test_maps import smooth_map
@@ -427,3 +429,107 @@ def test_a_manifold_refuses_a_bad_dimension():
         ChartedRiemannianManifold(0, euclidean_space(1).metric)
     with pytest.raises(ValueError, match="metric dimension mismatch"):
         ChartedRiemannianManifold(3, euclidean_space(2).metric)
+
+
+# ---- the Cholesky certificate of positive definiteness -----------------
+
+def outcome(check, *args):
+    """The arrays ``check`` returns, or the class and message it raises."""
+    try:
+        return check(*args)
+    except MetricError as err:
+        return type(err), str(err)
+
+
+def uncertified(check, *args):
+    """``outcome`` with the certificate refusing every metric: the
+    ``eigvalsh`` test alone, as every call read before the certificate."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manifold, "certified_above", lambda *_: False)
+        return outcome(check, *args)
+
+
+def same_outcome(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        assert all(a is b for a, b in zip(got, want))
+
+
+def points(rows, n):
+    return np.arange(rows * n, dtype=float).reshape(rows, n) / 7.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=1, max_value=6), st.integers(1, 4),
+       st.floats(-14.0, -10.0), st.floats(0.0, 8.0))
+def test_the_metric_certificate_accepts_only_what_eigvalsh_accepts(
+        seed, n, rows, log_min, log_norm):
+    # Q diag(lambda) Q^T near the floor 1e-12: lambda_min log-uniform over
+    # [1e-14, 1e-10] in one row, the others between it and ||g|| <= 1e8
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((rows, n, n)))
+    lam = 10.0 ** rng.uniform(log_min, log_norm, (rows, n))
+    lam[:, -1] = 10.0 ** log_norm
+    lam[rng.integers(rows), 0] = 10.0 ** log_min
+    g = rotation * lam[:, None, :] @ rotation.mT
+    g = 0.5 * (g + g.mT)
+    if certified_above(g, 1e-12, n):
+        assert (np.linalg.eigvalsh(g)[..., 0] > 1e-12).all()
+    dg, q = np.zeros((rows, n, n, n)), points(rows, n)
+    same_outcome(outcome(check_metric, g, dg, q),
+                 uncertified(check_metric, g, dg, q))
+
+
+def test_the_metric_certificate_passes_a_well_conditioned_metric():
+    g = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert certified_above(g, 1e-12, 2)
+    assert not certified_above(g, 1.0, 2)  # lambda_min is 0.79
+    assert not certified_above(np.diag([1.0, 1e-12]), 1e-12, 2)
+    assert not certified_above(np.diag([1.0, -1.0]), 1e-12, 2)
+
+
+def spied_eigvalsh(monkeypatch):
+    calls = []
+    inner = np.linalg.eigvalsh
+
+    def spy(a):
+        calls.append(a.shape)
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+def test_the_first_bad_row_is_named_after_a_certificate_fails(monkeypatch):
+    calls = spied_eigvalsh(monkeypatch)
+    g = np.stack([np.eye(3), np.diag([1.0, 1e-14, 2.0]),
+                  np.diag([1e-13, 1.0, 1.0])])
+    q, dg = points(3, 3), np.zeros((3, 3, 3, 3))
+    got = outcome(check_metric, g, dg, q)
+    assert calls == [(3, 3, 3)]
+    assert got == uncertified(check_metric, g, dg, q)
+    assert got[1] == ("metric not positive definite at %s (min eigenvalue "
+                      "1e-14)" % (q[1].tolist(),))
+    del calls[:]
+    good = g[:1]  # a row the certificate passes reads no eigvalsh
+    assert check_metric(good, dg[:1], q[:1])[0] is good
+    assert calls == []
+
+
+def test_a_metric_of_entries_near_1e200_takes_the_eigvalsh_path(
+        monkeypatch):
+    # the margin grows with the entries: 1e-13 of 1e200 dwarfs the least
+    # eigenvalue 1, which eigvalsh then reads
+    calls = spied_eigvalsh(monkeypatch)
+    g = np.stack([np.eye(2), np.diag([1e200, 1.0])])
+    q, dg = points(2, 2), np.zeros((2, 2, 2, 2))
+    assert not certified_above(g[1], 1e-12, 2)
+    assert check_metric(g, dg, q)[0] is g
+    assert calls == [(2, 2, 2)]
+    g[1, 1, 1] = 1e-13
+    got = outcome(check_metric, g, dg, q)
+    assert calls == [(2, 2, 2)] * 2
+    assert got == uncertified(check_metric, g, dg, q)
+    assert got[1].endswith("(min eigenvalue 1e-13)")

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phmorph.jets as jets
+import phmorph.maps as maps
 from phmorph import (
     ChangedMetric,
     RankError,
@@ -15,9 +18,11 @@ from phmorph import (
     tension_field,
 )
 from phmorph.manifold import (ChartedRiemannianManifold, DomainError,
-                              GeometryError, JetMetric)
+                              GeometryError, JetMetric, certified_above,
+                              read_only)
 from phmorph.scenarios import constant_J
 from phmorph.maps import (
+    RANK_TOL,
     FrameError,
     LocalGeometry,
     _gram_schmidt,
@@ -326,7 +331,7 @@ def changed(phi):
 
 
 # the fields that no change alters, kept in the source geometry only
-KEPT_IN_SOURCE = ("jets", "map_jets", "_differential",
+KEPT_IN_SOURCE = ("jets", "map_jets", "_certified_differential",
                   "target_metric_and_derivs", "target_christoffel",
                   "target_j_and_derivs", "projector_and_lift",
                   "projector_and_lift_derivs")
@@ -491,3 +496,116 @@ def test_gram_schmidt_fails_on_too_few_independent_seeds():
     with pytest.raises(FrameError, match=r"could not assemble 2 frame "
                                          r"vectors \(got 1\)"):
         _gram_schmidt(seeds, np.eye(2), 2)
+
+
+# ---- the Cholesky certificate of full rank -------------------------------
+
+def with_differential(a):
+    """A point context at distinct points whose differential is ``a`` (a
+    stack of 2n x m matrices): no map component is evaluated."""
+    rows, two_n, m = a.shape
+    target = euclidean_space(two_n)
+    phi = SmoothMap(euclidean_space(m), target, None, constant_J(target))
+    p = np.arange(rows * m, dtype=float).reshape(rows, m) / 7.0
+    geo = LocalGeometry(phi, p)
+    geo._fields[(None, "map_jets")] = read_only(
+        (np.zeros((rows, two_n)), a.copy(), np.zeros((rows, m, two_n, m))))
+    return geo
+
+
+def rank_outcome(geo):
+    """The array ``check_submersion`` returns at ``geo``, or the class and
+    message it raises."""
+    try:
+        return check_submersion(geo)
+    except RankError as err:
+        return type(err), str(err)
+
+
+def uncertified_rank_outcome(a):
+    """``rank_outcome`` with the certificate refusing every differential:
+    the ``svd`` test alone, as every call read before the certificate."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "certified_above", lambda *_: False)
+        return rank_outcome(with_differential(a))
+
+
+def same_rank_outcome(a):
+    geo = with_differential(a)
+    got, want = rank_outcome(geo), uncertified_rank_outcome(a)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got is geo.map_jets[1]
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([(2, 2), (2, 3), (2, 4), (4, 4), (4, 6)]),
+       st.integers(1, 4), st.floats(-10.0, -6.0), st.floats(0.0, 1.0))
+def test_the_rank_certificate_accepts_only_what_svd_accepts(
+        seed, shape, rows, log_min, spread):
+    # U diag(sigma) V^T near RANK_TOL = 1e-8: sigma_min log-uniform over
+    # [1e-10, 1e-6] in one row, the others between it and sigma_max <= 1e4
+    two_n, m = shape
+    log_max = log_min + spread * (4.0 - log_min)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, two_n, two_n)))
+    v, _ = np.linalg.qr(rng.standard_normal((rows, m, m)))
+    sigma = 10.0 ** rng.uniform(log_min, log_max, (rows, two_n))
+    sigma[:, 0] = 10.0 ** log_max
+    sigma[rng.integers(rows), -1] = 10.0 ** log_min
+    a = u * sigma[:, None, :] @ v[..., :two_n].mT
+    if certified_above(a @ a.mT, RANK_TOL ** 2, m + two_n):
+        assert (np.linalg.svd(a, compute_uv=False)[..., -1] > RANK_TOL).all()
+    same_rank_outcome(a)
+
+
+def spied_svd(monkeypatch):
+    calls = []
+    inner = np.linalg.svd
+
+    def spy(a, **kwargs):
+        calls.append(a.shape)
+        return inner(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def test_the_first_rank_deficient_row_is_named(monkeypatch):
+    calls = spied_svd(monkeypatch)
+    a = np.zeros((3, 2, 4))
+    a[:, 0, 0] = 1.0
+    a[:, 1, 1] = [1.0, 1e-9, 1e-10]
+    geo = with_differential(a)
+    got = rank_outcome(geo)
+    assert got == rank_outcome(geo)  # the failed chunk's reading is kept,
+    assert [rank_outcome(row)[1] for row in geo.rows[1:]] == [
+        got[1], got[1].replace("1e-09", "1e-10").replace(
+            str(geo.p[1].tolist()), str(geo.p[2].tolist()))]  # for its rows
+    assert calls == [(3, 2, 4)]
+    assert got == uncertified_rank_outcome(a)
+    assert got[1] == ("map is not a submersion at %s: smallest singular "
+                      "value 1e-09" % (geo.p[1].tolist(),))
+    del calls[:]
+    geo = with_differential(a[:1])  # a row the certificate passes reads no svd
+    assert check_submersion(geo) is geo.map_jets[1]
+    assert calls == []
+
+
+def test_a_differential_of_entries_near_1e200_takes_the_svd_path(
+        monkeypatch):
+    # its A A^T would overflow: svd reads it, and passes it
+    calls = spied_svd(monkeypatch)
+    a = np.stack([np.eye(2, 3), 1e200 * np.eye(2, 3)])
+    geo = with_differential(a)
+    assert check_submersion(geo) is geo.map_jets[1]
+    assert calls == [(2, 2, 3)]
+    a[1, 1, 1] = 1e-9
+    geo = with_differential(a)
+    got = rank_outcome(geo)
+    assert calls == [(2, 2, 3)] * 2
+    assert got == uncertified_rank_outcome(a)
+    assert got[1].endswith("smallest singular value 1e-09")

@@ -699,3 +699,72 @@ def test_variable_outside_the_chart_is_a_config_error(option):
     config = RunConfig(scenario="flat-projection-6-4",
                        **{option: "1+0.1*x6^2"})
     config.build_change(get_scenario(config.scenario))
+
+
+# ---- the LAPACK routines a run calls --------------------------------------
+
+with open(os.path.join(ROOT, "perfbench", "workloads.json")) as fh:
+    PERFBENCH_ARGS = {name: spec["args"] for name, spec in
+                      json.load(fh)["workloads"].items()}
+
+
+def spied_lapack(monkeypatch):
+    """Counts of the calls a run makes to ``np.linalg.eigvalsh``, ``svd``
+    and ``cholesky``, and of its rank certificates (``maps`` calling
+    ``certified_above``)."""
+    calls = dict.fromkeys(("eigvalsh", "svd", "cholesky", "rank"), 0)
+
+    def counting(name, inner):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return spy
+
+    for name in ("eigvalsh", "svd", "cholesky"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(maps, "certified_above",
+                        counting("rank", maps.certified_above))
+    return calls
+
+
+@pytest.mark.parametrize("workload", sorted(PERFBENCH_ARGS))
+def test_a_passing_run_calls_neither_eigvalsh_nor_svd(monkeypatch, workload):
+    # each LAPACK routine a run calls is paged into its process: Cholesky
+    # certifies every metric positive definite and phi of full rank, once
+    # per chunk (of 2 points and of 1)
+    calls = spied_lapack(monkeypatch)
+    monkeypatch.setattr(runner, "CHUNK", 2)
+    rep = run_verification(RunConfig(**PERFBENCH_ARGS[workload], samples=3))
+    assert rep["verdict"] == "pass"
+    assert (calls["eigvalsh"], calls["svd"], calls["rank"]) == (0, 0, 2)
+    assert calls["cholesky"] > 0
+
+
+# the identities that read g-bar
+READ_G_BAR = ("tension-transform", "koszul-horizontal", "koszul-vertical",
+              "mean-curvature", "f-divergence", "phh-covariant",
+              "corollary-psh", "corollary-phh")
+
+
+def test_a_metric_below_the_floor_is_judged_by_eigvalsh(monkeypatch):
+    # sigma = 1e7 gives g-bar the least eigenvalue sigma^-2 = 1e-14, below
+    # the floor 1e-12: the certificate fails, and eigvalsh gives each point
+    # the error it gave before the certificate
+    def as_dict(self):
+        return dict(inner(self), errors=self.errors)
+
+    inner = IdentityAggregate.as_dict
+    monkeypatch.setattr(IdentityAggregate, "as_dict", as_dict)
+    calls = spied_lapack(monkeypatch)
+    config = RunConfig(scenario="flat-projection-4-2", sigma="1e7", samples=3)
+    rep = run_verification(config)
+    assert calls["eigvalsh"] > 0 and calls["svd"] == 0
+    points = sample_points(get_scenario(config.scenario), 3, config.seed)
+    assert {row["name"]: row["errors"] for row in rep["per_identity"]} == {
+        name: [{"point": p.tolist(),
+                "error": "metric not positive definite at %s (min "
+                         "eigenvalue 1e-14)" % (p.tolist(),)}
+               for p in points] if name in READ_G_BAR else []
+        for name in ALL_IDENTITIES}
+    assert rep["verdict"] == "fail"
