@@ -22,10 +22,14 @@ reader, ``manifold.sum_terms``:
 
 A mutant is a wrong law, put in place with ``monkeypatch``:
 
-- "drop <term>": ``sum_terms``, rebound in every ``phmorph`` module that
-  binds it, sums a law's terms without the one of that name;
+- five per term, generated from its name: ``sum_terms``, rebound in every
+  ``phmorph`` module that binds it, sums a law's terms with the one of that
+  name dropped, or times -1, 1/2, 3/2 or 2 (a wrong sign or coefficient:
+  2n - 1 for 2n - 2 at n = 2 is 3/2 times f-divergence's correction);
   ``test_each_term_of_a_law_has_a_drop_mutant`` records the names each law
-  passes to ``sum_terms`` and asserts that those are its "drop" rows;
+  passes to ``sum_terms`` and asserts that those are its rows, and
+  ``test_a_term_scaled_by_one_leaves_every_report_unchanged`` that at
+  scale 1 the generator leaves every report byte-identical;
 - in each sigma^2-scaled law, sigma in place of sigma^2 (the change's
   ``factor_values`` give the square root of sigma, which only that reader
   squares);
@@ -39,12 +43,15 @@ Each runs over seven runs at 20 samples and seed 5, each run checking only
 the mutated identity: six PHWC runs, where both defects of phwc-equivalence
 are round-off, and nonphwc-anisotropic, where both are large and every
 other law is skipped.  A run catches a mutant where that identity does not
-pass; unmutated, it passes on every run that checks it.  ``CATCHES`` is the
-table of the runs that catch each mutant, and every mutant must be caught
-by at least one of them, except those that no run catches: each is a strict
-xfail naming ROADMAP item 2, whose scenario would reach its term.
+pass; unmutated, it passes on every run that checks it.  ``CATCHES`` has
+one row per (law, term): the runs that catch each of the term's five
+mutants.  ``MUTANTS`` adds the other mutants' own rows, and every mutant
+must be caught by exactly its row's runs, at least one, except those that
+no run catches: each is a strict xfail naming ROADMAP item 2, whose
+scenario would reach its term.
 """
 
+import json
 import sys
 
 import numpy as np
@@ -72,50 +79,61 @@ RUNS = {
 
 # the PHWC runs: every law but phwc-equivalence is skipped on the seventh
 ALL = set(RUNS) - {"nonphwc-anisotropic"}
-# the runs that catch each mutant; the correction vanishes on curved-fibers
-# and flat-4-2 (n = 1, rho = 1), readme-6-4's rho varies along the fibres
-# only, so dphi kills its grad ln rho, and F div_H F and H((nabla_X F)Y) are
-# round-off or 0 on every run, whose J has nabla J = 0
+# the runs that catch each term's mutants, one row per (law, term); the
+# correction vanishes on curved-fibers and flat-4-2 (n = 1, rho = 1),
+# readme-6-4's rho varies along the fibres only, so dphi kills its
+# grad ln rho, and F div_H F and H((nabla_X F)Y) are round-off or 0 on every
+# run, whose J has nabla J = 0
 CATCHES = {
-    ("tension-transform", "drop L(g)"): {"curved-fibers"},
-    ("tension-transform", "drop correction"): {"readme-6-4", "hopf",
-                                               "holomorphic-poly"},
+    ("tension-transform", "L(g)"): {"curved-fibers"},
+    ("tension-transform", "correction"): {"readme-6-4", "hopf",
+                                          "holomorphic-poly"},
+    ("tension-transform", "(2n - m) grad ln rho"): {
+        "hopf", "holomorphic-poly", "flat-6-4"},
+    ("tension-transform", "(2 - 2n) grad ln sigma"): {"readme-6-4",
+                                                     "flat-6-4"},
+    ("mean-curvature", "L(g)"): {"curved-fibers"},
+    ("mean-curvature", "correction"): {"hopf", "holomorphic-poly",
+                                       "flat-6-4"},
+    ("f-divergence", "L(g)"): set(),
+    ("f-divergence", "correction"): {"readme-6-4", "flat-6-4"},
+    ("koszul-horizontal", "g(X, Y) grad_H ln sigma"): ALL,
+    ("koszul-horizontal", "X(ln sigma) Y"): ALL,
+    ("koszul-horizontal", "H(nabla_X Y)"): {"hopf"},
+    ("koszul-horizontal", "Y(ln sigma) X"): ALL,
+    ("koszul-vertical", "d(rho^-2)"): {"hopf", "holomorphic-poly",
+                                       "flat-6-4"},
+    ("koszul-vertical", "H(nabla_V V)"): {"holomorphic-poly",
+                                          "curved-fibers"},
+    ("phh-covariant", "H((nabla_X F)Y)"): set(),
+    ("phh-covariant", "g(X, FY) grad_H ln sigma"): ALL,
+    ("phh-covariant", "FY(ln sigma) X"): ALL,
+    ("phh-covariant", "Y(ln sigma) FX"): ALL,
+    ("phh-covariant", "g(X, Y) F grad_H ln sigma"): ALL,
+    ("tension-f-structure", "(m - 2n) mu^V"): {"curved-fibers"},
+    ("tension-f-structure", "F div_H F"): set(),
+    ("pullback", "Christoffel term"): {"hopf"},
+    ("pullback", "g^ij d_i d_j f"): {"hopf"},
+}
+# each term's five mutants, by name: dropped (scale 0), or scaled
+SCALINGS = {"drop {}": 0.0, "{} * -1": -1.0, "{} * 1/2": 0.5,
+            "{} * 3/2": 1.5, "{} * 2": 2.0}
+# (law, mutant) -> (term, scale), for every term of CATCHES
+TERM_MUTANTS = {(law, how.format(term)): (term, scale)
+                for law, term in CATCHES for how, scale in SCALINGS.items()}
+# the runs that catch each mutant: a term's row, or its own below
+MUTANTS = {mutant: CATCHES[mutant[0], term]
+           for mutant, (term, _) in TERM_MUTANTS.items()} | {
     ("tension-transform", "sigma for sigma^2"): {
         "readme-6-4", "hopf", "holomorphic-poly", "curved-fibers"},
-    ("tension-transform", "drop (2n - m) grad ln rho"): {
-        "hopf", "holomorphic-poly", "flat-6-4"},
-    ("tension-transform", "drop (2 - 2n) grad ln sigma"): {"readme-6-4",
-                                                          "flat-6-4"},
-    ("mean-curvature", "drop L(g)"): {"curved-fibers"},
-    ("mean-curvature", "drop correction"): {"hopf", "holomorphic-poly",
-                                            "flat-6-4"},
     ("mean-curvature", "sigma for sigma^2"): {
         "hopf", "holomorphic-poly", "curved-fibers", "flat-6-4"},
-    ("f-divergence", "drop L(g)"): set(),
-    ("f-divergence", "drop correction"): {"readme-6-4", "flat-6-4"},
     ("f-divergence", "sigma for sigma^2"): {"readme-6-4", "flat-6-4"},
     ("corollary-psh", "sigma tau"): {"curved-fibers"},
     ("corollary-psh", "tau"): {"curved-fibers"},
     ("corollary-phh", "n for n - 1"): {"readme-6-4", "curved-fibers",
                                        "flat-4-2", "flat-6-4"},
     ("corollary-phh", "0"): {"readme-6-4", "flat-6-4"},
-    ("koszul-horizontal", "drop g(X, Y) grad_H ln sigma"): ALL,
-    ("koszul-horizontal", "drop X(ln sigma) Y"): ALL,
-    ("koszul-horizontal", "drop H(nabla_X Y)"): {"hopf"},
-    ("koszul-horizontal", "drop Y(ln sigma) X"): ALL,
-    ("koszul-vertical", "drop d(rho^-2)"): {"hopf", "holomorphic-poly",
-                                            "flat-6-4"},
-    ("koszul-vertical", "drop H(nabla_V V)"): {"holomorphic-poly",
-                                               "curved-fibers"},
-    ("phh-covariant", "drop H((nabla_X F)Y)"): set(),
-    ("phh-covariant", "drop g(X, FY) grad_H ln sigma"): ALL,
-    ("phh-covariant", "drop FY(ln sigma) X"): ALL,
-    ("phh-covariant", "drop Y(ln sigma) FX"): ALL,
-    ("phh-covariant", "drop g(X, Y) F grad_H ln sigma"): ALL,
-    ("tension-f-structure", "drop (m - 2n) mu^V"): {"curved-fibers"},
-    ("tension-f-structure", "drop F div_H F"): set(),
-    ("pullback", "drop Christoffel term"): {"hopf"},
-    ("pullback", "drop g^ij d_i d_j f"): {"hopf"},
     ("phwc-equivalence", "commutator defect read as 0"): {
         "nonphwc-anisotropic"},
     ("phwc-equivalence", "metric-compatibility defect read as 0"): {
@@ -123,7 +141,7 @@ CATCHES = {
     ("phwc-equivalence", "pass only where both are below tol"): {
         "nonphwc-anisotropic"},
 }
-LAWS = sorted({law for law, _ in CATCHES})
+LAWS = sorted({law for law, _ in MUTANTS})
 
 
 def psh_prediction(how):
@@ -162,13 +180,15 @@ def rebind_sum_terms(monkeypatch, replacement):
             monkeypatch.setattr(module, "sum_terms", replacement)
 
 
-def dropping(dropped):
-    """``sum_terms`` without the term named ``dropped``."""
-    def sum_kept(terms):
-        return sum_terms({name: term for name, term in terms.items()
-                          if name != dropped})
+def scaling(scaled, scale):
+    """``sum_terms`` with the term named ``scaled`` times ``scale``, or
+    without it where ``scale`` is 0."""
+    def sum_scaled(terms):
+        return sum_terms({name: term * scale if name == scaled else term
+                          for name, term in terms.items()
+                          if name != scaled or scale})
 
-    return sum_kept
+    return sum_scaled
 
 
 def phwc_equivalence_mutant(monkeypatch, how):
@@ -191,8 +211,8 @@ def phwc_equivalence_mutant(monkeypatch, how):
 
 
 def apply(monkeypatch, law, how):
-    if how.startswith("drop "):
-        rebind_sum_terms(monkeypatch, dropping(how.removeprefix("drop ")))
+    if (law, how) in TERM_MUTANTS:
+        rebind_sum_terms(monkeypatch, scaling(*TERM_MUTANTS[law, how]))
     elif how == "sigma for sigma^2":
         # a scaled law's run reads factor_values only in ``_scaled_law``
         values = ChangedMetric.factor_values
@@ -206,15 +226,17 @@ def apply(monkeypatch, law, how):
         phwc_equivalence_mutant(monkeypatch, how)
 
 
+def reports(law):
+    """Per run, the report of that run checking ``law`` alone."""
+    return {run: run_verification(RunConfig(samples=20, seed=5,
+                                            identities=[law], **args))
+            for run, args in RUNS.items()}
+
+
 def verdicts(law):
     """Per run, whether ``law`` passed, or None where it is skipped."""
-    out = {}
-    for run, args in RUNS.items():
-        report = run_verification(RunConfig(samples=20, seed=5,
-                                            identities=[law], **args))
-        rows = report["per_identity"]
-        out[run] = rows[0]["passed"] if rows else None
-    return out
+    return {run: rows[0]["passed"] if (rows := report["per_identity"])
+            else None for run, report in reports(law).items()}
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -233,18 +255,28 @@ def test_each_term_of_a_law_has_a_drop_mutant(monkeypatch, law):
 
     rebind_sum_terms(monkeypatch, recording)
     verdicts(law)
-    assert {"drop " + name for name in names} == {
-        how for row, how in CATCHES if row == law and how.startswith("drop ")}
+    assert names == {term for row, term in CATCHES if row == law}
+
+
+@pytest.mark.parametrize("law", sorted({law for law, _ in CATCHES}))
+def test_a_term_scaled_by_one_leaves_every_report_unchanged(monkeypatch, law):
+    # a generator that reorders, copies or re-casts the terms shows here
+    unmutated = json.dumps(reports(law))
+    for row, term in CATCHES:
+        if row == law:
+            with monkeypatch.context() as patch:
+                rebind_sum_terms(patch, scaling(term, 1.0))
+                assert json.dumps(reports(law)) == unmutated, term
 
 
 @pytest.mark.parametrize("law, how", [
     pytest.param(*mutant, marks=pytest.mark.xfail(
-        strict=True, reason="the dropped term is round-off or 0 on every "
-        "bundled run: ROADMAP item 2's conformal-6-4 scenario (nabla J != 0) "
-        "would reach it"))
-    if not CATCHES[mutant] else mutant for mutant in CATCHES])
+        strict=True, reason="the term is round-off or 0 on every bundled "
+        "run: ROADMAP item 2's conformal-6-4 scenario (nabla J != 0) would "
+        "reach it"))
+    if not MUTANTS[mutant] else mutant for mutant in MUTANTS])
 def test_a_mutant_is_caught(monkeypatch, law, how):
     apply(monkeypatch, law, how)
     caught = {run for run, ok in verdicts(law).items() if ok is False}
-    assert caught == CATCHES[(law, how)]
+    assert caught == MUTANTS[law, how]
     assert caught, "no run catches %s: %s" % (law, how)
