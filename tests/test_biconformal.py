@@ -31,9 +31,9 @@ from phmorph import (
 )
 from phmorph.biconformal import (PROPERTIES, IdentityAggregate,
                                  corollary_at, phh_correction)
-from phmorph.manifold import quad, sum_terms
-from phmorph.maps import horizontal_projector
-from phmorph.hermitian import phwc_defect
+from phmorph.manifold import directional_derivative, quad, sum_terms
+from phmorph.maps import differential, horizontal_projector
+from phmorph.hermitian import adapted_frame, phwc_defect
 from phmorph.runner import RunContext, run_identity
 from tests.expr_text import to_text
 from tests.test_exact_derivatives import rotated_j
@@ -443,17 +443,112 @@ def test_phh_covariant_formula(name, sigma, rho):
 # ---- the tolerance rejects wrong laws ------------------------------------
 # A dropped term, or a wrong sign or coefficient of one, is a generated
 # mutant of tests/test_mutants.py: each of a law's named terms dropped or
-# times -1, 1/2, 3/2 or 2, caught by the runs of that term's row.  The
-# wrong laws here are not term mutants.  Each is rebuilt through the public
-# functions or put in place with ``monkeypatch``, and must miss by more than
-# the run's tolerance at every point, while the verifier passes there.
+# times -1, 1/2, 3/2 or 2, caught by the runs of that term's row.  The first
+# four wrong laws here drop one such term and are rebuilt by hand, a check
+# of the generator that does not go through sum_terms; the rest are not term
+# mutants.  Each is rebuilt through the public functions or put in place
+# with ``monkeypatch``, and must miss by more than the run's tolerance at
+# every point, while the verifier passes there.
 
 TOL_FD = pm.RunConfig(scenario="flat-projection-6-4").tol_fd
+MUTATION_CASE = ("flat-projection-6-4", "exp(0.2*x1+0.1*x2)", "1+0.2*x2^2")
 
 
 def relative_residual(lhs, rhs):
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
     return np.max(np.abs(lhs - rhs)) / (scale + 1.0)
+
+
+def test_tolerance_rejects_tension_transform_without_the_rho_term():
+    sc, gbar = gbar_for(*MUTATION_CASE)
+    phi = sc.phi
+    for p in sample_points(sc, 4, seed=5):
+        geo = at(phi, p)
+        lhs = tension_field(geo.under(gbar))
+        tau = tension_field(geo)
+        grad_ls, _ = gbar.grad_log_factors(geo)
+        s, _ = gbar.factor_values(geo)
+        # (2n - m) grad ln rho dropped
+        wrong = s ** 2 * (tau + differential(geo)
+                          @ ((2.0 - phi.two_n) * grad_ls))
+        assert relative_residual(lhs, wrong) > TOL_FD, p
+        r = verify_tension_transform(gbar, at(phi, [p]), tol=TOL_FD)
+        assert passes(r), p
+
+
+def test_tolerance_rejects_mean_curvature_without_the_rho_term():
+    sc, gbar = gbar_for(*MUTATION_CASE)
+    phi = sc.phi
+    for p in sample_points(sc, 4, seed=5):
+        geo = at(phi, p)
+        lhs = mean_curvature_vertical(geo.under(gbar))
+        mu = mean_curvature_vertical(geo)
+        s, _ = gbar.factor_values(geo)
+        wrong = s ** 2 * mu  # H(grad ln rho) dropped
+        assert relative_residual(lhs, wrong) > 100 * TOL_FD, p
+        r = verify_mean_curvature(gbar, at(phi, [p]), tol=TOL_FD)
+        assert passes(r), p
+
+
+def test_tolerance_rejects_koszul_horizontal_without_the_gxy_term():
+    sc, gbar = gbar_for(*MUTATION_CASE)
+    phi = sc.phi
+    rng = np.random.default_rng(6)
+    for p in sample_points(sc, 4, seed=5):
+        x_comp, y_comp = rng.normal(size=(2, phi.m))
+
+        def y_field(q):
+            return horizontal_projector(at(phi, q)) @ y_comp
+
+        geo = at(phi, p)
+        ph = horizontal_projector(geo)
+        x, y = ph @ x_comp, y_field(p)
+        dy = directional_derivative(y_field, p, x)  # the Richardson oracle
+        lhs = ph @ geo.under(gbar).covariant_derivative(x, y, dy)
+        g = phi.source.metric_at(p)[0]
+        dls = g @ gbar.grad_log_factors(geo)[0]  # covector of ln sigma
+        wrong = ph @ geo.covariant_derivative(x, y, dy)
+        for f_i in adapted_frame(geo).horizontal:
+            # g(X, Y) grad_H ln sigma, the (dls @ f_i) g(X, Y) f_i sum, dropped
+            wrong = wrong + (-(dls @ x) * float(y @ g @ f_i)
+                             - (dls @ y) * float(x @ g @ f_i)) * f_i
+        dropped = float(x @ g @ y) * (ph @ gbar.grad_log_factors(geo)[0])
+        assert np.max(np.abs(dropped)) > 1e-3, p
+        assert relative_residual(lhs, wrong) > TOL_FD, p
+        r = verify_koszul_h(gbar, at(phi, [p]), x_comp, y_comp,
+                              tol=TOL_FD)
+        assert passes(r), p
+
+
+def test_tolerance_rejects_phh_covariant_without_the_y_ln_sigma_term():
+    sc, gbar = gbar_for(*MUTATION_CASE)
+    phi = sc.phi
+    rng = np.random.default_rng(7)
+    for p in sample_points(sc, 4, seed=5):
+        x_comp, y_comp = rng.normal(size=(2, phi.m))
+        geo = at(phi, p)
+        ph = horizontal_projector(geo)
+        x, y = ph @ x_comp, ph @ y_comp
+        f = pm.f_structure(geo)
+        df = pm.hermitian.d_f_structure(geo)
+        gamma_bar = geo.under(gbar).christoffel
+        nab_bar = pm.hermitian.nabla_f_operator(f, df, gamma_bar)
+        lhs = ph @ np.einsum("i,ikj,j->k", x, nab_bar, y)
+        nab = pm.hermitian.nabla_f_operator(f, df,
+                                            phi.source.christoffel(p))
+        g = phi.source.metric_at(p)[0]
+        grad_ls = gbar.grad_log_factors(geo)[0]
+        grad_h, dls = ph @ grad_ls, g @ grad_ls
+        dropped = float(dls @ y) * (f @ x)  # Y(ln sigma) FX
+        wrong = (ph @ np.einsum("i,ikj,j->k", x, nab, y)
+                 + float(x @ g @ f @ y) * grad_h
+                 - float(dls @ f @ y) * x
+                 - float(x @ g @ y) * (f @ grad_h))
+        assert np.max(np.abs(dropped)) > 1e-3, p
+        assert relative_residual(lhs, wrong) > TOL_FD, p
+        r = verify_phh_covariant_formula(gbar, at(phi, [p]), x_comp, y_comp,
+                                         tol=TOL_FD)
+        assert passes(r), p
 
 
 def test_tolerance_rejects_koszul_vertical_without_the_test_field_derivative():
@@ -488,7 +583,7 @@ def test_tolerance_rejects_corollary_psh_with_a_wrong_rho_exponent():
     # tension under the changed metric no longer cancels
     sc = get_scenario("flat-projection-6-4")
     phi = sc.phi
-    sigma = parse("exp(0.2*x1+0.1*x2)")
+    sigma = parse(MUTATION_CASE[1])
     exponent = -(2.0 * phi.n - 1.0) / (phi.m - phi.two_n)
     wrong = ChangedMetric(phi, sigma, pm.exprs.Binary(
         "pow", sigma, pm.exprs.Lit(exponent)))
