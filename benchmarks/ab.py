@@ -20,9 +20,8 @@ task is either
   a workload's one set-up reading does.
 
 Both workers use this checkout's perfbench code.  Each imports its own
-tree's ``benchmarks/bench_layers.py`` (this checkout's when the tree has
-none, or for a read that the tree's copy lacks), so a layer read can
-compare trees whose library API differs.
+tree's ``benchmarks/bench_layers.py``, so a layer read can compare trees
+whose library API differs.
 The outcome of every run (exit code, verdict, skipped identities, flag
 outcomes and per-identity counts of a workload) must be the same on both
 sides, or the tool exits 1.  For each task it prints each side's median and
@@ -39,7 +38,6 @@ the repository root, with the parent commit checked out elsewhere
 """
 
 import argparse
-import importlib.util
 import json
 import os
 import statistics
@@ -58,11 +56,9 @@ def worker(root, samples):
     """Serve timing requests ``[task, seed]`` on stdin, one JSON line each,
     answering ``[seconds, outcome, setup seconds]`` (the last None for a
     layer read), with phmorph imported from ROOT/src and ``bench_layers``
-    from ROOT/benchmarks if it is there."""
+    from ROOT/benchmarks."""
     src = os.path.join(os.path.abspath(root), "src")
     benches = os.path.join(os.path.abspath(root), "benchmarks")
-    if not os.path.isfile(os.path.join(benches, "bench_layers.py")):
-        benches = HERE
     sys.path[:0] = [src, benches, PERFBENCH]
     import phmorph
     from phmorph import cli
@@ -109,26 +105,26 @@ def worker(root, samples):
 def layer(kind, args, setups):
     """One round of a ``bench_layers`` read: (seconds, outcome).  Its
     set-up comes from ``setups``, one per task, so that successive rounds
-    read successive sample points, as ``bench_layers`` does; a ``setup``
-    task keeps its read there."""
+    read successive sample points, as ``bench_layers`` does.  An identity
+    read folds each round into a fresh ``IdentityAggregate``."""
     import bench_layers
+    if kind == "setup":
+        start = time.perf_counter()
+        bench_layers.set_up(args[0])
+        return time.perf_counter() - start, None
     rows = bench_layers.CHUNK_ROWS if kind == "chunk_fill" else None
     key = (kind,) + tuple(args)
-    if kind == "setup":
-        if key not in setups:
-            setups[key] = getattr(bench_layers, "set_up", None) or \
-                this_checkouts_bench_layers().set_up
-        start = time.perf_counter()
-        setups[key](args[0])
-        return time.perf_counter() - start, None
     if key not in setups:
         setups[key] = bench_layers.fresh_runs(args[0], rows)
     (run, point, idx), _ = setups[key]()
     if kind == "chunk_fill":
         read = bench_layers.fill
     elif kind == "identity":
+        agg = bench_layers.IdentityAggregate(args[1])
+
         def read(run, point, idx):
-            return bench_layers.run_identity(args[1], run, point, idx)
+            bench_layers.run_identity(args[1], run, point, idx, agg)
+            return agg
     else:
         raise ValueError("unknown task kind %r" % kind)
     start = time.perf_counter()
@@ -137,26 +133,11 @@ def layer(kind, args, setups):
     return seconds, None if out is None else counts(out)
 
 
-def this_checkouts_bench_layers():
-    """This checkout's ``bench_layers``, run on the worker's tree."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_layers_here", os.path.join(HERE, "bench_layers.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def counts(out):
-    """[pass, fail and error counts, errors] of an identity read: its
-    ``IdentityAggregate``, or, from a tree whose checks give one report per
-    row, the list of those reports."""
-    if not isinstance(out, list):
-        return [out.samples_pass, out.samples_fail, out.samples_error,
-                out.errors]
-    errors = [{"point": rep.point, "error": rep.error} for rep in out
-              if rep.error is not None]
-    passed = sum(rep.passed for rep in out)
-    return [passed, len(out) - passed - len(errors), len(errors), errors]
+def counts(agg):
+    """[pass, fail and error counts, errors] of an identity read's
+    ``IdentityAggregate``."""
+    return [agg.samples_pass, agg.samples_fail, agg.samples_error,
+            agg.errors]
 
 
 class Worker:

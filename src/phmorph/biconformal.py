@@ -30,8 +30,9 @@ names), against exact predictions from g-side quantities: a PHWC defect of
 0, the tension field sigma^2 tau, and a PHH defect of
 sigma sqrt(8 (n - 1)) |grad_H ln sigma|, the frame norm of phh-covariant's
 correction in closed form.  Every residual, defect and flag is read by one
-rule (``_reading``): a per-row defect against its scale, and a row whose
-defect or scale is not finite is a sample error.
+rule (``_reading``): a per-row defect against its scale, which gives the
+four arrays; a row passes where its relative residual is below the
+tolerance, and a row whose defect or scale is not finite is a sample error.
 """
 
 from __future__ import annotations
@@ -257,22 +258,22 @@ class IdentityAggregate:
                     passed=self.passed)
 
 
-def _reading(defect, scale):
+def _reading(defect, scale, tol=np.inf):
     """The one reading of a per-row defect against its scale: (defect,
-    defect / (scale + ``REL_FLOOR``), finite), a row being finite where both
-    its defect and its scale are."""
-    return (defect, defect / (scale + REL_FLOOR),
-            np.isfinite(defect) & np.isfinite(scale))
+    rel = defect / (scale + ``REL_FLOOR``), finite, passed), a row being
+    finite where both its defect and its scale are, and passed where
+    rel < ``tol`` (every finite row by default, as a flag reads it)."""
+    rel = defect / (scale + REL_FLOOR)
+    return defect, rel, np.isfinite(defect) & np.isfinite(scale), rel < tol
 
 
 def _compare(lhs, rhs, tol):
     """The reading of lhs = rhs (components on the last axis) per row, read
     against the larger side, and whether each row is within ``tol``."""
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    absr, rel, finite = _reading(
+    return _reading(
         np.abs(lhs - rhs).max(axis=-1),
-        np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1)))
-    return absr, rel, finite, rel < tol
+        np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1)), tol)
 
 
 def worst_of(readings):
@@ -480,11 +481,11 @@ def verify_phwc_equivalence(geo: LocalGeometry, tol: float = 1e-6):
     horizontal space, so at a critical point of phi it raises ``RankError``,
     a sample error, as in every other law; a row where either reading is
     not finite is errored."""
-    d1, r1, finite1 = _reading(*phwc_defect(geo))
-    d2, r2, finite2 = _reading(*phwc_metric_defect(geo))
+    d1, r1, finite1, ok1 = _reading(*phwc_defect(geo), tol)
+    d2, r2, finite2, ok2 = _reading(*phwc_metric_defect(geo), tol)
     # the larger of each pair, the first where they tie
     return (np.where(d2 > d1, d2, d1), np.where(r2 > r1, r2, r1),
-            finite1 & finite2, (r1 < tol) == (r2 < tol))
+            finite1 & finite2, ok1 == ok2)
 
 
 # ---- properties of phi, read under g and under a change -----------------
@@ -500,12 +501,9 @@ class Property:
 
     def reading(self, geo: LocalGeometry, prediction=0.0, tol=np.inf):
         """The ``_reading`` per row of the largest component of the value
-        less ``prediction``, against the scale, and whether each row is
-        within ``tol`` (every finite row by default, as a flag reads it)."""
+        less ``prediction``, against the scale, within ``tol``."""
         value, scale = self.measure(geo)
-        absr, rel, finite = _reading(np.abs(value - prediction).max(axis=-1),
-                                     scale)
-        return absr, rel, finite, rel < tol
+        return _reading(np.abs(value - prediction).max(axis=-1), scale, tol)
 
 
 def _defect(defect, scale):  # a defect as a value of one component

@@ -16,10 +16,12 @@ Second derivatives are read from the map's jets alone (``SmoothMap.jets``,
 by the tension field and, through ``HOLOMORPHIC_BUILTINS``, by the
 pullbacks' Laplacians), which stay second order.  The result of an
 operation has the lower order of its two operands, and a number operand
-stays a number: ``c * x``, ``x + c``, ``x - c``, ``c - x``, ``c / x`` and
-``x / c`` scale or shift the jet's arrays, with the bits of the product
-with a constant jet (``x / c`` is ``x * (1 / c)``).  A jet keeps its
-reciprocal after the first division by it.
+stays a number: ``c * x``, ``x + c``, ``c / x`` and ``x / c`` scale or
+shift the jet's arrays, with the bits of the product with a constant jet
+(``x / c`` is ``x * (1 / c)``).  Subtraction is negated addition: ``x - y``
+is ``x + (-y)`` and ``y - x`` is ``-x + y``, which IEEE arithmetic rounds
+as the difference, bit for bit.  A jet keeps its reciprocal after the first
+division by it.
 
 A jet's value has a batch shape, ``()`` for one point or ``(B,)`` for B
 points, its gradient that shape + (d,) and its Hessian that shape + (d, d);
@@ -56,12 +58,6 @@ def first(values, bad):
     """The entry (or point) of the first row where the mask ``bad`` holds,
     which an error message names."""
     return np.asarray(values)[bad][0]
-
-
-def _both(op, a, b):
-    """``op(a, b)`` of two operands' Hessians: None, the first order, where
-    either has none."""
-    return None if a is None or b is None else op(a, b)
 
 
 class Jet2:
@@ -147,24 +143,16 @@ class Jet2:
         if isinstance(o, float):
             return Jet2(self.value + o, self.grad, self.hess, _check=False)
         return Jet2(self.value + o.value, self.grad + o.grad,
-                    _both(np.add, self.hess, o.hess), _check=False)
+                    None if self.hess is None or o.hess is None
+                    else self.hess + o.hess, _check=False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._operand(other)
-        if isinstance(o, float):
-            return Jet2(self.value - o, self.grad, self.hess, _check=False)
-        return Jet2(self.value - o.value, self.grad - o.grad,
-                    _both(np.subtract, self.hess, o.hess), _check=False)
+        return self + -self._operand(other)
 
     def __rsub__(self, other):
-        o = self._operand(other)
-        if isinstance(o, float):
-            return Jet2(o - self.value, -self.grad,
-                        None if self.hess is None else -self.hess,
-                        _check=False)
-        return o - self
+        return -self + self._operand(other)
 
     def __mul__(self, other):
         o = self._operand(other)

@@ -18,8 +18,10 @@ g finite, symmetric and positive definite, by Cholesky), and its readers
 ``inverse_metric_at`` and ``christoffel`` compute on each call
 (``check_metric`` also validates g-bar, ``biconformal.ChangedMetric``, which
 reads a map's geometry).  What a run reads at a point is kept once,
-read-only, in the ``maps.LocalGeometry`` that the runner builds for a chunk
-of points and drops after it.  ``jet_matrix_and_derivs`` is a boundary where
+read-only (``read_only``: the arrays themselves, frozen by ``each_array``,
+the one walker over an array, a tuple or a Jet2), in the
+``maps.LocalGeometry`` that the runner builds for a chunk of points and
+drops after it.  ``jet_matrix_and_derivs`` is a boundary where
 non-finite jets are caught (see ``jets``).  Every function takes a point
 (shape (m,)) or a batch of points (shape (B, m)); a check fails if it fails
 at some row, and names the first such row.  A vector is a plain array of its
@@ -63,16 +65,9 @@ def each_array(fn, value):
 
 
 def read_only(value):
-    """Make every array that ``value`` holds read-only, in place: itself, or
-    in a tuple or a Jet2; returns the value."""
-    if isinstance(value, Jet2):
-        read_only((value.value, value.grad, value.hess))
-    elif isinstance(value, tuple):
-        for item in value:
-            read_only(item)
-    elif isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    return value
+    """``value`` with every array it holds made read-only in place: the
+    same arrays, in a new tuple or Jet2 (``each_array``)."""
+    return each_array(lambda a: a.setflags(write=False) or a, value)
 
 
 # Contractions as numpy's @, one BLAS call per matrix of a batch, which

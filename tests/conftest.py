@@ -1,6 +1,5 @@
 """Shared fixtures: scenario registry access and cached sample points."""
 
-import numpy as np
 import pytest
 
 import phmorph as pm
@@ -9,15 +8,6 @@ import phmorph as pm
 @pytest.fixture(scope="session")
 def all_scenarios():
     return {name: pm.get_scenario(name) for name in pm.list_scenarios()}
-
-
-@pytest.fixture(scope="session")
-def phwc_scenarios(all_scenarios):
-    return {
-        name: sc
-        for name, sc in all_scenarios.items()
-        if sc.expected_flags.get("phwc") is True
-    }
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +21,3 @@ def points_for():
         return cache[key]
 
     return get
-
-
-def rng_for(*tag):
-    return np.random.default_rng(list(tag))

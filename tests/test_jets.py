@@ -355,6 +355,54 @@ def test_a_number_operand_equals_its_constant_jet(name, c, points, order):
             part
 
 
+def same_bits(a, b):
+    """a and b hold the same floats, signed zeros included (``array_equal``
+    takes -0 for +0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
+# each subtraction of a jet, and its parts as componentwise differences:
+# a number has no derivatives, and an array is a constant jet's value
+SUBTRACTIONS = {
+    "x-y": (lambda x, y, c, a: x - y,
+            lambda x, y, c, a: (x.value - y.value, x.grad - y.grad,
+                                None if x.hess is None or y.hess is None
+                                else x.hess - y.hess)),
+    "x-c": (lambda x, y, c, a: x - c,
+            lambda x, y, c, a: (x.value - c, x.grad, x.hess)),
+    "c-x": (lambda x, y, c, a: c - x,
+            lambda x, y, c, a: (c - x.value, -x.grad,
+                                None if x.hess is None else -x.hess)),
+    "x-a": (lambda x, y, c, a: x - a,
+            lambda x, y, c, a: (x.value - a, x.grad - 0.0,
+                                None if x.hess is None else x.hess - 0.0)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SUBTRACTIONS)), NUMBERS, BATCHES,
+       st.sampled_from([1, 2]), st.sampled_from([1, 2]))
+# signed zeros in every part: at x1 = -0 the products' values and
+# derivatives are zeros of both signs
+@example("x-y", 0.0, np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -0.0]]), 2, 2)
+@example("c-x", 0.0, np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -0.0]]), 2, 1)
+def test_subtraction_gives_the_componentwise_differences(name, c, points,
+                                                         order_x, order_y):
+    x1, x2, x3 = seed_coordinates(points, order_x)
+    y1, y2, y3 = seed_coordinates(points, order_y)
+    x = x1 * x2 + jets.sin(x3) * x1  # jets with full Hessians
+    y = y2 * y3 + jets.cos(y1) * y3
+    a = points[:, 0] * 0.5
+    jet_route, parts = SUBTRACTIONS[name]
+    result, expected = jet_route(x, y, c, a), parts(x, y, c, a)
+    assert result.order == (1 if expected[2] is None else 2)
+    for part, want in zip(("value", "grad", "hess"), expected):
+        if want is not None:
+            assert same_bits(getattr(result, part), want), part
+
+
 def counting_reciprocals():
     """A patch of ``Jet2._chain`` that records the jet of each reciprocal it
     computes, and the list it records them in."""

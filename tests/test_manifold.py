@@ -275,6 +275,22 @@ def test_memoized_metric_arrays_are_read_only():
             array[0, 0] = 2.0
 
 
+def test_read_only_freezes_the_arrays_it_is_given_without_copying():
+    x1, x2 = seed_coordinates([[0.5, 1.5], [2.0, -1.0]])
+    second = x1 * x2
+    first_order = seed_coordinates([0.5, 1.5], order=1)[0] * 3.0
+    array = np.arange(4.0)
+    value = (array, second, first_order, 2.5)
+    inputs = [array, second.value, second.grad, second.hess,
+              first_order.value, first_order.grad]
+    out = manifold.read_only(value)
+    assert out[3] is value[3] and out[2].hess is None
+    outputs = [out[0], out[1].value, out[1].grad, out[1].hess, out[2].value,
+               out[2].grad]
+    for given_array, kept in zip(inputs, outputs):
+        assert kept is given_array and not kept.flags.writeable
+
+
 def test_out_of_domain_point_fails_on_every_call():
     metric = CountingMetric(2, lambda p: np.eye(2))
     open_half = ChartedRiemannianManifold(
