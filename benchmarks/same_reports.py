@@ -25,6 +25,19 @@ wrote to stderr.  The list:
     where every other law is skipped;
   - ``flat-projection-6-4 --special-sigma 'exp(0.3*x1)'``: the
     one-function change at n = 2, with rho = sigma^-1;
+  - on ``flat-projection-4-2``, one run for each precondition message that
+    a command line reaches besides "rho = ... <= 0" and "metric inversion
+    inaccurate" (which the runs above reach), each exiting 1:
+    ``--sigma 'log(x1)'`` (log of an out-of-domain value), ``--sigma
+    'x1^0.5'`` (a non-integer power of a non-positive base), ``--sigma
+    '1/(x1-x1)'`` (division by zero), ``--sigma 1e200`` (sigma^-2 is not a
+    finite positive number), ``--sigma '1e-154*exp(5*x1)'`` (the
+    derivative of sigma^-2 is not finite) and ``--rho 1e7`` (g-bar is not
+    positive definite, from ``eigvalsh`` after the Cholesky certificate
+    fails); only unit tests reach the others: a point outside the chart
+    domain, a metric that is not finite or not symmetric, a map that is
+    not a submersion, the PHWC condition of an adapted frame, and a test
+    vector with no horizontal or no vertical part;
 - the argument syntax, on ``flat-projection-4-2`` at 20 samples:
   ``--samples=20``, ``--sam 20`` (a unique prefix), ``--seed -1`` (a
   negative number as a value), ``--tol-fd -1e-5`` (a value read as an
@@ -69,7 +82,14 @@ SEED5 = [
      "exp(0.3*x1+0.2*x3)"],
     ["--scenario", "nonphwc-anisotropic"],
     ["--scenario", "flat-projection-6-4", "--special-sigma", "exp(0.3*x1)"],
-]
+] + [["--scenario", "flat-projection-4-2"] + args for args in (
+    ["--sigma", "log(x1)"],
+    ["--sigma", "x1^0.5"],
+    ["--sigma", "1/(x1-x1)"],
+    ["--sigma", "1e200"],
+    ["--sigma", "1e-154*exp(5*x1)"],
+    ["--rho", "1e7"],
+)]
 
 SYNTAX = [
     ["--samples=20"],

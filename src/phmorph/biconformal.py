@@ -11,7 +11,8 @@ derivatives from their jets.  Its one evaluation,
 (the source geometry), where it keeps sigma and rho: ``factor_jets``,
 each expression evaluated once per point, whose values g-bar and the right
 sides of the laws read (no float twin), and ``grad_log_factors``.  A factor
-that is not positive raises ``PositivityError`` on every call.
+that is not positive raises ``PositivityError`` on every call; it and every
+failed precondition here name the first bad row (``jets.reject``).
 
 Every ``verify_*`` routine takes the point context, phi's source geometry
 over a batch of sample points, and, for a law of the change, the
@@ -44,9 +45,9 @@ import numpy as np
 
 from . import exprs, jets
 from .exprs import Expr
-from .jets import JetDomainError, first
+from .jets import JetDomainError, reject
 from .manifold import (GeometryError, MetricError, contract, dot, matvec,
-                       outer, per_k, quad, sum_terms)
+                       outer, per_k, quad, sum_terms, symmetric)
 from .maps import (LocalGeometry, SmoothMap, differential,
                    horizontal_projector, mean_curvature_vertical,
                    tension_field)
@@ -75,22 +76,13 @@ def _inverse_square(name, jet, p):
     value = jet.value
     square = value * value
     weight = np.where(square > 0.0, 1.0 / square, np.inf)
-    bad = ~((0.0 < weight) & (weight < np.inf))
-    if np.count_nonzero(bad):
-        raise MetricError("%s^-2 is not a finite positive number at %s "
-                          "(%s = %g)" % (name, first(p, bad).tolist(), name,
-                                         first(value, bad)))
+    reject(~((0.0 < weight) & (weight < np.inf)), MetricError,
+           "%s^-2 is not a finite positive number at %s (%s = %g)",
+           name, p, name, value)
     d_weight = -2.0 * weight[..., None] * (jet.grad / value[..., None])
-    bad = ~np.isfinite(d_weight).all(axis=-1)
-    if np.count_nonzero(bad):
-        raise MetricError("the derivative of %s^-2 is not finite at %s"
-                          % (name, first(p, bad).tolist()))
+    reject(~np.isfinite(d_weight).all(axis=-1), MetricError,
+           "the derivative of %s^-2 is not finite at %s", name, p)
     return weight, d_weight
-
-
-def _symmetric(a):
-    """The symmetric part of a matrix, or of each (..., k, :, :) slice."""
-    return 0.5 * (a + a.mT)
 
 
 class ChangedMetric:
@@ -144,11 +136,8 @@ class ChangedMetric:
                     raise exprs.EvalError(str(err), rho.pos) from err
             r = jet(rho) if r is None else jets.lift(r, s.dim, p.shape[:-1])
             for name, f in (("sigma", s), ("rho", r)):
-                bad = f.value <= 0.0
-                if np.count_nonzero(bad):
-                    raise PositivityError("%s = %g <= 0 at %s"
-                                          % (name, first(f.value, bad),
-                                             first(p, bad).tolist()))
+                reject(f.value <= 0.0, PositivityError, "%s = %g <= 0 at %s",
+                       name, f.value, p)
             return s, r
 
         return source.field(("factor_jets", self), compute)
@@ -181,9 +170,9 @@ class ChangedMetric:
         w_v, dw_v = _inverse_square("rho", r, p)
         # g^H = g P_H is symmetric up to roundoff by construction, so it and
         # its derivative are symmetrized
-        gh = _symmetric(g @ ph)
-        dgh = _symmetric(dg @ per_k(ph)
-                         + per_k(g) @ source.projector_and_lift_derivs[0])
+        gh = symmetric(g @ ph)
+        dgh = symmetric(dg @ per_k(ph)
+                        + per_k(g) @ source.projector_and_lift_derivs[0])
         w_h, w_v = w_h[..., None, None], w_v[..., None, None]
         gbar = gh * w_h + (g - gh) * w_v
         dgbar = (dw_h[..., None, None] * per_k(gh) + per_k(w_h) * dgh
@@ -290,8 +279,8 @@ def worst_of(readings):
 def _require_horizontal(name, v, geo):
     g, ph = geo.g, geo.projector_and_lift[0]
     hv = matvec(ph, np.asarray(v, dtype=float))
-    if (quad(hv, g, hv) <= 1e-16).any():
-        raise GeometryError("%s has no horizontal part" % name)
+    reject(quad(hv, g, hv) <= 1e-16, GeometryError,
+           "%s has no horizontal part", name)
     return hv
 
 
@@ -341,8 +330,7 @@ def verify_koszul_v(gbar: ChangedMetric, geo: LocalGeometry, v_comp,
     ph = geo.projector_and_lift[0]
     v_comp = np.asarray(v_comp, dtype=float)
     v = v_comp - matvec(ph, v_comp)
-    if (quad(v, g, v) <= 1e-16).any():
-        raise GeometryError("V has no vertical part")
+    reject(quad(v, g, v) <= 1e-16, GeometryError, "V has no vertical part")
     dv = -contract(geo.projector_and_lift_derivs[0].swapaxes(-3, -2),
                    outer(v, v_comp))
     lhs = matvec(ph, geo.under(gbar).covariant_derivative(v, v, dv))

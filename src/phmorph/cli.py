@@ -96,13 +96,14 @@ def _report_csv(report) -> str:
     return "\n".join(rows) + "\n"
 
 
+REPORT_FORMATS = {  # the renderers by ``--format`` value, its choices
+    "json": lambda report: json.dumps(report, indent=2, sort_keys=True,
+                                      allow_nan=False) + "\n",
+    "csv": _report_csv, "text": _report_text}
+
+
 def render_report(report, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
-    if fmt == "csv":
-        return _report_csv(report)
-    return _report_text(report)
+    return REPORT_FORMATS[fmt](report)
 
 
 def _write_report(path: str, payload: str):
@@ -212,7 +213,7 @@ COMMANDS = {
         "--report": Option("report",
                            help="write the report to this path (atomically)"),
         "--format": Option("format", default="json",
-                           choices=("json", "csv", "text")),
+                           choices=tuple(REPORT_FORMATS)),
     }, cmd_verify),
 }
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import first
+from .jets import reject
 from .manifold import (ChartedRiemannianManifold, act_first, contract, dot,
                        jet_matrix_and_derivs, matvec, per_k, sum_terms)
 from .maps import (FrameError, LocalGeometry, check_submersion, differential,
@@ -110,12 +110,8 @@ def _require_phwc(geo):
     the pairs {e, F e} of an adapted frame, and the horizontal traces of
     nabla F, are only meaningful where F is metric compatible on H."""
     md, _ = phwc_metric_defect(geo)
-    bad = md > PHWC_TOL
-    if np.count_nonzero(bad):
-        raise FrameError("the PHWC condition fails: metric compatibility "
-                         "defect %g > %g at %s"
-                         % (first(md, bad), PHWC_TOL,
-                            first(geo.p, bad).tolist()))
+    reject(md > PHWC_TOL, FrameError, "the PHWC condition fails: metric "
+           "compatibility defect %g > %g at %s", md, PHWC_TOL, geo.p)
 
 
 def adapted_frame(geo: LocalGeometry, seed_order=None) -> AdaptedFrame:

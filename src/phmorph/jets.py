@@ -42,6 +42,9 @@ jet leaves the arithmetic (``lift``, behind ``SmoothMap.jets`` and
 ``factor_jets``, ``LocalGeometry.laplacian`` and
 ``manifold.jet_matrix_and_derivs``, behind ``JetMetric`` and
 ``AlmostComplexStructureField``), through ``Jet2.check``.
+
+A hypothesis that fails at some row of a batch raises through ``reject``,
+which names the first bad row; only the finiteness checks above do not.
 """
 
 from __future__ import annotations
@@ -54,10 +57,14 @@ class JetDomainError(ValueError):
     by zero, ...) or produces a non-finite component."""
 
 
-def first(values, bad):
-    """The entry (or point) of the first row where the mask ``bad`` holds,
-    which an error message names."""
-    return np.asarray(values)[bad][0]
+def reject(bad, error, message, *values):
+    """Raise ``error(message % values)`` if the per-row mask ``bad`` holds at
+    some row, each array of ``values`` read at the first such row by
+    ``tolist``: a point as a list, an entry as a float."""
+    if np.count_nonzero(bad):
+        raise error(message % tuple(
+            v[bad][0].tolist() if isinstance(v, np.ndarray) else v
+            for v in values))
 
 
 class Jet2:
@@ -179,8 +186,7 @@ class Jet2:
         raises on every call."""
         if self._reciprocal is None:
             u = self.value
-            if np.count_nonzero(u == 0.0):
-                raise JetDomainError("division by zero jet value")
+            reject(u == 0.0, JetDomainError, "division by zero jet value")
             self._reciprocal = self._chain(
                 1.0 / u, -1.0 / u ** 2,
                 None if self.hess is None else 2.0 / u ** 3)
@@ -189,8 +195,7 @@ class Jet2:
     def __truediv__(self, other):
         o = self._operand(other)
         if isinstance(o, float):
-            if o == 0.0:
-                raise JetDomainError("division by zero jet value")
+            reject(o == 0.0, JetDomainError, "division by zero jet value")
             return self * (1.0 / o)
         return self * o.reciprocal()
 
@@ -203,10 +208,8 @@ class Jet2:
         e = float(exponent)
         if e == int(e):
             return self._int_pow(int(e))
-        bad = self.value <= 0.0
-        if np.count_nonzero(bad):
-            raise JetDomainError("non-integer power of non-positive base %r"
-                                 % float(first(self.value, bad)))
+        reject(self.value <= 0.0, JetDomainError,
+               "non-integer power of non-positive base %r", self.value)
         return exp(log(self) * e)
 
     def _int_pow(self, k: int) -> "Jet2":
@@ -260,10 +263,8 @@ def _unary(x: Jet2, f, derivs, positive=""):
     named by ``positive`` takes positive values only."""
     u = x.value
     if positive:
-        bad = ~(u > 0.0)
-        if np.count_nonzero(bad):
-            raise JetDomainError("%s of out-of-domain value %r"
-                                 % (positive, float(first(u, bad))))
+        reject(~(u > 0.0), JetDomainError, "%s of out-of-domain value %r",
+               positive, u)
     value = f(u)
     return x._chain(value, *derivs(u, value))
 

@@ -24,8 +24,8 @@ the one walker over an array, a tuple or a Jet2), in the
 drops after it.  ``jet_matrix_and_derivs`` is a boundary where
 non-finite jets are caught (see ``jets``).  Every function takes a point
 (shape (m,)) or a batch of points (shape (B, m)); a check fails if it fails
-at some row, and names the first such row.  A vector is a plain array of its
-components, on the last axis.
+at some row, and names the first such row (``jets.reject``).  A vector is a
+plain array of its components, on the last axis.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets
-from .jets import Jet2, first
+from .jets import Jet2, reject
 
 METRIC_FLOOR = 1e-12  # a metric's least eigenvalue must exceed it
 
@@ -212,10 +212,8 @@ class ChartedRiemannianManifold:
         if p.shape[-1:] != (self.dim,):
             raise DomainError("point dimension %s != chart dimension %d"
                               % (p.shape, self.dim))
-        bad = np.logical_not(self.domain_predicate(p))
-        if np.count_nonzero(bad):
-            raise DomainError("point %s outside chart domain"
-                              % (first(p, bad).tolist(),))
+        reject(np.logical_not(self.domain_predicate(p)), DomainError,
+               "point %s outside chart domain", p)
         return p
 
     def metric_at(self, p):
@@ -227,7 +225,7 @@ class ChartedRiemannianManifold:
     def inverse_metric_at(self, p):
         """Inverse metric matrix at p, checked (computed on each call)."""
         g = self.metric_at(p)[0]
-        return inverse_metric(g, np.linalg.inv(g), p)
+        return inverse_metric(g, np.linalg.inv(g), np.asarray(p, float))
 
     def christoffel(self, p):
         """Levi-Civita coefficients Gamma[..., k, i, j] = Gamma^k_ij at p
@@ -253,34 +251,31 @@ def certified_above(sym, floor, weight):
         return False
 
 
+def symmetric(a):
+    """The symmetric part of a matrix, or of each (..., :, :) slice."""
+    return 0.5 * (a + a.mT)
+
+
 def check_metric(g, dg, q):
     """(g, dg) at the points q, g checked finite, symmetric and positive
-    definite, above ``METRIC_FLOOR``: by Cholesky, else by ``eigvalsh``."""
-    bad = ~np.isfinite(g).all(axis=(-2, -1))
-    if np.count_nonzero(bad):
-        raise MetricError("metric not finite at %s"
-                          % (first(q, bad).tolist(),))
-    bad = np.max(np.abs(g - g.mT), axis=(-2, -1)) > 1e-12
-    if np.count_nonzero(bad):
-        raise MetricError("metric matrix not symmetric at %s"
-                          % (first(q, bad).tolist(),))
-    sym = 0.5 * (g + g.mT)
+    definite, above ``METRIC_FLOOR``: by Cholesky, else by ``eigvalsh``; a
+    check that fails raises ``MetricError`` at its first bad row (``reject``)."""
+    reject(~np.isfinite(g).all(axis=(-2, -1)), MetricError,
+           "metric not finite at %s", q)
+    reject(np.max(np.abs(g - g.mT), axis=(-2, -1)) > 1e-12, MetricError,
+           "metric matrix not symmetric at %s", q)
+    sym = symmetric(g)
     if not certified_above(sym, METRIC_FLOOR, g.shape[-1]):
         w = np.linalg.eigvalsh(sym)[..., 0]
-        bad = w <= METRIC_FLOOR
-        if np.count_nonzero(bad):
-            raise MetricError("metric not positive definite at %s "
-                              "(min eigenvalue %g)"
-                              % (first(q, bad).tolist(), first(w, bad)))
+        reject(w <= METRIC_FLOOR, MetricError,
+               "metric not positive definite at %s (min eigenvalue %g)", q, w)
     return g, dg
 
 
 def inverse_metric(g, ginv, p):
     """g^-1 = ``ginv`` of a validated metric matrix g at p, checked."""
-    bad = np.abs(g @ ginv - np.eye(g.shape[-1])).max(axis=(-2, -1)) > 1e-10
-    if np.count_nonzero(bad):
-        raise MetricError("metric inversion inaccurate at %s"
-                          % first(p, bad).tolist())
+    reject(np.abs(g @ ginv - np.eye(g.shape[-1])).max(axis=(-2, -1)) > 1e-10,
+           MetricError, "metric inversion inaccurate at %s", p)
     return ginv
 
 

@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import jets
-from .jets import Jet2, first
+from .jets import Jet2, reject
 from .manifold import (ChartedRiemannianManifold, GeometryError,
                        certified_above, check_metric, contract, dot,
                        each_array, inverse_metric, levi_civita, matvec,
@@ -350,11 +350,8 @@ def check_submersion(geo: LocalGeometry):
     """dphi at the point, checked to have full rank 2n: its least singular
     value above ``RANK_TOL``, by Cholesky, else by ``svd`` (read-only)."""
     a, smallest = geo._certified_differential
-    bad = smallest <= RANK_TOL
-    if np.count_nonzero(bad):
-        raise RankError("map is not a submersion at %s: smallest singular "
-                        "value %g" % (first(geo.p, bad).tolist(),
-                                      first(smallest, bad)))
+    reject(smallest <= RANK_TOL, RankError, "map is not a submersion at %s: "
+           "smallest singular value %g", geo.p, smallest)
     return a
 
 

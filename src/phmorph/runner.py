@@ -49,7 +49,7 @@ from .scenarios import Scenario, sample_points
 # Sample points per batch.  A batch pays numpy's per-call overhead once for
 # its rows but keeps their geometries alive (about 40 kB a point on
 # flat-projection-6-4), so the chunk bounds the geometries' memory at any
-# sample count; the sample points, all drawn first, are kept for the run.
+# sample count; the sample points, drawn first into one array, are kept.
 # At 1,000 samples 64 was the fastest size tried; 1,000 took 35 MB more.
 CHUNK = 64
 

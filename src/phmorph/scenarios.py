@@ -238,20 +238,23 @@ def uniform(seed: int, keys, columns: int) -> np.ndarray:
 
 
 def sample_points(scenario: Scenario, count: int, seed: int):
-    """Deterministic rejection sampling inside the scenario's chart box, at
-    most 1,000 attempts per requested point.  Candidate k is drawn from
+    """(count, m) points by deterministic rejection sampling in the chart box,
+    at most 1,000 attempts per requested point.  Candidate k is drawn from
     ``uniform(seed, [[k]], m)`` alone, so a smaller count gives a prefix.
-    Candidates are drawn and tested in blocks of 2 * count."""
+    Candidates are drawn and tested in blocks of min(2 * count, 4096)."""
     if count < 1 or seed < 0:
         raise ValueError("count must be >= 1 and seed >= 0")
     lo, hi = scenario.source.sample_region
-    points, budget = [], count * 1000
-    for start in range(0, budget, 2 * count):
-        keys = np.arange(start, start + 2 * count)[:, None]
+    points, kept = np.empty((count, len(lo))), 0
+    budget, size = count * 1000, min(2 * count, 4096)
+    for start in range(0, budget, size):
+        keys = np.arange(start, min(start + size, budget))[:, None]
         block = lo + (hi - lo) * uniform(seed, keys, len(lo))
-        points.extend(block[np.logical_and(
+        block = block[np.logical_and(
             scenario.source.domain_predicate(block),
-            np.logical_not(scenario.excluded(block)))][:count - len(points)])
-        if len(points) == count:
+            np.logical_not(scenario.excluded(block)))][:count - kept]
+        points[kept:kept + len(block)] = block
+        kept += len(block)
+        if kept == count:
             return points
     raise GeometryError("sample region exhausted after %d attempts" % budget)

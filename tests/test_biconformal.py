@@ -31,7 +31,8 @@ from phmorph import (
 )
 from phmorph.biconformal import (PROPERTIES, IdentityAggregate,
                                  corollary_at, phh_correction)
-from phmorph.manifold import directional_derivative, quad, sum_terms
+from phmorph.manifold import (check_metric, directional_derivative, quad,
+                              sum_terms)
 from phmorph.maps import differential, horizontal_projector
 from phmorph.hermitian import adapted_frame, phwc_defect
 from phmorph.runner import RunContext, run_identity
@@ -169,6 +170,80 @@ def test_koszul_horizontal_raises_on_a_vertical_x():
     e = np.eye(6)
     with pytest.raises(GeometryError, match="X has no horizontal part"):
         verify_koszul_h(gbar, at(sc.phi, [np.full(6, 0.1)]), e[[4]], e[[0]])
+
+
+Q3 = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])  # rows 1 and 2 bad
+
+
+def _bad_metric(entry):
+    """A stack of three 2 x 2 metrics whose rows 1 and 2 read ``entry`` in
+    place of g_01."""
+    g = np.stack([np.eye(2)] * 3)
+    g[1:, 0, 1] = entry
+    return g
+
+
+def _not_phwc_beyond_row_0():
+    # phi = (x1, (1 + x3^2) x2) stretches x2 by 1 at x3 = 0 (PHWC) and by
+    # 2 at x3 = 1 (not PHWC)
+    r4 = pm.euclidean_space(4)
+    phi = smooth_map(r4, pm.euclidean_space(2),
+                     lambda c: [c[0], c[1] * (1.0 + c[2] * c[2])])
+    geo = at(phi, [[0.1, 0.0, 0.0, 0.2], [0.1, 0.0, 1.0, 0.2],
+                   [0.1, 0.0, 2.0, 0.2]])
+    defect = pm.phwc_metric_defect(geo)[0]
+    assert defect[0] <= 1e-6 < defect[1]
+    return (lambda: pm.f_divergence_horizontal(geo), pm.FrameError,
+            "the PHWC condition fails: metric compatibility defect %g > "
+            "1e-06 at [0.1, 0.0, 1.0, 0.2]" % defect[1])
+
+
+def _flat_6_4_batch():
+    sc, gbar = gbar_for("flat-projection-6-4", "exp(0.2*x1)", "1")
+    return gbar, at(sc.phi, [np.full(6, 0.1)] * 3), np.eye(6)
+
+
+def _vertical_x():
+    gbar, geo, e = _flat_6_4_batch()  # e1 is horizontal, e5 vertical
+    return (lambda: verify_koszul_h(gbar, geo, e[[0, 4, 4]], e[[0, 0, 0]]),
+            GeometryError, "X has no horizontal part")
+
+
+def _horizontal_v():
+    gbar, geo, e = _flat_6_4_batch()
+    return (lambda: verify_koszul_v(gbar, geo, e[[4, 0, 0]]),
+            GeometryError, "V has no vertical part")
+
+
+# The precondition messages no command line reaches (see
+# benchmarks/same_reports.py), each on a batch whose first row is good:
+# name -> () -> (call, error, its exact text)
+UNREACHED_MESSAGES = {
+    "chart domain": lambda: (
+        lambda: pm.ChartedRiemannianManifold(
+            2, pm.euclidean_space(2).metric,
+            lambda p: p[..., 0] < 0.2).check_in_domain(Q3),
+        pm.DomainError, "point [0.3, 0.4] outside chart domain"),
+    "non-finite metric": lambda: (
+        lambda: check_metric(_bad_metric(np.nan), np.zeros((3, 2, 2, 2)),
+                             Q3),
+        MetricError, "metric not finite at [0.3, 0.4]"),
+    "non-symmetric metric": lambda: (
+        lambda: check_metric(_bad_metric(0.5), np.zeros((3, 2, 2, 2)), Q3),
+        MetricError, "metric matrix not symmetric at [0.3, 0.4]"),
+    "PHWC frame": _not_phwc_beyond_row_0,
+    "no horizontal part": _vertical_x,
+    "no vertical part": _horizontal_v,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREACHED_MESSAGES))
+def test_a_precondition_names_the_first_bad_row_of_a_batch(name):
+    call, error, text = UNREACHED_MESSAGES[name]()
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == text
 
 
 def test_compose_matches_sequential_metrics():

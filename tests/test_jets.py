@@ -117,6 +117,27 @@ def test_domain_errors_name_the_first_bad_value_of_a_batch():
             fn(seed_coordinates([[3.0], [0.0], [-1.0]])[0])
 
 
+def test_reject_raises_nothing_where_no_row_is_bad():
+    for bad in (np.zeros(3, dtype=bool), np.bool_(False)):
+        assert jets.reject(bad, ValueError, "at %s", np.ones((3, 2))) is None
+
+
+def test_reject_names_the_first_bad_row_by_the_message_format():
+    points = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    entries = np.array([1.0, -2.5, -1e-20])
+    with pytest.raises(JetDomainError) as info:
+        jets.reject(entries < 0.0, JetDomainError, "%s at %s: %g, %r, %s",
+                    "u", points, entries, entries, [7, 8])
+    assert type(info.value) is JetDomainError
+    # a point is a list and an entry a float (a numpy float's %r would
+    # read np.float64(-2.5)); a value that is not an array is kept whole
+    assert str(info.value) == "u at [0.3, 0.4]: -2.5, -2.5, [7, 8]"
+    # one point: a 0-d mask and entry
+    with pytest.raises(ValueError, match=r"^\[0.5, 0.6\] -1e-20$"):
+        jets.reject(np.bool_(True), ValueError, "%s %r", points[2],
+                    entries[2:].reshape(()))
+
+
 BATCH_KERNELS = {
     "sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "log": jets.log,
     "sqrt": jets.sqrt, "reciprocal": Jet2.reciprocal,

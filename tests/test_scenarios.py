@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phmorph import (LocalGeometry, confirm_flags, differential, get_scenario,
-                     list_scenarios, sample_points)
+                     list_scenarios, sample_points, scenarios)
 from phmorph.manifold import GeometryError
 from phmorph.scenarios import standard_J, uniform
 
@@ -142,6 +142,29 @@ def test_an_exhausted_sample_region_raises():
     with pytest.raises(GeometryError) as exc:
         sample_points(sc, 2, seed=0)
     assert str(exc.value) == "sample region exhausted after 2000 attempts"
+
+
+@pytest.mark.parametrize("count, blocks", [
+    (2, [4] * 500),
+    # 3,000,000 attempts: 732 blocks of 4,096, the last one cut at 1,728
+    (3000, [4096] * 732 + [1728]),
+])
+def test_candidates_are_drawn_in_bounded_blocks_up_to_the_budget(
+        monkeypatch, count, blocks):
+    drawn = []
+
+    def recording(seed, keys, columns):
+        drawn.append((int(keys[0, 0]), len(keys)))
+        return np.zeros((len(keys), columns))
+
+    monkeypatch.setattr(scenarios, "uniform", recording)
+    sc = dataclasses.replace(get_scenario("flat-projection-4-2"),
+                             excluded=lambda p: np.ones(p.shape[:-1], bool))
+    with pytest.raises(GeometryError) as exc:
+        sample_points(sc, count, seed=0)
+    assert str(exc.value) == ("sample region exhausted after %d attempts"
+                              % (1000 * count))
+    assert drawn == list(zip(np.cumsum([0] + blocks[:-1]).tolist(), blocks))
 
 
 def test_sampling_respects_exclusions():
