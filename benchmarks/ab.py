@@ -134,10 +134,10 @@ def layer(kind, args, setups):
 
 
 def counts(agg):
-    """[pass, fail and error counts, errors] of an identity read's
-    ``IdentityAggregate``."""
+    """[pass, fail and error counts, the first three errors] of an identity
+    read's ``IdentityAggregate``."""
     return [agg.samples_pass, agg.samples_fail, agg.samples_error,
-            agg.errors]
+            agg.errors[:3]]
 
 
 class Worker:

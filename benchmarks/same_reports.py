@@ -3,8 +3,10 @@
 Each tree (its ``src/`` directory) runs a fixed list of ``phmorph verify``
 configurations, through ``phmorph.cli.main`` in one process of its own, and
 the two are compared run by run: the exit code, the report's bytes, each
-identity's ``IdentityAggregate.errors`` (the point and message of every
-errored sample, which the report counts but does not list) and what the run
+identity's count of errored samples with the first three of its
+``IdentityAggregate.errors`` (the point and message of an errored sample,
+which the report counts but does not list; a tree that keeps every error
+and one that keeps only the first three compare equal) and what the run
 wrote to stderr.  The list:
 
 - the three perfbench workloads (``perfbench/workloads.json``) at seeds 3
@@ -140,8 +142,9 @@ def runs(report):
 
 def worker(root):
     """Run each argument list read as JSON from stdin with phmorph from
-    ROOT/src, and write [exit code, report text, [identity, errors] per
-    identity, stderr text] for each as one JSON list to stdout."""
+    ROOT/src, and write [exit code, report text, [identity, first three
+    errors, error count] per identity, stderr text] for each as one JSON
+    list to stdout."""
     src = os.path.join(os.path.abspath(root), "src")
     sys.path.insert(0, src)
     import phmorph
@@ -153,7 +156,7 @@ def worker(root):
     as_dict = biconformal.IdentityAggregate.as_dict
 
     def recording(agg):
-        errors.append([agg.name, agg.errors])
+        errors.append([agg.name, agg.errors[:3], agg.samples_error])
         return as_dict(agg)
 
     biconformal.IdentityAggregate.as_dict = recording
@@ -233,7 +236,7 @@ def main(argv):
         if parent[1] != change[1]:
             parts[parts.index("report bytes")] += " at " + report_paths(
                 parent[1], change[1])
-        errored = sum(len(errs) for _, errs in change[2])
+        errored = sum(count for _, _, count in change[2])
         differences += bool(parts)
         print("%s: %s" % (name, "differ: " + ", ".join(parts) if parts
                             else "same (exit %d, %d errored samples)"

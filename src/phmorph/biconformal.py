@@ -38,8 +38,7 @@ tolerance, and a row whose defect or scale is not finite is a sample error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -196,18 +195,19 @@ def special_change(phi: SmoothMap, sigma: Expr) -> ChangedMetric:
                          exprs.Binary("pow", sigma, exprs.Lit(exponent)))
 
 
-@dataclass
 class IdentityAggregate:
     """Per-identity tally of the readings of a check, folded in sample-point
-    order; the worst point has the largest relative residual."""
-    name: str
-    samples_pass: int = 0
-    samples_fail: int = 0
-    samples_error: int = 0
-    max_abs_residual: float = 0.0
-    max_rel_residual: float = 0.0
-    worst_point: Optional[list] = None
-    errors: list = dc_field(default_factory=list)
+    order; the worst point has the largest relative residual.  ``errors``
+    keeps the first ``KEPT_ERRORS`` sample errors, ``samples_error`` counts
+    them all."""
+    KEPT_ERRORS = 3
+
+    def __init__(self, name: str):
+        self.name = name
+        self.samples_pass = self.samples_fail = self.samples_error = 0
+        self.max_abs_residual = self.max_rel_residual = 0.0
+        self.worst_point: Optional[list] = None
+        self.errors = []
 
     def fold(self, p, absr, rel, finite, passed):
         """Fold a batch's reading, per-row arrays at the rows of the points
@@ -231,8 +231,9 @@ class IdentityAggregate:
     def error(self, point, err):
         """Count the sample error ``err`` at ``point``."""
         self.samples_error += 1
-        self.errors.append({"point": np.asarray(point).tolist(),
-                            "error": str(err)})
+        if len(self.errors) < self.KEPT_ERRORS:
+            self.errors.append({"point": np.asarray(point).tolist(),
+                                "error": str(err)})
 
     @property
     def passed(self) -> bool:
@@ -269,11 +270,12 @@ def worst_of(readings):
     """One reading of several of the same rows: per row, the residuals of
     the reading with the largest relative residual (the first of equal
     ones), finite where every reading is, and passed where every one did."""
-    absr, rel, finite, passed = (np.stack(part) for part in zip(*readings))
-    worst = rel.argmax(axis=0)[None]  # each row's worst reading
-    return (np.take_along_axis(absr, worst, 0)[0],
-            np.take_along_axis(rel, worst, 0)[0], finite.all(axis=0),
-            passed.all(axis=0))
+    absr, rel, finite, passed = readings[0]
+    for a, r, fin, ok in readings[1:]:
+        worse = r > rel  # a row that is not finite is an error, never read
+        absr, rel = np.where(worse, a, absr), np.where(worse, r, rel)
+        finite, passed = finite & fin, passed & ok
+    return absr, rel, finite, passed
 
 
 def _require_horizontal(name, v, geo):
@@ -478,8 +480,7 @@ def verify_phwc_equivalence(geo: LocalGeometry, tol: float = 1e-6):
 
 # ---- properties of phi, read under g and under a change -----------------
 
-@dataclass(frozen=True)
-class Property:
+class Property(NamedTuple):
     """A property of phi: ``measure(geo)`` gives per row a value
     (components on the last axis) that vanishes where it holds, and its
     scale; ``predict(gbar, geo)``, that value under the one-function

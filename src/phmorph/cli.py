@@ -36,7 +36,6 @@ import os
 import re
 import stat
 import sys
-from dataclasses import MISSING, fields
 
 from . import scenarios
 from .runner import ALL_IDENTITIES, RunConfig, run_verification
@@ -150,7 +149,7 @@ def _write_report(path: str, payload: str):
 def run_config(values) -> RunConfig:
     """The ``RunConfig`` of parsed ``verify`` options; ``--identities`` is
     split on commas."""
-    options = {f.name: values[f.name] for f in fields(RunConfig)}
+    options = {name: values[name] for name in RunConfig._fields}
     identities = options.pop("identities")
     return RunConfig(identities=None if identities is None
                      else identities.split(","), **options)
@@ -192,12 +191,13 @@ FIELD_HELP = {
 }
 
 
-def _field_option(field) -> Option:
-    required = field.default is MISSING
-    default = None if required else field.default
+def _field_option(name) -> Option:
+    """The option of a ``RunConfig`` field, required where it has no
+    default."""
+    default = RunConfig._field_defaults.get(name)
     convert = type(default) if type(default) in (int, float) else str
-    return Option(field.name, convert, default, FIELD_HELP.get(field.name, ""),
-                  required=required)
+    return Option(name, convert, default, FIELD_HELP.get(name, ""),
+                  required=name not in RunConfig._field_defaults)
 
 
 # name -> (what it does, its options by option string, what runs it)
@@ -208,8 +208,8 @@ COMMANDS = {
     }, cmd_list),
     "verify": ("run the identity suite", {
         **HELP_OPTIONS,
-        **{"--" + f.name.replace("_", "-"): _field_option(f)
-           for f in fields(RunConfig)},
+        **{"--" + name.replace("_", "-"): _field_option(name)
+           for name in RunConfig._fields},
         "--report": Option("report",
                            help="write the report to this path (atomically)"),
         "--format": Option("format", default="json",

@@ -9,14 +9,15 @@ optional ``^`` whose exponent is again a unary (``2^3^2`` is ``2^(3^2)``).
 ``MAX_DEPTH`` bounds the nesting of signs, powers, parentheses and calls
 while parsing, then the depth of the tree, which chains of ``+`` and ``*``
 deepen without nesting: the parser and the walks below stay within the
-recursion limit.  Trees are immutable; ``eval_jet`` reads them on jets.
+recursion limit.  No code changes a tree once built, so that equal trees
+are one key (a node equals a node of its type with equal fields);
+``eval_jet`` reads them on jets.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from . import jets
@@ -41,38 +42,44 @@ class EvalError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: float
-    pos: int = 0
+class _Node:
+    """An expression node: built positionally, its source offset ``pos``
+    last and 0 when left out, and equal to, and hashed as, a node of its own
+    type with equal fields (the fields of ``__slots__``)."""
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values + (0,)):
+            setattr(self, name, value)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__)
+
+    def __hash__(self):
+        return hash((type(self),) + tuple(
+            getattr(self, name) for name in self.__slots__))
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # zero-based
-    pos: int = 0
+class Lit(_Node):
+    __slots__ = ("value", "pos")  # float value
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "neg"
-    child: "Expr"
-    pos: int = 0
+class Var(_Node):
+    __slots__ = ("index", "pos")  # zero-based index
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # add sub mul div pow
-    left: "Expr"
-    right: "Expr"
-    pos: int = 0
+class Unary(_Node):
+    __slots__ = ("op", "child", "pos")  # op "neg"
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expr"
-    pos: int = 0
+class Binary(_Node):
+    __slots__ = ("op", "left", "right", "pos")  # op add sub mul div pow
+
+
+class Call(_Node):
+    __slots__ = ("func", "arg", "pos")
 
 
 Expr = Union[Lit, Var, Unary, Binary, Call]

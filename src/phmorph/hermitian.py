@@ -25,7 +25,7 @@ and both traces raise ``FrameError`` on every call where PHWC fails."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ def phwc_metric_defect(geo: LocalGeometry):
     return geo.field("phwc_metric_defect", compute)
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
+class AdaptedFrame(NamedTuple):
     """Orthonormal frame {e_1..e_n, F e_1..F e_n, e_{2n+1}..e_m}."""
     e: np.ndarray         # (n, m)
     fe: np.ndarray        # (n, m)

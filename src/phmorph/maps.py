@@ -44,8 +44,7 @@ point.  The fiber mean curvature needs no frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -372,8 +371,7 @@ def horizontal_lift(geo: LocalGeometry) -> np.ndarray:
     return geo.projector_and_lift[1]
 
 
-@dataclass(frozen=True)
-class OrthoSplit:
+class OrthoSplit(NamedTuple):
     vertical_frame: np.ndarray    # (m - 2n, m), rows g-orthonormal, in ker dphi
     horizontal_frame: np.ndarray  # (2n, m), rows g-orthonormal, g-orthogonal to V
 

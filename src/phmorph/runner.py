@@ -27,8 +27,7 @@ silently; the checks report them as sample errors."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -54,8 +53,7 @@ from .scenarios import Scenario, sample_points
 CHUNK = 64
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     scenario: str
     sigma: str = "1"
     rho: Optional[str] = None
@@ -155,8 +153,7 @@ REQUIREMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """A law's row: the ``REQUIREMENTS`` it needs and its check (run, point
     context, first sample index) -> the reading at its points."""
     requires: Tuple[str, ...]
@@ -305,7 +302,7 @@ def run_verification(config: RunConfig):
     return {
         "schema_version": 4,
         "scenario": scenario.name,
-        "config": dict({key: value for key, value in asdict(config).items()
+        "config": dict({key: value for key, value in config._asdict().items()
                         if key != "scenario"},
                        identities=list(config.identities or ALL_IDENTITIES)),
         "per_identity": per_identity,

@@ -7,8 +7,7 @@ map, for one, is a Riemannian submersion)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -18,12 +17,11 @@ from .maps import LocalGeometry, SmoothMap
 from .hermitian import AlmostComplexStructureField
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     phi: SmoothMap
     expected_flags: Dict[str, Optional[bool]]
-    excluded: Callable = field(default=lambda p: np.zeros(p.shape[:-1], bool))
+    excluded: Callable = lambda p: np.zeros(p.shape[:-1], bool)
     description: str = ""
 
     @property

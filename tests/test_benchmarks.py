@@ -3,6 +3,7 @@ the library's internals, so a read that no longer matches ``src/`` fails
 here rather than in the next timing run."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -31,3 +32,18 @@ def test_ab_compares_this_tree_with_itself_on_each_kind_of_task():
     for task in tasks:
         assert task in proc.stdout
     assert "OUTCOMES DIFFER" not in proc.stdout
+
+
+def test_pairs_compares_this_tree_with_itself(tmp_path):
+    # one pair of fresh processes on hopf-subset, on a copy of src/ without
+    # the bytecode caches that pairs.py refuses
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/pairs.py", str(tmp_path), str(tmp_path),
+         "--pairs", "1", "hopf-subset"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    for metric in ("verify_s", "setup_s", "peak_rss_mb"):
+        assert metric in proc.stdout
+    assert "reports byte-identical: yes" in proc.stdout

@@ -737,6 +737,42 @@ def test_non_finite_side_is_a_sample_error(bad):
     assert passes(pm.biconformal._compare([[1.0, 0.0]], [[1.0, 0.0]], 1e-5))
 
 
+def test_an_aggregate_keeps_the_first_three_errors_and_counts_all():
+    agg = IdentityAggregate("tension-transform")
+    for i in range(7):
+        agg.error([float(i)], "error %d" % i)
+    assert agg.errors == [{"point": [float(i)], "error": "error %d" % i}
+                          for i in range(3)]
+    assert agg.samples_error == 7
+    assert agg.as_dict()["samples_error"] == 7
+
+
+def test_worst_of_keeps_the_first_of_the_largest_residuals():
+    # the argmax over the stacked readings, which it replaces, bit for bit
+    rng = np.random.default_rng(7)
+    readings = [(rng.random(50), rng.integers(0, 4, 50) / 4.0,
+                 rng.random(50) > 0.1, rng.random(50) > 0.2)
+                for _ in range(3)]
+    absr, rel, finite, passed = (np.stack(part) for part in zip(*readings))
+    worst = rel.argmax(axis=0)
+    rows = np.arange(50)
+    got = pm.biconformal.worst_of(readings)
+    assert got[0].tobytes() == absr[worst, rows].tobytes()
+    assert got[1].tobytes() == rel[worst, rows].tobytes()
+    assert (got[2] == finite.all(axis=0)).all()
+    assert (got[3] == passed.all(axis=0)).all()
+
+
+def test_a_constant_sigma_and_a_variable_rho_keep_their_own_jets():
+    # sigma = 1 and rho = x2 are distinct trees, so each keeps its own jet
+    sc = get_scenario("flat-projection-4-2")
+    gbar = ChangedMetric(sc.phi, parse("1"), parse("x2"))
+    points = np.abs(sample_points(sc, 5, seed=42)) + [0.0, 0.1, 0.0, 0.0]
+    sigma, rho = gbar.factor_values(at(sc.phi, points))
+    assert (sigma == 1.0).all()
+    assert (rho == points[:, 1]).all()
+
+
 def test_vertical_rho_leaves_mean_curvature_pure_scaling():
     # rho depending only on fiber coordinates: H(grad log rho) = 0, so the
     # transformed mean curvature is exactly sigma^2 mu
@@ -838,7 +874,7 @@ def test_phwc_equivalence_settles_a_rank_deficient_row_of_a_batch():
     for idx, p in enumerate(points):
         run_identity("phwc-equivalence", run, at(z_squared, [p]), 7 + idx,
                      alone)
-    assert batch == alone
+    assert vars(batch) == vars(alone)
 
 
 @pytest.mark.parametrize("nan", [("phwc_defect", "phwc_metric_defect"),
@@ -853,7 +889,9 @@ def test_a_non_finite_phwc_equivalence_row_is_a_sample_error(monkeypatch,
     sc = get_scenario("flat-projection-4-2")
     agg = fold("phwc-equivalence", verify_phwc_equivalence,
                [at(sc.phi, sample_points(sc, 5, 42))])
-    assert [err["error"] for err in agg.errors] == ["non-finite residual"] * 5
+    # the first three errors are kept, and all five counted
+    assert [err["error"] for err in agg.errors] == ["non-finite residual"] * 3
+    assert agg.samples_error == 5
     assert (agg.samples_pass, agg.samples_fail) == (0, 0)
     report = pm.run_verification(pm.RunConfig(
         scenario=sc.name, samples=5, identities=["phwc-equivalence"]))

@@ -9,7 +9,6 @@ projector, the lift and the vertical frames recomputed from the metric's
 matrix at each point.
 """
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,7 +173,7 @@ def rotated_j(target):
 def test_f_structure_derivative_follows_a_varying_j(changed):
     # every bundled J is constant; here d_c J A^c_i carries part of dF
     sc = get_scenario("flat-projection-6-4")
-    sc = replace(sc, phi=with_j(sc.phi, rotated_j(sc.phi.target)))
+    sc = sc._replace(phi=with_j(sc.phi, rotated_j(sc.phi.target)))
     gbar = change_for(sc) if changed else None
     points, j = sample_points(sc, 3, seed=31), sc.phi.J
     h = metric_matrix(sc, gbar)

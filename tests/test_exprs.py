@@ -137,6 +137,17 @@ def test_edge_inputs_give_their_tree_or_error(text, expected):
         assert parse(text) == expected
 
 
+def test_nodes_are_equal_by_type_and_fields():
+    # a literal 1 is no variable x2, though their fields compare equal
+    assert Lit(1.0) != Var(1)
+    assert parse("exp(0.2*x1)+x2") == parse("exp(0.2*x1)+x2")
+    assert hash(parse("exp(0.2*x1)+x2")) == hash(parse("exp(0.2*x1)+x2"))
+    assert parse("x1+x2") != parse("x1 + x2")  # the offsets differ
+    assert parse("x2").index == 1
+    assert Lit(2.0).pos == 0
+    assert {("jet", Lit(1.0)): 1, ("jet", Var(1)): 2}[("jet", Var(1))] == 2
+
+
 def test_variables_are_one_based():
     assert ev("x1", 7.0) == 7.0
     assert ev("x3", 0.0, 0.0, 5.0) == 5.0

@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,15 @@ def test_an_errstate_is_found():
               "        return np.exp(u)\n"
               "with errstate(all='ignore'):\n    pass\n")
     assert errstate_uses(source) == [(2, ""), (4, "f"), (6, "")]
+
+
+def test_the_command_line_does_not_import_dataclasses():
+    # phmorph's records are built without it, so no run generates their
+    # methods at start-up
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, phmorph.cli; "
+         "print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,7 +1,6 @@
 """Verification runner: config validation, the identity table, gating and
 report assembly."""
 
-import dataclasses
 import gc
 import json
 import os
@@ -105,7 +104,7 @@ def make_unreadable(monkeypatch, flag, where=lambda p: True):
         return prop.measure(geo)
 
     monkeypatch.setitem(PROPERTIES, flag,
-                        dataclasses.replace(prop, measure=measure))
+                        prop._replace(measure=measure))
 
 
 # a run whose phwc flag errors at every point once ``make_unreadable`` makes
@@ -148,7 +147,7 @@ def test_a_non_finite_flag_reading_is_a_sample_error(monkeypatch):
         return value, scale
 
     monkeypatch.setitem(PROPERTIES, "harmonic",
-                        dataclasses.replace(prop, measure=measure))
+                        prop._replace(measure=measure))
     rep = run_verification(config)
     flag = rep["flags"]["harmonic"]
     assert (flag["samples_error"], flag["confirmed"]) == (1, False)

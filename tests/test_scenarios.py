@@ -1,7 +1,5 @@
 """Bundled geometries: registry, sampling, flags and self-consistency."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -137,8 +135,8 @@ def test_a_zero_count_or_a_negative_seed_is_rejected(count, seed):
 
 
 def test_an_exhausted_sample_region_raises():
-    sc = dataclasses.replace(get_scenario("flat-projection-4-2"),
-                             excluded=lambda p: np.ones(p.shape[:-1], bool))
+    sc = get_scenario("flat-projection-4-2")._replace(
+        excluded=lambda p: np.ones(p.shape[:-1], bool))
     with pytest.raises(GeometryError) as exc:
         sample_points(sc, 2, seed=0)
     assert str(exc.value) == "sample region exhausted after 2000 attempts"
@@ -158,8 +156,8 @@ def test_candidates_are_drawn_in_bounded_blocks_up_to_the_budget(
         return np.zeros((len(keys), columns))
 
     monkeypatch.setattr(scenarios, "uniform", recording)
-    sc = dataclasses.replace(get_scenario("flat-projection-4-2"),
-                             excluded=lambda p: np.ones(p.shape[:-1], bool))
+    sc = get_scenario("flat-projection-4-2")._replace(
+        excluded=lambda p: np.ones(p.shape[:-1], bool))
     with pytest.raises(GeometryError) as exc:
         sample_points(sc, count, seed=0)
     assert str(exc.value) == ("sample region exhausted after %d attempts"
@@ -178,7 +176,7 @@ def test_sampling_respects_exclusions():
         drawn.extend(p[..., 0] > 0)
         return p[..., 0] > 0
 
-    half = dataclasses.replace(plain, excluded=right_half)
+    half = plain._replace(excluded=right_half)
     points = np.array(sample_points(half, 30, seed=3))
     assert sum(drawn) >= 10
     assert not np.any(points[:, 0] > 0)
