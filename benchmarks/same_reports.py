@@ -23,6 +23,9 @@ wrote to stderr.  The list:
 
   - ``curved-fibers-nonharmonic --sigma 'exp(0.3*x1+0.2*x3)'``: n = 1
     with a nonconstant sigma, where corollary-phh checks that PHH is kept;
+  - ``curved-fibers-nonharmonic --special-sigma 'exp(0.3*x1+0.2*x3)'``:
+    the one-function change at n = 1, whose rho = sigma^-0 = 1, with a
+    sigma that has a gradient;
   - ``nonphwc-anisotropic``: the PHWC-false branch of phwc-equivalence,
     where every other law is skipped;
   - ``flat-projection-6-4 --special-sigma 'exp(0.3*x1)'``: the
@@ -81,6 +84,8 @@ STRESS = [
 
 SEED5 = [
     ["--scenario", "curved-fibers-nonharmonic", "--sigma",
+     "exp(0.3*x1+0.2*x3)"],
+    ["--scenario", "curved-fibers-nonharmonic", "--special-sigma",
      "exp(0.3*x1+0.2*x3)"],
     ["--scenario", "nonphwc-anisotropic"],
     ["--scenario", "flat-projection-6-4", "--special-sigma", "exp(0.3*x1)"],

@@ -3,16 +3,17 @@ their transformation laws.
 
 A change g-bar = sigma^-2 g^H + rho^-2 g^V is defined by phi's splitting
 H + V, so it is one object with its map: a ``ChangedMetric``, built from
-phi and the parsed sigma and rho (``from_texts``; ``special_change`` gives
-the one-function family).  Its first derivatives are exact: d(g P_H) comes
-from the projector algebra of ``maps.LocalGeometry`` and the factors'
-derivatives from their jets.  Its one evaluation,
-``matrix_and_derivs(source)``, reads phi's geometry at the point under g
-(the source geometry), where it keeps sigma and rho: ``factor_jets``,
-each expression evaluated once per point, whose values g-bar and the right
-sides of the laws read (no float twin), and ``grad_log_factors``.  A factor
-that is not positive raises ``PositivityError`` on every call; it and every
-failed precondition here name the first bad row (``jets.reject``).
+phi and the parsed sigma and rho (``from_texts``), or from sigma and a
+number e for rho = sigma^e (``special_change``, the one-function family).
+Its first derivatives are exact: d(g P_H) comes from the projector algebra
+of ``maps.LocalGeometry`` and the factors' derivatives from their jets.
+Its one evaluation, ``matrix_and_derivs(source)``, reads phi's geometry at
+the point under g (the source geometry), where it keeps sigma and rho:
+``factor_jets``, each expression evaluated once per point, whose values
+g-bar and the right sides of the laws read (no float twin), and
+``grad_log_factors``.  A factor that is not positive raises
+``PositivityError`` on every call; it and every failed precondition here
+name the first bad row (``jets.reject``).
 
 Every ``verify_*`` routine takes the point context, phi's source geometry
 over a batch of sample points, and, for a law of the change, the
@@ -85,10 +86,11 @@ def _inverse_square(name, jet, p):
 
 
 class ChangedMetric:
-    """g-bar = sigma^-2 g^H + rho^-2 g^V for a map phi, with g^H = g P_H and
-    sigma and rho given as parsed expressions.  It keeps phi's horizontal
-    distribution, so phi's geometries under it read P_H, the lift and their
-    derivatives from the source geometry.  Its derivatives are exact:
+    """g-bar = sigma^-2 g^H + rho^-2 g^V for a map phi, with g^H = g P_H,
+    sigma a parsed expression and rho one too, or a number e meaning
+    rho = sigma^e.  It keeps phi's horizontal distribution, so phi's
+    geometries under it read P_H, the lift and their derivatives from the
+    source geometry.  Its derivatives are exact:
 
     d g-bar = d(sigma^-2) g P_H + sigma^-2 d(g P_H)
               + d(rho^-2) (g - g P_H) + rho^-2 (dg - d(g P_H)),
@@ -98,7 +100,7 @@ class ChangedMetric:
     where sigma and rho are evaluated once, as jets, and kept."""
 
     def __init__(self, phi: SmoothMap, sigma: Expr,
-                 rho: Expr = exprs.Lit(1.0)):
+                 rho: Expr | float = exprs.Lit(1.0)):
         self.phi, self.sigma, self.rho = phi, sigma, rho
 
     @staticmethod
@@ -114,9 +116,8 @@ class ChangedMetric:
         gradient: g-bar and the laws read no second derivative of a
         factor), each checked to be positive.
         An expression's jet is kept on it in the source geometry, so that a
-        run's change and its one-function change evaluate sigma once; the
-        latter's rho = sigma^e is sigma's jet to the power e: the
-        ``Jet2.__pow__`` call of ``eval_jet``, whose error it raises."""
+        run's change and its one-function change evaluate sigma once; a
+        number rho = e is sigma's jet to the power e."""
         def compute():
             p, rho = source.p, self.rho
             coords = jets.seed_coordinates(p, order=1)
@@ -125,15 +126,9 @@ class ChangedMetric:
                 return source.field(("jet", e), lambda: jets.lift(
                     exprs.eval_jet(e, coords), len(coords), p.shape[:-1]))
 
-            s, r = jet(self.sigma), None
-            if (isinstance(rho, exprs.Binary) and rho.op == "pow"
-                    and rho.left == self.sigma
-                    and isinstance(rho.right, exprs.Lit)):
-                try:
-                    r = s ** rho.right.value
-                except (JetDomainError, ArithmeticError) as err:
-                    raise exprs.EvalError(str(err), rho.pos) from err
-            r = jet(rho) if r is None else jets.lift(r, s.dim, p.shape[:-1])
+            s = jet(self.sigma)
+            r = (jets.lift(s ** rho, s.dim, p.shape[:-1])
+                 if isinstance(rho, float) else jet(rho))
             for name, f in (("sigma", s), ("rho", r)):
                 reject(f.value <= 0.0, PositivityError, "%s = %g <= 0 at %s",
                        name, f.value, p)
@@ -182,17 +177,14 @@ class ChangedMetric:
 
 def special_change(phi: SmoothMap, sigma: Expr) -> ChangedMetric:
     """The one-function family of phi: vertical factor
-    rho^-2 = sigma^((4n-4)/(m-2n)), i.e. rho = sigma^(-(2n-2)/(m-2n)).
-    Requires genuine fibers (m > 2n)."""
+    rho^-2 = sigma^((4n-4)/(m-2n)), i.e. rho = sigma^e with the number
+    e = -(2n-2)/(m-2n) (-0 at n = 1, where rho = 1).  Requires genuine
+    fibers (m > 2n)."""
     m, n = phi.m, phi.n
     if m <= 2 * n:
         raise GeometryError("the one-function change needs m > 2n "
                             "(got m=%d, n=%d)" % (m, n))
-    exponent = -(2.0 * n - 2.0) / (m - 2.0 * n)
-    if exponent == 0.0:
-        return ChangedMetric(phi, sigma)
-    return ChangedMetric(phi, sigma,
-                         exprs.Binary("pow", sigma, exprs.Lit(exponent)))
+    return ChangedMetric(phi, sigma, -(2.0 * n - 2.0) / (m - 2.0 * n))
 
 
 class IdentityAggregate:

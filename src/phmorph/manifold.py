@@ -118,21 +118,18 @@ def sum_terms(terms):
 def jet_matrix_and_derivs(fn, p):
     """(M, dM) at p of a square matrix field whose entries ``fn`` evaluates
     on first-order Jet2 coordinates, one row and column per chart
-    coordinate: dM[..., k, i, j] = d_k M_ij, exact by AD; each distinct jet
-    entry is checked once."""
+    coordinate: dM[..., k, i, j] = d_k M_ij, exact by AD; each entry is
+    checked."""
     p = np.asarray(p, dtype=float)
     rows = fn(jets.seed_coordinates(p, order=1))
     d = len(rows)
     mat = np.empty(p.shape[:-1] + (d, d))
     dmat = np.zeros(p.shape[:-1] + (p.shape[-1], d, d))
-    checked = set()  # ids of the entries checked, which ``rows`` keeps alive
     for i in range(d):
         for j in range(d):
             entry = rows[i][j]
             if isinstance(entry, Jet2):
-                if id(entry) not in checked:
-                    checked.add(id(entry))
-                    entry.check()
+                entry.check()
                 mat[..., i, j] = entry.value
                 dmat[..., :, i, j] = entry.grad
             else:

@@ -1,6 +1,6 @@
-"""The layer benchmarks stay runnable: ``benchmarks/bench_layers.py`` reads
-the library's internals, so a read that no longer matches ``src/`` fails
-here rather than in the next timing run."""
+"""The benchmark scripts stay runnable: ``benchmarks/bench_layers.py`` and
+the A/B comparisons read the library's internals, so a read that no longer
+matches ``src/`` fails here rather than in the next timing run."""
 
 import os
 import shutil
@@ -47,3 +47,13 @@ def test_pairs_compares_this_tree_with_itself(tmp_path):
     for metric in ("verify_s", "setup_s", "peak_rss_mb"):
         assert metric in proc.stdout
     assert "reports byte-identical: yes" in proc.stdout
+
+
+def test_same_reports_compares_this_tree_with_itself():
+    # every run of the list, once per side (about 2 s on 2 vCPUs)
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/same_reports.py", ".", "."],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("0 of ") and last.endswith(" runs differ"), last

@@ -1,6 +1,7 @@
 """Biconformal metric changes and the transformation-law verifiers."""
 
 import gc
+import hashlib
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from phmorph import (
 )
 from phmorph.biconformal import (PROPERTIES, IdentityAggregate,
                                  corollary_at, phh_correction)
+from phmorph.cli import main
 from phmorph.manifold import (check_metric, directional_derivative, quad,
                               sum_terms)
 from phmorph.maps import differential, horizontal_projector
@@ -451,6 +453,63 @@ def test_sigma_is_evaluated_once_per_chunk(monkeypatch, option):
     assert calls == ["exp"]
 
 
+@pytest.mark.parametrize("name", ["flat-projection-6-4",
+                                  "curved-fibers-nonharmonic", "hopf",
+                                  "holomorphic-poly"])
+def test_the_one_function_rho_is_sigma_jet_to_a_number_power(name):
+    # rho is held as the exponent e = -(2n-2)/(m-2n), -1 on
+    # flat-projection-6-4 and -0 at n = 1; its jets are, bit for bit, those
+    # of the expression sigma^e read by eval_jet
+    sc = get_scenario(name)
+    phi, sigma = sc.phi, parse("exp(0.3*x1+0.2*x3)")
+    gbar = one_function(sc, sigma)
+    e = -(2.0 * phi.n - 2.0) / (phi.m - 2.0 * phi.n)
+    assert isinstance(gbar.rho, float) and gbar.rho == e
+    expression = ChangedMetric(phi, sigma, pm.exprs.Binary(
+        "pow", sigma, pm.exprs.Lit(e)))
+    points = sample_points(sc, 3, seed=5)
+    factors = gbar.factor_jets(at(phi, points))
+    for mine, theirs in zip(factors, expression.factor_jets(at(phi, points))):
+        assert mine.value.tobytes() == theirs.value.tobytes()
+        assert mine.grad.tobytes() == theirs.grad.tobytes()
+        assert mine.hess is theirs.hess is None
+    if phi.n == 1:
+        r = factors[1]
+        assert (r.value == 1.0).all() and (r.grad == 0.0).all()
+
+
+# the report of flat-projection-6-4 --special-sigma 'x1-x1' at 3 samples and
+# seed 42: the same bytes whether the one-function rho = sigma^-1 is held as
+# the expression sigma^-1 or as the number -1
+ZERO_SIGMA_REPORT_SHA256 = (
+    "861c43867235d801045b36c6a0befa39aae8c5e6806e0e70e9955bb916f7c2d8")
+
+
+def test_a_zero_sigma_keeps_the_report_and_the_reciprocal_message(
+        monkeypatch, tmp_path):
+    # sigma = 0 fails rho = sigma^-1's reciprocal before the positivity
+    # check: a sample error at every point of each law that reads g-bar,
+    # kept with the reciprocal's message, which names no offset
+    kept = {}
+
+    def as_dict(self):
+        kept[self.name] = [err["error"] for err in self.errors]
+        return inner(self)
+
+    inner = IdentityAggregate.as_dict
+    monkeypatch.setattr(IdentityAggregate, "as_dict", as_dict)
+    report = tmp_path / "report.json"
+    assert main([
+        "verify", "--scenario", "flat-projection-6-4", "--special-sigma",
+        "x1-x1", "--samples", "3", "--seed", "42", "--report",
+        str(report)]) == 1
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        ZERO_SIGMA_REPORT_SHA256)
+    messages = {m for errors in kept.values() for m in errors}
+    assert messages == {"division by zero jet value"}
+    assert kept["tension-transform"] == ["division by zero jet value"] * 3
+
+
 # ---- identity verifiers, trivial cases ----------------------------------
 
 @pytest.mark.parametrize(
@@ -660,8 +719,7 @@ def test_tolerance_rejects_corollary_psh_with_a_wrong_rho_exponent():
     phi = sc.phi
     sigma = parse(MUTATION_CASE[1])
     exponent = -(2.0 * phi.n - 1.0) / (phi.m - phi.two_n)
-    wrong = ChangedMetric(phi, sigma, pm.exprs.Binary(
-        "pow", sigma, pm.exprs.Lit(exponent)))
+    wrong = ChangedMetric(phi, sigma, exponent)
     right = one_function(sc, sigma)
     for p in sample_points(sc, 4, seed=5):
         geo = at(phi, p)

@@ -49,6 +49,17 @@ mutants.  ``MUTANTS`` adds the other mutants' own rows, and every mutant
 must be caught by exactly its row's runs, at least one, except those that
 no run catches: each is a strict xfail naming ROADMAP item 2, whose
 scenario would reach its term.
+
+A wrong dimension coefficient c'(m, n) for c(m, n) is a scale c'/c that
+depends on the run (ROADMAP item 15).  ``DIMENSION_MUTANTS`` holds the four
+known to survive, A, B, C and F of ROADMAP item 14, F in two laws: each is
+put in place at the run's own (m, n), read from its scenario, by scaling
+what reads the coefficient (a named term, corollary-phh's prediction, or
+the one-function exponent that ``runner.special_change`` gives).  Every
+bundled run has n = 1 or n = 2, where each equals the right coefficient or
+its term has no content, so each is a strict xfail naming item 14; read at
+(m, n) = (12, 3) each is caught, and with c' = c each leaves every report
+byte-identical.
 """
 
 import json
@@ -57,7 +68,8 @@ import sys
 import numpy as np
 import pytest
 
-from phmorph import RunConfig, biconformal, run_verification, runner
+from phmorph import (RunConfig, biconformal, get_scenario, run_verification,
+                     runner)
 from phmorph.biconformal import PROPERTIES, ChangedMetric, Property
 from phmorph.manifold import matvec, quad, sum_terms
 
@@ -142,6 +154,23 @@ MUTANTS = {mutant: CATCHES[mutant[0], term]
         "nonphwc-anisotropic"},
 }
 LAWS = sorted({law for law, _ in MUTANTS})
+# the wrong dimension coefficients that no bundled run catches (ROADMAP items
+# 14 and 15): (law, mutant) -> (what reads the coefficient: a term, the PHH
+# prediction or the one-function exponent, c(m, n), c'(m, n))
+DIMENSION_MUTANTS = {
+    ("tension-f-structure", "m - 2 for m - 2n"): (
+        "(m - 2n) mu^V", lambda m, n: m - 2 * n, lambda m, n: m - 2),
+    ("corollary-phh", "4n(n - 1) for 8(n - 1)"): (
+        "prediction", lambda m, n: 8 * (n - 1), lambda m, n: 4 * n * (n - 1)),
+    ("corollary-psh", "-(n - 1) for the exponent -(2n - 2)/(m - 2n)"): (
+        "exponent", lambda m, n: -(2 * n - 2) / (m - 2 * n),
+        lambda m, n: -(n - 1)),
+    ("f-divergence", "n(n - 1) for 2n - 2"): (
+        "correction", lambda m, n: 2 * n - 2, lambda m, n: n * (n - 1)),
+    ("tension-transform", "n(1 - n) for 2 - 2n"): (
+        "(2 - 2n) grad ln sigma", lambda m, n: 2 - 2 * n,
+        lambda m, n: n * (1 - n)),
+}
 
 
 def psh_prediction(how):
@@ -153,14 +182,18 @@ def psh_prediction(how):
     return predict
 
 
-def phh_prediction(how):
-    """corollary-phh's prediction read wrong: 8 n for 8 (n - 1), or 0."""
+def phh_prediction(how, scale=1.0):
+    """corollary-phh's prediction read wrong: 8 n for 8 (n - 1), 0, or
+    ``scale`` times 8 (n - 1), a dimension mutant's."""
     def predict(gbar, geo):
         if how == "0":
             return 0.0
+        n = gbar.phi.n
         grad_h = matvec(geo.projector_and_lift[0],
                         gbar.grad_log_factors(geo)[0])
-        norm2 = 8.0 * gbar.phi.n * quad(grad_h, geo.g, grad_h)
+        coefficient = (8.0 * n if how == "n for n - 1"
+                       else scale * 8.0 * (n - 1))
+        norm2 = coefficient * quad(grad_h, geo.g, grad_h)
         return (gbar.factor_values(geo)[0] * np.sqrt(norm2))[..., None]
 
     return predict
@@ -226,17 +259,50 @@ def apply(monkeypatch, law, how):
         phwc_equivalence_mutant(monkeypatch, how)
 
 
-def reports(law):
-    """Per run, the report of that run checking ``law`` alone."""
-    return {run: run_verification(RunConfig(samples=20, seed=5,
-                                            identities=[law], **args))
-            for run, args in RUNS.items()}
+def dimension_mutant(law, how, right=False, at=None):
+    """The mutant (law, how) of ``DIMENSION_MUTANTS`` as ``put(patch, m,
+    n)``, which puts it in place for a run at its (m, n), or at the (m, n)
+    ``at``: what reads the coefficient c, times c'(m, n) / c(m, n), or 1
+    where both are 0; with ``right``, c' is c."""
+    where, right_c, wrong_c = DIMENSION_MUTANTS[law, how]
+
+    def put(patch, m, n):
+        m, n = at or (m, n)
+        c, c_wrong = right_c(m, n), (right_c if right else wrong_c)(m, n)
+        assert c or not c_wrong, (law, how, m, n)
+        scale = c_wrong / c if c else 1.0
+        if where == "exponent":  # both of the runner's call sites read it
+            patch.setattr(runner, "special_change", lambda phi, sigma: (
+                ChangedMetric(phi, sigma, scale * biconformal.special_change(
+                    phi, sigma).rho)))
+        elif where == "prediction":
+            prop, wrong = PREDICTIONS[law]
+            patch.setitem(PROPERTIES, prop, Property(
+                PROPERTIES[prop].measure, wrong(how, scale)))
+        else:
+            rebind_sum_terms(patch, scaling(where, scale))
+
+    return put
 
 
-def verdicts(law):
+def reports(law, mutant=None):
+    """Per run, the report of that run checking ``law`` alone, with
+    ``mutant(patch, m, n)`` put in place at the run's (m, n) where given."""
+    out = {}
+    for run, args in RUNS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            if mutant is not None:
+                phi = get_scenario(args["scenario"]).phi
+                mutant(patch, phi.m, phi.n)
+            out[run] = run_verification(RunConfig(
+                samples=20, seed=5, identities=[law], **args))
+    return out
+
+
+def verdicts(law, mutant=None):
     """Per run, whether ``law`` passed, or None where it is skipped."""
     return {run: rows[0]["passed"] if (rows := report["per_identity"])
-            else None for run, report in reports(law).items()}
+            else None for run, report in reports(law, mutant).items()}
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -280,3 +346,32 @@ def test_a_mutant_is_caught(monkeypatch, law, how):
     caught = {run for run, ok in verdicts(law).items() if ok is False}
     assert caught == MUTANTS[law, how]
     assert caught, "no run catches %s: %s" % (law, how)
+
+
+@pytest.mark.parametrize("law, how", [
+    pytest.param(*mutant, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="the wrong coefficient "
+        "equals the right one at every bundled run's (m, n) where its term "
+        "has content: ROADMAP item 14's products (curved-fibers^3, at "
+        "m = 12 and n = 3) would catch it"))
+    for mutant in DIMENSION_MUTANTS])
+def test_a_dimension_mutant_is_caught(law, how):
+    caught = {run for run, ok in verdicts(
+        law, dimension_mutant(law, how)).items() if ok is False}
+    assert caught, "no run catches %s: %s" % (law, how)
+
+
+@pytest.mark.parametrize("law, how", list(DIMENSION_MUTANTS))
+def test_a_dimension_mutant_reaches_its_coefficient(law, how):
+    # read at curved-fibers^3's (m, n) = (12, 3) on every run, each is
+    # caught: the strict xfail above fails for want of a run, not of a patch
+    caught = {run for run, ok in verdicts(
+        law, dimension_mutant(law, how, at=(12, 3))).items() if ok is False}
+    assert caught
+
+
+@pytest.mark.parametrize("law, how", list(DIMENSION_MUTANTS))
+def test_a_dimension_mutant_with_the_right_coefficient_changes_no_report(
+        law, how):
+    assert json.dumps(reports(law, dimension_mutant(law, how, right=True))) \
+        == json.dumps(reports(law))
