@@ -7,7 +7,7 @@ identity's count of errored samples with the first three of its
 ``IdentityAggregate.errors`` (the point and message of an errored sample,
 which the report counts but does not list; a tree that keeps every error
 and one that keeps only the first three compare equal) and what the run
-wrote to stderr.  The list:
+wrote to stdout and to stderr.  The list:
 
 - the three perfbench workloads (``perfbench/workloads.json``) at seeds 3
   and 42, with 20 and 100 samples;
@@ -52,7 +52,11 @@ wrote to stderr.  The list:
 - ``flat-projection-4-2 --sigma`` with each malformed expression of
   ``tests/test_reachability.py`` (``1+``, ``sin 1``, ``foo``, ``(1``,
   ``exp(1``, ``1e``, an empty one and ``x9``, outside the chart): each exits
-  2, and stderr names the error and its offset.
+  2, and stderr names the error and its offset;
+- the runs of ``tests/test_reachability.py`` that write no report:
+  ``list``, ``list --format json``, ``-h``, ``verify -h`` and ``--foo -h``
+  (a help request after an unknown option), each exiting 0 with its text on
+  stdout.
 
 It prints one line per run, naming for reports that differ the first few
 JSON paths where they do (``config.tol_ad``, ``per_identity[2].passed``),
@@ -109,6 +113,9 @@ SYNTAX = [
 
 MALFORMED = ["1+", "sin 1", "foo", "(1", "exp(1", "1e", "", "x9"]
 
+NO_REPORT = [["list"], ["list", "--format", "json"], ["-h"],
+             ["verify", "-h"], ["--foo", "-h"]]
+
 
 def runs(report):
     """(name, CLI arguments) of each compared run, writing to ``report``."""
@@ -142,14 +149,15 @@ def runs(report):
     out += [("flat-projection-4-2 --sigma %r" % text,
              ["verify", "--scenario", "flat-projection-4-2", "--sigma", text,
               "--report", report]) for text in MALFORMED]
+    out += [(" ".join(args), args) for args in NO_REPORT]
     return out
 
 
 def worker(root):
     """Run each argument list read as JSON from stdin with phmorph from
-    ROOT/src, and write [exit code, report text, [identity, first three
-    errors, error count] per identity, stderr text] for each as one JSON
-    list to stdout."""
+    ROOT/src, and write [exit code, report text (None: no report),
+    [identity, first three errors, error count] per identity, stderr text,
+    stdout text] for each as one JSON list to stdout."""
     src = os.path.join(os.path.abspath(root), "src")
     sys.path.insert(0, src)
     import phmorph
@@ -166,19 +174,20 @@ def worker(root):
 
     biconformal.IdentityAggregate.as_dict = recording
     results = []
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        for argv in json.load(sys.stdin):
-            del errors[:]
-            stderr = io.StringIO()
+    for argv in json.load(sys.stdin):
+        del errors[:]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout):
             with contextlib.redirect_stderr(stderr):
                 code = cli.main(argv)
-            report = argv[argv.index("--report") + 1]
-            text = None
-            if os.path.exists(report):
-                with open(report) as fh:
-                    text = fh.read()
-                os.unlink(report)
-            results.append([code, text, list(errors), stderr.getvalue()])
+        report = dict(zip(argv, argv[1:])).get("--report")
+        text = None
+        if report is not None and os.path.exists(report):
+            with open(report) as fh:
+                text = fh.read()
+            os.unlink(report)
+        results.append([code, text, list(errors), stderr.getvalue(),
+                        stdout.getvalue()])
     json.dump(results, sys.stdout)
 
 
@@ -235,8 +244,8 @@ def main(argv):
     differences = 0
     for name, parent, change in zip(names, *sides):
         parts = [part for part, a, b in zip(
-            ("exit code", "report bytes", "error messages", "stderr"), parent,
-            change)
+            ("exit code", "report bytes", "error messages", "stderr",
+             "stdout"), parent, change)
             if a != b]
         if parent[1] != change[1]:
             parts[parts.index("report bytes")] += " at " + report_paths(
